@@ -9,7 +9,7 @@
 //	monestd [-addr :8080] [-instances 2] [-k 64] [-shards 16] [-salt 1]
 //	        [-default-estimator lstar] [-estimators lstar,ustar,ht,...]
 //	        [-snapshot-max-stale 0s]
-//	        [-subscribe-debounce 100ms] [-subscribe-heartbeat 15s]
+//	        [-subscribe-debounce 100ms]
 //	        [-data-dir DIR] [-fsync always|interval|never]
 //	        [-checkpoint-interval 1m] [-pprof]
 //	        [-cluster url1,url2] [-cluster-read strict|partial|quorum=N]
@@ -29,9 +29,8 @@
 // frames (WAL record format behind an 8-byte magic) over one chunked
 // connection, and GET /v1/subscribe pushes re-estimates as Server-Sent
 // Events whenever the sketch state changes. -subscribe-debounce is the
-// window that coalesces write bursts into one push; -subscribe-heartbeat
-// is the SSE keepalive comment period. On graceful shutdown subscribers
-// receive a final "drain" event before the listener closes.
+// window that coalesces write bursts into one push. On graceful shutdown
+// subscribers receive a final "drain" event before the listener closes.
 //
 // Durability: -data-dir points at a state directory (or a "backend:path"
 // store spec, e.g. "file:/var/lib/monestd"); on boot the daemon recovers
@@ -45,7 +44,7 @@
 //
 // Cluster mode: -cluster=url1,url2,... turns the process into a
 // coordinator over N monestd nodes sharing the same -salt/-instances/-k.
-// Reads scatter-gather the nodes' binary sketch states (GET /v1/sketch
+// Reads scatter-gather the nodes' binary sketch states (GET /v1/export
 // with per-node version-vector caching — unchanged nodes answer 304 and
 // transfer nothing), fold them losslessly into a local merge engine, and
 // serve the full /v1/query//v1/subscribe surface from the merged
@@ -62,8 +61,7 @@
 // requests retry with capped exponential backoff + full jitter behind a
 // per-node circuit breaker, so an unreachable node short-circuits
 // instead of costing a timeout per sync. -cluster-poll keeps
-// subscriptions live without query traffic; -cluster-sync-max-stale
-// bounds sync frequency under read load; -data-dir is rejected (nodes
+// subscriptions live without query traffic; -data-dir is rejected (nodes
 // own durability — the coordinator rebuilds from them on the next sync).
 //
 // Backpressure: -ingest-rate caps each client IP's sustained ingest
@@ -83,7 +81,8 @@
 //	monestd -addr :8080 -instances 2 -k 256 -data-dir /var/lib/monestd &
 //	curl -X POST localhost:8080/v1/ingest -d \
 //	  '{"updates":[{"instance":0,"key":"alpha","weight":0.9}]}'
-//	curl 'localhost:8080/v1/estimate/sum?func=rg&p=1&estimator=lstar'
+//	curl -X POST localhost:8080/v1/query -d \
+//	  '{"queries":[{"func":"rg","p":1,"estimator":"lstar"}]}'
 //	curl -X POST localhost:8080/v1/checkpoint
 //	curl -o sketch.bin localhost:8080/v1/export
 //	curl localhost:8080/metrics
@@ -128,8 +127,7 @@ type options struct {
 	allow      string
 	maxStale   time.Duration
 
-	subDebounce  time.Duration
-	subHeartbeat time.Duration
+	subDebounce time.Duration
 
 	dataDir      string
 	fsync        string
@@ -137,10 +135,8 @@ type options struct {
 	pprof        bool
 
 	cluster        string
-	clusterVNodes  int
 	clusterTimeout time.Duration
 	clusterPoll    time.Duration
-	clusterStale   time.Duration
 	clusterRead    string
 
 	ingestRate     float64
@@ -159,16 +155,13 @@ func main() {
 	flag.StringVar(&o.allow, "estimators", "", "comma-separated allowlist of estimator base names (empty = all registered)")
 	flag.DurationVar(&o.maxStale, "snapshot-max-stale", 0, "serve cached snapshots up to this old under write load (0 = always exact)")
 	flag.DurationVar(&o.subDebounce, "subscribe-debounce", 100*time.Millisecond, "window coalescing write bursts into one /v1/subscribe push")
-	flag.DurationVar(&o.subHeartbeat, "subscribe-heartbeat", 15*time.Second, "SSE keepalive comment period on /v1/subscribe")
 	flag.StringVar(&o.dataDir, "data-dir", "", "state directory or backend:path store spec (empty = in-memory only)")
 	flag.StringVar(&o.fsync, "fsync", "interval", "WAL flush policy: always, interval, never")
 	flag.DurationVar(&o.checkpointIv, "checkpoint-interval", time.Minute, "periodic checkpoint period (0 = only on demand and shutdown)")
 	flag.BoolVar(&o.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")
 	flag.StringVar(&o.cluster, "cluster", "", "comma-separated node base URLs; when set, serve as cluster coordinator")
-	flag.IntVar(&o.clusterVNodes, "cluster-vnodes", 0, "virtual nodes per cluster member (0 = default 64)")
 	flag.DurationVar(&o.clusterTimeout, "cluster-timeout", 2*time.Second, "per-node request timeout in cluster mode")
 	flag.DurationVar(&o.clusterPoll, "cluster-poll", 200*time.Millisecond, "background node-sync period driving /v1/subscribe pushes (0 = query-driven only)")
-	flag.DurationVar(&o.clusterStale, "cluster-sync-max-stale", 0, "skip node re-sync when the last one is at most this old (0 = sync per read)")
 	flag.StringVar(&o.clusterRead, "cluster-read", "strict", "cluster read policy: strict, partial, or quorum=<n>")
 	flag.Float64Var(&o.ingestRate, "ingest-rate", 0, "per-client ingest rate limit in updates/sec (0 = unlimited)")
 	flag.Float64Var(&o.ingestBurst, "ingest-burst", 0, "token-bucket burst for -ingest-rate (0 = same as rate)")
@@ -188,8 +181,8 @@ func run(o options) error {
 	if o.checkpointIv < 0 {
 		return fmt.Errorf("-checkpoint-interval %v must be nonnegative", o.checkpointIv)
 	}
-	if o.subDebounce < 0 || o.subHeartbeat < 0 {
-		return errors.New("-subscribe-debounce and -subscribe-heartbeat must be nonnegative")
+	if o.subDebounce < 0 {
+		return fmt.Errorf("-subscribe-debounce %v must be nonnegative", o.subDebounce)
 	}
 	fsyncPolicy, err := store.ParseFsyncPolicy(o.fsync)
 	if err != nil {
@@ -226,13 +219,11 @@ func run(o options) error {
 			}
 		}
 		coord, err = cluster.New(cluster.Config{
-			Nodes:        nodes,
-			VirtualNodes: o.clusterVNodes,
-			Engine:       engCfg,
-			Timeout:      o.clusterTimeout,
-			Poll:         o.clusterPoll,
-			SyncMaxStale: o.clusterStale,
-			ReadPolicy:   readPolicy,
+			Nodes:      nodes,
+			Engine:     engCfg,
+			Timeout:    o.clusterTimeout,
+			Poll:       o.clusterPoll,
+			ReadPolicy: readPolicy,
 		})
 		if err != nil {
 			return err
@@ -311,15 +302,14 @@ func run(o options) error {
 	}
 
 	srvCfg := server.Config{
-		Registry:           reg,
-		DefaultEstimator:   o.defaultEst,
-		SnapshotMaxStale:   o.maxStale,
-		Persist:            persist,
-		SubscribeDebounce:  o.subDebounce,
-		SubscribeHeartbeat: o.subHeartbeat,
-		IngestRate:         o.ingestRate,
-		IngestBurst:        o.ingestBurst,
-		IngestInflight:     o.ingestInflight,
+		Registry:          reg,
+		DefaultEstimator:  o.defaultEst,
+		SnapshotMaxStale:  o.maxStale,
+		Persist:           persist,
+		SubscribeDebounce: o.subDebounce,
+		IngestRate:        o.ingestRate,
+		IngestBurst:       o.ingestBurst,
+		IngestInflight:    o.ingestInflight,
 	}
 	if coord != nil {
 		srvCfg.Snapshots = coord

@@ -86,17 +86,21 @@ func TestRunServesAndShutsDownGracefully(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	resp, err = http.Get(url + "/v1/estimate/sum?func=max")
+	resp, err = http.Post(url+"/v1/query", "application/json", strings.NewReader(`{"queries":[{"func":"max"}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var est map[string]any
+	var est struct {
+		Results []struct {
+			Estimate *float64 `json:"estimate"`
+		} `json:"results"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&est); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if _, ok := est["estimate"].(float64); !ok {
-		t.Fatalf("estimate body %v", est)
+	if len(est.Results) != 1 || est.Results[0].Estimate == nil {
+		t.Fatalf("query body %+v", est)
 	}
 
 	// SIGTERM must drain and exit cleanly.

@@ -144,7 +144,8 @@ func TestCluster(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("/v1/stats on coordinator: %d", status)
 		}
-		resp, err := http.Get(coordBase + "/v1/estimate/sum?func=rg&p=1&estimator=lstar")
+		resp, err := http.Post(coordBase+"/v1/query", "application/json",
+			strings.NewReader(`{"queries":[{"func":"rg","p":1,"estimator":"lstar"}]}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +166,8 @@ func TestCluster(t *testing.T) {
 		"-data-dir", nodeDirs[killed], "-checkpoint-interval", "0", "-fsync", "always")
 	deadline = time.Now().Add(15 * time.Second)
 	for {
-		resp, err := http.Get(coordBase + "/v1/estimate/sum?func=rg&p=1&estimator=lstar")
+		resp, err := http.Post(coordBase+"/v1/query", "application/json",
+			strings.NewReader(`{"queries":[{"func":"rg","p":1,"estimator":"lstar"}]}`))
 		if err != nil {
 			t.Fatal(err)
 		}

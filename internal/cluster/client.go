@@ -16,7 +16,7 @@ import (
 )
 
 // This file is the coordinator's client side of the node wire: binary
-// sketch fetches (GET /v1/sketch with If-None-Match) and synchronous
+// sketch fetches (GET /v1/export with If-None-Match) and synchronous
 // routed ingest (one-shot POST /v1/stream bodies). Both move the same
 // binary formats the node persists and exports — wire == disk == export.
 
@@ -70,7 +70,7 @@ type nodeClient struct {
 	// staleness label degraded blocks carry for this node.
 	lastMergeAt atomic.Int64
 	// version is the node's engine version at the last fetch whose state
-	// was MERGED (the /v1/sketch ETag) — the coordinator's version-vector
+	// was MERGED (the /v1/export ETag) — the coordinator's version-vector
 	// entry for this node. have flags that version holds a real merge.
 	// Only Coordinator.Sync writes these, via commit, and only after
 	// MergeState succeeded: a fetch whose state never reached the merge
@@ -156,7 +156,7 @@ func (n *nodeClient) retrying(ctx context.Context, op func(context.Context) erro
 // transferred.
 func (n *nodeClient) fetchSketch(ctx context.Context) (st *engine.State, size int, err error) {
 	err = n.retrying(ctx, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.addr+"/v1/sketch", nil)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.addr+"/v1/export", nil)
 		if err != nil {
 			return &NodeError{Addr: n.addr, Err: err}
 		}
@@ -186,7 +186,7 @@ func (n *nodeClient) fetchSketch(ctx context.Context) (st *engine.State, size in
 				return &NodeError{Addr: n.addr, Status: resp.StatusCode, Err: err}
 			}
 			st, size = decoded, len(data)
-			// The artifact's own cut version IS the ETag (sketch.go labels
+			// The artifact's own cut version IS the ETag (the node labels
 			// the bytes, not the moment); the caller commits it alongside
 			// the merge, keeping vector entry and merged contents atomic.
 			return nil

@@ -229,7 +229,7 @@ func TestClusterMatchesUnionEngine(t *testing.T) {
 	}
 	check := func(label string) {
 		t.Helper()
-		view, err := coord.AcquireSnapshot(context.Background())
+		view, _, err := coord.AcquireSnapshot(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -256,12 +256,12 @@ func TestClusterMatchesUnionEngine(t *testing.T) {
 
 	// Version-vector caching: re-querying with no node writes re-fetches
 	// NOTHING — no 200s, no state bytes, only 304s.
-	if _, err := coord.AcquireSnapshot(context.Background()); err != nil {
+	if _, _, err := coord.AcquireSnapshot(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	before := coord.Stats()
 	for i := 0; i < 2; i++ {
-		if _, err := coord.AcquireSnapshot(context.Background()); err != nil {
+		if _, _, err := coord.AcquireSnapshot(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,7 +285,7 @@ func TestClusterMatchesUnionEngine(t *testing.T) {
 	// routing and the merged snapshot is again bit-identical.
 	for i := range nodes {
 		nodes[i].stop()
-		if _, err := coord.AcquireSnapshot(context.Background()); err == nil {
+		if _, _, err := coord.AcquireSnapshot(context.Background()); err == nil {
 			t.Fatalf("query succeeded with node %d down", i)
 		} else {
 			var ne *cluster.NodeError
@@ -300,7 +300,7 @@ func TestClusterMatchesUnionEngine(t *testing.T) {
 
 	// Final full-trio sweep: the same bit-identity, now including
 	// ustar's quadrature path, over the post-restart state.
-	view, err := coord.AcquireSnapshot(context.Background())
+	view, _, err := coord.AcquireSnapshot(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestSyncPartialFailureKeepsSuccessfulFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	if _, err := coord.AcquireSnapshot(context.Background()); err != nil {
+	if _, _, err := coord.AcquireSnapshot(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -407,11 +407,11 @@ func TestSyncPartialFailureKeepsSuccessfulFetch(t *testing.T) {
 		}
 		// Strict reads: the degraded sync fails — but the live node's
 		// fetched state must either merge now or stay fetchable later.
-		if _, err := coord.AcquireSnapshot(context.Background()); err == nil {
+		if _, _, err := coord.AcquireSnapshot(context.Background()); err == nil {
 			t.Fatalf("sync succeeded with node %d down", i)
 		}
 		nodes[i] = nodes[i].restart()
-		view, err := coord.AcquireSnapshot(context.Background())
+		view, _, err := coord.AcquireSnapshot(context.Background())
 		if err != nil {
 			t.Fatalf("sync after restart of node %d: %v", i, err)
 		}
@@ -449,7 +449,7 @@ func TestClusterSeedMismatch(t *testing.T) {
 	}
 	defer coord.Close()
 
-	_, err = coord.AcquireSnapshot(context.Background())
+	_, _, err = coord.AcquireSnapshot(context.Background())
 	if err == nil {
 		t.Fatal("seed-mismatched node merged cleanly")
 	}

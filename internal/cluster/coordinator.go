@@ -26,7 +26,7 @@ import (
 //
 // Consistency model: governed by Config.ReadPolicy. Strict (default):
 // a query triggers one version-vector sync — each node answers a
-// conditional /v1/sketch fetch, transferring state only when its
+// conditional /v1/export fetch, transferring state only when its
 // version advanced (steady state: N tiny 304s, zero state bytes, no
 // merge) — and any unreachable node fails the read with a degraded-mode
 // error (HTTP 503 through internal/server) rather than silently serving
@@ -412,22 +412,15 @@ func (c *Coordinator) Sync(ctx context.Context) error {
 }
 
 // AcquireSnapshot implements internal/server's SnapshotSource: sync the
-// version vector, then cut the merge engine. The returned view's version
-// is the merge engine's mutation version — it advances exactly when some
-// node's folded-in state changed the merged contents, so the server's
-// per-version memo and the SSE id lines work across the cluster
-// unchanged. ctx (the serving request's context) cancels in-flight node
-// fetches, so a disconnected client or a draining server does not hold
-// the sync for timeout×(1+retries) per node.
-func (c *Coordinator) AcquireSnapshot(ctx context.Context) (engine.SnapshotView, error) {
-	view, _, err := c.AcquireSnapshotDegraded(ctx)
-	return view, err
-}
-
-// AcquireSnapshotDegraded is AcquireSnapshot plus the degraded label of
-// the round that produced the view (nil = exact full union). It is the
-// method internal/server's degraded-aware acquisition path looks for.
-func (c *Coordinator) AcquireSnapshotDegraded(ctx context.Context) (engine.SnapshotView, *Degraded, error) {
+// version vector, then cut the merge engine, labeling the view with the
+// degraded block of the round that produced it (nil = exact full union).
+// The returned view's version is the merge engine's mutation version — it
+// advances exactly when some node's folded-in state changed the merged
+// contents, so the server's per-version memo and the SSE id lines work
+// across the cluster unchanged. ctx (the serving request's context)
+// cancels in-flight node fetches, so a disconnected client or a draining
+// server does not hold the sync for timeout×(1+retries) per node.
+func (c *Coordinator) AcquireSnapshot(ctx context.Context) (engine.SnapshotView, *Degraded, error) {
 	if err := c.Sync(ctx); err != nil {
 		return engine.SnapshotView{}, nil, err
 	}

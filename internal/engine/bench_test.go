@@ -194,13 +194,13 @@ func BenchmarkSnapshotCached(b *testing.B) {
 	if err := e.IngestBatch(benchUpdates(1 << 14)); err != nil {
 		b.Fatal(err)
 	}
-	if snap, _ := e.CachedSnapshot(0); len(snap.Keys) == 0 {
+	if snap, _ := cachedSnapshot(e, 0); len(snap.Keys) == 0 {
 		b.Fatal("empty snapshot")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if snap, _ := e.CachedSnapshot(0); len(snap.Keys) == 0 {
+		if snap, _ := cachedSnapshot(e, 0); len(snap.Keys) == 0 {
 			b.Fatal("empty snapshot")
 		}
 	}

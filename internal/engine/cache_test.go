@@ -33,6 +33,13 @@ func equalSnapshots(t *testing.T, a, b Snapshot) {
 	}
 }
 
+// cachedSnapshot materializes CachedView's snapshot alongside the version
+// of the cut it came from.
+func cachedSnapshot(e *Engine, maxStale time.Duration) (Snapshot, uint64) {
+	v := e.CachedView(maxStale)
+	return v.Snapshot(), v.Version
+}
+
 // sharedBacking reports whether two snapshots are the same reduction (the
 // cache handed out one value twice) by comparing backing array pointers.
 func sharedBacking(a, b Snapshot) bool {
@@ -88,7 +95,7 @@ func TestVersionCounting(t *testing.T) {
 	// changes no snapshot-visible state, so it counts as traffic but NOT
 	// as a mutation — the cached snapshot survives duplicate-heavy
 	// streams.
-	snapBefore, _ := e.CachedSnapshot(0)
+	snapBefore, _ := cachedSnapshot(e, 0)
 	if err := e.Ingest(0, 7, 0.1); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +103,7 @@ func TestVersionCounting(t *testing.T) {
 	if st.Version != 3 || st.Ingests != 4 {
 		t.Fatalf("Stats version/ingests = %d/%d, want 3/4", st.Version, st.Ingests)
 	}
-	snapAfter, _ := e.CachedSnapshot(0)
+	snapAfter, _ := cachedSnapshot(e, 0)
 	if !sharedBacking(snapBefore, snapAfter) {
 		t.Fatal("dominated duplicate invalidated the cache")
 	}
@@ -118,19 +125,19 @@ func TestCachedSnapshotReuseAndInvalidation(t *testing.T) {
 	}
 	ingestDataset(t, e, d, nil, false)
 
-	c1, v1 := e.CachedSnapshot(0)
-	c2, v2 := e.CachedSnapshot(0)
+	c1, v1 := cachedSnapshot(e, 0)
+	c2, v2 := cachedSnapshot(e, 0)
 	if v1 != v2 {
 		t.Fatalf("versions differ without mutation: %d != %d", v1, v2)
 	}
 	if !sharedBacking(c1, c2) {
-		t.Fatal("repeat CachedSnapshot rebuilt instead of reusing")
+		t.Fatal("repeat CachedView rebuilt instead of reusing")
 	}
 	// A zero-weight ingest must not invalidate the cache.
 	if err := e.Ingest(0, 12345, 0); err != nil {
 		t.Fatal(err)
 	}
-	c3, v3 := e.CachedSnapshot(0)
+	c3, v3 := cachedSnapshot(e, 0)
 	if v3 != v1 || !sharedBacking(c1, c3) {
 		t.Fatal("zero-weight no-op invalidated the cache")
 	}
@@ -146,7 +153,7 @@ func TestCachedSnapshotReuseAndInvalidation(t *testing.T) {
 	// new cut is again bit-identical to batch on the mutated data.
 	d2 := dataset.Flows(dataset.FlowsConfig{N: 300, Seed: 12})
 	ingestDataset(t, e, d2, nil, false)
-	c4, v4 := e.CachedSnapshot(0)
+	c4, v4 := cachedSnapshot(e, 0)
 	if v4 <= v1 {
 		t.Fatalf("version did not advance: %d <= %d", v4, v1)
 	}
@@ -165,7 +172,7 @@ func TestSnapshotPublishesToCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := e.Snapshot()
-	cached, _ := e.CachedSnapshot(0)
+	cached, _ := cachedSnapshot(e, 0)
 	if !sharedBacking(fresh, cached) {
 		t.Fatal("Snapshot() did not publish its reduction to the cache")
 	}
@@ -179,22 +186,22 @@ func TestCachedSnapshotMaxStale(t *testing.T) {
 	if err := e.Ingest(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	old, vOld := e.CachedSnapshot(0)
+	old, vOld := cachedSnapshot(e, 0)
 	if err := e.Ingest(1, 2, 3); err != nil {
 		t.Fatal(err)
 	}
 	// Within the staleness bound the old cut is served even though the
 	// version moved on.
-	stale, vStale := e.CachedSnapshot(time.Hour)
+	stale, vStale := cachedSnapshot(e, time.Hour)
 	if vStale != vOld || !sharedBacking(old, stale) {
 		t.Fatal("bounded-staleness read did not reuse the recent snapshot")
 	}
 	// An exact read re-reduces and refreshes the cache for everyone.
-	exact, vExact := e.CachedSnapshot(0)
+	exact, vExact := cachedSnapshot(e, 0)
 	if vExact <= vOld || sharedBacking(old, exact) {
 		t.Fatal("exact read served a stale snapshot")
 	}
-	after, vAfter := e.CachedSnapshot(time.Hour)
+	after, vAfter := cachedSnapshot(e, time.Hour)
 	if vAfter != vExact || !sharedBacking(exact, after) {
 		t.Fatal("staleness-bounded read ignored the refreshed cache")
 	}
@@ -237,7 +244,7 @@ func TestCachedSnapshotConcurrent(t *testing.T) {
 				maxStale = time.Millisecond
 			}
 			for i := 0; i < 50; i++ {
-				snap, v := e.CachedSnapshot(maxStale)
+				snap, v := cachedSnapshot(e, maxStale)
 				if v < last {
 					t.Errorf("version went backwards: %d after %d", v, last)
 					return
@@ -255,7 +262,7 @@ func TestCachedSnapshotConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, v := e.CachedSnapshot(0)
+	final, v := cachedSnapshot(e, 0)
 	if v != e.Version() {
 		t.Fatalf("quiescent cached version %d != engine version %d", v, e.Version())
 	}

@@ -60,7 +60,7 @@ type Engine struct {
 	// applied (write-ahead). Set via SetJournal before concurrent use.
 	journal Journal
 	// cache is the last reduced snapshot with the version it was cut at;
-	// CachedSnapshot serves it lock-free while the version holds, and
+	// CachedView serves it lock-free while the version holds, and
 	// rebuildMu single-flights cache-miss rebuilds.
 	cache     atomic.Pointer[snapshotCacheEntry]
 	rebuildMu sync.Mutex
@@ -139,31 +139,42 @@ func (e *Engine) Ingest(instance int, key uint64, weight float64) error {
 	if weight == 0 {
 		return nil
 	}
-	sh := e.shards[e.shardOf(key)]
-	sh.mu.Lock()
-	// Write-ahead under the shard lock: journaled-then-applied is one
-	// critical section, so a checkpoint cut never misses a journaled
-	// update (see Journal). A journal error rejects the update unapplied.
-	if e.journal != nil {
-		one := [1]Update{{Instance: instance, Key: key, Weight: weight}}
-		if err := e.journal.Append(one[:]); err != nil {
-			sh.mu.Unlock()
-			return fmt.Errorf("engine: journal: %w", err)
-		}
+	one := [1]Update{{Instance: instance, Key: key, Weight: weight}}
+	muts, err := e.foldShard(e.shards[e.shardOf(key)], one[:])
+	if err != nil {
+		return fmt.Errorf("engine: journal: %w", err)
 	}
-	// Counters bump under the shard lock so a consistent cut (Snapshot,
-	// Stats) reads version and traffic exactly as of the cut. Version
-	// counts mutations only; Ingests counts accepted operations.
-	mutated := sh.ingest(e, instance, key, weight)
-	if mutated {
-		sh.muts.Add(1)
-	}
-	e.ingests.Add(1)
-	sh.mu.Unlock()
-	if mutated {
+	if muts > 0 {
 		e.notifyMutation()
 	}
 	return nil
+}
+
+// foldShard is the engine's one write critical section: journal the
+// validated, non-zero-weight updates (all routed to sh), then apply them,
+// under sh's lock. Write-ahead under the shard lock makes
+// journaled-then-applied atomic with respect to any consistent cut, so a
+// checkpoint never misses a journaled update (see Journal); a journal
+// error rejects the updates unapplied. Counters bump under the same lock
+// so a cut (Snapshot, Stats) reads version and traffic exactly as of the
+// cut: muts (returned) counts snapshot-visible mutations, Ingests counts
+// accepted operations.
+func (e *Engine) foldShard(sh *shard, updates []Update) (muts uint64, err error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if e.journal != nil {
+		if err := e.journal.Append(updates); err != nil {
+			return 0, err
+		}
+	}
+	for _, u := range updates {
+		if sh.ingest(e, u.Instance, u.Key, u.Weight) {
+			muts++
+		}
+	}
+	sh.muts.Add(muts)
+	e.ingests.Add(uint64(len(updates)))
+	return muts, nil
 }
 
 // batchScratch is IngestBatch's reusable bucketing state: per-shard counts
@@ -233,29 +244,15 @@ func (e *Engine) IngestBatch(updates []Update) error {
 		if hi == lo {
 			continue
 		}
-		sh := e.shards[s]
-		sh.mu.Lock()
-		// Write-ahead per shard, inside the shard's critical section (see
-		// Journal): each shard's sub-batch is one WAL record. A journal
-		// error aborts the batch mid-way — shards already walked keep
-		// their (journaled) updates, later shards see nothing, matching
-		// the documented per-shard (not cross-shard) atomicity.
-		if e.journal != nil {
-			if err := e.journal.Append(buf[lo:hi]); err != nil {
-				sh.mu.Unlock()
-				return fmt.Errorf("engine: journal (batch partially applied): %w", err)
-			}
+		// Each shard's sub-batch is one WAL record. A journal error aborts
+		// the batch mid-way — shards already walked keep their (journaled)
+		// updates, later shards see nothing, matching the documented
+		// per-shard (not cross-shard) atomicity.
+		muts, err := e.foldShard(e.shards[s], buf[lo:hi])
+		if err != nil {
+			return fmt.Errorf("engine: journal (batch partially applied): %w", err)
 		}
-		muts := uint64(0)
-		for _, u := range buf[lo:hi] {
-			if sh.ingest(e, u.Instance, u.Key, u.Weight) {
-				muts++
-			}
-		}
-		sh.muts.Add(muts)
 		batchMuts += muts
-		e.ingests.Add(uint64(hi - lo))
-		sh.mu.Unlock()
 		lo = hi
 	}
 	if batchMuts > 0 {

@@ -133,7 +133,7 @@ func (e *Engine) rebuildLocked() SnapshotView {
 	}
 
 	// Nothing moved since the published snapshot: the cut just verified the
-	// cache is exact, so serve it (FreshSnapshot stays an exact read).
+	// cache is exact, so serve it (FreshView stays an exact read).
 	if !anyDirty {
 		if c := e.cache.Load(); c != nil && c.version == version {
 			return c.view

@@ -24,8 +24,8 @@ import (
 // Snapshot is a consistent cut of the engine reduced to per-item monotone
 // outcomes — the streaming equivalent of dataset.SampleBottomK's result.
 //
-// A snapshot may be shared between concurrent readers (CachedSnapshot
-// returns the same value to everyone until the engine mutates), and its
+// A snapshot may be shared between concurrent readers (CachedView hands
+// the same view to everyone until the engine mutates), and its
 // outcome Known/Vals slices are sub-slices of shared arena arrays: treat
 // the whole structure as immutable.
 type Snapshot struct {
@@ -162,16 +162,6 @@ func (e *Engine) Snapshot() Snapshot {
 	return e.FreshView().Snapshot()
 }
 
-// FreshSnapshot is Snapshot plus the version the cut was taken at, read
-// under the same all-shard lock — the pair is always consistent, unlike a
-// Snapshot() followed by a separate Version() racing concurrent writers.
-// Callers keying memoized results by version must use this (or
-// CachedSnapshot), never the two-call sequence.
-func (e *Engine) FreshSnapshot() (Snapshot, uint64) {
-	v := e.FreshView()
-	return v.Snapshot(), v.Version
-}
-
 // FreshView returns an exact-cut SnapshotView. "Fresh" means exact, not
 // recomputed: the cut itself verifies which cached partitions (and
 // possibly the whole published snapshot) are still byte-identical to a
@@ -182,25 +172,20 @@ func (e *Engine) FreshView() SnapshotView {
 	return e.rebuildLocked()
 }
 
-// CachedSnapshot returns the engine's current snapshot, reusing the last
-// reduced one bit-identically when no mutation intervened: the fast path
-// is one atomic pointer load plus a lock-free version check — zero shard
-// locks, zero reduction work, zero allocations.
+// CachedView returns the engine's current view, reusing the last reduced
+// one bit-identically when no mutation intervened: the fast path is one
+// atomic pointer load plus a lock-free version check — zero shard locks,
+// zero reduction work, zero allocations.
 //
 // maxStale > 0 relaxes exactness under sustained write load: a cached
-// snapshot whose cut is at most maxStale old is served even if the
-// version moved on, bounding how often writers force a re-reduction.
-// maxStale = 0 always serves an exact cut.
+// view whose cut is at most maxStale old is served even if the version
+// moved on, bounding how often writers force a re-reduction. maxStale = 0
+// always serves an exact cut.
 //
-// The returned version identifies the cut the snapshot was taken at
-// (Engine.Version at cut time); callers memoizing derived results key
-// them by it. The snapshot is shared — treat it as immutable.
-func (e *Engine) CachedSnapshot(maxStale time.Duration) (Snapshot, uint64) {
-	v := e.CachedView(maxStale)
-	return v.Snapshot(), v.Version
-}
-
-// CachedView is CachedSnapshot returning the full SnapshotView.
+// The view's Version identifies the cut it was taken at (Engine.Version
+// at cut time); callers memoizing derived results key them by it — never
+// by a separate Version() call, which a racing writer could move past the
+// cut. The view is shared — treat it as immutable.
 func (e *Engine) CachedView(maxStale time.Duration) SnapshotView {
 	if v, ok := e.cachedHit(maxStale); ok {
 		return v

@@ -156,11 +156,11 @@ func TestMergeStateBumpsVersion(t *testing.T) {
 	}
 	// Re-merging the same state is a pure no-op: every mask bit and entry
 	// is dominated, so cached snapshots stay valid.
-	snap, v1 := a.CachedSnapshot(0)
+	snap, v1 := cachedSnapshot(a, 0)
 	if err := a.MergeState(b.DumpState()); err != nil {
 		t.Fatal(err)
 	}
-	snap2, v2 := a.CachedSnapshot(0)
+	snap2, v2 := cachedSnapshot(a, 0)
 	if v2 != v1 {
 		t.Fatalf("idempotent re-merge moved the version %d -> %d", v1, v2)
 	}

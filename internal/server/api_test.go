@@ -1,11 +1,17 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -32,15 +38,30 @@ func TestResponseVersionField(t *testing.T) {
 	ts, _ := newTestServer(t)
 	ingestDataset(t, ts.URL, ladderDataset(t, 24))
 
-	read := func(path string, post bool) float64 {
+	// read returns the version an endpoint reports: the top-level JSON
+	// field, or for the binary /v1/export its ETag.
+	read := func(path string) float64 {
 		t.Helper()
 		var resp *http.Response
 		var body map[string]any
-		if post {
+		switch path {
+		case "/v1/query":
 			resp, body = postJSON(t, ts.URL+path, map[string]any{
-				"queries": []map[string]any{{"statistic": "sum"}},
+				"queries": []map[string]any{{"statistic": "sum"}, {"statistic": "jaccard"}},
 			})
-		} else {
+		case "/v1/export":
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			v, err := strconv.ParseUint(strings.Trim(resp.Header.Get("ETag"), `"`), 10, 64)
+			if resp.StatusCode != http.StatusOK || err != nil {
+				t.Fatalf("%s: status %d ETag %q", path, resp.StatusCode, resp.Header.Get("ETag"))
+			}
+			return float64(v)
+		default:
 			resp, body = getJSON(t, ts.URL+path)
 		}
 		if resp.StatusCode != http.StatusOK {
@@ -53,22 +74,14 @@ func TestResponseVersionField(t *testing.T) {
 		return v
 	}
 
-	paths := []struct {
-		path string
-		post bool
-	}{
-		{"/v1/estimate/sum?func=rg&p=1&estimator=lstar", false},
-		{"/v1/estimate/jaccard", false},
-		{"/v1/stats", false},
-		{"/v1/query", true},
-	}
-	first := read(paths[0].path, paths[0].post)
+	paths := []string{"/v1/query", "/v1/stats", "/v1/export"}
+	first := read(paths[0])
 	if first == 0 {
 		t.Fatal("version 0 after ingest")
 	}
 	for _, p := range paths[1:] {
-		if v := read(p.path, p.post); v != first {
-			t.Fatalf("%s: version %v, want %v (engine unchanged)", p.path, v, first)
+		if v := read(p); v != first {
+			t.Fatalf("%s: version %v, want %v (engine unchanged)", p, v, first)
 		}
 	}
 
@@ -79,8 +92,8 @@ func TestResponseVersionField(t *testing.T) {
 		t.Fatalf("ingest: status %d body %v", resp.StatusCode, body)
 	}
 	for _, p := range paths {
-		if v := read(p.path, p.post); v <= first {
-			t.Fatalf("%s: version %v did not advance past %v after ingest", p.path, v, first)
+		if v := read(p); v <= first {
+			t.Fatalf("%s: version %v did not advance past %v after ingest", p, v, first)
 		}
 	}
 }
@@ -124,6 +137,77 @@ func TestUnroutedRequestsUseErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestRouteTable pins the exact set of registered patterns against the
+// package doc's endpoint list: one spelling per capability, so a new
+// route (or alias) is a deliberate diff here and in the doc. The
+// spellings this surface used to carry answer the structured 404.
+func TestRouteTable(t *testing.T) {
+	want := []string{
+		"POST /v1/ingest",
+		"POST /v1/stream",
+		"POST /v1/query",
+		"GET /v1/subscribe",
+		"GET /v1/stats",
+		"POST /v1/checkpoint",
+		"GET /v1/export",
+		"POST /v1/import",
+		"GET /metrics",
+		"GET /healthz",
+		"GET /readyz",
+	}
+	eng, err := engine.New(engine.Config{Instances: 2, K: 8, Hash: sampling.NewSeedHash(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(eng)
+	var got []string
+	for pattern := range srv.metrics {
+		got = append(got, pattern)
+	}
+	sort.Strings(got)
+	sorted := append([]string(nil), want...)
+	sort.Strings(sorted)
+	if !slices.Equal(got, sorted) {
+		t.Fatalf("registered routes\n  %q\nwant\n  %q", got, sorted)
+	}
+
+	// The package doc lists each endpoint as "//\tMETHOD /path  description".
+	src, err := os.ReadFile("server.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var documented []string
+	for _, m := range regexp.MustCompile(`(?m)^//\t(GET|POST) +(/\S+)`).FindAllStringSubmatch(string(src), -1) {
+		documented = append(documented, m[1]+" "+m[2])
+	}
+	if !slices.Equal(documented, want) {
+		t.Fatalf("package doc endpoints\n  %q\nwant\n  %q", documented, want)
+	}
+
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for _, gone := range []struct{ method, path string }{
+		{http.MethodGet, "/v1/sketch"},
+		{http.MethodPost, "/v1/merge"},
+		{http.MethodGet, "/v1/estimate/sum?func=rg"},
+		{http.MethodGet, "/v1/estimate/jaccard"},
+	} {
+		req, err := http.NewRequest(gone.method, ts.URL+gone.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := decodeBody(t, resp)
+		errObj, _ := body["error"].(map[string]any)
+		if resp.StatusCode != http.StatusNotFound || errObj["code"] != "not_found" {
+			t.Errorf("%s %s: status %d body %v, want the structured 404", gone.method, gone.path, resp.StatusCode, body)
+		}
+	}
+}
+
 // TestStatsSnapshotCounters: /v1/stats exposes the snapshot maintenance
 // counters and the per-shard breakdown, and they are mutually consistent
 // — per-shard mutations sum to the version, per-shard keys sum to the
@@ -141,9 +225,7 @@ func TestStatsSnapshotCounters(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("ingest: status %d body %v", resp.StatusCode, body)
 		}
-		if resp, body := getJSON(t, ts.URL+"/v1/estimate/sum?estimator=lstar"); resp.StatusCode != http.StatusOK {
-			t.Fatalf("estimate: status %d body %v", resp.StatusCode, body)
-		}
+		queryOne(t, ts.URL, map[string]any{"estimator": "lstar"})
 	}
 
 	resp, body := getJSON(t, ts.URL+"/v1/stats")
@@ -192,9 +274,7 @@ func TestStatsSnapshotCounters(t *testing.T) {
 func TestMetricsSnapshotSeries(t *testing.T) {
 	ts, _ := newTestServer(t)
 	ingestDataset(t, ts.URL, ladderDataset(t, 24))
-	if resp, body := getJSON(t, ts.URL+"/v1/estimate/sum?estimator=lstar"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("estimate: status %d body %v", resp.StatusCode, body)
-	}
+	queryOne(t, ts.URL, map[string]any{"estimator": "lstar"})
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -346,55 +426,6 @@ func TestIncrementalServingStaysExact(t *testing.T) {
 	}
 }
 
-// TestEstimateAliasesMatchQuery: GET /v1/estimate/sum and
-// /v1/estimate/jaccard are thin aliases of the corresponding single-query
-// POST /v1/query — same snapshot version, same numbers, field for field.
-func TestEstimateAliasesMatchQuery(t *testing.T) {
-	ts, _ := newTestServer(t)
-	ingestDataset(t, ts.URL, ladderDataset(t, 32))
-
-	resp, queryBody := postJSON(t, ts.URL+"/v1/query", map[string]any{
-		"queries": []map[string]any{
-			{"statistic": "sum", "func": "rgplus", "p": 2, "estimator": "ustar"},
-			{"statistic": "jaccard"},
-		},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query: status %d body %v", resp.StatusCode, queryBody)
-	}
-	results := queryBody["results"].([]any)
-	sumRes := results[0].(map[string]any)
-	jacRes := results[1].(map[string]any)
-
-	resp, sumAlias := getJSON(t, ts.URL+"/v1/estimate/sum?func=rgplus&p=2&estimator=ustar")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sum alias: status %d body %v", resp.StatusCode, sumAlias)
-	}
-	resp, jacAlias := getJSON(t, ts.URL+"/v1/estimate/jaccard")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("jaccard alias: status %d body %v", resp.StatusCode, jacAlias)
-	}
-
-	if sumAlias["version"] != queryBody["version"] || jacAlias["version"] != queryBody["version"] {
-		t.Fatalf("alias versions %v/%v != query version %v", sumAlias["version"], jacAlias["version"], queryBody["version"])
-	}
-	if sumAlias["estimate"] != sumRes["estimate"] {
-		t.Fatalf("sum alias estimate %v != query estimate %v", sumAlias["estimate"], sumRes["estimate"])
-	}
-	if sumAlias["estimator"] != sumRes["estimator"] {
-		t.Fatalf("sum alias estimator %v != query estimator %v", sumAlias["estimator"], sumRes["estimator"])
-	}
-	if jacAlias["jaccard"] != jacRes["estimate"] {
-		t.Fatalf("jaccard alias %v != query estimate %v", jacAlias["jaccard"], jacRes["estimate"])
-	}
-	snapInfo := queryBody["snapshot"].(map[string]any)
-	for _, field := range []string{"keys", "sampled_entries", "total_entries"} {
-		if sumAlias[field] != snapInfo[field] {
-			t.Fatalf("sum alias %s %v != query snapshot %v", field, sumAlias[field], snapInfo[field])
-		}
-	}
-}
-
 // TestPartialCacheSubsetAndErrorParity: subset selections bypass the
 // per-partition cache and must agree with a locally computed estreg.Sum
 // over the same items; a failing estimator surfaces estreg.Sum's exact
@@ -418,9 +449,7 @@ func TestPartialCacheSubsetAndErrorParity(t *testing.T) {
 
 	// Full-dataset first, so the partial cache is warm when the subset
 	// query arrives (the subset must not be answered from it).
-	if resp, body := getJSON(t, ts.URL+"/v1/estimate/sum?estimator=lstar"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm-up: status %d body %v", resp.StatusCode, body)
-	}
+	queryOne(t, ts.URL, map[string]any{"estimator": "lstar"})
 
 	batch, err := dataset.SampleBottomK(d, 8, hash)
 	if err != nil {
@@ -552,4 +581,51 @@ func (alwaysFailEstimator) Name() string { return "alwaysfail" }
 
 func (alwaysFailEstimator) Estimate(sampling.TupleOutcome) (float64, error) {
 	return 0, fmt.Errorf("alwaysfail: no estimate")
+}
+
+// spaces is an endless stream of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestOversizedBodyIs413: a body over its endpoint's cap answers the
+// structured 413 — not a 400 blaming the syntax of a body the server
+// stopped reading.
+func TestOversizedBodyIs413(t *testing.T) {
+	eng, err := engine.New(engine.Config{Instances: 2, K: 8, Hash: sampling.NewSeedHash(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(eng)
+	for _, tc := range []struct {
+		path, open string
+		limit      int64
+	}{
+		// An open array padded with whitespace keeps the JSON decoder
+		// reading until the cap trips; /v1/import reads the raw bytes.
+		{"/v1/ingest", `{"updates":[`, maxIngestBody},
+		{"/v1/query", `{"queries":[`, maxQueryBody},
+		{"/v1/import", "", maxImportBody},
+	} {
+		body := io.MultiReader(strings.NewReader(tc.open), io.LimitReader(spaces{}, tc.limit+1))
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, body))
+		var envelope struct {
+			Error apiError `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil {
+			t.Fatalf("%s: body %q: %v", tc.path, rec.Body.String(), err)
+		}
+		if rec.Code != http.StatusRequestEntityTooLarge || envelope.Error.Code != "payload_too_large" {
+			t.Errorf("%s: status %d error %+v, want 413 payload_too_large", tc.path, rec.Code, envelope.Error)
+		}
+	}
+	if v := eng.Version(); v != 0 {
+		t.Fatalf("oversized requests mutated the engine (version %d)", v)
+	}
 }

@@ -352,17 +352,13 @@ type degradedSource struct {
 	deg *cluster.Degraded
 }
 
-func (d degradedSource) AcquireSnapshot(ctx context.Context) (engine.SnapshotView, error) {
-	return d.eng.FreshView(), nil
-}
-
-func (d degradedSource) AcquireSnapshotDegraded(ctx context.Context) (engine.SnapshotView, *cluster.Degraded, error) {
+func (d degradedSource) AcquireSnapshot(ctx context.Context) (engine.SnapshotView, *cluster.Degraded, error) {
 	return d.eng.FreshView(), d.deg, nil
 }
 
 // TestDegradedBlockOnResponses verifies every snapshot-backed response
 // shape names the missing node when the source serves a partial view:
-// the query batch endpoint, the estimate alias, and the SSE push.
+// the query endpoint and the SSE push.
 func TestDegradedBlockOnResponses(t *testing.T) {
 	eng, err := engine.New(engine.Config{Instances: 2, K: 16, Shards: 4, Hash: sampling.NewSeedHash(1)})
 	if err != nil {
@@ -410,17 +406,6 @@ func TestDegradedBlockOnResponses(t *testing.T) {
 		t.Fatalf("query: %d: %s", resp.StatusCode, out)
 	}
 	assertDegraded("query", out)
-
-	hresp, err := http.Get(ts.URL + "/v1/estimate/sum?func=rg&p=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(hresp.Body)
-	hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		t.Fatalf("estimate: %d: %s", hresp.StatusCode, raw)
-	}
-	assertDegraded("estimate", raw)
 
 	c := subscribeSSE(t, context.Background(), ts.URL, "")
 	for {

@@ -51,17 +51,18 @@ func do(b *testing.B, s *Server, method, target string, body []byte) {
 	}
 }
 
-// BenchmarkEstimateSumEndpoint measures the single-estimate alias path
-// under the default serving config (versioned snapshot cache + result
-// memo): repeat requests against an unchanged engine are pure lookups.
-func BenchmarkEstimateSumEndpoint(b *testing.B) {
-	s := newBenchServer(b, 1<<14)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		do(b, s, http.MethodGet, "/v1/estimate/sum?func=rg&p=1&estimator=lstar", nil)
+// benchQuery encodes a POST /v1/query body of the given specs.
+func benchQuery(b *testing.B, specs ...map[string]any) []byte {
+	b.Helper()
+	body, err := json.Marshal(map[string]any{"queries": specs})
+	if err != nil {
+		b.Fatal(err)
 	}
+	return body
 }
+
+// lstarRG1 is the one-query request the single-estimate benchmarks send.
+var lstarRG1 = map[string]any{"func": "rg", "p": 1, "estimator": "lstar"}
 
 // BenchmarkQueryCached is the acceptance benchmark for the versioned
 // snapshot cache: the steady-state cached read path (no intervening
@@ -72,13 +73,14 @@ func BenchmarkQueryCached(b *testing.B) {
 	s := newBenchServer(b, 1<<14)
 	body := benchBatch(b)
 	b.Run("estimate_sum", func(b *testing.B) {
+		one := benchQuery(b, lstarRG1)
 		// Prime snapshot cache and memo: the measurement is the steady
 		// state, not the one-off reduction.
-		do(b, s, http.MethodGet, "/v1/estimate/sum?func=rg&p=1&estimator=lstar", nil)
+		do(b, s, http.MethodPost, "/v1/query", one)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			do(b, s, http.MethodGet, "/v1/estimate/sum?func=rg&p=1&estimator=lstar", nil)
+			do(b, s, http.MethodPost, "/v1/query", one)
 		}
 	})
 	b.Run("batched4", func(b *testing.B) {
@@ -100,9 +102,10 @@ func BenchmarkQueryCached(b *testing.B) {
 // so this sits close to the cached path rather than the cold reduction.
 func BenchmarkQueryInvalidated(b *testing.B) {
 	s := newBenchServer(b, 1<<14)
+	query := benchQuery(b, lstarRG1)
 	// Prime partitions, plan and estimate vectors: the measurement is
 	// steady-state invalidation, not the one-off cold reduction.
-	do(b, s, http.MethodGet, "/v1/estimate/sum?func=rg&p=1&estimator=lstar", nil)
+	do(b, s, http.MethodPost, "/v1/query", query)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -114,27 +117,21 @@ func BenchmarkQueryInvalidated(b *testing.B) {
 			b.Fatal(err)
 		}
 		do(b, s, http.MethodPost, "/v1/ingest", ingest)
-		do(b, s, http.MethodGet, "/v1/estimate/sum?func=rg&p=1&estimator=lstar", nil)
+		do(b, s, http.MethodPost, "/v1/query", query)
 	}
 }
 
-// benchBatch is the 4-query batched request the contrast benchmarks share:
-// two sum estimators, a selected sum, and a Jaccard — one snapshot total.
-func benchBatch(b *testing.B) []byte {
-	b.Helper()
-	body, err := json.Marshal(map[string]any{
-		"queries": []map[string]any{
-			{"func": "rg", "p": 1, "estimator": "lstar"},
-			{"func": "rg", "p": 1, "estimator": "ht"},
-			{"func": "max", "estimator": "lstar"},
-			{"statistic": "jaccard"},
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return body
+// benchSpecs are the four statistics the contrast benchmarks share: two
+// sum estimators, a second function, and a Jaccard.
+var benchSpecs = []map[string]any{
+	lstarRG1,
+	{"func": "rg", "p": 1, "estimator": "ht"},
+	{"func": "max", "estimator": "lstar"},
+	{"statistic": "jaccard"},
 }
+
+// benchBatch is benchSpecs as one batched request — one snapshot total.
+func benchBatch(b *testing.B) []byte { return benchQuery(b, benchSpecs...) }
 
 // BenchmarkQueryBatched4 measures four statistics answered from ONE shared
 // snapshot via POST /v1/query.
@@ -150,16 +147,19 @@ func BenchmarkQueryBatched4(b *testing.B) {
 }
 
 // BenchmarkQuerySequential4 measures the same four statistics as separate
-// alias requests — four snapshots — to quantify what batching saves.
+// one-query requests — four snapshots — to quantify what batching saves.
 func BenchmarkQuerySequential4(b *testing.B) {
 	s := newBenchServer(b, 1<<14)
+	var bodies [][]byte
+	for _, spec := range benchSpecs {
+		bodies = append(bodies, benchQuery(b, spec))
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		do(b, s, http.MethodGet, "/v1/estimate/sum?func=rg&p=1&estimator=lstar", nil)
-		do(b, s, http.MethodGet, "/v1/estimate/sum?func=rg&p=1&estimator=ht", nil)
-		do(b, s, http.MethodGet, "/v1/estimate/sum?func=max&estimator=lstar", nil)
-		do(b, s, http.MethodGet, "/v1/estimate/jaccard", nil)
+		for _, body := range bodies {
+			do(b, s, http.MethodPost, "/v1/query", body)
+		}
 	}
 	b.ReportMetric(4, "queries/op")
 }

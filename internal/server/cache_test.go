@@ -1,7 +1,6 @@
 package server
 
 import (
-	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -29,6 +28,16 @@ func scaleDataset(t *testing.T, d dataset.Dataset, c float64) dataset.Dataset {
 		t.Fatal(err)
 	}
 	return scaled
+}
+
+// lstarSum reads the whole-dataset L* RG1 sum through POST /v1/query.
+func lstarSum(t *testing.T, base string) float64 {
+	t.Helper()
+	_, res := queryOne(t, base, map[string]any{"func": "rg", "p": 1, "estimator": "lstar"})
+	if code := queryErrCode(res); code != "" {
+		t.Fatalf("query failed: %v", res)
+	}
+	return res["estimate"].(float64)
 }
 
 func lstarSumOf(t *testing.T, d dataset.Dataset, hash sampling.SeedHash) float64 {
@@ -59,11 +68,7 @@ func TestCachedServingStaysExact(t *testing.T) {
 
 	want1 := lstarSumOf(t, d, hash)
 	for rep := 0; rep < 3; rep++ {
-		resp, body := getJSON(t, ts.URL+"/v1/estimate/sum?func=rg&p=1&estimator=lstar")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("rep %d: status %d body %v", rep, resp.StatusCode, body)
-		}
-		if got := body["estimate"].(float64); got != want1 {
+		if got := lstarSum(t, ts.URL); got != want1 {
 			t.Fatalf("rep %d: estimate %v, want %v", rep, got, want1)
 		}
 	}
@@ -75,11 +80,7 @@ func TestCachedServingStaysExact(t *testing.T) {
 	if want1 == want2 {
 		t.Fatal("test is vacuous: scaled dataset gives the same estimate")
 	}
-	resp, body := getJSON(t, ts.URL+"/v1/estimate/sum?func=rg&p=1&estimator=lstar")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d body %v", resp.StatusCode, body)
-	}
-	if got := body["estimate"].(float64); got != want2 {
+	if got := lstarSum(t, ts.URL); got != want2 {
 		t.Fatalf("post-ingest estimate %v, want %v (cache not invalidated?)", got, want2)
 	}
 }
@@ -102,13 +103,7 @@ func TestSnapshotMaxStaleServesBoundedStale(t *testing.T) {
 	d := ladderDataset(t, 24)
 	d2 := scaleDataset(t, d, 3)
 
-	query := func(ts *httptest.Server) float64 {
-		resp, body := getJSON(t, ts.URL+"/v1/estimate/sum?func=rg&p=1&estimator=lstar")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d body %v", resp.StatusCode, body)
-		}
-		return body["estimate"].(float64)
-	}
+	query := func(ts *httptest.Server) float64 { return lstarSum(t, ts.URL) }
 
 	for _, ts := range []*httptest.Server{stale, exact} {
 		ingestDataset(t, ts.URL, d)
@@ -128,29 +123,5 @@ func TestSnapshotMaxStaleServesBoundedStale(t *testing.T) {
 	}
 	if got := query(stale); got != first {
 		t.Fatalf("bounded-staleness read %v, want stale %v", got, first)
-	}
-}
-
-// TestFreshSourceBypassesSnapshotCache: Config.Snapshots swaps the
-// serving source; FreshSource re-reduces per acquisition and must agree
-// with the cached source bit-for-bit (it is the uncached benchmark
-// baseline).
-func TestFreshSourceBypassesSnapshotCache(t *testing.T) {
-	hash := sampling.NewSeedHash(7)
-	eng, err := engine.New(engine.Config{Instances: 2, K: 8, Shards: 4, Hash: hash})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(NewWith(eng, Config{Snapshots: FreshSource(eng)}))
-	t.Cleanup(ts.Close)
-	d := ladderDataset(t, 24)
-	ingestDataset(t, ts.URL, d)
-	want := lstarSumOf(t, d, hash)
-	resp, body := getJSON(t, ts.URL+"/v1/estimate/sum?func=rg&p=1&estimator=lstar")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d body %v", resp.StatusCode, body)
-	}
-	if got := body["estimate"].(float64); got != want {
-		t.Fatalf("fresh-source estimate %v, want %v", got, want)
 	}
 }

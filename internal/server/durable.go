@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/store"
@@ -14,15 +16,25 @@ import (
 // This file is the durability face of the API:
 //
 //	POST /v1/checkpoint  cut + persist the sketch state, truncate the WAL
-//	GET  /v1/export      the engine state as a portable binary artifact
+//	GET  /v1/export      the engine state as a portable binary artifact,
+//	                     conditional on its ETag (the version of the cut)
 //	POST /v1/import      merge an exported artifact into the live engine
+//	                     (lossless coordinated-sketch merge)
 //	GET  /metrics        Prometheus text exposition of engine + endpoint
 //	                     counters
 //
 // Export/import work with or without a configured store: the artifact is
 // store.EncodeState's integrity-checked binary format, so a sketch can be
-// carried between monestd instances (sharing the seed salt) or parked in
-// object storage. Checkpointing requires Config.Persist.
+// carried between monestd instances (sharing the seed salt), parked in
+// object storage, or fetched by a cluster coordinator. Checkpointing
+// requires Config.Persist.
+//
+// One-codec discipline: both endpoints move store.EncodeState bytes, so
+// wire == disk == export — corruption checking (CRC), seed fingerprints
+// and bounds validation all come from the single decoder, and a hostile
+// peer's bytes fail closed with a structured 400 before the engine is
+// touched (DecodeState never partially applies; MergeState validates
+// before mutating).
 
 // maxImportBody caps /v1/import request bodies (64 MiB — a 1M-key,
 // 2-instance artifact is ~40 MiB).
@@ -46,18 +58,53 @@ func (s *Server) handleCheckpoint(r *http.Request) (int, any, error) {
 	}, nil
 }
 
+// etagFor renders the engine mutation version as a strong ETag.
+func etagFor(version uint64) string {
+	return `"` + strconv.FormatUint(version, 10) + `"`
+}
+
+// matchETag reports whether an If-None-Match header names the version.
+// Weak validators (W/ prefix) match too: the payload is a deterministic
+// function of the version, so weak and strong agree here.
+func matchETag(header string, version uint64) bool {
+	want := etagFor(version)
+	for _, part := range strings.Split(header, ",") {
+		tag := strings.TrimPrefix(strings.TrimSpace(part), "W/")
+		if tag == want || tag == "*" {
+			return true
+		}
+	}
+	return false
+}
+
 // handleExport streams the current sketch state as a binary artifact. A
 // raw (non-JSON) endpoint: the artifact is the exact byte format
 // checkpoints use, so equal states export equal bytes — the comparison
-// the recovery tests rest on.
+// the recovery tests rest on. ETag is the engine mutation version, and a
+// matching If-None-Match answers 304 from one lock-free atomic load — no
+// cut, no encoding, no body: the per-node version-vector cache that makes
+// steady-state coordinator queries transfer zero state bytes.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) (int, error) {
 	if err := checkParams(r.URL.Query()); err != nil {
 		return http.StatusBadRequest, err
 	}
-	data := store.EncodeState(s.eng.DumpState())
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(len(data)))
-	w.Header().Set("Content-Disposition", `attachment; filename="monest-sketch.bin"`)
+	if inm := r.Header.Get("If-None-Match"); inm != "" {
+		if v := s.eng.Version(); matchETag(inm, v) {
+			w.Header().Set("ETag", etagFor(v))
+			w.WriteHeader(http.StatusNotModified)
+			return http.StatusNotModified, nil
+		}
+	}
+	// The cut's own version (not a separate Version() call) labels the
+	// bytes: a write racing this request must not let a pre-write artifact
+	// carry a post-write ETag, or the caller's cache would pin stale state.
+	st := s.eng.DumpState()
+	data := store.EncodeState(st)
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("ETag", etagFor(st.Version))
+	h.Set("Content-Length", fmt.Sprint(len(data)))
+	h.Set("Content-Disposition", `attachment; filename="monest-sketch.bin"`)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(data) // header is out; a client hang-up is not our error
 	return http.StatusOK, nil

@@ -125,8 +125,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 
 	// Bit-identical estimates: the same sum query answers the same.
-	_, srcEst := getJSON(t, src.URL+"/v1/estimate/sum?func=max")
-	_, dstEst := getJSON(t, dst.URL+"/v1/estimate/sum?func=max")
+	_, srcEst := queryOne(t, src.URL, map[string]any{"func": "max"})
+	_, dstEst := queryOne(t, dst.URL, map[string]any{"func": "max"})
 	if srcEst["estimate"] != dstEst["estimate"] {
 		t.Fatalf("imported estimate %v differs from source %v", dstEst["estimate"], srcEst["estimate"])
 	}

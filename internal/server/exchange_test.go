@@ -12,6 +12,11 @@ import (
 	"repro/internal/store"
 )
 
+// These tests pin the sketch-exchange face of /v1/export and /v1/import —
+// the binary wire a cluster coordinator (or any peer) speaks to a node:
+// the conditional-fetch ETag protocol, and fail-closed merging of hostile
+// or incompatible artifacts.
+
 // sketchTestServer is newTestServer plus the engine handle, which the
 // sketch-exchange tests need to ingest out-of-band and read versions.
 func sketchTestServer(t *testing.T) (*httptest.Server, *engine.Engine) {
@@ -25,9 +30,9 @@ func sketchTestServer(t *testing.T) (*httptest.Server, *engine.Engine) {
 	return ts, eng
 }
 
-func getSketch(t *testing.T, url, ifNoneMatch string) *http.Response {
+func getExport(t *testing.T, url, ifNoneMatch string) *http.Response {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url+"/v1/sketch", nil)
+	req, err := http.NewRequest(http.MethodGet, url+"/v1/export", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +57,9 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 }
 
 // TestSketchETagCycle pins the version-vector cache protocol on
-// /v1/sketch: the ETag is the artifact's own cut version, a matching
-// If-None-Match (strong, weak or wildcard) answers 304 with no body,
-// and a write invalidates the tag.
+// /v1/export: the ETag is the artifact's own cut version (also under a
+// racing writer), a matching If-None-Match (strong, weak, wildcard or
+// list) answers 304 with no body, and a write invalidates the tag.
 func TestSketchETagCycle(t *testing.T) {
 	ts, eng := sketchTestServer(t)
 	for i := 0; i < 20; i++ {
@@ -63,7 +68,7 @@ func TestSketchETagCycle(t *testing.T) {
 		}
 	}
 
-	resp := getSketch(t, ts.URL, "")
+	resp := getExport(t, ts.URL, "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200", resp.StatusCode)
 	}
@@ -83,7 +88,7 @@ func TestSketchETagCycle(t *testing.T) {
 	}
 
 	for _, inm := range []string{etag, "W/" + etag, "*", `"junk", ` + etag} {
-		resp := getSketch(t, ts.URL, inm)
+		resp := getExport(t, ts.URL, inm)
 		if resp.StatusCode != http.StatusNotModified {
 			t.Fatalf("If-None-Match %q: status %d, want 304", inm, resp.StatusCode)
 		}
@@ -95,7 +100,7 @@ func TestSketchETagCycle(t *testing.T) {
 	if err := eng.Ingest(0, 99, 123); err != nil {
 		t.Fatal(err)
 	}
-	resp = getSketch(t, ts.URL, etag)
+	resp = getExport(t, ts.URL, etag)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stale tag after write: status %d, want 200", resp.StatusCode)
 	}
@@ -103,11 +108,43 @@ func TestSketchETagCycle(t *testing.T) {
 		t.Fatalf("ETag %s unchanged across a mutation", fresh)
 	}
 	readAll(t, resp)
+
+	// Under a racing writer the tag must still label the bytes it rides
+	// with: a pre-write artifact under a post-write ETag would pin stale
+	// state in the fetcher's cache.
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				// A bounded key set under growing weights: every ingest
+				// is a real mutation, and the artifact stays small.
+				_ = eng.Ingest(i%2, uint64(1000+i%64), 1+float64(i))
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		resp := getExport(t, ts.URL, "")
+		tag := resp.Header.Get("ETag")
+		st, err := store.DecodeState(readAll(t, resp))
+		if err != nil {
+			t.Fatalf("racing export %d: %v", i, err)
+		}
+		if want := etagFor(st.Version); tag != want {
+			t.Fatalf("racing export %d: ETag %s on an artifact cut at version %s", i, tag, want)
+		}
+	}
+	close(stop)
+	<-done
 }
 
-func postMerge(t *testing.T, url string, artifact []byte) *http.Response {
+func postImport(t *testing.T, url string, artifact []byte) *http.Response {
 	t.Helper()
-	resp, err := http.Post(url+"/v1/merge", "application/octet-stream", bytes.NewReader(artifact))
+	resp, err := http.Post(url+"/v1/import", "application/octet-stream", bytes.NewReader(artifact))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +177,7 @@ func TestMergeFoldsPeerState(t *testing.T) {
 		engine.Config{Instances: 2, K: 8, Shards: 2, Hash: sampling.NewSeedHash(7)},
 		[]engine.Update{{Instance: 1, Key: 2, Weight: 20}, {Instance: 0, Key: 3, Weight: 30}})
 
-	resp := postMerge(t, ts.URL, artifact)
+	resp := postImport(t, ts.URL, artifact)
 	body := decodeBody(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d body %v, want 200", resp.StatusCode, body)
@@ -154,11 +191,11 @@ func TestMergeFoldsPeerState(t *testing.T) {
 	}
 }
 
-// TestMergeCorruptionMatrix drives /v1/merge with every corruption class
+// TestMergeCorruptionMatrix drives /v1/import with every corruption class
 // the binary wire can see — truncation, checksum damage, header lies,
 // garbage, and a well-formed artifact from an incompatible peer (wrong
 // salt, wrong k). Each must fail closed: structured 400 envelope, and
-// the engine byte-for-byte untouched (verified against /v1/sketch
+// the engine byte-for-byte untouched (verified against /v1/export
 // before/after, version included).
 func TestMergeCorruptionMatrix(t *testing.T) {
 	ts, eng := sketchTestServer(t)
@@ -198,10 +235,10 @@ func TestMergeCorruptionMatrix(t *testing.T) {
 		{"instances-mismatch", peerArtifact(t, instCfg, instUpd)},
 	}
 
-	before := readAll(t, getSketch(t, ts.URL, ""))
+	before := readAll(t, getExport(t, ts.URL, ""))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp := postMerge(t, ts.URL, tc.artifact)
+			resp := postImport(t, ts.URL, tc.artifact)
 			body := decodeBody(t, resp)
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status %d body %v, want 400", resp.StatusCode, body)
@@ -210,7 +247,7 @@ func TestMergeCorruptionMatrix(t *testing.T) {
 			if !ok || errObj["code"] != "bad_request" {
 				t.Fatalf("body %v, want error.code bad_request", body)
 			}
-			after := readAll(t, getSketch(t, ts.URL, ""))
+			after := readAll(t, getExport(t, ts.URL, ""))
 			if !bytes.Equal(before, after) {
 				t.Fatal("rejected merge changed the engine state artifact")
 			}
@@ -218,7 +255,7 @@ func TestMergeCorruptionMatrix(t *testing.T) {
 	}
 
 	// The matrix would be vacuous if the valid artifact also bounced.
-	resp := postMerge(t, ts.URL, valid)
+	resp := postImport(t, ts.URL, valid)
 	if body := decodeBody(t, resp); resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid artifact: status %d body %v, want 200", resp.StatusCode, body)
 	}

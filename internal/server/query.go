@@ -20,7 +20,7 @@ import (
 // are paid once per batch, estimator instances are shared across queries
 // naming the same (estimator, statistic) pair, and every query then reads
 // the same outcomes — so a batch is both cheaper and more consistent than
-// the equivalent sequence of /v1/estimate/* calls.
+// the equivalent sequence of single-query requests.
 //
 // Request:
 //
@@ -48,8 +48,8 @@ const maxBatchQueries = 64
 type querySpec struct {
 	// Statistic is "sum" (default) or "jaccard".
 	Statistic string `json:"statistic,omitempty"`
-	// Func, P, C name the item function for sum queries (as the
-	// /v1/estimate/sum query parameters; default rg with p=1).
+	// Func, P, C name the item function for sum queries (default rg with
+	// p=1).
 	Func string    `json:"func,omitempty"`
 	P    *float64  `json:"p,omitempty"`
 	C    []float64 `json:"c,omitempty"`
@@ -71,8 +71,6 @@ type queryResult struct {
 	MaxItem      *float64     `json:"max_item_estimate,omitempty"`
 	Meta         *estreg.Meta `json:"meta,omitempty"`
 	Error        *apiError    `json:"error,omitempty"`
-
-	status int // HTTP status the error maps to on the alias endpoints
 }
 
 type queryRequest struct {
@@ -131,7 +129,9 @@ func (q *plannedQuery) memoKey() string {
 
 // planner resolves query specs against the server's registry, sharing
 // built estimator instances across queries of one batch (order estimators
-// carry a per-instance memo, so sharing is a real win).
+// carry a per-instance memo, so sharing is a real win). The cache is keyed
+// by (statistic, estimator, func); the selection is per-query, so a cache
+// hit returns a copy bound to the spec asked about.
 type planner struct {
 	s     *Server
 	cache map[string]*plannedQuery
@@ -139,11 +139,6 @@ type planner struct {
 
 func (s *Server) newPlanner() *planner {
 	return &planner{s: s, cache: make(map[string]*plannedQuery)}
-}
-
-// planOne resolves a single spec outside a batch (the alias endpoints).
-func (s *Server) planOne(spec querySpec) (*plannedQuery, error) {
-	return s.newPlanner().plan(spec)
 }
 
 func (p *planner) plan(spec querySpec) (*plannedQuery, error) {
@@ -158,7 +153,9 @@ func (p *planner) plan(spec querySpec) (*plannedQuery, error) {
 	sp := statisticSpec{Func: spec.Func, P: spec.P, C: spec.C}
 	key := statistic + "\x00" + estName + "\x00" + sp.key()
 	if q, ok := p.cache[key]; ok {
-		return q, nil
+		bound := *q
+		bound.spec = spec
+		return &bound, nil
 	}
 	q := &plannedQuery{spec: spec, statistic: statistic, planKey: key}
 	switch statistic {
@@ -201,7 +198,6 @@ func (q *plannedQuery) failure(status int, err error) queryResult {
 		Statistic: q.statistic,
 		Estimator: q.meta.Estimator,
 		Error:     &apiError{Code: errCode(status), Message: err.Error()},
-		status:    status,
 	}
 }
 
@@ -331,18 +327,14 @@ func (s *Server) handleQuery(r *http.Request) (int, any, error) {
 			}
 			continue
 		}
-		// The planner caches by (statistic, estimator, func); the
-		// selection is per-query, so rebind it.
-		bound := *q
-		bound.spec = spec
-		planned[i] = &bound
+		planned[i] = q
 	}
 
 	// One shared snapshot for the whole batch — served from the versioned
 	// cache, so a batch against an unchanged engine takes no shard locks
 	// and does no reduction work; repeated queries additionally resolve
 	// from the per-version result memo without re-running estimators.
-	view, degraded, err := s.acquire(r.Context())
+	view, degraded, err := s.snaps.AcquireSnapshot(r.Context())
 	if err != nil {
 		return acquireStatus(err), nil, err
 	}

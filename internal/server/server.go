@@ -12,18 +12,14 @@
 //	GET  /v1/subscribe        Server-Sent Events push: registered queries
 //	                          are re-evaluated and pushed on version
 //	                          change, debounced (see subscribe.go)
-//	GET  /v1/estimate/sum     sum estimate: ?func=rg&p=1&estimator=lstar
-//	GET  /v1/estimate/jaccard Jaccard of the instances' positive supports
 //	GET  /v1/stats            engine contents + per-endpoint counters
 //	POST /v1/checkpoint       persist a sketch checkpoint, truncate the WAL
 //	GET  /v1/export           portable binary sketch artifact (octet-stream)
+//	                          with ETag = version of the cut; If-None-Match
+//	                          short-circuits to 304 (also the cluster
+//	                          scatter-gather fetch, see durable.go)
 //	POST /v1/import           merge an exported artifact into the engine
-//	GET  /v1/sketch           the same binary artifact with ETag = engine
-//	                          version; If-None-Match short-circuits to 304
-//	                          (the cluster scatter-gather fetch, sketch.go)
-//	POST /v1/merge            fold a binary artifact into the engine
-//	                          without checkpointing (the cluster sketch-
-//	                          exchange ingress, sketch.go)
+//	                          (checkpointed when persistence is attached)
 //	GET  /metrics             Prometheus text exposition
 //	GET  /healthz             liveness probe (process up; always 200)
 //	GET  /readyz              readiness probe: 503 while draining or
@@ -33,10 +29,9 @@
 // Item functions: rg (param p), rgplus (p), max, or, and, lincomb (comma
 // list c plus p). Estimators resolve through the estreg registry
 // ("lstar", "ustar", "ht", "voptimal", "order:<spec>", plus anything the
-// operator registered); /v1/estimate/* are registry-backed aliases of the
-// corresponding single-query /v1/query request. String item keys are
-// hashed with sampling.StringKey, so external writers using the same salt
-// stay coordinated with the server's sketches.
+// operator registered). String item keys are hashed with
+// sampling.StringKey, so external writers using the same salt stay
+// coordinated with the server's sketches.
 //
 // Requests are strict: JSON bodies reject unknown fields and GET
 // endpoints reject unknown query parameters, both with a structured
@@ -46,11 +41,11 @@
 // wrong methods (405, code "method_not_allowed", Allow header preserved)
 // answer in JSON too, so clients parse exactly one error shape.
 //
-// Every snapshot-backed JSON response (/v1/query, /v1/estimate/*,
-// /v1/stats) carries a top-level "version": the engine mutation version
-// the answer reflects. Equal versions across responses mean they were
-// computed from identical engine contents; the version is also the key
-// of the server's result memo.
+// Every snapshot-backed JSON response (/v1/query, /v1/stats) carries a
+// top-level "version": the engine mutation version the answer reflects.
+// Equal versions across responses mean they were computed from identical
+// engine contents; the version is also the key of the server's result
+// memo.
 //
 // Every read endpoint answers from ONE SnapshotSource — by default the
 // engine's versioned snapshot cache — and a per-version result memo
@@ -160,7 +155,7 @@ type Config struct {
 	// by SnapshotMaxStale.
 	Snapshots SnapshotSource
 	// SnapshotMaxStale bounds how old a cached snapshot may be served
-	// while writes are arriving (see engine.CachedSnapshot); 0 means
+	// while writes are arriving (see engine.CachedView); 0 means
 	// every read reflects all completed ingests. Ignored when Snapshots
 	// is set.
 	SnapshotMaxStale time.Duration
@@ -238,6 +233,8 @@ func errCode(status int) string {
 		return "method_not_allowed"
 	case status == http.StatusTooManyRequests:
 		return "rate_limited"
+	case status == http.StatusRequestEntityTooLarge:
+		return "payload_too_large"
 	case status >= 400 && status < 500:
 		return "bad_request"
 	case status == http.StatusServiceUnavailable:
@@ -248,8 +245,14 @@ func errCode(status int) string {
 }
 
 // writeError emits the structured error envelope, decorating rate-limit
-// errors with the Retry-After header and their envelope fields.
+// errors with the Retry-After header and their envelope fields. A body
+// over its endpoint's cap (http.MaxBytesReader tripping mid-read) is a
+// 413 whatever status the handler guessed for the read failure.
 func writeError(w http.ResponseWriter, code int, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
 	body := apiError{Code: errCode(code), Message: err.Error()}
 	var rl *rateLimitError
 	if errors.As(err, &rl) {
@@ -361,14 +364,10 @@ func NewWith(eng *engine.Engine, cfg Config) *Server {
 	s.route("POST /v1/stream", s.handleStream)
 	s.route("POST /v1/query", s.handleQuery)
 	s.routeRaw("GET /v1/subscribe", s.handleSubscribe)
-	s.route("GET /v1/estimate/sum", s.handleEstimateSum)
-	s.route("GET /v1/estimate/jaccard", s.handleEstimateJaccard)
 	s.route("GET /v1/stats", s.handleStats)
 	s.route("POST /v1/checkpoint", s.handleCheckpoint)
 	s.route("POST /v1/import", s.handleImport)
-	s.route("POST /v1/merge", s.handleMerge)
 	s.routeRaw("GET /v1/export", s.handleExport)
-	s.routeRaw("GET /v1/sketch", s.handleSketch)
 	s.routeRaw("GET /metrics", s.handleMetrics)
 	s.route("GET /healthz", s.handleHealthz)
 	s.route("GET /readyz", s.handleReadyz)
@@ -560,8 +559,8 @@ func (s *Server) handleIngest(r *http.Request) (int, any, error) {
 	return http.StatusOK, map[string]int{"ingested": ingested, "skipped": len(batch) - ingested}, nil
 }
 
-// statisticSpec names an item function with its parameters — the common
-// form behind the ?func=… query parameters and the /v1/query JSON fields.
+// statisticSpec names an item function with its parameters, as a query
+// spec's func/p/c fields spell it.
 type statisticSpec struct {
 	Func string
 	P    *float64
@@ -610,96 +609,6 @@ func (sp statisticSpec) build() (funcs.F, error) {
 	default:
 		return nil, fmt.Errorf("unknown func %q (have rg, rgplus, max, or, and, lincomb)", name)
 	}
-}
-
-// parseStatistic reads the ?func=, ?p= and ?c= query parameters.
-func parseStatistic(q url.Values) (statisticSpec, error) {
-	sp := statisticSpec{Func: q.Get("func")}
-	if raw := q.Get("p"); raw != "" {
-		p, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return sp, fmt.Errorf("parameter p: %w", err)
-		}
-		sp.P = &p
-	}
-	if raw := q.Get("c"); raw != "" {
-		parts := strings.Split(raw, ",")
-		sp.C = make([]float64, len(parts))
-		for i, part := range parts {
-			c, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil {
-				return sp, fmt.Errorf("parameter c[%d]: %w", i, err)
-			}
-			sp.C[i] = c
-		}
-	}
-	return sp, nil
-}
-
-func (s *Server) handleEstimateSum(r *http.Request) (int, any, error) {
-	q := r.URL.Query()
-	if err := checkParams(q, "func", "p", "c", "estimator"); err != nil {
-		return http.StatusBadRequest, nil, err
-	}
-	sp, err := parseStatistic(q)
-	if err != nil {
-		return http.StatusBadRequest, nil, err
-	}
-	plan, err := s.planOne(querySpec{Statistic: "sum", Func: sp.Func, P: sp.P, C: sp.C, Estimator: q.Get("estimator")})
-	if err != nil {
-		return http.StatusBadRequest, nil, err
-	}
-	view, degraded, err := s.acquire(r.Context())
-	if err != nil {
-		return acquireStatus(err), nil, err
-	}
-	res := s.evalMemoized(plan, view, s.memoFor(view.Version))
-	if res.Error != nil {
-		return res.status, nil, errors.New(res.Error.Message)
-	}
-	body := map[string]any{
-		"version":         view.Version,
-		"estimate":        *res.Estimate,
-		"estimator":       res.Estimator,
-		"func":            plan.f.Name(),
-		"meta":            res.Meta,
-		"keys":            len(view.Keys),
-		"sampled_entries": view.SampledEntries(),
-		"total_entries":   view.TotalEntries(),
-	}
-	if degraded != nil {
-		body["degraded"] = degraded
-	}
-	return http.StatusOK, body, nil
-}
-
-func (s *Server) handleEstimateJaccard(r *http.Request) (int, any, error) {
-	q := r.URL.Query()
-	if err := checkParams(q, "estimator"); err != nil {
-		return http.StatusBadRequest, nil, err
-	}
-	plan, err := s.planOne(querySpec{Statistic: "jaccard", Estimator: q.Get("estimator")})
-	if err != nil {
-		return http.StatusBadRequest, nil, err
-	}
-	view, degraded, err := s.acquire(r.Context())
-	if err != nil {
-		return acquireStatus(err), nil, err
-	}
-	res := s.evalMemoized(plan, view, s.memoFor(view.Version))
-	if res.Error != nil {
-		return res.status, nil, errors.New(res.Error.Message)
-	}
-	body := map[string]any{
-		"version":   view.Version,
-		"jaccard":   *res.Estimate,
-		"estimator": res.Estimator,
-		"keys":      len(view.Keys),
-	}
-	if degraded != nil {
-		body["degraded"] = degraded
-	}
-	return http.StatusOK, body, nil
 }
 
 func (s *Server) handleStats(r *http.Request) (int, any, error) {

@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"testing"
 
 	"repro/internal/dataset"
@@ -50,6 +49,29 @@ func getJSON(t *testing.T, url string) (*http.Response, map[string]any) {
 		t.Fatal(err)
 	}
 	return resp, decodeBody(t, resp)
+}
+
+// queryOne answers one query spec through POST /v1/query and returns the
+// response body with its single result. The request must succeed as a
+// whole; a failing query shows in the result's "error" (see queryErrCode).
+func queryOne(t *testing.T, base string, spec map[string]any) (body, result map[string]any) {
+	t.Helper()
+	resp, body := postJSON(t, base+"/v1/query", map[string]any{"queries": []map[string]any{spec}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query %v: status %d body %v", spec, resp.StatusCode, body)
+	}
+	results, _ := body["results"].([]any)
+	if len(results) != 1 {
+		t.Fatalf("query %v: want one result, got %v", spec, body)
+	}
+	return body, results[0].(map[string]any)
+}
+
+// queryErrCode returns a result's per-query error code ("" = it succeeded).
+func queryErrCode(result map[string]any) string {
+	e, _ := result["error"].(map[string]any)
+	code, _ := e["code"].(string)
+	return code
 }
 
 func decodeBody(t *testing.T, resp *http.Response) map[string]any {
@@ -117,15 +139,15 @@ func TestIngestAndEstimateSum(t *testing.T) {
 		name string
 		kind dataset.EstimatorKind
 	}{{"lstar", dataset.KindLStar}, {"ustar", dataset.KindUStar}, {"ht", dataset.KindHT}} {
-		resp, body := getJSON(t, ts.URL+"/v1/estimate/sum?func=rg&p=1&estimator="+est.name)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d body %v", est.name, resp.StatusCode, body)
+		_, res := queryOne(t, ts.URL, map[string]any{"func": "rg", "p": 1, "estimator": est.name})
+		if code := queryErrCode(res); code != "" {
+			t.Fatalf("%s: query failed: %v", est.name, res)
 		}
 		want, err := batch.EstimateSum(f, est.kind, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := body["estimate"].(float64); got != want {
+		if got := res["estimate"].(float64); got != want {
 			t.Errorf("%s estimate = %v, want %v (batch)", est.name, got, want)
 		}
 	}
@@ -134,20 +156,20 @@ func TestIngestAndEstimateSum(t *testing.T) {
 func TestEstimateSumFuncs(t *testing.T) {
 	ts, _ := newTestServer(t)
 	ingestExample1(t, ts.URL)
-	for _, query := range []string{
-		"func=rgplus&p=2",
-		"func=max",
-		"func=or",
-		"func=and",
-		"func=lincomb&c=1,-1&p=1",
+	for _, query := range []map[string]any{
+		{"func": "rgplus", "p": 2},
+		{"func": "max"},
+		{"func": "or"},
+		{"func": "and"},
+		{"func": "lincomb", "c": []float64{1, -1}, "p": 1},
 	} {
-		resp, body := getJSON(t, ts.URL+"/v1/estimate/sum?"+query)
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s: status %d body %v", query, resp.StatusCode, body)
+		_, res := queryOne(t, ts.URL, query)
+		if code := queryErrCode(res); code != "" {
+			t.Errorf("%v: query failed: %v", query, res)
 			continue
 		}
-		if est := body["estimate"].(float64); est < 0 || math.IsNaN(est) {
-			t.Errorf("%s: estimate %v not nonnegative", query, est)
+		if est := res["estimate"].(float64); est < 0 || math.IsNaN(est) {
+			t.Errorf("%v: estimate %v not nonnegative", query, est)
 		}
 	}
 }
@@ -155,15 +177,15 @@ func TestEstimateSumFuncs(t *testing.T) {
 func TestEstimateJaccard(t *testing.T) {
 	ts, hash := newTestServer(t)
 	d := ingestExample1(t, ts.URL)
-	resp, body := getJSON(t, ts.URL+"/v1/estimate/jaccard")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("jaccard: status %d body %v", resp.StatusCode, body)
+	_, res := queryOne(t, ts.URL, map[string]any{"statistic": "jaccard"})
+	if code := queryErrCode(res); code != "" {
+		t.Fatalf("jaccard: query failed: %v", res)
 	}
 	batch, err := dataset.SampleBottomK(d, 8, hash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := body["jaccard"].(float64), funcs.JaccardEstimate(batch.Outcomes); got != want {
+	if got, want := res["estimate"].(float64), funcs.JaccardEstimate(batch.Outcomes); got != want {
 		t.Errorf("jaccard = %v, want %v (batch)", got, want)
 	}
 }
@@ -231,21 +253,25 @@ func TestIngestKeyHandling(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	ts, _ := newTestServer(t)
 	ingestExample1(t, ts.URL)
-	getJSON(t, ts.URL+"/v1/estimate/jaccard")
-	getJSON(t, ts.URL+"/v1/estimate/sum?func=nope") // one error
+	queryOne(t, ts.URL, map[string]any{"statistic": "jaccard"})
+	postJSON(t, ts.URL+"/v1/query", map[string]any{"queries": []any{}}) // one error
+	getJSON(t, ts.URL+"/v1/export?bogus=1")                             // one error
 
 	resp, body := getJSON(t, ts.URL+"/v1/stats")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats status %d: %v", resp.StatusCode, body)
 	}
 	endpoints := body["endpoints"].(map[string]any)
-	jac := endpoints["GET /v1/estimate/jaccard"].(map[string]any)
-	if got := jac["requests"].(float64); got != 1 {
-		t.Errorf("jaccard requests = %v, want 1", got)
+	query := endpoints["POST /v1/query"].(map[string]any)
+	if got := query["requests"].(float64); got != 2 {
+		t.Errorf("query requests = %v, want 2", got)
 	}
-	sum := endpoints["GET /v1/estimate/sum"].(map[string]any)
-	if got := sum["errors"].(float64); got != 1 {
-		t.Errorf("sum errors = %v, want 1", got)
+	if got := query["errors"].(float64); got != 1 {
+		t.Errorf("query errors = %v, want 1", got)
+	}
+	export := endpoints["GET /v1/export"].(map[string]any)
+	if got := export["errors"].(float64); got != 1 {
+		t.Errorf("export errors = %v, want 1", got)
 	}
 	if up := body["uptime_seconds"].(float64); up < 0 {
 		t.Errorf("uptime %v negative", up)
@@ -282,24 +308,15 @@ func TestErrorPaths(t *testing.T) {
 				"updates": []map[string]any{{"instance": 0, "key": "x", "weight": -1}},
 			})
 		}, http.StatusBadRequest},
-		{"sum unknown func", func() (*http.Response, map[string]any) {
-			return getJSON(t, ts.URL+"/v1/estimate/sum?func=nope")
-		}, http.StatusBadRequest},
-		{"sum unknown estimator", func() (*http.Response, map[string]any) {
-			return getJSON(t, ts.URL+"/v1/estimate/sum?estimator=nope")
-		}, http.StatusBadRequest},
 		{"sum bad p", func() (*http.Response, map[string]any) {
-			return getJSON(t, ts.URL+"/v1/estimate/sum?func=rg&p=zzz")
-		}, http.StatusBadRequest},
-		{"sum lincomb missing c", func() (*http.Response, map[string]any) {
-			return getJSON(t, ts.URL+"/v1/estimate/sum?func=lincomb")
+			return postJSON(t, ts.URL+"/v1/query", map[string]any{
+				"queries": []map[string]any{{"func": "rg", "p": "zzz"}},
+			})
 		}, http.StatusBadRequest},
 		{"sum lincomb bad c", func() (*http.Response, map[string]any) {
-			return getJSON(t, ts.URL+"/v1/estimate/sum?func=lincomb&c=1,x")
-		}, http.StatusBadRequest},
-		{"sum arity mismatch", func() (*http.Response, map[string]any) {
-			// lincomb with 3 coefficients on a 2-instance engine.
-			return getJSON(t, ts.URL+"/v1/estimate/sum?func=lincomb&c=1,2,3")
+			return postJSON(t, ts.URL+"/v1/query", map[string]any{
+				"queries": []map[string]any{{"func": "lincomb", "c": []any{1, "x"}}},
+			})
 		}, http.StatusBadRequest},
 	} {
 		resp, body := tc.do()
@@ -309,6 +326,23 @@ func TestErrorPaths(t *testing.T) {
 		}
 		if _, ok := body["error"]; !ok {
 			t.Errorf("%s: error body missing: %v", tc.name, body)
+		}
+	}
+
+	// A well-formed request naming an unanswerable query fails that query,
+	// not the batch: the result carries the structured error.
+	for _, tc := range []struct {
+		name string
+		spec map[string]any
+	}{
+		{"sum unknown func", map[string]any{"func": "nope"}},
+		{"sum unknown estimator", map[string]any{"estimator": "nope"}},
+		{"sum lincomb missing c", map[string]any{"func": "lincomb"}},
+		// lincomb with 3 coefficients on a 2-instance engine.
+		{"sum arity mismatch", map[string]any{"func": "lincomb", "c": []float64{1, 2, 3}}},
+	} {
+		if _, res := queryOne(t, ts.URL, tc.spec); queryErrCode(res) != "bad_request" {
+			t.Errorf("%s: want a bad_request result, got %v", tc.name, res)
 		}
 	}
 
@@ -322,21 +356,21 @@ func TestErrorPaths(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/ingest status %d, want 405", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/v1/estimate/sum", "application/json", bytes.NewReader(nil))
+	resp, err = http.Post(ts.URL+"/v1/stats", "application/json", bytes.NewReader(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /v1/estimate/sum status %d, want 405", resp.StatusCode)
+		t.Errorf("POST /v1/stats status %d, want 405", resp.StatusCode)
 	}
 }
 
 func TestNonFiniteEstimateIsAnError(t *testing.T) {
 	// A sum of near-MaxFloat64 weights overflows to +Inf, which JSON
-	// cannot carry; the server must answer 500 with an error body, not
-	// an empty 200.
+	// cannot carry; the query must fail with an "internal" error, not
+	// leave the encoder to emit an empty 200.
 	ts, _ := newTestServer(t)
 	resp, body := postJSON(t, ts.URL+"/v1/ingest", map[string]any{
 		"updates": []map[string]any{
@@ -348,12 +382,8 @@ func TestNonFiniteEstimateIsAnError(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status %d: %v", resp.StatusCode, body)
 	}
-	resp, body = getJSON(t, ts.URL+"/v1/estimate/sum?func=max")
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500 (body %v)", resp.StatusCode, body)
-	}
-	if _, ok := body["error"]; !ok {
-		t.Fatalf("error body missing: %v", body)
+	if _, res := queryOne(t, ts.URL, map[string]any{"func": "max"}); queryErrCode(res) != "internal" {
+		t.Fatalf("want an internal-error result, got %v", res)
 	}
 }
 
@@ -367,9 +397,8 @@ func TestRGPlusArityGuard(t *testing.T) {
 	}
 	ts := httptest.NewServer(New(eng))
 	defer ts.Close()
-	resp, body := getJSON(t, ts.URL+"/v1/estimate/sum?func=rgplus")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400 (body %v)", resp.StatusCode, body)
+	if _, res := queryOne(t, ts.URL, map[string]any{"func": "rgplus"}); queryErrCode(res) != "bad_request" {
+		t.Fatalf("want a bad_request result, got %v", res)
 	}
 }
 
@@ -397,7 +426,8 @@ func TestConcurrentTraffic(t *testing.T) {
 		}(g)
 		go func() {
 			for j := 0; j < 10; j++ {
-				resp, err := http.Get(ts.URL + "/v1/estimate/jaccard")
+				resp, err := http.Post(ts.URL+"/v1/query", "application/json",
+					bytes.NewReader([]byte(`{"queries":[{"statistic":"jaccard"}]}`)))
 				if err != nil {
 					done <- err
 					return
@@ -534,8 +564,8 @@ func TestQueryRoundTripsAllEstimators(t *testing.T) {
 }
 
 // TestQueryBatchSharedSnapshot exercises one batch mixing statistics,
-// estimators and selections: results must agree with the alias endpoints
-// and with per-item batch estimates resolved through the same snapshot.
+// estimators and selections: results must agree with per-item batch
+// estimates resolved through the same snapshot.
 func TestQueryBatchSharedSnapshot(t *testing.T) {
 	ts, hash := newTestServer(t)
 	d := ingestExample1(t, ts.URL)
@@ -683,9 +713,9 @@ func TestQueryRequestErrors(t *testing.T) {
 func TestUnknownQueryParamsRejected(t *testing.T) {
 	ts, _ := newTestServer(t)
 	for _, path := range []string{
-		"/v1/estimate/sum?estimtor=lstar",
-		"/v1/estimate/sum?func=rg&bogus=1",
-		"/v1/estimate/jaccard?func=rg",
+		"/v1/subscribe?estimtor=lstar",
+		"/v1/subscribe?func=rg&bogus=1",
+		"/v1/export?format=json",
 		"/v1/stats?verbose=1",
 	} {
 		resp, body := getJSON(t, ts.URL+path)
@@ -748,36 +778,27 @@ func TestQuerySelectionDeduplicates(t *testing.T) {
 	}
 }
 
-// TestAliasEndpointsAreRegistryBacked: the legacy sum/jaccard endpoints
-// accept every registry name and agree with /v1/query exactly.
-func TestAliasEndpointsAreRegistryBacked(t *testing.T) {
+// TestQueryIsRegistryBacked: /v1/query accepts every registry name —
+// parameterized order specs included — for sums and for jaccard, and
+// reports the resolved name back.
+func TestQueryIsRegistryBacked(t *testing.T) {
 	ts, _ := newTestServer(t)
 	d := ladderDataset(t, 24)
 	ingestDataset(t, ts.URL, d)
 	name := "order:vals=0.25,0.5,1;by=desc"
-	resp, body := getJSON(t, ts.URL+"/v1/estimate/sum?func=rg&p=1&estimator="+url.QueryEscape(name))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("alias status %d: %v", resp.StatusCode, body)
+	_, res := queryOne(t, ts.URL, map[string]any{"func": "rg", "p": 1, "estimator": name})
+	if code := queryErrCode(res); code != "" {
+		t.Fatalf("order query failed: %v", res)
 	}
-	resp, qbody := postJSON(t, ts.URL+"/v1/query", map[string]any{
-		"queries": []map[string]any{{"func": "rg", "p": 1, "estimator": name}},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query status %d: %v", resp.StatusCode, qbody)
-	}
-	qres := qbody["results"].([]any)[0].(map[string]any)
-	if got, want := body["estimate"].(float64), qres["estimate"].(float64); got != want {
-		t.Errorf("alias estimate %v != query estimate %v", got, want)
-	}
-	if body["estimator"] != name {
-		t.Errorf("alias estimator = %v, want %v", body["estimator"], name)
+	if res["estimator"] != name {
+		t.Errorf("estimator = %v, want %v", res["estimator"], name)
 	}
 	// Jaccard with a non-default estimator kind.
-	resp, body = getJSON(t, ts.URL+"/v1/estimate/jaccard?estimator=ht")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("jaccard ht status %d: %v", resp.StatusCode, body)
+	_, res = queryOne(t, ts.URL, map[string]any{"statistic": "jaccard", "estimator": "ht"})
+	if code := queryErrCode(res); code != "" {
+		t.Fatalf("jaccard ht failed: %v", res)
 	}
-	if jac := body["jaccard"].(float64); jac < 0 || jac > 1+1e-9 || math.IsNaN(jac) {
+	if jac := res["estimate"].(float64); jac < 0 || jac > 1+1e-9 || math.IsNaN(jac) {
 		t.Errorf("jaccard ht = %v outside [0,1]", jac)
 	}
 }
@@ -800,20 +821,16 @@ func TestServerAllowlistAndDefault(t *testing.T) {
 	ingestDataset(t, ts.URL, ladderDataset(t, 12))
 
 	// The default estimator is applied when none is named.
-	resp, body := getJSON(t, ts.URL+"/v1/estimate/sum?func=rg")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("default estimator status %d: %v", resp.StatusCode, body)
-	}
-	if body["estimator"] != "ustar" {
-		t.Errorf("default estimator = %v, want ustar", body["estimator"])
+	_, res := queryOne(t, ts.URL, map[string]any{"func": "rg"})
+	if res["estimator"] != "ustar" {
+		t.Errorf("default estimator = %v, want ustar (result %v)", res["estimator"], res)
 	}
 	// Disallowed names are rejected.
-	resp, body = getJSON(t, ts.URL+"/v1/estimate/sum?func=rg&estimator=lstar")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("disallowed estimator status %d: %v", resp.StatusCode, body)
+	if _, res := queryOne(t, ts.URL, map[string]any{"func": "rg", "estimator": "lstar"}); queryErrCode(res) != "bad_request" {
+		t.Errorf("disallowed estimator: want a bad_request result, got %v", res)
 	}
 	// /v1/stats advertises the allowed estimators.
-	resp, body = getJSON(t, ts.URL+"/v1/stats")
+	resp, body := getJSON(t, ts.URL+"/v1/stats")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats status %d: %v", resp.StatusCode, body)
 	}

@@ -28,29 +28,14 @@ import (
 // serving request's context (or the server's drain context for the push
 // loop): remote-backed sources must honor it so an aborted request or a
 // shutdown cancels in-flight node traffic; local sources ignore it.
-type SnapshotSource interface {
-	AcquireSnapshot(ctx context.Context) (engine.SnapshotView, error)
-}
-
-// DegradedSource is the optional refinement a cluster-backed source
-// implements: acquisition also reports whether the view is missing
-// node contributions (a coordinator serving under a partial/quorum
-// read policy). Snapshot-backed responses attach the non-nil block
+//
+// The degraded block is nil for a complete view; a coordinator serving
+// under a partial/quorum read policy returns the block naming the node
+// contributions the view is missing. Snapshot-backed responses attach it
 // verbatim, so a consumer can always tell a complete answer from a
-// lower-bound one. *cluster.Coordinator implements it.
-type DegradedSource interface {
-	AcquireSnapshotDegraded(ctx context.Context) (engine.SnapshotView, *cluster.Degraded, error)
-}
-
-// acquire is how every snapshot-consuming endpoint obtains its view:
-// through the source's degraded-aware path when it has one, with a nil
-// degraded block (a complete view) otherwise.
-func (s *Server) acquire(ctx context.Context) (engine.SnapshotView, *cluster.Degraded, error) {
-	if ds, ok := s.snaps.(DegradedSource); ok {
-		return ds.AcquireSnapshotDegraded(ctx)
-	}
-	view, err := s.snaps.AcquireSnapshot(ctx)
-	return view, nil, err
+// lower-bound one.
+type SnapshotSource interface {
+	AcquireSnapshot(ctx context.Context) (engine.SnapshotView, *cluster.Degraded, error)
 }
 
 // cachedSource is the default source: the engine's lock-free versioned
@@ -61,22 +46,8 @@ type cachedSource struct {
 	maxStale time.Duration
 }
 
-func (c cachedSource) AcquireSnapshot(context.Context) (engine.SnapshotView, error) {
-	return c.eng.CachedView(c.maxStale), nil
-}
-
-// FreshSource returns a SnapshotSource that performs an exact cut on
-// every acquisition — for benchmarks and tests that must never observe a
-// bounded-staleness view. The view and version come from one consistent
-// cut (engine.FreshView); a separate Version() call racing a writer could
-// mislabel a pre-write snapshot with a post-write version and poison the
-// result memo.
-func FreshSource(eng *engine.Engine) SnapshotSource { return freshSource{eng} }
-
-type freshSource struct{ eng *engine.Engine }
-
-func (f freshSource) AcquireSnapshot(context.Context) (engine.SnapshotView, error) {
-	return f.eng.FreshView(), nil
+func (c cachedSource) AcquireSnapshot(context.Context) (engine.SnapshotView, *cluster.Degraded, error) {
+	return c.eng.CachedView(c.maxStale), nil, nil
 }
 
 // maxMemoEntries caps one version's memo so an adversarial query stream
@@ -196,9 +167,7 @@ func (pe *partialEstimates) sum(planKey string, est estreg.Estimator, view engin
 	for s, part := range view.Parts {
 		vec := vecs[s]
 		if vec == nil {
-			if len(vec) != len(part.Outcomes) {
-				vec = make([]float64, len(part.Outcomes))
-			}
+			vec = make([]float64, len(part.Outcomes))
 			for t, o := range part.Outcomes {
 				x, err := est.Estimate(o)
 				if err != nil {

@@ -26,9 +26,9 @@ import (
 // and per-partition estimate cache make each round proportional to the
 // mutated partitions, not the subscriber count times the key count).
 //
-// Queries come from the URL: either the single-query parameters of
-// /v1/estimate/sum (statistic, func, p, c, estimator, plus comma-lists
-// keys and ids), or ?queries=<JSON array of /v1/query specs> for a batch.
+// Queries come from the URL: either one query spelled as parameters
+// (statistic, func, p, c, estimator, plus comma-lists keys and ids), or
+// ?queries=<JSON array of /v1/query specs> for a batch.
 //
 // Event schema (versioned exactly like /v1/query — the top-level
 // "version" is the engine mutation version the results reflect):
@@ -242,7 +242,7 @@ func (b *broadcaster) debounceWait(sig <-chan struct{}) bool {
 func (b *broadcaster) round() {
 	// No request context covers the push loop; the drain context cancels
 	// a round's in-flight cluster scatter-gather on shutdown.
-	view, degraded, err := b.s.acquire(b.s.drainCtx)
+	view, degraded, err := b.s.snaps.AcquireSnapshot(b.s.drainCtx)
 	if err != nil {
 		return
 	}
@@ -314,16 +314,22 @@ func (s *Server) parseSubscribeQueries(r *http.Request) ([]querySpec, error) {
 		}
 		return specs, nil
 	}
-	sp, err := parseStatistic(q)
-	if err != nil {
-		return nil, err
+	spec := querySpec{Statistic: q.Get("statistic"), Func: q.Get("func"), Estimator: q.Get("estimator")}
+	if raw := q.Get("p"); raw != "" {
+		p, err := strconv.ParseFloat(raw, 64)
+		if err != nil {
+			return nil, fmt.Errorf("parameter p: %w", err)
+		}
+		spec.P = &p
 	}
-	spec := querySpec{
-		Statistic: q.Get("statistic"),
-		Func:      sp.Func,
-		P:         sp.P,
-		C:         sp.C,
-		Estimator: q.Get("estimator"),
+	if raw := q.Get("c"); raw != "" {
+		for i, part := range strings.Split(raw, ",") {
+			c, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+			if err != nil {
+				return nil, fmt.Errorf("parameter c[%d]: %w", i, err)
+			}
+			spec.C = append(spec.C, c)
+		}
 	}
 	if raw := q.Get("keys"); raw != "" {
 		spec.Keys = strings.Split(raw, ",")
@@ -356,12 +362,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) (int, e
 		if err != nil {
 			return http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err)
 		}
-		// The planner caches by (statistic, estimator, func); selections
-		// are per-query, so rebind (exactly as handleQuery does).
-		bound := *q
-		bound.spec = spec
-		queries[i] = &bound
-		shareKey.WriteString(bound.memoKey())
+		queries[i] = q
+		shareKey.WriteString(q.memoKey())
 		shareKey.WriteByte(0x1f)
 	}
 	flusher, ok := w.(http.Flusher)
@@ -402,7 +404,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) (int, e
 	// Registration precedes the initial push, so a mutation landing in
 	// between reaches this subscriber through the broadcaster; advance()
 	// keeps the two paths from reordering versions on the wire.
-	view, degraded, err := s.acquire(r.Context())
+	view, degraded, err := s.snaps.AcquireSnapshot(r.Context())
 	if err != nil {
 		return acquireStatus(err), err // deferred unregister cleans up
 	}

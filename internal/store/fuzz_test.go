@@ -9,7 +9,7 @@ import (
 
 // FuzzDecodeState hammers the one decoder every state artifact passes
 // through — disk checkpoints, /v1/import, /v1/export round-trips and
-// the cluster's /v1/sketch-/v1/merge exchange. The contract under
+// the cluster's /v1/export-/v1/import exchange. The contract under
 // arbitrary bytes: reject with an error or accept, never panic; and an
 // accepted artifact must survive its own re-encode (the decoder may not
 // hand the engine a state the encoder cannot represent).

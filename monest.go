@@ -157,7 +157,7 @@ func JaccardEstimate(outcomes []TupleOutcome) float64 { return funcs.JaccardEsti
 type (
 	// Engine is a sharded, concurrent, incrementally maintained store of
 	// coordinated bottom-k sketches. Engine.Version reports its mutation
-	// version, and Engine.CachedSnapshot serves the last reduced snapshot
+	// version, and Engine.CachedView serves the last reduced snapshot
 	// lock-free and bit-identically while the version holds (optionally
 	// within a staleness bound) — the serving hot path of monestd.
 	Engine = engine.Engine
