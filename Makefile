@@ -21,7 +21,7 @@ GATE_BENCH_SUB ?= ^BenchmarkSnapshotIncremental$$/^keys=16384$$
 GATE_BENCH_CLUSTER ?= ^(BenchmarkClusterQuery|BenchmarkScatterGather|BenchmarkSyncDeadNode)$$
 GATE_MAX       ?= 1.30
 
-.PHONY: build test race bench bench-baseline benchcmp benchgate e2e chaos lint
+.PHONY: build test race fuzz bench bench-baseline benchcmp benchgate e2e chaos lint
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Every Fuzz* target of the two packages that decode bytes from outside
+# the process (frames, state artifacts, JSON requests), 5s each: "every
+# decoder fails closed" exercised on every push, not only locally. go
+# test -fuzz takes one target and one package per run, hence the loop.
+fuzz:
+	@for pkg in ./internal/store/ ./internal/server/; do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run xxx -fuzz "^$$target$$" -fuzztime 5s $$pkg || exit 1; \
+		done; \
+	done
 
 # One iteration per benchmark, emitted as test2json lines: cheap enough
 # for every push, structured enough to accumulate a perf trajectory from

@@ -25,17 +25,17 @@
 // still costs nothing when no ingest intervened, thanks to the engine's
 // versioned snapshot cache.
 //
-// Streaming wire: POST /v1/stream accepts length-prefixed binary update
-// frames (WAL record format behind an 8-byte magic) over one chunked
+// Streaming wire: POST /v1/stream accepts binary update frames (the
+// bytes the WAL journals, behind an 8-byte magic) over one chunked
 // connection, and GET /v1/subscribe pushes re-estimates as Server-Sent
 // Events whenever the sketch state changes. -subscribe-debounce is the
 // window that coalesces write bursts into one push. On graceful shutdown
 // subscribers receive a final "drain" event before the listener closes.
 //
-// Durability: -data-dir points at a state directory (or a "backend:path"
-// store spec, e.g. "file:/var/lib/monestd"); on boot the daemon recovers
-// the latest checkpoint plus the WAL tail, and every accepted ingest is
-// then journaled ahead of being applied. -fsync picks the WAL flush
+// Durability: -data-dir points at a state directory; on boot the daemon
+// recovers the latest checkpoint plus the WAL tail, and every accepted
+// ingest is then journaled ahead of being applied (a failed append
+// answers a retryable 500, not a 400). -fsync picks the WAL flush
 // policy (always = durable per batch; interval = background flush;
 // never = leave it to the OS). -checkpoint-interval writes periodic
 // compact checkpoints (0 disables; /v1/checkpoint triggers one on
@@ -316,9 +316,10 @@ func run(o options) error {
 		srvCfg.Ingest = coord
 		srvCfg.Cluster = coord
 		// Readiness on a coordinator means the read policy is satisfiable
-		// right now. A node needs no probe: recovery completes before the
-		// listener opens, so a node answering /readyz at all is ready.
-		srvCfg.Ready = coord.Ready
+		// right now — a scatter-gather round meets its floor. A node needs
+		// no probe: recovery completes before the listener opens, so a
+		// node answering /readyz at all is ready.
+		srvCfg.Ready = coord.Sync
 	}
 	api := server.NewWith(eng, srvCfg)
 	var handler http.Handler = api

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -197,6 +199,10 @@ func TestPprofFlagMountsProfiles(t *testing.T) {
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
+	notADir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notADir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	mod := func(f func(*options)) options {
 		o := baseOpts("127.0.0.1:0")
 		o.maxStale = 0
@@ -216,7 +222,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"negative snapshot-max-stale", mod(func(o *options) { o.maxStale = -time.Second })},
 		{"negative checkpoint interval", mod(func(o *options) { o.checkpointIv = -time.Second })},
 		{"bad fsync policy", mod(func(o *options) { o.fsync = "sometimes" })},
-		{"unknown store backend", mod(func(o *options) { o.dataDir = "bogus:/tmp/x" })},
+		{"data dir under a regular file", mod(func(o *options) { o.dataDir = filepath.Join(notADir, "state") })},
 	}
 	for _, tc := range cases {
 		if err := run(tc.o); err == nil {

@@ -28,6 +28,14 @@ const maxSketchBody = 64 << 20
 // under store.MaxStreamFrameBytes at ~17 B/update encoded.
 const ingestFrameUpdates = 4096
 
+// Transiently-failing node requests get nodeRetries extra attempts,
+// paused by full jitter in [0, min(backoffMax, backoffBase<<attempt)).
+const (
+	nodeRetries = 1
+	backoffBase = 25 * time.Millisecond
+	backoffMax  = time.Second
+)
+
 // NodeError is a failure to reach or use one cluster node. It carries
 // the HTTP status when the node answered (0 for transport failures), and
 // reports Unavailable() for the cases where the node is effectively gone
@@ -57,15 +65,12 @@ type nodeClient struct {
 	addr    string // base URL, e.g. "http://127.0.0.1:9001"
 	hc      *http.Client
 	timeout time.Duration
-	retries int
 	// br short-circuits requests while the node looks dead (nil =
-	// breaker disabled); backoffBase/backoffMax shape the full-jitter
-	// retry pauses drawn from jitter. Fetches and routed sends share all
-	// of it — availability is a property of the node, not of the verb.
-	br          *breaker
-	backoffBase time.Duration
-	backoffMax  time.Duration
-	jitter      *jitterSource
+	// breaker disabled); jitter feeds the full-jitter retry pauses.
+	// Fetches and routed sends share both — availability is a property
+	// of the node, not of the verb.
+	br     *breaker
+	jitter *jitterSource
 	// lastMergeAt is when commit last ran (unix nanos; 0 = never) — the
 	// staleness label degraded blocks carry for this node.
 	lastMergeAt atomic.Int64
@@ -103,12 +108,12 @@ func (n *nodeClient) missingEntry(err error, now time.Time) MissingNode {
 	return m
 }
 
-// retrying runs op up to 1+retries times, retrying only failures that
+// retrying runs op up to 1+nodeRetries times, retrying only failures that
 // might be transient (transport errors and 5xx) with capped
 // exponential backoff and full jitter, all behind the node's circuit
 // breaker: while the breaker is open, the call short-circuits with
 // ErrBreakerOpen without touching the wire, so a dead node costs the
-// cluster ~nothing per round instead of timeout×(1+retries). Breaker
+// cluster ~nothing per round instead of timeout×(1+nodeRetries). Breaker
 // outcomes are recorded on Unavailable-class results only — a 4xx
 // proves the node reachable and counts as contact.
 func (n *nodeClient) retrying(ctx context.Context, op func(context.Context) error) error {
@@ -135,11 +140,11 @@ func (n *nodeClient) retrying(ctx context.Context, op func(context.Context) erro
 				n.br.success()
 			}
 		}
-		if !unavailable || attempt >= n.retries {
+		if !unavailable || attempt >= nodeRetries {
 			return err
 		}
 		select {
-		case <-time.After(backoffDelay(n.jitter, n.backoffBase, n.backoffMax, attempt)):
+		case <-time.After(backoffDelay(n.jitter, backoffBase, backoffMax, attempt)):
 		case <-ctx.Done():
 			return err
 		}
@@ -219,9 +224,7 @@ func (n *nodeClient) sendBatch(ctx context.Context, key string, batch []engine.U
 			return &NodeError{Addr: n.addr, Err: err}
 		}
 		req.Header.Set("Content-Type", store.StreamContentType)
-		if key != "" {
-			req.Header.Set("Idempotency-Key", key)
-		}
+		req.Header.Set("Idempotency-Key", key)
 		resp, err := n.hc.Do(req)
 		if err != nil {
 			return &NodeError{Addr: n.addr, Err: err}

@@ -323,7 +323,6 @@ func TestClusterDegradedWrites(t *testing.T) {
 		Nodes:   []string{a.url(), b.url()},
 		Engine:  cfg,
 		Timeout: 2 * time.Second,
-		Retries: -1, // fail fast; the retry path is exercised implicitly elsewhere
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +385,6 @@ func TestSyncPartialFailureKeepsSuccessfulFetch(t *testing.T) {
 		Nodes:   []string{nodes[0].url(), nodes[1].url()},
 		Engine:  cfg,
 		Timeout: 2 * time.Second,
-		Retries: -1, // fail fast: the dead node should not stall the round
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -34,9 +34,7 @@ import (
 // the merged view from the reachable subset when the policy floor is
 // met, attaching an explicit Degraded block (never a silent partial
 // answer); only Unavailable-class failures are maskable — a seed
-// mismatch or merge failure always fails the round. SyncMaxStale
-// optionally bounds how often the vector is polled under read load,
-// trading staleness for N-fold fewer round trips.
+// mismatch or merge failure always fails the round.
 type Coordinator struct {
 	ring  *Ring
 	merge *engine.Engine
@@ -45,8 +43,7 @@ type Coordinator struct {
 
 	// syncMu single-flights scatter-gather rounds; concurrent readers
 	// piggyback on the round in flight instead of stampeding the nodes.
-	syncMu   sync.Mutex
-	lastSync time.Time
+	syncMu sync.Mutex
 
 	// degraded labels the last completed round: nil when every node was
 	// reached, else the missing-node block responses must carry.
@@ -75,34 +72,21 @@ type Config struct {
 	// ring identity: every coordinator configured with the same list and
 	// salt routes identically.
 	Nodes []string
-	// VirtualNodes is the per-node vnode count (0 = DefaultVirtualNodes).
-	VirtualNodes int
 	// Engine configures the local merge engine; Instances, K and the seed
 	// hash must match the nodes' or merges are rejected (seed-fingerprint
 	// check in the artifact decoder).
 	Engine engine.Config
 	// Timeout bounds each node request attempt (0 = 2s).
 	Timeout time.Duration
-	// Retries is how many extra attempts transiently-failing node
-	// requests get (default 1; negative = none).
-	Retries int
 	// ReadPolicy selects strict, partial or quorum reads (zero value =
 	// strict). Quorum must not exceed len(Nodes).
 	ReadPolicy ReadPolicy
-	// BackoffBase/BackoffMax shape retry pauses: full jitter in
-	// [0, min(BackoffMax, BackoffBase<<attempt)). Defaults 25ms / 1s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// BreakerThreshold consecutive Unavailable-class failures open a
 	// node's circuit breaker (default 3; negative disables breakers).
 	// BreakerCooldown is how long an open breaker short-circuits before
 	// letting one half-open probe through (default 250ms).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// SyncMaxStale skips the version-vector round when the last sync is
-	// at most this old (0 = every read syncs — strict read-your-writes
-	// through the coordinator).
-	SyncMaxStale time.Duration
 	// Poll, when positive, runs a background sync loop so /v1/subscribe
 	// pushes fire on node-side mutations even with no query traffic.
 	Poll time.Duration
@@ -159,7 +143,7 @@ type NodeStats struct {
 // New builds a coordinator and its empty merge engine. It performs no
 // I/O; the first read or poll tick populates the merge engine.
 func New(cfg Config) (*Coordinator, error) {
-	ring, err := NewRing(cfg.Engine.Hash, cfg.Nodes, cfg.VirtualNodes)
+	ring, err := NewRing(cfg.Engine.Hash, cfg.Nodes, DefaultVirtualNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -170,20 +154,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}
-	if cfg.Retries == 0 {
-		cfg.Retries = 1
-	} else if cfg.Retries < 0 {
-		cfg.Retries = 0
-	}
 	if cfg.ReadPolicy.Mode == ReadQuorum && cfg.ReadPolicy.Quorum > len(cfg.Nodes) {
 		return nil, fmt.Errorf("cluster: read quorum %d exceeds %d nodes",
 			cfg.ReadPolicy.Quorum, len(cfg.Nodes))
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 25 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = time.Second
 	}
 	if cfg.BreakerThreshold == 0 {
 		cfg.BreakerThreshold = 3
@@ -210,13 +183,10 @@ func New(cfg Config) (*Coordinator, error) {
 	jitterSeed := math.Float64bits(cfg.Engine.Hash.U(0x6661756c74))
 	for i, addr := range ring.Nodes() {
 		n := &nodeClient{
-			addr:        addr,
-			hc:          hc,
-			timeout:     cfg.Timeout,
-			retries:     cfg.Retries,
-			backoffBase: cfg.BackoffBase,
-			backoffMax:  cfg.BackoffMax,
-			jitter:      &jitterSource{},
+			addr:    addr,
+			hc:      hc,
+			timeout: cfg.Timeout,
+			jitter:  &jitterSource{},
 		}
 		n.jitter.state.Store(jitterSeed + uint64(i)*0x9e3779b97f4a7c15)
 		if cfg.BreakerThreshold > 0 {
@@ -273,12 +243,6 @@ func (c *Coordinator) Stats() Stats {
 // fresher than the label claims, never staler.
 func (c *Coordinator) Degraded() *Degraded { return c.degraded.Load() }
 
-// Ready reports read-policy satisfiability — the coordinator's /readyz:
-// nil when a scatter-gather round can currently meet the policy floor.
-func (c *Coordinator) Ready(ctx context.Context) error {
-	return c.Sync(ctx)
-}
-
 // idempotencyBase mints the per-instance key prefix.
 func idempotencyBase() string {
 	var b [8]byte
@@ -316,8 +280,9 @@ func (c *Coordinator) pollLoop() {
 // Sync runs one scatter-gather round: every node is asked for its state
 // conditionally on the version vector, concurrently; changed states fold
 // into the merge engine in node order (order only affects mutation
-// accounting — max-union is commutative). Rounds are single-flighted and
-// optionally rate-bounded by SyncMaxStale.
+// accounting — max-union is commutative). Rounds are single-flighted;
+// every read syncs, which is what gives strict read-your-writes through
+// the coordinator.
 //
 // Failure handling is policy-aware, but merges always come first: every
 // successful fetch is merged and has its vector entry committed BEFORE
@@ -338,9 +303,6 @@ func (c *Coordinator) pollLoop() {
 func (c *Coordinator) Sync(ctx context.Context) error {
 	c.syncMu.Lock()
 	defer c.syncMu.Unlock()
-	if c.cfg.SyncMaxStale > 0 && time.Since(c.lastSync) < c.cfg.SyncMaxStale {
-		return nil
-	}
 	type fetched struct {
 		st   *engine.State
 		size int
@@ -407,7 +369,6 @@ func (c *Coordinator) Sync(ctx context.Context) error {
 		c.degraded.Store(nil)
 	}
 	c.stats.syncs.Add(1)
-	c.lastSync = time.Now()
 	return nil
 }
 

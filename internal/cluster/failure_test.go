@@ -15,6 +15,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -99,10 +101,8 @@ func TestClusterDegradedReads(t *testing.T) {
 	coord, err := cluster.New(cluster.Config{
 		Nodes:  urls,
 		Engine: engine.Config{Instances: 2, K: 16, Shards: 4, Hash: hash},
-		// Fail fast and deterministically: no retries, no breakers — the
-		// breaker lifecycle has its own test below.
+		// No breakers — the breaker lifecycle has its own test below.
 		Timeout:          2 * time.Second,
-		Retries:          -1,
 		BreakerThreshold: -1,
 		ReadPolicy:       cluster.ReadPolicy{Mode: cluster.ReadQuorum, Quorum: 2},
 	})
@@ -276,7 +276,6 @@ func TestBreakerLifecycle(t *testing.T) {
 		Nodes:            []string{fc.urls[0], proxied},
 		Engine:           cfg,
 		Timeout:          timeout,
-		Retries:          -1,
 		BreakerThreshold: 3,
 		BreakerCooldown:  100 * time.Millisecond,
 		ReadPolicy:       cluster.ReadPolicy{Mode: cluster.ReadPartial},
@@ -301,9 +300,12 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 
 	// Blackhole: each contact now hangs for the full timeout. Partial
-	// policy keeps the rounds serving off node 0 while failures accrue.
+	// policy keeps the rounds serving off node 0 while failures accrue:
+	// round one spends its attempt and its one retry, round two's first
+	// attempt is the third failure and its retry is already
+	// short-circuited.
 	proxy.Blackhole(true)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		if err := coord.Sync(ctx); err != nil {
 			t.Fatalf("partial sync %d with blackholed node failed: %v", i, err)
 		}
@@ -420,6 +422,71 @@ func TestRoutedRetryAppliesOnce(t *testing.T) {
 	}
 }
 
+// fullDisk is an engine.Journal whose every append fails.
+type fullDisk struct{}
+
+func (fullDisk) Append([]engine.Update) error { return errors.New("disk full") }
+
+// TestRoutedJournalFailureIsRetriedThenUnavailable: a node whose WAL
+// append fails answers 500 (its own fault, not the batch's), so the
+// coordinator treats the node as unavailable — it retries the share
+// under the same Idempotency-Key and then surfaces 503, never the
+// non-retryable 400 a rejected update gets.
+func TestRoutedJournalFailureIsRetriedThenUnavailable(t *testing.T) {
+	cfg := engine.Config{Instances: 2, K: 16, Shards: 4, Hash: sampling.NewSeedHash(29)}
+	eng, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetJournal(fullDisk{})
+	node := server.New(eng)
+	var mu sync.Mutex
+	var keys []string
+	nodeSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/stream" {
+			mu.Lock()
+			keys = append(keys, r.Header.Get("Idempotency-Key"))
+			mu.Unlock()
+		}
+		node.ServeHTTP(w, r)
+	}))
+	defer nodeSrv.Close()
+
+	coord, err := cluster.New(cluster.Config{Nodes: []string{nodeSrv.URL}, Engine: cfg, BreakerThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	front := httptest.NewServer(server.NewWith(coord.Engine(),
+		server.Config{Snapshots: coord, Ingest: coord, Cluster: coord}))
+	defer front.Close()
+
+	resp, err := http.Post(front.URL+"/v1/ingest", "application/json",
+		strings.NewReader(`{"updates":[{"instance":0,"id":7,"weight":1.5}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env struct {
+		Error struct {
+			Code    string `json:"code"`
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || env.Error.Code != "unavailable" ||
+		!strings.Contains(env.Error.Message, "status 500") || !strings.Contains(env.Error.Message, "disk full") {
+		t.Fatalf("coordinator answered %d %+v, want 503 unavailable naming the node's 500", resp.StatusCode, env.Error)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(keys) != 2 || keys[0] == "" || keys[0] != keys[1] {
+		t.Fatalf("node saw stream attempts keyed %q, want the share sent twice under one Idempotency-Key", keys)
+	}
+}
+
 // TestSyncDeadNodeShortCircuits is the deterministic half of
 // BenchmarkSyncDeadNode: once the breaker is open, a sync round with a
 // blackholed node completes in a small fraction of the node timeout and
@@ -462,7 +529,6 @@ func deadNodeCluster(tb testing.TB, timeout time.Duration) (*cluster.Coordinator
 		Nodes:            []string{fc.urls[0], fc.urls[1], proxy.URL()},
 		Engine:           cfg,
 		Timeout:          timeout,
-		Retries:          -1,
 		BreakerThreshold: 3,
 		BreakerCooldown:  time.Hour,
 		ReadPolicy:       cluster.ReadPolicy{Mode: cluster.ReadQuorum, Quorum: 2},

@@ -20,8 +20,8 @@ import (
 	"repro/internal/sampling"
 )
 
-// DefaultVirtualNodes is the per-node vnode count when a Config leaves it
-// zero: enough points that key ownership splits within a few percent of
+// DefaultVirtualNodes is the per-node vnode count every coordinator
+// uses: enough points that key ownership splits within a few percent of
 // evenly for small clusters, cheap enough to rebuild instantly.
 const DefaultVirtualNodes = 64
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -48,6 +49,12 @@ type Update struct {
 type Journal interface {
 	Append(batch []Update) error
 }
+
+// ErrJournal marks an ingest error as a failed Journal.Append — the
+// server's fault (disk full, store closed), not the request's: callers
+// errors.Is it to tell a retryable internal failure from a rejected
+// update.
+var ErrJournal = errors.New("journal")
 
 // Engine is a sharded streaming store of coordinated bottom-k sketches.
 // Methods are safe for concurrent use.
@@ -142,7 +149,7 @@ func (e *Engine) Ingest(instance int, key uint64, weight float64) error {
 	one := [1]Update{{Instance: instance, Key: key, Weight: weight}}
 	muts, err := e.foldShard(e.shards[e.shardOf(key)], one[:])
 	if err != nil {
-		return fmt.Errorf("engine: journal: %w", err)
+		return fmt.Errorf("engine: %w: %w", ErrJournal, err)
 	}
 	if muts > 0 {
 		e.notifyMutation()
@@ -250,7 +257,7 @@ func (e *Engine) IngestBatch(updates []Update) error {
 		// per-shard (not cross-shard) atomicity.
 		muts, err := e.foldShard(e.shards[s], buf[lo:hi])
 		if err != nil {
-			return fmt.Errorf("engine: journal (batch partially applied): %w", err)
+			return fmt.Errorf("engine: %w (batch partially applied): %w", ErrJournal, err)
 		}
 		batchMuts += muts
 		lo = hi

@@ -228,11 +228,16 @@ func TestJournalErrorRejectsUpdate(t *testing.T) {
 	boom := errors.New("disk full")
 	e.SetJournal(&journalRecorder{fail: boom})
 
-	if err := e.Ingest(0, 1, 1); !errors.Is(err, boom) {
-		t.Fatalf("Ingest error %v, want wrapped journal error", err)
+	if err := e.Ingest(0, 1, 1); !errors.Is(err, boom) || !errors.Is(err, ErrJournal) ||
+		err.Error() != "engine: journal: disk full" {
+		t.Fatalf("Ingest error %v, want the journal error wrapped and marked ErrJournal", err)
 	}
-	if err := e.IngestBatch([]Update{{Instance: 0, Key: 2, Weight: 1}}); !errors.Is(err, boom) {
-		t.Fatalf("IngestBatch error %v, want wrapped journal error", err)
+	if err := e.IngestBatch([]Update{{Instance: 0, Key: 2, Weight: 1}}); !errors.Is(err, boom) || !errors.Is(err, ErrJournal) ||
+		err.Error() != "engine: journal (batch partially applied): disk full" {
+		t.Fatalf("IngestBatch error %v, want the journal error wrapped and marked ErrJournal", err)
+	}
+	if err := e.IngestBatch([]Update{{Instance: 9, Key: 2, Weight: 1}}); err == nil || errors.Is(err, ErrJournal) {
+		t.Fatalf("validation error %v must not be marked ErrJournal", err)
 	}
 	if st := e.Stats(); st.Keys != 0 || st.Ingests != 0 || st.Version != 0 {
 		t.Fatalf("journal-rejected updates left state behind: %+v", st)

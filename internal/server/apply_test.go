@@ -1,0 +1,172 @@
+package server
+
+// Tests for the one apply step (apply.go) as both write endpoints reach
+// it, and for the bounded tables behind its gate and idempotency record.
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/engine"
+)
+
+// fullDisk is an engine.Journal that accepts `room` appends and then
+// fails like a full disk.
+type fullDisk struct{ room atomic.Int64 }
+
+func (j *fullDisk) Append([]engine.Update) error {
+	if j.room.Add(-1) < 0 {
+		return errors.New("disk full")
+	}
+	return nil
+}
+
+// A failed write-ahead journal is the server's fault: both endpoints
+// answer 500 "internal" (retryable), never the 400 a malformed update
+// gets — and a stream still reports the progress before the failure.
+func TestJournalFailureAnswers500(t *testing.T) {
+	_, ts, eng := subTestServer(t, Config{})
+	journal := &fullDisk{}
+	eng.SetJournal(journal)
+
+	decode := func(out []byte) errEnvelope {
+		t.Helper()
+		var env errEnvelope
+		if err := json.Unmarshal(out, &env); err != nil {
+			t.Fatalf("unparseable error body %s: %v", out, err)
+		}
+		return env
+	}
+
+	resp, out := postRawJSON(t, ts.URL+"/v1/ingest", ingestBody(3, 0))
+	if env := decode(out); resp.StatusCode != http.StatusInternalServerError || env.Error.Code != "internal" ||
+		env.Error.Message != "engine: journal (batch partially applied): disk full" {
+		t.Fatalf("/v1/ingest with a failing journal: %d %+v, want 500 internal", resp.StatusCode, env.Error)
+	}
+
+	// One frame fits (a single-key frame is one shard record), then the
+	// disk is full.
+	journal.room.Store(1)
+	resp, out = postStream(t, ts, streamBody(
+		[]engine.Update{{Instance: 0, Key: 1, Weight: 2}},
+		[]engine.Update{{Instance: 0, Key: 2, Weight: 2}},
+	))
+	if env := decode(out); resp.StatusCode != http.StatusInternalServerError || env.Error.Code != "internal" ||
+		env.Error.Message != "frame 1: engine: journal (batch partially applied): disk full (1 updates from 1 frames already applied)" {
+		t.Fatalf("/v1/stream with a failing journal: %d %+v, want 500 internal with progress", resp.StatusCode, env.Error)
+	}
+	if got := eng.Stats().Ingests; got != 1 {
+		t.Fatalf("engine ingested %d, want only the journaled frame (1)", got)
+	}
+
+	// Validation failures stay the request's fault on both endpoints.
+	bad := []engine.Update{{Instance: 9, Key: 1, Weight: 1}}
+	resp, out = postRawJSON(t, ts.URL+"/v1/ingest",
+		map[string]any{"updates": []map[string]any{{"instance": 9, "id": 1, "weight": 1}}})
+	if env := decode(out); resp.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_request" {
+		t.Fatalf("/v1/ingest with a bad instance: %d %+v, want 400 bad_request", resp.StatusCode, env.Error)
+	}
+	resp, out = postStream(t, ts, streamBody(bad))
+	if env := decode(out); resp.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_request" ||
+		!strings.Contains(env.Error.Message, "0 frames already applied") {
+		t.Fatalf("/v1/stream with a bad instance: %d %+v, want 400 bad_request with progress", resp.StatusCode, env.Error)
+	}
+}
+
+// /v1/ingest runs the same apply step as a stream frame, so a JSON batch
+// replayed under its Idempotency-Key is recognized and not re-applied.
+func TestIngestReplayUnderIdempotencyKeyAppliesOnce(t *testing.T) {
+	s, ts, eng := subTestServer(t, Config{})
+	body, err := json.Marshal(ingestBody(4, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for attempt := 0; attempt < 2; attempt++ {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/ingest", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Idempotency-Key", "json-retry")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum map[string]int
+		if err := json.NewDecoder(resp.Body).Decode(&sum); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || sum["ingested"] != 4 {
+			t.Fatalf("attempt %d: %d %v, want 200 with 4 ingested", attempt, resp.StatusCode, sum)
+		}
+	}
+	if got := eng.Stats().Ingests; got != 4 {
+		t.Fatalf("engine ingested %d, want the batch counted once (4)", got)
+	}
+	if d := s.wire.streamDeduped.Load(); d != 1 {
+		t.Fatalf("deduped %d batches, want 1", d)
+	}
+	if f := s.wire.streamFrames.Load(); f != 0 {
+		t.Fatalf("JSON batches moved the binary stream frame counter to %d", f)
+	}
+}
+
+// The bounded-memory audit for the write path's two per-key tables:
+// filled past their caps they never exceed them, and whoever was evicted
+// simply starts fresh.
+func TestWriteTablesStayBounded(t *testing.T) {
+	t.Run("rate-limit buckets", func(t *testing.T) {
+		g := newIngestGate(1, 10, 0)
+		client := func(i int) string { return fmt.Sprintf("10.0.%d.%d", i/256, i%256) }
+		// Client 0 drains its bucket, then enough newer clients arrive to
+		// push it out.
+		if ok, _ := g.admit(client(0), 10); !ok {
+			t.Fatal("first full-burst charge refused")
+		}
+		if ok, _ := g.admit(client(0), 10); ok {
+			t.Fatal("drained bucket admitted a second burst")
+		}
+		for i := 1; i <= maxClientBuckets+50; i++ {
+			if ok, _ := g.admit(client(i), 1); !ok {
+				t.Fatalf("fresh client %d refused", i)
+			}
+			if n := g.buckets.order.Len(); n > maxClientBuckets || n != len(g.buckets.byKey) {
+				t.Fatalf("after %d clients the table holds %d entries (%d keys), cap %d",
+					i+1, n, len(g.buckets.byKey), maxClientBuckets)
+			}
+		}
+		if ok, _ := g.admit(client(0), 10); !ok {
+			t.Fatal("evicted client did not start with a fresh full bucket")
+		}
+	})
+	t.Run("idempotency records", func(t *testing.T) {
+		s := newIdemStore()
+		first := s.get("key-0")
+		first.applied(0, 42)
+		for i := 1; i <= maxIdemKeys+50; i++ {
+			s.get(fmt.Sprintf("key-%d", i))
+			if n := s.recs.order.Len(); n > maxIdemKeys || n != len(s.recs.byKey) {
+				t.Fatalf("after %d keys the table holds %d entries (%d keys), cap %d",
+					i+1, n, len(s.recs.byKey), maxIdemKeys)
+			}
+		}
+		if again := s.get("key-0"); again == first || again.seen(0, 42) {
+			t.Fatal("evicted key kept its applied-frame record")
+		}
+		// A recently used key survives the churn: eviction is LRU.
+		recent := s.get("key-0")
+		recent.applied(0, 7)
+		for i := 0; i < maxIdemKeys-1; i++ {
+			s.get(fmt.Sprintf("churn-%d", i))
+		}
+		if !s.get("key-0").seen(0, 7) {
+			t.Fatal("most-recently-used key was evicted before older ones")
+		}
+	})
+}

@@ -3,22 +3,20 @@ package server
 import (
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/engine"
 )
 
-// Stream idempotency: a /v1/stream request carrying an Idempotency-Key
-// header registers per-frame digests as frames apply. When the SAME key
-// replays the stream — the cluster coordinator retrying a routed batch
-// whose response was lost in flight — frames whose (position, digest)
-// pair is already recorded are skipped: not re-applied, not charged to
-// the rate limiter, not counted by Ingests or the wire counters. That
-// makes retried routed batches exact in the COUNTERS, not just the
-// estimates (which max-weight union always kept exact). The digest
-// check also makes key collisions harmless: a colliding key with
-// different frame content simply fails the digest match and applies
-// normally.
+// Write idempotency: a request carrying an Idempotency-Key header
+// registers a digest per batch (stream frame, or the one /v1/ingest body)
+// as it applies. When the SAME key replays the request — the cluster
+// coordinator retrying a routed share whose response was lost in flight —
+// batches whose (position, digest) pair is already recorded are skipped:
+// not re-applied, not charged to the rate limiter, not counted by Ingests
+// or the wire counters. Retried batches are thus exact in the COUNTERS,
+// not just the estimates (which max-weight union always kept exact). A
+// colliding key with different content fails the digest match and
+// applies normally.
 
 // maxIdemKeys bounds the remembered keys (LRU eviction); maxIdemFrames
 // bounds the digests per key — frames beyond it always re-apply (safe:
@@ -30,9 +28,8 @@ const (
 
 // idemRecord is one key's applied-frame digests.
 type idemRecord struct {
-	mu       sync.Mutex
-	digests  []uint64
-	lastUsed time.Time // guarded by idemStore.mu
+	mu      sync.Mutex
+	digests []uint64
 }
 
 // seen reports whether frame seq with digest d is already applied.
@@ -59,40 +56,18 @@ func (r *idemRecord) applied(seq int, d uint64) {
 // idemStore maps idempotency keys to their records, bounded by LRU.
 type idemStore struct {
 	mu   sync.Mutex
-	recs map[string]*idemRecord
+	recs *lruTable[*idemRecord]
 }
 
 func newIdemStore() *idemStore {
-	return &idemStore{recs: make(map[string]*idemRecord)}
+	return &idemStore{recs: newLRUTable[*idemRecord](maxIdemKeys)}
 }
 
 // get returns (creating if needed) the record for key.
 func (s *idemStore) get(key string) *idemRecord {
-	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := s.recs[key]
-	if r == nil {
-		if len(s.recs) >= maxIdemKeys {
-			s.evictOldest()
-		}
-		r = &idemRecord{}
-		s.recs[key] = r
-	}
-	r.lastUsed = now
-	return r
-}
-
-// evictOldest drops the least-recently-used record (caller holds mu).
-func (s *idemStore) evictOldest() {
-	var oldestKey string
-	var oldest time.Time
-	for k, r := range s.recs {
-		if oldestKey == "" || r.lastUsed.Before(oldest) {
-			oldestKey, oldest = k, r.lastUsed
-		}
-	}
-	delete(s.recs, oldestKey)
+	return s.recs.touch(key, func() *idemRecord { return &idemRecord{} })
 }
 
 // frameDigest fingerprints one decoded frame (FNV-1a over the update

@@ -24,23 +24,21 @@ import (
 // exactly the torn-frame contract, so clients resume instead of
 // guessing. internal/streamclient's Pump honors all of it.
 
-// maxClientBuckets bounds the per-client bucket map; beyond it the
-// least-recently-refilled bucket is evicted (a returning client starts
+// maxClientBuckets bounds the per-client bucket table; beyond it the
+// least-recently-charged bucket is evicted (a returning client starts
 // with a full bucket again — backpressure, not accounting).
 const maxClientBuckets = 4096
 
 // rateLimitError carries the 429 contract through the route() error
 // path: the retry hint and, for streams, the applied progress.
 type rateLimitError struct {
+	error
 	retryAfter time.Duration
 	// appliedFrames/appliedUpdates report stream progress (-1: not a
 	// stream — the envelope omits the fields).
 	appliedFrames  int
 	appliedUpdates int
-	msg            string
 }
-
-func (e *rateLimitError) Error() string { return e.msg }
 
 // bucket is one client's token bucket (updates are the token unit).
 type bucket struct {
@@ -57,7 +55,7 @@ type ingestGate struct {
 
 	inflight atomic.Int64
 	mu       sync.Mutex
-	buckets  map[string]*bucket
+	buckets  *lruTable[*bucket]
 
 	rateLimited      atomic.Uint64
 	inflightRejected atomic.Uint64
@@ -74,13 +72,13 @@ func newIngestGate(rate, burst float64, inflight int) *ingestGate {
 		rate:        rate,
 		burst:       burst,
 		maxInflight: int64(inflight),
-		buckets:     make(map[string]*bucket),
+		buckets:     newLRUTable[*bucket](maxClientBuckets),
 	}
 }
 
 // acquire claims an in-flight slot; the caller must release() when done.
 func (g *ingestGate) acquire() bool {
-	if g.maxInflight <= 0 {
+	if g == nil || g.maxInflight <= 0 {
 		return true
 	}
 	if g.inflight.Add(1) > g.maxInflight {
@@ -92,7 +90,7 @@ func (g *ingestGate) acquire() bool {
 }
 
 func (g *ingestGate) release() {
-	if g.maxInflight > 0 {
+	if g != nil && g.maxInflight > 0 {
 		g.inflight.Add(-1)
 	}
 }
@@ -103,21 +101,14 @@ func (g *ingestGate) release() {
 // batch size. On refusal it returns how long until the charge would
 // clear.
 func (g *ingestGate) admit(client string, n int) (ok bool, retryAfter time.Duration) {
-	if g.rate <= 0 {
+	if g == nil || g.rate <= 0 {
 		return true, 0
 	}
 	need := math.Min(float64(n), g.burst)
 	now := time.Now()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	b := g.buckets[client]
-	if b == nil {
-		b = &bucket{tokens: g.burst, last: now}
-		if len(g.buckets) >= maxClientBuckets {
-			g.evictOldest()
-		}
-		g.buckets[client] = b
-	}
+	b := g.buckets.touch(client, func() *bucket { return &bucket{tokens: g.burst, last: now} })
 	b.tokens = math.Min(g.burst, b.tokens+now.Sub(b.last).Seconds()*g.rate)
 	b.last = now
 	if b.tokens >= need {
@@ -126,32 +117,6 @@ func (g *ingestGate) admit(client string, n int) (ok bool, retryAfter time.Durat
 	}
 	g.rateLimited.Add(1)
 	return false, time.Duration((need - b.tokens) / g.rate * float64(time.Second))
-}
-
-// evictOldest drops the bucket refilled longest ago (caller holds mu).
-func (g *ingestGate) evictOldest() {
-	var oldestKey string
-	var oldest time.Time
-	for k, b := range g.buckets {
-		if oldestKey == "" || b.last.Before(oldest) {
-			oldestKey, oldest = k, b.last
-		}
-	}
-	delete(g.buckets, oldestKey)
-}
-
-// limited builds the 429 error for a refused charge. Stream handlers
-// pass their applied progress; /v1/ingest passes -1, -1.
-func (g *ingestGate) limited(retryAfter time.Duration, appliedFrames, appliedUpdates int, msg string) *rateLimitError {
-	if retryAfter <= 0 {
-		retryAfter = time.Second
-	}
-	return &rateLimitError{
-		retryAfter:     retryAfter,
-		appliedFrames:  appliedFrames,
-		appliedUpdates: appliedUpdates,
-		msg:            msg,
-	}
 }
 
 // clientKey identifies the requesting client for per-client buckets:

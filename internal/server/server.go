@@ -3,10 +3,10 @@
 //
 // Endpoints:
 //
-//	POST /v1/ingest           batch of {instance, key|id, weight} updates
-//	POST /v1/stream           long-lived binary streaming ingest: framed
-//	                          update batches in the WAL record encoding
-//	                          (see stream.go)
+//	POST /v1/ingest           one JSON batch of {instance, key|id, weight}
+//	POST /v1/stream           long-lived binary ingest: update frames, the
+//	                          bytes the WAL journals (see stream.go); both
+//	                          feed the one apply step (see apply.go)
 //	POST /v1/query            batched multi-statistic queries over one
 //	                          shared snapshot (see query.go)
 //	GET  /v1/subscribe        Server-Sent Events push: registered queries
@@ -58,9 +58,7 @@
 // policies), every snapshot-backed response and SSE push carries an
 // explicit "degraded" block naming the missing nodes — a partial answer
 // is never presented as exact. The write path can apply backpressure
-// (Config.IngestRate/IngestBurst/IngestInflight): refused work answers a
-// structured 429 with Retry-After, and a refused stream frame reports
-// the applied progress exactly like the torn-frame contract.
+// (Config.IngestRate/IngestBurst/IngestInflight, see ratelimit.go).
 package server
 
 import (
@@ -127,8 +125,8 @@ type Server struct {
 	heartbeat      time.Duration
 	maxSubscribers int
 	// gate applies ingest backpressure (nil = unlimited); idem recognizes
-	// replayed /v1/stream batches by Idempotency-Key so retried routed
-	// ingest never double-counts.
+	// replayed write batches by Idempotency-Key so retried routed ingest
+	// never double-counts.
 	gate *ingestGate
 	idem *idemStore
 	// ready backs /readyz (nil = ready whenever serving); clusterRep,
@@ -295,17 +293,6 @@ func acquireStatus(err error) int {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError
-}
-
-// ingestStatus maps an Ingestor failure: an unavailable backend (routed
-// cluster ingest whose owner node is down) is 503; anything else is the
-// request's fault (bad instance index, non-finite weight) — 400.
-func ingestStatus(err error) int {
-	var u interface{ Unavailable() bool }
-	if errors.As(err, &u) && u.Unavailable() {
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusBadRequest
 }
 
 // New returns a server wired to the engine with the default registry.
@@ -518,26 +505,20 @@ type ingestUpdate struct {
 	Weight   float64 `json:"weight"`
 }
 
+// handleIngest only turns the JSON body into one update batch; the apply
+// step (apply.go) does everything else, exactly as for a stream frame.
 func (s *Server) handleIngest(r *http.Request) (int, any, error) {
-	if s.gate != nil {
-		if !s.gate.acquire() {
-			return http.StatusTooManyRequests, nil, s.gate.limited(time.Second, -1, -1,
-				fmt.Sprintf("ingest in-flight budget (%d) exhausted", s.gate.maxInflight))
-		}
-		defer s.gate.release()
+	a, err := s.beginApply(r, false)
+	if err != nil {
+		return http.StatusTooManyRequests, nil, err
 	}
+	defer s.gate.release()
 	var req ingestRequest
 	if err := decodeStrict(r, maxIngestBody, &req); err != nil {
 		return http.StatusBadRequest, nil, err
 	}
 	if len(req.Updates) == 0 {
 		return http.StatusBadRequest, nil, errors.New("empty update batch")
-	}
-	if s.gate != nil {
-		if ok, wait := s.gate.admit(clientKey(r), len(req.Updates)); !ok {
-			return http.StatusTooManyRequests, nil, s.gate.limited(wait, -1, -1,
-				fmt.Sprintf("rate limit: %d updates exceed the client budget", len(req.Updates)))
-		}
 	}
 	batch := make([]engine.Update, len(req.Updates))
 	ingested := 0
@@ -551,8 +532,8 @@ func (s *Server) handleIngest(r *http.Request) (int, any, error) {
 			ingested++
 		}
 	}
-	if err := s.ingest.IngestBatch(r.Context(), batch); err != nil {
-		return ingestStatus(err), nil, err
+	if status, err := a.apply(batch); err != nil {
+		return status, nil, err
 	}
 	// ingested counts folded-in observations, matching the engine's
 	// Ingests stat; zero weights are accepted no-ops reported as skipped.

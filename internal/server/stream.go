@@ -6,18 +6,17 @@ import (
 	"io"
 	"net/http"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/store"
 )
 
 // POST /v1/stream is the binary ingest path: one long-lived request whose
-// chunked body is a stream of length-prefixed, CRC-framed update batches
-// in the WAL's record encoding (store.AppendFrame / store.FrameScanner).
-// Each decoded frame feeds Engine.IngestBatch directly — no JSON, no
-// per-batch request round-trip, no per-frame allocations (the scanner and
-// the engine's batch pool both reuse scratch). Backpressure is the
-// transport's: the server reads a frame only after ingesting the previous
+// chunked body is a stream of update frames (store.AppendFrame /
+// store.FrameScanner — the bytes the WAL journals). Each decoded frame
+// goes through the one apply step (apply.go) — no JSON, no per-batch
+// request round-trip, no per-frame allocations (the scanner and the
+// engine's batch pool both reuse scratch). Backpressure is the
+// transport's: the server reads a frame only after applying the previous
 // one, so a sender can never run ahead of the engine by more than the
 // socket and bufio windows.
 //
@@ -25,21 +24,14 @@ import (
 // frame boundary) or when the server starts draining; the response then
 // reports what was applied:
 //
-//	{"frames": N, "updates": M, "draining": bool}
+//	{"frames": N, "updates": M, "skipped_frames": S, "skipped_updates": T,
+//	 "draining": bool}
 //
-// A torn frame, checksum mismatch or invalid update aborts the stream
-// with a 400 whose message counts the frames already applied — applied
-// frames stay applied (the stream is not transactional, exactly like
-// sequential /v1/ingest batches). A rate-limited frame aborts the same
-// way with a 429 carrying Retry-After plus applied_frames /
-// applied_updates in the envelope, so a client resumes from exact
-// progress instead of guessing.
-//
-// A request may carry an Idempotency-Key header: frames the server
-// already applied under that key (same position, same content digest)
-// are skipped — not re-applied, not rate-charged, not re-counted — so a
-// coordinator retrying a routed batch whose response was lost keeps the
-// node's counters exact (see idempotency.go).
+// A torn or corrupt frame aborts the stream with a 400, a frame the apply
+// step refuses or fails with that step's status; either way the message
+// counts the frames already applied (a 429 envelope also carries
+// applied_frames / applied_updates), so a client resumes from exact
+// progress instead of guessing. Applied frames stay applied.
 
 // wireStats counts streaming-ingest and subscription traffic; all fields
 // are atomics shared by handlers, the broadcaster and /v1/stats.
@@ -110,89 +102,37 @@ func (s *Server) handleStream(r *http.Request) (int, any, error) {
 		return http.StatusUnsupportedMediaType, nil,
 			fmt.Errorf("content type %q (want %s)", ct, store.StreamContentType)
 	}
-	if s.gate != nil {
-		if !s.gate.acquire() {
-			return http.StatusTooManyRequests, nil,
-				s.gate.limited(time.Second, 0, 0,
-					fmt.Sprintf("ingest in-flight budget (%d) exhausted", s.gate.maxInflight))
-		}
-		defer s.gate.release()
+	a, err := s.beginApply(r, true)
+	if err != nil {
+		return http.StatusTooManyRequests, nil, err
 	}
-	// An Idempotency-Key makes replayed frames (same position, same
-	// digest) no-ops; the coordinator's routed retries rely on this.
-	var rec *idemRecord
-	if key := r.Header.Get("Idempotency-Key"); key != "" {
-		rec = s.idem.get(key)
-	}
-	client := clientKey(r)
+	defer s.gate.release()
 
 	s.wire.streamsActive.Add(1)
 	defer s.wire.streamsActive.Add(-1)
 
 	sc := store.NewFrameScanner(r.Body)
-	frames, updates := 0, 0
-	skippedFrames, skippedUpdates := 0, 0
-	seq := 0 // frame position in the stream, skipped frames included
-	draining := false
-	for {
-		// Check the drain gate between frames (never mid-frame): on
-		// shutdown the connection finishes its current batch and answers
-		// with what it applied, instead of being cut mid-record.
-		select {
-		case <-s.drainCh:
-			draining = true
-		default:
-		}
-		if draining {
-			break
-		}
+	// Check the drain gate between frames (never mid-frame): on shutdown
+	// the connection finishes its current batch and answers with what it
+	// applied, instead of being cut mid-record.
+	draining := s.draining()
+	for ; !draining; draining = s.draining() {
 		batch, err := sc.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return http.StatusBadRequest, nil,
-				fmt.Errorf("frame %d: %w (%d updates from %d frames already applied)", seq, err, updates, frames)
+			return http.StatusBadRequest, nil, a.describe(err)
 		}
-		var digest uint64
-		if rec != nil {
-			digest = frameDigest(batch)
-			if rec.seen(seq, digest) {
-				// Already applied by an earlier attempt under this key:
-				// skip — no engine apply, no counters, no token charge.
-				seq++
-				skippedFrames++
-				skippedUpdates += len(batch)
-				s.wire.streamDeduped.Add(1)
-				continue
-			}
+		if status, err := a.apply(batch); err != nil {
+			return status, nil, err
 		}
-		if s.gate != nil {
-			if ok, retryAfter := s.gate.admit(client, len(batch)); !ok {
-				return http.StatusTooManyRequests, nil,
-					s.gate.limited(retryAfter, frames, updates,
-						fmt.Sprintf("frame %d: rate limit: %d updates exceed the client budget (%d updates from %d frames already applied)",
-							seq, len(batch), updates, frames))
-			}
-		}
-		if err := s.ingest.IngestBatch(r.Context(), batch); err != nil {
-			return ingestStatus(err), nil,
-				fmt.Errorf("frame %d: %w (%d updates from %d frames already applied)", seq, err, updates, frames)
-		}
-		if rec != nil {
-			rec.applied(seq, digest)
-		}
-		seq++
-		frames++
-		updates += len(batch)
-		s.wire.streamFrames.Add(1)
-		s.wire.streamUpdates.Add(uint64(len(batch)))
 	}
 	return http.StatusOK, map[string]any{
-		"frames":          frames,
-		"updates":         updates,
-		"skipped_frames":  skippedFrames,
-		"skipped_updates": skippedUpdates,
+		"frames":          a.frames,
+		"updates":         a.updates,
+		"skipped_frames":  a.skippedFrames,
+		"skipped_updates": a.skippedUpdates,
 		"draining":        draining,
 	}, nil
 }

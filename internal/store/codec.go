@@ -13,15 +13,8 @@ import (
 // payload carries a CRC32 (IEEE) so torn writes and bit rot are detected,
 // never silently replayed.
 //
-// WAL segment file:
-//
-//	[8]  magic "MONESTW1"
-//	then records:
-//	  [4] payload length N
-//	  [4] CRC32(payload)
-//	  [N] payload = update batch:
-//	        [4] count
-//	        count × { [4] instance, [8] key, [8] weight bits }
+// WAL segment file: [8] magic "MONESTW1", then update frames (stream.go),
+// one per appended batch.
 //
 // State artifact (export format and checkpoint body):
 //
@@ -51,46 +44,6 @@ const (
 
 	updateBytes = 4 + 8 + 8
 )
-
-// appendUpdates encodes a batch as one WAL record payload.
-func appendUpdates(dst []byte, batch []engine.Update) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(batch)))
-	for _, u := range batch {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(u.Instance))
-		dst = binary.LittleEndian.AppendUint64(dst, u.Key)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(u.Weight))
-	}
-	return dst
-}
-
-// decodeUpdates parses one WAL record payload.
-func decodeUpdates(payload []byte) ([]engine.Update, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("store: record payload %d bytes, want ≥ 4", len(payload))
-	}
-	n := binary.LittleEndian.Uint32(payload)
-	if uint64(len(payload)) != 4+uint64(n)*updateBytes {
-		return nil, fmt.Errorf("store: record declares %d updates in %d payload bytes", n, len(payload))
-	}
-	batch := make([]engine.Update, n)
-	decodeUpdatesIntoSlice(batch, payload[4:])
-	return batch, nil
-}
-
-// decodeUpdatesIntoSlice fills batch from body (the payload after its
-// count prefix); the caller has already validated len(body) ==
-// len(batch)*updateBytes.
-func decodeUpdatesIntoSlice(batch []engine.Update, body []byte) {
-	off := 0
-	for i := range batch {
-		batch[i] = engine.Update{
-			Instance: int(binary.LittleEndian.Uint32(body[off:])),
-			Key:      binary.LittleEndian.Uint64(body[off+4:]),
-			Weight:   math.Float64frombits(binary.LittleEndian.Uint64(body[off+12:])),
-		}
-		off += updateBytes
-	}
-}
 
 // EncodeState serializes a dumped engine state as a self-contained,
 // integrity-checked artifact — the /v1/export wire format and the body of

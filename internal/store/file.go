@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -15,26 +14,7 @@ import (
 	"repro/internal/engine"
 )
 
-func init() {
-	Register("file", func(path string, opt Options) (Store, error) { return openFile(path, opt) })
-	Register("null", func(string, Options) (Store, error) { return nullStore{}, nil })
-}
-
-// nullStore is the no-op backend: durability disabled but the plumbing
-// exercised — useful for tests and for running export/import without a
-// data directory.
-type nullStore struct{}
-
-func (nullStore) Append([]engine.Update) error { return nil }
-func (nullStore) Sync() error                  { return nil }
-func (nullStore) Checkpoint(cut func() *engine.State) (CheckpointStats, error) {
-	st := cut()
-	return CheckpointStats{Version: st.Version, Keys: len(st.Keys)}, nil
-}
-func (nullStore) Recover(RecoveryHandler) (RecoveryStats, error) { return RecoveryStats{}, nil }
-func (nullStore) Close() error                                   { return nil }
-
-// fileStore is the file backend. Directory layout:
+// fileStore is the Store over a local directory. Layout:
 //
 //	wal-00000001.log         WAL segments, appended in sequence order
 //	checkpoint-00000002.ckpt numbered checkpoints (newest wins)
@@ -70,14 +50,15 @@ type fileStore struct {
 	syncDone chan struct{}
 }
 
-func openFile(dir string, opt Options) (*fileStore, error) {
+// Open returns the store rooted at directory dir, creating it if needed.
+func Open(dir string, opt Options) (Store, error) {
 	if dir == "" {
-		return nil, errors.New("store: file backend needs a directory path")
+		return nil, errors.New("store: needs a directory path")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &fileStore{dir: dir, opt: opt, records: map[uint64]int{}}, nil
+	return &fileStore{dir: dir, opt: opt.withDefaults(), records: map[uint64]int{}}, nil
 }
 
 func (f *fileStore) segPath(seq uint64) string {
@@ -164,7 +145,6 @@ func (f *fileStore) Recover(h RecoveryHandler) (RecoveryStats, error) {
 	if len(valid) > 0 {
 		oldestNeeded = valid[0]
 	}
-	truncatedAt := -1
 	for i, seq := range segs {
 		if seq < oldestNeeded {
 			if err := os.Remove(f.segPath(seq)); err != nil {
@@ -185,15 +165,12 @@ func (f *fileStore) Recover(h RecoveryHandler) (RecoveryStats, error) {
 		}
 		if !complete {
 			stats.Truncated = true
-			truncatedAt = i
-			break
-		}
-	}
-	if truncatedAt >= 0 {
-		for _, seq := range segs[truncatedAt+1:] {
-			if err := os.Remove(f.segPath(seq)); err != nil {
-				return stats, fmt.Errorf("store: %w", err)
+			for _, later := range segs[i+1:] {
+				if err := os.Remove(f.segPath(later)); err != nil {
+					return stats, fmt.Errorf("store: %w", err)
+				}
 			}
+			break
 		}
 	}
 
@@ -218,7 +195,8 @@ func (f *fileStore) Recover(h RecoveryHandler) (RecoveryStats, error) {
 
 // replaySegment feeds every valid record to the handler and reports
 // whether the segment was cleanly terminated; a torn or corrupt tail is
-// truncated in place.
+// truncated in place at the scanner's last good boundary (offset 0 for a
+// header-less segment, so the file is never misread later).
 func (f *fileStore) replaySegment(seq uint64, h RecoveryHandler) (records, updates int, complete bool, err error) {
 	path := f.segPath(seq)
 	file, err := os.OpenFile(path, os.O_RDWR, 0)
@@ -227,50 +205,23 @@ func (f *fileStore) replaySegment(seq uint64, h RecoveryHandler) (records, updat
 	}
 	defer file.Close()
 
-	truncate := func(off int64) (int, int, bool, error) {
-		if terr := file.Truncate(off); terr != nil {
-			return records, updates, false, fmt.Errorf("store: truncating %s: %w", path, terr)
-		}
-		return records, updates, false, nil
-	}
-
-	var hdr [8]byte
-	if _, rerr := io.ReadFull(file, hdr[:]); rerr != nil || string(hdr[:]) != walMagic {
-		// A header-less or truncated-header segment holds no records;
-		// clear it so the file is never misread later.
-		return truncate(0)
-	}
-	off := int64(8)
-	var frame [8]byte
+	sc := newFrameScanner(file, walMagic, maxRecordBytes)
 	for {
-		if _, rerr := io.ReadFull(file, frame[:]); rerr != nil {
-			if rerr == io.EOF {
-				return records, updates, true, nil
+		batch, serr := sc.Next()
+		if serr == io.EOF {
+			return records, updates, true, nil
+		}
+		if serr != nil {
+			if terr := file.Truncate(sc.Offset()); terr != nil {
+				err = fmt.Errorf("store: truncating %s: %w", path, terr)
 			}
-			return truncate(off) // torn frame header
-		}
-		plen := binary.LittleEndian.Uint32(frame[:4])
-		crc := binary.LittleEndian.Uint32(frame[4:])
-		if plen > maxRecordBytes {
-			return truncate(off)
-		}
-		payload := make([]byte, plen)
-		if _, rerr := io.ReadFull(file, payload); rerr != nil {
-			return truncate(off) // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			return truncate(off) // corrupt payload
-		}
-		batch, derr := decodeUpdates(payload)
-		if derr != nil {
-			return truncate(off) // framing valid but content malformed
+			return records, updates, false, err
 		}
 		if err := h.Replay(batch); err != nil {
 			return records, updates, false, fmt.Errorf("store: replaying %s: %w", path, err)
 		}
 		records++
 		updates += len(batch)
-		off += 8 + int64(plen)
 	}
 }
 
@@ -300,12 +251,7 @@ func (f *fileStore) Append(batch []engine.Update) error {
 	if err := f.appendable(); err != nil {
 		return err
 	}
-	buf := f.scratch[:0]
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame placeholder
-	buf = appendUpdates(buf, batch)
-	payload := buf[8:]
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
+	buf := AppendFrame(f.scratch[:0], batch)
 	f.scratch = buf[:0]
 	if _, err := f.seg.Write(buf); err != nil {
 		return fmt.Errorf("store: wal append: %w", err)

@@ -1,6 +1,9 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"io"
 	"testing"
 
 	"repro/internal/engine"
@@ -45,6 +48,76 @@ func FuzzDecodeState(f *testing.F) {
 		re := EncodeState(st)
 		if _, err := DecodeState(re); err != nil {
 			t.Fatalf("re-encode of accepted artifact rejected: %v", err)
+		}
+	})
+}
+
+// FuzzFrameScanner hammers the one frame reader — every /v1/stream body
+// and every WAL segment passes through it — in both of its
+// configurations. The contract under arbitrary bytes: never panic, and
+// Offset() always lands on a boundary from which the prefix re-scans
+// cleanly to EOF with the same frames (the property WAL recovery's
+// truncate-at-Offset relies on).
+func FuzzFrameScanner(f *testing.F) {
+	batches := streamBatches(3, 4)
+	stream := encodeStream(batches)
+	wal := append([]byte(walMagic), stream[len(StreamMagic):]...)
+	mutated := func(mutate func(b []byte)) []byte {
+		b := bytes.Clone(stream)
+		mutate(b)
+		return b
+	}
+
+	f.Add(stream, false)
+	f.Add(wal, true)
+	f.Add(stream[:5], false)                                   // truncated header
+	f.Add(wal[:len(wal)-5], true)                              // torn payload
+	f.Add(stream[:len(stream)-5], false)                       // torn payload
+	f.Add(mutated(func(b []byte) { b[len(b)-1] ^= 1 }), false) // CRC flip
+	f.Add(mutated(func(b []byte) {                             // count lie: one more update than the bytes hold
+		binary.LittleEndian.PutUint32(b[16:], binary.LittleEndian.Uint32(b[16:])+1)
+	}), false)
+	f.Add(mutated(func(b []byte) { // length over the bound
+		binary.LittleEndian.PutUint32(b[8:], MaxStreamFrameBytes+1)
+	}), false)
+	f.Add([]byte{}, true)
+
+	f.Fuzz(func(t *testing.T, data []byte, asWAL bool) {
+		open := func(b []byte) *FrameScanner {
+			if asWAL {
+				return newFrameScanner(bytes.NewReader(b), walMagic, maxRecordBytes)
+			}
+			return NewFrameScanner(bytes.NewReader(b))
+		}
+		scan := func(sc *FrameScanner) error {
+			for {
+				if _, err := sc.Next(); err != nil {
+					return err
+				}
+			}
+		}
+		sc := open(data)
+		err := scan(sc)
+		off := sc.Offset()
+		if off < 0 || off > int64(len(data)) {
+			t.Fatalf("Offset() = %d outside the %d input bytes", off, len(data))
+		}
+		if err == io.EOF && off != int64(len(data)) {
+			t.Fatalf("clean EOF at offset %d of %d bytes", off, len(data))
+		}
+		if off == 0 {
+			if sc.Frames() != 0 {
+				t.Fatalf("%d frames decoded before a valid magic", sc.Frames())
+			}
+			return
+		}
+		again := open(data[:off])
+		if err := scan(again); err != io.EOF {
+			t.Fatalf("prefix up to Offset() = %d re-scans to %v, want clean EOF", off, err)
+		}
+		if again.Frames() != sc.Frames() || again.Offset() != off {
+			t.Fatalf("prefix re-scan: %d frames to offset %d, want %d frames to %d",
+				again.Frames(), again.Offset(), sc.Frames(), off)
 		}
 	})
 }

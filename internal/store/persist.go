@@ -16,9 +16,8 @@ type Persistence struct {
 	st  Store
 	// mu serializes checkpoints: two concurrent cuts would race for the
 	// rotation-then-cut ordering the store's pruning relies on.
-	mu        sync.Mutex
-	closed    bool
-	recovered RecoveryStats
+	mu     sync.Mutex
+	closed bool
 }
 
 // recoveryTarget replays a store's contents into a bare engine.
@@ -44,11 +43,8 @@ func Attach(eng *engine.Engine, st Store) (*Persistence, RecoveryStats, error) {
 		return nil, stats, err
 	}
 	eng.SetJournal(st)
-	return &Persistence{eng: eng, st: st, recovered: stats}, stats, nil
+	return &Persistence{eng: eng, st: st}, stats, nil
 }
-
-// Recovered reports what Attach found.
-func (p *Persistence) Recovered() RecoveryStats { return p.recovered }
 
 // Checkpoint persists a consistent cut of the engine and truncates the
 // WAL it covers. Safe to call concurrently with ingests and with itself.

@@ -1,6 +1,7 @@
 // Package store is the engine's persistence subsystem: an append-only
 // write-ahead log of accepted updates plus compact sketch checkpoints,
-// behind a pluggable Store interface with a backend registry.
+// behind the Store interface (Open returns the directory-backed
+// implementation; internal/fault wraps it to inject failures).
 //
 // The durability model leans on two sketch properties. First, sketches
 // are tiny (≤ k+1 retained entries per instance per shard), so a full
@@ -8,7 +9,7 @@
 // needs to grow past one checkpoint interval. Second, the sketch fold is
 // commutative and idempotent under max semantics, so recovery can replay
 // a WAL tail that overlaps the checkpoint cut — re-applying an already
-// checkpointed update is a dominated-duplicate no-op. The file backend
+// checkpointed update is a dominated-duplicate no-op. The file store
 // exploits this by rotating to a fresh WAL segment before cutting the
 // checkpoint: no coordination between appenders and the checkpointer is
 // needed beyond the rotation itself.
@@ -21,9 +22,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/engine"
@@ -70,7 +68,7 @@ func (p FsyncPolicy) String() string {
 	return fmt.Sprintf("FsyncPolicy(%d)", int(p))
 }
 
-// Options tune a backend.
+// Options tune a store.
 type Options struct {
 	// Fsync is the WAL flush policy. Default FsyncAlways.
 	Fsync FsyncPolicy
@@ -137,67 +135,16 @@ type CheckpointStats struct {
 // log (Append is safe for concurrent use — it is the engine's Journal,
 // called under the engine's shard locks). Checkpoint atomically persists
 // a full sketch state and prunes the WAL prefix it covers; the state is
-// produced by the cut callback, which the backend invokes only AFTER it
+// produced by the cut callback, which the store invokes only AFTER it
 // has sealed the WAL position the checkpoint claims to cover (the file
-// backend rotates to a fresh segment first) — callers must not cut
+// store rotates to a fresh segment first) — callers must not cut
 // early, or updates journaled between the cut and the seal are pruned
 // unreplayed. Recover must be called exactly once, before any Append.
-// Close flushes and releases the backend without checkpointing.
+// Close flushes and releases the store without checkpointing.
 type Store interface {
 	engine.Journal
 	Sync() error
 	Checkpoint(cut func() *engine.State) (CheckpointStats, error)
 	Recover(h RecoveryHandler) (RecoveryStats, error)
 	Close() error
-}
-
-// Opener constructs a backend rooted at path.
-type Opener func(path string, opt Options) (Store, error)
-
-var (
-	regMu    sync.Mutex
-	backends = map[string]Opener{}
-)
-
-// Register adds a backend under name; the name must be unused. The file
-// and null backends self-register; external backends (an S3 or raft
-// store) plug in the same way.
-func Register(name string, op Opener) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := backends[name]; dup {
-		panic(fmt.Sprintf("store: backend %q registered twice", name))
-	}
-	backends[name] = op
-}
-
-// Backends lists the registered backend names, sorted.
-func Backends() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	names := make([]string, 0, len(backends))
-	for n := range backends {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Open resolves a spec of the form "backend:path" — "file:/var/lib/monestd",
-// "null:" — against the registry. A spec without a backend prefix is a
-// path for the file backend, so a bare -data-dir just works.
-func Open(spec string, opt Options) (Store, error) {
-	backend, path := "file", spec
-	if i := strings.Index(spec, ":"); i > 0 {
-		if name := spec[:i]; !strings.Contains(name, "/") {
-			backend, path = name, spec[i+1:]
-		}
-	}
-	regMu.Lock()
-	op, ok := backends[backend]
-	regMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("store: unknown backend %q (have %s)", backend, strings.Join(Backends(), ", "))
-	}
-	return op(path, opt.withDefaults())
 }

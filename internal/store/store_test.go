@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -59,39 +60,19 @@ func listFiles(t *testing.T, dir, glob string) []string {
 	return names
 }
 
-func TestOpenSpecs(t *testing.T) {
-	if _, err := Open("bogus:x", Options{}); err == nil || !strings.Contains(err.Error(), "unknown backend") {
-		t.Errorf("unknown backend error = %v", err)
-	}
+func TestOpen(t *testing.T) {
 	if _, err := Open("", Options{}); err == nil {
-		t.Error("empty file path must fail")
+		t.Error("empty directory path must fail")
 	}
-	ns, err := Open("null:", Options{})
+	dir := filepath.Join(t.TempDir(), "made", "on", "demand")
+	fs, err := Open(dir, Options{})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Open(%q): %v", dir, err)
 	}
-	if _, err := ns.Recover(recoveryTarget{}); err != nil {
-		t.Fatal(err)
+	if _, ok := fs.(*fileStore); !ok {
+		t.Fatalf("Open(%q) = %T, want *fileStore", dir, fs)
 	}
-	if err := ns.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range []string{t.TempDir(), "file:" + t.TempDir()} {
-		fs, err := Open(spec, Options{})
-		if err != nil {
-			t.Fatalf("Open(%q): %v", spec, err)
-		}
-		if _, ok := fs.(*fileStore); !ok {
-			t.Fatalf("Open(%q) = %T, want *fileStore", spec, fs)
-		}
-		fs.Close()
-	}
-	have := strings.Join(Backends(), ",")
-	for _, want := range []string{"file", "null"} {
-		if !strings.Contains(have, want) {
-			t.Errorf("Backends() = %s, missing %q", have, want)
-		}
-	}
+	fs.Close()
 }
 
 func TestStateArtifactRoundTrip(t *testing.T) {
@@ -150,28 +131,71 @@ func TestRecoverEmptyDir(t *testing.T) {
 }
 
 func TestRecoverWALOnly(t *testing.T) {
-	dir := t.TempDir()
-	e := newEngine(t)
-	p, _ := attach(t, e, dir, Options{Fsync: FsyncNever})
 	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 20; i++ {
-		if err := e.IngestBatch(randomUpdates(rng, 50)); err != nil {
-			t.Fatal(err)
-		}
+	batches := make([][]engine.Update, 20)
+	for i := range batches {
+		batches[i] = randomUpdates(rng, 50)
 	}
-	want := e.Snapshot()
-	crash(p) // no checkpoint was ever written
+	cases := []struct {
+		name string
+		// write leaves a checkpoint-less WAL in dir and the same updates
+		// in live.
+		write func(t *testing.T, dir string, live *engine.Engine)
+	}{
+		{"journaled by the engine", func(t *testing.T, dir string, live *engine.Engine) {
+			p, _ := attach(t, live, dir, Options{Fsync: FsyncNever})
+			for _, b := range batches {
+				if err := live.IngestBatch(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			crash(p) // no checkpoint was ever written
+		}},
+		// wire == disk: what a client sent to /v1/stream, with only the
+		// 8-byte magic swapped, is a WAL segment.
+		{"captured stream body with its magic swapped", func(t *testing.T, dir string, live *engine.Engine) {
+			body := encodeStream(batches)
+			sc := NewFrameScanner(bytes.NewReader(body))
+			for {
+				b, err := sc.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := live.IngestBatch(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seg := append([]byte(walMagic), body[len(StreamMagic):]...)
+			if err := os.WriteFile(filepath.Join(dir, "wal-00000001.log"), seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			e := newEngine(t)
+			tc.write(t, dir, e)
+			want := e.Snapshot()
 
-	r := newEngine(t)
-	_, stats := attach(t, r, dir, Options{})
-	if stats.CheckpointSeq != 0 {
-		t.Fatalf("no checkpoint exists, recovered from seq %d", stats.CheckpointSeq)
-	}
-	if stats.Updates != 1000 {
-		t.Fatalf("replayed %d updates, want 1000", stats.Updates)
-	}
-	if !reflect.DeepEqual(r.Snapshot(), want) {
-		t.Fatal("WAL-only recovery is not bit-identical")
+			r := newEngine(t)
+			_, stats := attach(t, r, dir, Options{})
+			if stats.CheckpointSeq != 0 {
+				t.Fatalf("no checkpoint exists, recovered from seq %d", stats.CheckpointSeq)
+			}
+			if stats.Updates != 1000 {
+				t.Fatalf("replayed %d updates, want 1000", stats.Updates)
+			}
+			if !reflect.DeepEqual(r.Snapshot(), want) {
+				t.Fatal("WAL-only recovery is not bit-identical")
+			}
+			if !bytes.Equal(EncodeState(r.DumpState()), EncodeState(e.DumpState())) {
+				t.Fatal("recovered engine does not encode to the live engine's state bytes")
+			}
+		})
 	}
 }
 

@@ -7,33 +7,33 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 
 	"repro/internal/engine"
 )
 
-// This file is the streaming wire protocol: the same length-prefixed,
-// CRC-framed update batches the WAL journals (codec.go), carried over a
-// long-lived connection instead of a segment file. Sharing the record
-// encoding means one codec to test, and a captured stream body is literally
-// a replayable WAL tail.
+// This file is the update frame, the one unit of the write path. A WAL
+// segment and a binary ingest stream are both an 8-byte magic followed by
+// frames; AppendFrame is the only code that writes one (the file store
+// into a segment, clients onto a connection) and FrameScanner the only
+// code that reads one — so a captured stream body with its magic swapped
+// is literally a replayable WAL segment.
 //
-// Stream layout:
-//
-//	[8]  magic "MONESTB1"
-//	then frames, each exactly a WAL record:
+//	[8]  magic: "MONESTB1" (stream) or "MONESTW1" (WAL segment)
+//	then frames:
 //	  [4] payload length N
 //	  [4] CRC32(payload)
 //	  [N] payload = [4] count, then count × { [4] instance, [8] key,
 //	      [8] weight bits }
 //
-// The stream has no trailer: a clean EOF on a frame boundary ends it. A
-// torn frame (EOF mid-record) or a CRC mismatch is an error — unlike WAL
-// recovery, which tolerates a torn tail, a live connection that breaks
-// mid-frame must surface the break to the sender.
+// There is no trailer: a clean EOF on a frame boundary ends the input. A
+// torn frame, an out-of-bounds length, a CRC mismatch or a count that
+// disagrees with the length is an error; a live connection surfaces it
+// to the sender, WAL recovery truncates the segment at the last good
+// boundary (FrameScanner.Offset).
 const (
 	// StreamMagic opens every binary ingest stream; it differs from the WAL
-	// segment magic so a stream capture and a WAL segment cannot be
-	// confused, while the per-record bytes after it are identical.
+	// magic so a capture and a segment cannot be confused.
 	StreamMagic = "MONESTB1"
 
 	// MaxStreamFrameBytes bounds one frame's declared payload (1 MiB,
@@ -45,68 +45,83 @@ const (
 	StreamContentType = "application/x-monest-stream"
 )
 
-// UpdateBytes is the encoded size of one update on the wire and in the WAL.
-const UpdateBytes = updateBytes
-
 // AppendStreamHeader appends the stream magic. Writers send it once,
 // before the first frame.
 func AppendStreamHeader(dst []byte) []byte {
 	return append(dst, StreamMagic...)
 }
 
-// AppendFrame appends one framed update batch (length, CRC, payload) —
-// the exact record encoding the WAL appends to its segments.
+// AppendFrame appends one framed update batch (length, CRC, payload).
 func AppendFrame(dst []byte, batch []engine.Update) []byte {
 	head := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst = appendUpdates(dst, batch)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(batch)))
+	for _, u := range batch {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(u.Instance))
+		dst = binary.LittleEndian.AppendUint64(dst, u.Key)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(u.Weight))
+	}
 	payload := dst[head+8:]
 	binary.LittleEndian.PutUint32(dst[head:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[head+4:], crc32.ChecksumIEEE(payload))
 	return dst
 }
 
-// FrameScanner reads a binary ingest stream incrementally with reusable
-// scratch: the frame buffer and the decoded batch slice are owned by the
-// scanner and overwritten by the next call, so a steady-state connection
-// allocates nothing per frame. Not safe for concurrent use.
+// FrameScanner reads frames incrementally; a stream body and a WAL
+// segment differ only in the magic it expects and the payload bound. The
+// frame buffer and the decoded batch slice are owned by the scanner and
+// overwritten by the next call, so a steady-state reader allocates
+// nothing per frame. Not safe for concurrent use.
 type FrameScanner struct {
-	r *bufio.Reader
+	r          *bufio.Reader
+	magic      string
+	maxPayload uint32
 	// head is the persistent 8-byte header scratch: a stack array would
 	// escape through the io.ReadFull interface call, costing an allocation
 	// per frame.
-	head    [8]byte
-	buf     []byte
-	batch   []engine.Update
-	started bool
-	frames  uint64
+	head   [8]byte
+	buf    []byte
+	batch  []engine.Update
+	frames uint64
+	// off counts the bytes consumed through the last good boundary: 0
+	// until the magic verified, then the end of the last valid frame.
+	off int64
 }
 
 // NewFrameScanner wraps a stream body. The magic header is consumed and
 // verified on the first Next call.
 func NewFrameScanner(r io.Reader) *FrameScanner {
-	return &FrameScanner{r: bufio.NewReaderSize(r, 64<<10)}
+	return newFrameScanner(r, StreamMagic, MaxStreamFrameBytes)
+}
+
+func newFrameScanner(r io.Reader, magic string, maxPayload uint32) *FrameScanner {
+	return &FrameScanner{r: bufio.NewReaderSize(r, 64<<10), magic: magic, maxPayload: maxPayload}
 }
 
 // Frames reports how many frames have been decoded so far.
 func (s *FrameScanner) Frames() uint64 { return s.frames }
 
+// Offset is the byte offset just past the last valid frame (past the
+// magic before any frame; 0 when the magic itself was missing or wrong).
+// Everything before it re-scans cleanly.
+func (s *FrameScanner) Offset() int64 { return s.off }
+
 // Next returns the next decoded update batch. It returns io.EOF exactly
-// when the stream ends cleanly on a frame boundary; any mid-frame EOF,
-// CRC mismatch or malformed payload is a non-EOF error. The returned
-// slice is valid only until the next call.
+// when the input ends cleanly on a frame boundary; any mid-frame EOF,
+// out-of-bounds length, CRC mismatch or malformed payload is a non-EOF
+// error. The returned slice is valid only until the next call.
 func (s *FrameScanner) Next() ([]engine.Update, error) {
-	if !s.started {
+	if s.off == 0 {
 		if _, err := io.ReadFull(s.r, s.head[:]); err != nil {
 			if errors.Is(err, io.EOF) {
-				return nil, fmt.Errorf("store: stream ended before the %q header", StreamMagic)
+				return nil, fmt.Errorf("store: stream ended before the %q header", s.magic)
 			}
 			return nil, fmt.Errorf("store: reading stream header: %w", err)
 		}
-		if string(s.head[:]) != StreamMagic {
-			return nil, fmt.Errorf("store: bad stream magic %q (want %q)", s.head, StreamMagic)
+		if string(s.head[:]) != s.magic {
+			return nil, fmt.Errorf("store: bad stream magic %q (want %q)", s.head, s.magic)
 		}
-		s.started = true
+		s.off = int64(len(s.magic))
 	}
 	if _, err := io.ReadFull(s.r, s.head[:]); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -116,8 +131,8 @@ func (s *FrameScanner) Next() ([]engine.Update, error) {
 	}
 	plen := binary.LittleEndian.Uint32(s.head[:4])
 	crc := binary.LittleEndian.Uint32(s.head[4:])
-	if plen < 4 || plen > MaxStreamFrameBytes {
-		return nil, fmt.Errorf("store: frame declares %d payload bytes (want 4..%d)", plen, MaxStreamFrameBytes)
+	if plen < 4 || plen > s.maxPayload {
+		return nil, fmt.Errorf("store: frame declares %d payload bytes (want 4..%d)", plen, s.maxPayload)
 	}
 	if cap(s.buf) < int(plen) {
 		s.buf = make([]byte, plen)
@@ -129,28 +144,22 @@ func (s *FrameScanner) Next() ([]engine.Update, error) {
 	if crc32.ChecksumIEEE(payload) != crc {
 		return nil, errors.New("store: frame checksum mismatch")
 	}
-	batch, err := decodeUpdatesInto(s.batch, payload)
-	if err != nil {
-		return nil, err
-	}
-	s.batch = batch
-	s.frames++
-	return batch, nil
-}
-
-// decodeUpdatesInto is decodeUpdates reusing the caller's slice.
-func decodeUpdatesInto(dst []engine.Update, payload []byte) ([]engine.Update, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("store: record payload %d bytes, want ≥ 4", len(payload))
-	}
 	n := binary.LittleEndian.Uint32(payload)
-	if uint64(len(payload)) != 4+uint64(n)*updateBytes {
-		return nil, fmt.Errorf("store: record declares %d updates in %d payload bytes", n, len(payload))
+	if uint64(plen) != 4+uint64(n)*updateBytes {
+		return nil, fmt.Errorf("store: frame declares %d updates in %d payload bytes", n, plen)
 	}
-	if cap(dst) < int(n) {
-		dst = make([]engine.Update, n)
+	if cap(s.batch) < int(n) {
+		s.batch = make([]engine.Update, n)
 	}
-	dst = dst[:n]
-	decodeUpdatesIntoSlice(dst, payload[4:])
-	return dst, nil
+	s.batch = s.batch[:n]
+	for i, body := 0, payload[4:]; i < int(n); i, body = i+1, body[updateBytes:] {
+		s.batch[i] = engine.Update{
+			Instance: int(binary.LittleEndian.Uint32(body)),
+			Key:      binary.LittleEndian.Uint64(body[4:]),
+			Weight:   math.Float64frombits(binary.LittleEndian.Uint64(body[12:])),
+		}
+	}
+	s.frames++
+	s.off += 8 + int64(plen)
+	return s.batch, nil
 }

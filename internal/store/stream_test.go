@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"os"
 	"testing"
 
 	"repro/internal/engine"
@@ -63,7 +64,8 @@ func TestFrameScannerRoundTrip(t *testing.T) {
 }
 
 // The wire frame must be byte-identical to a WAL record, so a captured
-// stream body (minus its magic) is a replayable WAL tail.
+// stream body (minus its magic) is a replayable WAL tail: what the file
+// store appends to a segment is exactly AppendFrame's bytes.
 func TestFrameMatchesWALRecordEncoding(t *testing.T) {
 	batch := streamBatches(1, 5)[0]
 	frame := AppendFrame(nil, batch)
@@ -71,18 +73,28 @@ func TestFrameMatchesWALRecordEncoding(t *testing.T) {
 	if int(plen) != len(frame)-8 {
 		t.Fatalf("frame length prefix %d, frame payload %d", plen, len(frame)-8)
 	}
-	wantPayload := appendUpdates(nil, batch)
-	if !bytes.Equal(frame[8:], wantPayload) {
-		t.Fatal("frame payload differs from WAL record payload encoding")
+	if n := binary.LittleEndian.Uint32(frame[8:]); int(n) != len(batch) || len(frame) != 12+len(batch)*updateBytes {
+		t.Fatalf("frame of %d bytes declares %d updates, want %d in %d bytes", len(frame), n, len(batch), 12+len(batch)*updateBytes)
 	}
-	decoded, err := decodeUpdates(frame[8:])
+
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range batch {
-		if decoded[i] != batch[i] {
-			t.Fatalf("update %d: %+v != %+v", i, decoded[i], batch[i])
-		}
+	defer st.Close()
+	if _, err := st.Recover(recoveryTarget{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(batch); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile(st.(*fileStore).segPath(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append([]byte(walMagic), frame...); !bytes.Equal(seg, want) {
+		t.Fatalf("WAL segment holds %x, want magic + AppendFrame bytes %x", seg, want)
 	}
 }
 
