@@ -33,11 +33,13 @@ race:
 	$(GO) test -race ./...
 
 # Every Fuzz* target of the two packages that decode bytes from outside
-# the process (frames, state artifacts, JSON requests), 5s each: "every
-# decoder fails closed" exercised on every push, not only locally. go
-# test -fuzz takes one target and one package per run, hence the loop.
+# the process (frames, state artifacts, JSON requests) — "every decoder
+# fails closed" exercised on every push, not only locally — and of
+# internal/funcs, whose closed-form L* is held to quadrature of formula
+# (31); 5s each. go test -fuzz takes one target and one package per run,
+# hence the loop.
 fuzz:
-	@for pkg in ./internal/store/ ./internal/server/; do \
+	@for pkg in ./internal/store/ ./internal/server/ ./internal/funcs/; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test -run xxx -fuzz "^$$target$$" -fuzztime 5s $$pkg || exit 1; \

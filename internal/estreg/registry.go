@@ -179,7 +179,42 @@ func (r *Registry) Build(name string, f funcs.F, instances int) (Estimator, Meta
 		return nil, Meta{}, fmt.Errorf("estreg: building %q: %w", name, err)
 	}
 	meta.Func = f.Name()
+	if meta.Unbiased && meta.Nonnegative && zeroAtOrigin(f, instances) {
+		est = zeroOnEmpty{est}
+	}
 	return est, meta, nil
+}
+
+// zeroOnEmpty is the empty-outcome rule, applied once here for every
+// estimator: an outcome with no known entry is consistent with the zero
+// vector at every seed in [ρ, 1], so when f(0,…,0) = 0 its lower-bound
+// function is 0 there, and constraint (7) of the paper — ∫_ρ^1 f̂ ≤
+// f^(v)(ρ) for every consistent v — leaves a nonnegative unbiased
+// estimator no value but 0. The wrapped estimator would compute exactly
+// that (asserted for every built-in in the tests), at a cost per item; a
+// bottom-k snapshot has ~(keys − instances·k) such items, so skipping them
+// is what makes a sum cost what the sample holds rather than what the key
+// universe holds. Estimators that do not declare both properties
+// (voptimal) and functions with f(0) ≠ 0 keep evaluating.
+type zeroOnEmpty struct{ Estimator }
+
+func (e zeroOnEmpty) Estimate(o sampling.TupleOutcome) (float64, error) {
+	for _, known := range o.Known {
+		if known {
+			return e.Estimator.Estimate(o)
+		}
+	}
+	return 0, nil
+}
+
+// zeroAtOrigin reports f(0,…,0) == 0 over r-instance tuples. A function
+// whose arity does not fit r is left alone: its estimator fails or not on
+// its own terms.
+func zeroAtOrigin(f funcs.F, r int) bool {
+	if a := f.Arity(); a != 0 && a != r {
+		return false
+	}
+	return f.Value(make([]float64, r)) == 0
 }
 
 // funcEstimator adapts a per-outcome closure; the closures below are

@@ -2,6 +2,7 @@ package estreg
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -328,5 +329,148 @@ func TestSumErrors(t *testing.T) {
 	}
 	if _, err := Sum(est, outcomes, []int{-1}); err == nil {
 		t.Error("negative item should fail")
+	}
+}
+
+// ladderSample is a two-instance bottom-k sample whose weights lie on the
+// ladder {0.25, 0.5, 1} (so an order: estimator accepts every sampled
+// entry), with the unequal per-item conditional thresholds bottom-k
+// conditioning produces.
+func ladderSample(t *testing.T) dataset.CoordinatedSample {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	ladder := []float64{0, 0.25, 0.5, 1}
+	w := [][]float64{make([]float64, 120), make([]float64, 120)}
+	for i := range w {
+		for k := range w[i] {
+			w[i][k] = ladder[rng.Intn(len(ladder))]
+		}
+	}
+	d, err := dataset.New(nil, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := dataset.SampleBottomK(d, 6, sampling.NewSeedHash(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs
+}
+
+// shiftedRange is RG1 + 1: a nonnegative f with f(0) = 1, whose estimators
+// owe every outcome — the all-unknown ones included — a share of that 1.
+// (The range is a field, not embedded: RG's closed forms must not carry
+// over.)
+type shiftedRange struct{ rg funcs.RG }
+
+func (f shiftedRange) Name() string                               { return "shifted" }
+func (f shiftedRange) Arity() int                                 { return f.rg.Arity() }
+func (f shiftedRange) Value(v []float64) float64                  { return f.rg.Value(v) + 1 }
+func (f shiftedRange) Lower(o sampling.TupleOutcome) float64      { return f.rg.Lower(o) + 1 }
+func (f shiftedRange) Upper(o sampling.TupleOutcome) float64      { return f.rg.Upper(o) + 1 }
+func (f shiftedRange) Family(o sampling.TupleOutcome) [][]float64 { return f.rg.Family(o) }
+
+// TestEmptyOutcomeRuleIsIdentity: the zero Build substitutes on outcomes
+// with no known entry is the value the estimator itself computes there —
+// the rule saves work and changes no served number.
+func TestEmptyOutcomeRuleIsIdentity(t *testing.T) {
+	cs := ladderSample(t)
+	var empty []int
+	for k, o := range cs.Outcomes {
+		if o.NumKnown() == 0 {
+			if o.Scheme.Tau[0] == o.Scheme.Tau[1] {
+				t.Fatalf("item %d: equal thresholds %v; the test wants the serving regime", k, o.Scheme.Tau)
+			}
+			empty = append(empty, k)
+		}
+	}
+	if len(empty) < len(cs.Outcomes)/2 || len(empty) == len(cs.Outcomes) {
+		t.Fatalf("%d of %d outcomes empty; want most but not all", len(empty), len(cs.Outcomes))
+	}
+	lin, err := funcs.NewLinComb([]float64{1, -1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := []funcs.F{funcs.RG{P: 1}, funcs.RG{P: 2}, funcs.RGPlus{P: 1}, funcs.MaxTuple{}, funcs.AndTuple{}, funcs.OrTuple{}, lin}
+	reg := Default()
+	for _, name := range []string{"lstar", "ht", "ustar", "order:vals=0.25,0.5,1;by=asc"} {
+		base, spec, _ := strings.Cut(name, ":")
+		for _, f := range fs {
+			raw, _, err := builtins()[base](spec, f, 2) // the builder alone: no rule
+			if err != nil {
+				t.Fatal(err)
+			}
+			ruled, meta, err := reg.Build(name, f, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := ruled.(zeroOnEmpty); !ok || !meta.Unbiased || !meta.Nonnegative {
+				t.Fatalf("%s/%s: Build returned %T (meta %+v), want the rule applied", name, f.Name(), ruled, meta)
+			}
+			// U* solves backward for milliseconds per outcome to find its
+			// zero; a few outcomes and a short selection keep that bounded.
+			check, items := empty, []int(nil)
+			if base == "ustar" {
+				check, items = empty[:3], append([]int{0, 1, 2, 3}, empty[:3]...)
+			}
+			for _, k := range check {
+				x, err := raw.Estimate(cs.Outcomes[k])
+				if err != nil || x != 0 {
+					t.Fatalf("%s/%s: unruled estimate on empty outcome %d = %v, %v; want exactly 0", name, f.Name(), k, x, err)
+				}
+			}
+			for _, sel := range [][]int{items, {empty[0], 0, empty[1]}} {
+				want, err := Sum(raw, cs.Outcomes, sel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Sum(ruled, cs.Outcomes, sel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("%s/%s items=%v: Sum with the rule %+v, without %+v", name, f.Name(), sel, got, want)
+				}
+			}
+			// A selection of empty outcomes only still counts its items
+			// and reports the zero as its maximum.
+			got, err := Sum(ruled, cs.Outcomes, empty[:2])
+			if err != nil || got != (SumResult{Items: 2}) {
+				t.Errorf("%s/%s: Sum over two empty outcomes = %+v, %v", name, f.Name(), got, err)
+			}
+			_, rawErr := Sum(raw, cs.Outcomes, []int{len(cs.Outcomes)})
+			_, ruledErr := Sum(ruled, cs.Outcomes, []int{len(cs.Outcomes)})
+			if rawErr == nil || ruledErr == nil || rawErr.Error() != ruledErr.Error() {
+				t.Errorf("%s/%s: out-of-range item: %v with the rule, %v without", name, f.Name(), ruledErr, rawErr)
+			}
+		}
+	}
+
+	// Not covered: an estimator that does not declare unbiasedness, and a
+	// function that is positive at the origin.
+	o := cs.Outcomes[empty[0]]
+	vopt, _, err := reg.Build("voptimal", rg1(t), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := vopt.(zeroOnEmpty); ok {
+		t.Error("voptimal is not unbiased: the rule must not apply")
+	}
+	shifted, _, err := reg.Build("lstar", shiftedRange{funcs.RG{P: 1}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := shifted.(zeroOnEmpty); ok {
+		t.Error("f(0) = 1: the rule must not apply")
+	}
+	// L* of the constant lower bound 1 is 1/ρ − (1/ρ − 1) = 1 at every seed.
+	if x, err := shifted.Estimate(o); err != nil || math.Abs(x-1) > 1e-9 {
+		t.Errorf("lstar of f(0)=1 on an empty outcome = %v, %v; want 1", x, err)
+	}
+	// A function whose arity does not fit is left to fail on its own terms.
+	if mismatched, _, err := reg.Build("lstar", lin, 3); err != nil {
+		t.Fatal(err)
+	} else if _, ok := mismatched.(zeroOnEmpty); ok {
+		t.Error("arity mismatch: the rule must not evaluate f at a wrong-length origin")
 	}
 }

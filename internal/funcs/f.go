@@ -20,7 +20,8 @@ type F interface {
 	// Value evaluates f on a full data vector.
 	Value(v []float64) float64
 	// Lower returns inf f over data vectors consistent with the outcome —
-	// the lower-bound value f^(v)(ρ) at the outcome's own seed.
+	// the lower-bound value f^(v)(ρ) at the outcome's own seed. It must
+	// not retain the outcome's slices (OutcomeLB reuses them).
 	Lower(o sampling.TupleOutcome) float64
 	// Upper returns sup f over data vectors consistent with the outcome
 	// (the supremum may be approached, not attained). Upper == Lower means
@@ -44,24 +45,24 @@ type UStarClosedForm interface {
 	UStarClosed(o sampling.TupleOutcome) (float64, bool)
 }
 
-// LowerAt returns f^(v)(u) for u ≥ o.Rho, derived from the outcome alone by
-// coarsening: the information at seed u is exactly o.At(u).
-func LowerAt(f F, o sampling.TupleOutcome, u float64) float64 {
-	if u >= 1 {
-		u = 1
-	}
-	return f.Lower(o.At(u))
-}
-
 // OutcomeLB adapts a concrete outcome to the core.LowerBoundFunc the
-// estimators integrate: u ↦ f^(v)(u), defined for u ≥ o.Rho. (Arguments
-// below o.Rho are clamped to o.Rho; estimators never use them.)
+// estimators integrate: u ↦ f^(v)(u), derived from the outcome alone by
+// coarsening — the information at seed u ≥ o.Rho is exactly o.At(u).
+// (Arguments below o.Rho are clamped to o.Rho; estimators never use them.)
+// The coarsened outcome lives in one scratch pair owned by the returned
+// function, so an evaluation allocates nothing; the function is therefore
+// not safe for concurrent use (each estimate builds its own).
 func OutcomeLB(f F, o sampling.TupleOutcome) core.LowerBoundFunc {
+	known := make([]bool, len(o.Known))
+	vals := make([]float64, len(o.Known))
 	return func(u float64) float64 {
 		if u < o.Rho {
 			u = o.Rho
 		}
-		return LowerAt(f, o, u)
+		if u >= 1 {
+			u = 1
+		}
+		return f.Lower(o.AtInto(u, known, vals))
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 
 // RG is the symmetric exponentiated range RG_p(v) = (max(v) − min(v))^p
 // over r ≥ 2 entries — the summand of the Lp^p difference (Example 1).
-// For two instances under a common threshold, the lower-bound function on
-// the data path coincides with RGPlus of the sorted pair, so the Example 4
-// closed forms apply there too.
+// For two instances the lower-bound function of an outcome coincides with
+// RGPlus of the pair reordered larger-first, so the Example 4 closed forms
+// apply there too.
 type RG struct {
 	// P is the exponent; must be positive.
 	P float64
@@ -161,10 +161,14 @@ func pow(base, exp int) int {
 }
 
 // LStarClosed implements LStarClosedForm for two instances by delegating to
-// RGPlus on the sorted pair: on the data path, knowing only the smaller
-// entry cannot happen (the larger clears any threshold the smaller does,
-// under a common τ), and in the remaining cases the lower-bound functions
-// coincide. When only one entry is known it must be treated as the larger.
+// RGPlus with the larger known entry first: while both entries are sampled
+// the range is their difference; once the smaller drops out its bound
+// u·τ takes its place; once the larger drops out the smaller one alone is
+// below the larger's bound and the lower bound is 0 — entry for entry the
+// lower-bound function of RGPlus on the reordered pair. When only one
+// entry is known it is treated as the larger; under unequal thresholds it
+// may in fact be the smaller, and RGPlus then returns 0 because its value
+// does not clear the other entry's bound.
 func (f RG) LStarClosed(o sampling.TupleOutcome) (float64, bool) {
 	swapped, ok := sortedPairOutcome(o)
 	if !ok {
@@ -173,8 +177,9 @@ func (f RG) LStarClosed(o sampling.TupleOutcome) (float64, bool) {
 	return RGPlus{P: f.P}.LStarClosed(swapped)
 }
 
-// UStarClosed implements UStarClosedForm for two instances (see
-// LStarClosed for the reduction).
+// UStarClosed implements UStarClosedForm for two instances under a common
+// threshold (see LStarClosed for the reduction; RGPlus.UStarClosed
+// declines other schemes).
 func (f RG) UStarClosed(o sampling.TupleOutcome) (float64, bool) {
 	swapped, ok := sortedPairOutcome(o)
 	if !ok {
@@ -183,14 +188,12 @@ func (f RG) UStarClosed(o sampling.TupleOutcome) (float64, bool) {
 	return RGPlus{P: f.P}.UStarClosed(swapped)
 }
 
-// sortedPairOutcome rewrites a two-entry common-τ outcome so that the
-// known/larger entry comes first, making RGPlus's closed forms applicable
-// to the symmetric range. It reports false for other shapes.
+// sortedPairOutcome rewrites a two-entry outcome so that the known/larger
+// entry comes first, values and thresholds together, making RGPlus's
+// closed forms applicable to the symmetric range. It reports false for
+// other arities.
 func sortedPairOutcome(o sampling.TupleOutcome) (sampling.TupleOutcome, bool) {
 	if len(o.Known) != 2 {
-		return o, false
-	}
-	if _, ok := commonTau(o); !ok {
 		return o, false
 	}
 	swap := false
@@ -204,7 +207,7 @@ func sortedPairOutcome(o sampling.TupleOutcome) (sampling.TupleOutcome, bool) {
 		return o, true
 	}
 	return sampling.TupleOutcome{
-		Scheme: o.Scheme,
+		Scheme: sampling.TupleScheme{Tau: []float64{o.Scheme.Tau[1], o.Scheme.Tau[0]}},
 		Rho:    o.Rho,
 		Known:  []bool{o.Known[1], o.Known[0]},
 		Vals:   []float64{o.Vals[1], o.Vals[0]},

@@ -10,8 +10,9 @@ import (
 
 // RGPlus is the asymmetric exponentiated range RG_{p+}(v1, v2) =
 // max(0, v1 − v2)^p — the summand of the increase-only difference Lpp+
-// (Example 1 of the paper). Closed-form L* and U* estimates follow
-// Example 4 and apply whenever all instances share a common PPS threshold.
+// (Example 1 of the paper). The closed-form L* estimate follows Example 4
+// under any per-instance PPS thresholds; the closed-form U* applies when
+// all instances share a common threshold.
 type RGPlus struct {
 	// P is the exponent; must be positive.
 	P float64
@@ -90,7 +91,7 @@ func entrySweep(o sampling.TupleOutcome, i, sweep int) []float64 {
 }
 
 // commonTau returns the shared PPS threshold when all entries use the same
-// one; closed forms rescale by it.
+// one; the U* closed forms rescale by it.
 func commonTau(o sampling.TupleOutcome) (float64, bool) {
 	tau := o.Scheme.Tau[0]
 	for _, t := range o.Scheme.Tau[1:] {
@@ -102,38 +103,44 @@ func commonTau(o sampling.TupleOutcome) (float64, bool) {
 }
 
 // LStarClosed implements LStarClosedForm (Example 4, extended to scaled
-// weights above the threshold): with w1 = v1/τ, a = max(v2/τ, ρ) (entry 2's
-// scaled value or its bound), A = min(a, 1), B = min(w1, 1),
+// weights above the threshold and to per-instance thresholds τ1, τ2, which
+// is what bottom-k conditioning produces). With entry 1 known, the
+// outcome's lower-bound function on [ρ, 1] is
 //
-//	fˆ(L) = τ^p · [ (w1−a)^p/A − ∫_A^B (w1−x)^p/x² dx ],
+//	f^(v)(u) = (v1 − τ2·max(a, u))^p  for u ≤ v1/τ1,   0 beyond,
 //
-// and 0 whenever entry 1 is unknown or w1 ≤ a. The caps A, B truncate the
-// formula-(31) integral at u = 1 for entries whose weight exceeds the PPS
-// threshold (w/τ > 1, always sampled) — Example 4's domain [0,1]² never
-// exercises that regime, but datasets do. Exact antiderivatives are used
-// for p ∈ {1, 2}; other exponents evaluate the definite integral by
-// quadrature (still far cheaper and better-conditioned than the generic
-// outcome-coarsening path).
+// where a = max(v2/τ2, ρ) when entry 2 is known (its value until it drops
+// out of the sample at v2/τ2, its bound u·τ2 after) and a = ρ otherwise.
+// Writing w = v1/τ2, the function is constant on [ρ, A], decays as
+// (w − u)^p on [A, B] and is 0 past B = min(v1/τ1, w, 1) — entry 1 hidden,
+// the bound overtaking v1, or the seed range ending. The constant stretch
+// ends at A = min(a, B), not min(a, 1): entry 1 may drop out of the sample
+// before entry 2 does. Formula (31) then integrates to
+//
+//	fˆ(L) = τ2^p · [ (w−a)^p/A − ∫_A^B (w−x)^p/x² dx ],
+//
+// and 0 whenever entry 1 is unknown or w ≤ a. With τ1 = τ2 this is
+// Example 4 rescaled. Exact antiderivatives are used for p ∈ {1, 2};
+// other exponents evaluate the definite integral by quadrature (still far
+// cheaper and better-conditioned than the generic outcome-coarsening
+// path).
 func (f RGPlus) LStarClosed(o sampling.TupleOutcome) (float64, bool) {
-	tau, ok := commonTau(o)
-	if !ok {
-		return 0, false
-	}
 	if !o.Known[0] {
 		return 0, true
 	}
-	w1 := o.Vals[0] / tau
+	tau1, tau2 := o.Scheme.Tau[0], o.Scheme.Tau[1]
+	w := o.Vals[0] / tau2
 	a := o.Rho
 	if o.Known[1] {
-		a = math.Max(o.Vals[1]/tau, o.Rho)
+		a = math.Max(o.Vals[1]/tau2, o.Rho)
 	}
-	if w1 <= a {
+	if w <= a {
 		return 0, true
 	}
-	lo := math.Min(a, 1)
-	hi := math.Min(w1, 1)
-	scale := math.Pow(tau, f.P)
-	return scale * (math.Pow(w1-a, f.P)/lo - f.tailIntegral(w1, lo, hi)), true
+	hi := math.Min(math.Min(o.Vals[0]/tau1, w), 1)
+	lo := math.Min(a, hi)
+	scale := math.Pow(tau2, f.P)
+	return scale * (math.Pow(w-a, f.P)/lo - f.tailIntegral(w, lo, hi)), true
 }
 
 // tailIntegral computes ∫_lo^hi (w−x)^p/x² dx (0 when hi ≤ lo).

@@ -260,12 +260,4 @@ func TestRGPlusScaledTauClosedForm(t *testing.T) {
 			t.Errorf("u=%g: closed %g vs generic %g", u, closed, generic)
 		}
 	}
-	// Mixed thresholds: closed form must decline.
-	s2, err := sampling.NewTupleScheme([]float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := f.LStarClosed(s2.Sample(v, 0.3)); ok {
-		t.Error("mixed τ should not use the closed form")
-	}
 }

@@ -101,19 +101,30 @@ func (s TupleScheme) SampleInto(v []float64, rho float64, known []bool, vals []f
 // at Rho is known at u iff its value clears the larger threshold; an entry
 // unknown at Rho stays unknown.
 func (o TupleOutcome) At(u float64) TupleOutcome {
+	return o.AtInto(u, make([]bool, len(o.Known)), make([]float64, len(o.Vals)))
+}
+
+// AtInto derives the same outcome as At but writes the per-entry knowledge
+// into the caller-provided backing slices (each of length len(o.Known))
+// instead of allocating; the returned outcome aliases known and vals, so
+// it is valid until their next use. Lower-bound functions evaluated many
+// times per estimate (funcs.OutcomeLB) coarsen through it with one scratch
+// pair. Both paths share this one loop, as Sample and SampleInto do.
+func (o TupleOutcome) AtInto(u float64, known []bool, vals []float64) TupleOutcome {
 	if u < o.Rho {
 		panic(fmt.Sprintf("sampling: At(%g) below outcome seed %g", u, o.Rho))
 	}
-	c := TupleOutcome{
-		Scheme: o.Scheme,
-		Rho:    u,
-		Known:  make([]bool, len(o.Known)),
-		Vals:   make([]float64, len(o.Vals)),
+	if len(known) != len(o.Known) || len(vals) != len(o.Known) {
+		panic(fmt.Sprintf("sampling: backing lengths %d/%d != outcome arity %d", len(known), len(vals), len(o.Known)))
 	}
+	c := TupleOutcome{Scheme: o.Scheme, Rho: u, Known: known, Vals: vals}
 	for i := range o.Known {
 		if o.Known[i] && o.Vals[i] >= o.Scheme.Threshold(i, u) {
-			c.Known[i] = true
-			c.Vals[i] = o.Vals[i]
+			known[i] = true
+			vals[i] = o.Vals[i]
+		} else {
+			known[i] = false
+			vals[i] = 0
 		}
 	}
 	return c

@@ -196,3 +196,37 @@ func TestSampleIntoRejectsBadBacking(t *testing.T) {
 	}()
 	s.SampleInto([]float64{1, 2}, 0.5, make([]bool, 1), make([]float64, 2))
 }
+
+func TestAtIntoMatchesAt(t *testing.T) {
+	// AtInto must produce the outcome At does and fully overwrite dirty
+	// backing: a lower-bound function reuses one scratch pair across
+	// seeds, coarser and finer in any order.
+	s, err := NewTupleScheme([]float64{1, 0.5, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := s.Sample([]float64{0.95, 0.15, 0.6}, 0.1)
+	known := []bool{true, true, true}
+	vals := []float64{9, 9, 9}
+	for _, u := range []float64{1, 0.1, 0.5, 0.3, 0.2, 0.96, 0.29} {
+		want := o.At(u)
+		got := o.AtInto(u, known, vals)
+		if !got.Same(want) {
+			t.Errorf("u=%g: AtInto %+v != At %+v", u, got, want)
+		}
+		for i := range want.Vals {
+			if got.Vals[i] != want.Vals[i] {
+				t.Errorf("u=%g: stale value %g left in entry %d", u, got.Vals[i], i)
+			}
+		}
+		if &got.Known[0] != &known[0] || &got.Vals[0] != &vals[0] {
+			t.Error("AtInto did not alias the provided backing")
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("mismatched backing lengths should panic")
+		}
+	}()
+	o.AtInto(0.5, make([]bool, 2), make([]float64, 3))
+}

@@ -132,6 +132,9 @@ type partialVec struct {
 type partialEstimates struct {
 	mu sync.Mutex
 	m  map[string]map[int]partialVec // plan key → shard → vector
+	// scatter pools the merged-position buffers of sum (*[]float64): one
+	// per concurrent sum instead of a keys-sized array per call.
+	scatter sync.Pool
 }
 
 func newPartialEstimates() *partialEstimates {
@@ -161,7 +164,14 @@ func (pe *partialEstimates) sum(planKey string, est estreg.Estimator, view engin
 	// Scatter every partition's vector (cached or freshly computed) into
 	// merged-key positions, then accumulate in ascending order — the exact
 	// float operation sequence of estreg.Sum over the merged outcomes.
-	full := make([]float64, n)
+	buf, _ := pe.scatter.Get().(*[]float64)
+	if buf == nil || cap(*buf) < n {
+		buf = new([]float64)
+		*buf = make([]float64, n)
+	}
+	defer pe.scatter.Put(buf)
+	full := (*buf)[:n]
+	clear(full) // a reused buffer starts as a fresh one did
 	covered := 0
 	var freshShards []int
 	for s, part := range view.Parts {
