@@ -112,10 +112,10 @@ func BenchmarkSnapshot(b *testing.B) {
 // BenchmarkSnapshotIncremental measures the tentpole path: one key in one
 // shard mutates between snapshots, so a rebuild re-reduces a single
 // partition and reuses the other 15. The base variant takes the serving
-// path (FreshView — no merged-array materialization, what the HTTP layer
-// consumes); "merged" additionally materializes the full Snapshot;
-// "newkey" ingests a never-seen key instead, forcing a merge-plan rebuild
-// on top.
+// path (FreshView — the exceptional outcomes only, what the HTTP layer
+// consumes); "merged" additionally synthesizes the dense Snapshot;
+// "newkey" ingests a never-seen key instead, forcing a key re-merge on
+// top.
 func BenchmarkSnapshotIncremental(b *testing.B) {
 	for _, n := range []int{1 << 14, 1 << 16} {
 		// Strictly growing weight on a fixed key: every ingest is a real
@@ -168,11 +168,11 @@ func BenchmarkSnapshotIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotArena measures one fresh arena reduction at the query
-// benchmarks' scale (16k keys): the floor a cache-missing read pays. The
-// arena pipeline backs all outcome slices with two shared arrays and
-// interns the repeated tau-vectors, so allocs/op stays O(1) in the item
-// count.
+// BenchmarkSnapshotArena measures one cold reduction plus dense synthesis
+// at the query benchmarks' scale (16k keys): the most a read can pay. All
+// all-unknown outcomes share one backing pair, the sampled ones chunked
+// arenas, and the repeated tau-vectors are interned, so allocs/op stays
+// O(1) in the item count.
 func BenchmarkSnapshotArena(b *testing.B) {
 	e := newBenchEngine(b, 64)
 	if err := e.IngestBatch(benchUpdates(1 << 14)); err != nil {

@@ -323,31 +323,6 @@ func TestStatsConsistentCutUnderIngest(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReduceWorkersChunking forces multi-worker reductions (this also
-// covers single-CPU CI, where GOMAXPROCS would keep the fan-out at 1) and
-// asserts chunk-boundary cursor seeding changes nothing: the reduction is
-// bit-identical to the batch sampler for every worker count.
-func TestReduceWorkersChunking(t *testing.T) {
-	orig := reduceWorkers
-	defer func() { reduceWorkers = orig }()
-
-	d := dataset.Flows(dataset.FlowsConfig{N: 500, Seed: 31})
-	hash := sampling.NewSeedHash(23)
-	batch, err := dataset.SampleBottomK(d, 16, hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 3, 7, 16} {
-		reduceWorkers = func(int) int { return workers }
-		e, err := New(Config{Instances: d.R(), K: 16, Shards: 4, Hash: hash})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ingestDataset(t, e, d, nil, false)
-		requireEqualSamples(t, e.Snapshot(), batch)
-	}
-}
-
 // TestIngestBatchScratchReuse checks the two-pass bucketing survives pool
 // reuse across differently-sized batches and concurrent callers.
 func TestIngestBatchScratchReuse(t *testing.T) {

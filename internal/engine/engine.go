@@ -73,12 +73,11 @@ type Engine struct {
 	rebuildMu sync.Mutex
 	// Incremental snapshot state (see partition.go), all guarded by
 	// rebuildMu: the per-shard reduced partitions, the global thresholds
-	// they were reduced under, the cached key-merge plan, and the epoch
-	// sequence stamping each partition reduction.
-	parts    []*partition
-	insts    []instThresholds
-	plan     *mergePlan
-	epochSeq uint64
+	// they were reduced under (with their interned schemes), and the
+	// cached merge of every partition's keys.
+	parts  []*partition
+	thresh *schemeSet
+	keys   []uint64
 	// snapCtr observes the incremental rebuild path; counters are atomics
 	// only so Stats can read them without rebuildMu.
 	snapCtr snapshotCounters
@@ -103,7 +102,8 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: shard count %d must be nonnegative", cfg.Shards)
 	}
 	if cfg.Shards > 65536 {
-		// The merge plan stores the owning shard per item as a uint16.
+		// Every shard preallocates r heaps and every cut takes every shard
+		// lock: a count this large is a mistyped flag, not a configuration.
 		return nil, fmt.Errorf("engine: shard count %d exceeds 65536", cfg.Shards)
 	}
 	if cfg.Shards == 0 {

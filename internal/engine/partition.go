@@ -2,8 +2,8 @@ package engine
 
 import (
 	"cmp"
+	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/sampling"
@@ -12,13 +12,15 @@ import (
 // This file is the incremental snapshot maintenance layer: each shard
 // keeps its own reduced partition keyed by the shard's mutation counter,
 // and a rebuild re-reduces only the partitions whose shard changed,
-// merging them with the cached remainder. Because the footnote-1
-// reduction is per-key given the global thresholds, and because a shard's
-// mutation counter bumps under its lock on every snapshot-visible change,
-// a partition whose counter is unchanged is provably byte-identical to
-// what a from-scratch reduction would produce — so rebuild cost is
-// O(touched shards + merge), not O(total keys), while Snapshot() stays
-// bit-identical to dataset.SampleBottomK.
+// merging them with the cached remainder. A partition's reduction holds
+// only its exceptional outcomes — the items about which the sample reveals
+// something — so a rebuild costs what the sketches retain (≤ r·(k+1)
+// entries per shard), not what the key registry holds. Because the
+// footnote-1 reduction is per-key given the global thresholds, and because
+// a shard's mutation counter bumps under its lock on every
+// snapshot-visible change, a partition whose counter is unchanged is
+// provably identical to what a from-scratch reduction would produce, and
+// Snapshot() stays bit-identical to dataset.SampleBottomK.
 //
 // Invariants (all partition state is guarded by rebuildMu):
 //
@@ -27,30 +29,30 @@ import (
 //     change happened in between (the counter bumps under the shard lock).
 //  2. Keys are never removed from a shard, so an unchanged key COUNT
 //     means an unchanged key SET — the sorted keys slice can be reused
-//     and the merge plan stays valid.
-//  3. Outcomes depend on the partition's own (keys, retained entries)
-//     plus the GLOBAL per-instance thresholds. A rebuild recomputes the
-//     thresholds from every partition's retained ranks; if they moved,
-//     every partition's outcomes are re-reduced (keys/entries reused),
-//     otherwise only dirty partitions are.
-//  4. Published snapshots alias partition arenas, so a re-reduction
-//     always writes fresh outcome/arena storage and bumps the partition
-//     epoch; an unchanged epoch guarantees unchanged outcome bytes
-//     (servers key per-partition derived results by it).
+//     and the merged key slice stays valid.
+//  3. Outcomes depend on the partition's own retained entries plus the
+//     GLOBAL per-instance thresholds. A rebuild recomputes the thresholds
+//     from every partition's retained ranks; if they moved, every
+//     partition is re-reduced (keys/entries reused), otherwise only dirty
+//     partitions are.
+//  4. An item with no retained entry has the all-unknown default outcome,
+//     a pure function of (key, thresholds): every rank is +Inf, so every
+//     instance takes the same τ* branch and no entry clears it. A
+//     reduction therefore never visits such items, and published views
+//     alias only the exceptional outcomes' storage, which a re-reduction
+//     never rewrites (it allocates fresh).
 type partition struct {
 	// muts is the owning shard's mutation counter at the cut.
 	muts uint64
-	// epoch identifies this reduction of the partition; it changes iff the
-	// outcomes were re-reduced (shard dirty or thresholds moved).
-	epoch uint64
 	// keys holds the shard's item keys, ascending.
 	keys []uint64
 	// retained holds, per instance, the shard's sketch heap entries sorted
-	// by key — the partition-local merge-walk input.
+	// by key — the reduction's merge-walk input.
 	retained [][]bkEntry
-	// outcomes are the reduced per-item outcomes, parallel to keys, backed
-	// by partition-private arenas.
-	outcomes []sampling.TupleOutcome
+	// exc holds the partition's exceptional outcomes, key-ascending: every
+	// item whose outcome differs from the all-unknown default. Pos is
+	// unset here; the rebuild fills it in its merged copy.
+	exc []sampling.PlacedOutcome
 	// ranks holds, per instance, the k+1 smallest retained ranks of THIS
 	// partition (sorted ascending). It serves double duty: the global
 	// threshold gather works from these short lists instead of every
@@ -63,21 +65,9 @@ type partition struct {
 	// SampledEntries / TotalEntries bookkeeping.
 	sampled int
 	active  int
-	// reduced records that outcomes were ever produced (a zero-key
-	// partition has a non-nil empty outcomes slice either way).
+	// reduced records that the partition was ever reduced (exc is empty
+	// for a partition that reveals nothing either way).
 	reduced bool
-}
-
-// mergePlan is the cached key-merge of all partitions: the globally sorted
-// key slice, the owning shard per merged position, and per shard the
-// merged position of each of its items. It depends only on the key sets,
-// so it survives weight-only mutations unchanged. src is uint16 (New caps
-// Shards at 65536) and pos is int32 (snapshots are bounded far below 2^31
-// items in practice).
-type mergePlan struct {
-	keys []uint64
-	src  []uint16
-	pos  [][]int32
 }
 
 // rebuildLocked cuts the engine, re-reduces exactly the stale partitions
@@ -157,12 +147,12 @@ func (e *Engine) rebuildLocked() SnapshotView {
 	// When every dirty partition's cache comes out unchanged, no partition's
 	// threshold contribution moved (clean partitions are unchanged by
 	// invariant 1), so the global thresholds provably equal the cached
-	// e.insts — the whole re-gather is skipped. This is the common case for
+	// e.thresh — the whole re-gather is skipped. This is the common case for
 	// registry-only churn: new (instance, key) activity whose rank never
 	// makes the shard's bottom-(k+1) heap still flips a mask bit (a visible
 	// mutation, so a rebuild runs) without moving any retained rank.
 	var ranks []float64
-	ranksStable := e.insts != nil
+	ranksStable := e.thresh != nil
 	for s, p := range e.parts {
 		if !dirty[s] {
 			continue
@@ -184,13 +174,11 @@ func (e *Engine) rebuildLocked() SnapshotView {
 	// ranks of the union are each among their own partition's k+1 smallest,
 	// so gathering the short cached lists reproduces the monolithic
 	// reduction's thresholds exactly in O(shards·k) instead of O(retained).
-	var insts []instThresholds
 	threshChanged := false
 	if ranksStable {
-		insts = e.insts
 		e.snapCtr.threshSkips.Add(1)
 	} else {
-		insts = make([]instThresholds, r)
+		insts := make([]instThresholds, r)
 		for i := 0; i < r; i++ {
 			ranks = ranks[:0]
 			for _, p := range e.parts {
@@ -198,34 +186,31 @@ func (e *Engine) rebuildLocked() SnapshotView {
 			}
 			insts[i] = newInstThresholds(sampling.KSmallest(ranks, k+1), k)
 		}
-		threshChanged = !slices.Equal(insts, e.insts)
-		if threshChanged && e.insts != nil {
-			e.snapCtr.threshRefreshes.Add(1)
+		if threshChanged = e.thresh == nil || !slices.Equal(insts, e.thresh.insts); threshChanged {
+			if e.thresh != nil {
+				e.snapCtr.threshRefreshes.Add(1)
+			}
+			e.thresh = newSchemeSet(insts)
 		}
 	}
 
-	// Re-reduce stale partitions in ascending shard order, so epoch
-	// assignment is deterministic for a given mutation history. A clean
-	// partition under moved thresholds reuses its keys and entries but
-	// gets fresh outcome arenas (invariant 4).
+	// Re-reduce stale partitions. A clean partition under moved thresholds
+	// reuses its keys and entries.
 	for s, p := range e.parts {
 		if p.reduced && !dirty[s] && !threshChanged {
 			e.snapCtr.partsReused.Add(1)
 			continue
 		}
-		e.reducePartition(p, insts)
-		e.epochSeq++
-		p.epoch = e.epochSeq
+		e.reducePartition(p)
 		e.shards[s].rebuilds.Add(1)
 		e.snapCtr.partsRebuilt.Add(1)
 	}
 
-	// The merge plan survives any weight-only rebuild (invariant 2).
-	if e.plan == nil || keysChanged {
-		e.plan = buildMergePlan(e.parts)
+	// The merged key slice survives any weight-only rebuild (invariant 2).
+	if e.keys == nil || keysChanged {
+		e.keys = mergeKeys(e.parts)
 		e.snapCtr.planRebuilds.Add(1)
 	}
-	e.insts = insts
 	view := e.buildView(version)
 	e.snapCtr.rebuilds.Add(1)
 	e.publish(&snapshotCacheEntry{version: version, built: at, view: view})
@@ -238,73 +223,85 @@ func rankCachesEqual(a, b [][]float64) bool {
 	return slices.EqualFunc(a, b, slices.Equal)
 }
 
-// reducePartition re-reduces one partition into fresh outcome arenas,
-// fanning out across reduceWorkers chunks of the partition's key range.
-func (e *Engine) reducePartition(p *partition, insts []instThresholds) {
-	r := len(insts)
-	n := len(p.keys)
-	p.outcomes = make([]sampling.TupleOutcome, n)
-	p.sampled = 0
-	p.reduced = true
-	if n == 0 {
-		return
-	}
-	knownArena := make([]bool, n*r)
-	valsArena := make([]float64, n*r)
-	workers := reduceWorkers(n * r)
-	chunk := (n + workers - 1) / workers
-	sampled := make([]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			break
+// arenaChunk is how many outcomes' Known/Vals backing one arena
+// allocation of reducePartition holds.
+const arenaChunk = 32
+
+// reducePartition re-reduces one partition under the engine's current
+// thresholds: a merge-walk over its r key-sorted retained lists that
+// keeps an outcome only where some entry is known or the τ*-branch vector
+// differs from the all-unknown default. Items with no retained entry are
+// never visited (invariant 4). Seeds are recomputed from the keys (hash.U
+// is the splitmix64 finalizer — cheaper than carrying them through the
+// cut).
+func (e *Engine) reducePartition(p *partition) {
+	th := e.thresh
+	r := len(th.insts)
+	p.exc, p.sampled, p.reduced = nil, 0, true
+	// cur[i] walks instance i's retained entries in lockstep with the
+	// ascending key order the walk produces.
+	cur := make([]int, r)
+	tuple := make([]float64, r)
+	branch := make([]byte, r)
+	var known []bool
+	var vals []float64
+	for {
+		key, more := uint64(0), false
+		for i, c := range cur {
+			if ents := p.retained[i]; c < len(ents) && (!more || ents[c].key < key) {
+				key, more = ents[c].key, true
+			}
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			sampled[w] = reduceRange(e.cfg.Hash, insts, p.keys, p.retained, p.outcomes, knownArena, valsArena, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, s := range sampled {
-		p.sampled += s
+		if !more {
+			return
+		}
+		for i := 0; i < r; i++ {
+			rank := math.Inf(1)
+			tuple[i] = 0
+			if ents, c := p.retained[i], cur[i]; c < len(ents) && ents[c].key == key {
+				rank, tuple[i] = ents[c].rank, ents[c].weight
+				cur[i]++
+			}
+			branch[i] = th.insts[i].branch(rank)
+		}
+		if len(known) < r {
+			known, vals = make([]bool, arenaChunk*r), make([]float64, arenaChunk*r)
+		}
+		o := th.scheme(branch).SampleInto(tuple, e.cfg.Hash.U(key), known[:r:r], vals[:r:r])
+		n := o.NumKnown()
+		if n == 0 && string(branch) == th.defBranch {
+			continue // the default outcome: its arena slot is reused
+		}
+		known, vals = known[r:], vals[r:]
+		p.exc = append(p.exc, sampling.PlacedOutcome{Key: key, Outcome: o})
+		p.sampled += n
 	}
 }
 
-// buildMergePlan merges the partitions' sorted, disjoint key slices with a
+// mergeKeys merges the partitions' sorted, disjoint key slices with a
 // small min-heap of stream heads: O(n log shards), allocation-proportional
 // to the output.
-func buildMergePlan(parts []*partition) *mergePlan {
+func mergeKeys(parts []*partition) []uint64 {
 	n := 0
 	for _, p := range parts {
 		n += len(p.keys)
 	}
-	pl := &mergePlan{
-		keys: make([]uint64, 0, n),
-		src:  make([]uint16, 0, n),
-		pos:  make([][]int32, len(parts)),
-	}
-	cur := make([]int, len(parts))
-	type head struct {
-		key   uint64
-		shard uint16
-	}
-	heads := make([]head, 0, len(parts))
-	for s, p := range parts {
-		pl.pos[s] = make([]int32, len(p.keys))
+	keys := make([]uint64, 0, n)
+	// heads holds each non-empty partition's unmerged key suffix, min-heap
+	// ordered by first key.
+	heads := make([][]uint64, 0, len(parts))
+	for _, p := range parts {
 		if len(p.keys) > 0 {
-			heads = append(heads, head{key: p.keys[0], shard: uint16(s)})
+			heads = append(heads, p.keys)
 		}
 	}
 	down := func(i int) {
 		for {
 			m := i
-			if l := 2*i + 1; l < len(heads) && heads[l].key < heads[m].key {
+			if l := 2*i + 1; l < len(heads) && heads[l][0] < heads[m][0] {
 				m = l
 			}
-			if r := 2*i + 2; r < len(heads) && heads[r].key < heads[m].key {
+			if r := 2*i + 2; r < len(heads) && heads[r][0] < heads[m][0] {
 				m = r
 			}
 			if m == i {
@@ -318,56 +315,57 @@ func buildMergePlan(parts []*partition) *mergePlan {
 		down(i)
 	}
 	for len(heads) > 0 {
-		h := heads[0]
-		s := int(h.shard)
-		pl.pos[s][cur[s]] = int32(len(pl.keys))
-		pl.keys = append(pl.keys, h.key)
-		pl.src = append(pl.src, h.shard)
-		cur[s]++
-		if c := cur[s]; c < len(parts[s].keys) {
-			heads[0].key = parts[s].keys[c]
-		} else {
+		keys = append(keys, heads[0][0])
+		if heads[0] = heads[0][1:]; len(heads[0]) == 0 {
 			heads[0] = heads[len(heads)-1]
 			heads = heads[:len(heads)-1]
 		}
 		down(0)
 	}
-	return pl
+	return keys
 }
 
-// buildView wraps the current partitions and plan as an immutable
-// SnapshotView. No O(total keys) work happens here — the merged outcome
-// array is materialized lazily by SnapshotView.Snapshot, and everything
-// the view references (plan slices, partition outcomes) is never mutated
-// after publication (re-reductions write fresh storage). The caller must
-// hold rebuildMu.
+// buildView merges the partitions' exceptional outcomes into one
+// key-ascending list, resolves each one's position in the merged keys and
+// wraps the result as an immutable SnapshotView. Nothing here scales with
+// the key count beyond the position lookups' logarithm: the dense outcome
+// array is synthesized lazily by SnapshotView.Snapshot. The view owns its
+// list (partition lists carry no positions), and the outcome storage it
+// aliases is never rewritten. The caller must hold rebuildMu.
 func (e *Engine) buildView(version uint64) SnapshotView {
-	pl := e.plan
-	parts := make([]SnapshotPart, len(e.parts))
 	view := SnapshotView{
 		Version: version,
-		Keys:    pl.keys,
-		Parts:   parts,
-		src:     pl.src,
+		Keys:    e.keys,
+		def:     e.thresh.def,
+		hash:    e.cfg.Hash,
 		cell:    &viewCell{},
 	}
-	for s, p := range e.parts {
+	n := 0
+	for _, p := range e.parts {
+		n += len(p.exc)
 		view.sampled += p.sampled
 		view.total += p.active
-		parts[s] = SnapshotPart{Epoch: p.epoch, Index: pl.pos[s], Outcomes: p.outcomes}
+	}
+	view.Exceptional = make([]sampling.PlacedOutcome, 0, n)
+	for _, p := range e.parts {
+		view.Exceptional = append(view.Exceptional, p.exc...)
+	}
+	slices.SortFunc(view.Exceptional, func(a, b sampling.PlacedOutcome) int { return cmp.Compare(a.Key, b.Key) })
+	for i := range view.Exceptional {
+		view.Exceptional[i].Pos, _ = slices.BinarySearch(e.keys, view.Exceptional[i].Key)
 	}
 	return view
 }
 
 // resetSnapshotState drops every cached reduction artifact: partitions,
-// thresholds, merge plan and the published snapshot. Required when engine
+// thresholds, merged keys and the published snapshot. Required when engine
 // content changes without per-shard mutation accounting — RestoreState
 // parks the dumped version on shard 0, which would otherwise let a
 // pre-restore partition match its shard's (untouched) counter and be
 // wrongly reused.
 func (e *Engine) resetSnapshotState() {
 	e.rebuildMu.Lock()
-	e.parts, e.insts, e.plan = nil, nil, nil
+	e.parts, e.thresh, e.keys = nil, nil, nil
 	e.cache.Store(nil)
 	e.rebuildMu.Unlock()
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -192,15 +193,16 @@ func TestSinglePartitionRebuild(t *testing.T) {
 		}
 	}
 	e := rebuildEngine(t, w, k, shards, hash)
-	before := e.FreshView()
+	e.FreshView()
 	st0 := e.Stats().Snapshot
+	before := e.Stats().PerShard
 
 	const hot = 17
 	w[0][hot] *= 3
 	if err := e.Ingest(0, hot, w[0][hot]); err != nil {
 		t.Fatal(err)
 	}
-	after := e.FreshView()
+	e.FreshView()
 	st1 := e.Stats().Snapshot
 
 	if got := st1.Rebuilds - st0.Rebuilds; got != 1 {
@@ -219,17 +221,16 @@ func TestSinglePartitionRebuild(t *testing.T) {
 		t.Errorf("PlanRebuilds advanced by %d, want 0 (key set unchanged)", got)
 	}
 
-	// Exactly the hot key's shard epoch moved; every other partition is
-	// the same reduction.
+	// Exactly the hot key's shard was re-reduced; every other partition
+	// is the same reduction.
 	hotShard := e.shardOf(hot)
-	for s := range after.Parts {
-		same := after.Parts[s].Epoch == before.Parts[s].Epoch
-		if s == hotShard && same {
-			t.Errorf("shard %d (hot) epoch unchanged across rebuild", s)
+	for s, ps := range e.Stats().PerShard {
+		got := ps.PartitionRebuilds - before[s].PartitionRebuilds
+		if s == hotShard && got != 1 {
+			t.Errorf("shard %d (hot) re-reduced %d times across the rebuild, want 1", s, got)
 		}
-		if s != hotShard && !same {
-			t.Errorf("shard %d epoch changed (%d → %d) without a mutation",
-				s, before.Parts[s].Epoch, after.Parts[s].Epoch)
+		if s != hotShard && got != 0 {
+			t.Errorf("shard %d re-reduced %d times without a mutation", s, got)
 		}
 	}
 	requireMatchesMatrix(t, e, w, k, hash)
@@ -253,10 +254,47 @@ func TestSinglePartitionRebuild(t *testing.T) {
 	}
 }
 
-// TestSnapshotViewParts checks the advisory partition metadata: the part
-// indexes partition 0..n-1 exactly, each part's positions are ascending,
-// and every indexed key routes to the part's shard.
-func TestSnapshotViewParts(t *testing.T) {
+// checkExceptional states the sparse view's invariants against its own
+// dense synthesis: Exceptional is key-ascending, each Pos resolves to its
+// key, and every dense outcome NOT in the list is the synthesized default
+// — the default scheme at the key's own seed with nothing known. It
+// returns the first violation (callers off the test goroutine report it
+// with t.Error).
+func checkExceptional(view SnapshotView) error {
+	dense := view.Snapshot().Sample.Outcomes
+	if len(dense) != len(view.Keys) {
+		return fmt.Errorf("%d dense outcomes for %d keys", len(dense), len(view.Keys))
+	}
+	listed := make(map[int]bool, len(view.Exceptional))
+	for i, x := range view.Exceptional {
+		if i > 0 && x.Key <= view.Exceptional[i-1].Key {
+			return fmt.Errorf("exceptional keys not ascending at %d", i)
+		}
+		if x.Pos < 0 || x.Pos >= len(view.Keys) || view.Keys[x.Pos] != x.Key {
+			return fmt.Errorf("exceptional %d: Pos %d does not resolve to key %d", i, x.Pos, x.Key)
+		}
+		if !dense[x.Pos].Same(x.Outcome) {
+			return fmt.Errorf("exceptional %d: dense outcome at %d differs from the listed one", i, x.Pos)
+		}
+		listed[x.Pos] = true
+	}
+	r := view.def.R()
+	for j, o := range dense {
+		if listed[j] {
+			continue
+		}
+		def := sampling.TupleOutcome{Scheme: view.def, Rho: view.hash.U(view.Keys[j]), Known: make([]bool, r), Vals: make([]float64, r)}
+		if !o.Same(def) || o.NumKnown() != 0 {
+			return fmt.Errorf("unlisted outcome %d (key %d) is not the all-unknown default", j, view.Keys[j])
+		}
+	}
+	return nil
+}
+
+// TestSnapshotViewExceptional checks the sparse view on a cut where most
+// items reveal nothing: the exceptional list obeys its invariants, holds
+// exactly the outcomes with a known entry, and is far shorter than Keys.
+func TestSnapshotViewExceptional(t *testing.T) {
 	d := dataset.Flows(dataset.FlowsConfig{N: 300, Seed: 11})
 	hash := sampling.NewSeedHash(3)
 	e, err := New(Config{Instances: d.R(), K: 8, Shards: 4, Hash: hash})
@@ -265,29 +303,17 @@ func TestSnapshotViewParts(t *testing.T) {
 	}
 	ingestDataset(t, e, d, nil, false)
 	view := e.FreshView()
-	if len(view.Parts) != 4 {
-		t.Fatalf("got %d parts, want 4", len(view.Parts))
+	if err := checkExceptional(view); err != nil {
+		t.Fatal(err)
 	}
-	seen := make([]bool, len(view.Keys))
-	for s, part := range view.Parts {
-		for t2 := 0; t2 < len(part.Index); t2++ {
-			j := int(part.Index[t2])
-			if t2 > 0 && j <= int(part.Index[t2-1]) {
-				t.Fatalf("part %d positions not ascending at %d", s, t2)
-			}
-			if seen[j] {
-				t.Fatalf("merged position %d indexed twice", j)
-			}
-			seen[j] = true
-			if got := e.shardOf(view.Keys[j]); got != s {
-				t.Fatalf("part %d item %d: key %d routes to shard %d", s, t2, view.Keys[j], got)
-			}
+	informative := 0
+	for _, o := range view.Snapshot().Sample.Outcomes {
+		if o.NumKnown() > 0 {
+			informative++
 		}
 	}
-	for j, ok := range seen {
-		if !ok {
-			t.Fatalf("merged position %d not covered by any part", j)
-		}
+	if got := len(view.Exceptional); got != informative || got == 0 || got > d.R()*8 {
+		t.Fatalf("%d exceptional outcomes, want the %d informative ones (≤ r·k = %d)", got, informative, d.R()*8)
 	}
 	if view.Version != e.Version() {
 		t.Errorf("view version %d != engine version %d", view.Version, e.Version())
@@ -416,18 +442,8 @@ func TestConcurrentReadsDuringPartitionRebuilds(t *testing.T) {
 					return
 				}
 				if iter%16 == 0 {
-					total := 0
-					for s, part := range view.Parts {
-						total += len(part.Index)
-						for _, j := range part.Index {
-							if e.shardOf(view.Keys[j]) != s {
-								t.Errorf("reader %d: part %d indexes foreign key", reader, s)
-								return
-							}
-						}
-					}
-					if total != len(view.Keys) {
-						t.Errorf("reader %d: parts cover %d of %d keys", reader, total, len(view.Keys))
+					if err := checkExceptional(view); err != nil {
+						t.Errorf("reader %d: %v", reader, err)
 						return
 					}
 				}

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -14,20 +13,20 @@ import (
 
 // This file is the snapshot pipeline's public surface and shared reduction
 // mechanics: the Snapshot/SnapshotView types, the versioned snapshot cache
-// that lets repeat reads skip all work, the conditional-threshold branch
-// precomputation, and the per-range merge-walk reduction. The incremental
-// per-shard partition maintenance that feeds it lives in partition.go. The
-// result is bit-identical to dataset.SampleBottomK (the equivalence tests
-// enforce it), so everything here is pure mechanics — no estimation
-// semantics.
+// that lets repeat reads skip all work, and the conditional-threshold
+// branch precomputation. The incremental per-shard partition maintenance
+// that feeds it lives in partition.go. The result is bit-identical to
+// dataset.SampleBottomK (the equivalence tests enforce it), so everything
+// here is pure mechanics — no estimation semantics.
 
 // Snapshot is a consistent cut of the engine reduced to per-item monotone
 // outcomes — the streaming equivalent of dataset.SampleBottomK's result.
 //
 // A snapshot may be shared between concurrent readers (CachedView hands
-// the same view to everyone until the engine mutates), and its
-// outcome Known/Vals slices are sub-slices of shared arena arrays: treat
-// the whole structure as immutable.
+// the same view to everyone until the engine mutates), and its outcome
+// Known/Vals slices are shared: sub-slices of arena arrays, and ONE
+// all-false/all-zero pair behind every all-unknown outcome. Treat the
+// whole structure as immutable.
 type Snapshot struct {
 	// Keys holds every ingested item key in ascending order, parallel to
 	// Sample.Outcomes.
@@ -49,69 +48,60 @@ func (s Snapshot) Index(key uint64) (int, bool) {
 	return 0, false
 }
 
-// SnapshotPart describes one shard's partition inside a SnapshotView.
-type SnapshotPart struct {
-	// Epoch identifies the partition's reduction. It changes exactly when
-	// the partition's outcome bytes change (shard mutated, or the global
-	// thresholds moved), so derived per-item results cached under an epoch
-	// can be reused bit-identically while it holds.
-	Epoch uint64
-	// Index maps the partition's t-th item (ascending key order within the
-	// shard) to its position in Keys (and in the materialized
-	// Snapshot().Sample.Outcomes).
-	Index []int32
-	// Outcomes holds the partition's reduced outcomes, parallel to Index.
-	// Consumers that aggregate per item (the server's estimate caches) can
-	// work from these directly and skip materializing the merged snapshot.
-	Outcomes []sampling.TupleOutcome
-}
-
 // SnapshotView is the engine's serving handle on a cut: the version, the
-// merged ascending key slice, and the per-shard reduced partitions. The
-// merged outcome array — the only O(total keys) artifact left in the
-// incremental pipeline — is NOT built up front: Snapshot() materializes
-// it on first call and caches it in the view's shared cell, so view-only
-// consumers (the server fast path) never pay for it. Views are shared
-// between readers and immutable.
+// merged ascending key slice, and the cut's exceptional outcomes — the at
+// most r·(k+1)·shards items whose outcome differs from the all-unknown
+// default. Every other item's outcome is a pure function of its key and
+// the cut's thresholds, {default scheme, Rho = hash.U(key), nothing
+// known}, so the view does not store it: consumers that only need what the
+// sample reveals (estimator sums under the empty-outcome rule) walk
+// Exceptional, and Snapshot() synthesizes the dense list on first call for
+// whoever needs every outcome. Views are shared between readers and
+// immutable.
 type SnapshotView struct {
 	// Version is the engine's mutation version as of the cut.
 	Version uint64
 	// Keys holds every ingested item key in ascending order.
 	Keys []uint64
-	// Parts has one entry per shard, in shard order. The Index slices form
-	// a partition of [0, len(Keys)).
-	Parts []SnapshotPart
+	// Exceptional holds, key-ascending, every outcome with a known entry
+	// (or a τ* vector other than the default's); Pos indexes Keys.
+	Exceptional []sampling.PlacedOutcome
 
-	// src is the merge plan's per-position owning shard — the gather order
-	// for materialization. sampled/total are the cut's storage accounting.
-	src            []uint16
+	// def is the scheme of every outcome not in Exceptional and hash
+	// derives its seed. sampled/total are the cut's storage accounting.
+	def            sampling.TupleScheme
+	hash           sampling.SeedHash
 	sampled, total int
-	// cell caches the materialized merged sample; shared by every copy of
+	// cell caches the synthesized dense sample; shared by every copy of
 	// this view, built at most once.
 	cell *viewCell
 }
 
-// viewCell is the lazily-materialized merged sample shared by all copies
-// of one SnapshotView.
+// viewCell is the lazily-synthesized dense sample shared by all copies of
+// one SnapshotView.
 type viewCell struct {
 	once   sync.Once
 	sample dataset.CoordinatedSample
 }
 
-// Snapshot materializes the merged Snapshot for this view: outcomes in
-// ascending key order, bit-identical to dataset.SampleBottomK. The first
-// call per view pays one O(total keys) gather; repeat calls (and calls on
-// other copies of the same view) return the same cached value.
+// Snapshot synthesizes the dense Snapshot for this view: one outcome per
+// key in ascending key order, bit-identical to dataset.SampleBottomK. The
+// first call per view pays one O(total keys) pass — the default outcome
+// at every position (all sharing one read-only all-false/all-zero
+// backing), then the exceptional outcomes laid over it; repeat calls (and
+// calls on other copies of the same view) return the same cached value.
 func (v SnapshotView) Snapshot() Snapshot {
 	if v.cell == nil {
 		return Snapshot{}
 	}
 	v.cell.once.Do(func() {
 		outcomes := make([]sampling.TupleOutcome, len(v.Keys))
-		cur := make([]int, len(v.Parts))
-		for j, s := range v.src {
-			outcomes[j] = v.Parts[s].Outcomes[cur[s]]
-			cur[s]++
+		unknown, zeros := make([]bool, v.def.R()), make([]float64, v.def.R())
+		for j, key := range v.Keys {
+			outcomes[j] = sampling.TupleOutcome{Scheme: v.def, Rho: v.hash.U(key), Known: unknown, Vals: zeros}
+		}
+		for _, e := range v.Exceptional {
+			outcomes[e.Pos] = e.Outcome
 		}
 		v.cell.sample = dataset.CoordinatedSample{
 			Outcomes:       outcomes,
@@ -123,17 +113,17 @@ func (v SnapshotView) Snapshot() Snapshot {
 }
 
 // Index is Snapshot.Index against the view's merged key order, without
-// materializing the outcomes.
+// synthesizing the outcomes.
 func (v SnapshotView) Index(key uint64) (int, bool) {
 	return Snapshot{Keys: v.Keys}.Index(key)
 }
 
-// SampledEntries reports the cut's retained sketch entry count (the
-// materialized sample's SampledEntries) without materializing it.
+// SampledEntries reports the cut's sampled entry count (the dense
+// sample's SampledEntries) without synthesizing it.
 func (v SnapshotView) SampledEntries() int { return v.sampled }
 
-// TotalEntries reports the cut's active entry count (the materialized
-// sample's TotalEntries) without materializing it.
+// TotalEntries reports the cut's active entry count (the dense sample's
+// TotalEntries) without synthesizing it.
 func (v SnapshotView) TotalEntries() int { return v.total }
 
 // snapshotCacheEntry is one published reduction: the view, the version it
@@ -152,12 +142,13 @@ type snapshotCacheEntry struct {
 // sampler seeds item k with hash.U(uint64(k)). Sparse or string-hashed
 // keys yield the same reduction over their own seed set.
 //
-// The rebuild is incremental: shards whose mutation counter is unchanged
-// since the last snapshot keep their reduced partition verbatim, so the
-// cost is proportional to the touched shards plus the final merge — not
-// the total key count (see partition.go). All shards are locked only
-// while dirty sketch contents are copied out; the reduction runs
-// lock-free on the copies. The result is published to the snapshot cache.
+// The rebuild is incremental and sketch-proportional: shards whose
+// mutation counter is unchanged since the last snapshot keep their reduced
+// partition verbatim, and a reduction visits retained sketch entries only
+// (see partition.go); the one O(total keys) step is this method's dense
+// synthesis. All shards are locked only while dirty sketch contents are
+// copied out; the reduction runs lock-free on the copies. The result is
+// published to the snapshot cache.
 func (e *Engine) Snapshot() Snapshot {
 	return e.FreshView().Snapshot()
 }
@@ -262,91 +253,55 @@ func newInstThresholds(smallest []float64, k int) instThresholds {
 	return th
 }
 
-// reduceParallelMin is the partition size (items × instances) below which
-// the reduction stays single-threaded — goroutine fan-out costs more than
-// it saves on small cuts.
-const reduceParallelMin = 1 << 13
-
-// reduceWorkers picks the reduction fan-out for a partition of cells =
-// items × instances. A variable so tests can force multi-chunk reductions
-// (and their chunk-boundary cursor seeding) on single-CPU machines.
-var reduceWorkers = func(cells int) int {
-	w := runtime.GOMAXPROCS(0)
-	if cells < reduceParallelMin || w < 2 {
+// branch is the τ* branch an item of the given rank takes in this
+// instance: 1 = tauOut, 0 = tauIn.
+func (th instThresholds) branch(rank float64) byte {
+	if th.hasK && rank > th.boundary {
 		return 1
 	}
-	return w
+	return 0
 }
 
-// reduceRange fills outcomes[lo:hi] from the key-sorted retained entries
-// and returns the number of sampled entries in the range. Workers touch
-// disjoint outcome and arena ranges, so no synchronization is needed
-// beyond the final join. Seeds are recomputed from the keys (hash.U is
-// the splitmix64 finalizer — cheaper than carrying a second sorted array
-// through the cut).
-func reduceRange(hash sampling.SeedHash, insts []instThresholds, keys []uint64, retained [][]bkEntry, outcomes []sampling.TupleOutcome, knownArena []bool, valsArena []float64, lo, hi int) int {
-	r := len(insts)
-	// cur[i] walks instance i's key-sorted retained entries in lockstep
-	// with the ascending key loop — the merge walk replacing per-item map
-	// lookups.
-	cur := make([]int, r)
-	for i := range cur {
-		ents := retained[i]
-		first := keys[lo]
-		cur[i] = sort.Search(len(ents), func(x int) bool { return ents[x].key >= first })
+// schemeSet is one cut's threshold vector with its TupleSchemes interned
+// by branch vector: the (few, repeated) identical τ*-vectors share one
+// scheme allocation each, across every partition reduced under those
+// thresholds.
+type schemeSet struct {
+	insts []instThresholds
+	m     map[string]sampling.TupleScheme
+	// defBranch is the branch vector of an item no sketch retains (every
+	// rank +Inf) and def its scheme — the all-unknown default outcome's.
+	defBranch string
+	def       sampling.TupleScheme
+}
+
+func newSchemeSet(insts []instThresholds) *schemeSet {
+	def := make([]byte, len(insts))
+	for i, th := range insts {
+		def[i] = th.branch(math.Inf(1))
 	}
-	tuple := make([]float64, r)
-	// branch[i] records which τ* branch item j takes in instance i; it is
-	// the intern key, so the (few, repeated) identical τ*-vectors share
-	// one TupleScheme allocation each.
-	branch := make([]byte, r)
-	schemes := make(map[string]sampling.TupleScheme, 4)
-	sampled := 0
-	for j := lo; j < hi; j++ {
-		key := keys[j]
-		for i := 0; i < r; i++ {
-			ents := retained[i]
-			c := cur[i]
-			for c < len(ents) && ents[c].key < key {
-				c++
-			}
-			rank := math.Inf(1)
-			tuple[i] = 0
-			if c < len(ents) && ents[c].key == key {
-				rank = ents[c].rank
-				tuple[i] = ents[c].weight
-				c++
-			}
-			cur[i] = c
-			if insts[i].hasK && rank > insts[i].boundary {
-				branch[i] = 1
-			} else {
-				branch[i] = 0
-			}
-		}
-		scheme, ok := schemes[string(branch)]
-		if !ok {
-			tau := make([]float64, r)
-			for i := range tau {
-				if branch[i] == 1 {
-					tau[i] = insts[i].tauOut
-				} else {
-					tau[i] = insts[i].tauIn
-				}
-			}
-			var err error
-			scheme, err = sampling.NewTupleScheme(tau)
-			if err != nil {
-				// Unreachable: ranks are positive, so every tau is
-				// positive and finite.
-				panic(fmt.Sprintf("engine: item %d scheme: %v", key, err))
-			}
-			schemes[string(branch)] = scheme
-		}
-		base := j * r
-		o := scheme.SampleInto(tuple, hash.U(key), knownArena[base:base+r:base+r], valsArena[base:base+r:base+r])
-		outcomes[j] = o
-		sampled += o.NumKnown()
+	ss := &schemeSet{insts: insts, m: make(map[string]sampling.TupleScheme, 4), defBranch: string(def)}
+	ss.def = ss.scheme(def)
+	return ss
+}
+
+func (ss *schemeSet) scheme(branch []byte) sampling.TupleScheme {
+	if s, ok := ss.m[string(branch)]; ok {
+		return s
 	}
-	return sampled
+	tau := make([]float64, len(branch))
+	for i, b := range branch {
+		if b == 1 {
+			tau[i] = ss.insts[i].tauOut
+		} else {
+			tau[i] = ss.insts[i].tauIn
+		}
+	}
+	s, err := sampling.NewTupleScheme(tau)
+	if err != nil {
+		// Unreachable: TauFromThreshold only yields positive finite values.
+		panic(fmt.Sprintf("engine: scheme for branch %v: %v", branch, err))
+	}
+	ss.m[string(branch)] = s
+	return s
 }

@@ -23,7 +23,9 @@
 package estreg
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -312,6 +314,18 @@ type SumResult struct {
 	Items int `json:"items"`
 }
 
+// add folds one per-item estimate in.
+func (res *SumResult) add(x float64) {
+	res.Estimate += x
+	res.SecondMoment += x * x
+	// First item seeds the max: custom estimators may go negative, and a
+	// zero-initialized max would report a value no item produced.
+	if res.Items == 0 || x > res.MaxItem {
+		res.MaxItem = x
+	}
+	res.Items++
+}
+
 // Sum applies the estimator to the selected outcomes (nil = all) and
 // aggregates. The accumulation order over items matches
 // dataset.CoordinatedSample.EstimateSum, so for the built-in lstar/ustar/ht
@@ -327,14 +341,7 @@ func Sum(est Estimator, outcomes []sampling.TupleOutcome, items []int) (SumResul
 		if err != nil {
 			return fmt.Errorf("estreg: item %d: %w", k, err)
 		}
-		res.Estimate += x
-		res.SecondMoment += x * x
-		// First item seeds the max: custom estimators may go negative,
-		// and a zero-initialized max would report a value no item produced.
-		if res.Items == 0 || x > res.MaxItem {
-			res.MaxItem = x
-		}
-		res.Items++
+		res.add(x)
 		return nil
 	}
 	if items == nil {
@@ -347,6 +354,61 @@ func Sum(est Estimator, outcomes []sampling.TupleOutcome, items []int) (SumResul
 	}
 	for _, k := range items {
 		if err := add(k); err != nil {
+			return SumResult{}, err
+		}
+	}
+	return res, nil
+}
+
+// SumSparse is Sum over a dense list of n outcomes given sparsely: exc
+// holds, in ascending Pos, every outcome that may have a known entry, and
+// dense() yields the whole list. For an estimator carrying the
+// empty-outcome rule every outcome outside exc is exactly 0 unevaluated,
+// so only exc is walked — in Sum's order, a run of skipped items folded
+// in as one zero: x + (+0) == x in IEEE-754 and the max only needs to see
+// a zero once, so all four fields equal Sum(est, dense(), items) bit for
+// bit, and an estimator error carries the same merged index. The cost is
+// what the sample holds, not n, and dense() is never called. Any other
+// estimator (voptimal, f(0) ≠ 0) is Sum over dense().
+func SumSparse(est Estimator, n int, exc []sampling.PlacedOutcome, items []int, dense func() []sampling.TupleOutcome) (SumResult, error) {
+	if _, ok := est.(zeroOnEmpty); !ok {
+		return Sum(est, dense(), items)
+	}
+	var res SumResult
+	add := func(e sampling.PlacedOutcome) error {
+		x, err := est.Estimate(e.Outcome)
+		if err != nil {
+			return fmt.Errorf("estreg: item %d: %w", e.Pos, err)
+		}
+		res.add(x)
+		return nil
+	}
+	zeros := func(count int) {
+		if count > 0 {
+			res.add(0)
+			res.Items += count - 1
+		}
+	}
+	if items == nil {
+		next := 0
+		for _, e := range exc {
+			zeros(e.Pos - next)
+			if err := add(e); err != nil {
+				return SumResult{}, err
+			}
+			next = e.Pos + 1
+		}
+		zeros(n - next)
+		return res, nil
+	}
+	for _, k := range items {
+		if k < 0 || k >= n {
+			return SumResult{}, fmt.Errorf("estreg: item %d outside [0, %d)", k, n)
+		}
+		i, listed := slices.BinarySearchFunc(exc, k, func(e sampling.PlacedOutcome, k int) int { return cmp.Compare(e.Pos, k) })
+		if !listed {
+			zeros(1)
+		} else if err := add(exc[i]); err != nil {
 			return SumResult{}, err
 		}
 	}

@@ -60,6 +60,17 @@ type TupleOutcome struct {
 	Vals []float64
 }
 
+// PlacedOutcome is one entry of a sparse outcome list: an outcome with its
+// item key and its position in the dense key-ascending list the sparse
+// one abbreviates. A bottom-k sample reveals something about at most r·k
+// items; every other item's outcome is the same all-unknown default up to
+// its seed, so a sample is fully described by these few entries.
+type PlacedOutcome struct {
+	Key     uint64
+	Pos     int
+	Outcome TupleOutcome
+}
+
 // Sample draws the outcome of the tuple v at seed rho. The tuple length
 // must equal the scheme arity and rho must lie in (0, 1].
 func (s TupleScheme) Sample(v []float64, rho float64) TupleOutcome {
@@ -69,10 +80,10 @@ func (s TupleScheme) Sample(v []float64, rho float64) TupleOutcome {
 // SampleInto draws the same outcome as Sample but writes the per-entry
 // knowledge into the caller-provided backing slices (each of length
 // len(v)) instead of allocating; the returned outcome aliases known and
-// vals. The streaming engine's snapshot reduction backs every outcome of
-// a snapshot with two shared arena arrays through it. Both paths share
-// this one loop, so arena-backed and allocated outcomes are bit-identical
-// by construction.
+// vals. The streaming engine's snapshot reduction backs the sampled
+// outcomes of a partition with shared arena arrays through it. Both paths
+// share this one loop, so arena-backed and allocated outcomes are
+// bit-identical by construction.
 func (s TupleScheme) SampleInto(v []float64, rho float64, known []bool, vals []float64) TupleOutcome {
 	if len(v) != s.R() {
 		panic(fmt.Sprintf("sampling: tuple arity %d != scheme arity %d", len(v), s.R()))

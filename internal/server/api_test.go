@@ -304,11 +304,11 @@ func TestMetricsSnapshotSeries(t *testing.T) {
 
 // TestIncrementalServingStaysExact is the HTTP-level half of the
 // incremental-maintenance acceptance test: under a stream of single-key
-// mutations, /v1/query answers — served through partition reuse and the
-// per-partition estimate cache — stay bit-identical to the batch pipeline
-// (dataset.SampleBottomK + estreg.Sum) on the engine's current contents,
-// for the full SumResult (estimate, second moment, max item) and for the
-// Jaccard ratio.
+// mutations, /v1/query answers — served through partition reuse and
+// sparse sums over each view's exceptional outcomes — stay bit-identical
+// to the batch pipeline (dataset.SampleBottomK + estreg.Sum) on the
+// engine's current contents, for the full SumResult (estimate, second
+// moment, max item) and for the Jaccard ratio.
 func TestIncrementalServingStaysExact(t *testing.T) {
 	ts, hash := newTestServer(t)
 	const n = 48
@@ -426,10 +426,10 @@ func TestIncrementalServingStaysExact(t *testing.T) {
 	}
 }
 
-// TestPartialCacheSubsetAndErrorParity: subset selections bypass the
-// per-partition cache and must agree with a locally computed estreg.Sum
-// over the same items; a failing estimator surfaces estreg.Sum's exact
-// merged-index error message through the fallback path.
+// TestPartialCacheSubsetAndErrorParity: a subset selection, answered from
+// the exceptional outcomes alone, must agree with a locally computed
+// estreg.Sum over the same items of the dense list; a failing estimator
+// surfaces estreg.Sum's exact merged-index error message.
 func TestPartialCacheSubsetAndErrorParity(t *testing.T) {
 	hash := sampling.NewSeedHash(7)
 	eng, err := engine.New(engine.Config{Instances: 2, K: 8, Shards: 4, Hash: hash})
@@ -447,8 +447,8 @@ func TestPartialCacheSubsetAndErrorParity(t *testing.T) {
 	d := ladderDataset(t, 32)
 	ingestDataset(t, ts.URL, d)
 
-	// Full-dataset first, so the partial cache is warm when the subset
-	// query arrives (the subset must not be answered from it).
+	// Full-dataset first, so the memo holds a whole-set result when the
+	// subset query arrives (the subset must not be answered from it).
 	queryOne(t, ts.URL, map[string]any{"estimator": "lstar"})
 
 	batch, err := dataset.SampleBottomK(d, 8, hash)
@@ -486,8 +486,8 @@ func TestPartialCacheSubsetAndErrorParity(t *testing.T) {
 		t.Fatalf("subset estimate %v, want %v", got, want.Estimate)
 	}
 
-	// The always-failing estimator: the partial path cannot serve it, and
-	// the fallback must reproduce estreg.Sum's merged-index error.
+	// The always-failing estimator declares nothing, so it sums over the
+	// dense list and fails at merged index 0 as estreg.Sum does.
 	resp, body = postJSON(t, ts.URL+"/v1/query", map[string]any{
 		"queries": []map[string]any{{"statistic": "sum", "estimator": "alwaysfail"}},
 	})
@@ -507,8 +507,8 @@ func TestPartialCacheSubsetAndErrorParity(t *testing.T) {
 
 // TestConcurrentQueriesDuringIngest churns single-key writes while many
 // readers hit the snapshot-backed endpoints — under -race this exercises
-// the partial-estimate cache, the result memo and the lazy snapshot
-// materialization against concurrent partition rebuilds. Readers only
+// the single-flight result memo and the lazy dense-snapshot synthesis
+// against concurrent partition rebuilds. Readers only
 // sanity-check shape (finite estimate, version present); exactness under
 // churn is covered deterministically above.
 func TestConcurrentQueriesDuringIngest(t *testing.T) {
@@ -574,7 +574,7 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 }
 
 // alwaysFailEstimator rejects every outcome — it exists to pin the error
-// path of the per-partition cache to estreg.Sum's behavior.
+// path of a served sum to estreg.Sum's behavior.
 type alwaysFailEstimator struct{}
 
 func (alwaysFailEstimator) Name() string { return "alwaysfail" }

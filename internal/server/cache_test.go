@@ -1,12 +1,17 @@
 package server
 
 import (
+	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/estreg"
 	"repro/internal/funcs"
 	"repro/internal/sampling"
 )
@@ -123,5 +128,123 @@ func TestSnapshotMaxStaleServesBoundedStale(t *testing.T) {
 	}
 	if got := query(stale); got != first {
 		t.Fatalf("bounded-staleness read %v, want stale %v", got, first)
+	}
+}
+
+// countingEstimator counts its per-outcome evaluations; the first one
+// waits for gate, holding its sum in flight for as long as a test needs.
+type countingEstimator struct {
+	calls *atomic.Int64
+	gate  *sync.WaitGroup
+}
+
+func (countingEstimator) Name() string { return "counting" }
+
+func (e countingEstimator) Estimate(o sampling.TupleOutcome) (float64, error) {
+	if e.calls.Add(1) == 1 {
+		e.gate.Wait()
+	}
+	return o.Rho, nil
+}
+
+// TestEvalMemoizedSingleFlight: N concurrent askers of one (version,
+// query) — the push round and the dashes behind it — cost exactly one
+// evaluation. The first evaluation is held in flight until every asker
+// has set off, so without single-flight each of them would find the memo
+// empty and evaluate too.
+func TestEvalMemoizedSingleFlight(t *testing.T) {
+	const askers = 8
+	var calls atomic.Int64
+	var setOff sync.WaitGroup
+	reg := estreg.Default()
+	if err := reg.Register("counting", func(string, funcs.F, int) (estreg.Estimator, estreg.Meta, error) {
+		return countingEstimator{&calls, &setOff}, estreg.Meta{Estimator: "counting"}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(engine.Config{Instances: 2, K: 8, Shards: 4, Hash: sampling.NewSeedHash(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewWith(eng, Config{Registry: reg})
+	for key := uint64(0); key < 40; key++ {
+		if err := eng.Ingest(int(key%2), key, float64(1+key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q, err := s.newPlanner().plan(querySpec{Estimator: "counting"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := eng.FreshView()
+	memo := s.memoFor(view.Version)
+
+	results := make([]queryResult, askers)
+	var done sync.WaitGroup
+	setOff.Add(askers)
+	for i := range results {
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			setOff.Done()
+			results[i] = s.evalMemoized(q, view, memo)
+		}(i)
+	}
+	done.Wait()
+	// The estimator declares nothing, so one evaluation is one call per key.
+	if got, want := calls.Load(), int64(len(view.Keys)); got != want {
+		t.Errorf("%d askers cost %d per-item evaluations, want one sum's %d", askers, got, want)
+	}
+	for i, r := range results {
+		if r.Error != nil || r.Items != len(view.Keys) || !reflect.DeepEqual(r, results[0]) {
+			t.Errorf("asker %d got %+v, asker 0 %+v", i, r, results[0])
+		}
+	}
+}
+
+// TestMemoStaysCapped fills one version's memo past maxMemoEntries with
+// distinct selections: the memo_entries gauge stops at the cap, and
+// queries beyond it — recorded or not — still answer, and answer the same.
+func TestMemoStaysCapped(t *testing.T) {
+	ts, _ := newTestServer(t)
+	const n = 72 // n·(n−1) ordered id pairs > maxMemoEntries
+	ingestDataset(t, ts.URL, ladderDataset(t, n))
+	pair := func(i int) map[string]any {
+		return map[string]any{"estimator": "lstar", "ids": []int{i / (n - 1), (i/(n-1) + 1 + i%(n-1)) % n}}
+	}
+	memoEntries := func() int {
+		_, body := getJSON(t, ts.URL+"/v1/stats")
+		return int(body["memo_entries"].(float64))
+	}
+	first, _ := queryOne(t, ts.URL, pair(0))
+	if got := memoEntries(); got != 1 {
+		t.Fatalf("memo_entries = %d after one query, want 1", got)
+	}
+	for i := 1; i < maxMemoEntries+2*maxBatchQueries; i += maxBatchQueries {
+		batch := make([]map[string]any, maxBatchQueries)
+		for j := range batch {
+			batch[j] = pair(i + j)
+		}
+		resp, body := postJSON(t, ts.URL+"/v1/query", map[string]any{"queries": batch})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch at %d: status %d body %v", i, resp.StatusCode, body)
+		}
+		for j, r := range body["results"].([]any) {
+			if code := queryErrCode(r.(map[string]any)); code != "" {
+				t.Fatalf("query %d failed past %d memo entries: %v", i+j, memoEntries(), r)
+			}
+		}
+	}
+	if got := memoEntries(); got != maxMemoEntries {
+		t.Fatalf("memo_entries = %d after %d distinct queries, want the cap %d", got, maxMemoEntries+2*maxBatchQueries, maxMemoEntries)
+	}
+	// An unrecorded query and a recorded one answer the same either way.
+	beyond, _ := queryOne(t, ts.URL, pair(maxMemoEntries+maxBatchQueries))
+	again, _ := queryOne(t, ts.URL, pair(maxMemoEntries+maxBatchQueries))
+	if !reflect.DeepEqual(beyond["results"], again["results"]) {
+		t.Errorf("unrecorded query answered %v then %v", beyond["results"], again["results"])
+	}
+	if refirst, _ := queryOne(t, ts.URL, pair(0)); !reflect.DeepEqual(first["results"], refirst["results"]) {
+		t.Errorf("recorded query answered %v then %v", first["results"], refirst["results"])
 	}
 }

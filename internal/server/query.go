@@ -233,33 +233,28 @@ func (q *plannedQuery) items(snap engine.SnapshotView) ([]int, error) {
 	return items, nil
 }
 
-// eval answers the query from the shared snapshot view. Whole-dataset
-// sums go through the per-partition estimate cache when one is supplied:
-// only partitions whose epoch moved re-run the estimator, and the merged
-// outcome array is never materialized. Subset selections and cache
-// misses (or estimator errors, which must surface with estreg.Sum's
-// exact message) fall back to estreg.Sum over the materialized snapshot
-// — the two paths are bit-identical by construction.
-func (q *plannedQuery) eval(view engine.SnapshotView, partials *partialEstimates) queryResult {
+// eval answers the query from the shared snapshot view. Every sum, whole
+// data set or selection, is estreg.SumSparse over the view's exceptional
+// outcomes: an estimator under the empty-outcome rule costs what the
+// sample holds, and only the others (voptimal, f(0) ≠ 0) synthesize the
+// dense outcome list and run estreg.Sum on it — the two are bit-identical
+// by construction.
+func (q *plannedQuery) eval(view engine.SnapshotView) queryResult {
 	items, err := q.items(view)
 	if err != nil {
 		return q.failure(http.StatusBadRequest, err)
 	}
-	sum := func(est estreg.Estimator, variant string) (estreg.SumResult, error) {
-		if items == nil && partials != nil {
-			if res, ok := partials.sum(q.planKey+variant, est, view); ok {
-				return res, nil
-			}
-		}
-		return estreg.Sum(est, view.Snapshot().Sample.Outcomes, items)
+	sum := func(est estreg.Estimator) (estreg.SumResult, error) {
+		return estreg.SumSparse(est, len(view.Keys), view.Exceptional, items,
+			func() []sampling.TupleOutcome { return view.Snapshot().Sample.Outcomes })
 	}
 	switch q.statistic {
 	case "jaccard":
-		and, err := sum(q.est, "\x00and")
+		and, err := sum(q.est)
 		if err != nil {
 			return q.failure(http.StatusBadRequest, err)
 		}
-		or, err := sum(q.orEst, "\x00or")
+		or, err := sum(q.orEst)
 		if err != nil {
 			return q.failure(http.StatusBadRequest, err)
 		}
@@ -277,7 +272,7 @@ func (q *plannedQuery) eval(view engine.SnapshotView, partials *partialEstimates
 			Items:     and.Items,
 		}
 	default: // "sum"; plan admits nothing else
-		res, err := sum(q.est, "")
+		res, err := sum(q.est)
 		if err != nil {
 			return q.failure(http.StatusBadRequest, err)
 		}

@@ -98,11 +98,9 @@ type Server struct {
 	started    time.Time
 	metrics    map[string]*endpointMetrics
 	// snaps is the one snapshot source every read endpoint answers from;
-	// memo caches evaluated results per snapshot version, and partials
-	// caches per-partition estimate vectors across versions (snapshot.go).
-	snaps    SnapshotSource
-	memo     atomic.Pointer[resultMemo]
-	partials *partialEstimates
+	// memo caches evaluated results per snapshot version (snapshot.go).
+	snaps SnapshotSource
+	memo  atomic.Pointer[resultMemo]
 	// ingest is where /v1/ingest and /v1/stream updates land — the local
 	// engine by default, a cluster coordinator's routed scatter when
 	// Config.Ingest overrides it.
@@ -333,7 +331,6 @@ func NewWith(eng *engine.Engine, cfg Config) *Server {
 		started:        time.Now(),
 		metrics:        make(map[string]*endpointMetrics),
 		snaps:          cfg.Snapshots,
-		partials:       newPartialEstimates(),
 		ingest:         cfg.Ingest,
 		persist:        cfg.Persist,
 		drainCh:        make(chan struct{}),
@@ -612,6 +609,7 @@ func (s *Server) handleStats(r *http.Request) (int, any, error) {
 		"estimators":     s.reg.Names(),
 		"endpoints":      endpoints,
 		"wire":           s.wire.view(),
+		"memo_entries":   s.memoEntries(),
 		"uptime_seconds": time.Since(s.started).Seconds(),
 	}
 	if s.gate != nil {

@@ -22,9 +22,10 @@ import (
 // pushes re-evaluated results as Server-Sent Events whenever the engine's
 // mutation version changes. Pushes are debounced and coalesced: a burst
 // of writes yields one re-estimate round, evaluated once per distinct
-// query set from the shared snapshot view (the per-version result memo
-// and per-partition estimate cache make each round proportional to the
-// mutated partitions, not the subscriber count times the key count).
+// query set from the shared snapshot view (the single-flight per-version
+// result memo and the sparse sums make each round proportional to the
+// distinct queries times the sampled items, not the subscriber count
+// times the key count).
 //
 // Queries come from the URL: either one query spelled as parameters
 // (statistic, func, p, c, estimator, plus comma-lists keys and ids), or

@@ -168,8 +168,8 @@ type (
 	// EngineSnapshot is a consistent cut reduced to per-item outcomes —
 	// bit-identical to SampleBottomK on the aggregated weight matrix when
 	// items are keyed by column index. Snapshots returned by the cache are
-	// shared between readers (outcomes are backed by common arena arrays):
-	// treat them as immutable.
+	// shared between readers (outcomes are backed by common arrays): treat
+	// them as immutable.
 	EngineSnapshot = engine.Snapshot
 	// EngineStats summarizes an engine's contents and traffic as one
 	// consistent cut (taken under the same all-shard lock as Snapshot).
