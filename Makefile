@@ -3,25 +3,8 @@
 
 GO             ?= go
 BENCH_OUT      ?= BENCH_local.json
-BENCH_BASELINE ?= BENCH_baseline.json
-BENCH_HEAD     ?= BENCH_head.json
-BENCH_GATE     ?= BENCH_gate.json
 
-# The hot-path allowlist the benchmark gate enforces (everything else
-# stays advisory via benchcmp). Names are post-GOMAXPROCS-strip; the $$
-# doubling is Makefile escaping for a literal $.
-GATE_ALLOW     ?= ^(BenchmarkIngestBatch|BenchmarkQueryInvalidated|BenchmarkStreamIngest256|BenchmarkSnapshotIncremental/keys=16384|BenchmarkClusterQuery|BenchmarkScatterGather/cluster-64k-3nodes|BenchmarkScatterGather/single-16k|BenchmarkSyncDeadNode)$$
-# The matching `go test -bench` selectors. Two because go's slash-
-# segmented pattern treats a two-segment regex as sub-benchmark-only: a
-# leaf benchmark (no b.Run) never reports under it. The cluster pair
-# runs separately: its package boots in-process HTTP clusters, so its
-# benchmarks stay out of the engine/server/store selector.
-GATE_BENCH     ?= ^(BenchmarkIngestBatch|BenchmarkQueryInvalidated|BenchmarkStreamIngest256)$$
-GATE_BENCH_SUB ?= ^BenchmarkSnapshotIncremental$$/^keys=16384$$
-GATE_BENCH_CLUSTER ?= ^(BenchmarkClusterQuery|BenchmarkScatterGather|BenchmarkSyncDeadNode)$$
-GATE_MAX       ?= 1.30
-
-.PHONY: build test race fuzz bench bench-baseline benchcmp benchgate e2e chaos lint
+.PHONY: build test race fuzz bench benchgate e2e chaos lint
 
 build:
 	$(GO) build ./...
@@ -53,49 +36,13 @@ bench:
 	$(GO) test -json -run xxx -bench . -benchtime 1x ./internal/engine/ ./internal/server/ ./internal/store/ ./internal/cluster/ > $(BENCH_OUT)
 	@echo "benchmark results written to $(BENCH_OUT)"
 
-# Regenerates the committed baseline: the full 1-iteration sweep plus
-# stable (100x, 3-count) samples of the gated hot paths appended to the
-# same artifact — benchtext takes the per-name minimum across all
-# samples, so the gate compares against the stable ones.
-bench-baseline:
-	$(MAKE) bench BENCH_OUT=$(BENCH_BASELINE)
-	$(GO) test -json -run xxx -bench '$(GATE_BENCH)' -benchtime 100x -count 3 ./internal/engine/ ./internal/server/ >> $(BENCH_BASELINE)
-	$(GO) test -json -run xxx -bench '$(GATE_BENCH_SUB)' -benchtime 100x -count 3 ./internal/engine/ >> $(BENCH_BASELINE)
-	$(GO) test -json -run xxx -bench '$(GATE_BENCH_CLUSTER)' -benchtime 100x -count 3 ./internal/cluster/ >> $(BENCH_BASELINE)
-	@echo "baseline regenerated in $(BENCH_BASELINE)"
-
-# Compares a bench run against the committed baseline
-# (BENCH_baseline.json), so the BENCH_* trajectory is comparable
-# PR-over-PR. Runs the suite unless BENCH_HEAD points at an existing
-# artifact (CI passes the BENCH_<sha>.json it just produced, avoiding a
-# duplicate run and making the comparison describe the uploaded
-# artifact). Uses benchstat when installed
-# (go install golang.org/x/perf/cmd/benchstat@latest); falls back to a
-# plain diff otherwise. cmd/benchtext converts the test2json artifacts
-# into the text format benchstat reads. Advisory: nothing fails here.
-benchcmp:
-ifeq ($(BENCH_HEAD),BENCH_head.json)
-	$(MAKE) bench BENCH_OUT=$(BENCH_HEAD)
-endif
-	$(GO) run ./cmd/benchtext $(BENCH_BASELINE) > BENCH_baseline.txt
-	$(GO) run ./cmd/benchtext $(BENCH_HEAD) > BENCH_head.txt
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat BENCH_baseline.txt BENCH_head.txt; \
-	else \
-		echo "benchstat not found; install with: go install golang.org/x/perf/cmd/benchstat@latest"; \
-		echo "--- baseline vs head (plain diff) ---"; \
-		diff -u BENCH_baseline.txt BENCH_head.txt || true; \
-	fi
-
-# The gated comparison: reruns the allowlisted hot-path benchmarks with
-# enough iterations to be stable (100x, 3 counts; benchtext -gate takes
-# the per-name minimum) and FAILS when any regresses beyond GATE_MAX
-# against the committed baseline.
+# The paired hot-path gate: builds the gated benchmarks from the working
+# tree and from a base revision (HEAD when tracked files have uncommitted
+# changes, else HEAD^1), runs both sides alternately on this host, and
+# FAILS when a gated benchmark's median head/base ratio exceeds the bound
+# in cmd/benchgate.
 benchgate:
-	$(GO) test -json -run xxx -bench '$(GATE_BENCH)' -benchtime 100x -count 3 ./internal/engine/ ./internal/server/ > $(BENCH_GATE)
-	$(GO) test -json -run xxx -bench '$(GATE_BENCH_SUB)' -benchtime 100x -count 3 ./internal/engine/ >> $(BENCH_GATE)
-	$(GO) test -json -run xxx -bench '$(GATE_BENCH_CLUSTER)' -benchtime 100x -count 3 ./internal/cluster/ >> $(BENCH_GATE)
-	$(GO) run ./cmd/benchtext -gate -allow '$(GATE_ALLOW)' -max-regress $(GATE_MAX) $(BENCH_BASELINE) $(BENCH_GATE)
+	$(GO) run ./cmd/benchgate
 
 # Full-wire end-to-end: builds monestd + loadgen, boots the daemon with a
 # data dir, streams binary ingest, verifies SSE pushes against /v1/query,

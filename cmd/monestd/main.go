@@ -155,7 +155,7 @@ func main() {
 	flag.StringVar(&o.allow, "estimators", "", "comma-separated allowlist of estimator base names (empty = all registered)")
 	flag.DurationVar(&o.maxStale, "snapshot-max-stale", 0, "serve cached snapshots up to this old under write load (0 = always exact)")
 	flag.DurationVar(&o.subDebounce, "subscribe-debounce", 100*time.Millisecond, "window coalescing write bursts into one /v1/subscribe push")
-	flag.StringVar(&o.dataDir, "data-dir", "", "state directory or backend:path store spec (empty = in-memory only)")
+	flag.StringVar(&o.dataDir, "data-dir", "", "state directory (empty = in-memory only)")
 	flag.StringVar(&o.fsync, "fsync", "interval", "WAL flush policy: always, interval, never")
 	flag.DurationVar(&o.checkpointIv, "checkpoint-interval", time.Minute, "periodic checkpoint period (0 = only on demand and shutdown)")
 	flag.BoolVar(&o.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")

@@ -24,17 +24,6 @@ func SquareOf(est SeedFunc) float64 {
 	return v
 }
 
-// VarianceOf computes Var[f̂|v] for an unbiased estimator of value:
-// E[f̂²] − value² (equation (16)).
-func VarianceOf(est SeedFunc, value float64) float64 {
-	return SquareOf(est) - value*value
-}
-
-// CumulativeFrom computes M(ρ) = ∫_ρ^1 est(u) du.
-func CumulativeFrom(est SeedFunc, rho float64) float64 {
-	return numeric.Integrate(numeric.Func1(est), rho, 1)
-}
-
 // Ratio holds a competitive-ratio measurement for one data vector.
 type Ratio struct {
 	// Square is E[f̂²] of the measured estimator.

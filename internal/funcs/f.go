@@ -82,25 +82,10 @@ func DataLB(f F, s sampling.TupleScheme, v []float64) core.LowerBoundFunc {
 	}
 }
 
-// DataFamily returns the core.ConsistentFamily of data vector v under
-// scheme s: at each seed it samples the outcome and converts the function's
-// representative vectors into their lower-bound functions.
-func DataFamily(f F, s sampling.TupleScheme, v []float64) core.ConsistentFamily {
-	checkArity(f, len(v))
-	return func(rho float64) []core.LowerBoundFunc {
-		o := s.Sample(v, rho)
-		reps := f.Family(o)
-		lbs := make([]core.LowerBoundFunc, 0, len(reps))
-		for _, z := range reps {
-			lbs = append(lbs, DataLB(f, s, z))
-		}
-		return lbs
-	}
-}
-
-// OutcomeFamily is the honest counterpart of DataFamily for a concrete
-// outcome: the family at seed u ≥ o.Rho is derived from o.At(u). Used by
-// the per-outcome U* estimate.
+// OutcomeFamily returns the core.ConsistentFamily of a concrete outcome:
+// the family at seed u ≥ o.Rho is derived from o.At(u), converting the
+// function's representative vectors into their lower-bound functions.
+// Used by the per-outcome U* estimate.
 func OutcomeFamily(f F, o sampling.TupleOutcome) core.ConsistentFamily {
 	return func(rho float64) []core.LowerBoundFunc {
 		if rho < o.Rho {

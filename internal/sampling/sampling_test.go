@@ -273,52 +273,12 @@ func TestBottomKInclusionProbFormulas(t *testing.T) {
 	}
 }
 
-func TestReservoirUniformity(t *testing.T) {
-	// Each of n items should land in the reservoir with probability k/n.
-	const k, n, trials = 5, 50, 4000
-	counts := make([]int, n)
-	for trial := 0; trial < trials; trial++ {
-		r, err := NewReservoir(k, int64(trial))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			r.Observe(Item{Key: uint64(i), Weight: 1})
-		}
-		for _, it := range r.Items() {
-			counts[it.Key]++
-		}
-	}
-	want := float64(trials) * k / n
-	for i, c := range counts {
-		if math.Abs(float64(c)-want) > 6*math.Sqrt(want) {
-			t.Errorf("item %d sampled %d times, want ≈ %g", i, c, want)
-		}
-	}
-}
-
-func TestReservoirSmallStream(t *testing.T) {
-	r, err := NewReservoir(10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		r.Observe(Item{Key: uint64(i), Weight: 1})
-	}
-	if r.Len() != 4 || r.N() != 4 {
-		t.Errorf("Len=%d N=%d, want 4, 4", r.Len(), r.N())
-	}
-}
-
 func TestValidationErrors(t *testing.T) {
 	if _, err := NewBottomK(0, RankPriority, NewSeedHash(0)); err == nil {
 		t.Error("NewBottomK(0) should fail")
 	}
 	if _, err := NewBottomK(3, RankKind(99), NewSeedHash(0)); err == nil {
 		t.Error("unknown rank kind should fail")
-	}
-	if _, err := NewReservoir(0, 1); err == nil {
-		t.Error("NewReservoir(0) should fail")
 	}
 }
 

@@ -207,9 +207,9 @@ const (
 	FsyncNever    = store.FsyncNever
 )
 
-// OpenStore opens a persistence backend from a "backend:path" spec (a
-// bare path selects the file backend).
-func OpenStore(spec string, opt StoreOptions) (Store, error) { return store.Open(spec, opt) }
+// OpenStore opens the store rooted at state directory dir, creating it
+// if needed.
+func OpenStore(dir string, opt StoreOptions) (Store, error) { return store.Open(dir, opt) }
 
 // AttachStore recovers an empty engine from the store and journals every
 // subsequent ingest through it. The returned Persistence owns both ends:
