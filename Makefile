@@ -44,9 +44,10 @@ bench:
 benchgate:
 	$(GO) run ./cmd/benchgate
 
-# Full-wire end-to-end: builds monestd + loadgen, boots the daemon with a
-# data dir, streams binary ingest, verifies SSE pushes against /v1/query,
-# and exercises graceful drain. Build-tagged so plain `make test` skips it.
+# Full-wire end-to-end: builds monestd and the loadgen wire verifier,
+# boots the daemon with a data dir, streams binary ingest, verifies SSE
+# pushes against /v1/query, and exercises graceful drain. Build-tagged so
+# plain `make test` skips it. Load numbers come from `go run ./bench`.
 e2e:
 	$(GO) test -tags e2e -count=1 -v ./e2e/
 

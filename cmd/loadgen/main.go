@@ -1,42 +1,32 @@
-// Command loadgen drives a running monestd through the streaming wire:
-// it pours synthetic updates into POST /v1/stream over concurrent binary
-// connections, holds SSE subscribers open on GET /v1/subscribe, and — with
-// -verify — asserts that the estimate the daemon pushes equals what POST
-// /v1/query answers at the same engine version. The CI e2e job builds it
-// and points it at a freshly booted daemon; exit status 0 means the whole
-// wire round-tripped.
+// Command loadgen verifies a running monestd through the streaming wire:
+// it holds SSE subscribers on GET /v1/subscribe, streams synthetic updates
+// into POST /v1/stream over idempotency-keyed binary connections, and
+// asserts that the pushed estimate equals what POST /v1/query answers at
+// the same engine version. The e2e and chaos suites run it; load numbers
+// come from `go run ./bench`.
 //
 // Usage:
 //
 //	loadgen -addr http://127.0.0.1:8080 [-updates 100000] [-batch 256]
-//	        [-streams 2] [-instances 2] [-subscribers 4]
-//	        [-query "func=rg&p=1&estimator=lstar"] [-verify]
-//	        [-timeout 30s] [-fault-profile "reset=0.01,drop-response=0.005"]
+//	        [-streams 2] [-subscribers 4] [-fault-profile "reset=0.01,seed=1"]
 //
-// Updates are deterministic: keys and weights derive from the update
-// index, so repeated runs against a fresh daemon build identical sketches.
-// -updates 0 runs read-only: no ingest, just subscribe + query (+ -verify)
-// against whatever the daemon already holds.
-//
-// -fault-profile injects client-side chaos (internal/fault transport
-// faults: latency, connection resets, dropped responses, cut bodies) into
-// every request loadgen makes; ingest rides idempotency-keyed streams
-// that replay through the faults, so the run still completes exactly.
-// The summary reports rate-limit rejections (429s), stream retries,
-// deduped frames, and how many query/push responses carried a cluster
-// "degraded" block.
+// Updates derive from their index and spread over the daemon's instance
+// count; -updates 0 verifies what the daemon already holds. -fault-profile
+// injects internal/fault transport faults into every request; streams
+// replay under their keys, so the run stays exact.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -44,16 +34,21 @@ import (
 	"repro/internal/streamclient"
 )
 
+const (
+	// subscribeQuery and queryBody are the same estimate in the two
+	// spellings: the SSE subscription's URL parameters and POST /v1/query.
+	subscribeQuery = "func=rg&p=1&estimator=lstar"
+	queryBody      = `{"queries":[{"func":"rg","p":1,"estimator":"lstar"}]}`
+	// timeout is the whole run's deadline.
+	timeout = 30 * time.Second
+)
+
 type options struct {
 	addr         string
 	updates      int
 	batch        int
 	streams      int
-	instances    int
 	subscribers  int
-	query        string
-	verify       bool
-	timeout      time.Duration
 	faultProfile string
 }
 
@@ -63,11 +58,7 @@ func main() {
 	flag.IntVar(&o.updates, "updates", 100000, "total updates to stream")
 	flag.IntVar(&o.batch, "batch", 256, "updates per binary frame")
 	flag.IntVar(&o.streams, "streams", 2, "concurrent /v1/stream connections")
-	flag.IntVar(&o.instances, "instances", 2, "instance count updates are spread over (must be <= daemon's)")
-	flag.IntVar(&o.subscribers, "subscribers", 4, "concurrent /v1/subscribe connections")
-	flag.StringVar(&o.query, "query", "func=rg&p=1&estimator=lstar", "subscribe query string")
-	flag.BoolVar(&o.verify, "verify", false, "assert the pushed estimate matches POST /v1/query at the same version")
-	flag.DurationVar(&o.timeout, "timeout", 30*time.Second, "overall deadline")
+	flag.IntVar(&o.subscribers, "subscribers", 4, "concurrent /v1/subscribe connections (at least 1)")
 	flag.StringVar(&o.faultProfile, "fault-profile", "", "internal/fault transport profile, e.g. \"latency=1ms,reset=0.01,drop-response=0.005,seed=1\"")
 	flag.Parse()
 
@@ -84,296 +75,176 @@ func synthUpdate(i, instances int) engine.Update {
 	z := uint64(i)*0x9e3779b97f4a7c15 + 0x243f6a8885a308d3
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return engine.Update{
-		Instance: i % instances,
-		Key:      z ^ (z >> 31),
-		Weight:   float64(i%97) + 0.5,
-	}
+	return engine.Update{Instance: i % instances, Key: z ^ (z >> 31), Weight: float64(i%97) + 0.5}
 }
 
 func run(o options) error {
-	if o.updates < 0 || o.batch <= 0 || o.streams <= 0 || o.instances <= 0 {
-		return fmt.Errorf("-batch, -streams, -instances must be positive and -updates nonnegative")
+	if o.updates < 0 || o.batch <= 0 || o.streams <= 0 || o.subscribers <= 0 {
+		return fmt.Errorf("-batch, -streams, -subscribers must be positive and -updates nonnegative")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), o.timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
+	base := strings.TrimSuffix(o.addr, "/")
 	client := &http.Client{}
-	var ft *fault.Transport
 	if o.faultProfile != "" {
 		prof, err := fault.ParseProfile(o.faultProfile)
 		if err != nil {
 			return fmt.Errorf("-fault-profile: %w", err)
 		}
-		ft = fault.NewTransport(prof, nil)
+		ft := fault.NewTransport(prof, nil)
 		client.Transport = ft
-		fmt.Printf("fault profile active: %s\n", o.faultProfile)
+		defer func() {
+			fs := ft.Stats()
+			fmt.Printf("injected faults: %d requests, %d resets, %d dropped responses, %d cut bodies\n",
+				fs.Requests, fs.Resets, fs.Dropped, fs.Cut)
+		}()
 	}
 
 	// Subscribers go up first so every push from the ingest run is theirs
-	// to observe. Each remembers its latest push.
-	type subState struct {
-		sub  *streamclient.Subscription
-		last atomic.Pointer[streamclient.Push]
-		done chan struct{}
-	}
-	var degradedPushes atomic.Int64
-	subs := make([]*subState, 0, o.subscribers)
-	for i := 0; i < o.subscribers; i++ {
-		sub, err := subscribeRetry(ctx, client, o.addr, o.query)
-		if err != nil {
+	// to observe; the server buffers pushes drop-oldest, so the freshest
+	// one is always there to read.
+	subs := make([]*streamclient.Subscription, o.subscribers)
+	for i := range subs {
+		var err error
+		if subs[i], err = retry(ctx, func() (*streamclient.Subscription, error) {
+			return streamclient.Subscribe(ctx, client, base, subscribeQuery)
+		}); err != nil {
 			return fmt.Errorf("subscriber %d: %w", i, err)
 		}
-		st := &subState{sub: sub, done: make(chan struct{})}
-		subs = append(subs, st)
-		go func() {
-			defer close(st.done)
-			for {
-				p, err := st.sub.NextPush()
-				if err != nil {
-					return
-				}
-				if len(p.Degraded) > 0 && string(p.Degraded) != "null" {
-					degradedPushes.Add(1)
-				}
-				st.last.Store(&p)
-			}
-		}()
+		defer subs[i].Close()
 	}
-	defer func() {
-		for _, st := range subs {
-			st.sub.Close()
-		}
-	}()
 
-	// Fan the update range over the stream connections; each is one
-	// idempotency-keyed Pump, so a 429 or an injected transport fault
-	// replays under the same key and every update still lands exactly once.
 	if o.updates > 0 {
-		per := (o.updates + o.streams - 1) / o.streams
-		runNonce := time.Now().UnixNano()
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var total streamclient.PumpStats
-		errc := make(chan error, o.streams)
-		start := time.Now()
-		for s := 0; s < o.streams; s++ {
-			lo, hi := s*per, (s+1)*per
-			if hi > o.updates {
-				hi = o.updates
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(s, lo, hi int) {
-				defer wg.Done()
-				key := fmt.Sprintf("loadgen-%d-%d", runNonce, s)
-				next := func(frame int) ([]engine.Update, bool) {
-					flo := lo + frame*o.batch
-					if flo >= hi {
-						return nil, false
-					}
-					fhi := min(flo+o.batch, hi)
-					batch := make([]engine.Update, 0, fhi-flo)
-					for i := flo; i < fhi; i++ {
-						batch = append(batch, synthUpdate(i, o.instances))
-					}
-					return batch, true
-				}
-				ps, err := streamclient.Pump(ctx, client, o.addr, key, next, 50)
-				mu.Lock()
-				total.Frames += ps.Frames
-				total.Updates += ps.Updates
-				total.SkippedFrames += ps.SkippedFrames
-				total.SkippedUpdates += ps.SkippedUpdates
-				total.RateLimited += ps.RateLimited
-				total.Retries += ps.Retries
-				mu.Unlock()
-				if err != nil {
-					errc <- err
-				}
-			}(s, lo, hi)
+		if err := ingest(ctx, client, base, o); err != nil {
+			return err
 		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		select {
-		case err := <-errc:
-			return fmt.Errorf("stream: %w", err)
-		default:
-		}
-		streamed := total.Updates + total.SkippedUpdates
-		rate := float64(streamed) / elapsed.Seconds()
-		fmt.Printf("streamed %d updates in %v over %d connections (%.0f updates/s)\n",
-			streamed, elapsed.Round(time.Millisecond), o.streams, rate)
-		fmt.Printf("backpressure: %d rate-limited (429), %d stream retries, %d frames deduped on replay\n",
-			total.RateLimited, total.Retries, total.SkippedFrames)
-	} else {
-		fmt.Println("read-only run (-updates 0): no ingest")
-	}
-	if ft != nil {
-		fs := ft.Stats()
-		fmt.Printf("injected faults: %d requests, %d resets, %d dropped responses, %d cut bodies\n",
-			fs.Requests, fs.Resets, fs.Dropped, fs.Cut)
 	}
 
-	if o.subscribers == 0 {
-		return nil
-	}
-
-	// All ingest is acknowledged (Close returned the server summary), so
-	// the daemon's version is final. Wait for every subscriber's latest
-	// push to reach it, then — under -verify — replay the same query over
-	// POST /v1/query and demand byte-equal results at that version.
-	finalVersion, queried, degradedQuery, err := queryRetry(ctx, client, o.addr, o.query)
+	// All ingest is acknowledged, so the daemon's version is final. Query
+	// it, then read each subscriber up to that version and demand
+	// structurally equal results. A /v1/query answer has a push's shape.
+	q, err := retry(ctx, func() (streamclient.Push, error) {
+		return fetch[streamclient.Push](ctx, client, http.MethodPost, base+"/v1/query", queryBody)
+	})
 	if err != nil {
-		return err
+		return fmt.Errorf("query: %w", err)
 	}
-	degradedQueries := 0
-	if degradedQuery {
-		degradedQueries++
-	}
-	deadline := time.NewTimer(o.timeout)
-	defer deadline.Stop()
-	for i, st := range subs {
+	degradedPushes := 0
+	for i, sub := range subs {
+		var p streamclient.Push
 		for {
-			if p := st.last.Load(); p != nil && p.Version >= finalVersion {
+			if p, err = sub.NextPush(); err != nil {
+				return fmt.Errorf("subscriber %d never saw version %d: %w", i, q.Version, err)
+			}
+			degradedPushes += degraded(p.Degraded)
+			if p.Version >= q.Version {
 				break
 			}
-			select {
-			case <-st.done:
-				return fmt.Errorf("subscriber %d closed before reaching version %d", i, finalVersion)
-			case <-deadline.C:
-				return fmt.Errorf("subscriber %d never saw version %d", i, finalVersion)
-			case <-time.After(10 * time.Millisecond):
-			}
 		}
-	}
-	fmt.Printf("%d subscribers caught up to version %d\n", len(subs), finalVersion)
-	fmt.Printf("degraded reads: %d queries, %d pushes carried a degraded block\n",
-		degradedQueries, degradedPushes.Load())
-
-	if !o.verify {
-		return nil
-	}
-	for i, st := range subs {
-		p := st.last.Load()
-		if p.Version != finalVersion {
+		switch {
+		case p.Version != q.Version:
 			// The daemon mutated after our query (another writer?): refuse
 			// to compare across versions rather than report a false pass.
 			return fmt.Errorf("subscriber %d is at version %d, query answered %d — is another writer active?",
-				i, p.Version, finalVersion)
-		}
-		if len(p.Results) != len(queried) {
-			return fmt.Errorf("subscriber %d push has %d results, query %d", i, len(p.Results), len(queried))
-		}
-		for j := range queried {
-			if !jsonEqual(p.Results[j], queried[j]) {
-				return fmt.Errorf("subscriber %d result %d: push %s != query %s", i, j, p.Results[j], queried[j])
-			}
+				i, p.Version, q.Version)
+		case !jsonEqual(p.Results, q.Results):
+			return fmt.Errorf("subscriber %d: push %s != query %s", i, p.Results, q.Results)
 		}
 	}
-	fmt.Printf("verified: pushed estimates equal POST /v1/query at version %d\n", finalVersion)
+	fmt.Printf("degraded reads: %d queries, %d pushes carried a degraded block\n", degraded(q.Degraded), degradedPushes)
+	fmt.Printf("verified: pushed estimates equal POST /v1/query at version %d\n", q.Version)
 	return nil
 }
 
-// subscribeRetry opens a subscription, absorbing transient (injected or
-// real) transport failures with a short backoff.
-func subscribeRetry(ctx context.Context, client *http.Client, addr, rawQuery string) (*streamclient.Subscription, error) {
-	var err error
-	for attempt := 0; attempt < 8; attempt++ {
-		var sub *streamclient.Subscription
-		if sub, err = streamclient.Subscribe(ctx, client, addr, rawQuery); err == nil {
-			return sub, nil
-		}
-		select {
-		case <-time.After(100 * time.Millisecond):
-		case <-ctx.Done():
-			return nil, err
-		}
-	}
-	return nil, err
-}
-
-// queryRetry is queryOnce with the same transient-failure tolerance.
-func queryRetry(ctx context.Context, client *http.Client, addr, rawQuery string) (uint64, []json.RawMessage, bool, error) {
-	var (
-		version  uint64
-		results  []json.RawMessage
-		degraded bool
-		err      error
-	)
-	for attempt := 0; attempt < 8; attempt++ {
-		if version, results, degraded, err = queryOnce(ctx, client, addr, rawQuery); err == nil {
-			return version, results, degraded, nil
-		}
-		select {
-		case <-time.After(100 * time.Millisecond):
-		case <-ctx.Done():
-			return 0, nil, false, err
-		}
-	}
-	return 0, nil, false, err
-}
-
-// queryOnce answers the subscribe query over POST /v1/query, translating
-// the URL-parameter form into one batched query object. The bool reports
-// whether the response carried a cluster "degraded" block.
-func queryOnce(ctx context.Context, client *http.Client, addr, rawQuery string) (uint64, []json.RawMessage, bool, error) {
-	spec := map[string]any{}
-	for _, kv := range strings.Split(rawQuery, "&") {
-		if kv == "" {
-			continue
-		}
-		k, v, _ := strings.Cut(kv, "=")
-		switch k {
-		case "p", "c":
-			var f float64
-			if _, err := fmt.Sscan(v, &f); err != nil {
-				return 0, nil, false, fmt.Errorf("query param %s=%q: %w", k, v, err)
-			}
-			spec[k] = f
-		case "keys", "ids":
-			spec[k] = strings.Split(v, ",")
-		case "queries":
-			return 0, nil, false, fmt.Errorf("-verify supports parameter-form queries only, not queries=[...]")
-		default:
-			spec[k] = v
-		}
-	}
-	body, _ := json.Marshal(map[string]any{"queries": []any{spec}})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, strings.TrimSuffix(addr, "/")+"/v1/query", strings.NewReader(string(body)))
+// ingest fans the update range over o.streams connections. Each is one
+// idempotency-keyed Pump, so a 429 or an injected transport fault replays
+// under the same key and every update still lands exactly once.
+func ingest(ctx context.Context, client *http.Client, base string, o options) error {
+	type stats struct{ Engine struct{ Instances int } } // JSON keys match case-insensitively
+	st, err := retry(ctx, func() (stats, error) {
+		return fetch[stats](ctx, client, http.MethodGet, base+"/v1/stats", "")
+	})
 	if err != nil {
-		return 0, nil, false, err
+		return fmt.Errorf("stats: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	instances := st.Engine.Instances
+	if instances <= 0 {
+		return fmt.Errorf("/v1/stats reports %d instances", instances)
+	}
+	per := (o.updates + o.streams - 1) / o.streams
+	nonce := time.Now().UnixNano()
+	errs := make([]error, o.streams)
+	var wg sync.WaitGroup
+	for s := 0; s*per < o.updates; s++ {
+		lo, hi := s*per, min((s+1)*per, o.updates)
+		key := fmt.Sprintf("loadgen-%d-%d", nonce, s)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[s] = streamclient.Pump(ctx, client, base, key, func(frame int) ([]engine.Update, bool) {
+				flo := lo + frame*o.batch
+				batch := make([]engine.Update, 0, o.batch)
+				for i := flo; i < min(flo+o.batch, hi); i++ {
+					batch = append(batch, synthUpdate(i, instances))
+				}
+				return batch, flo < hi
+			})
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return fmt.Errorf("stream: %w", err)
+	}
+	return nil
+}
+
+// retry calls f until it succeeds, absorbing transient (injected or real)
+// transport failures with a short backoff.
+func retry[T any](ctx context.Context, f func() (T, error)) (T, error) {
+	v, err := f()
+	for attempt := 1; err != nil && attempt < 8; attempt++ {
+		select {
+		case <-time.After(100 * time.Millisecond):
+		case <-ctx.Done():
+			return v, err
+		}
+		v, err = f()
+	}
+	return v, err
+}
+
+// fetch sends one request and decodes a 200 JSON answer.
+func fetch[T any](ctx context.Context, client *http.Client, method, url, body string) (T, error) {
+	var out T
+	req, err := http.NewRequestWithContext(ctx, method, url, strings.NewReader(body))
+	if err != nil {
+		return out, err
+	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return 0, nil, false, err
+		return out, err
 	}
 	defer resp.Body.Close()
-	var out struct {
-		Version  uint64            `json:"version"`
-		Results  []json.RawMessage `json:"results"`
-		Degraded json.RawMessage   `json:"degraded"`
-	}
 	if resp.StatusCode != http.StatusOK {
-		return 0, nil, false, fmt.Errorf("query: status %d", resp.StatusCode)
+		return out, fmt.Errorf("%s %s: status %d", method, url, resp.StatusCode)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, nil, false, err
-	}
-	degraded := len(out.Degraded) > 0 && string(out.Degraded) != "null"
-	return out.Version, out.Results, degraded, nil
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	return out, err
 }
 
-// jsonEqual compares two JSON documents structurally (key order and
-// whitespace insensitive).
-func jsonEqual(a, b json.RawMessage) bool {
-	var av, bv any
-	if json.Unmarshal(a, &av) != nil || json.Unmarshal(b, &bv) != nil {
-		return false
+// degraded is 1 when a response carried a cluster "degraded" block, else 0.
+func degraded(raw json.RawMessage) int {
+	if len(raw) > 0 && string(raw) != "null" {
+		return 1
 	}
-	ab, _ := json.Marshal(av)
-	bb, _ := json.Marshal(bv)
-	return string(ab) == string(bb)
+	return 0
+}
+
+// jsonEqual reports whether a and b encode the same JSON value (key order
+// and whitespace insensitive).
+func jsonEqual(a, b any) bool {
+	var av, bv any
+	ab, _ := json.Marshal(a) // a failed Marshal leaves nil, which Unmarshal rejects
+	bb, _ := json.Marshal(b)
+	return json.Unmarshal(ab, &av) == nil && json.Unmarshal(bb, &bv) == nil && reflect.DeepEqual(av, bv)
 }

@@ -59,12 +59,12 @@ func getStatus(t *testing.T, url string) int {
 // TestChaos is the failure-domain acceptance scenario: a 3-node cluster
 // under -cluster-read=quorum=2 with one node behind a fault proxy.
 //
-//  1. Healthy phase: loadgen -verify passes THROUGH client-side injected
+//  1. Healthy phase: loadgen verifies THROUGH client-side injected
 //     faults (latency, resets, dropped responses) — the idempotency-keyed
 //     stream replays make the run exact anyway.
 //  2. Partition phase: the proxied node is cut. The coordinator keeps
 //     serving 200s whose bodies carry a degraded block naming the missing
-//     node; a read-only loadgen -verify passes against the reachable
+//     node; a read-only loadgen run verifies against the reachable
 //     subset; direct writes to a live node advance the served estimate
 //     while still degraded; /readyz stays ready (the floor is met).
 //  3. Heal phase: the partition lifts, the degraded label clears.
@@ -110,20 +110,18 @@ func TestChaos(t *testing.T) {
 	// Rates are high because loadgen makes FEW requests (each stream is
 	// one connection): this draws a handful of faults per run, not a
 	// storm. Every fault class here is retried — resets and dropped
-	// responses by Pump/subscribeRetry/queryRetry.
+	// responses by Pump and loadgen's retry helper.
 	profile := fmt.Sprintf("latency=1ms,jitter=2ms,reset=0.15,drop-response=0.15,seed=%s", seed)
 	lg := exec.Command(loadgen,
 		"-addr", coordBase,
 		"-updates", "4000", "-batch", "64", "-streams", "4",
-		"-instances", "2", "-subscribers", "3",
-		"-query", "func=rg&p=1&estimator=lstar",
+		"-subscribers", "3",
 		"-fault-profile", profile,
-		"-verify",
 	)
 	out, err := lg.CombinedOutput()
 	t.Logf("loadgen (healthy, faults injected):\n%s", out)
 	if err != nil {
-		t.Fatalf("loadgen -verify under fault profile %q failed: %v", profile, err)
+		t.Fatalf("loadgen under fault profile %q failed: %v", profile, err)
 	}
 	if !strings.Contains(string(out), "verified") {
 		t.Fatalf("loadgen did not report verification:\n%s", out)
@@ -169,17 +167,15 @@ func TestChaos(t *testing.T) {
 		t.Errorf("degraded coordinator /healthz = %d, want 200", s)
 	}
 
-	// Read-only verified load against the reachable subset.
+	// Read-only verified run against the reachable subset.
 	lg = exec.Command(loadgen,
 		"-addr", coordBase,
 		"-updates", "0", "-subscribers", "2",
-		"-query", "func=rg&p=1&estimator=lstar",
-		"-verify",
 	)
 	out, err = lg.CombinedOutput()
 	t.Logf("loadgen (read-only, degraded):\n%s", out)
 	if err != nil {
-		t.Fatalf("read-only loadgen -verify against degraded cluster failed: %v", err)
+		t.Fatalf("read-only loadgen against degraded cluster failed: %v", err)
 	}
 	if !strings.Contains(string(out), "verified") {
 		t.Fatalf("degraded read-only run did not verify:\n%s", out)

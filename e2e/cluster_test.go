@@ -97,14 +97,12 @@ func TestCluster(t *testing.T) {
 	lg := exec.Command(loadgen,
 		"-addr", coordBase,
 		"-updates", "6000", "-batch", "128", "-streams", "2",
-		"-instances", "2", "-subscribers", "2",
-		"-query", "func=rg&p=1&estimator=lstar",
-		"-verify",
+		"-subscribers", "2",
 	)
 	out, err := lg.CombinedOutput()
 	t.Logf("loadgen:\n%s", out)
 	if err != nil {
-		t.Fatalf("loadgen -verify through coordinator failed: %v", err)
+		t.Fatalf("loadgen through coordinator failed: %v", err)
 	}
 	if !strings.Contains(string(out), "verified") {
 		t.Fatalf("loadgen did not report verification:\n%s", out)

@@ -2,9 +2,9 @@
 
 // Package e2e exercises the daemon over the real wire: it builds the
 // monestd and loadgen binaries, boots the daemon with a data dir, drives
-// binary streaming ingest plus SSE subscribers through loadgen -verify
-// (which asserts the pushed estimate equals POST /v1/query at the same
-// version), and checks graceful shutdown delivers the final drain event.
+// binary streaming ingest plus SSE subscribers through loadgen (which
+// asserts the pushed estimate equals POST /v1/query at the same version),
+// and checks graceful shutdown delivers the final drain event.
 // Build-tagged so `go test ./...` skips it; CI and `make e2e` run
 // `go test -tags e2e ./e2e/`.
 package e2e
@@ -95,20 +95,18 @@ func TestFullWire(t *testing.T) {
 	daemon := startDaemon(t, monestd, addr, t.TempDir())
 	base := "http://" + addr
 
-	// loadgen -verify is the end-to-end assertion: binary streaming
-	// ingest over concurrent connections, SSE subscribers catching up to
-	// the final version, pushed estimates byte-equal to POST /v1/query.
+	// loadgen is the end-to-end assertion: binary streaming ingest over
+	// concurrent connections, SSE subscribers catching up to the final
+	// version, pushed estimates byte-equal to POST /v1/query.
 	lg := exec.Command(loadgen,
 		"-addr", base,
 		"-updates", "20000", "-batch", "256", "-streams", "2",
-		"-instances", "2", "-subscribers", "4",
-		"-query", "func=rg&p=1&estimator=lstar",
-		"-verify",
+		"-subscribers", "4",
 	)
 	out, err := lg.CombinedOutput()
 	t.Logf("loadgen:\n%s", out)
 	if err != nil {
-		t.Fatalf("loadgen -verify failed: %v", err)
+		t.Fatalf("loadgen failed: %v", err)
 	}
 	if !strings.Contains(string(out), "verified") {
 		t.Fatalf("loadgen did not report verification:\n%s", out)

@@ -108,9 +108,6 @@ func (r *Ring) Owner(key uint64) int {
 	return int(r.owner[i])
 }
 
-// OwnerAddr returns the owning node's address.
-func (r *Ring) OwnerAddr(key uint64) string { return r.nodes[r.Owner(key)] }
-
 // Nodes returns the ring's node addresses in construction order. The
 // slice is shared; callers must not mutate it.
 func (r *Ring) Nodes() []string { return r.nodes }

@@ -365,11 +365,6 @@ type SnapshotStats struct {
 	// ThresholdRefreshes counts rebuilds where the global thresholds moved,
 	// forcing every partition to re-reduce despite clean shards.
 	ThresholdRefreshes uint64 `json:"threshold_refreshes"`
-	// ThresholdSkips counts rebuilds that skipped the global threshold
-	// re-gather entirely because every dirty partition's k+1 smallest
-	// retained ranks were unchanged (the cached thresholds are provably
-	// still exact).
-	ThresholdSkips uint64 `json:"threshold_skips"`
 	// PlanRebuilds counts key-merge-plan reconstructions (new keys
 	// appeared; weight-only churn reuses the plan).
 	PlanRebuilds uint64 `json:"plan_rebuilds"`
@@ -392,7 +387,6 @@ type snapshotCounters struct {
 	partsRebuilt    atomic.Uint64
 	partsReused     atomic.Uint64
 	threshRefreshes atomic.Uint64
-	threshSkips     atomic.Uint64
 	planRebuilds    atomic.Uint64
 }
 
@@ -434,7 +428,6 @@ func (e *Engine) Stats() Stats {
 		PartitionsRebuilt:  e.snapCtr.partsRebuilt.Load(),
 		PartitionsReused:   e.snapCtr.partsReused.Load(),
 		ThresholdRefreshes: e.snapCtr.threshRefreshes.Load(),
-		ThresholdSkips:     e.snapCtr.threshSkips.Load(),
 		PlanRebuilds:       e.snapCtr.planRebuilds.Load(),
 	}
 	for _, sh := range e.shards {

@@ -54,20 +54,14 @@ type partition struct {
 	// unset here; the rebuild fills it in its merged copy.
 	exc []sampling.PlacedOutcome
 	// ranks holds, per instance, the k+1 smallest retained ranks of THIS
-	// partition (sorted ascending). It serves double duty: the global
-	// threshold gather works from these short lists instead of every
-	// retained entry (the k+1 smallest of a union are each among their own
-	// partition's k+1 smallest), and an unchanged ranks cache across a
-	// rebuild proves the partition's threshold contribution is unchanged —
-	// the threshold-stable skip's evidence.
+	// partition (sorted ascending): the global threshold gather works from
+	// these short lists instead of every retained entry (the k+1 smallest
+	// of a union are each among their own partition's k+1 smallest).
 	ranks [][]float64
 	// sampled and active are the partition's contributions to the sample's
 	// SampledEntries / TotalEntries bookkeeping.
 	sampled int
 	active  int
-	// reduced records that the partition was ever reduced (exc is empty
-	// for a partition that reveals nothing either way).
-	reduced bool
 }
 
 // rebuildLocked cuts the engine, re-reduces exactly the stale partitions
@@ -87,7 +81,7 @@ func (e *Engine) rebuildLocked() SnapshotView {
 	// Consistent cut: all shard locks in index order; dirty shards have
 	// their keys and heap entries copied out, clean shards cost one atomic
 	// load — their cached partition is provably identical (invariant 1).
-	prev := make([]*partition, ns)
+	// Every cached partition was reduced by the rebuild that cut it.
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 	}
@@ -96,12 +90,11 @@ func (e *Engine) rebuildLocked() SnapshotView {
 		m := sh.muts.Load()
 		version += m
 		old := e.parts[s]
-		if old != nil && old.reduced && old.muts == m {
+		if old != nil && old.muts == m {
 			continue
 		}
 		anyDirty = true
 		dirty[s] = true
-		prev[s] = old
 		p := &partition{muts: m, active: sh.activeEntries, retained: make([][]bkEntry, r)}
 		if old != nil && len(old.keys) == len(sh.items) {
 			p.keys = old.keys // invariant 2: same count ⇒ same sorted set
@@ -144,15 +137,7 @@ func (e *Engine) rebuildLocked() SnapshotView {
 	}
 
 	// Refresh each dirty partition's per-instance k+1 smallest rank cache.
-	// When every dirty partition's cache comes out unchanged, no partition's
-	// threshold contribution moved (clean partitions are unchanged by
-	// invariant 1), so the global thresholds provably equal the cached
-	// e.thresh — the whole re-gather is skipped. This is the common case for
-	// registry-only churn: new (instance, key) activity whose rank never
-	// makes the shard's bottom-(k+1) heap still flips a mask bit (a visible
-	// mutation, so a rebuild runs) without moving any retained rank.
 	var ranks []float64
-	ranksStable := e.thresh != nil
 	for s, p := range e.parts {
 		if !dirty[s] {
 			continue
@@ -165,39 +150,32 @@ func (e *Engine) rebuildLocked() SnapshotView {
 			}
 			p.ranks[i] = sampling.KSmallest(ranks, k+1)
 		}
-		if old := prev[s]; old == nil || !old.reduced || !rankCachesEqual(old.ranks, p.ranks) {
-			ranksStable = false
-		}
 	}
 
 	// Global thresholds from every partition's rank cache. The k+1 smallest
 	// ranks of the union are each among their own partition's k+1 smallest,
 	// so gathering the short cached lists reproduces the monolithic
 	// reduction's thresholds exactly in O(shards·k) instead of O(retained).
-	threshChanged := false
-	if ranksStable {
-		e.snapCtr.threshSkips.Add(1)
-	} else {
-		insts := make([]instThresholds, r)
-		for i := 0; i < r; i++ {
-			ranks = ranks[:0]
-			for _, p := range e.parts {
-				ranks = append(ranks, p.ranks[i]...)
-			}
-			insts[i] = newInstThresholds(sampling.KSmallest(ranks, k+1), k)
+	insts := make([]instThresholds, r)
+	for i := 0; i < r; i++ {
+		ranks = ranks[:0]
+		for _, p := range e.parts {
+			ranks = append(ranks, p.ranks[i]...)
 		}
-		if threshChanged = e.thresh == nil || !slices.Equal(insts, e.thresh.insts); threshChanged {
-			if e.thresh != nil {
-				e.snapCtr.threshRefreshes.Add(1)
-			}
-			e.thresh = newSchemeSet(insts)
+		insts[i] = newInstThresholds(sampling.KSmallest(ranks, k+1), k)
+	}
+	threshChanged := e.thresh == nil || !slices.Equal(insts, e.thresh.insts)
+	if threshChanged {
+		if e.thresh != nil {
+			e.snapCtr.threshRefreshes.Add(1)
 		}
+		e.thresh = newSchemeSet(insts)
 	}
 
 	// Re-reduce stale partitions. A clean partition under moved thresholds
 	// reuses its keys and entries.
 	for s, p := range e.parts {
-		if p.reduced && !dirty[s] && !threshChanged {
+		if !dirty[s] && !threshChanged {
 			e.snapCtr.partsReused.Add(1)
 			continue
 		}
@@ -217,12 +195,6 @@ func (e *Engine) rebuildLocked() SnapshotView {
 	return view
 }
 
-// rankCachesEqual reports whether two per-instance rank caches hold
-// identical values (ranks are finite positives, so == is exact).
-func rankCachesEqual(a, b [][]float64) bool {
-	return slices.EqualFunc(a, b, slices.Equal)
-}
-
 // arenaChunk is how many outcomes' Known/Vals backing one arena
 // allocation of reducePartition holds.
 const arenaChunk = 32
@@ -237,7 +209,7 @@ const arenaChunk = 32
 func (e *Engine) reducePartition(p *partition) {
 	th := e.thresh
 	r := len(th.insts)
-	p.exc, p.sampled, p.reduced = nil, 0, true
+	p.exc, p.sampled = nil, 0
 	// cur[i] walks instance i's retained entries in lockstep with the
 	// ascending key order the walk produces.
 	cur := make([]int, r)

@@ -4,7 +4,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 )
 
 // proxyMode is the Proxy's current failure posture.
@@ -19,17 +18,15 @@ const (
 // Proxy is a TCP proxy for whole-process fault tests: a daemon under
 // test is addressed through the proxy, and the test flips the proxy
 // into partition or blackhole mode to simulate network failure without
-// touching the daemon. The zero modes forward transparently, with an
-// optional per-connection latency.
+// touching the daemon. The zero mode forwards transparently.
 type Proxy struct {
 	target string
 	ln     net.Listener
 
-	mu      sync.Mutex
-	mode    proxyMode
-	latency time.Duration
-	conns   map[net.Conn]struct{}
-	closed  bool
+	mu     sync.Mutex
+	mode   proxyMode
+	conns  map[net.Conn]struct{}
+	closed bool
 }
 
 // NewProxy listens on 127.0.0.1:0 and forwards to target ("host:port").
@@ -76,13 +73,6 @@ func (p *Proxy) setMode(on bool, m proxyMode) {
 	p.mu.Unlock()
 }
 
-// SetLatency delays each new connection's forwarding by d.
-func (p *Proxy) SetLatency(d time.Duration) {
-	p.mu.Lock()
-	p.latency = d
-	p.mu.Unlock()
-}
-
 // Close stops the proxy and closes every tracked connection.
 func (p *Proxy) Close() error {
 	p.mu.Lock()
@@ -123,7 +113,7 @@ func (p *Proxy) untrack(c net.Conn) {
 
 func (p *Proxy) handle(down net.Conn) {
 	p.mu.Lock()
-	mode, latency, closed := p.mode, p.latency, p.closed
+	mode, closed := p.mode, p.closed
 	p.mu.Unlock()
 	if closed || mode == proxyPartition {
 		down.Close()
@@ -134,9 +124,6 @@ func (p *Proxy) handle(down net.Conn) {
 		return
 	}
 	defer p.untrack(down)
-	if latency > 0 {
-		time.Sleep(latency)
-	}
 	if mode == proxyBlackhole {
 		// Swallow until the client gives up or Partition/Close kills us.
 		io.Copy(io.Discard, down)

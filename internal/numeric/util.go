@@ -32,18 +32,6 @@ func Sum(xs []float64) float64 {
 	return k.Sum()
 }
 
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	switch {
-	case x < lo:
-		return lo
-	case x > hi:
-		return hi
-	default:
-		return x
-	}
-}
-
 // EqualWithin reports whether a and b agree to within tol absolutely or
 // relatively (whichever is more permissive).
 func EqualWithin(a, b, tol float64) bool {

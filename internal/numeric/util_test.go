@@ -7,22 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestClamp(t *testing.T) {
-	tests := []struct {
-		x, lo, hi, want float64
-	}{
-		{-1, 0, 1, 0},
-		{2, 0, 1, 1},
-		{0.5, 0, 1, 0.5},
-		{0, 0, 0, 0},
-	}
-	for _, tt := range tests {
-		if got := Clamp(tt.x, tt.lo, tt.hi); got != tt.want {
-			t.Errorf("Clamp(%g,%g,%g) = %g, want %g", tt.x, tt.lo, tt.hi, got, tt.want)
-		}
-	}
-}
-
 func TestLinspace(t *testing.T) {
 	xs := Linspace(0, 1, 5)
 	want := []float64{0, 0.25, 0.5, 0.75, 1}

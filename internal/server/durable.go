@@ -176,7 +176,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) (int, err
 	counter("monest_snapshot_partitions_rebuilt_total", "Per-shard partitions re-reduced during rebuilds.", float64(st.Snapshot.PartitionsRebuilt))
 	counter("monest_snapshot_partitions_reused_total", "Per-shard partitions reused verbatim during rebuilds.", float64(st.Snapshot.PartitionsReused))
 	counter("monest_snapshot_threshold_refreshes_total", "Rebuilds where the global thresholds moved (all partitions re-reduced).", float64(st.Snapshot.ThresholdRefreshes))
-	counter("monest_snapshot_threshold_skips_total", "Rebuilds that skipped the global threshold re-gather (per-partition k+1 smallest ranks unchanged).", float64(st.Snapshot.ThresholdSkips))
 	counter("monest_snapshot_plan_rebuilds_total", "Merge-plan rebuilds (key set changed).", float64(st.Snapshot.PlanRebuilds))
 
 	wire := s.wire.view()

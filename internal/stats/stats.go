@@ -1,12 +1,8 @@
 // Package stats provides the small statistics toolkit used by the
-// experiment harness: streaming moments, error metrics, and quantiles.
+// experiment harness: streaming moments and error metrics.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Welford is a streaming mean/variance accumulator (numerically stable).
 // The zero value is ready for use.
@@ -52,16 +48,14 @@ func (w *Welford) StdErr() float64 {
 // ErrorMeter accumulates estimate/truth pairs and reports normalized error
 // metrics, the workhorse of the Section 7 experiment reproductions.
 type ErrorMeter struct {
-	sqErr  Welford
-	absErr Welford
-	truth  Welford
-	bias   Welford
+	sqErr Welford
+	truth Welford
+	bias  Welford
 }
 
 // Add records one (estimate, truth) pair.
 func (m *ErrorMeter) Add(estimate, truth float64) {
 	m.sqErr.Add((estimate - truth) * (estimate - truth))
-	m.absErr.Add(math.Abs(estimate - truth))
 	m.truth.Add(truth)
 	m.bias.Add(estimate - truth)
 }
@@ -80,9 +74,6 @@ func (m *ErrorMeter) NRMSE() float64 {
 	return m.RMSE() / math.Abs(m.truth.Mean())
 }
 
-// MeanAbs returns the mean absolute error.
-func (m *ErrorMeter) MeanAbs() float64 { return m.absErr.Mean() }
-
 // Bias returns the mean signed error (≈0 for unbiased estimators).
 func (m *ErrorMeter) Bias() float64 { return m.bias.Mean() }
 
@@ -92,27 +83,6 @@ func (m *ErrorMeter) RelBias() float64 {
 		return math.NaN()
 	}
 	return m.Bias() / math.Abs(m.truth.Mean())
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear
-// interpolation of the order statistics. xs is not modified.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: quantile of empty slice")
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("stats: quantile level %g outside [0,1]", q)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
 // Mean returns the arithmetic mean of xs (0 when empty).

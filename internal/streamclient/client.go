@@ -89,14 +89,6 @@ func parseStreamError(status int, body []byte) (*StreamError, bool) {
 	return se, true
 }
 
-// StreamOptions tunes OpenStreamWith.
-type StreamOptions struct {
-	// IdempotencyKey, when non-empty, rides as the Idempotency-Key
-	// header: replaying the same stream under the same key makes
-	// already-applied frames no-ops on the server.
-	IdempotencyKey string
-}
-
 // Stream is one open binary ingest connection. Send frames with Send;
 // Close ends the stream and returns the server's summary. Not safe for
 // concurrent use.
@@ -104,7 +96,6 @@ type Stream struct {
 	pw   *io.PipeWriter
 	resp chan streamResult
 	buf  []byte
-	sent int
 }
 
 type streamResult struct {
@@ -118,11 +109,13 @@ type streamResult struct {
 // connection carries an unbounded update stream with the server applying
 // batches as they arrive.
 func OpenStream(ctx context.Context, client *http.Client, baseURL string) (*Stream, error) {
-	return OpenStreamWith(ctx, client, baseURL, StreamOptions{})
+	return openStream(ctx, client, baseURL, "")
 }
 
-// OpenStreamWith is OpenStream with options (idempotency key).
-func OpenStreamWith(ctx context.Context, client *http.Client, baseURL string, opts StreamOptions) (*Stream, error) {
+// openStream is OpenStream with an idempotency key: when non-empty it
+// rides as the Idempotency-Key header, so replaying the same stream under
+// the same key makes already-applied frames no-ops on the server.
+func openStream(ctx context.Context, client *http.Client, baseURL, key string) (*Stream, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
@@ -133,8 +126,8 @@ func OpenStreamWith(ctx context.Context, client *http.Client, baseURL string, op
 		return nil, err
 	}
 	req.Header.Set("Content-Type", store.StreamContentType)
-	if opts.IdempotencyKey != "" {
-		req.Header.Set("Idempotency-Key", opts.IdempotencyKey)
+	if key != "" {
+		req.Header.Set("Idempotency-Key", key)
 	}
 	s := &Stream{pw: pw, resp: make(chan streamResult, 1)}
 	go func() {
@@ -180,14 +173,8 @@ func (s *Stream) Send(batch []engine.Update) error {
 	s.buf = store.AppendFrame(s.buf, batch)
 	_, err := s.pw.Write(s.buf)
 	s.buf = s.buf[:0]
-	if err == nil {
-		s.sent++
-	}
 	return err
 }
-
-// Sent reports how many frames were written so far.
-func (s *Stream) Sent() int { return s.sent }
 
 // Close ends the stream cleanly and returns the server's summary.
 func (s *Stream) Close() (StreamSummary, error) {

@@ -14,12 +14,16 @@ import (
 )
 
 func testServer(t *testing.T) (*httptest.Server, *engine.Engine) {
+	return testServerWith(t, server.Config{SubscribeDebounce: 10 * time.Millisecond})
+}
+
+func testServerWith(t *testing.T, cfg server.Config) (*httptest.Server, *engine.Engine) {
 	t.Helper()
 	eng, err := engine.New(engine.Config{Instances: 2, K: 16, Shards: 4, Hash: sampling.NewSeedHash(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.NewWith(eng, server.Config{SubscribeDebounce: 10 * time.Millisecond})
+	srv := server.NewWith(eng, cfg)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts, eng

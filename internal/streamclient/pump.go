@@ -9,6 +9,9 @@ import (
 	"repro/internal/engine"
 )
 
+// maxRetries bounds Pump's replays of one stream.
+const maxRetries = 50
+
 // Pump drives one logical update stream to completion under
 // backpressure: it opens /v1/stream with an Idempotency-Key, feeds it
 // frames from next, and when the server rejects a frame with the
@@ -16,40 +19,19 @@ import (
 // whole stream under the same key — the server skips every frame it
 // already applied (position + digest match), so the replay costs no
 // re-application and the node's counters stay exact.
-
-// PumpStats describes a completed Pump run. Frames applied across ALL
-// attempts total Frames+SkippedFrames: the final (successful) attempt
-// replays every frame, and each one is either applied then (Frames) or
-// recognized as applied by an earlier attempt (SkippedFrames) — each
-// logical frame counts exactly once between the two.
-type PumpStats struct {
-	// Frames/Updates: applied by the final attempt.
-	Frames  int
-	Updates int
-	// SkippedFrames/SkippedUpdates: recognized by the final attempt as
-	// already applied (0 on a clean first pass).
-	SkippedFrames  int
-	SkippedUpdates int
-	// RateLimited counts 429 rejections; Retries counts replays (equal
-	// unless the retry budget ran out mid-sequence).
-	RateLimited int
-	Retries     int
-}
-
-// Pump sends the stream produced by next — next(i) returns frame i and
-// whether it exists, and MUST be replayable (same i, same updates:
-// server-side dedup matches on content digests). maxRetries bounds the
-// replays. Two failure classes replay: the backpressure 429 (waiting
-// out Retry-After) and transport-level failures such as a connection
-// reset or a response lost in flight (capped exponential backoff) —
-// the idempotency key makes both exact. Any other structured rejection
-// (400 torn frame, 503 draining) returns immediately.
-func Pump(ctx context.Context, client *http.Client, baseURL, key string, next func(frame int) ([]engine.Update, bool), maxRetries int) (PumpStats, error) {
-	var stats PumpStats
+//
+// next(i) returns frame i and whether it exists, and MUST be replayable
+// (same i, same updates: server-side dedup matches on content digests).
+// Two failure classes replay, up to maxRetries times: the backpressure
+// 429 (waiting out Retry-After) and transport-level failures such as a
+// connection reset or a response lost in flight (capped exponential
+// backoff) — the idempotency key makes both exact. Any other structured
+// rejection (400 torn frame, 503 draining) returns immediately.
+func Pump(ctx context.Context, client *http.Client, baseURL, key string, next func(frame int) ([]engine.Update, bool)) error {
 	for attempt := 0; ; attempt++ {
-		s, err := OpenStreamWith(ctx, client, baseURL, StreamOptions{IdempotencyKey: key})
+		s, err := openStream(ctx, client, baseURL, key)
 		if err != nil {
-			return stats, err
+			return err
 		}
 		for i := 0; ; i++ {
 			batch, ok := next(i)
@@ -60,28 +42,23 @@ func Pump(ctx context.Context, client *http.Client, baseURL, key string, next fu
 				break // the server closed the stream; Close has the cause
 			}
 		}
-		sum, err := s.Close()
-		stats.Frames = sum.Frames
-		stats.Updates = sum.Updates
-		stats.SkippedFrames = sum.SkippedFrames
-		stats.SkippedUpdates = sum.SkippedUpdates
+		_, err = s.Close()
 		if err == nil {
-			return stats, nil
+			return nil
 		}
 		var delay time.Duration
 		var se *StreamError
 		switch {
 		case errors.As(err, &se):
 			if !se.RateLimited() {
-				return stats, err
+				return err
 			}
-			stats.RateLimited++
 			delay = se.RetryAfter
 			if delay <= 0 {
 				delay = 100 * time.Millisecond
 			}
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			return stats, err
+			return err
 		default:
 			// Transport failure: the server may or may not have applied a
 			// suffix of what we sent — exactly the ambiguity the key's
@@ -89,13 +66,12 @@ func Pump(ctx context.Context, client *http.Client, baseURL, key string, next fu
 			delay = min(time.Second, 50*time.Millisecond<<min(attempt, 6))
 		}
 		if attempt >= maxRetries {
-			return stats, err
+			return err
 		}
-		stats.Retries++
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():
-			return stats, ctx.Err()
+			return ctx.Err()
 		}
 	}
 }
