@@ -44,11 +44,12 @@
 //
 // Cluster mode: -cluster=url1,url2,... turns the process into a
 // coordinator over N monestd nodes sharing the same -salt/-instances/-k.
-// Reads scatter-gather the nodes' binary sketch states (GET /v1/export
-// with per-node version-vector caching — unchanged nodes answer 304 and
-// transfer nothing), fold them losslessly into a local merge engine, and
-// serve the full /v1/query//v1/subscribe surface from the merged
-// snapshot, bit-identical to a single node fed the union stream. Writes
+// Reads scatter-gather each node's global bottom-(k+1) per instance (GET
+// /v1/export?since=<cursor>, the key registry only when it grew;
+// unchanged nodes answer 304 and transfer nothing), fold them losslessly
+// into a local merge engine, and serve the full /v1/query//v1/subscribe
+// surface from the merged snapshot, bit-identical to a single node fed
+// the union stream. Writes
 // to the coordinator's /v1/ingest and /v1/stream forward synchronously to
 // the consistent-hash ring owners. -cluster-read picks the read policy
 // for member-node failures: strict (the default) answers 503 when any

@@ -4,6 +4,8 @@ package e2e
 
 import (
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"os"
 	"os/exec"
@@ -65,10 +67,25 @@ func getStats(t *testing.T, base string) (int, map[string]any) {
 	return resp.StatusCode, m
 }
 
+func getBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %v", url, resp.StatusCode, err)
+	}
+	return body
+}
+
 // TestCluster boots a real 3-node cluster — three monestd nodes with
 // their own data dirs plus a coordinator — drives verified load through
 // the coordinator (binary streaming ingest routed to owner nodes, SSE
-// pushes equal to /v1/query), then SIGKILLs one node to confirm the
+// pushes equal to /v1/query), checks that its fetches were sketch-sized
+// and counted every update once, then SIGKILLs one node to confirm the
 // coordinator degrades to 503 instead of under-counting, and restarts
 // the node from its data dir to confirm recovery.
 func TestCluster(t *testing.T) {
@@ -108,9 +125,13 @@ func TestCluster(t *testing.T) {
 		t.Fatalf("loadgen did not report verification:\n%s", out)
 	}
 
+	// One more read so the coordinator has synced past the last write.
+	queryResults(t, coordBase)
+
 	// The ring spread the keys: every node holds a non-empty share, and
 	// the coordinator serves the full merged key count.
-	var nodeKeys, coordKeys float64
+	var nodeKeys, coordKeys, nodeIngests float64
+	minArtifact := math.MaxInt
 	for i, u := range nodeURLs {
 		_, stats := getStats(t, u)
 		eng, _ := stats["engine"].(map[string]any)
@@ -119,13 +140,28 @@ func TestCluster(t *testing.T) {
 			t.Errorf("node %d holds no keys", i)
 		}
 		nodeKeys += keys
+		ingests, _ := eng["ingests"].(float64)
+		nodeIngests += ingests
+		minArtifact = min(minArtifact, len(getBody(t, u+"/v1/export")))
 	}
 	_, coordStats := getStats(t, coordBase)
-	if eng, ok := coordStats["engine"].(map[string]any); ok {
-		coordKeys, _ = eng["keys"].(float64)
-	}
+	coordEng, _ := coordStats["engine"].(map[string]any)
+	coordKeys, _ = coordEng["keys"].(float64)
 	if coordKeys != nodeKeys {
 		t.Errorf("coordinator serves %v keys, nodes hold %v", coordKeys, nodeKeys)
+	}
+	// Each fetch moved a sketch-sized cut, not a node's full state, and
+	// every routed update was counted once.
+	clusterStats, _ := coordStats["cluster"].(map[string]any)
+	syncStats, _ := clusterStats["stats"].(map[string]any)
+	stateBytes, _ := syncStats["state_bytes"].(float64)
+	fetches, _ := syncStats["fetches"].(float64)
+	if fetches == 0 || stateBytes/fetches >= float64(minArtifact) {
+		t.Errorf("coordinator fetched %v bytes in %v fetches; want under one full node artifact (%d B) per fetch",
+			stateBytes, fetches, minArtifact)
+	}
+	if coordIngests, _ := coordEng["ingests"].(float64); coordIngests != nodeIngests {
+		t.Errorf("coordinator counts %v ingests, nodes %v", coordIngests, nodeIngests)
 	}
 
 	// Degraded mode: SIGKILL one node (no graceful WAL flush — the WAL

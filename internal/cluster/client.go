@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -16,7 +16,7 @@ import (
 )
 
 // This file is the coordinator's client side of the node wire: binary
-// sketch fetches (GET /v1/export with If-None-Match) and synchronous
+// sketch fetches (GET /v1/export?since=<cursor>) and synchronous
 // routed ingest (one-shot POST /v1/stream bodies). Both move the same
 // binary formats the node persists and exports — wire == disk == export.
 
@@ -74,22 +74,30 @@ type nodeClient struct {
 	// lastMergeAt is when commit last ran (unix nanos; 0 = never) — the
 	// staleness label degraded blocks carry for this node.
 	lastMergeAt atomic.Int64
-	// version is the node's engine version at the last fetch whose state
-	// was MERGED (the /v1/export ETag) — the coordinator's version-vector
-	// entry for this node. have flags that version holds a real merge.
-	// Only Coordinator.Sync writes these, via commit, and only after
-	// MergeState succeeded: a fetch whose state never reached the merge
-	// engine must not advance the vector, or the node's next conditional
-	// fetch answers 304 and the unmerged updates silently vanish from the
-	// merged view.
+	// etag is the /v1/export ETag of the last fetch whose state was
+	// MERGED — the coordinator's cursor for this node, sent as ?since= —
+	// and version its middle field, the node's engine version at that cut;
+	// have flags that they hold a real merge. ingests is the node's
+	// cumulative Ingests at that cut, so each fetch folds in only the
+	// increase. Only Coordinator.Sync writes these, via commit, and only
+	// after MergeState succeeded: a fetch whose state never reached the
+	// merge engine must not advance the cursor, or the node's next fetch
+	// answers 304 (or leaves out a registry the merge engine never saw)
+	// and the unmerged updates silently vanish from the merged view. etag
+	// and ingests are guarded by Coordinator.syncMu; version and have are
+	// atomics because Stats reads them outside a round.
+	etag    string
+	ingests uint64
 	version atomic.Uint64
 	have    atomic.Bool
 }
 
-// commit records that the node's state at version v is folded into the
-// merge engine — the node's vector entry for future conditional fetches.
-func (n *nodeClient) commit(v uint64) {
-	n.version.Store(v)
+// commit records that the node's state at the cut labeled etag (engine
+// version, cumulative ingests) is folded into the merge engine — the
+// node's cursor for future conditional fetches.
+func (n *nodeClient) commit(etag string, version, ingests uint64) {
+	n.etag, n.ingests = etag, ingests
+	n.version.Store(version)
 	n.have.Store(true)
 	n.lastMergeAt.Store(time.Now().UnixNano())
 }
@@ -151,22 +159,22 @@ func (n *nodeClient) retrying(ctx context.Context, op func(context.Context) erro
 	}
 }
 
-// fetchSketch GETs the node's binary state. When the coordinator already
-// holds the node's current version, the conditional request answers 304
-// and a nil state comes back without a byte of state on the wire; a 200
-// decodes and returns the artifact WITHOUT touching the version vector —
-// the caller commits the entry (commit) only after the state is actually
-// merged, so a sync that fails on another node cannot strand this node's
-// updates behind a cached version. size reports the state bytes
-// transferred.
-func (n *nodeClient) fetchSketch(ctx context.Context) (st *engine.State, size int, err error) {
+// fetchSketch GETs the node's sketch-sized state since the committed
+// cursor (empty before the first merge). When the coordinator already
+// holds the node's current version, the node answers 304 and a nil state
+// comes back without a byte of state on the wire; otherwise the node
+// answers its global bottom-(k+1) per instance, plus its key registry
+// when the registry changed since the cursor. A 200 decodes and returns
+// the artifact with its ETag WITHOUT touching the cursor — the caller
+// commits it (commit) only after the state is actually merged, so a sync
+// that fails on another node cannot strand this node's updates behind a
+// cached cursor. size reports the state bytes transferred.
+func (n *nodeClient) fetchSketch(ctx context.Context) (st *engine.State, etag string, size int, err error) {
 	err = n.retrying(ctx, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.addr+"/v1/export", nil)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+			n.addr+"/v1/export?since="+url.QueryEscape(n.etag), nil)
 		if err != nil {
 			return &NodeError{Addr: n.addr, Err: err}
-		}
-		if n.have.Load() {
-			req.Header.Set("If-None-Match", `"`+strconv.FormatUint(n.version.Load(), 10)+`"`)
 		}
 		resp, err := n.hc.Do(req)
 		if err != nil {
@@ -175,7 +183,7 @@ func (n *nodeClient) fetchSketch(ctx context.Context) (st *engine.State, size in
 		defer resp.Body.Close()
 		switch resp.StatusCode {
 		case http.StatusNotModified:
-			st = nil
+			st, etag = nil, ""
 			return nil
 		case http.StatusOK:
 			data, err := io.ReadAll(io.LimitReader(resp.Body, maxSketchBody+1))
@@ -190,16 +198,16 @@ func (n *nodeClient) fetchSketch(ctx context.Context) (st *engine.State, size in
 			if err != nil {
 				return &NodeError{Addr: n.addr, Status: resp.StatusCode, Err: err}
 			}
-			st, size = decoded, len(data)
-			// The artifact's own cut version IS the ETag (the node labels
-			// the bytes, not the moment); the caller commits it alongside
-			// the merge, keeping vector entry and merged contents atomic.
+			// The ETag labels the artifact's own cut (the node labels the
+			// bytes, not the moment); the caller commits it alongside the
+			// merge, keeping cursor and merged contents atomic.
+			st, etag, size = decoded, resp.Header.Get("ETag"), len(data)
 			return nil
 		default:
 			return nodeHTTPError(n.addr, resp)
 		}
 	})
-	return st, size, err
+	return st, etag, size, err
 }
 
 // sendBatch streams one routed update batch to the node as a one-shot

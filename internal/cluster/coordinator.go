@@ -22,19 +22,21 @@ import (
 // wire). Correctness rests on lossless coordinated-sketch merging: the
 // merge engine's snapshot is bit-identical to a single engine fed the
 // union stream, so every estimator, cache and push layer above works
-// unchanged.
+// unchanged. Each node ships only its global bottom-(k+1) per instance
+// (plus its key registry when that changed): under coordinated ranks the
+// union's bottom-(k+1) lies inside the union of the nodes' own.
 //
 // Consistency model: governed by Config.ReadPolicy. Strict (default):
 // a query triggers one version-vector sync — each node answers a
-// conditional /v1/export fetch, transferring state only when its
-// version advanced (steady state: N tiny 304s, zero state bytes, no
-// merge) — and any unreachable node fails the read with a degraded-mode
-// error (HTTP 503 through internal/server) rather than silently serving
-// estimates missing a key range. Partial/quorum policies instead serve
-// the merged view from the reachable subset when the policy floor is
-// met, attaching an explicit Degraded block (never a silent partial
-// answer); only Unavailable-class failures are maskable — a seed
-// mismatch or merge failure always fails the round.
+// /v1/export?since=<cursor> fetch, transferring ≤ r·(k+1) entries only
+// when its version advanced (steady state: N tiny 304s, zero state bytes,
+// no merge) — and any unreachable node fails the read with a
+// degraded-mode error (HTTP 503 through internal/server) rather than
+// silently serving estimates missing a key range. Partial/quorum
+// policies instead serve the merged view from the reachable subset when
+// the policy floor is met, attaching an explicit Degraded block (never a
+// silent partial answer); only Unavailable-class failures are maskable —
+// a seed mismatch or merge failure always fails the round.
 type Coordinator struct {
 	ring  *Ring
 	merge *engine.Engine
@@ -277,15 +279,15 @@ func (c *Coordinator) pollLoop() {
 	}
 }
 
-// Sync runs one scatter-gather round: every node is asked for its state
-// conditionally on the version vector, concurrently; changed states fold
-// into the merge engine in node order (order only affects mutation
-// accounting — max-union is commutative). Rounds are single-flighted;
-// every read syncs, which is what gives strict read-your-writes through
-// the coordinator.
+// Sync runs one scatter-gather round: every node is asked for its
+// sketch-sized state since its committed cursor, concurrently; changed
+// states fold into the merge engine in node order (order only affects
+// mutation accounting — max-union is commutative). Rounds are
+// single-flighted; every read syncs, which is what gives strict
+// read-your-writes through the coordinator.
 //
 // Failure handling is policy-aware, but merges always come first: every
-// successful fetch is merged and has its vector entry committed BEFORE
+// successful fetch is merged and has its cursor committed BEFORE
 // any error is returned — merge-then-commit per node keeps a transient
 // failure elsewhere from caching a version whose state was never folded
 // in (which would turn that node's next fetch into a 304 and silently
@@ -305,6 +307,7 @@ func (c *Coordinator) Sync(ctx context.Context) error {
 	defer c.syncMu.Unlock()
 	type fetched struct {
 		st   *engine.State
+		etag string
 		size int
 		err  error
 	}
@@ -314,8 +317,8 @@ func (c *Coordinator) Sync(ctx context.Context) error {
 		wg.Add(1)
 		go func(i int, n *nodeClient) {
 			defer wg.Done()
-			st, size, err := n.fetchSketch(ctx)
-			results[i] = fetched{st: st, size: size, err: err}
+			st, etag, size, err := n.fetchSketch(ctx)
+			results[i] = fetched{st: st, etag: etag, size: size, err: err}
 		}(i, n)
 	}
 	wg.Wait()
@@ -338,14 +341,20 @@ func (c *Coordinator) Sync(ctx context.Context) error {
 			c.stats.notModified.Add(1)
 			reached++
 		default:
+			// The artifact carries the node's cumulative Ingests; fold in
+			// only the increase since the committed cut (none after a
+			// rollback), so the merge engine counts every update once.
+			n := c.nodes[i]
+			ingests := res.st.Ingests
+			res.st.Ingests -= min(ingests, n.ingests)
 			if err := c.merge.MergeState(res.st); err != nil {
 				if firstErr == nil {
-					firstErr = &NodeError{Addr: c.nodes[i].addr, Status: http.StatusOK,
+					firstErr = &NodeError{Addr: n.addr, Status: http.StatusOK,
 						Err: fmt.Errorf("merging sketch: %w", err)}
 				}
 				continue
 			}
-			c.nodes[i].commit(res.st.Version)
+			n.commit(res.etag, res.st.Version, ingests)
 			c.stats.fetches.Add(1)
 			c.stats.stateBytes.Add(uint64(res.size))
 			reached++

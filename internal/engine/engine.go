@@ -467,8 +467,7 @@ type item struct {
 func (sh *shard) ingest(e *Engine, instance int, key uint64, w float64) bool {
 	it, ok := sh.items[key]
 	if !ok {
-		it = &item{seed: e.cfg.Hash.U(key), mask: make([]uint64, e.maskWords)}
-		sh.items[key] = it
+		it = sh.newItem(e, key)
 	}
 	mutated := false
 	word, bit := instance/64, uint64(1)<<(instance%64)
@@ -482,4 +481,12 @@ func (sh *shard) ingest(e *Engine, instance int, key uint64, w float64) bool {
 		mutated = true
 	}
 	return mutated
+}
+
+// newItem registers key with no instance active yet. The caller holds
+// sh.mu and has found no entry for key.
+func (sh *shard) newItem(e *Engine, key uint64) *item {
+	it := &item{seed: e.cfg.Hash.U(key), mask: make([]uint64, e.maskWords)}
+	sh.items[key] = it
+	return it
 }

@@ -59,13 +59,15 @@ type State struct {
 	// mismatch on restore/merge means a different salt, i.e. sketches that
 	// must not be combined.
 	SeedCheck [2]float64
-	// Keys holds every ingested item key, ascending.
+	// Keys holds every ingested item key, ascending (empty in a
+	// SketchState that leaves the registry out).
 	Keys []uint64
 	// Masks holds the per-key instance-activity bitmasks, maskWords words
 	// per key, parallel to Keys.
 	Masks []uint64
 	// Entries holds each instance's retained (key, weight) pairs,
-	// key-ascending.
+	// key-ascending: every shard's heap in a DumpState, the global
+	// bottom-(k+1) in a SketchState.
 	Entries [][]StateEntry
 }
 
@@ -82,43 +84,82 @@ func seedCheck(h sampling.SeedHash) [2]float64 {
 // copied out, then the copy is sorted lock-free. The result shares no
 // memory with the engine.
 func (e *Engine) DumpState() *State {
-	mw := e.maskWords
-	st := &State{
-		Instances: e.cfg.Instances,
+	st, heaps, _ := e.cut(func(uint64) bool { return true })
+	for i, es := range heaps {
+		st.Entries[i] = bottomEntries(es, len(es))
+	}
+	return st
+}
+
+// SketchState is the compact cut behind a conditional /v1/export: an
+// ordinary State holding, per instance, every retained entry whose rank is
+// at most the instance's (k+1)-th smallest retained rank (ties included,
+// so boundary branches match), plus the key registry unless the cut's
+// registry size equals knownReg. MergeState of it reproduces what merging
+// DumpState would in any merge engine's snapshot: a snapshot depends on
+// each instance's k+1 smallest ranks and on the entries among them, and
+// under coordinated ranks the union's bottom-(k+1) lies inside the union
+// of every source's own bottom-(k+1) (the source holding a key's largest
+// weight ranks it exactly as the union does).
+//
+// reg is the registry size at the cut: keys plus active (instance, key)
+// pairs. While the engine lives it only grows (keys are never removed and
+// mask bits only go 0→1), so a caller that saw size reg from this same
+// engine already holds an identical registry. knownReg = 0 always ships
+// it (an empty registry ships as nothing anyway).
+func (e *Engine) SketchState(knownReg uint64) (st *State, reg uint64) {
+	st, heaps, reg := e.cut(func(reg uint64) bool { return reg != knownReg })
+	for i, es := range heaps {
+		st.Entries[i] = bottomEntries(es, e.cfg.K+1)
+	}
+	return st, reg
+}
+
+// cut is the consistent cut behind DumpState and SketchState: all shard
+// locks are held while the counters, every shard's heap entries per
+// instance and — when withRegistry approves the cut's registry size reg —
+// the keys and masks are copied out; the registry is then sorted
+// lock-free. The result shares no memory with the engine; st.Entries is
+// left for the caller to fill from heaps.
+func (e *Engine) cut(withRegistry func(reg uint64) bool) (st *State, heaps [][]bkEntry, reg uint64) {
+	r, mw := e.cfg.Instances, e.maskWords
+	st = &State{
+		Instances: r,
 		K:         e.cfg.K,
 		Shards:    e.cfg.Shards,
 		SeedCheck: seedCheck(e.cfg.Hash),
-		Entries:   make([][]StateEntry, e.cfg.Instances),
+		Entries:   make([][]StateEntry, r),
 	}
+	heaps = make([][]bkEntry, r)
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 	}
-	total := 0
-	for _, sh := range e.shards {
-		total += len(sh.items)
-	}
-	st.Keys = make([]uint64, 0, total)
-	st.Masks = make([]uint64, 0, total*mw)
 	st.Ingests = e.ingests.Load()
+	keys := 0
 	for _, sh := range e.shards {
 		st.Version += sh.muts.Load()
-		for key, it := range sh.items {
-			st.Keys = append(st.Keys, key)
-			st.Masks = append(st.Masks, it.mask...)
+		keys += len(sh.items)
+		reg += uint64(len(sh.items) + sh.activeEntries)
+	}
+	if withRegistry(reg) {
+		st.Keys = make([]uint64, 0, keys)
+		st.Masks = make([]uint64, 0, keys*mw)
+		for _, sh := range e.shards {
+			for key, it := range sh.items {
+				st.Keys = append(st.Keys, key)
+				st.Masks = append(st.Masks, it.mask...)
+			}
 		}
 	}
-	for i := range st.Entries {
+	for i := range heaps {
 		n := 0
 		for _, sh := range e.shards {
 			n += len(sh.heaps[i].es)
 		}
-		ents := make([]StateEntry, 0, n)
+		heaps[i] = make([]bkEntry, 0, n)
 		for _, sh := range e.shards {
-			for _, en := range sh.heaps[i].es {
-				ents = append(ents, StateEntry{Key: en.key, Weight: en.weight})
-			}
+			heaps[i] = append(heaps[i], sh.heaps[i].es...)
 		}
-		st.Entries[i] = ents
 	}
 	for _, sh := range e.shards {
 		sh.mu.Unlock()
@@ -131,17 +172,65 @@ func (e *Engine) DumpState() *State {
 		perm[i] = i
 	}
 	slices.SortFunc(perm, func(a, b int) int { return cmp.Compare(st.Keys[a], st.Keys[b]) })
-	keys := make([]uint64, len(st.Keys))
-	masks := make([]uint64, len(st.Masks))
+	sorted, masks := make([]uint64, len(st.Keys)), make([]uint64, len(st.Masks))
 	for to, from := range perm {
-		keys[to] = st.Keys[from]
+		sorted[to] = st.Keys[from]
 		copy(masks[to*mw:(to+1)*mw], st.Masks[from*mw:(from+1)*mw])
 	}
-	st.Keys, st.Masks = keys, masks
-	for i := range st.Entries {
-		slices.SortFunc(st.Entries[i], func(a, b StateEntry) int { return cmp.Compare(a.Key, b.Key) })
+	st.Keys, st.Masks = sorted, masks
+	return st, heaps, reg
+}
+
+// bottomEntries returns, key-ascending, the entries of es whose rank is at
+// most the n-th smallest rank (every entry when there are at most n). It
+// selects that rank in expected linear time instead of sorting, and
+// reorders es.
+func bottomEntries(es []bkEntry, n int) []StateEntry {
+	bound := math.Inf(1)
+	if len(es) > n {
+		selectRank(es, n-1)
+		bound = es[n-1].rank
 	}
-	return st
+	out := make([]StateEntry, 0, min(len(es), n))
+	for _, en := range es {
+		if en.rank <= bound {
+			out = append(out, StateEntry{Key: en.key, Weight: en.weight})
+		}
+	}
+	slices.SortFunc(out, func(a, b StateEntry) int { return cmp.Compare(a.Key, b.Key) })
+	return out
+}
+
+// selectRank reorders es so that es[n] holds the entry a rank sort would
+// put there, no entry before it has a larger rank and none after it a
+// smaller one (Hoare quickselect; equal ranks are safe).
+func selectRank(es []bkEntry, n int) {
+	lo, hi := 0, len(es)-1
+	for lo < hi {
+		pivot := es[lo+(hi-lo)/2].rank
+		i, j := lo, hi
+		for i <= j {
+			for es[i].rank < pivot {
+				i++
+			}
+			for es[j].rank > pivot {
+				j--
+			}
+			if i <= j {
+				es[i], es[j] = es[j], es[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case n <= j:
+			hi = j
+		case n >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // validateState checks that st can be combined with the engine at all.
@@ -222,6 +311,11 @@ func (e *Engine) MergeState(st *State) error {
 // applyState is the shared restore/merge walk. With countMuts, every
 // snapshot-visible change bumps the owning shard's mutation counter under
 // its lock (merge); without, counters are left for the caller (restore).
+// An entry registers its own key: it ORs its instance bit into the key's
+// item, creating the item if needed, so a State whose entries name keys
+// absent from Keys (a compact SketchState, or a crafted artifact) still
+// leaves every retained entry's key in the registry — never an outcome
+// served at another key's position.
 func (e *Engine) applyState(st *State, countMuts bool) {
 	mw := maskWordsFor(st.Instances)
 	for j, key := range st.Keys {
@@ -229,8 +323,7 @@ func (e *Engine) applyState(st *State, countMuts bool) {
 		sh.mu.Lock()
 		it, ok := sh.items[key]
 		if !ok {
-			it = &item{seed: e.cfg.Hash.U(key), mask: make([]uint64, e.maskWords)}
-			sh.items[key] = it
+			it = sh.newItem(e, key)
 		}
 		muts := uint64(0)
 		for w := 0; w < mw; w++ {
@@ -248,13 +341,26 @@ func (e *Engine) applyState(st *State, countMuts bool) {
 		sh.mu.Unlock()
 	}
 	for i, ents := range st.Entries {
+		word, bit := i/64, uint64(1)<<(i%64)
 		for _, en := range ents {
 			sh := e.shards[e.shardOf(en.Key)]
-			seed := e.cfg.Hash.U(en.Key)
-			rank := sampling.Rank(sampling.RankPriority, seed, en.Weight)
 			sh.mu.Lock()
-			if sh.heaps[i].update(en.Key, en.Weight, rank) && countMuts {
-				sh.muts.Add(1)
+			it, ok := sh.items[en.Key]
+			if !ok {
+				it = sh.newItem(e, en.Key)
+			}
+			muts := uint64(0)
+			if it.mask[word]&bit == 0 {
+				it.mask[word] |= bit
+				sh.activeEntries++
+				muts++
+			}
+			rank := sampling.Rank(sampling.RankPriority, it.seed, en.Weight)
+			if sh.heaps[i].update(en.Key, en.Weight, rank) {
+				muts++
+			}
+			if countMuts {
+				sh.muts.Add(muts)
 			}
 			sh.mu.Unlock()
 		}

@@ -169,6 +169,130 @@ func TestMergeStateBumpsVersion(t *testing.T) {
 	}
 }
 
+// TestSketchStateMergesLikeDumpState: round after round, a merge engine
+// fed each source's SketchState since its last cursor serves the same
+// snapshot as one fed every source's full DumpState — with keys shared
+// between sources, sources of different shard counts, registry growth in
+// some rounds and weight-only churn in others. The compact cut carries
+// per instance exactly the global bottom-(k+1), and the registry only when
+// its size moved.
+func TestSketchStateMergesLikeDumpState(t *testing.T) {
+	srcs := []*Engine{}
+	for _, shards := range []int{4, 16, 1} {
+		e, err := New(testConfig(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, e)
+	}
+	compact, _ := New(testConfig(4))
+	full, _ := New(testConfig(8))
+	known := make([]uint64, len(srcs))
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 12; round++ {
+		for i, src := range srcs {
+			// Even rounds may add keys; odd rounds only raise weights of
+			// keys the source already holds in that instance.
+			var ups []Update
+			if round%2 == 0 {
+				ups = randomUpdates(rng, 150, 3, 120+40*round)
+			} else {
+				st := src.DumpState()
+				for j := 0; j < 40; j++ {
+					inst := rng.Intn(3)
+					if ents := st.Entries[inst]; len(ents) > 0 {
+						en := ents[rng.Intn(len(ents))]
+						ups = append(ups, Update{Instance: inst, Key: en.Key, Weight: en.Weight * (1 + rng.Float64())})
+					}
+				}
+			}
+			if err := src.IngestBatch(ups); err != nil {
+				t.Fatal(err)
+			}
+			st, reg := src.SketchState(known[i])
+			stats := src.Stats()
+			if want := uint64(stats.Keys + stats.ActiveEntries); reg != want {
+				t.Fatalf("round %d source %d: reg %d, want keys+active %d", round, i, reg, want)
+			}
+			if shipped := len(st.Keys) > 0; shipped != (reg != known[i]) {
+				t.Fatalf("round %d source %d: registry shipped=%v with reg %d, known %d", round, i, shipped, reg, known[i])
+			}
+			dump := src.DumpState()
+			for inst, ents := range st.Entries {
+				if want := min(src.Config().K+1, len(dump.Entries[inst])); len(ents) != want {
+					t.Fatalf("round %d source %d instance %d: %d entries, want %d", round, i, inst, len(ents), want)
+				}
+			}
+			if err := compact.MergeState(st); err != nil {
+				t.Fatal(err)
+			}
+			if err := full.MergeState(dump); err != nil {
+				t.Fatal(err)
+			}
+			known[i] = reg
+		}
+		if !reflect.DeepEqual(compact.Snapshot(), full.Snapshot()) {
+			t.Fatalf("round %d: snapshot fed compact cuts differs from the one fed full dumps", round)
+		}
+	}
+}
+
+// TestBottomEntriesKeepsTies: the compact cut keeps every entry tied
+// with the (k+1)-th rank, so a merge engine sees the same boundary.
+func TestBottomEntriesKeepsTies(t *testing.T) {
+	for _, tc := range []struct {
+		ranks []float64
+		n     int
+		want  []uint64 // keys, ascending
+	}{
+		{[]float64{5, 1, 3, 3, 3, 2}, 3, []uint64{1, 2, 3, 4, 5}},
+		{[]float64{5, 1, 3, 4, 6, 2}, 3, []uint64{1, 2, 5}},
+		{[]float64{2, 2, 2}, 1, []uint64{0, 1, 2}},
+		{[]float64{9, 8}, 3, []uint64{0, 1}},
+	} {
+		es := make([]bkEntry, len(tc.ranks))
+		for i, r := range tc.ranks {
+			es[i] = bkEntry{key: uint64(i), weight: 1, rank: r}
+		}
+		var got []uint64
+		for _, en := range bottomEntries(es, tc.n) {
+			got = append(got, en.Key)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ranks %v, n=%d: keys %v, want %v", tc.ranks, tc.n, got, tc.want)
+		}
+	}
+}
+
+// TestMergeStateRegistersEntryKeys: an entry whose key is absent from the
+// state's Keys registers the key (and its instance bit) instead of being
+// served at a neighbouring key's position.
+func TestMergeStateRegistersEntryKeys(t *testing.T) {
+	src, _ := New(testConfig(2))
+	st := src.DumpState() // an empty engine's header and seed fingerprint
+	st.Keys = []uint64{1, 2, 3, 8, 9}
+	st.Masks = []uint64{1, 1, 1, 1, 1}
+	st.Entries = [][]StateEntry{{{Key: 2, Weight: 3}, {Key: 7, Weight: 5}, {Key: 8, Weight: 1}}, nil, {{Key: 9, Weight: 2}}}
+
+	e, _ := New(testConfig(2))
+	if err := e.MergeState(st); err != nil {
+		t.Fatal(err)
+	}
+	view := e.FreshView()
+	if len(view.Exceptional) == 0 {
+		t.Fatal("no exceptional outcomes")
+	}
+	for _, o := range view.Exceptional {
+		if got := view.Keys[o.Pos]; got != o.Key {
+			t.Fatalf("outcome for key %d served at position %d, which holds key %d", o.Key, o.Pos, got)
+		}
+	}
+	// Five registered bits, plus key 7 in instance 0 and key 9 in instance 2.
+	if s := e.Stats(); s.Keys != 6 || s.ActiveEntries != 7 {
+		t.Fatalf("keys %d active %d, want 6 and 7", s.Keys, s.ActiveEntries)
+	}
+}
+
 // journalRecorder captures journaled batches and can inject failures.
 type journalRecorder struct {
 	batches [][]Update

@@ -11,7 +11,6 @@ import (
 	"regexp"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -56,11 +55,11 @@ func TestResponseVersionField(t *testing.T) {
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			v, err := strconv.ParseUint(strings.Trim(resp.Header.Get("ETag"), `"`), 10, 64)
+			c, err := parseCursor(resp.Header.Get("ETag"))
 			if resp.StatusCode != http.StatusOK || err != nil {
 				t.Fatalf("%s: status %d ETag %q", path, resp.StatusCode, resp.Header.Get("ETag"))
 			}
-			return float64(v)
+			return float64(c.version)
 		default:
 			resp, body = getJSON(t, ts.URL+path)
 		}

@@ -1,15 +1,19 @@
 package server
 
 import (
+	cryptorand "crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/store"
 )
 
@@ -17,7 +21,9 @@ import (
 //
 //	POST /v1/checkpoint  cut + persist the sketch state, truncate the WAL
 //	GET  /v1/export      the engine state as a portable binary artifact,
-//	                     conditional on its ETag (the version of the cut)
+//	                     conditional on its ETag (incarnation, version and
+//	                     registry size of the cut); ?since=<etag> answers
+//	                     the sketch-sized cut a coordinator merges
 //	POST /v1/import      merge an exported artifact into the live engine
 //	                     (lossless coordinated-sketch merge)
 //	GET  /metrics        Prometheus text exposition of engine + endpoint
@@ -58,51 +64,140 @@ func (s *Server) handleCheckpoint(r *http.Request) (int, any, error) {
 	}, nil
 }
 
-// etagFor renders the engine mutation version as a strong ETag.
-func etagFor(version uint64) string {
-	return `"` + strconv.FormatUint(version, 10) + `"`
+// newIncarnation mints the random per-process first field of every
+// /v1/export ETag.
+func newIncarnation() string {
+	var b [8]byte
+	if _, err := cryptorand.Read(b[:]); err != nil {
+		// Non-cryptographic fallback: it only has to differ between
+		// successive processes serving one address.
+		return strconv.FormatInt(time.Now().UnixNano(), 16)
+	}
+	return hex.EncodeToString(b[:])
 }
 
-// matchETag reports whether an If-None-Match header names the version.
-// Weak validators (W/ prefix) match too: the payload is a deterministic
-// function of the version, so weak and strong agree here.
-func matchETag(header string, version uint64) bool {
-	want := etagFor(version)
-	for _, part := range strings.Split(header, ",") {
-		tag := strings.TrimPrefix(strings.TrimSpace(part), "W/")
-		if tag == want || tag == "*" {
-			return true
+// exportCursor is a parsed /v1/export ETag, "<incarnation>.<version>.<reg>":
+// the serving process, the engine version of the cut, and the registry
+// size at the cut (keys plus active entries, see Engine.SketchState).
+type exportCursor struct {
+	incarnation  string
+	version, reg uint64
+}
+
+// etag renders the cursor as a strong ETag.
+func (c exportCursor) etag() string {
+	return `"` + c.incarnation + "." + strconv.FormatUint(c.version, 10) + "." + strconv.FormatUint(c.reg, 10) + `"`
+}
+
+// parseCursor parses an ETag, with or without its quotes. The empty
+// string is the zero cursor: a peer that holds nothing yet.
+func parseCursor(tag string) (exportCursor, error) {
+	if len(tag) >= 2 && tag[0] == '"' && tag[len(tag)-1] == '"' {
+		tag = tag[1 : len(tag)-1]
+	}
+	if tag == "" {
+		return exportCursor{}, nil
+	}
+	parts := strings.Split(tag, ".")
+	if len(parts) == 3 && parts[0] != "" {
+		v, verr := strconv.ParseUint(parts[1], 10, 64)
+		reg, rerr := strconv.ParseUint(parts[2], 10, 64)
+		if verr == nil && rerr == nil {
+			return exportCursor{incarnation: parts[0], version: v, reg: reg}, nil
 		}
 	}
-	return false
+	return exportCursor{}, fmt.Errorf("since %q is not a /v1/export ETag (want \"<incarnation>.<version>.<registry>\")", tag)
 }
 
-// handleExport streams the current sketch state as a binary artifact. A
-// raw (non-JSON) endpoint: the artifact is the exact byte format
-// checkpoints use, so equal states export equal bytes — the comparison
-// the recovery tests rest on. ETag is the engine mutation version, and a
-// matching If-None-Match answers 304 from one lock-free atomic load — no
-// cut, no encoding, no body: the per-node version-vector cache that makes
-// steady-state coordinator queries transfer zero state bytes.
+// current reports whether c names this process's engine at version v: the
+// incarnation is random per server process, so a restarted or replaced
+// node never matches a cursor minted by its predecessor, whatever the
+// versions say.
+func (s *Server) current(c exportCursor, v uint64) bool {
+	return c.incarnation == s.incarnation && c.version == v
+}
+
+// matchETag returns the If-None-Match validator that names this process's
+// engine at version v ("*" matches anything). Weak validators (W/ prefix)
+// match too: the payload is a deterministic function of the version, so
+// weak and strong agree here.
+func (s *Server) matchETag(header string, v uint64) (string, bool) {
+	for _, part := range strings.Split(header, ",") {
+		tag := strings.TrimPrefix(strings.TrimSpace(part), "W/")
+		if tag == "*" {
+			return "", true
+		}
+		if c, err := parseCursor(tag); err == nil && s.current(c, v) {
+			return c.etag(), true
+		}
+	}
+	return "", false
+}
+
+// notModified answers 304 with no body, labeled with etag when known.
+func notModified(w http.ResponseWriter, etag string) (int, error) {
+	if etag != "" {
+		w.Header().Set("ETag", etag)
+	}
+	w.WriteHeader(http.StatusNotModified)
+	return http.StatusNotModified, nil
+}
+
+// handleExport streams the sketch state as a binary artifact. A raw
+// (non-JSON) endpoint: the artifact is the exact byte format checkpoints
+// use, so equal states export equal bytes — the comparison the recovery
+// tests rest on. A plain GET is the full DumpState. The ETag is the
+// cursor "<incarnation>.<version>.<reg>", and a conditional request whose
+// incarnation and version match answers 304 from one lock-free atomic
+// load — no cut, no encoding, no body.
+//
+// GET /v1/export?since=<etag> is the cluster coordinator's fetch: on a
+// changed engine it answers the SketchState — per instance the global
+// bottom-(k+1), about r·(k+1)·16 bytes — with the key registry only when
+// since is empty, from another incarnation, or names a different registry
+// size. A read through the coordinator thus costs what the sample holds,
+// not what the node's registry holds.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) (int, error) {
-	if err := checkParams(r.URL.Query()); err != nil {
+	q := r.URL.Query()
+	if err := checkParams(q, "since"); err != nil {
 		return http.StatusBadRequest, err
 	}
+	compact := q.Has("since")
+	since, err := parseCursor(q.Get("since"))
+	if err != nil {
+		return http.StatusBadRequest, err
+	}
+	if compact && s.current(since, s.eng.Version()) {
+		return notModified(w, since.etag())
+	}
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
-		if v := s.eng.Version(); matchETag(inm, v) {
-			w.Header().Set("ETag", etagFor(v))
-			w.WriteHeader(http.StatusNotModified)
-			return http.StatusNotModified, nil
+		if etag, ok := s.matchETag(inm, s.eng.Version()); ok {
+			return notModified(w, etag)
 		}
 	}
 	// The cut's own version (not a separate Version() call) labels the
 	// bytes: a write racing this request must not let a pre-write artifact
 	// carry a post-write ETag, or the caller's cache would pin stale state.
-	st := s.eng.DumpState()
+	var st *engine.State
+	cur := exportCursor{incarnation: s.incarnation}
+	if compact {
+		known := uint64(0)
+		if since.incarnation == s.incarnation {
+			known = since.reg
+		}
+		st, cur.reg = s.eng.SketchState(known)
+	} else {
+		st = s.eng.DumpState()
+		cur.reg = uint64(len(st.Keys))
+		for _, m := range st.Masks {
+			cur.reg += uint64(bits.OnesCount64(m))
+		}
+	}
+	cur.version = st.Version
 	data := store.EncodeState(st)
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
-	h.Set("ETag", etagFor(st.Version))
+	h.Set("ETag", cur.etag())
 	h.Set("Content-Length", fmt.Sprint(len(data)))
 	h.Set("Content-Disposition", `attachment; filename="monest-sketch.bin"`)
 	w.WriteHeader(http.StatusOK)

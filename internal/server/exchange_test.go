@@ -2,9 +2,13 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -30,9 +34,9 @@ func sketchTestServer(t *testing.T) (*httptest.Server, *engine.Engine) {
 	return ts, eng
 }
 
-func getExport(t *testing.T, url, ifNoneMatch string) *http.Response {
+func getExport(t *testing.T, base, ifNoneMatch string) *http.Response {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url+"/v1/export", nil)
+	req, err := http.NewRequest(http.MethodGet, base+"/v1/export", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,6 +44,16 @@ func getExport(t *testing.T, url, ifNoneMatch string) *http.Response {
 		req.Header.Set("If-None-Match", ifNoneMatch)
 	}
 	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// getSince is the coordinator's fetch: GET /v1/export?since=<since>.
+func getSince(t *testing.T, base, since string) *http.Response {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/export?since=" + url.QueryEscape(since))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +70,21 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 	return data
 }
 
+// cutVersion parses an /v1/export ETag and returns its version field.
+func cutVersion(t *testing.T, etag string) uint64 {
+	t.Helper()
+	c, err := parseCursor(etag)
+	if err != nil || c.incarnation == "" {
+		t.Fatalf("ETag %q is not an export cursor: %v", etag, err)
+	}
+	return c.version
+}
+
 // TestSketchETagCycle pins the version-vector cache protocol on
-// /v1/export: the ETag is the artifact's own cut version (also under a
-// racing writer), a matching If-None-Match (strong, weak, wildcard or
-// list) answers 304 with no body, and a write invalidates the tag.
+// /v1/export: the ETag's version field is the artifact's own cut version
+// (also under a racing writer), a matching If-None-Match (strong, weak,
+// wildcard or list) answers 304 with no body, and a write invalidates the
+// tag.
 func TestSketchETagCycle(t *testing.T) {
 	ts, eng := sketchTestServer(t)
 	for i := 0; i < 20; i++ {
@@ -80,8 +105,8 @@ func TestSketchETagCycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("body is not a state artifact: %v", err)
 	}
-	if want := etagFor(st.Version); etag != want {
-		t.Fatalf("ETag %s does not label the artifact's cut version (%s)", etag, want)
+	if got := cutVersion(t, etag); got != st.Version {
+		t.Fatalf("ETag %s does not label the artifact's cut version (%d)", etag, st.Version)
 	}
 	if len(st.Keys) != 20 {
 		t.Fatalf("artifact holds %d keys, want 20", len(st.Keys))
@@ -134,12 +159,157 @@ func TestSketchETagCycle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("racing export %d: %v", i, err)
 		}
-		if want := etagFor(st.Version); tag != want {
-			t.Fatalf("racing export %d: ETag %s on an artifact cut at version %s", i, tag, want)
+		if got := cutVersion(t, tag); got != st.Version {
+			t.Fatalf("racing export %d: ETag %s on an artifact cut at version %d", i, tag, st.Version)
+		}
+		// The compact cut obeys the same rule.
+		resp = getSince(t, ts.URL, "")
+		tag = resp.Header.Get("ETag")
+		if st, err = store.DecodeState(readAll(t, resp)); err != nil {
+			t.Fatalf("racing compact export %d: %v", i, err)
+		}
+		if got := cutVersion(t, tag); got != st.Version {
+			t.Fatalf("racing compact export %d: ETag %s on an artifact cut at version %d", i, tag, st.Version)
 		}
 	}
 	close(stop)
 	<-done
+}
+
+// TestExportSince pins the coordinator's fetch, GET /v1/export?since=:
+// a malformed cursor is a 400; a cursor from this process at the current
+// version is a bodiless 304; otherwise the answer is the engine's global
+// bottom-(k+1) per instance, with the key registry exactly when the
+// cursor is empty, from another incarnation, or names another registry
+// size. A plain GET stays the full DumpState, byte for byte.
+func TestExportSince(t *testing.T) {
+	ts, eng := sketchTestServer(t)
+	cfg := eng.Config()
+	for i := 0; i < 60; i++ {
+		if err := eng.IngestBatch([]engine.Update{
+			{Instance: 0, Key: uint64(i), Weight: 1 + float64(i)},
+			{Instance: 1, Key: uint64(i), Weight: 100 - float64(i)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// fetch GETs ?since= and returns the status, the ETag's cursor and,
+	// on a 200, the decoded artifact.
+	fetch := func(since string) (int, exportCursor, *engine.State) {
+		t.Helper()
+		resp := getSince(t, ts.URL, since)
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			if resp.StatusCode == http.StatusNotModified && len(body) != 0 {
+				t.Fatalf("since %q: 304 carried %d body bytes", since, len(body))
+			}
+			return resp.StatusCode, exportCursor{}, nil
+		}
+		c, err := parseCursor(resp.Header.Get("ETag"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := store.DecodeState(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, c, st
+	}
+	// requireBottom checks st holds, per instance, exactly the k+1
+	// smallest-rank entries of the engine's full dump.
+	requireBottom := func(label string, st *engine.State) {
+		t.Helper()
+		dump := eng.DumpState()
+		for i, ents := range dump.Entries {
+			byRank := slices.Clone(ents)
+			rank := func(en engine.StateEntry) float64 {
+				return sampling.Rank(sampling.RankPriority, cfg.Hash.U(en.Key), en.Weight)
+			}
+			slices.SortFunc(byRank, func(a, b engine.StateEntry) int { return cmp.Compare(rank(a), rank(b)) })
+			want := byRank[:cfg.K+1]
+			slices.SortFunc(want, func(a, b engine.StateEntry) int { return cmp.Compare(a.Key, b.Key) })
+			if !slices.Equal(st.Entries[i], want) {
+				t.Fatalf("%s: instance %d entries %v, want the bottom-(k+1) %v", label, i, st.Entries[i], want)
+			}
+		}
+	}
+	stats := eng.Stats()
+	reg := uint64(stats.Keys + stats.ActiveEntries)
+
+	for _, bad := range []string{"junk", "a.b.c", "abc.1", "x.1.2.3", ".1.2", `"x.-1.2"`} {
+		resp := getSince(t, ts.URL, bad)
+		body := decodeBody(t, resp)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("since %q: status %d body %v, want 400", bad, resp.StatusCode, body)
+		}
+	}
+
+	code, first, st := fetch("")
+	if code != http.StatusOK || len(st.Keys) != stats.Keys || first.reg != reg || first.version != eng.Version() {
+		t.Fatalf("empty since: status %d, %d keys (want %d), cursor %+v (want reg %d)", code, len(st.Keys), stats.Keys, first, reg)
+	}
+	requireBottom("empty since", st)
+
+	other := exportCursor{incarnation: "0123456789abcdef", version: first.version, reg: first.reg}
+	if code, _, st := fetch(other.etag()); code != http.StatusOK || len(st.Keys) != stats.Keys {
+		t.Fatalf("another incarnation: status %d, want 200 with the registry", code)
+	} else {
+		requireBottom("another incarnation", st)
+	}
+
+	for _, since := range []string{first.etag(), strings.Trim(first.etag(), `"`)} {
+		if code, _, _ := fetch(since); code != http.StatusNotModified {
+			t.Fatalf("same incarnation and version %q: status %d, want 304", since, code)
+		}
+	}
+
+	// A weight-only change keeps the registry size: no registry.
+	if err := eng.Ingest(0, 5, 1e6); err != nil {
+		t.Fatal(err)
+	}
+	code, second, st := fetch(first.etag())
+	if code != http.StatusOK || len(st.Keys) != 0 || second.reg != reg || second.version == first.version {
+		t.Fatalf("reg unchanged: status %d, %d keys, cursor %+v, want 200, no registry, reg %d", code, len(st.Keys), second, reg)
+	}
+	requireBottom("reg unchanged", st)
+
+	// A new key grows the registry: shipped again.
+	if err := eng.Ingest(1, 1000, 2); err != nil {
+		t.Fatal(err)
+	}
+	if code, third, st := fetch(second.etag()); code != http.StatusOK || len(st.Keys) != stats.Keys+1 || third.reg != reg+2 {
+		t.Fatalf("reg changed: status %d, %d keys, cursor %+v, want 200 with %d keys", code, len(st.Keys), third, stats.Keys+1)
+	}
+
+	// The plain GET is the full dump, whatever cursors were minted.
+	if got, want := readAll(t, getExport(t, ts.URL, "")), store.EncodeState(eng.DumpState()); !bytes.Equal(got, want) {
+		t.Fatal("plain GET /v1/export differs from store.EncodeState(DumpState())")
+	}
+}
+
+// TestImportRegistersEntryKeys: a CRC-valid artifact whose entry names a
+// key missing from its registry must not put that entry's outcome at a
+// neighbouring key's position; the key is registered with its instance.
+func TestImportRegistersEntryKeys(t *testing.T) {
+	ts, eng := sketchTestServer(t)
+	st := eng.DumpState() // the empty engine's header and seed fingerprint
+	st.Keys = []uint64{1, 2, 3, 8, 9}
+	st.Masks = []uint64{1, 1, 1, 1, 1}
+	st.Entries = [][]engine.StateEntry{{{Key: 2, Weight: 3}, {Key: 7, Weight: 5}, {Key: 8, Weight: 1}}, {{Key: 9, Weight: 2}}}
+	resp := postImport(t, ts.URL, store.EncodeState(st))
+	if body := decodeBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d body %v, want 200", resp.StatusCode, body)
+	}
+	view := eng.FreshView()
+	for _, o := range view.Exceptional {
+		if got := view.Keys[o.Pos]; got != o.Key {
+			t.Fatalf("outcome for key %d served at position %d, which holds key %d", o.Key, o.Pos, got)
+		}
+	}
+	if s := eng.Stats(); s.Keys != 6 || s.ActiveEntries != 7 {
+		t.Fatalf("keys %d active %d, want 6 and 7", s.Keys, s.ActiveEntries)
+	}
 }
 
 func postImport(t *testing.T, url string, artifact []byte) *http.Response {

@@ -15,9 +15,10 @@
 //	GET  /v1/stats            engine contents + per-endpoint counters
 //	POST /v1/checkpoint       persist a sketch checkpoint, truncate the WAL
 //	GET  /v1/export           portable binary sketch artifact (octet-stream)
-//	                          with ETag = version of the cut; If-None-Match
-//	                          short-circuits to 304 (also the cluster
-//	                          scatter-gather fetch, see durable.go)
+//	                          with ETag "<incarnation>.<version>.<registry>";
+//	                          If-None-Match short-circuits to 304, and
+//	                          ?since=<etag> answers the sketch-sized cut the
+//	                          cluster coordinator fetches (see durable.go)
 //	POST /v1/import           merge an exported artifact into the engine
 //	                          (checkpointed when persistence is attached)
 //	GET  /metrics             Prometheus text exposition
@@ -108,6 +109,9 @@ type Server struct {
 	// persist, when set, backs /v1/checkpoint and makes /v1/import
 	// durable (see durable.go).
 	persist *store.Persistence
+	// incarnation is random per server: the first field of /v1/export
+	// ETags, so no cursor outlives the process that minted it.
+	incarnation string
 	// wire counts streaming-ingest and subscription traffic (stream.go);
 	// broadcast owns the /v1/subscribe registry and push loop
 	// (subscribe.go); drainCh gates both on shutdown (Server.Drain), and
@@ -333,6 +337,7 @@ func NewWith(eng *engine.Engine, cfg Config) *Server {
 		snaps:          cfg.Snapshots,
 		ingest:         cfg.Ingest,
 		persist:        cfg.Persist,
+		incarnation:    newIncarnation(),
 		drainCh:        make(chan struct{}),
 		drainCtx:       drainCtx,
 		drainCancel:    drainCancel,

@@ -112,6 +112,7 @@ func (s *Server) handleStream(r *http.Request) (int, any, error) {
 	defer s.wire.streamsActive.Add(-1)
 
 	sc := store.NewFrameScanner(r.Body)
+	defer sc.Release()
 	// Check the drain gate between frames (never mid-frame): on shutdown
 	// the connection finishes its current batch and answers with what it
 	// applied, instead of being cut mid-record.

@@ -206,6 +206,7 @@ func (f *fileStore) replaySegment(seq uint64, h RecoveryHandler) (records, updat
 	defer file.Close()
 
 	sc := newFrameScanner(file, walMagic, maxRecordBytes)
+	defer sc.Release()
 	for {
 		batch, serr := sc.Next()
 		if serr == io.EOF {

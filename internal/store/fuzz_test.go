@@ -12,7 +12,7 @@ import (
 
 // FuzzDecodeState hammers the one decoder every state artifact passes
 // through — disk checkpoints, /v1/import, /v1/export round-trips and
-// the cluster's /v1/export-/v1/import exchange. The contract under
+// the cluster's /v1/export?since= fetches. The contract under
 // arbitrary bytes: reject with an error or accept, never panic; and an
 // accepted artifact must survive its own re-encode (the decoder may not
 // hand the engine a state the encoder cannot represent).
@@ -27,6 +27,11 @@ func FuzzDecodeState(f *testing.F) {
 		}
 	}
 	valid := EncodeState(eng.DumpState())
+	// The compact cut a coordinator fetches, with and without registry.
+	sketch, reg := eng.SketchState(0)
+	f.Add(EncodeState(sketch))
+	entriesOnly, _ := eng.SketchState(reg)
+	f.Add(EncodeState(entriesOnly))
 
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2]) // truncated payload

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 
 	"repro/internal/engine"
 )
@@ -95,7 +96,24 @@ func NewFrameScanner(r io.Reader) *FrameScanner {
 }
 
 func newFrameScanner(r io.Reader, magic string, maxPayload uint32) *FrameScanner {
-	return &FrameScanner{r: bufio.NewReaderSize(r, 64<<10), magic: magic, maxPayload: maxPayload}
+	br := scanReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	return &FrameScanner{r: br, magic: magic, maxPayload: maxPayload}
+}
+
+// scanReaders recycles the scanners' 64 KiB read buffers (see Release): a
+// cluster coordinator routes every frame share as its own short
+// /v1/stream request, and a fresh buffer per request was most of a node's
+// write-path garbage — enough to pull its GC cycles into routed writes.
+var scanReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
+// Release hands the scanner's read buffer back for reuse by a later
+// scanner. The scanner must not be used afterwards; one never released is
+// simply garbage-collected.
+func (s *FrameScanner) Release() {
+	s.r.Reset(nil)
+	scanReaders.Put(s.r)
+	s.r = nil
 }
 
 // Frames reports how many frames have been decoded so far.
