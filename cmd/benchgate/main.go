@@ -52,14 +52,17 @@ const (
 )
 
 // suites are the gated benchmarks, as `go test -bench` selectors run
-// from their package directory. The engine needs two: go's
+// from their package directory. The engine and server need two each: go's
 // slash-segmented pattern treats a two-segment regex as
 // sub-benchmark-only, so a leaf benchmark (no b.Run) never reports under
-// it. BenchmarkScatterGather's two sub-benchmarks are both gated.
+// it. BenchmarkScatterGather's two sub-benchmarks are both gated;
+// BenchmarkChurnServe's smallest universe stands for the churn-shaped
+// rebuild (its other cases cost the same, by design).
 var suites = []struct{ pkg, bench string }{
 	{"internal/engine", "^BenchmarkIngestBatch$"},
 	{"internal/engine", "^BenchmarkSnapshotIncremental$/^keys=16384$"},
 	{"internal/server", "^(BenchmarkQueryInvalidated|BenchmarkStreamIngest256)$"},
+	{"internal/server", "^BenchmarkChurnServe$/^U=65536$"},
 	{"internal/cluster", "^(BenchmarkClusterQuery|BenchmarkScatterGather|BenchmarkSyncDeadNode)$"},
 }
 

@@ -13,9 +13,11 @@ import (
 // its rank is below t_ik, the k-th smallest rank among the other items —
 // equivalently iff w_ik ≥ u_k/t_ik, a linear threshold τ*_ik = 1/t_ik.
 // Each item therefore gets its own TupleScheme; the estimators consume the
-// outcomes exactly as with PPS. The reduction itself (sampling.KSmallest,
-// sampling.CondThreshold, sampling.TauFromThreshold) is shared with the
-// streaming engine, which must reproduce these outcomes bit-for-bit.
+// outcomes exactly as with PPS. The reduction itself
+// (sampling.CondThreshold, sampling.TauFromThreshold) is shared with the
+// streaming engine, which must reproduce these outcomes bit-for-bit; this
+// sampler sorts for the order statistics with sampling.KSmallest, the
+// engine selects them.
 func SampleBottomK(d Dataset, k int, hash sampling.SeedHash) (CoordinatedSample, error) {
 	if k <= 0 {
 		return CoordinatedSample{}, fmt.Errorf("dataset: bottom-k size %d must be positive", k)

@@ -73,11 +73,13 @@ type Engine struct {
 	rebuildMu sync.Mutex
 	// Incremental snapshot state (see partition.go), all guarded by
 	// rebuildMu: the per-shard reduced partitions, the global thresholds
-	// they were reduced under (with their interned schemes), and the
-	// cached merge of every partition's keys.
-	parts  []*partition
-	thresh *schemeSet
-	keys   []uint64
+	// they were reduced under (with their interned schemes), the cached
+	// merge of every partition's keys, and the rebuild's reusable entry
+	// buffer (radix scratch, then threshold gather).
+	parts   []*partition
+	thresh  *schemeSet
+	keys    []uint64
+	scratch []bkEntry
 	// snapCtr observes the incremental rebuild path; counters are atomics
 	// only so Stats can read them without rebuildMu.
 	snapCtr snapshotCounters

@@ -316,28 +316,30 @@ func TestStats(t *testing.T) {
 func TestSnapshotExtremeWeights(t *testing.T) {
 	// Near-overflow weights push ranks into the subnormal range where
 	// 1/t overflows; both reduction paths must clamp identically instead
-	// of panicking (engine) or erroring (batch).
-	hash := sampling.NewSeedHash(2)
-	e, err := New(Config{Instances: 1, K: 1, Shards: 2, Hash: hash})
-	if err != nil {
-		t.Fatal(err)
+	// of panicking (engine) or erroring (batch). Subnormal weights push
+	// ranks past the largest float to +Inf: such entries sit in non-full
+	// heaps on several shards, and the thresholds must leave them out as
+	// KSmallest does — here instance 0 retains fewer than k finite ranks
+	// and instance 1 exactly k.
+	const tiny = 5e-324
+	for _, tc := range []struct {
+		name      string
+		w         [][]float64
+		k, shards int
+	}{
+		{"near-overflow", [][]float64{{1e308, 1e308, 1e308}}, 1, 2},
+		{"subnormal", [][]float64{
+			{2, tiny, 3, tiny, tiny, 1e308, tiny, tiny},
+			{tiny, tiny, 1, tiny, 4, 7, 2, tiny},
+		}, 4, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hash := sampling.NewSeedHash(2)
+			e := rebuildEngine(t, tc.w, tc.k, tc.shards, hash)
+			requireMatchesMatrix(t, e, tc.w, tc.k, hash) // must not panic
+			requireBatchThresholds(t, e)
+		})
 	}
-	w := [][]float64{{1e308, 1e308, 1e308}}
-	for k, x := range w[0] {
-		if err := e.Ingest(0, uint64(k), x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := e.Snapshot() // must not panic
-	d, err := dataset.New(nil, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := dataset.SampleBottomK(d, 1, hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualSamples(t, snap, batch)
 }
 
 func TestStringKeyCoordination(t *testing.T) {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"time"
@@ -32,32 +31,33 @@ import (
 //     and the merged key slice stays valid.
 //  3. Outcomes depend on the partition's own retained entries plus the
 //     GLOBAL per-instance thresholds. A rebuild recomputes the thresholds
-//     from every partition's retained ranks; if they moved, every
-//     partition is re-reduced (keys/entries reused), otherwise only dirty
-//     partitions are.
+//     by selecting the k-th and (k+1)-th smallest rank among every
+//     partition's retained entries; if they moved, every partition is
+//     re-reduced (keys/entries reused), otherwise only dirty partitions
+//     are.
 //  4. An item with no retained entry has the all-unknown default outcome,
 //     a pure function of (key, thresholds): every rank is +Inf, so every
 //     instance takes the same τ* branch and no entry clears it. A
 //     reduction therefore never visits such items, and published views
 //     alias only the exceptional outcomes' storage, which a re-reduction
 //     never rewrites (it allocates fresh).
+//
+// No rebuild comparison-sorts a retained list: the thresholds come from
+// quickselect, retained entries are key-ordered by a byte radix, and the
+// key-ascending per-partition lists are combined by one k-way merge.
 type partition struct {
 	// muts is the owning shard's mutation counter at the cut.
 	muts uint64
 	// keys holds the shard's item keys, ascending.
 	keys []uint64
 	// retained holds, per instance, the shard's sketch heap entries sorted
-	// by key — the reduction's merge-walk input.
+	// by key — the reduction's merge-walk input and, through their ranks,
+	// the global threshold selection's.
 	retained [][]bkEntry
 	// exc holds the partition's exceptional outcomes, key-ascending: every
 	// item whose outcome differs from the all-unknown default. Pos is
 	// unset here; the rebuild fills it in its merged copy.
 	exc []sampling.PlacedOutcome
-	// ranks holds, per instance, the k+1 smallest retained ranks of THIS
-	// partition (sorted ascending): the global threshold gather works from
-	// these short lists instead of every retained entry (the k+1 smallest
-	// of a union are each among their own partition's k+1 smallest).
-	ranks [][]float64
 	// sampled and active are the partition's contributions to the sample's
 	// SampledEntries / TotalEntries bookkeeping.
 	sampled int
@@ -123,7 +123,7 @@ func (e *Engine) rebuildLocked() SnapshotView {
 		}
 	}
 
-	// Lock-free: sort the freshly cut partitions.
+	// Lock-free: key-order the freshly cut partitions.
 	for s, p := range e.parts {
 		if !dirty[s] {
 			continue
@@ -132,37 +132,28 @@ func (e *Engine) rebuildLocked() SnapshotView {
 			slices.Sort(p.keys)
 		}
 		for i := range p.retained {
-			slices.SortFunc(p.retained[i], func(a, b bkEntry) int { return cmp.Compare(a.key, b.key) })
+			e.scratch = sortByKey(p.retained[i], e.scratch)
 		}
 	}
 
-	// Refresh each dirty partition's per-instance k+1 smallest rank cache.
-	var ranks []float64
-	for s, p := range e.parts {
-		if !dirty[s] {
-			continue
-		}
-		p.ranks = make([][]float64, r)
-		for i := 0; i < r; i++ {
-			ranks = ranks[:0]
-			for _, en := range p.retained[i] {
-				ranks = append(ranks, en.rank)
-			}
-			p.ranks[i] = sampling.KSmallest(ranks, k+1)
-		}
-	}
-
-	// Global thresholds from every partition's rank cache. The k+1 smallest
-	// ranks of the union are each among their own partition's k+1 smallest,
-	// so gathering the short cached lists reproduces the monolithic
-	// reduction's thresholds exactly in O(shards·k) instead of O(retained).
+	// Global thresholds: per instance, gather every partition's finite
+	// retained ranks and select the two order statistics CondThreshold
+	// reads. The union's k+1 smallest ranks are all retained (each is among
+	// its own shard's k+1 smallest), so this equals the monolithic
+	// reduction's thresholds. A subnormal weight's rank overflows to +Inf;
+	// like KSmallest, the gather drops it as it would an absent item.
 	insts := make([]instThresholds, r)
 	for i := 0; i < r; i++ {
-		ranks = ranks[:0]
+		g := e.scratch[:0]
 		for _, p := range e.parts {
-			ranks = append(ranks, p.ranks[i]...)
+			for _, en := range p.retained[i] {
+				if !math.IsInf(en.rank, 1) {
+					g = append(g, en)
+				}
+			}
 		}
-		insts[i] = newInstThresholds(sampling.KSmallest(ranks, k+1), k)
+		insts[i] = selectThresholds(g, k)
+		e.scratch = g
 	}
 	threshChanged := e.thresh == nil || !slices.Equal(insts, e.thresh.insts)
 	if threshChanged {
@@ -186,7 +177,11 @@ func (e *Engine) rebuildLocked() SnapshotView {
 
 	// The merged key slice survives any weight-only rebuild (invariant 2).
 	if e.keys == nil || keysChanged {
-		e.keys = mergeKeys(e.parts)
+		lists := make([][]uint64, len(e.parts))
+		for s, p := range e.parts {
+			lists[s] = p.keys
+		}
+		e.keys = mergeByKey(lists, func(key uint64) uint64 { return key })
 		e.snapCtr.planRebuilds.Add(1)
 	}
 	view := e.buildView(version)
@@ -250,30 +245,84 @@ func (e *Engine) reducePartition(p *partition) {
 	}
 }
 
-// mergeKeys merges the partitions' sorted, disjoint key slices with a
-// small min-heap of stream heads: O(n log shards), allocation-proportional
-// to the output.
-func mergeKeys(parts []*partition) []uint64 {
-	n := 0
-	for _, p := range parts {
-		n += len(p.keys)
+// sortByKey orders es by ascending key with an LSD byte radix: one pass
+// counts every byte position's histogram, then one stable, branch-free
+// scatter runs per byte position on which the keys differ — a position
+// every key agrees on is skipped, so keys spanning a small range take two
+// scatters, not eight. Scatters alternate between es and scratch, which is
+// grown as needed and returned for reuse; es holds the result.
+func sortByKey(es, scratch []bkEntry) []bkEntry {
+	n := len(es)
+	if n < 2 {
+		return scratch
 	}
-	keys := make([]uint64, 0, n)
-	// heads holds each non-empty partition's unmerged key suffix, min-heap
-	// ordered by first key.
-	heads := make([][]uint64, 0, len(parts))
-	for _, p := range parts {
-		if len(p.keys) > 0 {
-			heads = append(heads, p.keys)
+	var counts [8][256]int
+	for _, en := range es {
+		// Unrolled: a loop over b here costs as much as the scatters.
+		k := en.key
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+		counts[4][byte(k>>32)]++
+		counts[5][byte(k>>40)]++
+		counts[6][byte(k>>48)]++
+		counts[7][byte(k>>56)]++
+	}
+	if cap(scratch) < n {
+		scratch = make([]bkEntry, n)
+	}
+	first := es[0].key
+	src, dst := es, scratch[:n]
+	for b := range counts {
+		c := &counts[b]
+		if c[byte(first>>(8*b))] == n {
+			continue
+		}
+		sum := 0
+		for d, x := range c {
+			c[d], sum = sum, sum+x
+		}
+		for _, en := range src {
+			d := byte(en.key >> (8 * b))
+			dst[c[d]] = en
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &es[0] {
+		copy(es, src)
+	}
+	return scratch
+}
+
+// mergeHead is one list's unmerged suffix in mergeByKey's min-heap, with
+// the suffix's first key cached.
+type mergeHead[T any] struct {
+	key  uint64
+	rest []T
+}
+
+// mergeByKey merges lists — each ascending by key, their keys pairwise
+// distinct — into one ascending slice with a min-heap of list heads:
+// O(n log lists), allocation-proportional to the output.
+func mergeByKey[T any](lists [][]T, key func(T) uint64) []T {
+	n := 0
+	heads := make([]mergeHead[T], 0, len(lists))
+	for _, l := range lists {
+		n += len(l)
+		if len(l) > 0 {
+			heads = append(heads, mergeHead[T]{key(l[0]), l})
 		}
 	}
+	out := make([]T, 0, n)
 	down := func(i int) {
 		for {
 			m := i
-			if l := 2*i + 1; l < len(heads) && heads[l][0] < heads[m][0] {
+			if l := 2*i + 1; l < len(heads) && heads[l].key < heads[m].key {
 				m = l
 			}
-			if r := 2*i + 2; r < len(heads) && heads[r][0] < heads[m][0] {
+			if r := 2*i + 2; r < len(heads) && heads[r].key < heads[m].key {
 				m = r
 			}
 			if m == i {
@@ -287,23 +336,27 @@ func mergeKeys(parts []*partition) []uint64 {
 		down(i)
 	}
 	for len(heads) > 0 {
-		keys = append(keys, heads[0][0])
-		if heads[0] = heads[0][1:]; len(heads[0]) == 0 {
+		h := &heads[0]
+		out = append(out, h.rest[0])
+		if h.rest = h.rest[1:]; len(h.rest) > 0 {
+			h.key = key(h.rest[0])
+		} else {
 			heads[0] = heads[len(heads)-1]
 			heads = heads[:len(heads)-1]
 		}
 		down(0)
 	}
-	return keys
+	return out
 }
 
-// buildView merges the partitions' exceptional outcomes into one
-// key-ascending list, resolves each one's position in the merged keys and
-// wraps the result as an immutable SnapshotView. Nothing here scales with
-// the key count beyond the position lookups' logarithm: the dense outcome
-// array is synthesized lazily by SnapshotView.Snapshot. The view owns its
-// list (partition lists carry no positions), and the outcome storage it
-// aliases is never rewritten. The caller must hold rebuildMu.
+// buildView merges the partitions' key-ascending exceptional outcomes into
+// one list, resolves each one's position in the merged keys and wraps the
+// result as an immutable SnapshotView. Nothing here scales with the key
+// count beyond the position lookups' logarithm: both lists ascend, so each
+// lookup searches only the keys past the previous one, and the dense
+// outcome array is synthesized lazily by SnapshotView.Snapshot. The view
+// owns its list (partition lists carry no positions), and the outcome
+// storage it aliases is never rewritten. The caller must hold rebuildMu.
 func (e *Engine) buildView(version uint64) SnapshotView {
 	view := SnapshotView{
 		Version: version,
@@ -312,19 +365,18 @@ func (e *Engine) buildView(version uint64) SnapshotView {
 		hash:    e.cfg.Hash,
 		cell:    &viewCell{},
 	}
-	n := 0
-	for _, p := range e.parts {
-		n += len(p.exc)
+	lists := make([][]sampling.PlacedOutcome, len(e.parts))
+	for s, p := range e.parts {
+		lists[s] = p.exc
 		view.sampled += p.sampled
 		view.total += p.active
 	}
-	view.Exceptional = make([]sampling.PlacedOutcome, 0, n)
-	for _, p := range e.parts {
-		view.Exceptional = append(view.Exceptional, p.exc...)
-	}
-	slices.SortFunc(view.Exceptional, func(a, b sampling.PlacedOutcome) int { return cmp.Compare(a.Key, b.Key) })
+	view.Exceptional = mergeByKey(lists, func(o sampling.PlacedOutcome) uint64 { return o.Key })
+	lo := 0
 	for i := range view.Exceptional {
-		view.Exceptional[i].Pos, _ = slices.BinarySearch(e.keys, view.Exceptional[i].Key)
+		pos, _ := slices.BinarySearch(e.keys[lo:], view.Exceptional[i].Key)
+		view.Exceptional[i].Pos = lo + pos
+		lo += pos + 1
 	}
 	return view
 }

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,6 +49,103 @@ func requireMatchesMatrix(t *testing.T, e *Engine, w [][]float64, k int, hash sa
 		t.Fatal(err)
 	}
 	requireEqualSamples(t, e.Snapshot(), batch)
+}
+
+// requireBatchThresholds asserts that the thresholds the engine's last
+// rebuild selected equal the batch derivation: newInstThresholds over
+// KSmallest of every retained rank, per instance.
+func requireBatchThresholds(t *testing.T, e *Engine) {
+	t.Helper()
+	e.rebuildMu.Lock()
+	defer e.rebuildMu.Unlock()
+	for i := 0; i < e.cfg.Instances; i++ {
+		var ranks []float64
+		for _, sh := range e.shards {
+			for _, en := range sh.heaps[i].es {
+				ranks = append(ranks, en.rank)
+			}
+		}
+		want := newInstThresholds(sampling.KSmallest(ranks, e.cfg.K+1), e.cfg.K)
+		if got := e.thresh.insts[i]; got != want {
+			t.Errorf("instance %d: selected thresholds %+v, KSmallest gives %+v", i, got, want)
+		}
+	}
+}
+
+// TestSelectedThresholdsMatchKSmallest pins the rebuild's selection of the
+// k-th and (k+1)-th smallest rank against a full sort. Weight u·2^x (u the
+// key's seed) gives rank exactly 2^-x, so equal ranks can straddle the
+// boundary across partitions.
+func TestSelectedThresholdsMatchKSmallest(t *testing.T) {
+	const (
+		k      = 4
+		shards = 4
+	)
+	hash := sampling.NewSeedHash(17)
+	for _, tc := range []struct {
+		name string
+		exps [2][]int // per instance, key j's rank is 2^-exps[i][j]
+	}{
+		{"fewer than k", [2][]int{{1, 2, 3}, {3, 2, 1}}},
+		{"exactly k", [2][]int{{1, 2, 3, 4}, {4, 1, 3, 2}}},
+		{"exactly k+1", [2][]int{{5, 1, 4, 2, 3}, {2, 3, 1, 5, 4}}},
+		{"ties straddle the boundary", [2][]int{{6, 5, 3, 3, 3, 3, 3, 1, 1}, {3, 3, 6, 3, 5, 1, 3, 3, 2}}},
+		{"tie ends at the k-th", [2][]int{{6, 5, 4, 4, 2, 1, 1, 1, 1}, {1, 4, 4, 5, 6, 1, 2, 1, 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := make([][]float64, 2)
+			for i, exps := range tc.exps {
+				w[i] = make([]float64, len(exps))
+				for j, x := range exps {
+					w[i][j] = hash.U(uint64(j)) * math.Ldexp(1, x)
+				}
+			}
+			e := rebuildEngine(t, w, k, shards, hash)
+			requireMatchesMatrix(t, e, w, k, hash)
+			requireBatchThresholds(t, e)
+		})
+	}
+	// The tied keys must span partitions for the straddle case to mean it.
+	tied := map[int]bool{}
+	e, err := New(Config{Instances: 2, K: k, Shards: shards, Hash: hash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 2; j <= 6; j++ {
+		tied[e.shardOf(uint64(j))] = true
+	}
+	if len(tied) < 2 {
+		t.Fatalf("keys 2..6 all route to one shard; pick other keys for the tie")
+	}
+}
+
+// TestSortByKeyMatchesSort holds the rebuild's key radix to a comparison
+// sort, with one scratch buffer reused across lists of different lengths
+// and key shapes (a single varying byte leaves the result in scratch).
+func TestSortByKeyMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	random := make([]uint64, 257)
+	for j := range random {
+		random[j] = rng.Uint64()
+	}
+	topByte, lowByte := make([]uint64, 200), make([]uint64, 200)
+	for j, v := range rng.Perm(200) {
+		topByte[j] = uint64(v)<<56 | 0x00123456789abcde
+		lowByte[j] = 0xfedcba9876543200 | uint64(v)
+	}
+	var scratch []bkEntry
+	for _, keys := range [][]uint64{random, nil, {42}, topByte, random[:3], lowByte, random} {
+		es := make([]bkEntry, len(keys))
+		for j, key := range keys {
+			es[j] = bkEntry{key: key, weight: float64(j), rank: float64(-j)}
+		}
+		want := slices.Clone(es)
+		slices.SortFunc(want, func(a, b bkEntry) int { return cmp.Compare(a.key, b.key) })
+		scratch = sortByKey(es, scratch)
+		if !slices.Equal(es, want) {
+			t.Fatalf("%d keys: radix order differs from a comparison sort", len(keys))
+		}
+	}
 }
 
 // TestIncrementalSingleKeyMutations drives the incremental rebuild path

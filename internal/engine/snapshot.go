@@ -229,8 +229,8 @@ func (e *Engine) publish(en *snapshotCacheEntry) {
 // branch: per item the PPS threshold τ* takes one of exactly two values,
 // chosen by whether the item's rank is among the instance's k smallest
 // (rank ≤ boundary). Precomputing both collapses the per-item
-// KSmallest/CondThreshold/TauFromThreshold chain to a comparison, and
-// makes scheme interning a per-instance bit.
+// CondThreshold/TauFromThreshold chain to a comparison, and makes scheme
+// interning a per-instance bit.
 type instThresholds struct {
 	hasK     bool    // at least k ranks retained; otherwise every item is always included
 	boundary float64 // smallest[k-1]: the inclusion boundary rank
@@ -238,6 +238,27 @@ type instThresholds struct {
 	tauOut   float64 // τ* for rank > boundary
 }
 
+// selectThresholds is newInstThresholds over the k+1 smallest ranks of es,
+// an instance's finite retained entries, found by selection instead of a
+// sort: CondThreshold reads only the list's length and its entries k-1 and
+// k, so quickselect places exactly those two and leaves the rest of the
+// prefix unordered. It reorders es.
+func selectThresholds(es []bkEntry, k int) instThresholds {
+	if len(es) > k {
+		selectRank(es, k)
+	}
+	if len(es) >= k {
+		selectRank(es[:k], k-1)
+	}
+	smallest := make([]float64, min(len(es), k+1))
+	for j := range smallest {
+		smallest[j] = es[j].rank
+	}
+	return newInstThresholds(smallest, k)
+}
+
+// newInstThresholds derives an instance's two branches from smallest, its
+// (at most k+1) smallest ranks as CondThreshold takes them.
 func newInstThresholds(smallest []float64, k int) instThresholds {
 	// The two branch values come from the real reduction chain: rank 0 is
 	// always ≤ smallest[k-1] (ranks are positive) and +Inf never is, so

@@ -183,21 +183,25 @@ func (e *Engine) cut(withRegistry func(reg uint64) bool) (st *State, heaps [][]b
 
 // bottomEntries returns, key-ascending, the entries of es whose rank is at
 // most the n-th smallest rank (every entry when there are at most n). It
-// selects that rank in expected linear time instead of sorting, and
-// reorders es.
+// selects that rank in expected linear time and key-orders the survivors
+// by radix instead of sorting, and reorders es.
 func bottomEntries(es []bkEntry, n int) []StateEntry {
 	bound := math.Inf(1)
 	if len(es) > n {
 		selectRank(es, n-1)
 		bound = es[n-1].rank
 	}
-	out := make([]StateEntry, 0, min(len(es), n))
+	kept := es[:0]
 	for _, en := range es {
 		if en.rank <= bound {
-			out = append(out, StateEntry{Key: en.key, Weight: en.weight})
+			kept = append(kept, en)
 		}
 	}
-	slices.SortFunc(out, func(a, b StateEntry) int { return cmp.Compare(a.Key, b.Key) })
+	sortByKey(kept, nil)
+	out := make([]StateEntry, len(kept))
+	for j, en := range kept {
+		out[j] = StateEntry{Key: en.key, Weight: en.weight}
+	}
 	return out
 }
 

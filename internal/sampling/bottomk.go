@@ -33,7 +33,9 @@ func KSmallest(xs []float64, k int) []float64 {
 // with the given rank: the k-th smallest rank among the *other* items,
 // derived from smallest — the (at most k+1) smallest ranks of the whole
 // instance as produced by KSmallest(ranks, k+1). When fewer than k other
-// items exist the item is always included and t is +Inf.
+// items exist the item is always included and t is +Inf. Only
+// len(smallest), smallest[k-1] and smallest[k] are read, so a caller that
+// selects those two order statistics may leave the rest unordered.
 func CondThreshold(smallest []float64, k int, rank float64) float64 {
 	t := math.Inf(1)
 	switch {

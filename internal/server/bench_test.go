@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/dataset"
@@ -179,28 +180,42 @@ type churnRig struct {
 	s     *Server
 	zipf  *rand.Zipf
 	rng   *rand.Rand
+	keys  []uint64 // item key by Zipf index
 	total [2][]float64
 	burst []engine.Update
 	dash  []byte
 }
 
-func newChurnRig(tb testing.TB, u int) *churnRig {
+// newChurnRig builds the rig over the ids 0..u-1 as keys, the repository
+// benchmark's key shape.
+func newChurnRig(tb testing.TB, u int) *churnRig { return newKeyedChurnRig(tb, u, idKey) }
+
+// idKey keys item k by its id.
+func idKey(k int) uint64 { return uint64(k) }
+
+// hashedKey is the key the HTTP layer derives for an item named "item-k":
+// a 64-bit hash on which every byte varies, unlike dense ids, whose high
+// bytes all agree.
+func hashedKey(k int) uint64 { return sampling.StringKey("item-" + strconv.Itoa(k)) }
+
+func newKeyedChurnRig(tb testing.TB, u int, keyOf func(int) uint64) *churnRig {
 	tb.Helper()
 	eng, err := engine.New(engine.Config{Instances: 2, K: 256, Shards: 16, Hash: sampling.NewSeedHash(1)})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	g := &churnRig{s: New(eng), rng: rng, zipf: rand.NewZipf(rng, 1.1, 1, uint64(u-1)), burst: make([]engine.Update, 1024)}
+	g := &churnRig{s: New(eng), rng: rng, zipf: rand.NewZipf(rng, 1.1, 1, uint64(u-1)), keys: make([]uint64, u), burst: make([]engine.Update, 1024)}
 	preload := make([]engine.Update, 0, 2*u)
 	for i := range g.total {
 		g.total[i] = make([]float64, u)
 	}
 	for k := 0; k < u; k++ {
+		g.keys[k] = keyOf(k)
 		w := (rng.ExpFloat64() + 1e-6) * (1 + float64(u)*math.Pow(1+float64(k), -1.1))
 		g.total[0][k], g.total[1][k] = w, w*(0.95+0.1*rng.Float64())
 		for i := range g.total {
-			preload = append(preload, engine.Update{Instance: i, Key: uint64(k), Weight: g.total[i][k]})
+			preload = append(preload, engine.Update{Instance: i, Key: g.keys[k], Weight: g.total[i][k]})
 		}
 	}
 	if err := eng.IngestBatch(preload); err != nil {
@@ -226,7 +241,7 @@ func (g *churnRig) write(tb testing.TB) {
 		inc := g.rng.ExpFloat64()
 		for i := range g.total {
 			g.total[i][k] += inc
-			g.burst[j+i] = engine.Update{Instance: i, Key: k, Weight: g.total[i][k]}
+			g.burst[j+i] = engine.Update{Instance: i, Key: g.keys[k], Weight: g.total[i][k]}
 		}
 	}
 	if err := g.s.eng.IngestBatch(g.burst); err != nil {
@@ -243,17 +258,25 @@ func (g *churnRig) serve(tb testing.TB) {
 // BenchmarkChurnServe sweeps the key universe under a fixed sketch size:
 // what a write-invalidated read costs must depend on what the sketches
 // hold (r·(k+1) entries a shard), not on how many keys were ever seen.
+// The "-hashed" cases repeat the sweep with hashed keys, on which the
+// rebuild's key radix skips no byte.
 func BenchmarkChurnServe(b *testing.B) {
-	for _, u := range []int{1 << 16, 1 << 18, 1 << 20} {
-		b.Run(fmt.Sprintf("U=%d", u), func(b *testing.B) {
-			g := newChurnRig(b, u)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g.write(b)
-				g.serve(b)
+	for _, hashed := range []bool{false, true} {
+		for _, u := range []int{1 << 16, 1 << 18, 1 << 20} {
+			name, keyOf := fmt.Sprintf("U=%d", u), idKey
+			if hashed {
+				name, keyOf = name+"-hashed", hashedKey
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				g := newKeyedChurnRig(b, u, keyOf)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					g.write(b)
+					g.serve(b)
+				}
+			})
+		}
 	}
 }
 
