@@ -57,12 +57,15 @@ const (
 // sub-benchmark-only, so a leaf benchmark (no b.Run) never reports under
 // it. BenchmarkScatterGather's two sub-benchmarks are both gated;
 // BenchmarkChurnServe's smallest universe stands for the churn-shaped
-// rebuild (its other cases cost the same, by design).
+// rebuild (its other cases cost the same, by design), and
+// BenchmarkIngestWAL's fsync=never case for the journaled write path
+// without the disk flush.
 var suites = []struct{ pkg, bench string }{
-	{"internal/engine", "^BenchmarkIngestBatch$"},
+	{"internal/engine", "^(BenchmarkIngestBatch|BenchmarkIngestZipf)$"},
 	{"internal/engine", "^BenchmarkSnapshotIncremental$/^keys=16384$"},
 	{"internal/server", "^(BenchmarkQueryInvalidated|BenchmarkStreamIngest256)$"},
 	{"internal/server", "^BenchmarkChurnServe$/^U=65536$"},
+	{"internal/store", "^BenchmarkIngestWAL$/^fsync=never$"},
 	{"internal/cluster", "^(BenchmarkClusterQuery|BenchmarkScatterGather|BenchmarkSyncDeadNode)$"},
 }
 

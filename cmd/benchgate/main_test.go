@@ -57,11 +57,12 @@ func TestMedianOfPairedRatios(t *testing.T) {
 	}
 }
 
-// aa returns five rounds of the nine gated names with head/base ratios
+// aa returns five rounds of the eleven gated names with head/base ratios
 // spread like an A/A run on a shared host.
 func aa() []round {
 	names := []string{
-		"BenchmarkIngestBatch", "BenchmarkQueryInvalidated", "BenchmarkStreamIngest256",
+		"BenchmarkIngestBatch", "BenchmarkIngestZipf", "BenchmarkIngestWAL/fsync=never",
+		"BenchmarkQueryInvalidated", "BenchmarkStreamIngest256",
 		"BenchmarkSnapshotIncremental/keys=16384", "BenchmarkChurnServe/U=65536", "BenchmarkClusterQuery",
 		"BenchmarkScatterGather/cluster-64k-3nodes", "BenchmarkScatterGather/single-16k",
 		"BenchmarkSyncDeadNode",

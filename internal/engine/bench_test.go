@@ -2,6 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -86,6 +89,126 @@ func BenchmarkIngestBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(batch), "updates/op")
+}
+
+// zipfStream mirrors the repository benchmark's generator (bench/gen.go):
+// ids 0..u-1 under a seeded popularity permutation, Zipf(1.1) key draws,
+// and every event updating its key in both instances with a CUMULATIVE
+// weight — instance 1 takes instance 0's Exp(1) increment with
+// probability 0.9 — so every batch folds real mutations into keys the
+// sketches already retain or track, however long the stream runs.
+type zipfStream struct {
+	rng   *rand.Rand
+	zipf  *rand.Zipf
+	perm  []int
+	total [2][]float64
+}
+
+func newZipfStream(u int) *zipfStream {
+	rng := rand.New(rand.NewSource(1))
+	z := &zipfStream{rng: rng, zipf: rand.NewZipf(rng, 1.1, 1, uint64(u-1)), perm: rng.Perm(u)}
+	for i := range z.total {
+		z.total[i] = make([]float64, u)
+	}
+	return z
+}
+
+// preload returns every key's starting weight in both instances, already
+// as heavy as its popularity makes it in the long run.
+func (z *zipfStream) preload() []Update {
+	u := len(z.perm)
+	ups := make([]Update, 0, 2*u)
+	for rank, k := range z.perm {
+		a, b := z.increments()
+		scale := 1 + float64(u)*math.Pow(1+float64(rank), -1.1)
+		z.total[0][k], z.total[1][k] = a*scale, b*scale
+		ups = append(ups,
+			Update{Instance: 0, Key: uint64(k), Weight: z.total[0][k]},
+			Update{Instance: 1, Key: uint64(k), Weight: z.total[1][k]})
+	}
+	return ups
+}
+
+func (z *zipfStream) increments() (float64, float64) {
+	a := z.rng.ExpFloat64() + 1e-6
+	if z.rng.Float64() < 0.9 {
+		return a, a
+	}
+	return a, z.rng.ExpFloat64() + 1e-6
+}
+
+// fill overwrites ups with the stream's next events, two updates each.
+func (z *zipfStream) fill(ups []Update) {
+	for j := 0; j+2 <= len(ups); j += 2 {
+		k := z.perm[z.zipf.Uint64()]
+		a, b := z.increments()
+		z.total[0][k] += a
+		z.total[1][k] += b
+		ups[j] = Update{Instance: 0, Key: uint64(k), Weight: z.total[0][k]}
+		ups[j+1] = Update{Instance: 1, Key: uint64(k), Weight: z.total[1][k]}
+	}
+}
+
+// zipfBatches runs the served stream's shape against a fresh engine: 65,536
+// preloaded ids (k = 256, as the repository benchmark), then b.N 256-update
+// Zipf batches, generated off the clock in chunks so the stream never
+// repeats itself. ingest applies n batches laid out back to back in bufs.
+func zipfBatches(b *testing.B, ingest func(e *Engine, bufs []Update, n int)) {
+	const u, batch, chunk = 1 << 16, 256, 512
+	e := newBenchEngine(b, 256)
+	z := newZipfStream(u)
+	if err := e.IngestBatch(z.preload()); err != nil {
+		b.Fatal(err)
+	}
+	bufs := make([]Update, chunk*batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		n := min(chunk, b.N-done)
+		b.StopTimer()
+		z.fill(bufs[:n*batch])
+		b.StartTimer()
+		ingest(e, bufs, n)
+		done += n
+	}
+	b.ReportMetric(batch, "updates/op")
+}
+
+// BenchmarkIngestZipf measures the batched path on the traffic a served
+// stream carries: mostly keys already retained or registered, each a real
+// (cumulative-weight) mutation — the retained-entry sink BenchmarkIngestBatch
+// never reaches.
+func BenchmarkIngestZipf(b *testing.B) {
+	zipfBatches(b, func(e *Engine, bufs []Update, n int) {
+		for j := range n {
+			if err := e.IngestBatch(bufs[j*256 : (j+1)*256]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkIngestBatchParallel is BenchmarkIngestZipf with two writers
+// sharing the engine (no journal): they contend only on shard locks, so
+// ns/op (wall time per batch) falls below the one-writer figure.
+func BenchmarkIngestBatchParallel(b *testing.B) {
+	const writers = 2
+	zipfBatches(b, func(e *Engine, bufs []Update, n int) {
+		var wg sync.WaitGroup
+		for w := range writers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := w; j < n; j += writers {
+					if err := e.IngestBatch(bufs[j*256 : (j+1)*256]); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }
 
 // BenchmarkSnapshot measures the cold sketch → outcomes reduction: the

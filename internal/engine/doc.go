@@ -30,5 +30,8 @@
 //
 // Concurrency: shards are selected by a hash of the item key and guarded by
 // per-shard mutexes (lock striping), so writers on different shards never
-// contend. Snapshot briefly locks all shards for a consistent cut.
+// contend. Snapshot briefly locks all shards for a consistent cut. A write
+// journals its whole batch as one record and folds it under the read side
+// of a cut barrier, whose write side DumpState and SketchState take first,
+// so a checkpoint cut never sees a journaled batch half-applied.
 package engine

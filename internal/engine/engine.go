@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -34,18 +35,20 @@ type Update struct {
 }
 
 // Journal durably records accepted updates — the engine's write-ahead
-// hook. Append is called with batches of validated, non-zero-weight
-// updates UNDER THE OWNING SHARD'S LOCK, immediately before they are
-// applied in the same critical section. That placement is what makes
-// checkpoints sound: any consistent cut (which acquires every shard lock)
-// observes the application of every batch journaled before it, so a
-// store that rotates its WAL before cutting can prune the closed tail
-// without losing an update. Replay may observe batches in a different
-// interleaving than they were applied in: the sketch fold is commutative
-// and idempotent under max semantics (the batch-equivalence tests prove
-// order-independence), so any replay order reproduces the same state.
-// Implementations must be safe for concurrent use, must not retain the
-// batch slice past the call, and must never call back into the engine.
+// hook. Append is called ONCE PER INGEST CALL with the whole validated,
+// non-zero-weight batch (shard-ordered), under the read side of the
+// engine's cut barrier, immediately before the batch is folded shard by
+// shard. That placement is what makes checkpoints sound: a cut (DumpState,
+// SketchState) takes the barrier's write side, so it waits for every batch
+// journaled before it to finish applying, and a store that rotates its WAL
+// before cutting can prune the closed tail without losing an update. A
+// failed Append applies nothing of the batch. Replay may observe batches
+// in a different interleaving than they were applied in: the sketch fold
+// is commutative and idempotent under max semantics (the batch-equivalence
+// tests prove order-independence), so any replay order reproduces the
+// same state. Implementations must be safe for concurrent use, must not
+// retain the batch slice past the call, and must never call back into the
+// engine.
 type Journal interface {
 	Append(batch []Update) error
 }
@@ -66,6 +69,11 @@ type Engine struct {
 	// journal, when set, receives every accepted update batch before it is
 	// applied (write-ahead). Set via SetJournal before concurrent use.
 	journal Journal
+	// cutMu is the cut barrier: every write holds its read side from
+	// journal append to the last shard fold, and cut holds its write side,
+	// so a cut never observes a journaled batch half-applied. Writers share
+	// it, so they still fold in parallel under the shard locks.
+	cutMu sync.RWMutex
 	// cache is the last reduced snapshot with the version it was cut at;
 	// CachedView serves it lock-free while the version holds, and
 	// rebuildMu single-flights cache-miss rebuilds.
@@ -100,6 +108,10 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("engine: bottom-k size %d must be positive", cfg.K)
 	}
+	if cfg.K >= math.MaxInt32 {
+		// A heap holds k+1 entries and indexes them by int32.
+		return nil, fmt.Errorf("engine: bottom-k size %d exceeds %d", cfg.K, math.MaxInt32-1)
+	}
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("engine: shard count %d must be nonnegative", cfg.Shards)
 	}
@@ -124,7 +136,7 @@ func New(cfg Config) (*Engine, error) {
 			// smallest ranks, and the union of shard heaps covers them.
 			heaps[i] = newBKHeap(cfg.K + 1)
 		}
-		e.shards[s] = &shard{items: make(map[uint64]*item), heaps: heaps}
+		e.shards[s] = &shard{index: make(map[uint64]uint32), heaps: heaps}
 	}
 	return e, nil
 }
@@ -149,41 +161,28 @@ func (e *Engine) Ingest(instance int, key uint64, weight float64) error {
 		return nil
 	}
 	one := [1]Update{{Instance: instance, Key: key, Weight: weight}}
-	muts, err := e.foldShard(e.shards[e.shardOf(key)], one[:])
-	if err != nil {
-		return fmt.Errorf("engine: %w: %w", ErrJournal, err)
+	sh := e.shards[e.shardOf(key)]
+	return e.write(one[:], func() uint64 { return sh.fold(e, one[:]) })
+}
+
+// write is the engine's one write step: journal the validated,
+// non-zero-weight batch as one record, then fold it (fold walks the
+// shards, each under its own lock, and returns the snapshot-visible
+// mutations), all under the cut barrier's read side — so a cut, which
+// takes the write side, sees every journaled batch fully applied or not
+// journaled yet (see Journal). A journal error applies nothing.
+func (e *Engine) write(batch []Update, fold func() uint64) error {
+	e.cutMu.RLock()
+	defer e.cutMu.RUnlock()
+	if e.journal != nil {
+		if err := e.journal.Append(batch); err != nil {
+			return fmt.Errorf("engine: %w: %w", ErrJournal, err)
+		}
 	}
-	if muts > 0 {
+	if fold() > 0 {
 		e.notifyMutation()
 	}
 	return nil
-}
-
-// foldShard is the engine's one write critical section: journal the
-// validated, non-zero-weight updates (all routed to sh), then apply them,
-// under sh's lock. Write-ahead under the shard lock makes
-// journaled-then-applied atomic with respect to any consistent cut, so a
-// checkpoint never misses a journaled update (see Journal); a journal
-// error rejects the updates unapplied. Counters bump under the same lock
-// so a cut (Snapshot, Stats) reads version and traffic exactly as of the
-// cut: muts (returned) counts snapshot-visible mutations, Ingests counts
-// accepted operations.
-func (e *Engine) foldShard(sh *shard, updates []Update) (muts uint64, err error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e.journal != nil {
-		if err := e.journal.Append(updates); err != nil {
-			return 0, err
-		}
-	}
-	for _, u := range updates {
-		if sh.ingest(e, u.Instance, u.Key, u.Weight) {
-			muts++
-		}
-	}
-	sh.muts.Add(muts)
-	e.ingests.Add(uint64(len(updates)))
-	return muts, nil
 }
 
 // batchScratch is IngestBatch's reusable bucketing state: per-shard counts
@@ -194,10 +193,12 @@ type batchScratch struct {
 }
 
 // IngestBatch folds a batch of observations, taking each shard lock at
-// most once. The batch is validated up front and applied atomically per
-// shard (not across shards). Bucketing is a two-pass slice scheme (count
-// per shard, then fill a shard-ordered copy) over pooled scratch, so the
-// steady state allocates nothing.
+// most once. The batch is validated up front, journaled as ONE record
+// under the cut barrier's read side, and then applied shard by shard:
+// atomic per shard against snapshots, all-or-nothing against a journal
+// failure and against checkpoint cuts. Bucketing is a two-pass slice
+// scheme (count per shard, then fill a shard-ordered copy) over pooled
+// scratch, so the steady state allocates nothing.
 func (e *Engine) IngestBatch(updates []Update) error {
 	for j, u := range updates {
 		if err := e.check(u.Instance, u.Weight); err != nil {
@@ -246,28 +247,16 @@ func (e *Engine) IngestBatch(updates []Update) error {
 		buf[counts[s]] = u
 		counts[s]++
 	}
-	lo := 0
-	batchMuts := uint64(0)
-	for s := 0; s < ns; s++ {
-		hi := counts[s]
-		if hi == lo {
-			continue
+	return e.write(buf, func() (muts uint64) {
+		lo := 0
+		for s, hi := range counts {
+			if hi > lo {
+				muts += e.shards[s].fold(e, buf[lo:hi])
+				lo = hi
+			}
 		}
-		// Each shard's sub-batch is one WAL record. A journal error aborts
-		// the batch mid-way — shards already walked keep their (journaled)
-		// updates, later shards see nothing, matching the documented
-		// per-shard (not cross-shard) atomicity.
-		muts, err := e.foldShard(e.shards[s], buf[lo:hi])
-		if err != nil {
-			return fmt.Errorf("engine: %w (batch partially applied): %w", ErrJournal, err)
-		}
-		batchMuts += muts
-		lo = hi
-	}
-	if batchMuts > 0 {
-		e.notifyMutation()
-	}
-	return nil
+		return muts
+	})
 }
 
 // MutationSignal returns the engine's coalesced mutation wakeup: the
@@ -412,14 +401,14 @@ func (e *Engine) Stats() Stats {
 	for s, sh := range e.shards {
 		m := sh.muts.Load()
 		st.Version += m
-		st.Keys += len(sh.items)
+		st.Keys += len(sh.keys)
 		st.ActiveEntries += sh.activeEntries
 		for i := range sh.heaps {
 			st.RetainedEntries += len(sh.heaps[i].es)
 		}
 		st.PerShard[s] = ShardStats{
 			Mutations:         m,
-			Keys:              len(sh.items),
+			Keys:              len(sh.keys),
 			PartitionRebuilds: sh.rebuilds.Load(),
 		}
 	}
@@ -442,53 +431,83 @@ func (e *Engine) Stats() Stats {
 // instance's bottom-(k+1) heap. muts counts the shard's accepted non-zero
 // ingests; it bumps under mu so that consistent cuts read it exactly, and
 // is summed lock-free by Engine.Version.
+//
+// The key registry is flat and pointer-free: index maps a key to its
+// slot, keys[slot] is the key and masks[slot*maskWords:] the instances
+// that have seen it with a positive weight (for exact TotalEntries
+// bookkeeping). The registry lets Snapshot emit outcomes for unsketched
+// items too, matching the batch sampler's full outcome list. A key's seed
+// is not stored: hash.U(key) recomputes it for less than a map lookup
+// costs.
 type shard struct {
 	mu   sync.Mutex
 	muts atomic.Uint64
 	// rebuilds counts re-reductions of this shard's snapshot partition; it
 	// bumps under rebuildMu (not mu) and is read lock-free by Stats.
 	rebuilds      atomic.Uint64
-	items         map[uint64]*item
+	index         map[uint64]uint32
+	keys          []uint64
+	masks         []uint64
 	heaps         []bkHeap
 	activeEntries int
 }
 
-// item is the per-key registry entry: the hashed seed plus which instances
-// have seen a positive weight (for exact TotalEntries bookkeeping). It
-// costs O(1) words per key — the registry lets Snapshot emit outcomes for
-// unsketched items too, matching the batch sampler's full outcome list.
-type item struct {
-	seed float64
-	mask []uint64
+// fold applies updates (all routed to sh) under sh's lock and returns how
+// many changed snapshot-visible state. Counters bump under the same lock
+// so a cut (Snapshot, Stats) reads version and traffic exactly as of the
+// cut: muts counts snapshot-visible mutations, Ingests accepted
+// operations.
+func (sh *shard) fold(e *Engine, updates []Update) (muts uint64) {
+	sh.mu.Lock()
+	for _, u := range updates {
+		if sh.ingest(e, u.Instance, u.Key, u.Weight) {
+			muts++
+		}
+	}
+	sh.muts.Add(muts)
+	e.ingests.Add(uint64(len(updates)))
+	sh.mu.Unlock()
+	return muts
 }
 
 // ingest folds one observation into the shard and reports whether any
 // snapshot-visible state changed (registry bitmask or sketch heap). A
 // dominated duplicate changes nothing and must not bump the mutation
-// counter, so cached snapshots survive duplicate-heavy streams.
+// counter, so cached snapshots survive duplicate-heavy streams. The caller
+// holds sh.mu.
 func (sh *shard) ingest(e *Engine, instance int, key uint64, w float64) bool {
-	it, ok := sh.items[key]
-	if !ok {
-		it = sh.newItem(e, key)
-	}
-	mutated := false
-	word, bit := instance/64, uint64(1)<<(instance%64)
-	if it.mask[word]&bit == 0 {
-		it.mask[word] |= bit
-		sh.activeEntries++
-		mutated = true
-	}
-	rank := sampling.Rank(sampling.RankPriority, it.seed, w)
-	if sh.heaps[instance].update(key, w, rank) {
-		mutated = true
-	}
-	return mutated
+	slot := sh.slot(e, key)
+	activated := sh.activate(e, slot, instance/64, uint64(1)<<(instance%64)) > 0
+	rank := sampling.Rank(sampling.RankPriority, e.cfg.Hash.U(key), w)
+	return sh.heaps[instance].update(slot, key, w, rank) || activated
 }
 
-// newItem registers key with no instance active yet. The caller holds
-// sh.mu and has found no entry for key.
-func (sh *shard) newItem(e *Engine, key uint64) *item {
-	it := &item{seed: e.cfg.Hash.U(key), mask: make([]uint64, e.maskWords)}
-	sh.items[key] = it
-	return it
+// slot returns key's registry slot, registering the key with no instance
+// active yet if it is new. The caller holds sh.mu.
+func (sh *shard) slot(e *Engine, key uint64) uint32 {
+	if slot, ok := sh.index[key]; ok {
+		return slot
+	}
+	slot := uint32(len(sh.keys))
+	sh.index[key] = slot
+	sh.keys = append(sh.keys, key)
+	sh.masks = append(sh.masks, make([]uint64, e.maskWords)...)
+	for i := range sh.heaps {
+		sh.heaps[i].pos = append(sh.heaps[i].pos, -1)
+	}
+	return slot
+}
+
+// activate ORs set into word w of slot's mask and returns how many of its
+// bits were newly set. The caller holds sh.mu.
+func (sh *shard) activate(e *Engine, slot uint32, w int, set uint64) int {
+	m := &sh.masks[int(slot)*e.maskWords+w]
+	added := set &^ *m
+	if added == 0 {
+		return 0
+	}
+	*m |= added
+	n := bits.OnesCount64(added)
+	sh.activeEntries += n
+	return n
 }

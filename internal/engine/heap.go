@@ -1,14 +1,17 @@
 package engine
 
 // bkHeap keeps the cap smallest-rank entries seen so far: a max-heap on
-// rank (root = largest retained rank, the eviction candidate) with a
-// position index so that a max-weight update can decrease an entry's rank
-// in place. A hand-rolled heap avoids container/heap's interface
-// allocations on the ingest hot path.
+// rank (root = largest retained rank, the eviction candidate). Each entry's
+// registry slot rides in slots, parallel to es, and pos maps a slot back to
+// its heap index (−1: not retained), so a max-weight update finds and
+// decreases an entry's rank in place with array reads only. A hand-rolled
+// heap avoids container/heap's interface allocations on the ingest hot
+// path.
 type bkHeap struct {
-	cap int
-	es  []bkEntry
-	pos map[uint64]int
+	cap   int
+	es    []bkEntry
+	slots []uint32
+	pos   []int32
 }
 
 // bkEntry is one retained (key, weight, rank) triple.
@@ -19,38 +22,40 @@ type bkEntry struct {
 }
 
 func newBKHeap(cap int) bkHeap {
-	return bkHeap{cap: cap, pos: make(map[uint64]int, cap)}
+	return bkHeap{cap: cap}
 }
 
-// update folds an observation in under max-weight semantics: a retained
-// key keeps its largest weight (= smallest rank); a new key is admitted if
-// there is room or it outranks the current eviction candidate. Ranks only
-// decrease over an entry's lifetime, so eviction is permanent unless the
-// key itself later arrives with a larger weight. It reports whether the
-// heap changed — dominated duplicates and non-admitted keys are no-ops
-// that must not invalidate cached snapshots.
-func (h *bkHeap) update(key uint64, w, rank float64) bool {
-	if i, ok := h.pos[key]; ok {
+// update folds an observation of the key registered at slot in under
+// max-weight semantics: a retained key keeps its largest weight (= smallest
+// rank); a new key is admitted if there is room or it outranks the current
+// eviction candidate. Ranks only decrease over an entry's lifetime, so
+// eviction is permanent unless the key itself later arrives with a larger
+// weight. It reports whether the heap changed — dominated duplicates and
+// non-admitted keys are no-ops that must not invalidate cached snapshots.
+func (h *bkHeap) update(slot uint32, key uint64, w, rank float64) bool {
+	if i := h.pos[slot]; i >= 0 {
 		if w <= h.es[i].weight {
 			return false
 		}
 		h.es[i].weight = w
 		h.es[i].rank = rank
-		h.down(i) // rank decreased: sink in the max-heap
+		h.down(int(i)) // rank decreased: sink in the max-heap
 		return true
 	}
 	if len(h.es) < h.cap {
 		h.es = append(h.es, bkEntry{key: key, weight: w, rank: rank})
-		h.pos[key] = len(h.es) - 1
+		h.slots = append(h.slots, slot)
+		h.pos[slot] = int32(len(h.es) - 1)
 		h.up(len(h.es) - 1)
 		return true
 	}
 	if rank >= h.es[0].rank {
 		return false
 	}
-	delete(h.pos, h.es[0].key)
+	h.pos[h.slots[0]] = -1
 	h.es[0] = bkEntry{key: key, weight: w, rank: rank}
-	h.pos[key] = 0
+	h.slots[0] = slot
+	h.pos[slot] = 0
 	h.down(0)
 	return true
 }
@@ -85,6 +90,7 @@ func (h *bkHeap) down(i int) {
 
 func (h *bkHeap) swap(i, j int) {
 	h.es[i], h.es[j] = h.es[j], h.es[i]
-	h.pos[h.es[i].key] = i
-	h.pos[h.es[j].key] = j
+	h.slots[i], h.slots[j] = h.slots[j], h.slots[i]
+	h.pos[h.slots[i]] = int32(i)
+	h.pos[h.slots[j]] = int32(j)
 }

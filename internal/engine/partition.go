@@ -96,13 +96,10 @@ func (e *Engine) rebuildLocked() SnapshotView {
 		anyDirty = true
 		dirty[s] = true
 		p := &partition{muts: m, active: sh.activeEntries, retained: make([][]bkEntry, r)}
-		if old != nil && len(old.keys) == len(sh.items) {
+		if old != nil && len(old.keys) == len(sh.keys) {
 			p.keys = old.keys // invariant 2: same count ⇒ same sorted set
 		} else {
-			p.keys = make([]uint64, 0, len(sh.items))
-			for key := range sh.items {
-				p.keys = append(p.keys, key)
-			}
+			p.keys = slices.Clone(sh.keys)
 			sortKeys[s] = true
 			keysChanged = true
 		}

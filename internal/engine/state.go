@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"repro/internal/sampling"
@@ -79,10 +78,10 @@ func seedCheck(h sampling.SeedHash) [2]float64 {
 	return [2]float64{h.U(seedProbeKeys[0]), h.U(seedProbeKeys[1])}
 }
 
-// DumpState serializes the engine's contents as one consistent cut: all
-// shard locks are held while keys, masks, heap entries and counters are
-// copied out, then the copy is sorted lock-free. The result shares no
-// memory with the engine.
+// DumpState serializes the engine's contents as one consistent cut: the
+// cut barrier and all shard locks are held while keys, masks, heap entries
+// and counters are copied out, then the copy is sorted lock-free. The
+// result shares no memory with the engine.
 func (e *Engine) DumpState() *State {
 	st, heaps, _ := e.cut(func(uint64) bool { return true })
 	for i, es := range heaps {
@@ -115,11 +114,14 @@ func (e *Engine) SketchState(knownReg uint64) (st *State, reg uint64) {
 	return st, reg
 }
 
-// cut is the consistent cut behind DumpState and SketchState: all shard
-// locks are held while the counters, every shard's heap entries per
-// instance and — when withRegistry approves the cut's registry size reg —
-// the keys and masks are copied out; the registry is then sorted
-// lock-free. The result shares no memory with the engine; st.Entries is
+// cut is the consistent cut behind DumpState and SketchState: the cut
+// barrier's write side and then all shard locks are held while the
+// counters, every shard's heap entries per instance and — when
+// withRegistry approves the cut's registry size reg — the flat keys and
+// masks are copied out; the registry is then sorted lock-free. Holding
+// the barrier means no journaled batch is half-applied at the cut, which
+// is what lets a checkpoint prune the WAL it rotated away from (see
+// Journal). The result shares no memory with the engine; st.Entries is
 // left for the caller to fill from heaps.
 func (e *Engine) cut(withRegistry func(reg uint64) bool) (st *State, heaps [][]bkEntry, reg uint64) {
 	r, mw := e.cfg.Instances, e.maskWords
@@ -131,6 +133,7 @@ func (e *Engine) cut(withRegistry func(reg uint64) bool) (st *State, heaps [][]b
 		Entries:   make([][]StateEntry, r),
 	}
 	heaps = make([][]bkEntry, r)
+	e.cutMu.Lock()
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 	}
@@ -138,17 +141,16 @@ func (e *Engine) cut(withRegistry func(reg uint64) bool) (st *State, heaps [][]b
 	keys := 0
 	for _, sh := range e.shards {
 		st.Version += sh.muts.Load()
-		keys += len(sh.items)
-		reg += uint64(len(sh.items) + sh.activeEntries)
+		keys += len(sh.keys)
+		reg += uint64(len(sh.keys) + sh.activeEntries)
 	}
+	var unsorted, unsortedMasks []uint64
 	if withRegistry(reg) {
-		st.Keys = make([]uint64, 0, keys)
-		st.Masks = make([]uint64, 0, keys*mw)
+		unsorted = make([]uint64, 0, keys)
+		unsortedMasks = make([]uint64, 0, keys*mw)
 		for _, sh := range e.shards {
-			for key, it := range sh.items {
-				st.Keys = append(st.Keys, key)
-				st.Masks = append(st.Masks, it.mask...)
-			}
+			unsorted = append(unsorted, sh.keys...)
+			unsortedMasks = append(unsortedMasks, sh.masks...)
 		}
 	}
 	for i := range heaps {
@@ -164,20 +166,20 @@ func (e *Engine) cut(withRegistry func(reg uint64) bool) (st *State, heaps [][]b
 	for _, sh := range e.shards {
 		sh.mu.Unlock()
 	}
+	e.cutMu.Unlock()
 
-	// Sort keys ascending, permuting the masks alongside; map iteration
+	// Sort keys ascending, permuting the masks alongside; registration
 	// order must not leak into the serialized form.
-	perm := make([]int, len(st.Keys))
+	perm := make([]int, len(unsorted))
 	for i := range perm {
 		perm[i] = i
 	}
-	slices.SortFunc(perm, func(a, b int) int { return cmp.Compare(st.Keys[a], st.Keys[b]) })
-	sorted, masks := make([]uint64, len(st.Keys)), make([]uint64, len(st.Masks))
+	slices.SortFunc(perm, func(a, b int) int { return cmp.Compare(unsorted[a], unsorted[b]) })
+	st.Keys, st.Masks = make([]uint64, len(unsorted)), make([]uint64, len(unsortedMasks))
 	for to, from := range perm {
-		sorted[to] = st.Keys[from]
-		copy(masks[to*mw:(to+1)*mw], st.Masks[from*mw:(from+1)*mw])
+		st.Keys[to] = unsorted[from]
+		copy(st.Masks[to*mw:(to+1)*mw], unsortedMasks[from*mw:(from+1)*mw])
 	}
-	st.Keys, st.Masks = sorted, masks
 	return st, heaps, reg
 }
 
@@ -316,7 +318,7 @@ func (e *Engine) MergeState(st *State) error {
 // snapshot-visible change bumps the owning shard's mutation counter under
 // its lock (merge); without, counters are left for the caller (restore).
 // An entry registers its own key: it ORs its instance bit into the key's
-// item, creating the item if needed, so a State whose entries name keys
+// registry mask, registering the key if needed, so a State whose entries name keys
 // absent from Keys (a compact SketchState, or a crafted artifact) still
 // leaves every retained entry's key in the registry — never an outcome
 // served at another key's position.
@@ -325,19 +327,10 @@ func (e *Engine) applyState(st *State, countMuts bool) {
 	for j, key := range st.Keys {
 		sh := e.shards[e.shardOf(key)]
 		sh.mu.Lock()
-		it, ok := sh.items[key]
-		if !ok {
-			it = sh.newItem(e, key)
-		}
+		slot := sh.slot(e, key)
 		muts := uint64(0)
 		for w := 0; w < mw; w++ {
-			added := st.Masks[j*mw+w] &^ it.mask[w]
-			if added != 0 {
-				it.mask[w] |= added
-				n := bits.OnesCount64(added)
-				sh.activeEntries += n
-				muts += uint64(n)
-			}
+			muts += uint64(sh.activate(e, slot, w, st.Masks[j*mw+w]))
 		}
 		if countMuts {
 			sh.muts.Add(muts)
@@ -349,18 +342,10 @@ func (e *Engine) applyState(st *State, countMuts bool) {
 		for _, en := range ents {
 			sh := e.shards[e.shardOf(en.Key)]
 			sh.mu.Lock()
-			it, ok := sh.items[en.Key]
-			if !ok {
-				it = sh.newItem(e, en.Key)
-			}
-			muts := uint64(0)
-			if it.mask[word]&bit == 0 {
-				it.mask[word] |= bit
-				sh.activeEntries++
-				muts++
-			}
-			rank := sampling.Rank(sampling.RankPriority, it.seed, en.Weight)
-			if sh.heaps[i].update(en.Key, en.Weight, rank) {
+			slot := sh.slot(e, en.Key)
+			muts := uint64(sh.activate(e, slot, word, bit))
+			rank := sampling.Rank(sampling.RankPriority, e.cfg.Hash.U(en.Key), en.Weight)
+			if sh.heaps[i].update(slot, en.Key, en.Weight, rank) {
 				muts++
 			}
 			if countMuts {

@@ -320,12 +320,20 @@ func TestJournalReceivesAcceptedUpdates(t *testing.T) {
 	if err := e.Ingest(0, 43, 0); err != nil { // zero-weight no-op: not journaled
 		t.Fatal(err)
 	}
-	if err := e.IngestBatch([]Update{
+	batch := []Update{
 		{Instance: 1, Key: 1, Weight: 2},
 		{Instance: 1, Key: 2, Weight: 0}, // filtered
 		{Instance: 2, Key: 3, Weight: 4},
-	}); err != nil {
+	}
+	if e.shardOf(1) == e.shardOf(3) {
+		t.Fatal("keys 1 and 3 share a shard; pick keys that span two")
+	}
+	if err := e.IngestBatch(batch); err != nil {
 		t.Fatal(err)
+	}
+	// One record per ingest call, however many shards the batch spans.
+	if len(j.batches) != 2 || len(j.batches[1]) != 2 {
+		t.Fatalf("journaled records %v, want the single update then one 2-update record for the two-shard batch", j.batches)
 	}
 	total := 0
 	for _, b := range j.batches {
@@ -348,7 +356,7 @@ func TestJournalReceivesAcceptedUpdates(t *testing.T) {
 }
 
 func TestJournalErrorRejectsUpdate(t *testing.T) {
-	e, _ := New(testConfig(2))
+	e, _ := New(testConfig(4))
 	boom := errors.New("disk full")
 	e.SetJournal(&journalRecorder{fail: boom})
 
@@ -357,8 +365,19 @@ func TestJournalErrorRejectsUpdate(t *testing.T) {
 		t.Fatalf("Ingest error %v, want the journal error wrapped and marked ErrJournal", err)
 	}
 	if err := e.IngestBatch([]Update{{Instance: 0, Key: 2, Weight: 1}}); !errors.Is(err, boom) || !errors.Is(err, ErrJournal) ||
-		err.Error() != "engine: journal (batch partially applied): disk full" {
+		err.Error() != "engine: journal: disk full" {
 		t.Fatalf("IngestBatch error %v, want the journal error wrapped and marked ErrJournal", err)
+	}
+	// A batch spanning several shards is all-or-nothing: the one record
+	// failed, so no shard applies any of it.
+	var spread []Update
+	shards := map[int]bool{}
+	for key := uint64(0); len(shards) < 3; key++ {
+		spread = append(spread, Update{Instance: int(key % 2), Key: key, Weight: 1 + float64(key)})
+		shards[e.shardOf(key)] = true
+	}
+	if err := e.IngestBatch(spread); !errors.Is(err, boom) || err.Error() != "engine: journal: disk full" {
+		t.Fatalf("IngestBatch of a %d-shard batch: error %v, want the journal error", len(shards), err)
 	}
 	if err := e.IngestBatch([]Update{{Instance: 9, Key: 2, Weight: 1}}); err == nil || errors.Is(err, ErrJournal) {
 		t.Fatalf("validation error %v must not be marked ErrJournal", err)

@@ -46,19 +46,19 @@ func TestJournalFailureAnswers500(t *testing.T) {
 
 	resp, out := postRawJSON(t, ts.URL+"/v1/ingest", ingestBody(3, 0))
 	if env := decode(out); resp.StatusCode != http.StatusInternalServerError || env.Error.Code != "internal" ||
-		env.Error.Message != "engine: journal (batch partially applied): disk full" {
+		env.Error.Message != "engine: journal: disk full" {
 		t.Fatalf("/v1/ingest with a failing journal: %d %+v, want 500 internal", resp.StatusCode, env.Error)
 	}
 
-	// One frame fits (a single-key frame is one shard record), then the
-	// disk is full.
+	// One frame fits (every frame is one journal record), then the disk is
+	// full.
 	journal.room.Store(1)
 	resp, out = postStream(t, ts, streamBody(
 		[]engine.Update{{Instance: 0, Key: 1, Weight: 2}},
 		[]engine.Update{{Instance: 0, Key: 2, Weight: 2}},
 	))
 	if env := decode(out); resp.StatusCode != http.StatusInternalServerError || env.Error.Code != "internal" ||
-		env.Error.Message != "frame 1: engine: journal (batch partially applied): disk full (1 updates from 1 frames already applied)" {
+		env.Error.Message != "frame 1: engine: journal: disk full (1 updates from 1 frames already applied)" {
 		t.Fatalf("/v1/stream with a failing journal: %d %+v, want 500 internal with progress", resp.StatusCode, env.Error)
 	}
 	if got := eng.Stats().Ingests; got != 1 {

@@ -49,40 +49,51 @@ const (
 // integrity-checked artifact — the /v1/export wire format and the body of
 // every checkpoint. Equal states encode to equal bytes.
 func EncodeState(st *engine.State) []byte {
+	return appendState(make([]byte, 0, stateSize(st)), st)
+}
+
+// stateSize is the encoded length of st: header plus payload.
+func stateSize(st *engine.State) int {
 	mw := (st.Instances + 63) / 64
-	size := 2 + 3*4 + 2*8 + 2*8 + 8 + len(st.Keys)*8 + len(st.Keys)*mw*8
+	size := 16 + 2 + 3*4 + 2*8 + 2*8 + 8 + len(st.Keys)*8 + len(st.Keys)*mw*8
 	for _, ents := range st.Entries {
 		size += 8 + len(ents)*16
 	}
-	payload := make([]byte, 0, size)
-	payload = binary.LittleEndian.AppendUint16(payload, stateFormat)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(st.Instances))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(st.K))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(st.Shards))
-	payload = binary.LittleEndian.AppendUint64(payload, st.Version)
-	payload = binary.LittleEndian.AppendUint64(payload, st.Ingests)
-	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(st.SeedCheck[0]))
-	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(st.SeedCheck[1]))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(len(st.Keys)))
+	return size
+}
+
+// appendState appends st's artifact to dst: the payload is written once,
+// behind a header whose length and CRC are filled in place afterwards.
+func appendState(dst []byte, st *engine.State) []byte {
+	at := len(dst)
+	dst = append(dst, stateMagic...)
+	dst = append(dst, make([]byte, 8)...) // payload length and CRC, below
+	dst = binary.LittleEndian.AppendUint16(dst, stateFormat)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(st.Instances))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(st.K))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(st.Shards))
+	dst = binary.LittleEndian.AppendUint64(dst, st.Version)
+	dst = binary.LittleEndian.AppendUint64(dst, st.Ingests)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(st.SeedCheck[0]))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(st.SeedCheck[1]))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(st.Keys)))
 	for _, k := range st.Keys {
-		payload = binary.LittleEndian.AppendUint64(payload, k)
+		dst = binary.LittleEndian.AppendUint64(dst, k)
 	}
 	for _, m := range st.Masks {
-		payload = binary.LittleEndian.AppendUint64(payload, m)
+		dst = binary.LittleEndian.AppendUint64(dst, m)
 	}
 	for _, ents := range st.Entries {
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(len(ents)))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(ents)))
 		for _, en := range ents {
-			payload = binary.LittleEndian.AppendUint64(payload, en.Key)
-			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(en.Weight))
+			dst = binary.LittleEndian.AppendUint64(dst, en.Key)
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(en.Weight))
 		}
 	}
-
-	out := make([]byte, 0, 8+4+4+len(payload))
-	out = append(out, stateMagic...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
+	payload := dst[at+16:]
+	binary.LittleEndian.PutUint32(dst[at+8:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[at+12:], crc32.ChecksumIEEE(payload))
+	return dst
 }
 
 // stateReader walks an encoded payload with bounds checking.

@@ -313,13 +313,13 @@ func (f *fileStore) syncLoop() {
 // Checkpoint persists a state cut atomically (temp file + fsync +
 // rename + dir fsync) and prunes WAL segments and older checkpoints it
 // makes obsolete. Ordering is the crux: the WAL is rotated to a fresh
-// segment FIRST, and only then is cut() invoked. Updates are journaled
-// and applied inside one shard critical section and the cut acquires
-// every shard lock, so every record in the closed segments is visible to
-// the cut — the closed tail can be pruned with nothing lost. Appends
-// racing the cut land in the new segment; the cut may already include
-// some of them, and replaying those on recovery is an idempotent no-op
-// under max semantics.
+// segment FIRST, and only then is cut() invoked. A batch is journaled and
+// applied under the read side of the engine's cut barrier and the cut
+// takes its write side, so every record in the closed segments is fully
+// applied when the cut reads the engine — the closed tail can be pruned
+// with nothing lost. Appends racing the cut land in the new segment; the
+// cut may already include some of them, and replaying those on recovery
+// is an idempotent no-op under max semantics.
 func (f *fileStore) Checkpoint(cut func() *engine.State) (CheckpointStats, error) {
 	f.mu.Lock()
 	if err := f.appendable(); err != nil {
@@ -332,19 +332,19 @@ func (f *fileStore) Checkpoint(cut func() *engine.State) (CheckpointStats, error
 	}
 	first := f.segSeq
 	f.mu.Unlock()
-	// The cut happens outside the append lock: it takes the engine's
-	// shard locks, which in-flight appenders hold while waiting for the
-	// append lock — cutting under f.mu would deadlock.
+	// The cut happens outside the append lock: it waits on the engine's
+	// cut barrier, whose read side in-flight appenders hold while waiting
+	// for the append lock — cutting under f.mu would deadlock.
 	st := cut()
 
 	stats := CheckpointStats{Seq: first, Version: st.Version, Keys: len(st.Keys)}
 	for _, ents := range st.Entries {
 		stats.RetainedEntries += len(ents)
 	}
-	data := make([]byte, 0, 16+len(st.Keys)*24)
+	data := make([]byte, 0, 16+stateSize(st))
 	data = append(data, ckptMagic...)
 	data = binary.LittleEndian.AppendUint64(data, first)
-	data = append(data, EncodeState(st)...)
+	data = appendState(data, st)
 	stats.Bytes = len(data)
 
 	path := f.ckptPath(first)

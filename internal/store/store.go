@@ -133,7 +133,7 @@ type CheckpointStats struct {
 
 // Store persists an engine's stream. Append/Sync serve the write-ahead
 // log (Append is safe for concurrent use — it is the engine's Journal,
-// called under the engine's shard locks). Checkpoint atomically persists
+// called once per ingest batch under the engine's cut barrier). Checkpoint atomically persists
 // a full sketch state and prunes the WAL prefix it covers; the state is
 // produced by the cut callback, which the store invokes only AFTER it
 // has sealed the WAL position the checkpoint claims to cover (the file
