@@ -52,7 +52,7 @@ const (
 )
 
 // suites are the gated benchmarks, as `go test -bench` selectors run
-// from their package directory. The engine and server need two each: go's
+// from their package directory. The server needs two: go's
 // slash-segmented pattern treats a two-segment regex as
 // sub-benchmark-only, so a leaf benchmark (no b.Run) never reports under
 // it. BenchmarkScatterGather's two sub-benchmarks are both gated;
@@ -62,8 +62,7 @@ const (
 // without the disk flush.
 var suites = []struct{ pkg, bench string }{
 	{"internal/engine", "^(BenchmarkIngestBatch|BenchmarkIngestZipf)$"},
-	{"internal/engine", "^BenchmarkSnapshotIncremental$/^keys=16384$"},
-	{"internal/server", "^(BenchmarkQueryInvalidated|BenchmarkStreamIngest256)$"},
+	{"internal/server", "^BenchmarkStreamIngest256$"},
 	{"internal/server", "^BenchmarkChurnServe$/^U=65536$"},
 	{"internal/store", "^BenchmarkIngestWAL$/^fsync=never$"},
 	{"internal/cluster", "^(BenchmarkClusterQuery|BenchmarkScatterGather|BenchmarkSyncDeadNode)$"},

@@ -13,10 +13,10 @@ func TestParseBenchLines(t *testing.T) {
 	out := strings.Join([]string{
 		"goos: linux",
 		"goarch: amd64",
-		"pkg: repro/internal/engine",
+		"pkg: repro/internal/server",
 		"cpu: Intel(R) Xeon(R)",
-		"BenchmarkSnapshotIncremental",
-		"BenchmarkSnapshotIncremental/keys=16384-2 \t     100\t    210345 ns/op\t   63012 B/op\t     120 allocs/op",
+		"BenchmarkChurnServe",
+		"BenchmarkChurnServe/U=65536-2 \t     100\t    210345 ns/op\t   63012 B/op\t     120 allocs/op",
 		"BenchmarkIngestBatch-2   \t     100\t     98765 ns/op\t       256.0 updates/op\t       0 B/op",
 		"BenchmarkScatterGather/cluster-64k-3nodes-2 \t     100\t   1234567 ns/op\t  400000 stateB/op",
 		"PASS",
@@ -27,7 +27,7 @@ func TestParseBenchLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]float64{
-		"BenchmarkSnapshotIncremental/keys=16384":   210345,
+		"BenchmarkChurnServe/U=65536":               210345,
 		"BenchmarkIngestBatch":                      98765,
 		"BenchmarkScatterGather/cluster-64k-3nodes": 1234567,
 	}
@@ -57,13 +57,12 @@ func TestMedianOfPairedRatios(t *testing.T) {
 	}
 }
 
-// aa returns five rounds of the eleven gated names with head/base ratios
+// aa returns five rounds of the nine gated names with head/base ratios
 // spread like an A/A run on a shared host.
 func aa() []round {
 	names := []string{
 		"BenchmarkIngestBatch", "BenchmarkIngestZipf", "BenchmarkIngestWAL/fsync=never",
-		"BenchmarkQueryInvalidated", "BenchmarkStreamIngest256",
-		"BenchmarkSnapshotIncremental/keys=16384", "BenchmarkChurnServe/U=65536", "BenchmarkClusterQuery",
+		"BenchmarkStreamIngest256", "BenchmarkChurnServe/U=65536", "BenchmarkClusterQuery",
 		"BenchmarkScatterGather/cluster-64k-3nodes", "BenchmarkScatterGather/single-16k",
 		"BenchmarkSyncDeadNode",
 	}

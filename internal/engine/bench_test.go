@@ -212,8 +212,8 @@ func BenchmarkIngestBatchParallel(b *testing.B) {
 }
 
 // BenchmarkSnapshot measures the cold sketch → outcomes reduction: the
-// partition state is dropped every iteration, so each Snapshot() pays the
-// full cut + reduce + merge (the incremental path is benchmarked
+// snapshot state is dropped every iteration, so each Snapshot() pays the
+// full cut + reduce + key sort (the steady-state rebuild is benchmarked
 // separately by BenchmarkSnapshotIncremental).
 func BenchmarkSnapshot(b *testing.B) {
 	for _, n := range []int{1 << 12, 1 << 16} {
@@ -232,13 +232,13 @@ func BenchmarkSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotIncremental measures the tentpole path: one key in one
-// shard mutates between snapshots, so a rebuild re-reduces a single
-// partition and reuses the other 15. The base variant takes the serving
-// path (FreshView — the exceptional outcomes only, what the HTTP layer
-// consumes); "merged" additionally synthesizes the dense Snapshot;
-// "newkey" ingests a never-seen key instead, forcing a key re-merge on
-// top.
+// BenchmarkSnapshotIncremental measures a rebuild after a one-key write:
+// one key mutates between snapshots, and the rebuild cuts and reduces
+// every shard's retained entries while reusing the merged keys. The base
+// variant takes the serving path (FreshView — the exceptional outcomes
+// only, what the HTTP layer consumes); "merged" additionally synthesizes
+// the dense Snapshot; "newkey" ingests a never-seen key instead, forcing
+// a key merge on top.
 func BenchmarkSnapshotIncremental(b *testing.B) {
 	for _, n := range []int{1 << 14, 1 << 16} {
 		// Strictly growing weight on a fixed key: every ingest is a real
@@ -373,7 +373,7 @@ func BenchmarkSnapshotSharedByEstimators(b *testing.B) {
 		}
 		ests = append(ests, est)
 	}
-	// Both variants reset the partition state before each Snapshot() so the
+	// Both variants reset the snapshot state before each Snapshot() so the
 	// comparison keeps its original meaning (full reductions, shared vs
 	// per-estimator) now that an unchanged engine serves snapshots from
 	// cache.

@@ -1,6 +1,5 @@
-// Package engine is a sharded, concurrent, incrementally maintained store
-// of coordinated bottom-k sketches — the streaming counterpart of
-// dataset.SampleBottomK.
+// Package engine is a sharded, concurrent streaming store of coordinated
+// bottom-k sketches — the streaming counterpart of dataset.SampleBottomK.
 //
 // An Engine tracks r instances over a universe of uint64 item keys. Each
 // update Ingest(instance, key, weight) folds a weighted observation into

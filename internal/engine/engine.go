@@ -79,16 +79,18 @@ type Engine struct {
 	// rebuildMu single-flights cache-miss rebuilds.
 	cache     atomic.Pointer[snapshotCacheEntry]
 	rebuildMu sync.Mutex
-	// Incremental snapshot state (see partition.go), all guarded by
-	// rebuildMu: the per-shard reduced partitions, the global thresholds
-	// they were reduced under (with their interned schemes), the cached
-	// merge of every partition's keys, and the rebuild's reusable entry
-	// buffer (radix scratch, then threshold gather).
-	parts   []*partition
-	thresh  *schemeSet
-	keys    []uint64
-	scratch []bkEntry
-	// snapCtr observes the incremental rebuild path; counters are atomics
+	// Snapshot rebuild state (see partition.go), all guarded by rebuildMu:
+	// the last rebuild's global thresholds (with their interned schemes),
+	// its merged key slice and, per shard, how many registered keys that
+	// slice holds; then the reusable buffers no view aliases — the cut's
+	// retained entries per instance, and the threshold gather / radix
+	// scratch.
+	thresh   *schemeSet
+	keys     []uint64
+	seen     []int
+	retained [][]bkEntry
+	scratch  []bkEntry
+	// snapCtr observes the rebuild path; counters are atomics
 	// only so Stats can read them without rebuildMu.
 	snapCtr snapshotCounters
 	// notifyCh is the coalesced mutation signal behind MutationSignal: a
@@ -127,6 +129,8 @@ func New(cfg Config) (*Engine, error) {
 		cfg:       cfg,
 		maskWords: (cfg.Instances + 63) / 64,
 		shards:    make([]*shard, cfg.Shards),
+		seen:      make([]int, cfg.Shards),
+		retained:  make([][]bkEntry, cfg.Instances),
 		notifyCh:  make(chan struct{}, 1),
 	}
 	for s := range e.shards {
@@ -335,29 +339,30 @@ type Stats struct {
 	// Version is the engine's mutation version as of the cut (see
 	// Engine.Version).
 	Version uint64 `json:"version"`
-	// Snapshot observes the incremental rebuild path (see partition.go).
+	// Snapshot counts snapshot rebuild work (see partition.go).
 	Snapshot SnapshotStats `json:"snapshot"`
-	// PerShard breaks mutation/rebuild/key counts down by shard, in shard
-	// order — the observability handle for shard skew and dirty-shard
-	// churn.
+	// PerShard breaks mutation/key counts down by shard, in shard order —
+	// the observability handle for shard skew.
 	PerShard []ShardStats `json:"per_shard"`
 }
 
-// SnapshotStats counts incremental snapshot rebuild work since engine
-// start.
+// SnapshotStats counts snapshot rebuild work since engine start.
 type SnapshotStats struct {
 	// Rebuilds counts snapshot rebuilds that produced a view (cache
 	// misses; cache hits are free and uncounted).
 	Rebuilds uint64 `json:"rebuilds"`
-	// PartitionsRebuilt and PartitionsReused split, across all rebuilds,
-	// how many per-shard partitions were re-reduced vs reused verbatim.
+	// PartitionsRebuilt counts shards reduced across all rebuilds: every
+	// rebuild reduces every shard's retained entries, so it grows by the
+	// shard count per rebuild.
 	PartitionsRebuilt uint64 `json:"partitions_rebuilt"`
-	PartitionsReused  uint64 `json:"partitions_reused"`
-	// ThresholdRefreshes counts rebuilds where the global thresholds moved,
-	// forcing every partition to re-reduce despite clean shards.
+	// PartitionsReused is always 0: no rebuild reuses an earlier one's
+	// reduction of a shard. It stays so that readers decoding the JSON
+	// snapshot counters keep finding it.
+	PartitionsReused uint64 `json:"partitions_reused"`
+	// ThresholdRefreshes counts rebuilds where the global thresholds moved.
 	ThresholdRefreshes uint64 `json:"threshold_refreshes"`
-	// PlanRebuilds counts key-merge-plan reconstructions (new keys
-	// appeared; weight-only churn reuses the plan).
+	// PlanRebuilds counts rebuilds that re-merged the key slice (new keys
+	// appeared; weight-only churn reuses it).
 	PlanRebuilds uint64 `json:"plan_rebuilds"`
 }
 
@@ -367,16 +372,12 @@ type ShardStats struct {
 	Mutations uint64 `json:"mutations"`
 	// Keys counts distinct item keys routed to the shard.
 	Keys int `json:"keys"`
-	// PartitionRebuilds counts how often the shard's partition was
-	// re-reduced.
-	PartitionRebuilds uint64 `json:"partition_rebuilds"`
 }
 
 // snapshotCounters backs Stats.Snapshot; fields mirror SnapshotStats.
 type snapshotCounters struct {
 	rebuilds        atomic.Uint64
 	partsRebuilt    atomic.Uint64
-	partsReused     atomic.Uint64
 	threshRefreshes atomic.Uint64
 	planRebuilds    atomic.Uint64
 }
@@ -406,18 +407,13 @@ func (e *Engine) Stats() Stats {
 		for i := range sh.heaps {
 			st.RetainedEntries += len(sh.heaps[i].es)
 		}
-		st.PerShard[s] = ShardStats{
-			Mutations:         m,
-			Keys:              len(sh.keys),
-			PartitionRebuilds: sh.rebuilds.Load(),
-		}
+		st.PerShard[s] = ShardStats{Mutations: m, Keys: len(sh.keys)}
 	}
 	// Rebuild counters bump under rebuildMu, not shard locks; they are
 	// advisory observability, not part of the consistent cut.
 	st.Snapshot = SnapshotStats{
 		Rebuilds:           e.snapCtr.rebuilds.Load(),
 		PartitionsRebuilt:  e.snapCtr.partsRebuilt.Load(),
-		PartitionsReused:   e.snapCtr.partsReused.Load(),
 		ThresholdRefreshes: e.snapCtr.threshRefreshes.Load(),
 		PlanRebuilds:       e.snapCtr.planRebuilds.Load(),
 	}
@@ -440,11 +436,8 @@ func (e *Engine) Stats() Stats {
 // is not stored: hash.U(key) recomputes it for less than a map lookup
 // costs.
 type shard struct {
-	mu   sync.Mutex
-	muts atomic.Uint64
-	// rebuilds counts re-reductions of this shard's snapshot partition; it
-	// bumps under rebuildMu (not mu) and is read lock-free by Stats.
-	rebuilds      atomic.Uint64
+	mu            sync.Mutex
+	muts          atomic.Uint64
 	index         map[uint64]uint32
 	keys          []uint64
 	masks         []uint64

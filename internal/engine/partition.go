@@ -8,200 +8,159 @@ import (
 	"repro/internal/sampling"
 )
 
-// This file is the incremental snapshot maintenance layer: each shard
-// keeps its own reduced partition keyed by the shard's mutation counter,
-// and a rebuild re-reduces only the partitions whose shard changed,
-// merging them with the cached remainder. A partition's reduction holds
-// only its exceptional outcomes — the items about which the sample reveals
-// something — so a rebuild costs what the sketches retain (≤ r·(k+1)
-// entries per shard), not what the key registry holds. Because the
-// footnote-1 reduction is per-key given the global thresholds, and because
-// a shard's mutation counter bumps under its lock on every
-// snapshot-visible change, a partition whose counter is unchanged is
-// provably identical to what a from-scratch reduction would produce, and
+// This file is the snapshot rebuild: one consistent cut of every shard,
+// then one reduction over the whole engine. The footnote-1 reduction is
+// per item given the global per-instance thresholds, and an item with no
+// retained entry has a known default outcome, so a rebuild visits only the
+// retained sketch entries (≤ r·shards·(k+1)), not the key registry, and
 // Snapshot() stays bit-identical to dataset.SampleBottomK.
 //
-// Invariants (all partition state is guarded by rebuildMu):
+// Invariants (all rebuild state is guarded by rebuildMu):
 //
-//  1. partition.muts equals the owning shard's muts at the cut that
-//     produced it; equal counters across cuts mean no snapshot-visible
-//     change happened in between (the counter bumps under the shard lock).
-//  2. Keys are never removed from a shard, so an unchanged key COUNT
-//     means an unchanged key SET — the sorted keys slice can be reused
-//     and the merged key slice stays valid.
-//  3. Outcomes depend on the partition's own retained entries plus the
-//     GLOBAL per-instance thresholds. A rebuild recomputes the thresholds
-//     by selecting the k-th and (k+1)-th smallest rank among every
-//     partition's retained entries; if they moved, every partition is
-//     re-reduced (keys/entries reused), otherwise only dirty partitions
-//     are.
-//  4. An item with no retained entry has the all-unknown default outcome,
+//  1. A shard's key registry is append-only, so the keys registered since
+//     the last cut are exactly sh.keys[seen[s]:]. The merged key slice is
+//     extended by merging those in, into a fresh slice: published views
+//     alias the old one, which is never rewritten.
+//  2. Outcomes depend on an item's retained entries plus the GLOBAL
+//     per-instance thresholds, which a rebuild selects as the k-th and
+//     (k+1)-th smallest rank among every shard's retained entries.
+//  3. An item with no retained entry has the all-unknown default outcome,
 //     a pure function of (key, thresholds): every rank is +Inf, so every
-//     instance takes the same τ* branch and no entry clears it. A
+//     instance takes the same τ* branch and no entry clears it. The
 //     reduction therefore never visits such items, and published views
-//     alias only the exceptional outcomes' storage, which a re-reduction
-//     never rewrites (it allocates fresh).
+//     hold only the exceptional outcomes, in storage a later rebuild never
+//     rewrites (it allocates fresh).
 //
 // No rebuild comparison-sorts a retained list: the thresholds come from
-// quickselect, retained entries are key-ordered by a byte radix, and the
-// key-ascending per-partition lists are combined by one k-way merge.
-type partition struct {
-	// muts is the owning shard's mutation counter at the cut.
-	muts uint64
-	// keys holds the shard's item keys, ascending.
-	keys []uint64
-	// retained holds, per instance, the shard's sketch heap entries sorted
-	// by key — the reduction's merge-walk input and, through their ranks,
-	// the global threshold selection's.
-	retained [][]bkEntry
-	// exc holds the partition's exceptional outcomes, key-ascending: every
-	// item whose outcome differs from the all-unknown default. Pos is
-	// unset here; the rebuild fills it in its merged copy.
-	exc []sampling.PlacedOutcome
-	// sampled and active are the partition's contributions to the sample's
-	// SampledEntries / TotalEntries bookkeeping.
-	sampled int
-	active  int
-}
+// quickselect and retained entries are key-ordered by a byte radix.
 
-// rebuildLocked cuts the engine, re-reduces exactly the stale partitions
-// and assembles the merged snapshot. The caller must hold rebuildMu.
+// rebuildLocked cuts the engine, reduces the cut and publishes the view.
+// The caller must hold rebuildMu.
 func (e *Engine) rebuildLocked() SnapshotView {
 	r, k := e.cfg.Instances, e.cfg.K
-	ns := len(e.shards)
-	if e.parts == nil {
-		e.parts = make([]*partition, ns)
-	}
-	dirty := make([]bool, ns)
-	sortKeys := make([]bool, ns)
-	keysChanged := false
-	anyDirty := false
-	var version uint64
 
-	// Consistent cut: all shard locks in index order; dirty shards have
-	// their keys and heap entries copied out, clean shards cost one atomic
-	// load — their cached partition is provably identical (invariant 1).
-	// Every cached partition was reduced by the rebuild that cut it.
+	// Consistent cut: all shard locks in index order. Counters bump under
+	// the shard locks and only grow, so an unchanged version sum means an
+	// unchanged engine and the published view is exact (FreshView stays an
+	// exact read).
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 	}
 	at := time.Now()
+	var version uint64
+	fresh, total := 0, 0
 	for s, sh := range e.shards {
-		m := sh.muts.Load()
-		version += m
-		old := e.parts[s]
-		if old != nil && old.muts == m {
-			continue
+		version += sh.muts.Load()
+		fresh += len(sh.keys) - e.seen[s]
+		total += sh.activeEntries
+	}
+	if c := e.cache.Load(); c != nil && c.version == version {
+		for _, sh := range e.shards {
+			sh.mu.Unlock()
 		}
-		anyDirty = true
-		dirty[s] = true
-		p := &partition{muts: m, active: sh.activeEntries, retained: make([][]bkEntry, r)}
-		if old != nil && len(old.keys) == len(sh.keys) {
-			p.keys = old.keys // invariant 2: same count ⇒ same sorted set
-		} else {
-			p.keys = slices.Clone(sh.keys)
-			sortKeys[s] = true
-			keysChanged = true
+		return c.view
+	}
+	for i := range e.retained {
+		es := e.retained[i][:0]
+		for _, sh := range e.shards {
+			es = append(es, sh.heaps[i].es...)
 		}
-		for i := 0; i < r; i++ {
-			p.retained[i] = slices.Clone(sh.heaps[i].es)
-		}
-		e.parts[s] = p
+		e.retained[i] = es
+	}
+	added := make([]uint64, 0, fresh)
+	for s, sh := range e.shards {
+		added = append(added, sh.keys[e.seen[s]:]...) // invariant 1
+		e.seen[s] = len(sh.keys)
 	}
 	for _, sh := range e.shards {
 		sh.mu.Unlock()
 	}
 
-	// Nothing moved since the published snapshot: the cut just verified the
-	// cache is exact, so serve it (FreshView stays an exact read).
-	if !anyDirty {
-		if c := e.cache.Load(); c != nil && c.version == version {
-			return c.view
-		}
-	}
-
-	// Lock-free: key-order the freshly cut partitions.
-	for s, p := range e.parts {
-		if !dirty[s] {
-			continue
-		}
-		if sortKeys[s] {
-			slices.Sort(p.keys)
-		}
-		for i := range p.retained {
-			e.scratch = sortByKey(p.retained[i], e.scratch)
-		}
-	}
-
-	// Global thresholds: per instance, gather every partition's finite
+	// Lock-free from here: the retained buffers belong to the engine and no
+	// view aliases them. Global thresholds: per instance, gather the finite
 	// retained ranks and select the two order statistics CondThreshold
 	// reads. The union's k+1 smallest ranks are all retained (each is among
 	// its own shard's k+1 smallest), so this equals the monolithic
 	// reduction's thresholds. A subnormal weight's rank overflows to +Inf;
-	// like KSmallest, the gather drops it as it would an absent item.
+	// like KSmallest, the gather drops it as it would an absent item. Each
+	// list is then key-ordered for the merge-walk.
 	insts := make([]instThresholds, r)
-	for i := 0; i < r; i++ {
+	for i, es := range e.retained {
 		g := e.scratch[:0]
-		for _, p := range e.parts {
-			for _, en := range p.retained[i] {
-				if !math.IsInf(en.rank, 1) {
-					g = append(g, en)
-				}
+		for _, en := range es {
+			if !math.IsInf(en.rank, 1) {
+				g = append(g, en)
 			}
 		}
 		insts[i] = selectThresholds(g, k)
-		e.scratch = g
+		e.scratch = sortByKey(es, g)
 	}
-	threshChanged := e.thresh == nil || !slices.Equal(insts, e.thresh.insts)
-	if threshChanged {
+	if e.thresh == nil || !slices.Equal(insts, e.thresh.insts) {
 		if e.thresh != nil {
 			e.snapCtr.threshRefreshes.Add(1)
 		}
 		e.thresh = newSchemeSet(insts)
 	}
 
-	// Re-reduce stale partitions. A clean partition under moved thresholds
-	// reuses its keys and entries.
-	for s, p := range e.parts {
-		if !dirty[s] && !threshChanged {
-			e.snapCtr.partsReused.Add(1)
-			continue
-		}
-		e.reducePartition(p)
-		e.shards[s].rebuilds.Add(1)
-		e.snapCtr.partsRebuilt.Add(1)
-	}
-
-	// The merged key slice survives any weight-only rebuild (invariant 2).
-	if e.keys == nil || keysChanged {
-		lists := make([][]uint64, len(e.parts))
-		for s, p := range e.parts {
-			lists[s] = p.keys
-		}
-		e.keys = mergeByKey(lists, func(key uint64) uint64 { return key })
+	if e.keys == nil || len(added) > 0 {
+		slices.Sort(added)
+		e.keys = mergeKeys(e.keys, added)
 		e.snapCtr.planRebuilds.Add(1)
 	}
-	view := e.buildView(version)
+	view := SnapshotView{
+		Version: version,
+		Keys:    e.keys,
+		def:     e.thresh.def,
+		hash:    e.cfg.Hash,
+		total:   total,
+		cell:    &viewCell{},
+	}
+	view.Exceptional, view.sampled = e.reduce()
+	lo := 0
+	for i := range view.Exceptional {
+		pos, _ := slices.BinarySearch(e.keys[lo:], view.Exceptional[i].Key)
+		view.Exceptional[i].Pos = lo + pos
+		lo += pos + 1
+	}
 	e.snapCtr.rebuilds.Add(1)
+	e.snapCtr.partsRebuilt.Add(uint64(len(e.shards)))
 	e.publish(&snapshotCacheEntry{version: version, built: at, view: view})
 	return view
 }
 
+// mergeKeys merges the ascending new keys into the ascending old ones,
+// disjoint from them, as a fresh slice: each new key binary-searches its
+// place and the old run before it is block-copied. When old is empty the
+// new keys are returned as they are — the cut gathered them into a slice
+// of their own.
+func mergeKeys(old, added []uint64) []uint64 {
+	if len(old) == 0 {
+		return added
+	}
+	out := make([]uint64, 0, len(old)+len(added))
+	for _, key := range added {
+		j, _ := slices.BinarySearch(old, key)
+		out = append(append(out, old[:j]...), key)
+		old = old[j:]
+	}
+	return append(out, old...)
+}
+
 // arenaChunk is how many outcomes' Known/Vals backing one arena
-// allocation of reducePartition holds.
+// allocation of reduce holds.
 const arenaChunk = 32
 
-// reducePartition re-reduces one partition under the engine's current
-// thresholds: a merge-walk over its r key-sorted retained lists that
-// keeps an outcome only where some entry is known or the τ*-branch vector
-// differs from the all-unknown default. Items with no retained entry are
-// never visited (invariant 4). Seeds are recomputed from the keys (hash.U
-// is the splitmix64 finalizer — cheaper than carrying them through the
-// cut).
-func (e *Engine) reducePartition(p *partition) {
+// reduce reduces the cut under the engine's current thresholds: a
+// merge-walk over the r key-sorted retained lists that keeps an outcome
+// only where some entry is known or the τ*-branch vector differs from the
+// all-unknown default. It returns those exceptional outcomes, key-ascending
+// with Pos unset, and their known-entry count. Items with no retained entry
+// are never visited (invariant 3). Seeds are recomputed from the keys
+// (hash.U is the splitmix64 finalizer — cheaper than carrying them through
+// the cut).
+func (e *Engine) reduce() (exc []sampling.PlacedOutcome, sampled int) {
 	th := e.thresh
 	r := len(th.insts)
-	p.exc, p.sampled = nil, 0
 	// cur[i] walks instance i's retained entries in lockstep with the
 	// ascending key order the walk produces.
 	cur := make([]int, r)
@@ -212,17 +171,17 @@ func (e *Engine) reducePartition(p *partition) {
 	for {
 		key, more := uint64(0), false
 		for i, c := range cur {
-			if ents := p.retained[i]; c < len(ents) && (!more || ents[c].key < key) {
+			if ents := e.retained[i]; c < len(ents) && (!more || ents[c].key < key) {
 				key, more = ents[c].key, true
 			}
 		}
 		if !more {
-			return
+			return exc, sampled
 		}
 		for i := 0; i < r; i++ {
 			rank := math.Inf(1)
 			tuple[i] = 0
-			if ents, c := p.retained[i], cur[i]; c < len(ents) && ents[c].key == key {
+			if ents, c := e.retained[i], cur[i]; c < len(ents) && ents[c].key == key {
 				rank, tuple[i] = ents[c].rank, ents[c].weight
 				cur[i]++
 			}
@@ -237,8 +196,8 @@ func (e *Engine) reducePartition(p *partition) {
 			continue // the default outcome: its arena slot is reused
 		}
 		known, vals = known[r:], vals[r:]
-		p.exc = append(p.exc, sampling.PlacedOutcome{Key: key, Outcome: o})
-		p.sampled += n
+		exc = append(exc, sampling.PlacedOutcome{Key: key, Outcome: o})
+		sampled += n
 	}
 }
 
@@ -293,100 +252,15 @@ func sortByKey(es, scratch []bkEntry) []bkEntry {
 	return scratch
 }
 
-// mergeHead is one list's unmerged suffix in mergeByKey's min-heap, with
-// the suffix's first key cached.
-type mergeHead[T any] struct {
-	key  uint64
-	rest []T
-}
-
-// mergeByKey merges lists — each ascending by key, their keys pairwise
-// distinct — into one ascending slice with a min-heap of list heads:
-// O(n log lists), allocation-proportional to the output.
-func mergeByKey[T any](lists [][]T, key func(T) uint64) []T {
-	n := 0
-	heads := make([]mergeHead[T], 0, len(lists))
-	for _, l := range lists {
-		n += len(l)
-		if len(l) > 0 {
-			heads = append(heads, mergeHead[T]{key(l[0]), l})
-		}
-	}
-	out := make([]T, 0, n)
-	down := func(i int) {
-		for {
-			m := i
-			if l := 2*i + 1; l < len(heads) && heads[l].key < heads[m].key {
-				m = l
-			}
-			if r := 2*i + 2; r < len(heads) && heads[r].key < heads[m].key {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			heads[i], heads[m] = heads[m], heads[i]
-			i = m
-		}
-	}
-	for i := len(heads)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	for len(heads) > 0 {
-		h := &heads[0]
-		out = append(out, h.rest[0])
-		if h.rest = h.rest[1:]; len(h.rest) > 0 {
-			h.key = key(h.rest[0])
-		} else {
-			heads[0] = heads[len(heads)-1]
-			heads = heads[:len(heads)-1]
-		}
-		down(0)
-	}
-	return out
-}
-
-// buildView merges the partitions' key-ascending exceptional outcomes into
-// one list, resolves each one's position in the merged keys and wraps the
-// result as an immutable SnapshotView. Nothing here scales with the key
-// count beyond the position lookups' logarithm: both lists ascend, so each
-// lookup searches only the keys past the previous one, and the dense
-// outcome array is synthesized lazily by SnapshotView.Snapshot. The view
-// owns its list (partition lists carry no positions), and the outcome
-// storage it aliases is never rewritten. The caller must hold rebuildMu.
-func (e *Engine) buildView(version uint64) SnapshotView {
-	view := SnapshotView{
-		Version: version,
-		Keys:    e.keys,
-		def:     e.thresh.def,
-		hash:    e.cfg.Hash,
-		cell:    &viewCell{},
-	}
-	lists := make([][]sampling.PlacedOutcome, len(e.parts))
-	for s, p := range e.parts {
-		lists[s] = p.exc
-		view.sampled += p.sampled
-		view.total += p.active
-	}
-	view.Exceptional = mergeByKey(lists, func(o sampling.PlacedOutcome) uint64 { return o.Key })
-	lo := 0
-	for i := range view.Exceptional {
-		pos, _ := slices.BinarySearch(e.keys[lo:], view.Exceptional[i].Key)
-		view.Exceptional[i].Pos = lo + pos
-		lo += pos + 1
-	}
-	return view
-}
-
-// resetSnapshotState drops every cached reduction artifact: partitions,
-// thresholds, merged keys and the published snapshot. Required when engine
-// content changes without per-shard mutation accounting — RestoreState
-// parks the dumped version on shard 0, which would otherwise let a
-// pre-restore partition match its shard's (untouched) counter and be
-// wrongly reused.
+// resetSnapshotState drops every cached reduction artifact: thresholds,
+// merged keys, the per-shard registry marks and the published snapshot.
+// Required when engine content changes without per-shard mutation
+// accounting — RestoreState parks the dumped version on shard 0, so a view
+// cached before the restore could otherwise match the restored version.
 func (e *Engine) resetSnapshotState() {
 	e.rebuildMu.Lock()
-	e.parts, e.thresh, e.keys = nil, nil, nil
+	e.thresh, e.keys = nil, nil
+	clear(e.seen)
 	e.cache.Store(nil)
 	e.rebuildMu.Unlock()
 }

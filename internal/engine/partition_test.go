@@ -75,7 +75,7 @@ func requireBatchThresholds(t *testing.T, e *Engine) {
 // TestSelectedThresholdsMatchKSmallest pins the rebuild's selection of the
 // k-th and (k+1)-th smallest rank against a full sort. Weight u·2^x (u the
 // key's seed) gives rank exactly 2^-x, so equal ranks can straddle the
-// boundary across partitions.
+// boundary across shards.
 func TestSelectedThresholdsMatchKSmallest(t *testing.T) {
 	const (
 		k      = 4
@@ -105,7 +105,7 @@ func TestSelectedThresholdsMatchKSmallest(t *testing.T) {
 			requireBatchThresholds(t, e)
 		})
 	}
-	// The tied keys must span partitions for the straddle case to mean it.
+	// The tied keys must span shards for the straddle case to mean it.
 	tied := map[int]bool{}
 	e, err := New(Config{Instances: 2, K: k, Shards: shards, Hash: hash})
 	if err != nil {
@@ -148,12 +148,11 @@ func TestSortByKeyMatchesSort(t *testing.T) {
 	}
 }
 
-// TestIncrementalSingleKeyMutations drives the incremental rebuild path
-// through randomized single-key mutations — the workload the partitioned
-// snapshot exists for — asserting after every round that Snapshot() stays
-// bit-identical to a from-scratch dataset.SampleBottomK over the same
-// aggregated matrix. Occasional brand-new keys force merge-plan rebuilds
-// alongside the weight-only fast path.
+// TestIncrementalSingleKeyMutations drives the rebuild path through
+// randomized single-key mutations, asserting after every round that
+// Snapshot() stays bit-identical to a from-scratch dataset.SampleBottomK
+// over the same aggregated matrix. Occasional brand-new keys force key
+// merges alongside the weight-only rebuilds that reuse the key slice.
 func TestIncrementalSingleKeyMutations(t *testing.T) {
 	const (
 		n0     = 400
@@ -211,141 +210,98 @@ func TestIncrementalSingleKeyMutations(t *testing.T) {
 		requireMatchesMatrix(t, e, w, k, hash)
 	}
 	st := e.Stats()
-	if st.Snapshot.Rebuilds == 0 || st.Snapshot.PartitionsReused == 0 {
-		t.Errorf("incremental path unused: %+v", st.Snapshot)
+	if st.Snapshot.Rebuilds == 0 {
+		t.Errorf("rebuild path unused: %+v", st.Snapshot)
 	}
 	if st.Snapshot.PlanRebuilds < 2 {
 		t.Errorf("PlanRebuilds = %d, want ≥ 2 (new keys appeared)", st.Snapshot.PlanRebuilds)
 	}
 }
 
-// TestThresholdStableSkip pins the registry-only accounting
-// deterministically: with every bottom-(k+1) heap full of weight-~1 keys, a
-// new key at weight 1e-9 (rank ≥ 1e9·u, far above every boundary) is a
-// registry-only mutation — the rebuild touches exactly one partition,
-// refreshes no global threshold, and stays bit-identical to the batch
-// reduction.
-func TestThresholdStableSkip(t *testing.T) {
+// TestRebuildCarriesOnlyKeys pins the one piece of state a rebuild hands
+// the next, the merged key slice: a weight-only write keeps it (same
+// backing array); a new key is merged into a fresh slice while the
+// previous view's slice stays byte-identical; and a restore into an engine
+// that was already read drops it, so the next view equals the source's.
+func TestRebuildCarriesOnlyKeys(t *testing.T) {
 	const (
-		n      = 256
-		k      = 4
+		n      = 200
+		k      = 8
 		shards = 4
 	)
-	hash := sampling.NewSeedHash(21)
-	w := [][]float64{make([]float64, n), make([]float64, n)}
-	rng := rand.New(rand.NewSource(3))
-	for i := range w {
-		for j := range w[i] {
-			w[i][j] = 1 + rng.Float64()
-		}
-	}
-	e := rebuildEngine(t, w, k, shards, hash)
-	requireMatchesMatrix(t, e, w, k, hash)
-	st0 := e.Stats().Snapshot
-
-	for i := range w {
-		w[i] = append(w[i], 0)
-	}
-	j := len(w[0]) - 1
-	w[0][j] = 1e-9
-	if err := e.Ingest(0, uint64(j), w[0][j]); err != nil {
+	hash := sampling.NewSeedHash(19)
+	e, err := New(Config{Instances: 2, K: k, Shards: shards, Hash: hash})
+	if err != nil {
 		t.Fatal(err)
 	}
-	requireMatchesMatrix(t, e, w, k, hash)
-	st1 := e.Stats().Snapshot
-
-	if got := st1.Rebuilds - st0.Rebuilds; got != 1 {
-		t.Fatalf("Rebuilds advanced by %d, want 1", got)
-	}
-	if got := st1.ThresholdRefreshes - st0.ThresholdRefreshes; got != 0 {
-		t.Errorf("ThresholdRefreshes advanced by %d, want 0", got)
-	}
-	if got := st1.PartitionsRebuilt - st0.PartitionsRebuilt; got != 1 {
-		t.Errorf("PartitionsRebuilt advanced by %d, want 1 (single dirty shard)", got)
-	}
-	if got := st1.PartitionsReused - st0.PartitionsReused; got != shards-1 {
-		t.Errorf("PartitionsReused advanced by %d, want %d", got, shards-1)
-	}
-}
-
-// TestSinglePartitionRebuild pins the tentpole invariant deterministically:
-// with K ≥ n the global thresholds cannot move (fewer than k retained
-// ranks per instance keeps every item unconditionally included), so a
-// single-key weight bump must re-reduce exactly one partition, reuse the
-// other shards' verbatim, and keep the merge plan.
-func TestSinglePartitionRebuild(t *testing.T) {
-	const (
-		n      = 64
-		k      = 128
-		shards = 8
-	)
-	hash := sampling.NewSeedHash(5)
-	w := [][]float64{make([]float64, n), make([]float64, n)}
-	rng := rand.New(rand.NewSource(9))
-	for i := range w {
-		for j := range w[i] {
-			w[i][j] = 1 + rng.Float64()
+	// Even keys only, so a new odd key lands inside the slice.
+	rng := rand.New(rand.NewSource(4))
+	for j := 0; j < n; j++ {
+		for i := 0; i < 2; i++ {
+			if err := e.Ingest(i, uint64(2*j), 1+rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	e := rebuildEngine(t, w, k, shards, hash)
-	e.FreshView()
+	v0 := e.FreshView()
 	st0 := e.Stats().Snapshot
-	before := e.Stats().PerShard
 
-	const hot = 17
-	w[0][hot] *= 3
-	if err := e.Ingest(0, hot, w[0][hot]); err != nil {
+	// Weight-only: an existing key's weight grows.
+	if err := e.Ingest(0, 14, 100); err != nil {
 		t.Fatal(err)
 	}
-	e.FreshView()
+	v1 := e.FreshView()
 	st1 := e.Stats().Snapshot
+	if v1.Version == v0.Version {
+		t.Fatal("weight-only write did not move the version")
+	}
+	if st1.PlanRebuilds != st0.PlanRebuilds {
+		t.Errorf("weight-only write: PlanRebuilds %d → %d, want unchanged", st0.PlanRebuilds, st1.PlanRebuilds)
+	}
+	if &v1.Keys[0] != &v0.Keys[0] {
+		t.Error("weight-only rebuild did not reuse the merged key slice")
+	}
+	if got := st1.PartitionsRebuilt - st0.PartitionsRebuilt; got != shards {
+		t.Errorf("PartitionsRebuilt advanced by %d, want %d (every shard)", got, shards)
+	}
+	if st1.PartitionsReused != 0 {
+		t.Errorf("PartitionsReused = %d, want 0", st1.PartitionsReused)
+	}
 
-	if got := st1.Rebuilds - st0.Rebuilds; got != 1 {
-		t.Fatalf("Rebuilds advanced by %d, want 1", got)
+	// A new key in one shard.
+	prev := slices.Clone(v1.Keys)
+	if err := e.Ingest(1, 2*57+1, 2); err != nil {
+		t.Fatal(err)
 	}
-	if got := st1.PartitionsRebuilt - st0.PartitionsRebuilt; got != 1 {
-		t.Errorf("PartitionsRebuilt advanced by %d, want 1 (single dirty shard)", got)
+	v2 := e.FreshView()
+	st2 := e.Stats().Snapshot
+	if got := st2.PlanRebuilds - st1.PlanRebuilds; got != 1 {
+		t.Errorf("new key: PlanRebuilds advanced by %d, want 1", got)
 	}
-	if got := st1.PartitionsReused - st0.PartitionsReused; got != shards-1 {
-		t.Errorf("PartitionsReused advanced by %d, want %d", got, shards-1)
+	if want := e.DumpState().Keys; !slices.Equal(v2.Keys, want) {
+		t.Errorf("view keys (%d) differ from the sorted registry (%d)", len(v2.Keys), len(want))
 	}
-	if got := st1.ThresholdRefreshes - st0.ThresholdRefreshes; got != 0 {
-		t.Errorf("ThresholdRefreshes advanced by %d, want 0 (K ≥ n)", got)
+	if !slices.Equal(v1.Keys, prev) {
+		t.Error("the key merge rewrote the previous view's key slice")
 	}
-	if got := st1.PlanRebuilds - st0.PlanRebuilds; got != 0 {
-		t.Errorf("PlanRebuilds advanced by %d, want 0 (key set unchanged)", got)
+	if err := checkExceptional(v2); err != nil {
+		t.Fatal(err)
 	}
 
-	// Exactly the hot key's shard was re-reduced; every other partition
-	// is the same reduction.
-	hotShard := e.shardOf(hot)
-	for s, ps := range e.Stats().PerShard {
-		got := ps.PartitionRebuilds - before[s].PartitionRebuilds
-		if s == hotShard && got != 1 {
-			t.Errorf("shard %d (hot) re-reduced %d times across the rebuild, want 1", s, got)
-		}
-		if s != hotShard && got != 0 {
-			t.Errorf("shard %d re-reduced %d times without a mutation", s, got)
-		}
+	dst, err := New(Config{Instances: 2, K: k, Shards: shards, Hash: hash})
+	if err != nil {
+		t.Fatal(err)
 	}
-	requireMatchesMatrix(t, e, w, k, hash)
-
-	// Per-shard stats agree with the rebuild accounting.
-	st := e.Stats()
-	var mutSum uint64
-	keySum := 0
-	for _, ps := range st.PerShard {
-		mutSum += ps.Mutations
-		keySum += ps.Keys
+	dst.FreshView()
+	if err := dst.RestoreState(e.DumpState()); err != nil {
+		t.Fatal(err)
 	}
-	if mutSum != st.Version {
-		t.Errorf("per-shard mutations sum %d != version %d", mutSum, st.Version)
+	got := dst.FreshView()
+	if got.Version != v2.Version || !slices.Equal(got.Keys, v2.Keys) {
+		t.Fatalf("restored view at version %d with %d keys, want %d with %d", got.Version, len(got.Keys), v2.Version, len(v2.Keys))
 	}
-	if keySum != st.Keys {
-		t.Errorf("per-shard keys sum %d != keys %d", keySum, st.Keys)
-	}
-	if got := st.PerShard[hotShard].PartitionRebuilds; got < 2 {
-		t.Errorf("hot shard PartitionRebuilds = %d, want ≥ 2", got)
+	if !reflect.DeepEqual(dst.Snapshot(), e.Snapshot()) {
+		t.Fatal("restored snapshot differs from the source's")
 	}
 }
 
@@ -415,11 +371,10 @@ func TestSnapshotViewExceptional(t *testing.T) {
 	}
 }
 
-// TestRestoreStateResetsPartitions guards the restore/partition interplay:
-// RestoreState parks the dumped version on shard 0, so partitions cut
-// BEFORE the restore (when the engine was empty) would match shards
-// 1..N-1's untouched mutation counters and be wrongly reused if restore
-// didn't drop them.
+// TestRestoreStateResetsPartitions guards the restore/rebuild interplay:
+// RestoreState parks the dumped version on shard 0, bypassing per-shard
+// mutation accounting, so snapshot state cut BEFORE the restore (when the
+// engine was empty) must not leak into the next view.
 func TestRestoreStateResetsPartitions(t *testing.T) {
 	d := dataset.Flows(dataset.FlowsConfig{N: 200, Seed: 23})
 	hash := sampling.NewSeedHash(8)
@@ -434,7 +389,7 @@ func TestRestoreStateResetsPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Seed stale empty partitions before the restore.
+	// Seed a stale empty view before the restore.
 	if got := dst.Snapshot(); len(got.Keys) != 0 {
 		t.Fatalf("empty engine snapshot has %d keys", len(got.Keys))
 	}
@@ -442,14 +397,13 @@ func TestRestoreStateResetsPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := dst.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatal("post-restore snapshot differs from source (stale partitions reused?)")
+		t.Fatal("post-restore snapshot differs from source (stale view reused?)")
 	}
 }
 
 // TestMergeStateRebuildsDirtyPartitions: merging advances per-shard
 // mutation counters, so a snapshot taken before the merge must be
-// invalidated partition-by-partition and the result must equal the batch
-// reduction of the union.
+// invalidated and the result must equal the batch reduction of the union.
 func TestMergeStateRebuildsDirtyPartitions(t *testing.T) {
 	hash := sampling.NewSeedHash(44)
 	rng := rand.New(rand.NewSource(12))
@@ -476,7 +430,7 @@ func TestMergeStateRebuildsDirtyPartitions(t *testing.T) {
 		}
 	}
 	e := rebuildEngine(t, half, 12, 4, hash)
-	requireMatchesMatrix(t, e, half, 12, hash) // populate partitions pre-merge
+	requireMatchesMatrix(t, e, half, 12, hash) // publish a view pre-merge
 	if err := e.MergeState(other.DumpState()); err != nil {
 		t.Fatal(err)
 	}
@@ -486,8 +440,8 @@ func TestMergeStateRebuildsDirtyPartitions(t *testing.T) {
 // TestConcurrentReadsDuringPartitionRebuilds races cached readers (exact
 // and bounded-stale) against a single-key mutator, under -race: readers
 // must always observe internally consistent views (version-monotone per
-// reader, parts bijective into the key space) while partitions are being
-// re-reduced and reused underneath them.
+// reader, exceptional outcomes resolving into the key space) while
+// rebuilds reuse the engine's cut buffers underneath them.
 func TestConcurrentReadsDuringPartitionRebuilds(t *testing.T) {
 	d := dataset.Flows(dataset.FlowsConfig{N: 500, Seed: 6})
 	hash := sampling.NewSeedHash(13)

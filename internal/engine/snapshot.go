@@ -14,8 +14,8 @@ import (
 // This file is the snapshot pipeline's public surface and shared reduction
 // mechanics: the Snapshot/SnapshotView types, the versioned snapshot cache
 // that lets repeat reads skip all work, and the conditional-threshold
-// branch precomputation. The incremental per-shard partition maintenance
-// that feeds it lives in partition.go. The result is bit-identical to
+// branch precomputation. The cut-and-reduce rebuild that feeds it lives
+// in partition.go. The result is bit-identical to
 // dataset.SampleBottomK (the equivalence tests enforce it), so everything
 // here is pure mechanics — no estimation semantics.
 
@@ -142,21 +142,19 @@ type snapshotCacheEntry struct {
 // sampler seeds item k with hash.U(uint64(k)). Sparse or string-hashed
 // keys yield the same reduction over their own seed set.
 //
-// The rebuild is incremental and sketch-proportional: shards whose
-// mutation counter is unchanged since the last snapshot keep their reduced
-// partition verbatim, and a reduction visits retained sketch entries only
-// (see partition.go); the one O(total keys) step is this method's dense
-// synthesis. All shards are locked only while dirty sketch contents are
-// copied out; the reduction runs lock-free on the copies. The result is
-// published to the snapshot cache.
+// The rebuild is sketch-proportional: a reduction visits retained sketch
+// entries only (see partition.go); the one O(total keys) step is this
+// method's dense synthesis. All shards are locked only while their
+// retained entries and newly registered keys are copied out; the
+// reduction runs lock-free on the copies. The result is published to the
+// snapshot cache.
 func (e *Engine) Snapshot() Snapshot {
 	return e.FreshView().Snapshot()
 }
 
 // FreshView returns an exact-cut SnapshotView. "Fresh" means exact, not
-// recomputed: the cut itself verifies which cached partitions (and
-// possibly the whole published snapshot) are still byte-identical to a
-// from-scratch reduction, and reuses them.
+// recomputed: when the cut finds the version of the published snapshot,
+// nothing moved since it was reduced, and it is returned as is.
 func (e *Engine) FreshView() SnapshotView {
 	e.rebuildMu.Lock()
 	defer e.rebuildMu.Unlock()
@@ -182,8 +180,7 @@ func (e *Engine) CachedView(maxStale time.Duration) SnapshotView {
 		return v
 	}
 	// Single-flight the rebuild: when one mutation invalidates the cache
-	// under many concurrent readers, exactly one pays the (incremental)
-	// rebuild and the rest wait for its published result instead of each
+	// under many concurrent readers, exactly one pays the rebuild and the rest wait for its published result instead of each
 	// re-cutting the shards (which would also serialize writers N times
 	// over).
 	e.rebuildMu.Lock()
@@ -285,8 +282,7 @@ func (th instThresholds) branch(rank float64) byte {
 
 // schemeSet is one cut's threshold vector with its TupleSchemes interned
 // by branch vector: the (few, repeated) identical τ*-vectors share one
-// scheme allocation each, across every partition reduced under those
-// thresholds.
+// scheme allocation each, across every rebuild under those thresholds.
 type schemeSet struct {
 	insts []instThresholds
 	m     map[string]sampling.TupleScheme

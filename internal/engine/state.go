@@ -285,9 +285,8 @@ func (e *Engine) RestoreState(st *State) error {
 	e.ingests.Store(st.Ingests)
 	// Park the whole dumped version on shard 0 so Version() continues from
 	// the cut; applyState deliberately skipped per-mutation bumps. That
-	// parking bypasses per-shard mutation accounting, so any snapshot
-	// partitions cut before the restore (shards 1..N-1 still read muts=0)
-	// would wrongly pass the cleanliness check — drop them all.
+	// parking bypasses per-shard mutation accounting, so drop every
+	// snapshot artifact cut before the restore.
 	e.shards[0].muts.Store(st.Version)
 	e.resetSnapshotState()
 	e.notifyMutation()

@@ -80,8 +80,8 @@ func (s TupleScheme) Sample(v []float64, rho float64) TupleOutcome {
 // SampleInto draws the same outcome as Sample but writes the per-entry
 // knowledge into the caller-provided backing slices (each of length
 // len(v)) instead of allocating; the returned outcome aliases known and
-// vals. The streaming engine's snapshot reduction backs the sampled
-// outcomes of a partition with shared arena arrays through it. Both paths
+// vals. The streaming engine's snapshot reduction backs its exceptional
+// outcomes with shared arena arrays through it. Both paths
 // share this one loop, so arena-backed and allocated outcomes are
 // bit-identical by construction.
 func (s TupleScheme) SampleInto(v []float64, rho float64, known []bool, vals []float64) TupleOutcome {

@@ -22,13 +22,13 @@ import (
 	"repro/internal/sampling"
 )
 
-// These tests pin the /v1 response contract introduced with the
-// partitioned snapshot pipeline: a top-level snapshot version on every
-// read endpoint, one structured error envelope for everything (including
-// requests that never reach a handler), the snapshot maintenance counters
-// in /v1/stats and /metrics, and — the acceptance property — that serving
-// through the incremental per-partition path stays bit-identical to the
-// batch pipeline under single-key mutations.
+// These tests pin the /v1 response contract of the versioned snapshot
+// pipeline: a top-level snapshot version on every read endpoint, one
+// structured error envelope for everything (including requests that never
+// reach a handler), the snapshot rebuild counters in /v1/stats and
+// /metrics, and — the acceptance property — that serving through the
+// rebuild path stays bit-identical to the batch pipeline under single-key
+// mutations.
 
 // TestResponseVersionField: every snapshot-backed endpoint reports the
 // same top-level version while the engine is unchanged, and the version
@@ -207,16 +207,15 @@ func TestRouteTable(t *testing.T) {
 	}
 }
 
-// TestStatsSnapshotCounters: /v1/stats exposes the snapshot maintenance
+// TestStatsSnapshotCounters: /v1/stats exposes the snapshot rebuild
 // counters and the per-shard breakdown, and they are mutually consistent
-// — per-shard mutations sum to the version, per-shard keys sum to the
-// key count, and single-key churn shows up as partition reuse.
+// — per-shard mutations sum to the version and per-shard keys sum to the
+// key count.
 func TestStatsSnapshotCounters(t *testing.T) {
 	ts, _ := newTestServer(t)
 	ingestDataset(t, ts.URL, ladderDataset(t, 48))
 
-	// Churn one key, snapshotting in between, so rebuilds reuse the three
-	// clean shards (Shards=4 in newTestServer).
+	// Churn one key, snapshotting in between, so every round rebuilds.
 	for round := 0; round < 4; round++ {
 		resp, body := postJSON(t, ts.URL+"/v1/ingest", map[string]any{
 			"updates": []map[string]any{{"instance": 0, "id": 0, "weight": float64(100 + round)}},
@@ -239,9 +238,6 @@ func TestStatsSnapshotCounters(t *testing.T) {
 	if snap["rebuilds"].(float64) == 0 {
 		t.Fatalf("stats: zero snapshot rebuilds: %v", snap)
 	}
-	if snap["partitions_reused"].(float64) == 0 {
-		t.Fatalf("stats: zero partitions reused under single-key churn: %v", snap)
-	}
 	if snap["partitions_rebuilt"].(float64) == 0 {
 		t.Fatalf("stats: zero partitions rebuilt: %v", snap)
 	}
@@ -250,21 +246,17 @@ func TestStatsSnapshotCounters(t *testing.T) {
 	if !ok || len(perShard) != int(eng["shards"].(float64)) {
 		t.Fatalf("stats: per_shard %v, want one entry per shard", eng["per_shard"])
 	}
-	var muts, keys, rebuilds float64
+	var muts, keys float64
 	for _, raw := range perShard {
 		sh := raw.(map[string]any)
 		muts += sh["mutations"].(float64)
 		keys += sh["keys"].(float64)
-		rebuilds += sh["partition_rebuilds"].(float64)
 	}
 	if muts != body["version"].(float64) {
 		t.Fatalf("per-shard mutations sum %v != version %v", muts, body["version"])
 	}
 	if keys != eng["keys"].(float64) {
 		t.Fatalf("per-shard keys sum %v != engine keys %v", keys, eng["keys"])
-	}
-	if rebuilds != snap["partitions_rebuilt"].(float64) {
-		t.Fatalf("per-shard partition_rebuilds sum %v != snapshot partitions_rebuilt %v", rebuilds, snap["partitions_rebuilt"])
 	}
 }
 
@@ -288,11 +280,9 @@ func TestMetricsSnapshotSeries(t *testing.T) {
 	for _, want := range []string{
 		"monest_snapshot_rebuilds_total",
 		"monest_snapshot_partitions_rebuilt_total",
-		"monest_snapshot_partitions_reused_total",
 		"monest_snapshot_threshold_refreshes_total",
 		"monest_snapshot_plan_rebuilds_total",
 		`monest_shard_mutations_total{shard="0"}`,
-		`monest_shard_partition_rebuilds_total{shard="0"}`,
 		`monest_shard_keys{shard="3"}`,
 	} {
 		if !strings.Contains(text, want) {
@@ -302,9 +292,9 @@ func TestMetricsSnapshotSeries(t *testing.T) {
 }
 
 // TestIncrementalServingStaysExact is the HTTP-level half of the
-// incremental-maintenance acceptance test: under a stream of single-key
-// mutations, /v1/query answers — served through partition reuse and
-// sparse sums over each view's exceptional outcomes — stay bit-identical
+// rebuild acceptance test: under a stream of single-key mutations,
+// /v1/query answers — served through a rebuild per version and sparse
+// sums over each view's exceptional outcomes — stay bit-identical
 // to the batch pipeline (dataset.SampleBottomK + estreg.Sum) on the
 // engine's current contents, for the full SumResult (estimate, second
 // moment, max item) and for the Jaccard ratio.
@@ -415,14 +405,6 @@ func TestIncrementalServingStaysExact(t *testing.T) {
 			t.Fatalf("round %d: jaccard %v, want %v", round, got, wantJac)
 		}
 	}
-
-	// The churn above must have actually exercised partition reuse — the
-	// counters prove the exact answers came via the incremental path.
-	_, body := getJSON(t, ts.URL+"/v1/stats")
-	snap := body["engine"].(map[string]any)["snapshot"].(map[string]any)
-	if snap["partitions_reused"].(float64) == 0 {
-		t.Fatalf("no partitions reused across %d single-key rounds: %v", 24, snap)
-	}
 }
 
 // TestPartialCacheSubsetAndErrorParity: a subset selection, answered from
@@ -507,7 +489,7 @@ func TestPartialCacheSubsetAndErrorParity(t *testing.T) {
 // TestConcurrentQueriesDuringIngest churns single-key writes while many
 // readers hit the snapshot-backed endpoints — under -race this exercises
 // the single-flight result memo and the lazy dense-snapshot synthesis
-// against concurrent partition rebuilds. Readers only
+// against concurrent snapshot rebuilds. Readers only
 // sanity-check shape (finite estimate, version present); exactness under
 // churn is covered deterministically above.
 func TestConcurrentQueriesDuringIngest(t *testing.T) {

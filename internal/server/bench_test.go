@@ -101,15 +101,15 @@ func BenchmarkQueryCached(b *testing.B) {
 
 // BenchmarkQueryInvalidated measures the write-invalidated read path:
 // every iteration lands one real ingest, so each query pays a rebuild
-// and estimate — the regime the -snapshot-max-stale bound is for. With
-// per-shard partitions the rebuild re-reduces only the hot key's shard,
-// and the estimate walks only the sampled outcomes, so this sits close to
-// the cached path rather than the cold reduction.
+// and estimate — the regime the -snapshot-max-stale bound is for. The
+// rebuild cuts and reduces every shard's retained entries (not the key
+// registry) and the estimate walks only the sampled outcomes, so this
+// costs what the sketches hold, not the cold reduction.
 func BenchmarkQueryInvalidated(b *testing.B) {
 	s := newBenchServer(b, 1<<14)
 	query := benchQuery(b, lstarRG1)
-	// Prime partitions and merged keys: the measurement is steady-state
-	// invalidation, not the one-off cold reduction.
+	// Prime the merged keys: the measurement is steady-state invalidation,
+	// not the one-off cold reduction.
 	do(b, s, http.MethodPost, "/v1/query", query)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -267,11 +267,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) (int, err
 	counter("monest_engine_version", "Engine mutation version (snapshot-visible state changes).", float64(st.Version))
 	gauge("monest_uptime_seconds", "Seconds since the server started.", time.Since(s.started).Seconds())
 
-	counter("monest_snapshot_rebuilds_total", "Snapshot rebuilds (any partition re-reduced or cut verified).", float64(st.Snapshot.Rebuilds))
-	counter("monest_snapshot_partitions_rebuilt_total", "Per-shard partitions re-reduced during rebuilds.", float64(st.Snapshot.PartitionsRebuilt))
-	counter("monest_snapshot_partitions_reused_total", "Per-shard partitions reused verbatim during rebuilds.", float64(st.Snapshot.PartitionsReused))
-	counter("monest_snapshot_threshold_refreshes_total", "Rebuilds where the global thresholds moved (all partitions re-reduced).", float64(st.Snapshot.ThresholdRefreshes))
-	counter("monest_snapshot_plan_rebuilds_total", "Merge-plan rebuilds (key set changed).", float64(st.Snapshot.PlanRebuilds))
+	counter("monest_snapshot_rebuilds_total", "Snapshot rebuilds (cache misses that cut and reduced the engine).", float64(st.Snapshot.Rebuilds))
+	counter("monest_snapshot_partitions_rebuilt_total", "Shards reduced across rebuilds (every rebuild reduces every shard).", float64(st.Snapshot.PartitionsRebuilt))
+	counter("monest_snapshot_threshold_refreshes_total", "Rebuilds where the global thresholds moved.", float64(st.Snapshot.ThresholdRefreshes))
+	counter("monest_snapshot_plan_rebuilds_total", "Rebuilds that merged new keys into the key slice.", float64(st.Snapshot.PlanRebuilds))
 
 	wire := s.wire.view()
 	gauge("monest_stream_connections_active", "Open /v1/stream binary ingest connections.", float64(wire.ActiveStreams))
@@ -323,10 +322,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) (int, err
 	b = fmt.Appendf(b, "# HELP monest_shard_mutations_total Snapshot-visible mutations per shard.\n# TYPE monest_shard_mutations_total counter\n")
 	for i, sh := range st.PerShard {
 		b = fmt.Appendf(b, "monest_shard_mutations_total{shard=\"%d\"} %d\n", i, sh.Mutations)
-	}
-	b = fmt.Appendf(b, "# HELP monest_shard_partition_rebuilds_total Partition re-reductions per shard.\n# TYPE monest_shard_partition_rebuilds_total counter\n")
-	for i, sh := range st.PerShard {
-		b = fmt.Appendf(b, "monest_shard_partition_rebuilds_total{shard=\"%d\"} %d\n", i, sh.PartitionRebuilds)
 	}
 	b = fmt.Appendf(b, "# HELP monest_shard_keys Distinct item keys per shard.\n# TYPE monest_shard_keys gauge\n")
 	for i, sh := range st.PerShard {

@@ -155,8 +155,8 @@ func JaccardEstimate(outcomes []TupleOutcome) float64 { return funcs.JaccardEsti
 // Streaming coordinated sketches (the live counterpart of SampleBottomK;
 // cmd/monestd serves them over HTTP).
 type (
-	// Engine is a sharded, concurrent, incrementally maintained store of
-	// coordinated bottom-k sketches. Engine.Version reports its mutation
+	// Engine is a sharded, concurrent streaming store of coordinated
+	// bottom-k sketches. Engine.Version reports its mutation
 	// version, and Engine.CachedView serves the last reduced snapshot
 	// lock-free and bit-identically while the version holds (optionally
 	// within a staleness bound) — the serving hot path of monestd.
