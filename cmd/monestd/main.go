@@ -99,6 +99,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -176,14 +177,21 @@ func main() {
 }
 
 func run(o options) error {
-	if o.maxStale < 0 {
-		return fmt.Errorf("-snapshot-max-stale %v must be nonnegative", o.maxStale)
-	}
-	if o.checkpointIv < 0 {
-		return fmt.Errorf("-checkpoint-interval %v must be nonnegative", o.checkpointIv)
-	}
-	if o.subDebounce < 0 {
-		return fmt.Errorf("-subscribe-debounce %v must be nonnegative", o.subDebounce)
+	// Every numeric flag is nonnegative and finite (durations in seconds):
+	// downstream a negative value would silently read as "off" or a
+	// default, and a NaN or infinite rate would reach the token bucket.
+	for _, f := range []struct {
+		flag string
+		v    float64
+	}{
+		{"snapshot-max-stale", o.maxStale.Seconds()}, {"checkpoint-interval", o.checkpointIv.Seconds()},
+		{"subscribe-debounce", o.subDebounce.Seconds()}, {"cluster-timeout", o.clusterTimeout.Seconds()},
+		{"cluster-poll", o.clusterPoll.Seconds()}, {"ingest-rate", o.ingestRate},
+		{"ingest-burst", o.ingestBurst}, {"ingest-inflight", float64(o.ingestInflight)},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("-%s %g must be finite and nonnegative", f.flag, f.v)
+		}
 	}
 	fsyncPolicy, err := store.ParseFsyncPolicy(o.fsync)
 	if err != nil {

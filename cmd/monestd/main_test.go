@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -221,6 +222,16 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"blank-but-set allowlist", mod(func(o *options) { o.allow = " , " })},
 		{"negative snapshot-max-stale", mod(func(o *options) { o.maxStale = -time.Second })},
 		{"negative checkpoint interval", mod(func(o *options) { o.checkpointIv = -time.Second })},
+		{"negative subscribe-debounce", mod(func(o *options) { o.subDebounce = -time.Second })},
+		{"negative cluster-timeout", mod(func(o *options) { o.clusterTimeout = -time.Second })},
+		{"negative cluster-poll", mod(func(o *options) { o.clusterPoll = -time.Second })},
+		{"negative ingest-rate", mod(func(o *options) { o.ingestRate = -1 })},
+		{"NaN ingest-rate", mod(func(o *options) { o.ingestRate = math.NaN() })},
+		{"infinite ingest-rate", mod(func(o *options) { o.ingestRate = math.Inf(1) })},
+		{"negative ingest-burst", mod(func(o *options) { o.ingestBurst = -1 })},
+		{"NaN ingest-burst", mod(func(o *options) { o.ingestBurst = math.NaN() })},
+		{"negatively infinite ingest-burst", mod(func(o *options) { o.ingestBurst = math.Inf(-1) })},
+		{"negative ingest-inflight", mod(func(o *options) { o.ingestInflight = -1 })},
 		{"bad fsync policy", mod(func(o *options) { o.fsync = "sometimes" })},
 		{"data dir under a regular file", mod(func(o *options) { o.dataDir = filepath.Join(notADir, "state") })},
 	}

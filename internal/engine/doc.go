@@ -20,8 +20,9 @@
 // once k+1 items of a shard outrank item x, they do so forever; x can then
 // never re-enter the final bottom-k+1 unless a later update raises x's own
 // weight — in which case x re-enters carrying that weight, which is then
-// its maximum. Retained weights therefore always equal the true (max)
-// weight, and Snapshot is exact, not approximate: it reduces the sketches
+// its maximum. Retained weights therefore equal the true (max) weight
+// (after a RestoreState, wherever they can reach the view; see there),
+// and Snapshot is exact, not approximate: it reduces the sketches
 // to per-item TupleOutcomes via the same conditional-threshold reduction
 // (sampling.CondThreshold, the paper's footnote 1) as the batch sampler,
 // and the outcomes agree bit-for-bit, so every estimator built on outcomes
@@ -31,6 +32,6 @@
 // per-shard mutexes (lock striping), so writers on different shards never
 // contend. Snapshot briefly locks all shards for a consistent cut. A write
 // journals its whole batch as one record and folds it under the read side
-// of a cut barrier, whose write side DumpState and SketchState take first,
+// of a cut barrier, whose write side SketchState takes first,
 // so a checkpoint cut never sees a journaled batch half-applied.
 package engine

@@ -38,8 +38,8 @@ type Update struct {
 // hook. Append is called ONCE PER INGEST CALL with the whole validated,
 // non-zero-weight batch (shard-ordered), under the read side of the
 // engine's cut barrier, immediately before the batch is folded shard by
-// shard. That placement is what makes checkpoints sound: a cut (DumpState,
-// SketchState) takes the barrier's write side, so it waits for every batch
+// shard. That placement is what makes checkpoints sound: a cut
+// (SketchState) takes the barrier's write side, so it waits for every batch
 // journaled before it to finish applying, and a store that rotates its WAL
 // before cutting can prune the closed tail without losing an update. A
 // failed Append applies nothing of the batch. Replay may observe batches

@@ -60,13 +60,7 @@ func (e *Engine) rebuildLocked() SnapshotView {
 		}
 		return c.view
 	}
-	for i := range e.retained {
-		es := e.retained[i][:0]
-		for _, sh := range e.shards {
-			es = append(es, sh.heaps[i].es...)
-		}
-		e.retained[i] = es
-	}
+	e.gatherLocked(e.retained)
 	added := make([]uint64, 0, fresh)
 	for s, sh := range e.shards {
 		added = append(added, sh.keys[e.seen[s]:]...) // invariant 1

@@ -9,9 +9,10 @@ import (
 	"repro/internal/sampling"
 )
 
-// This file is the engine's durable-state boundary: DumpState serializes
-// a consistent cut of the sketch store into a State, RestoreState rebuilds
-// an empty engine from one bit-identically, and MergeState folds one into
+// This file is the engine's durable-state boundary: SketchState and
+// DumpState serialize a consistent cut of the sketch store into a State,
+// RestoreState rebuilds an empty engine's snapshot from one
+// bit-identically, and MergeState folds one into
 // a live engine under the lossless sketch-merge semantics (shared seeds ⇒
 // merge = per-key max-union). internal/store encodes States to disk as
 // checkpoints and export artifacts; the engine itself stays free of any
@@ -34,13 +35,17 @@ type StateEntry struct {
 
 // State is a self-contained, deterministic serialization of an engine's
 // sketch contents: the key registry with its per-instance activity masks
-// plus every instance's retained bottom-k entries. Equal engine contents
-// produce byte-for-byte equal States (all slices are key-sorted), so
-// encoded states double as comparison artifacts. A State is independent
-// of the shard layout it was cut from: restoring into an engine with a
-// different shard count preserves snapshot semantics (the global
-// bottom-(k+1) per instance survives re-routing), though per-shard
-// retained counts may then differ.
+// plus, per instance, every retained entry whose rank is at most the
+// instance's (k+1)-th smallest retained rank (ties included, so boundary
+// branches match). Those entries are all a snapshot reads: it depends on
+// each instance's k+1 smallest ranks and on the entries among them. They
+// also suffice for a merge, because under coordinated ranks the union's
+// bottom-(k+1) lies inside the union of every source's own bottom-(k+1)
+// (the source holding a key's largest weight ranks it exactly as the union
+// does). Equal engine contents produce byte-for-byte equal States (all
+// slices are key-sorted), so encoded states double as comparison
+// artifacts, and a State is independent of the shard layout it was cut
+// from.
 type State struct {
 	// Instances and K echo the configuration; both must match the target
 	// engine exactly on restore/merge (heap caps and τ semantics depend on
@@ -58,15 +63,14 @@ type State struct {
 	// mismatch on restore/merge means a different salt, i.e. sketches that
 	// must not be combined.
 	SeedCheck [2]float64
-	// Keys holds every ingested item key, ascending (empty in a
-	// SketchState that leaves the registry out).
+	// Keys holds every ingested item key, ascending (empty when the cut
+	// leaves the registry out).
 	Keys []uint64
 	// Masks holds the per-key instance-activity bitmasks, maskWords words
 	// per key, parallel to Keys.
 	Masks []uint64
-	// Entries holds each instance's retained (key, weight) pairs,
-	// key-ascending: every shard's heap in a DumpState, the global
-	// bottom-(k+1) in a SketchState.
+	// Entries holds each instance's global bottom-(k+1) (key, weight)
+	// pairs, key-ascending.
 	Entries [][]StateEntry
 }
 
@@ -78,28 +82,21 @@ func seedCheck(h sampling.SeedHash) [2]float64 {
 	return [2]float64{h.U(seedProbeKeys[0]), h.U(seedProbeKeys[1])}
 }
 
-// DumpState serializes the engine's contents as one consistent cut: the
-// cut barrier and all shard locks are held while keys, masks, heap entries
-// and counters are copied out, then the copy is sorted lock-free. The
-// result shares no memory with the engine.
+// DumpState is SketchState(0): the cut with its registry, as checkpoints
+// and a plain /v1/export carry it.
 func (e *Engine) DumpState() *State {
-	st, heaps, _ := e.cut(func(uint64) bool { return true })
-	for i, es := range heaps {
-		st.Entries[i] = bottomEntries(es, len(es))
-	}
+	st, _ := e.SketchState(0)
 	return st
 }
 
-// SketchState is the compact cut behind a conditional /v1/export: an
-// ordinary State holding, per instance, every retained entry whose rank is
-// at most the instance's (k+1)-th smallest retained rank (ties included,
-// so boundary branches match), plus the key registry unless the cut's
-// registry size equals knownReg. MergeState of it reproduces what merging
-// DumpState would in any merge engine's snapshot: a snapshot depends on
-// each instance's k+1 smallest ranks and on the entries among them, and
-// under coordinated ranks the union's bottom-(k+1) lies inside the union
-// of every source's own bottom-(k+1) (the source holding a key's largest
-// weight ranks it exactly as the union does).
+// SketchState serializes the engine's contents as one consistent cut: the
+// cut barrier's write side and then all shard locks are held while the
+// counters, every shard's retained entries and — unless the cut's registry
+// size equals knownReg — the flat keys and masks are copied out; the
+// registry is sorted and each instance cut to its bottom-(k+1) lock-free.
+// Holding the barrier means no journaled batch is half-applied at the cut,
+// which is what lets a checkpoint prune the WAL it rotated away from (see
+// Journal). The result shares no memory with the engine.
 //
 // reg is the registry size at the cut: keys plus active (instance, key)
 // pairs. While the engine lives it only grows (keys are never removed and
@@ -107,23 +104,6 @@ func (e *Engine) DumpState() *State {
 // engine already holds an identical registry. knownReg = 0 always ships
 // it (an empty registry ships as nothing anyway).
 func (e *Engine) SketchState(knownReg uint64) (st *State, reg uint64) {
-	st, heaps, reg := e.cut(func(reg uint64) bool { return reg != knownReg })
-	for i, es := range heaps {
-		st.Entries[i] = bottomEntries(es, e.cfg.K+1)
-	}
-	return st, reg
-}
-
-// cut is the consistent cut behind DumpState and SketchState: the cut
-// barrier's write side and then all shard locks are held while the
-// counters, every shard's heap entries per instance and — when
-// withRegistry approves the cut's registry size reg — the flat keys and
-// masks are copied out; the registry is then sorted lock-free. Holding
-// the barrier means no journaled batch is half-applied at the cut, which
-// is what lets a checkpoint prune the WAL it rotated away from (see
-// Journal). The result shares no memory with the engine; st.Entries is
-// left for the caller to fill from heaps.
-func (e *Engine) cut(withRegistry func(reg uint64) bool) (st *State, heaps [][]bkEntry, reg uint64) {
 	r, mw := e.cfg.Instances, e.maskWords
 	st = &State{
 		Instances: r,
@@ -132,7 +112,7 @@ func (e *Engine) cut(withRegistry func(reg uint64) bool) (st *State, heaps [][]b
 		SeedCheck: seedCheck(e.cfg.Hash),
 		Entries:   make([][]StateEntry, r),
 	}
-	heaps = make([][]bkEntry, r)
+	heaps := make([][]bkEntry, r)
 	e.cutMu.Lock()
 	for _, sh := range e.shards {
 		sh.mu.Lock()
@@ -145,7 +125,7 @@ func (e *Engine) cut(withRegistry func(reg uint64) bool) (st *State, heaps [][]b
 		reg += uint64(len(sh.keys) + sh.activeEntries)
 	}
 	var unsorted, unsortedMasks []uint64
-	if withRegistry(reg) {
+	if reg != knownReg {
 		unsorted = make([]uint64, 0, keys)
 		unsortedMasks = make([]uint64, 0, keys*mw)
 		for _, sh := range e.shards {
@@ -153,16 +133,7 @@ func (e *Engine) cut(withRegistry func(reg uint64) bool) (st *State, heaps [][]b
 			unsortedMasks = append(unsortedMasks, sh.masks...)
 		}
 	}
-	for i := range heaps {
-		n := 0
-		for _, sh := range e.shards {
-			n += len(sh.heaps[i].es)
-		}
-		heaps[i] = make([]bkEntry, 0, n)
-		for _, sh := range e.shards {
-			heaps[i] = append(heaps[i], sh.heaps[i].es...)
-		}
-	}
+	e.gatherLocked(heaps)
 	for _, sh := range e.shards {
 		sh.mu.Unlock()
 	}
@@ -180,7 +151,26 @@ func (e *Engine) cut(withRegistry func(reg uint64) bool) (st *State, heaps [][]b
 		st.Keys[to] = unsorted[from]
 		copy(st.Masks[to*mw:(to+1)*mw], unsortedMasks[from*mw:(from+1)*mw])
 	}
-	return st, heaps, reg
+	for i, es := range heaps {
+		st.Entries[i] = bottomEntries(es, e.cfg.K+1)
+	}
+	return st, reg
+}
+
+// gatherLocked refills dst[i] with every shard's retained entries of
+// instance i, reusing dst[i]'s storage. The caller holds every shard lock.
+func (e *Engine) gatherLocked(dst [][]bkEntry) {
+	for i := range dst {
+		n := 0
+		for _, sh := range e.shards {
+			n += len(sh.heaps[i].es)
+		}
+		es := slices.Grow(dst[i][:0], n)
+		for _, sh := range e.shards {
+			es = append(es, sh.heaps[i].es...)
+		}
+		dst[i] = es
+	}
 }
 
 // bottomEntries returns, key-ascending, the entries of es whose rank is at
@@ -274,6 +264,15 @@ func (e *Engine) validateState(st *State) error {
 // and the Ingests and Version counters continue from the dumped values —
 // a clean-shutdown checkpoint round-trips byte-for-byte through
 // DumpState/RestoreState.
+//
+// The shard heaps then hold only the global bottom-(k+1), not every entry
+// the source's heaps held. That is sound: weights fold by max and keys are
+// never removed, so an instance's (k+1)-th smallest rank never rises. A
+// dropped entry ranks above it for good, and so does any later update of
+// its key at a lower weight; one at a higher weight carries the true
+// maximum. Later ingests therefore serve and dump what the source's would.
+// Only Version differs: it stays monotone, but while the sparse heaps
+// refill it counts updates the source's fuller heaps would have refused.
 func (e *Engine) RestoreState(st *State) error {
 	if s := e.Stats(); s.Keys != 0 || s.Ingests != 0 {
 		return fmt.Errorf("engine: restore into non-empty engine (%d keys, %d ingests)", s.Keys, s.Ingests)

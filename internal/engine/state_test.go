@@ -64,8 +64,53 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("counters not preserved: src ingests=%d version=%d, dst ingests=%d version=%d",
 			ss.Ingests, ss.Version, ds.Ingests, ds.Version)
 	}
-	if ds.Keys != ss.Keys || ds.ActiveEntries != ss.ActiveEntries || ds.RetainedEntries != ss.RetainedEntries {
-		t.Fatalf("contents not preserved: src %+v dst %+v", ss, ds)
+	// The restored heaps hold exactly the dumped global bottom-(k+1).
+	dumped := 0
+	for _, ents := range st.Entries {
+		dumped += len(ents)
+	}
+	if ds.Keys != ss.Keys || ds.ActiveEntries != ss.ActiveEntries || ds.RetainedEntries != dumped {
+		t.Fatalf("contents not preserved: src %+v dst %+v, want %d retained", ss, ds, dumped)
+	}
+
+	// Continue both engines with one stream that raises the weights of
+	// entries the source's shard heaps hold outside the dumped bottom-(k+1)
+	// — the entries the restore dropped — mixed with fresh random traffic.
+	rng := rand.New(rand.NewSource(2))
+	var ups []Update
+	for i := range st.Entries {
+		inDump := map[uint64]bool{}
+		for _, en := range st.Entries[i] {
+			inDump[en.Key] = true
+		}
+		for _, sh := range src.shards {
+			for _, en := range sh.heaps[i].es {
+				if !inDump[en.key] {
+					ups = append(ups, Update{Instance: i, Key: en.key, Weight: en.weight * (1 + rng.Float64())})
+				}
+			}
+		}
+	}
+	if len(ups) == 0 {
+		t.Fatal("the source retains nothing outside its bottom-(k+1); the continuation tests nothing")
+	}
+	ups = append(ups, randomUpdates(rng, 500, 3, 260)...)
+	rng.Shuffle(len(ups), func(a, b int) { ups[a], ups[b] = ups[b], ups[a] })
+	for _, e := range []*Engine{src, dst} {
+		if err := e.IngestBatch(ups); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(dst.Snapshot(), src.Snapshot()) {
+		t.Fatal("after continuing, the restored engine's snapshot differs from the source's")
+	}
+	sd, dd := src.DumpState(), dst.DumpState()
+	sd.Version, dd.Version = 0, 0
+	if !reflect.DeepEqual(dd, sd) {
+		t.Fatal("after continuing, the restored engine's dump differs from the source's")
+	}
+	if dst.Version() < st.Version {
+		t.Fatalf("restored version %d fell below the dumped %d", dst.Version(), st.Version)
 	}
 }
 
@@ -169,14 +214,14 @@ func TestMergeStateBumpsVersion(t *testing.T) {
 	}
 }
 
-// TestSketchStateMergesLikeDumpState: round after round, a merge engine
+// TestSketchStateMergesLikeUnionEngine: round after round, a merge engine
 // fed each source's SketchState since its last cursor serves the same
-// snapshot as one fed every source's full DumpState — with keys shared
-// between sources, sources of different shard counts, registry growth in
-// some rounds and weight-only churn in others. The compact cut carries
-// per instance exactly the global bottom-(k+1), and the registry only when
-// its size moved.
-func TestSketchStateMergesLikeDumpState(t *testing.T) {
+// snapshot, and cuts the same entries, as a union engine fed every
+// source's updates — with keys shared between sources, sources of
+// different shard counts, registry growth in some rounds and weight-only
+// churn in others. The compact cut carries per instance exactly the
+// global bottom-(k+1), and the registry only when its size moved.
+func TestSketchStateMergesLikeUnionEngine(t *testing.T) {
 	srcs := []*Engine{}
 	for _, shards := range []int{4, 16, 1} {
 		e, err := New(testConfig(shards))
@@ -186,8 +231,15 @@ func TestSketchStateMergesLikeDumpState(t *testing.T) {
 		srcs = append(srcs, e)
 	}
 	compact, _ := New(testConfig(4))
-	full, _ := New(testConfig(8))
+	union, _ := New(testConfig(8))
 	known := make([]uint64, len(srcs))
+	// held[i][inst] is the set of keys source i has seen positive in inst.
+	held := make([][3]map[uint64]bool, len(srcs))
+	for i := range held {
+		for inst := range held[i] {
+			held[i][inst] = map[uint64]bool{}
+		}
+	}
 	rng := rand.New(rand.NewSource(11))
 	for round := 0; round < 12; round++ {
 		for i, src := range srcs {
@@ -206,8 +258,15 @@ func TestSketchStateMergesLikeDumpState(t *testing.T) {
 					}
 				}
 			}
-			if err := src.IngestBatch(ups); err != nil {
-				t.Fatal(err)
+			for _, e := range []*Engine{src, union} {
+				if err := e.IngestBatch(ups); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, u := range ups {
+				if u.Weight > 0 {
+					held[i][u.Instance][u.Key] = true
+				}
 			}
 			st, reg := src.SketchState(known[i])
 			stats := src.Stats()
@@ -217,22 +276,22 @@ func TestSketchStateMergesLikeDumpState(t *testing.T) {
 			if shipped := len(st.Keys) > 0; shipped != (reg != known[i]) {
 				t.Fatalf("round %d source %d: registry shipped=%v with reg %d, known %d", round, i, shipped, reg, known[i])
 			}
-			dump := src.DumpState()
 			for inst, ents := range st.Entries {
-				if want := min(src.Config().K+1, len(dump.Entries[inst])); len(ents) != want {
+				if want := min(src.Config().K+1, len(held[i][inst])); len(ents) != want {
 					t.Fatalf("round %d source %d instance %d: %d entries, want %d", round, i, inst, len(ents), want)
 				}
 			}
 			if err := compact.MergeState(st); err != nil {
 				t.Fatal(err)
 			}
-			if err := full.MergeState(dump); err != nil {
-				t.Fatal(err)
-			}
 			known[i] = reg
 		}
-		if !reflect.DeepEqual(compact.Snapshot(), full.Snapshot()) {
-			t.Fatalf("round %d: snapshot fed compact cuts differs from the one fed full dumps", round)
+		if !reflect.DeepEqual(compact.Snapshot(), union.Snapshot()) {
+			t.Fatalf("round %d: snapshot fed compact cuts differs from the union engine's", round)
+		}
+		got, want := compact.DumpState(), union.DumpState()
+		if !reflect.DeepEqual(got.Entries, want.Entries) || !reflect.DeepEqual(got.Keys, want.Keys) || !reflect.DeepEqual(got.Masks, want.Masks) {
+			t.Fatalf("round %d: merge engine cuts other entries or registry than the union engine", round)
 		}
 	}
 }

@@ -6,14 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/store"
 )
 
@@ -22,8 +20,9 @@ import (
 //	POST /v1/checkpoint  cut + persist the sketch state, truncate the WAL
 //	GET  /v1/export      the engine state as a portable binary artifact,
 //	                     conditional on its ETag (incarnation, version and
-//	                     registry size of the cut); ?since=<etag> answers
-//	                     the sketch-sized cut a coordinator merges
+//	                     registry size of the cut); ?since=<etag>, the
+//	                     coordinator's fetch, leaves out an unchanged
+//	                     registry
 //	POST /v1/import      merge an exported artifact into the live engine
 //	                     (lossless coordinated-sketch merge)
 //	GET  /metrics        Prometheus text exposition of engine + endpoint
@@ -143,31 +142,32 @@ func notModified(w http.ResponseWriter, etag string) (int, error) {
 	return http.StatusNotModified, nil
 }
 
-// handleExport streams the sketch state as a binary artifact. A raw
-// (non-JSON) endpoint: the artifact is the exact byte format checkpoints
-// use, so equal states export equal bytes — the comparison the recovery
-// tests rest on. A plain GET is the full DumpState. The ETag is the
-// cursor "<incarnation>.<version>.<reg>", and a conditional request whose
+// handleExport streams the sketch state (an engine.State) as a binary
+// artifact. A raw (non-JSON) endpoint: the artifact is the exact byte
+// format checkpoints use, so equal states export equal bytes — the
+// comparison the recovery tests rest on. The ETag is the cursor
+// "<incarnation>.<version>.<reg>", and a conditional request whose
 // incarnation and version match answers 304 from one lock-free atomic
 // load — no cut, no encoding, no body.
 //
-// GET /v1/export?since=<etag> is the cluster coordinator's fetch: on a
-// changed engine it answers the SketchState — per instance the global
-// bottom-(k+1), about r·(k+1)·16 bytes — with the key registry only when
-// since is empty, from another incarnation, or names a different registry
-// size. A read through the coordinator thus costs what the sample holds,
-// not what the node's registry holds.
+// A plain GET and GET /v1/export?since=<etag>, the cluster coordinator's
+// fetch, carry the same entries — per instance the global bottom-(k+1),
+// about r·(k+1)·16 bytes — and differ only in the key registry: it rides
+// along unless since names this incarnation and the cut's registry size.
+// A read through the coordinator thus costs what the sample holds, not
+// what the node's registry holds.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) (int, error) {
 	q := r.URL.Query()
 	if err := checkParams(q, "since"); err != nil {
 		return http.StatusBadRequest, err
 	}
-	compact := q.Has("since")
+	// An absent or empty since is the zero cursor, whose incarnation never
+	// matches: no 304, and the registry ships.
 	since, err := parseCursor(q.Get("since"))
 	if err != nil {
 		return http.StatusBadRequest, err
 	}
-	if compact && s.current(since, s.eng.Version()) {
+	if s.current(since, s.eng.Version()) {
 		return notModified(w, since.etag())
 	}
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
@@ -175,25 +175,15 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) (int, erro
 			return notModified(w, etag)
 		}
 	}
+	known := uint64(0)
+	if since.incarnation == s.incarnation {
+		known = since.reg
+	}
 	// The cut's own version (not a separate Version() call) labels the
 	// bytes: a write racing this request must not let a pre-write artifact
 	// carry a post-write ETag, or the caller's cache would pin stale state.
-	var st *engine.State
-	cur := exportCursor{incarnation: s.incarnation}
-	if compact {
-		known := uint64(0)
-		if since.incarnation == s.incarnation {
-			known = since.reg
-		}
-		st, cur.reg = s.eng.SketchState(known)
-	} else {
-		st = s.eng.DumpState()
-		cur.reg = uint64(len(st.Keys))
-		for _, m := range st.Masks {
-			cur.reg += uint64(bits.OnesCount64(m))
-		}
-	}
-	cur.version = st.Version
+	st, reg := s.eng.SketchState(known)
+	cur := exportCursor{incarnation: s.incarnation, version: st.Version, reg: reg}
 	data := store.EncodeState(st)
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")

@@ -181,17 +181,30 @@ func TestSketchETagCycle(t *testing.T) {
 // version is a bodiless 304; otherwise the answer is the engine's global
 // bottom-(k+1) per instance, with the key registry exactly when the
 // cursor is empty, from another incarnation, or names another registry
-// size. A plain GET stays the full DumpState, byte for byte.
+// size. A plain GET carries the same entries plus the registry, byte for
+// byte store.EncodeState(DumpState()). The expected entries come from the
+// weights the test ingested, not from the engine.
 func TestExportSince(t *testing.T) {
 	ts, eng := sketchTestServer(t)
 	cfg := eng.Config()
-	for i := 0; i < 60; i++ {
-		if err := eng.IngestBatch([]engine.Update{
-			{Instance: 0, Key: uint64(i), Weight: 1 + float64(i)},
-			{Instance: 1, Key: uint64(i), Weight: 100 - float64(i)},
-		}); err != nil {
+	// weights[i] is the max-folded weight per key this test ingested into
+	// instance i: the oracle requireBottom cuts from.
+	weights := make([]map[uint64]float64, cfg.Instances)
+	for i := range weights {
+		weights[i] = map[uint64]float64{}
+	}
+	ingest := func(ups ...engine.Update) {
+		t.Helper()
+		if err := eng.IngestBatch(ups); err != nil {
 			t.Fatal(err)
 		}
+		for _, u := range ups {
+			weights[u.Instance][u.Key] = max(weights[u.Instance][u.Key], u.Weight)
+		}
+	}
+	for i := 0; i < 60; i++ {
+		ingest(engine.Update{Instance: 0, Key: uint64(i), Weight: 1 + float64(i)},
+			engine.Update{Instance: 1, Key: uint64(i), Weight: 100 - float64(i)})
 	}
 
 	// fetch GETs ?since= and returns the status, the ETag's cursor and,
@@ -217,12 +230,14 @@ func TestExportSince(t *testing.T) {
 		return resp.StatusCode, c, st
 	}
 	// requireBottom checks st holds, per instance, exactly the k+1
-	// smallest-rank entries of the engine's full dump.
+	// smallest-rank entries of the weights ingested so far.
 	requireBottom := func(label string, st *engine.State) {
 		t.Helper()
-		dump := eng.DumpState()
-		for i, ents := range dump.Entries {
-			byRank := slices.Clone(ents)
+		for i, ws := range weights {
+			var byRank []engine.StateEntry
+			for key, w := range ws {
+				byRank = append(byRank, engine.StateEntry{Key: key, Weight: w})
+			}
 			rank := func(en engine.StateEntry) float64 {
 				return sampling.Rank(sampling.RankPriority, cfg.Hash.U(en.Key), en.Weight)
 			}
@@ -265,9 +280,7 @@ func TestExportSince(t *testing.T) {
 	}
 
 	// A weight-only change keeps the registry size: no registry.
-	if err := eng.Ingest(0, 5, 1e6); err != nil {
-		t.Fatal(err)
-	}
+	ingest(engine.Update{Instance: 0, Key: 5, Weight: 1e6})
 	code, second, st := fetch(first.etag())
 	if code != http.StatusOK || len(st.Keys) != 0 || second.reg != reg || second.version == first.version {
 		t.Fatalf("reg unchanged: status %d, %d keys, cursor %+v, want 200, no registry, reg %d", code, len(st.Keys), second, reg)
@@ -275,15 +288,24 @@ func TestExportSince(t *testing.T) {
 	requireBottom("reg unchanged", st)
 
 	// A new key grows the registry: shipped again.
-	if err := eng.Ingest(1, 1000, 2); err != nil {
-		t.Fatal(err)
-	}
-	if code, third, st := fetch(second.etag()); code != http.StatusOK || len(st.Keys) != stats.Keys+1 || third.reg != reg+2 {
+	ingest(engine.Update{Instance: 1, Key: 1000, Weight: 2})
+	code, third, st := fetch(second.etag())
+	if code != http.StatusOK || len(st.Keys) != stats.Keys+1 || third.reg != reg+2 {
 		t.Fatalf("reg changed: status %d, %d keys, cursor %+v, want 200 with %d keys", code, len(st.Keys), third, stats.Keys+1)
 	}
+	requireBottom("reg changed", st)
 
-	// The plain GET is the full dump, whatever cursors were minted.
-	if got, want := readAll(t, getExport(t, ts.URL, "")), store.EncodeState(eng.DumpState()); !bytes.Equal(got, want) {
+	// The plain GET carries the same entries plus the registry, whatever
+	// cursors were minted.
+	got, err := store.DecodeState(readAll(t, getExport(t, ts.URL, "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Keys) != stats.Keys+1 || !slices.Equal(got.Keys, st.Keys) {
+		t.Fatalf("plain GET: %d keys, want the registry of %d", len(got.Keys), stats.Keys+1)
+	}
+	requireBottom("plain GET", got)
+	if !bytes.Equal(store.EncodeState(got), store.EncodeState(eng.DumpState())) {
 		t.Fatal("plain GET /v1/export differs from store.EncodeState(DumpState())")
 	}
 }

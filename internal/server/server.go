@@ -17,8 +17,9 @@
 //	GET  /v1/export           portable binary sketch artifact (octet-stream)
 //	                          with ETag "<incarnation>.<version>.<registry>";
 //	                          If-None-Match short-circuits to 304, and
-//	                          ?since=<etag> answers the sketch-sized cut the
-//	                          cluster coordinator fetches (see durable.go)
+//	                          ?since=<etag>, the cluster coordinator's
+//	                          fetch, leaves out an unchanged registry
+//	                          (see durable.go)
 //	POST /v1/import           merge an exported artifact into the engine
 //	                          (checkpointed when persistence is attached)
 //	GET  /metrics             Prometheus text exposition

@@ -218,7 +218,8 @@ func AttachStore(e *Engine, st Store) (*StorePersistence, RecoveryStats, error) 
 	return store.Attach(e, st)
 }
 
-// EncodeEngineState serializes a state cut (Engine.DumpState) into the
+// EncodeEngineState serializes a state cut (Engine.DumpState: the
+// registry plus each instance's global bottom-(k+1)) into the
 // integrity-checked binary artifact /v1/export serves.
 func EncodeEngineState(st *EngineState) []byte { return store.EncodeState(st) }
 
