@@ -17,12 +17,13 @@ race:
 
 # Every Fuzz* target of the two packages that decode bytes from outside
 # the process (frames, state artifacts, JSON requests) — "every decoder
-# fails closed" exercised on every push, not only locally — and of
+# fails closed" exercised on every push, not only locally — of
 # internal/funcs, whose closed-form L* is held to quadrature of formula
-# (31); 5s each. go test -fuzz takes one target and one package per run,
-# hence the loop.
+# (31), and of internal/engine, whose snapshot rebuild is held to the
+# batch reduction; 5s each. go test -fuzz takes one target and one
+# package per run, hence the loop.
 fuzz:
-	@for pkg in ./internal/store/ ./internal/server/ ./internal/funcs/; do \
+	@for pkg in ./internal/store/ ./internal/server/ ./internal/funcs/ ./internal/engine/; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test -run xxx -fuzz "^$$target$$" -fuzztime 5s $$pkg || exit 1; \

@@ -57,11 +57,14 @@ const (
 // sub-benchmark-only, so a leaf benchmark (no b.Run) never reports under
 // it. BenchmarkScatterGather's two sub-benchmarks are both gated;
 // BenchmarkChurnServe's smallest universe stands for the churn-shaped
-// rebuild (its other cases cost the same, by design), and
-// BenchmarkIngestWAL's fsync=never case for the journaled write path
+// rebuild (its other cases cost the same, by design),
+// BenchmarkSnapshotIncremental's keys=65536 case for the engine rebuild
+// alone (the anchored ^…$ leaves out its -merged and -newkey variants),
+// and BenchmarkIngestWAL's fsync=never case for the journaled write path
 // without the disk flush.
 var suites = []struct{ pkg, bench string }{
 	{"internal/engine", "^(BenchmarkIngestBatch|BenchmarkIngestZipf)$"},
+	{"internal/engine", "^BenchmarkSnapshotIncremental$/^keys=65536$"},
 	{"internal/server", "^BenchmarkStreamIngest256$"},
 	{"internal/server", "^BenchmarkChurnServe$/^U=65536$"},
 	{"internal/store", "^BenchmarkIngestWAL$/^fsync=never$"},

@@ -57,11 +57,12 @@ func TestMedianOfPairedRatios(t *testing.T) {
 	}
 }
 
-// aa returns five rounds of the nine gated names with head/base ratios
+// aa returns five rounds of the ten gated names with head/base ratios
 // spread like an A/A run on a shared host.
 func aa() []round {
 	names := []string{
-		"BenchmarkIngestBatch", "BenchmarkIngestZipf", "BenchmarkIngestWAL/fsync=never",
+		"BenchmarkIngestBatch", "BenchmarkIngestZipf", "BenchmarkSnapshotIncremental/keys=65536",
+		"BenchmarkIngestWAL/fsync=never",
 		"BenchmarkStreamIngest256", "BenchmarkChurnServe/U=65536", "BenchmarkClusterQuery",
 		"BenchmarkScatterGather/cluster-64k-3nodes", "BenchmarkScatterGather/single-16k",
 		"BenchmarkSyncDeadNode",

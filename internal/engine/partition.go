@@ -11,9 +11,11 @@ import (
 // This file is the snapshot rebuild: one consistent cut of every shard,
 // then one reduction over the whole engine. The footnote-1 reduction is
 // per item given the global per-instance thresholds, and an item with no
-// retained entry has a known default outcome, so a rebuild visits only the
-// retained sketch entries (≤ r·shards·(k+1)), not the key registry, and
-// Snapshot() stays bit-identical to dataset.SampleBottomK.
+// retained entry has a known default outcome, so a rebuild gathers only
+// the retained sketch entries (≤ shards·(k+1) per instance), sorts and
+// walks only those that are in-branch or known (about k per instance),
+// never the key registry, and Snapshot() stays bit-identical to
+// dataset.SampleBottomK.
 //
 // Invariants (all rebuild state is guarded by rebuildMu):
 //
@@ -30,6 +32,13 @@ import (
 //     reduction therefore never visits such items, and published views
 //     hold only the exceptional outcomes, in storage a later rebuild never
 //     rewrites (it allocates fresh).
+//  4. A retained entry that takes its instance's τ-out branch and is
+//     unknown there is indistinguishable from absence: an absent entry's
+//     +Inf rank takes the τ-out branch too, and is unknown. The rebuild
+//     drops such entries before the radix sort by SampleInto's own test
+//     (u·τ-out ≤ weight). A rank-only test (rank ≤ boundary) is not the
+//     same: at near-overflow weights the rank and the weight test round
+//     differently, and τ* is clamped.
 //
 // No rebuild comparison-sorts a retained list: the thresholds come from
 // quickselect and retained entries are key-ordered by a byte radix.
@@ -71,13 +80,15 @@ func (e *Engine) rebuildLocked() SnapshotView {
 	}
 
 	// Lock-free from here: the retained buffers belong to the engine and no
-	// view aliases them. Global thresholds: per instance, gather the finite
-	// retained ranks and select the two order statistics CondThreshold
-	// reads. The union's k+1 smallest ranks are all retained (each is among
-	// its own shard's k+1 smallest), so this equals the monolithic
-	// reduction's thresholds. A subnormal weight's rank overflows to +Inf;
-	// like KSmallest, the gather drops it as it would an absent item. Each
-	// list is then key-ordered for the merge-walk.
+	// view aliases them, so the rebuild compacts them in place. Global
+	// thresholds: per instance, gather the finite retained ranks and select
+	// the two order statistics CondThreshold reads. The union's k+1
+	// smallest ranks are all retained (each is among its own shard's k+1
+	// smallest), so this equals the monolithic reduction's thresholds. A
+	// subnormal weight's rank overflows to +Inf; like KSmallest, the gather
+	// drops it as it would an absent item. Each list then keeps only its
+	// in-branch or known entries (invariant 4) and is key-ordered for the
+	// merge-walk.
 	insts := make([]instThresholds, r)
 	for i, es := range e.retained {
 		g := e.scratch[:0]
@@ -86,8 +97,17 @@ func (e *Engine) rebuildLocked() SnapshotView {
 				g = append(g, en)
 			}
 		}
-		insts[i] = selectThresholds(g, k)
-		e.scratch = sortByKey(es, g)
+		th := selectThresholds(g, k)
+		insts[i] = th
+		kept := es[:0]
+		for _, en := range es {
+			// SampleInto's test at the τ-out branch, operands in its order.
+			if th.branch(en.rank) == 0 || (en.weight >= e.cfg.Hash.U(en.key)*th.tauOut && en.weight > 0) {
+				kept = append(kept, en)
+			}
+		}
+		e.retained[i] = kept
+		e.scratch = sortByKey(kept, g)
 	}
 	if e.thresh == nil || !slices.Equal(insts, e.thresh.insts) {
 		if e.thresh != nil {

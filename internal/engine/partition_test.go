@@ -119,6 +119,121 @@ func TestSelectedThresholdsMatchKSmallest(t *testing.T) {
 	}
 }
 
+// requireKnownOrInBranch asserts that every entry the last rebuild left
+// in the engine's retained lists takes its instance's τ-in branch or is
+// known at the τ-out branch: the rebuild drops exactly the unknown τ-out
+// entries, which are indistinguishable from absent ones.
+func requireKnownOrInBranch(t *testing.T, e *Engine) {
+	t.Helper()
+	e.rebuildMu.Lock()
+	defer e.rebuildMu.Unlock()
+	for i, es := range e.retained {
+		th := e.thresh.insts[i]
+		for _, en := range es {
+			known := en.weight >= e.cfg.Hash.U(en.key)*th.tauOut && en.weight > 0
+			if th.branch(en.rank) != 0 && !known {
+				t.Errorf("instance %d: key %d (rank %g > boundary %g) is unknown but still retained", i, en.key, en.rank, th.boundary)
+			}
+		}
+	}
+}
+
+// heapEntries counts the entries every shard's instance-i heap retains.
+func heapEntries(e *Engine, i int) int {
+	n := 0
+	for _, sh := range e.shards {
+		n += len(sh.heaps[i].es)
+	}
+	return n
+}
+
+// TestRebuildDropsOnlyUnknownOutBranch pins the rebuild's drop of unknown
+// τ-out entries at exact rank ties: weight u·2^x (u the key's seed) gives
+// rank exactly 2^-x, so whole groups of keys tie at the k-th rank. The
+// snapshot must stay bit-identical to the batch reduction, the thresholds
+// must equal KSmallest's, what survives must be in-branch or known, and an
+// instance with fewer than k finite ranks must keep every entry.
+func TestRebuildDropsOnlyUnknownOutBranch(t *testing.T) {
+	const (
+		k      = 4
+		shards = 4
+		sub    = 0 // exps marker: a subnormal weight, whose rank is +Inf
+	)
+	hash := sampling.NewSeedHash(17)
+	for _, tc := range []struct {
+		name string
+		exps [2][]int // per instance, key j's rank is 2^-exps[i][j]
+		drop [2]bool  // whether the rebuild must drop entries of instance i
+	}{
+		{
+			"more than k+1 tied at the k-th",
+			[2][]int{
+				{12, 10, 10, 10, 12, 10, 10, 10, 10, 10, 8, 7, 8, 6, 7, 8, 6, 7},
+				{10, 10, 9, 10, 10, 10, 7, 10, 6, 10, 10, 8, 7, 6, 8, 7, 6, 8},
+			},
+			[2]bool{true, true},
+		},
+		{
+			"tie straddles the k-th and (k+1)-th",
+			[2][]int{
+				{12, 12, 12, 10, 10, 10, 10, 8, 7, 7, 6, 8, 7, 6, 8, 7, 6, 8},
+				{9, 8, 11, 10, 10, 10, 8, 7, 6, 8, 7, 6, 8, 7, 12, 11, 6, 8},
+			},
+			[2]bool{true, true},
+		},
+		{
+			"fewer than k finite ranks",
+			[2][]int{
+				{10, 10, 10, 12, 10, 8, 7, 6, 8, 7, 6, 8, 7, 6},
+				{10, -4, sub, 3, sub},
+			},
+			[2]bool{true, false},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := len(tc.exps[0])
+			w := [][]float64{make([]float64, n), make([]float64, n)}
+			for i, exps := range tc.exps {
+				for j, x := range exps {
+					w[i][j] = hash.U(uint64(j)) * math.Ldexp(1, x)
+					if x == sub {
+						w[i][j] = 5e-324
+					}
+				}
+			}
+			e := rebuildEngine(t, w, k, shards, hash)
+			requireMatchesMatrix(t, e, w, k, hash)
+			requireBatchThresholds(t, e)
+			requireKnownOrInBranch(t, e)
+			for i := range w {
+				e.rebuildMu.Lock()
+				kept := len(e.retained[i])
+				e.rebuildMu.Unlock()
+				if held := heapEntries(e, i); (kept < held) != tc.drop[i] {
+					t.Errorf("instance %d: rebuild kept %d of %d retained entries, want a drop: %v", i, kept, held, tc.drop[i])
+				}
+			}
+			// The tie must cover the k-th and (k+1)-th ranks (so both τ*
+			// branches coincide) and span shards for the case to mean it.
+			for i, exps := range tc.exps {
+				th := e.thresh.insts[i]
+				if th.hasK && th.tauIn != th.tauOut {
+					t.Errorf("instance %d: the k-th and (k+1)-th ranks differ (τ-in %g, τ-out %g)", i, th.tauIn, th.tauOut)
+				}
+				tied := map[int]bool{}
+				for j, x := range exps {
+					if x != sub && math.Ldexp(1, -x) == th.boundary {
+						tied[e.shardOf(uint64(j))] = true
+					}
+				}
+				if th.hasK && len(tied) < 3 {
+					t.Errorf("instance %d: keys tied at the k-th rank span %d shards, want ≥ 3", i, len(tied))
+				}
+			}
+		})
+	}
+}
+
 // TestSortByKeyMatchesSort holds the rebuild's key radix to a comparison
 // sort, with one scratch buffer reused across lists of different lengths
 // and key shapes (a single varying byte leaves the result in scratch).
