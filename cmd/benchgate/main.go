@@ -69,6 +69,7 @@ var suites = []struct{ pkg, bench string }{
 	{"internal/server", "^BenchmarkChurnServe$/^U=65536$"},
 	{"internal/store", "^BenchmarkIngestWAL$/^fsync=never$"},
 	{"internal/cluster", "^(BenchmarkClusterQuery|BenchmarkScatterGather|BenchmarkSyncDeadNode)$"},
+	{"internal/cluster", "^BenchmarkRoutedStream$"},
 }
 
 func main() {

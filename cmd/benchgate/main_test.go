@@ -57,7 +57,7 @@ func TestMedianOfPairedRatios(t *testing.T) {
 	}
 }
 
-// aa returns five rounds of the ten gated names with head/base ratios
+// aa returns five rounds of the eleven gated names with head/base ratios
 // spread like an A/A run on a shared host.
 func aa() []round {
 	names := []string{
@@ -65,7 +65,7 @@ func aa() []round {
 		"BenchmarkIngestWAL/fsync=never",
 		"BenchmarkStreamIngest256", "BenchmarkChurnServe/U=65536", "BenchmarkClusterQuery",
 		"BenchmarkScatterGather/cluster-64k-3nodes", "BenchmarkScatterGather/single-16k",
-		"BenchmarkSyncDeadNode",
+		"BenchmarkSyncDeadNode", "BenchmarkRoutedStream",
 	}
 	noise := []float64{0.86, 1.10, 0.97, 1.04, 0.92}
 	rs := make([]round, len(noise))

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"math/rand"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/sampling"
 	"repro/internal/server"
+	"repro/internal/streamclient"
 )
 
 // benchCluster is an in-process cluster without persistence: n nodes
@@ -142,6 +144,47 @@ func BenchmarkClusterQuery(b *testing.B) {
 	}
 	if got := after.StateBytes - before.StateBytes; got != 0 {
 		b.Fatalf("steady-state queries moved %d bytes, want 0", got)
+	}
+}
+
+// BenchmarkRoutedStream is one routed write as the bench's cluster
+// workload sends it: a 10-frame stream of 256-update frames into a
+// coordinator's server front over 3 nodes, acknowledged once every owner
+// applied its shares. Frames are drawn off the clock from a 64k-key
+// universe.
+func BenchmarkRoutedStream(b *testing.B) {
+	c := newBenchCluster(b, 3, 0)
+	front := httptest.NewServer(server.NewWith(c.coord.Engine(),
+		server.Config{Snapshots: c.coord, Ingest: c.coord, Cluster: c.coord}))
+	defer front.Close()
+	rng := rand.New(rand.NewSource(1))
+	bursts := make([][][]engine.Update, 16)
+	for i := range bursts {
+		bursts[i] = make([][]engine.Update, 10)
+		for f := range bursts[i] {
+			frame := make([]engine.Update, 256)
+			for j := range frame {
+				frame[j] = engine.Update{Instance: j % 2, Key: uint64(rng.Intn(64 << 10)), Weight: 1 + rng.Float64()*1e3}
+			}
+			bursts[i][f] = frame
+		}
+	}
+	ctx := context.Background()
+	hc := front.Client()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := streamclient.OpenStream(ctx, hc, front.URL)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, f := range bursts[i%len(bursts)] {
+			if err := s.Send(f); err != nil {
+				break
+			}
+		}
+		if sum, err := s.Close(); err != nil || sum.Updates != 2560 {
+			b.Fatalf("routed stream: %+v, %v", sum, err)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -16,17 +15,15 @@ import (
 )
 
 // This file is the coordinator's client side of the node wire: binary
-// sketch fetches (GET /v1/export?since=<cursor>) and synchronous
-// routed ingest (one-shot POST /v1/stream bodies). Both move the same
-// binary formats the node persists and exports — wire == disk == export.
+// sketch fetches (GET /v1/export?since=<cursor>), plus the retry,
+// backoff and breaker discipline those fetches share with routed writes
+// (route.go: one keyed POST /v1/stream per owner node and write
+// request). Both move the same binary formats the node persists and
+// exports — wire == disk == export.
 
 // maxSketchBody caps a fetched node artifact (matches the server's
 // /v1/import bound: a 1M-key 2-instance artifact is ~40 MiB).
 const maxSketchBody = 64 << 20
-
-// ingestFrameUpdates chunks one routed batch into stream frames. Well
-// under store.MaxStreamFrameBytes at ~17 B/update encoded.
-const ingestFrameUpdates = 4096
 
 // Transiently-failing node requests get nodeRetries extra attempts,
 // paused by full jitter in [0, min(backoffMax, backoffBase<<attempt)).
@@ -67,7 +64,7 @@ type nodeClient struct {
 	timeout time.Duration
 	// br short-circuits requests while the node looks dead (nil =
 	// breaker disabled); jitter feeds the full-jitter retry pauses.
-	// Fetches and routed sends share both — availability is a property
+	// Fetches and routed streams share both — availability is a property
 	// of the node, not of the verb.
 	br     *breaker
 	jitter *jitterSource
@@ -123,21 +120,24 @@ func (n *nodeClient) missingEntry(err error, now time.Time) MissingNode {
 // ErrBreakerOpen without touching the wire, so a dead node costs the
 // cluster ~nothing per round instead of timeout×(1+nodeRetries). Breaker
 // outcomes are recorded on Unavailable-class results only — a 4xx
-// proves the node reachable and counts as contact.
+// proves the node reachable and counts as contact. Each attempt bounds
+// itself by n.timeout: a fetch as a whole, a routed stream per write and
+// per wait for its answer.
 func (n *nodeClient) retrying(ctx context.Context, op func(context.Context) error) error {
 	var err error
 	for attempt := 0; ; attempt++ {
 		if n.br != nil && !n.br.allow(time.Now()) {
 			return &NodeError{Addr: n.addr, Err: ErrBreakerOpen}
 		}
-		actx, cancel := context.WithTimeout(ctx, n.timeout)
-		err = op(actx)
-		cancel()
+		err = op(ctx)
 		if err == nil {
 			if n.br != nil {
 				n.br.success()
 			}
 			return nil
+		}
+		if ctx.Err() != nil {
+			return err // the caller gave up: no verdict on the node
 		}
 		ne, ok := err.(*NodeError)
 		unavailable := ok && ne.Unavailable()
@@ -171,6 +171,8 @@ func (n *nodeClient) retrying(ctx context.Context, op func(context.Context) erro
 // cached cursor. size reports the state bytes transferred.
 func (n *nodeClient) fetchSketch(ctx context.Context) (st *engine.State, etag string, size int, err error) {
 	err = n.retrying(ctx, func(ctx context.Context) error {
+		ctx, cancel := context.WithTimeout(ctx, n.timeout)
+		defer cancel()
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 			n.addr+"/v1/export?since="+url.QueryEscape(n.etag), nil)
 		if err != nil {
@@ -208,42 +210,6 @@ func (n *nodeClient) fetchSketch(ctx context.Context) (st *engine.State, etag st
 		}
 	})
 	return st, etag, size, err
-}
-
-// sendBatch streams one routed update batch to the node as a one-shot
-// binary /v1/stream request, SYNCHRONOUSLY: the 200 arrives only after
-// the node applied every frame, so a coordinator 200 on /v1/ingest means
-// the owner nodes have the updates — read-your-writes through the
-// coordinator holds. Correctness-safe to retry: sketch folds are
-// idempotent under max-weight union, so estimates never double-count.
-// Every attempt carries the same per-batch Idempotency-Key, so a retry
-// after a transport error that raced the node's apply (e.g. the
-// response was lost) replays frames the node recognizes and skips —
-// node-side Ingests and wire stream counters stay exact, not just the
-// estimates.
-func (n *nodeClient) sendBatch(ctx context.Context, key string, batch []engine.Update) error {
-	return n.retrying(ctx, func(ctx context.Context) error {
-		buf := store.AppendStreamHeader(nil)
-		for lo := 0; lo < len(batch); lo += ingestFrameUpdates {
-			buf = store.AppendFrame(buf, batch[lo:min(lo+ingestFrameUpdates, len(batch))])
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.addr+"/v1/stream", bytes.NewReader(buf))
-		if err != nil {
-			return &NodeError{Addr: n.addr, Err: err}
-		}
-		req.Header.Set("Content-Type", store.StreamContentType)
-		req.Header.Set("Idempotency-Key", key)
-		resp, err := n.hc.Do(req)
-		if err != nil {
-			return &NodeError{Addr: n.addr, Err: err}
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return nodeHTTPError(n.addr, resp)
-		}
-		_, _ = io.Copy(io.Discard, resp.Body) // keep the connection reusable
-		return nil
-	})
 }
 
 // nodeHTTPError wraps a non-success node response, carrying (a prefix

@@ -17,14 +17,15 @@ import (
 // Coordinator fronts a cluster of monestd nodes with the full single-node
 // serving surface. It satisfies internal/server's SnapshotSource (reads:
 // scatter-gather the nodes' reduced sketch states, fold them into a local
-// merge engine, serve its snapshot) and Ingestor (writes: partition each
-// batch by ring owner and forward synchronously over the binary stream
-// wire). Correctness rests on lossless coordinated-sketch merging: the
-// merge engine's snapshot is bit-identical to a single engine fed the
-// union stream, so every estimator, cache and push layer above works
-// unchanged. Each node ships only its global bottom-(k+1) per instance
-// (plus its key registry when that changed): under coordinated ranks the
-// union's bottom-(k+1) lies inside the union of the nodes' own.
+// merge engine, serve its snapshot) and Ingestor (writes: route each
+// request's frames by ring owner over one binary stream per owner node,
+// answering once every owner has answered — route.go). Correctness rests
+// on lossless coordinated-sketch merging: the merge engine's snapshot is
+// bit-identical to a single engine fed the union stream, so every
+// estimator, cache and push layer above works unchanged. Each node ships
+// only its global bottom-(k+1) per instance (plus its key registry when
+// that changed): under coordinated ranks the union's bottom-(k+1) lies
+// inside the union of the nodes' own.
 //
 // Consistency model: governed by Config.ReadPolicy. Strict (default):
 // a query triggers one version-vector sync — each node answers a
@@ -51,10 +52,11 @@ type Coordinator struct {
 	// reached, else the missing-node block responses must carry.
 	degraded atomic.Pointer[Degraded]
 
-	// idemBase + idemSeq mint per-routed-batch Idempotency-Keys. The
-	// base is random per coordinator instance so a restarted
-	// coordinator's keys cannot collide with its predecessor's (and the
-	// node's frame digests make even a collision harmless).
+	// idemBase + idemSeq mint the Idempotency-Key of each routed
+	// upstream, one per (request, node). The base is random per
+	// coordinator instance so a restarted coordinator's keys cannot
+	// collide with its predecessor's (and the node's frame digests make
+	// even a collision harmless).
 	idemBase string
 	idemSeq  atomic.Uint64
 
@@ -120,7 +122,9 @@ type Stats struct {
 	NotModified uint64 `json:"not_modified"`
 	// StateBytes totals artifact bytes fetched from nodes.
 	StateBytes uint64 `json:"state_bytes"`
-	// RoutedUpdates counts updates forwarded to owner nodes.
+	// RoutedUpdates counts updates forwarded to owner nodes: every
+	// update an owner acknowledged, including a failed write's shares
+	// that landed on live owners.
 	RoutedUpdates uint64 `json:"routed_updates"`
 	// Policy is the configured read policy; Nodes is per-node breaker
 	// and version-vector state.
@@ -395,48 +399,4 @@ func (c *Coordinator) AcquireSnapshot(ctx context.Context) (engine.SnapshotView,
 		return engine.SnapshotView{}, nil, err
 	}
 	return c.merge.FreshView(), c.degraded.Load(), nil
-}
-
-// IngestBatch implements internal/server's Ingestor: partition the batch
-// by ring owner and forward each node's share concurrently as one
-// synchronous binary stream request. The call returns only when every
-// owner applied its share, so a 200 from the coordinator's /v1/ingest or
-// /v1/stream means the cluster has the updates. A failed owner fails the
-// batch (other nodes' shares stay applied — same non-transactional
-// semantics as sequential /v1/ingest batches on one node). ctx (the
-// serving request's context) cancels in-flight forwards, so an aborted
-// client request does not pin the coordinator for the full per-node
-// timeout and retry budget.
-func (c *Coordinator) IngestBatch(ctx context.Context, batch []engine.Update) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	per := make([][]engine.Update, len(c.nodes))
-	for _, u := range batch {
-		i := c.ring.Owner(u.Key)
-		per[i] = append(per[i], u)
-	}
-	errs := make([]error, len(c.nodes))
-	var wg sync.WaitGroup
-	for i, part := range per {
-		if len(part) == 0 {
-			continue
-		}
-		// One key per node share, stable across that share's retries, so
-		// the node recognizes and skips replayed frames.
-		key := fmt.Sprintf("%s-%d", c.idemBase, c.idemSeq.Add(1))
-		wg.Add(1)
-		go func(i int, key string, part []engine.Update) {
-			defer wg.Done()
-			errs[i] = c.nodes[i].sendBatch(ctx, key, part)
-		}(i, key, part)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	c.stats.routed.Add(uint64(len(batch)))
-	return nil
 }

@@ -20,9 +20,9 @@ import (
 //
 // Exceeding either answers a structured 429 with a Retry-After header
 // and a retry_after_seconds field in the error envelope; a mid-stream
-// rejection additionally reports applied_frames/applied_updates —
-// exactly the torn-frame contract, so clients resume instead of
-// guessing. internal/streamclient's Pump honors all of it.
+// rejection additionally reports applied_frames/applied_updates, like
+// every failed stream (apply.go), so clients resume instead of guessing.
+// internal/streamclient's Pump honors all of it.
 
 // maxClientBuckets bounds the per-client bucket table; beyond it the
 // least-recently-charged bucket is evicted (a returning client starts
@@ -30,14 +30,10 @@ import (
 const maxClientBuckets = 4096
 
 // rateLimitError carries the 429 contract through the route() error
-// path: the retry hint and, for streams, the applied progress.
+// path: the retry hint.
 type rateLimitError struct {
 	error
 	retryAfter time.Duration
-	// appliedFrames/appliedUpdates report stream progress (-1: not a
-	// stream — the envelope omits the fields).
-	appliedFrames  int
-	appliedUpdates int
 }
 
 // bucket is one client's token bucket (updates are the token unit).

@@ -68,6 +68,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/url"
@@ -213,15 +214,15 @@ type EndpointStats struct {
 }
 
 // apiError is the structured error body: {"error": {"code", "message"}}.
-// 429 responses add the retry hint, and a refused stream frame adds the
-// applied progress (the torn-frame contract in error form).
+// 429 responses add the retry hint, and a failed stream adds the applied
+// progress (the torn-frame contract in error form).
 type apiError struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
 	// RetryAfterSeconds mirrors the Retry-After header (429 only).
 	RetryAfterSeconds float64 `json:"retry_after_seconds,omitempty"`
-	// AppliedFrames/AppliedUpdates report how much of a refused stream
-	// was applied before the 429 (stream rejections only).
+	// AppliedFrames/AppliedUpdates report how much of a failed stream is
+	// applied: its first AppliedFrames frames (stream errors only).
 	AppliedFrames  *int `json:"applied_frames,omitempty"`
 	AppliedUpdates *int `json:"applied_updates,omitempty"`
 }
@@ -259,31 +260,49 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	if errors.As(err, &rl) {
 		setRetryHeaders(w, rl)
 		body.RetryAfterSeconds = rl.retryAfter.Seconds()
-		if rl.appliedFrames >= 0 {
-			body.AppliedFrames = &rl.appliedFrames
-			body.AppliedUpdates = &rl.appliedUpdates
-		}
+	}
+	var pe *progressError
+	if errors.As(err, &pe) {
+		body.AppliedFrames, body.AppliedUpdates = &pe.frames, &pe.updates
 	}
 	writeJSON(w, code, map[string]apiError{"error": body})
 }
 
-// Ingestor receives the update batches /v1/ingest and /v1/stream decode.
-// The local engine is adapted by engineIngestor; a cluster coordinator
-// satisfies it by scatter-forwarding each batch to the ring-owning
-// nodes. ctx is the serving request's context: remote-backed ingestors
-// must honor it so an aborted request cancels in-flight forwards; local
-// folds ignore it.
+// Ingestor is where /v1/ingest and /v1/stream updates land: one write
+// session per request. Ingest pulls the request's batches from next, in
+// order, until next returns io.EOF (the request ended) or another error
+// (the request failed; Ingest returns that error unless its own failure
+// came first). It reports the batches it has applied through applied —
+// n more, in order — and returns once every batch it pulled is applied or
+// failed. The local engine (engineIngestor) applies and reports each
+// batch before it pulls the next, so a stream cannot run ahead of the
+// engine; a cluster coordinator routes the batches to their owner nodes
+// and reports them once every owner acknowledged its share. ctx is the
+// serving request's context: remote-backed ingestors must honor it so an
+// aborted request cancels in-flight forwards; local folds ignore it.
 type Ingestor interface {
-	IngestBatch(ctx context.Context, batch []engine.Update) error
+	Ingest(ctx context.Context, next func() ([]engine.Update, error), applied func(n int)) error
 }
 
-// engineIngestor adapts *engine.Engine to the context-aware Ingestor.
-// Local folds are lock-bounded and never block on the network, so the
-// context is ignored.
+// engineIngestor adapts *engine.Engine to the Ingestor session. Local
+// folds are lock-bounded and never block on the network, so the context
+// is ignored.
 type engineIngestor struct{ eng *engine.Engine }
 
-func (e engineIngestor) IngestBatch(_ context.Context, batch []engine.Update) error {
-	return e.eng.IngestBatch(batch)
+func (e engineIngestor) Ingest(_ context.Context, next func() ([]engine.Update, error), applied func(int)) error {
+	for {
+		batch, err := next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := e.eng.IngestBatch(batch); err != nil {
+			return err
+		}
+		applied(1)
+	}
 }
 
 // acquireStatus maps a SnapshotSource failure to an HTTP status: errors
@@ -535,7 +554,14 @@ func (s *Server) handleIngest(r *http.Request) (int, any, error) {
 			ingested++
 		}
 	}
-	if status, err := a.apply(batch); err != nil {
+	read := false
+	if status, err := a.run(func() ([]engine.Update, error) {
+		if read {
+			return nil, io.EOF
+		}
+		read = true
+		return batch, nil
+	}); err != nil {
 		return status, nil, err
 	}
 	// ingested counts folded-in observations, matching the engine's

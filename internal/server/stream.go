@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sync/atomic"
 
+	"repro/internal/engine"
 	"repro/internal/store"
 )
 
@@ -16,9 +17,10 @@ import (
 // goes through the one apply step (apply.go) — no JSON, no per-batch
 // request round-trip, no per-frame allocations (the scanner and the
 // engine's batch pool both reuse scratch). Backpressure is the
-// transport's: the server reads a frame only after applying the previous
-// one, so a sender can never run ahead of the engine by more than the
-// socket and bufio windows.
+// transport's: a single node reads a frame only after applying the
+// previous one, so a sender can never run ahead of the engine by more
+// than the socket and bufio windows. A coordinator reads ahead by at most
+// its route's replay bound (internal/cluster).
 //
 // The stream ends when the client closes the request body (clean EOF on a
 // frame boundary) or when the server starts draining; the response then
@@ -28,10 +30,12 @@ import (
 //	 "draining": bool}
 //
 // A torn or corrupt frame aborts the stream with a 400, a frame the apply
-// step refuses or fails with that step's status; either way the message
-// counts the frames already applied (a 429 envelope also carries
-// applied_frames / applied_updates), so a client resumes from exact
-// progress instead of guessing. Applied frames stay applied.
+// step refuses or fails with that step's status; either way the envelope
+// carries applied_frames / applied_updates and the message repeats them:
+// the stream's first applied_frames frames are in the engine (applied by
+// this request or, under a replayed Idempotency-Key, by an earlier one),
+// so a client resumes from exact progress instead of guessing. Applied
+// frames stay applied.
 
 // wireStats counts streaming-ingest and subscription traffic; all fields
 // are atomics shared by handlers, the broadcaster and /v1/stats.
@@ -116,18 +120,14 @@ func (s *Server) handleStream(r *http.Request) (int, any, error) {
 	// Check the drain gate between frames (never mid-frame): on shutdown
 	// the connection finishes its current batch and answers with what it
 	// applied, instead of being cut mid-record.
-	draining := s.draining()
-	for ; !draining; draining = s.draining() {
-		batch, err := sc.Next()
-		if err == io.EOF {
-			break
+	draining := false
+	if status, err := a.run(func() ([]engine.Update, error) {
+		if draining = s.draining(); draining {
+			return nil, io.EOF
 		}
-		if err != nil {
-			return http.StatusBadRequest, nil, a.describe(err)
-		}
-		if status, err := a.apply(batch); err != nil {
-			return status, nil, err
-		}
+		return sc.Next()
+	}); err != nil {
+		return status, nil, err
 	}
 	return http.StatusOK, map[string]any{
 		"frames":          a.frames,

@@ -1,7 +1,9 @@
 // Package streamclient is the client side of monestd's streaming wire:
 // a binary ingest stream writer (POST /v1/stream) and a Server-Sent
 // Events subscriber (GET /v1/subscribe). cmd/loadgen and the e2e suite
-// drive the daemon through it; external Go writers can too.
+// drive the daemon through it, and a cluster coordinator routes its
+// writes to the owner nodes over keyed streams (internal/cluster);
+// external Go writers can use it too.
 package streamclient
 
 import (
@@ -32,24 +34,29 @@ type StreamSummary struct {
 	Draining       bool `json:"draining"`
 }
 
-// StreamError is a structured stream rejection decoded from the server's
-// error envelope — the 429 backpressure contract in client form. A
-// stream that dies with a transport error (no HTTP response) yields a
-// plain error instead.
+// StreamError is a stream rejection: any non-200 answer, decoded from the
+// server's error envelope when it sent one — the 429 backpressure and
+// torn-frame contracts in client form. A stream that dies with a
+// transport error (no HTTP response) yields a plain error instead.
 type StreamError struct {
-	Status  int
-	Code    string
+	Status int
+	Code   string // empty when the body was not the structured envelope
+	// Message is the envelope's message, or the raw body without one.
 	Message string
 	// RetryAfter is the server's retry hint (zero when absent).
 	RetryAfter time.Duration
-	// AppliedFrames/AppliedUpdates report how much of the stream the
-	// server applied before rejecting (-1: the envelope omitted them —
-	// not a mid-stream rejection).
+	// AppliedFrames/AppliedUpdates report how much of the stream is
+	// applied: its first AppliedFrames frames, by this request or an
+	// earlier one under the same Idempotency-Key (-1: the envelope
+	// omitted them — not a mid-stream rejection).
 	AppliedFrames  int
 	AppliedUpdates int
 }
 
 func (e *StreamError) Error() string {
+	if e.Code == "" {
+		return fmt.Sprintf("stream: status %d: %s", e.Status, e.Message)
+	}
 	return fmt.Sprintf("stream: status %d (%s): %s", e.Status, e.Code, e.Message)
 }
 
@@ -57,9 +64,9 @@ func (e *StreamError) Error() string {
 // client should back off and retry.
 func (e *StreamError) RateLimited() bool { return e.Status == http.StatusTooManyRequests }
 
-// parseStreamError decodes the server's error envelope; ok=false means
-// the body was not the structured envelope (fall back to raw text).
-func parseStreamError(status int, body []byte) (*StreamError, bool) {
+// parseStreamError decodes the server's error envelope, falling back to
+// the raw body as the message when there is none.
+func parseStreamError(status int, body []byte) *StreamError {
 	var env struct {
 		Error struct {
 			Code              string  `json:"code"`
@@ -70,7 +77,8 @@ func parseStreamError(status int, body []byte) (*StreamError, bool) {
 		} `json:"error"`
 	}
 	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code == "" {
-		return nil, false
+		return &StreamError{Status: status, Message: strings.TrimSpace(string(body)),
+			AppliedFrames: -1, AppliedUpdates: -1}
 	}
 	se := &StreamError{
 		Status:         status,
@@ -86,7 +94,7 @@ func parseStreamError(status int, body []byte) (*StreamError, bool) {
 	if env.Error.AppliedUpdates != nil {
 		se.AppliedUpdates = *env.Error.AppliedUpdates
 	}
-	return se, true
+	return se
 }
 
 // Stream is one open binary ingest connection. Send frames with Send;
@@ -109,13 +117,13 @@ type streamResult struct {
 // connection carries an unbounded update stream with the server applying
 // batches as they arrive.
 func OpenStream(ctx context.Context, client *http.Client, baseURL string) (*Stream, error) {
-	return openStream(ctx, client, baseURL, "")
+	return OpenKeyedStream(ctx, client, baseURL, "")
 }
 
-// openStream is OpenStream with an idempotency key: when non-empty it
-// rides as the Idempotency-Key header, so replaying the same stream under
-// the same key makes already-applied frames no-ops on the server.
-func openStream(ctx context.Context, client *http.Client, baseURL, key string) (*Stream, error) {
+// OpenKeyedStream is OpenStream with an idempotency key: when non-empty
+// it rides as the Idempotency-Key header, so replaying the same stream
+// under the same key makes already-applied frames no-ops on the server.
+func OpenKeyedStream(ctx context.Context, client *http.Client, baseURL, key string) (*Stream, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
@@ -141,12 +149,7 @@ func openStream(ctx context.Context, client *http.Client, baseURL, key string) (
 		defer resp.Body.Close()
 		body, rerr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 		if resp.StatusCode != http.StatusOK {
-			var rejection error
-			if se, ok := parseStreamError(resp.StatusCode, body); ok {
-				rejection = se
-			} else {
-				rejection = fmt.Errorf("stream: status %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-			}
+			rejection := parseStreamError(resp.StatusCode, body)
 			pr.CloseWithError(rejection)
 			s.resp <- streamResult{err: rejection}
 			return

@@ -1,4 +1,4 @@
-package streamclient
+package streamclient_test
 
 import (
 	"context"
@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/sampling"
 	"repro/internal/server"
+	"repro/internal/streamclient"
 )
 
 func testServer(t *testing.T) (*httptest.Server, *engine.Engine) {
@@ -39,7 +40,7 @@ func batch(n, base int) []engine.Update {
 
 func TestStreamRoundTrip(t *testing.T) {
 	ts, eng := testServer(t)
-	st, err := OpenStream(context.Background(), ts.Client(), ts.URL)
+	st, err := streamclient.OpenStream(context.Background(), ts.Client(), ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestStreamRoundTrip(t *testing.T) {
 
 func TestStreamServerRejectsBadUpdate(t *testing.T) {
 	ts, _ := testServer(t)
-	st, err := OpenStream(context.Background(), ts.Client(), ts.URL)
+	st, err := streamclient.OpenStream(context.Background(), ts.Client(), ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestStreamServerRejectsBadUpdate(t *testing.T) {
 func TestSubscribePushesOnStreamIngest(t *testing.T) {
 	ts, _ := testServer(t)
 	ctx := context.Background()
-	sub, err := Subscribe(ctx, ts.Client(), ts.URL, "func=rg&p=1&estimator=lstar")
+	sub, err := streamclient.Subscribe(ctx, ts.Client(), ts.URL, "func=rg&p=1&estimator=lstar")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestSubscribePushesOnStreamIngest(t *testing.T) {
 		t.Fatalf("initial push has %d results", len(initial.Results))
 	}
 
-	st, err := OpenStream(ctx, ts.Client(), ts.URL)
+	st, err := streamclient.OpenStream(ctx, ts.Client(), ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestSubscribePushesOnStreamIngest(t *testing.T) {
 
 func TestSubscribeRejectsBadQuery(t *testing.T) {
 	ts, _ := testServer(t)
-	if _, err := Subscribe(context.Background(), ts.Client(), ts.URL, "estimator=bogus"); err == nil ||
+	if _, err := streamclient.Subscribe(context.Background(), ts.Client(), ts.URL, "estimator=bogus"); err == nil ||
 		!strings.Contains(err.Error(), "status 400") {
 		t.Fatalf("bad estimator: %v, want status 400", err)
 	}
@@ -161,7 +162,7 @@ func TestSubscribeRejectsBadQuery(t *testing.T) {
 func TestSubscribeContextCancelCloses(t *testing.T) {
 	ts, _ := testServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	sub, err := Subscribe(ctx, ts.Client(), ts.URL, "")
+	sub, err := streamclient.Subscribe(ctx, ts.Client(), ts.URL, "")
 	if err != nil {
 		t.Fatal(err)
 	}

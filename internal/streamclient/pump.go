@@ -25,11 +25,12 @@ const maxRetries = 50
 // Two failure classes replay, up to maxRetries times: the backpressure
 // 429 (waiting out Retry-After) and transport-level failures such as a
 // connection reset or a response lost in flight (capped exponential
-// backoff) — the idempotency key makes both exact. Any other structured
-// rejection (400 torn frame, 503 draining) returns immediately.
+// backoff; an answer without the server's error envelope counts as one)
+// — the idempotency key makes both exact. Any other structured rejection
+// (400 torn frame, 503 draining) returns immediately.
 func Pump(ctx context.Context, client *http.Client, baseURL, key string, next func(frame int) ([]engine.Update, bool)) error {
 	for attempt := 0; ; attempt++ {
-		s, err := openStream(ctx, client, baseURL, key)
+		s, err := OpenKeyedStream(ctx, client, baseURL, key)
 		if err != nil {
 			return err
 		}
@@ -49,7 +50,7 @@ func Pump(ctx context.Context, client *http.Client, baseURL, key string, next fu
 		var delay time.Duration
 		var se *StreamError
 		switch {
-		case errors.As(err, &se):
+		case errors.As(err, &se) && se.Code != "":
 			if !se.RateLimited() {
 				return err
 			}

@@ -1,4 +1,4 @@
-package streamclient
+package streamclient_test
 
 import (
 	"context"
@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/server"
+	"repro/internal/streamclient"
 )
 
 // frames is a replayable Pump source: n updates in frames of size.
@@ -53,7 +54,7 @@ func counters(t *testing.T, ts *httptest.Server) serverCounters {
 func TestPumpRidesOutRateLimit(t *testing.T) {
 	ts, eng := testServerWith(t, server.Config{IngestRate: 2000, IngestBurst: 500})
 	const n = 2000
-	if err := Pump(context.Background(), ts.Client(), ts.URL, "rate", frames(n, 100)); err != nil {
+	if err := streamclient.Pump(context.Background(), ts.Client(), ts.URL, "rate", frames(n, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if got := eng.Stats().Ingests; got != n {
@@ -72,7 +73,7 @@ func TestPumpReplaysDroppedResponse(t *testing.T) {
 	ft := fault.NewTransport(fault.Profile{}, ts.Client().Transport)
 	ft.DropNextResponses(1)
 	const n, size = 1000, 100
-	if err := Pump(context.Background(), &http.Client{Transport: ft}, ts.URL, "drop", frames(n, size)); err != nil {
+	if err := streamclient.Pump(context.Background(), &http.Client{Transport: ft}, ts.URL, "drop", frames(n, size)); err != nil {
 		t.Fatal(err)
 	}
 	if got := eng.Stats().Ingests; got != n {
