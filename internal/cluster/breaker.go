@@ -61,30 +61,42 @@ func newBreaker(threshold int, cooldown time.Duration) *breaker {
 
 // allow reports whether a request may proceed now. A false return is a
 // short-circuit: the caller must fail with ErrBreakerOpen and must NOT
-// report an outcome back. A true return from the open state is the
-// half-open probe — exactly one in flight at a time.
-func (b *breaker) allow(now time.Time) bool {
+// report an outcome back. probe marks the half-open probe — exactly one
+// in flight at a time, which must end in success, failure or release.
+func (b *breaker) allow(now time.Time) (ok, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case breakerClosed:
-		return true
+		return true, false
 	case breakerOpen:
 		if now.Sub(b.openedAt) < b.cooldown {
 			b.shortCircuits.Add(1)
-			return false
+			return false, false
 		}
 		b.state = breakerHalfOpen
 		b.probing = true
-		return true
+		return true, true
 	default: // half-open
 		if b.probing {
 			b.shortCircuits.Add(1)
-			return false
+			return false, false
 		}
 		b.probing = true
-		return true
+		return true, true
 	}
+}
+
+// release hands back a half-open probe that ended without a verdict (its
+// caller gave up): the breaker is open again with its old openedAt, so
+// the next request probes at once instead of finding the slot taken.
+func (b *breaker) release() {
+	b.mu.Lock()
+	if b.state == breakerHalfOpen && b.probing {
+		b.state = breakerOpen
+		b.probing = false
+	}
+	b.mu.Unlock()
 }
 
 // success records a contact that reached the node (2xx or even 4xx).

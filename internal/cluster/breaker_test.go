@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -8,10 +9,11 @@ import (
 func TestBreakerStateMachine(t *testing.T) {
 	start := time.Unix(1000, 0)
 	b := newBreaker(3, 100*time.Millisecond)
+	allowed := func(at time.Time) bool { ok, _ := b.allow(at); return ok }
 
 	// Closed: everything flows; sub-threshold failures stay closed.
 	for i := 0; i < 2; i++ {
-		if !b.allow(start) {
+		if !allowed(start) {
 			t.Fatalf("closed breaker refused request %d", i)
 		}
 		b.failure(start)
@@ -22,13 +24,13 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	// Third consecutive failure opens; within cooldown everything
 	// short-circuits.
-	b.allow(start)
+	allowed(start)
 	b.failure(start)
 	if b.current() != breakerOpen || b.opens.Load() != 1 {
 		t.Fatalf("state after 3 failures = %v (opens %d), want open/1", b.current(), b.opens.Load())
 	}
 	for i := 0; i < 4; i++ {
-		if b.allow(start.Add(50 * time.Millisecond)) {
+		if allowed(start.Add(50 * time.Millisecond)) {
 			t.Fatal("open breaker let a request through inside the cooldown")
 		}
 	}
@@ -39,10 +41,10 @@ func TestBreakerStateMachine(t *testing.T) {
 	// Past the cooldown exactly ONE half-open probe goes out; concurrent
 	// requests keep short-circuiting until it reports.
 	probeAt := start.Add(150 * time.Millisecond)
-	if !b.allow(probeAt) {
-		t.Fatal("cooldown elapsed but no probe was allowed")
+	if ok, probe := b.allow(probeAt); !ok || !probe {
+		t.Fatalf("cooldown elapsed: allow = %v, probe = %v; want one probe", ok, probe)
 	}
-	if b.allow(probeAt) {
+	if allowed(probeAt) {
 		t.Fatal("two concurrent half-open probes")
 	}
 
@@ -51,23 +53,23 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.current() != breakerOpen || b.opens.Load() != 2 {
 		t.Fatalf("state after failed probe = %v (opens %d), want open/2", b.current(), b.opens.Load())
 	}
-	if b.allow(probeAt.Add(50 * time.Millisecond)) {
+	if allowed(probeAt.Add(50 * time.Millisecond)) {
 		t.Fatal("re-opened breaker let a request through inside the new cooldown")
 	}
 
 	// Next probe succeeds: fully closed, failure count reset (three new
 	// failures needed to open again).
 	probe2 := probeAt.Add(150 * time.Millisecond)
-	if !b.allow(probe2) {
+	if !allowed(probe2) {
 		t.Fatal("second probe refused")
 	}
 	b.success()
 	if b.current() != breakerClosed {
 		t.Fatalf("state after successful probe = %v, want closed", b.current())
 	}
-	b.allow(probe2)
+	allowed(probe2)
 	b.failure(probe2)
-	b.allow(probe2)
+	allowed(probe2)
 	b.failure(probe2)
 	if b.current() != breakerClosed {
 		t.Fatal("failure count was not reset by the successful probe")
@@ -111,5 +113,29 @@ func TestBackoffDelayJitterSpreads(t *testing.T) {
 	}
 	if same == 50 {
 		t.Fatal("two differently-seeded jitter streams produced identical delays")
+	}
+}
+
+// TestRetryingReleasesAbandonedProbe: a caller that gives up during the
+// half-open probe records no verdict, but hands the probe back, so the
+// next request probes instead of short-circuiting for good.
+func TestRetryingReleasesAbandonedProbe(t *testing.T) {
+	n := &nodeClient{addr: "http://node", timeout: time.Second,
+		br: newBreaker(1, 10*time.Millisecond), jitter: &jitterSource{}}
+	n.br.failure(time.Now())
+	time.Sleep(20 * time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
+	err := n.retrying(ctx, func(ctx context.Context, probe bool) error {
+		if !probe {
+			t.Error("the attempt past the cooldown is not the probe")
+		}
+		cancel()
+		return &NodeError{Addr: n.addr, Err: ctx.Err()}
+	})
+	if err == nil {
+		t.Fatal("abandoned probe reported success")
+	}
+	if ok, probe := n.br.allow(time.Now()); !ok || !probe {
+		t.Fatalf("after an abandoned probe: allow = %v, probe = %v; want the next probe", ok, probe)
 	}
 }

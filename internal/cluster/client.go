@@ -122,14 +122,19 @@ func (n *nodeClient) missingEntry(err error, now time.Time) MissingNode {
 // outcomes are recorded on Unavailable-class results only — a 4xx
 // proves the node reachable and counts as contact. Each attempt bounds
 // itself by n.timeout: a fetch as a whole, a routed stream per write and
-// per wait for its answer.
-func (n *nodeClient) retrying(ctx context.Context, op func(context.Context) error) error {
+// per wait for its answer. probe tells op it carries the breaker's
+// half-open probe, which a routed stream settles early (route.go).
+func (n *nodeClient) retrying(ctx context.Context, op func(ctx context.Context, probe bool) error) error {
 	var err error
 	for attempt := 0; ; attempt++ {
-		if n.br != nil && !n.br.allow(time.Now()) {
-			return &NodeError{Addr: n.addr, Err: ErrBreakerOpen}
+		probe := false
+		if n.br != nil {
+			var ok bool
+			if ok, probe = n.br.allow(time.Now()); !ok {
+				return &NodeError{Addr: n.addr, Err: ErrBreakerOpen}
+			}
 		}
-		err = op(ctx)
+		err = op(ctx, probe)
 		if err == nil {
 			if n.br != nil {
 				n.br.success()
@@ -137,7 +142,13 @@ func (n *nodeClient) retrying(ctx context.Context, op func(context.Context) erro
 			return nil
 		}
 		if ctx.Err() != nil {
-			return err // the caller gave up: no verdict on the node
+			// The caller gave up: no verdict on the node, but a probe
+			// hands its slot back, or the breaker would stay half-open
+			// with no probe left to close it.
+			if probe {
+				n.br.release()
+			}
+			return err
 		}
 		ne, ok := err.(*NodeError)
 		unavailable := ok && ne.Unavailable()
@@ -170,7 +181,7 @@ func (n *nodeClient) retrying(ctx context.Context, op func(context.Context) erro
 // that fails on another node cannot strand this node's updates behind a
 // cached cursor. size reports the state bytes transferred.
 func (n *nodeClient) fetchSketch(ctx context.Context) (st *engine.State, etag string, size int, err error) {
-	err = n.retrying(ctx, func(ctx context.Context) error {
+	err = n.retrying(ctx, func(ctx context.Context, _ bool) error {
 		ctx, cancel := context.WithTimeout(ctx, n.timeout)
 		defer cancel()
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -24,9 +25,16 @@ import (
 // its owner acknowledged: a failed node's applied_frames maps back
 // through its upstream's list of client frames. A live owner's share past
 // the prefix stays applied, which max-union folds make harmless. An
-// upstream keeps the shares it sent as its replay buffer; a retry replays
-// them under the same key, and the node's idempotency record skips what
-// it already applied, so its counters stay exact.
+// upstream keeps the shares the route handed it as its replay buffer; a
+// retry replays them under the same key, and the node's idempotency
+// record skips what it already applied, so its counters stay exact.
+//
+// An upstream's stream ends early, with everything it carried
+// acknowledged, in two cases: it carries the breaker's half-open probe,
+// which settles on the shares at hand instead of holding the node's one
+// probe slot while the client streams on; or the client sent nothing for
+// the node timeout, so an idle client does not hold one of the node's
+// in-flight slots. The next share opens a new stream under a fresh key.
 
 const (
 	// ingestFrameUpdates chunks a share larger than one frame (a big JSON
@@ -39,11 +47,6 @@ const (
 	// client and upstream, inside the node's per-key idempotency record.
 	maxReplayUpdates = 1 << 15
 	maxReplayFrames  = 1024
-	// upstreamQueue is how many shares the route may hand an upstream
-	// ahead of its writes: enough that a short stream, or a retry's
-	// backoff, never holds up the client's other owners, while a node
-	// that stays slow still backpressures the client.
-	upstreamQueue = 64
 )
 
 // route is one write request in flight; the request's goroutine owns it.
@@ -135,31 +138,44 @@ func (r *route) add(batch []engine.Update) {
 }
 
 // send hands one share to node i's upstream, opening it on first use.
+// It never blocks: the segment bound caps what an upstream can fall
+// behind by, and the seal waits for it.
 func (r *route) send(i, frame int, share []engine.Update) {
 	u := r.ups[i]
-	if u == nil {
-		u = &upstream{
-			n:    r.c.nodes[i],
-			key:  fmt.Sprintf("%s-%d", r.c.idemBase, r.c.idemSeq.Add(1)),
-			in:   make(chan []engine.Update, upstreamQueue),
-			done: make(chan struct{}),
-		}
+	fresh := u == nil
+	if fresh {
+		u = &upstream{n: r.c.nodes[i], newKey: r.c.newKey, wake: make(chan struct{}, 1), done: make(chan struct{})}
+		u.key = u.newKey()
 		r.ups[i] = u
-		go u.run(r.ctx, &r.failed)
 	}
 	u.frames = append(u.frames, frame)
 	r.upFrames = max(r.upFrames, len(u.frames))
-	u.in <- share
+	u.mu.Lock()
+	u.shares = append(u.shares, share)
+	u.mu.Unlock()
+	if fresh {
+		go u.run(r.ctx, &r.failed)
+	} else {
+		u.poke()
+	}
 }
 
-// seal ends the open segment: it closes every upstream, waits for every
+// newKey mints the Idempotency-Key of one upstream stream.
+func (c *Coordinator) newKey() string {
+	return fmt.Sprintf("%s-%d", c.idemBase, c.idemSeq.Add(1))
+}
+
+// seal ends the open segment: it seals every upstream, waits for every
 // answer and returns how many of the segment's client frames are applied,
 // with the first owner failure. RoutedUpdates grows by every share an
 // owner acknowledged, inside the prefix or not.
 func (r *route) seal() (int, error) {
 	for _, u := range r.ups {
 		if u != nil {
-			close(u.in)
+			u.mu.Lock()
+			u.sealed = true
+			u.mu.Unlock()
+			u.poke()
 		}
 	}
 	applied := r.frames
@@ -169,9 +185,9 @@ func (r *route) seal() (int, error) {
 			continue
 		}
 		<-u.done
-		acked := min(u.acked, len(u.sent))
+		acked := min(u.acked, len(u.shares))
 		routed := 0
-		for _, share := range u.sent[:acked] {
+		for _, share := range u.shares[:acked] {
 			routed += len(share)
 		}
 		r.c.stats.routed.Add(uint64(routed))
@@ -190,41 +206,91 @@ func (r *route) seal() (int, error) {
 	return applied, err
 }
 
-// upstream is one node's stream within a route segment.
+// upstream is one node's share of a route segment: the shares the route
+// hands it and the streams that carry them to the node.
 type upstream struct {
-	n   *nodeClient
-	key string
-	// in carries the route's shares, one upstream frame each, and closes
-	// when the segment seals; done closes once the node has answered for
-	// good.
-	in   chan []engine.Update
-	done chan struct{}
+	n      *nodeClient
+	newKey func() string
 	// frames is the route's: the client frame of each share.
 	frames []int
-	// run's, read by the route after done: the shares taken from in (the
-	// replay buffer), how many of them the node acknowledged, and the
-	// final failure.
-	sent  [][]engine.Update
-	acked int
-	err   error
+	// mu guards what the route hands over: the shares, in order (the
+	// replay buffer), and sealed, set when the segment ends. wake (cap 1)
+	// tells run's goroutine to look again; done closes once the node has
+	// answered for good.
+	mu     sync.Mutex
+	shares [][]engine.Update
+	sealed bool
+	wake   chan struct{}
+	done   chan struct{}
+	// run's, read by the route after done: the current stream's key, the
+	// shares acknowledged under earlier keys (base) and in all (acked),
+	// and the final failure.
+	key         string
+	base, acked int
+	err         error
 }
 
-// run drives the upstream through the node's retry budget and breaker.
-func (u *upstream) run(ctx context.Context, failed *atomic.Bool) {
-	defer close(u.done)
-	if u.err = u.n.retrying(ctx, u.attempt); u.err != nil {
-		failed.Store(true)
-		for range u.in {
-			// The route stops at its next frame and seals.
+func (u *upstream) poke() {
+	select {
+	case u.wake <- struct{}{}:
+	default:
+	}
+}
+
+// take returns share i once the route has handed it over. It reports
+// false once the segment sealed without it, or after wait: none when 0,
+// no limit when negative.
+func (u *upstream) take(i int, wait time.Duration) ([]engine.Update, bool) {
+	var expired <-chan time.Time
+	for {
+		u.mu.Lock()
+		var share []engine.Update
+		have, sealed := i < len(u.shares), u.sealed
+		if have {
+			share = u.shares[i]
+		}
+		u.mu.Unlock()
+		switch {
+		case have:
+			return share, true
+		case sealed || wait == 0:
+			return nil, false
+		case wait > 0 && expired == nil:
+			t := time.NewTimer(wait)
+			defer t.Stop()
+			expired = t.C
+		}
+		select {
+		case <-u.wake:
+		case <-expired:
+			return nil, false
 		}
 	}
 }
 
+// run drives the upstream's streams through the node's retry budget and
+// breaker. A stream that ended early with every share it carried
+// acknowledged is followed, at the next share, by one under a fresh key.
+func (u *upstream) run(ctx context.Context, failed *atomic.Bool) {
+	defer close(u.done)
+	for {
+		if u.err = u.n.retrying(ctx, u.attempt); u.err != nil {
+			failed.Store(true)
+			return
+		}
+		if _, ok := u.take(u.acked, -1); !ok {
+			return
+		}
+		u.base, u.key = u.acked, u.newKey()
+	}
+}
+
 // attempt is one try: open the keyed stream, replay the shares an earlier
-// attempt took, forward the route's shares as they come, and once the
-// segment seals wait for the node's answer. n.timeout bounds each write
-// and that wait, not the stream's lifetime.
-func (u *upstream) attempt(ctx context.Context) error {
+// attempt under this key sent, forward the route's shares as they come,
+// and at the seal — or early, as a probe or on an idle client — wait for
+// the node's answer. n.timeout bounds each write and that wait, not the
+// stream's lifetime.
+func (u *upstream) attempt(ctx context.Context, probe bool) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	watchdog := time.AfterFunc(u.n.timeout, cancel)
@@ -233,31 +299,33 @@ func (u *upstream) attempt(ctx context.Context) error {
 	if err != nil {
 		return &NodeError{Addr: u.n.addr, Err: err}
 	}
-	for i := 0; err == nil; i++ {
-		if i == len(u.sent) {
-			watchdog.Stop()
-			share, ok := <-u.in
-			if !ok {
-				break
-			}
-			u.sent = append(u.sent, share)
+	wait := u.n.timeout
+	if probe {
+		wait = 0
+	}
+	sent := 0
+	for ; err == nil; sent++ {
+		watchdog.Stop()
+		share, ok := u.take(u.base+sent, wait)
+		if !ok {
+			break
 		}
 		watchdog.Reset(u.n.timeout)
-		err = s.Send(u.sent[i]) // on failure Close returns the cause
+		err = s.Send(share) // on failure Close returns the cause
 	}
 	watchdog.Reset(u.n.timeout)
 	sum, err := s.Close()
 	var se *streamclient.StreamError
 	switch {
 	case err == nil:
-		u.acked = max(u.acked, sum.Frames+sum.SkippedFrames)
-		if u.acked < len(u.sent) {
+		u.acked = max(u.acked, u.base+sum.Frames+sum.SkippedFrames)
+		if u.acked < u.base+sent {
 			return &NodeError{Addr: u.n.addr, Status: http.StatusServiceUnavailable,
-				Err: fmt.Errorf("node stopped after %d of %d frames (draining=%v)", u.acked, len(u.sent), sum.Draining)}
+				Err: fmt.Errorf("node stopped after %d of %d frames (draining=%v)", u.acked-u.base, sent, sum.Draining)}
 		}
 		return nil
 	case errors.As(err, &se):
-		u.acked = max(u.acked, se.AppliedFrames)
+		u.acked = max(u.acked, u.base+se.AppliedFrames)
 		return &NodeError{Addr: u.n.addr, Status: se.Status, Err: errors.New(se.Message)}
 	}
 	return &NodeError{Addr: u.n.addr, Err: err}

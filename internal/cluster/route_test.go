@@ -499,3 +499,106 @@ func TestRoutedStreamDeadOwnerFailsInTime(t *testing.T) {
 		t.Fatalf("dead owner failed the stream %v after its last frame, want within [%v, %v]", elapsed, timeout, limit)
 	}
 }
+
+// TestRoutedProbeSettlesWhileClientIdles: a routed stream that takes a
+// node's half-open probe settles it on the shares at hand. An open, idle
+// client stream must not hold the probe slot, or every sync of a healthy
+// node would short-circuit until the client closed.
+func TestRoutedProbeSettlesWhileClientIdles(t *testing.T) {
+	var proxy *fault.Proxy
+	var nodes []string
+	c := newRoutedCluster(t, 3, 2*time.Second, func(i int, url string) string {
+		if i == 2 {
+			var err error
+			if proxy, err = fault.NewProxy(strings.TrimPrefix(url, "http://")); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { proxy.Close() })
+			url = proxy.URL()
+		}
+		nodes = append(nodes, url)
+		return url
+	})
+	// A timeout past eventually's wait: an idle close cannot settle the
+	// probe in its place.
+	coord, err := cluster.New(cluster.Config{Nodes: nodes, Engine: routedConfig, Timeout: 10 * time.Second,
+		BreakerThreshold: 1, BreakerCooldown: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	front := httptest.NewServer(server.NewWith(coord.Engine(),
+		server.Config{Snapshots: coord, Ingest: coord, Cluster: coord}))
+	defer front.Close()
+	breaker := func() string { return nodeStatsFor(t, coord, nodes[2]).Breaker }
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // a failing test must not leave the client stream open
+	proxy.Partition(true)
+	if err := coord.Sync(ctx); err == nil || breaker() != "open" {
+		t.Fatalf("sync through a partition: %v, breaker %s; want a failure and an open breaker", err, breaker())
+	}
+	proxy.Partition(false)
+	time.Sleep(60 * time.Millisecond) // past the cooldown: the next contact probes
+
+	var next uint64
+	frame := ownedFrame(c.coord.Ring(), []int{0, 1, 2}, 30, &next, rand.New(rand.NewSource(17)))
+	s, err := streamclient.OpenStream(ctx, nil, front.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Send(frame); err != nil {
+		t.Fatal(err)
+	}
+	// The client stays open and sends nothing more.
+	eventually(t, "the routed probe closed the breaker", func() bool { return breaker() == "closed" })
+	if err := coord.Sync(ctx); err != nil {
+		t.Fatalf("sync beside an idle routed stream: %v", err)
+	}
+	if sum, err := s.Close(); err != nil || sum.Frames != 1 {
+		t.Fatalf("routed stream: %+v, %v", sum, err)
+	}
+}
+
+// TestRoutedIdleClientFreesNodeSlots: a client that sends nothing for the
+// node timeout does not hold its owners' in-flight slots. Each upstream
+// closes with its shares acknowledged, and the client's next frame opens
+// a new one; the stream still lands every share exactly once.
+func TestRoutedIdleClientFreesNodeSlots(t *testing.T) {
+	c := newRoutedCluster(t, 3, 200*time.Millisecond, nil)
+	rng := rand.New(rand.NewSource(19))
+	var next uint64
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // a failing test must not leave the client stream open
+	s, err := streamclient.OpenStream(ctx, nil, c.front.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f := 0; f < 2; f++ {
+		if err := s.Send(ownedFrame(c.coord.Ring(), []int{0, 1, 2}, 30, &next, rng)); err != nil {
+			t.Fatal(err)
+		}
+		eventually(t, "every idle upstream closed under an open client stream", func() bool {
+			for _, url := range c.urls {
+				if wire(t, url).ActiveStreams != 0 {
+					return false
+				}
+			}
+			return wire(t, c.front.URL).ActiveStreams == 1
+		})
+	}
+	if sum, err := s.Close(); err != nil || sum.Frames != 2 || sum.Updates != 60 {
+		t.Fatalf("routed stream: %+v, %v", sum, err)
+	}
+	for i, url := range c.urls {
+		if got := c.streams[i].Load(); got != 2 {
+			t.Fatalf("node %d saw %d stream requests, want one per idle-separated frame (2)", i, got)
+		}
+		if w := wire(t, url); w.StreamFrames != 2 || w.StreamFramesDeduped != 0 {
+			t.Fatalf("node %d applied %d frames (%d deduped), want 2 (0)", i, w.StreamFrames, w.StreamFramesDeduped)
+		}
+	}
+	if got := c.coord.Stats().RoutedUpdates; got != 60 {
+		t.Fatalf("RoutedUpdates = %d, want 60", got)
+	}
+}
