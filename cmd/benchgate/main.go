@@ -60,14 +60,17 @@ const (
 // rebuild (its other cases cost the same, by design),
 // BenchmarkSnapshotIncremental's keys=65536 case for the engine rebuild
 // alone (the anchored ^…$ leaves out its -merged and -newkey variants),
-// and BenchmarkIngestWAL's fsync=never case for the journaled write path
-// without the disk flush.
+// BenchmarkIngestWAL's fsync=never case for the journaled write path
+// without the disk flush, and BenchmarkRecoverCheckpointTail for the boot
+// a durable node pays before it serves: checkpoint restore plus the
+// shard-parallel replay of a WAL tail.
 var suites = []struct{ pkg, bench string }{
 	{"internal/engine", "^(BenchmarkIngestBatch|BenchmarkIngestZipf)$"},
 	{"internal/engine", "^BenchmarkSnapshotIncremental$/^keys=65536$"},
 	{"internal/server", "^BenchmarkStreamIngest256$"},
 	{"internal/server", "^BenchmarkChurnServe$/^U=65536$"},
 	{"internal/store", "^BenchmarkIngestWAL$/^fsync=never$"},
+	{"internal/store", "^BenchmarkRecoverCheckpointTail$"},
 	{"internal/cluster", "^(BenchmarkClusterQuery|BenchmarkScatterGather|BenchmarkSyncDeadNode)$"},
 	{"internal/cluster", "^BenchmarkRoutedStream$"},
 }

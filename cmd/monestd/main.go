@@ -284,14 +284,15 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
+		began := time.Now()
 		p, rec, err := store.Attach(eng, st)
 		if err != nil {
 			st.Close()
 			return fmt.Errorf("recovering %s: %w", o.dataDir, err)
 		}
 		persist = p
-		msg := fmt.Sprintf("recovered %s: checkpoint seq=%d version=%d, replayed %d records (%d updates)",
-			o.dataDir, rec.CheckpointSeq, rec.CheckpointVersion, rec.Records, rec.Updates)
+		msg := fmt.Sprintf("recovered %s in %v: checkpoint seq=%d version=%d, replayed %d records (%d updates)",
+			o.dataDir, time.Since(began).Round(time.Microsecond), rec.CheckpointSeq, rec.CheckpointVersion, rec.Records, rec.Updates)
 		if rec.Truncated {
 			msg += ", WAL truncated at first corrupt record"
 		}
@@ -302,10 +303,12 @@ func run(o options) error {
 		// Compact a non-trivial replay right away: the boot we just paid
 		// for becomes a checkpoint instead of being paid again next time.
 		if rec.Records > 0 {
+			began := time.Now()
 			if cs, err := p.Checkpoint(); err != nil {
 				logger.Printf("post-recovery checkpoint failed: %v", err)
 			} else {
-				logger.Printf("post-recovery checkpoint seq=%d (%d keys, %d bytes)", cs.Seq, cs.Keys, cs.Bytes)
+				logger.Printf("post-recovery checkpoint seq=%d in %v (%d keys, %d bytes)",
+					cs.Seq, time.Since(began).Round(time.Microsecond), cs.Keys, cs.Bytes)
 			}
 		}
 	}

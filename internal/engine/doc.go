@@ -33,5 +33,7 @@
 // contend. Snapshot briefly locks all shards for a consistent cut. A write
 // journals its whole batch as one record and folds it under the read side
 // of a cut barrier, whose write side SketchState takes first,
-// so a checkpoint cut never sees a journaled batch half-applied.
+// so a checkpoint cut never sees a journaled batch half-applied. Boot-time
+// WAL replay (Replay) folds on one worker per core, each owning a fixed set
+// of shards and taking every record in log order.
 package engine

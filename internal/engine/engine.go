@@ -189,8 +189,8 @@ func (e *Engine) write(batch []Update, fold func() uint64) error {
 	return nil
 }
 
-// batchScratch is IngestBatch's reusable bucketing state: per-shard counts
-// doubling as fill cursors, and the shard-ordered copy of the batch.
+// batchScratch is a bucketed batch over reusable storage (see bucket):
+// per-shard segment ends, and the shard-ordered copy of the batch.
 type batchScratch struct {
 	counts []int
 	buf    []Update
@@ -200,20 +200,43 @@ type batchScratch struct {
 // most once. The batch is validated up front, journaled as ONE record
 // under the cut barrier's read side, and then applied shard by shard:
 // atomic per shard against snapshots, all-or-nothing against a journal
-// failure and against checkpoint cuts. Bucketing is a two-pass slice
-// scheme (count per shard, then fill a shard-ordered copy) over pooled
-// scratch, so the steady state allocates nothing.
+// failure and against checkpoint cuts. Bucketing (see bucket) runs over
+// pooled scratch, so the steady state allocates nothing.
 func (e *Engine) IngestBatch(updates []Update) error {
-	for j, u := range updates {
-		if err := e.check(u.Instance, u.Weight); err != nil {
-			return fmt.Errorf("engine: update %d: %w", j, err)
-		}
-	}
 	sc, _ := e.batch.Get().(*batchScratch)
 	if sc == nil {
 		sc = &batchScratch{}
 	}
 	defer e.batch.Put(sc)
+	if err := e.bucket(updates, sc); err != nil || len(sc.buf) == 0 {
+		return err
+	}
+	buf, counts := sc.buf, sc.counts
+	return e.write(buf, func() (muts uint64) {
+		lo := 0
+		for s, hi := range counts {
+			if hi > lo {
+				muts += e.shards[s].fold(e, buf[lo:hi])
+				lo = hi
+			}
+		}
+		return muts
+	})
+}
+
+// bucket is the write path's validate-and-bucket step, shared by
+// IngestBatch and Replay.Add: it validates every update, failing the whole
+// batch with the first rejected update's index before anything is
+// bucketed, then refills sc with the non-zero-weight updates in shard
+// order. Bucketing is a two-pass slice scheme: count per shard, then fill
+// the shard-ordered sc.buf, leaving sc.counts[s] as the end of shard s's
+// segment (which starts at counts[s-1], or 0 for shard 0).
+func (e *Engine) bucket(updates []Update, sc *batchScratch) error {
+	for j, u := range updates {
+		if err := e.check(u.Instance, u.Weight); err != nil {
+			return fmt.Errorf("engine: update %d: %w", j, err)
+		}
+	}
 	ns := len(e.shards)
 	if cap(sc.counts) < ns {
 		sc.counts = make([]int, ns)
@@ -229,13 +252,14 @@ func (e *Engine) IngestBatch(updates []Update) error {
 		counts[e.shardOf(u.Key)]++
 		nonzero++
 	}
-	if nonzero == 0 {
-		return nil
-	}
 	if cap(sc.buf) < nonzero {
 		sc.buf = make([]Update, nonzero)
 	}
 	buf := sc.buf[:nonzero]
+	sc.counts, sc.buf = counts, buf
+	if nonzero == 0 {
+		return nil
+	}
 	// counts[s] becomes shard s's segment start, then serves as the fill
 	// cursor; after the fill pass it is the segment end (= next start).
 	start := 0
@@ -251,16 +275,7 @@ func (e *Engine) IngestBatch(updates []Update) error {
 		buf[counts[s]] = u
 		counts[s]++
 	}
-	return e.write(buf, func() (muts uint64) {
-		lo := 0
-		for s, hi := range counts {
-			if hi > lo {
-				muts += e.shards[s].fold(e, buf[lo:hi])
-				lo = hi
-			}
-		}
-		return muts
-	})
+	return nil
 }
 
 // MutationSignal returns the engine's coalesced mutation wakeup: the

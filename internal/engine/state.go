@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -93,10 +92,11 @@ func (e *Engine) DumpState() *State {
 // cut barrier's write side and then all shard locks are held while the
 // counters, every shard's retained entries and — unless the cut's registry
 // size equals knownReg — the flat keys and masks are copied out; the
-// registry is sorted and each instance cut to its bottom-(k+1) lock-free.
-// Holding the barrier means no journaled batch is half-applied at the cut,
-// which is what lets a checkpoint prune the WAL it rotated away from (see
-// Journal). The result shares no memory with the engine.
+// registry is radix-sorted and each instance cut to its bottom-(k+1)
+// outside the cut's locks. Holding the barrier means no journaled batch is
+// half-applied at the cut, which is what lets a checkpoint prune the WAL
+// it rotated away from (see Journal). The result shares no memory with
+// the engine.
 //
 // reg is the registry size at the cut: keys plus active (instance, key)
 // pairs. While the engine lives it only grows (keys are never removed and
@@ -140,16 +140,11 @@ func (e *Engine) SketchState(knownReg uint64) (st *State, reg uint64) {
 	e.cutMu.Unlock()
 
 	// Sort keys ascending, permuting the masks alongside; registration
-	// order must not leak into the serialized form.
-	perm := make([]int, len(unsorted))
-	for i := range perm {
-		perm[i] = i
-	}
-	slices.SortFunc(perm, func(a, b int) int { return cmp.Compare(unsorted[a], unsorted[b]) })
+	// order must not leak into the serialized form. Keys are unique, so
+	// the order is total.
 	st.Keys, st.Masks = make([]uint64, len(unsorted)), make([]uint64, len(unsortedMasks))
-	for to, from := range perm {
-		st.Keys[to] = unsorted[from]
-		copy(st.Masks[to*mw:(to+1)*mw], unsortedMasks[from*mw:(from+1)*mw])
+	for to, from := range sortRegistry(unsorted, st.Keys) {
+		copy(st.Masks[to*mw:(to+1)*mw], unsortedMasks[int(from)*mw:(int(from)+1)*mw])
 	}
 	for i, es := range heaps {
 		st.Entries[i] = bottomEntries(es, e.cfg.K+1)
@@ -195,6 +190,60 @@ func bottomEntries(es []bkEntry, n int) []StateEntry {
 		out[j] = StateEntry{Key: en.key, Weight: en.weight}
 	}
 	return out
+}
+
+// sortRegistry writes keys in ascending order to out (len(out) =
+// len(keys)) and returns the permutation it applied: out[to] is the key
+// that was passed in at keys[perm[to]]. It is sortByKey's LSD byte radix —
+// one histogram pass, then a scatter per byte position on which the keys
+// differ — over (key, index) pairs held as parallel arrays, so keys and out
+// serve as the two key buffers (keys is overwritten) and only the uint32
+// index buffers are allocated: the cut's peak memory is what the indirect
+// comparison sort's was. (2^32 registered keys would take ~250 GB.)
+func sortRegistry(keys, out []uint64) []uint32 {
+	n := len(keys)
+	perm := make([]uint32, 2*n)
+	src, dst := perm[:n], perm[n:]
+	for i := range src {
+		src[i] = uint32(i)
+	}
+	if n < 2 {
+		copy(out, keys)
+		return src
+	}
+	var counts [8][256]int
+	for _, k := range keys {
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+		counts[4][byte(k>>32)]++
+		counts[5][byte(k>>40)]++
+		counts[6][byte(k>>48)]++
+		counts[7][byte(k>>56)]++
+	}
+	first := keys[0]
+	ks, kd := keys, out
+	for b := range counts {
+		c := &counts[b]
+		if c[byte(first>>(8*b))] == n {
+			continue
+		}
+		sum := 0
+		for d, x := range c {
+			c[d], sum = sum, sum+x
+		}
+		for i, k := range ks {
+			d := byte(k >> (8 * b))
+			kd[c[d]], dst[c[d]] = k, src[i]
+			c[d]++
+		}
+		ks, kd, src, dst = kd, ks, dst, src
+	}
+	if &ks[0] != &out[0] {
+		copy(out, ks)
+	}
+	return src
 }
 
 // selectRank reorders es so that es[n] holds the entry a rank sort would

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/sampling"
@@ -443,5 +444,64 @@ func TestJournalErrorRejectsUpdate(t *testing.T) {
 	}
 	if st := e.Stats(); st.Keys != 0 || st.Ingests != 0 || st.Version != 0 {
 		t.Fatalf("journal-rejected updates left state behind: %+v", st)
+	}
+}
+
+func TestSortRegistryMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	random := make([]uint64, 257)
+	for j := range random {
+		random[j] = rng.Uint64()
+	}
+	topByte, lowByte := make([]uint64, 200), make([]uint64, 200)
+	for j, v := range rng.Perm(200) {
+		topByte[j] = uint64(v)<<56 | 0x00123456789abcde
+		lowByte[j] = 0xfedcba9876543200 | uint64(v)
+	}
+	for _, keys := range [][]uint64{random, nil, {42}, topByte, random[:3], lowByte} {
+		in := slices.Clone(keys)
+		out := make([]uint64, len(keys))
+		perm := sortRegistry(in, out)
+		want := slices.Clone(keys)
+		slices.Sort(want)
+		if !slices.Equal(out, want) {
+			t.Fatalf("%d keys: radix order differs from a comparison sort", len(keys))
+		}
+		for to, from := range perm {
+			if keys[from] != out[to] {
+				t.Fatalf("%d keys: perm[%d] = %d names key %d, out holds %d", len(keys), to, from, keys[from], out[to])
+			}
+		}
+	}
+}
+
+// The cut's masks follow their keys through the registry sort, also when
+// a key's mask spans several words.
+func TestDumpStateMasksFollowKeys(t *testing.T) {
+	const r = 70
+	e, err := New(Config{Instances: r, K: 4, Shards: 4, Hash: sampling.NewSeedHash(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	want := map[uint64][]uint64{}
+	for _, u := range randomUpdates(rng, 3000, r, 400) {
+		u.Key = u.Key<<40 | u.Key // differing bytes at both ends of the key
+		if err := e.Ingest(u.Instance, u.Key, u.Weight); err != nil {
+			t.Fatal(err)
+		}
+		if want[u.Key] == nil {
+			want[u.Key] = make([]uint64, 2)
+		}
+		want[u.Key][u.Instance/64] |= 1 << (u.Instance % 64)
+	}
+	st := e.DumpState()
+	if len(st.Keys) != len(want) || !slices.IsSorted(st.Keys) {
+		t.Fatalf("cut holds %d keys (sorted %v), want %d ascending", len(st.Keys), slices.IsSorted(st.Keys), len(want))
+	}
+	for j, key := range st.Keys {
+		if got := st.Masks[2*j : 2*j+2]; !slices.Equal(got, want[key]) {
+			t.Fatalf("key %#x: mask %x, want %x", key, got, want[key])
+		}
 	}
 }

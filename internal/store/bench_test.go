@@ -2,6 +2,8 @@ package store
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -79,29 +81,76 @@ func BenchmarkRecovery(b *testing.B) {
 	const total = 1 << 20
 	const batch = 256
 	dir := b.TempDir()
-	{
-		e := benchEngine(b)
-		st, err := Open(dir, Options{Fsync: FsyncNever})
-		if err != nil {
+	e := benchEngine(b)
+	st, err := Open(dir, Options{Fsync: FsyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := Attach(e, st); err != nil {
+		b.Fatal(err)
+	}
+	ups := benchUpdates(total, 1<<18)
+	for lo := 0; lo < total; lo += batch {
+		if err := e.IngestBatch(ups[lo : lo+batch]); err != nil {
 			b.Fatal(err)
 		}
-		p, _, err := Attach(e, st)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ups := benchUpdates(total, 1<<18)
-		for lo := 0; lo < total; lo += batch {
-			if err := e.IngestBatch(ups[lo : lo+batch]); err != nil {
+	}
+	if err := st.Close(); err != nil { // crash-style: no final checkpoint
+		b.Fatal(err)
+	}
+	benchRecover(b, dir, total)
+}
+
+// BenchmarkRecoverCheckpointTail is the durable-ingest boot shape:
+// restore a 65,536-key checkpoint, then replay a 65,536-update tail in
+// 256-update records.
+func BenchmarkRecoverCheckpointTail(b *testing.B) {
+	const keys = 1 << 16
+	const batch = 256
+	dir := b.TempDir()
+	e := benchEngine(b)
+	st, err := Open(dir, Options{Fsync: FsyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, _, err := Attach(e, st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The first half names every key once; the second is the tail.
+	ups := benchUpdates(2*keys, keys)
+	for i := range keys {
+		ups[i].Key = uint64(i)
+	}
+	for lo := 0; lo < len(ups); lo += batch {
+		if lo == keys {
+			if _, err := p.Checkpoint(); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if err := st.Sync(); err != nil {
+		if err := e.IngestBatch(ups[lo : lo+batch]); err != nil {
 			b.Fatal(err)
 		}
-		if err := st.Close(); err != nil { // crash-style: no final checkpoint
-			b.Fatal(err)
-		}
-		_ = p
+	}
+	if err := st.Close(); err != nil { // crash-style: no final checkpoint
+		b.Fatal(err)
+	}
+	benchRecover(b, dir, keys)
+}
+
+// benchRecover times recovering dir into a fresh engine, replaying tail
+// updates, and reports the replay rate. Recovery opens a fresh WAL
+// segment; it is deleted off the clock so every iteration recovers the
+// same directory.
+func benchRecover(b *testing.B, dir string, tail int) {
+	b.Helper()
+	orig, err := os.ReadDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keep := map[string]bool{}
+	for _, f := range orig {
+		keep[f.Name()] = true
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -111,18 +160,31 @@ func BenchmarkRecovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		stats, err := st.Recover(recoveryTarget{e})
+		stats, err := recoverEngine(st, e)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if stats.Updates != total {
-			b.Fatalf("replayed %d updates, want %d", stats.Updates, total)
+		if stats.Updates != tail {
+			b.Fatalf("replayed %d updates, want %d", stats.Updates, tail)
 		}
 		if err := st.Close(); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(total)/b.Elapsed().Seconds()/float64(b.N), "updates/s")
+		b.StopTimer()
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, f := range files {
+			if !keep[f.Name()] {
+				if err := os.Remove(filepath.Join(dir, f.Name())); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.StartTimer()
 	}
+	b.ReportMetric(float64(tail)*float64(b.N)/b.Elapsed().Seconds(), "updates/s")
 }
 
 // BenchmarkCheckpoint measures cutting and persisting a 64k-key state.
@@ -184,7 +246,7 @@ func TestRecoveryBenchShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st2.Recover(recoveryTarget{r}); err != nil {
+	if _, err := recoverEngine(st2, r); err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()

@@ -20,16 +20,29 @@ type Persistence struct {
 	closed bool
 }
 
-// recoveryTarget replays a store's contents into a bare engine.
-type recoveryTarget struct{ eng *engine.Engine }
+// recoveryTarget replays a store's contents into a bare engine: the
+// checkpoint through RestoreState, the WAL tail through the engine's
+// shard-parallel Replay.
+type recoveryTarget struct {
+	eng *engine.Engine
+	rep *engine.Replay
+}
 
 func (t recoveryTarget) Restore(st *engine.State) error { return t.eng.RestoreState(st) }
 func (t recoveryTarget) Replay(batch []engine.Update) error {
-	// The journal is not attached yet, so replay does not re-journal.
-	if err := t.eng.IngestBatch(batch); err != nil {
+	if err := t.rep.Add(batch); err != nil {
 		return fmt.Errorf("replaying %d updates: %w", len(batch), err)
 	}
 	return nil
+}
+
+// recoverEngine recovers st's contents into eng and returns once every
+// replayed record is folded and the replay workers have exited, on
+// success and on error alike.
+func recoverEngine(st Store, eng *engine.Engine) (RecoveryStats, error) {
+	rep := eng.Replay()
+	defer rep.Wait()
+	return st.Recover(recoveryTarget{eng, rep})
 }
 
 // Attach recovers the store's contents into the engine (which must be
@@ -38,7 +51,7 @@ func (t recoveryTarget) Replay(batch []engine.Update) error {
 // engine's at the last durable point, and every subsequent ingest is
 // journaled. The engine must not receive traffic until Attach returns.
 func Attach(eng *engine.Engine, st Store) (*Persistence, RecoveryStats, error) {
-	stats, err := st.Recover(recoveryTarget{eng})
+	stats, err := recoverEngine(st, eng)
 	if err != nil {
 		return nil, stats, err
 	}

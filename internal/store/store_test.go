@@ -706,10 +706,10 @@ func TestStoreUsageErrors(t *testing.T) {
 	if _, err := st.Checkpoint(func() *engine.State { return nil }); err == nil {
 		t.Error("checkpoint before Recover must fail")
 	}
-	if _, err := st.Recover(recoveryTarget{newEngineQuiet()}); err != nil {
+	if _, err := recoverEngine(st, newEngineQuiet()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Recover(recoveryTarget{newEngineQuiet()}); err == nil {
+	if _, err := recoverEngine(st, newEngineQuiet()); err == nil {
 		t.Error("second Recover must fail")
 	}
 	if err := st.Close(); err != nil {
