@@ -8,7 +8,6 @@
 //
 //	monestd [-addr :8080] [-instances 2] [-k 64] [-shards 16] [-salt 1]
 //	        [-default-estimator lstar] [-estimators lstar,ustar,ht,...]
-//	        [-snapshot-max-stale 0s]
 //	        [-subscribe-debounce 100ms]
 //	        [-data-dir DIR] [-fsync always|interval|never]
 //	        [-checkpoint-interval 1m] [-pprof]
@@ -18,12 +17,8 @@
 // -default-estimator names the registry estimator used when a request
 // does not name one; -estimators is an optional comma-separated allowlist
 // of registry base names (empty = every registered estimator servable).
-// -snapshot-max-stale bounds how old a cached sketch snapshot may be
-// served while writes keep arriving (e.g. 250ms): reads then reuse the
-// last reduced snapshot within the bound instead of re-reducing per
-// request. 0 (the default) serves every read from an exact cut — which
-// still costs nothing when no ingest intervened, thanks to the engine's
-// versioned snapshot cache.
+// Every read is served from an exact cut, which costs nothing when no
+// ingest intervened, thanks to the engine's versioned snapshot cache.
 //
 // Streaming wire: POST /v1/stream accepts binary update frames (the
 // bytes the WAL journals, behind an 8-byte magic) over one chunked
@@ -127,7 +122,6 @@ type options struct {
 	salt       uint64
 	defaultEst string
 	allow      string
-	maxStale   time.Duration
 
 	subDebounce time.Duration
 
@@ -155,7 +149,6 @@ func main() {
 	flag.Uint64Var(&o.salt, "salt", 1, "seed-hash salt (writers sharing it stay coordinated)")
 	flag.StringVar(&o.defaultEst, "default-estimator", "lstar", "registry estimator used when a request names none")
 	flag.StringVar(&o.allow, "estimators", "", "comma-separated allowlist of estimator base names (empty = all registered)")
-	flag.DurationVar(&o.maxStale, "snapshot-max-stale", 0, "serve cached snapshots up to this old under write load (0 = always exact)")
 	flag.DurationVar(&o.subDebounce, "subscribe-debounce", 100*time.Millisecond, "window coalescing write bursts into one /v1/subscribe push")
 	flag.StringVar(&o.dataDir, "data-dir", "", "state directory (empty = in-memory only)")
 	flag.StringVar(&o.fsync, "fsync", "interval", "WAL flush policy: always, interval, never")
@@ -184,10 +177,10 @@ func run(o options) error {
 		flag string
 		v    float64
 	}{
-		{"snapshot-max-stale", o.maxStale.Seconds()}, {"checkpoint-interval", o.checkpointIv.Seconds()},
-		{"subscribe-debounce", o.subDebounce.Seconds()}, {"cluster-timeout", o.clusterTimeout.Seconds()},
-		{"cluster-poll", o.clusterPoll.Seconds()}, {"ingest-rate", o.ingestRate},
-		{"ingest-burst", o.ingestBurst}, {"ingest-inflight", float64(o.ingestInflight)},
+		{"checkpoint-interval", o.checkpointIv.Seconds()}, {"subscribe-debounce", o.subDebounce.Seconds()},
+		{"cluster-timeout", o.clusterTimeout.Seconds()}, {"cluster-poll", o.clusterPoll.Seconds()},
+		{"ingest-rate", o.ingestRate}, {"ingest-burst", o.ingestBurst},
+		{"ingest-inflight", float64(o.ingestInflight)},
 	} {
 		if !(f.v >= 0) || math.IsInf(f.v, 1) {
 			return fmt.Errorf("-%s %g must be finite and nonnegative", f.flag, f.v)
@@ -316,7 +309,6 @@ func run(o options) error {
 	srvCfg := server.Config{
 		Registry:          reg,
 		DefaultEstimator:  o.defaultEst,
-		SnapshotMaxStale:  o.maxStale,
 		Persist:           persist,
 		SubscribeDebounce: o.subDebounce,
 		IngestRate:        o.ingestRate,
@@ -324,14 +316,11 @@ func run(o options) error {
 		IngestInflight:    o.ingestInflight,
 	}
 	if coord != nil {
+		// The coordinator is the snapshot source, so /readyz answers 200
+		// exactly while a scatter-gather round meets the read-policy floor.
 		srvCfg.Snapshots = coord
 		srvCfg.Ingest = coord
 		srvCfg.Cluster = coord
-		// Readiness on a coordinator means the read policy is satisfiable
-		// right now — a scatter-gather round meets its floor. A node needs
-		// no probe: recovery completes before the listener opens, so a
-		// node answering /readyz at all is ready.
-		srvCfg.Ready = coord.Sync
 	}
 	api := server.NewWith(eng, srvCfg)
 	var handler http.Handler = api
@@ -380,8 +369,8 @@ func run(o options) error {
 			logger.Printf("listening on %s as cluster coordinator over %d nodes %v (instances=%d k=%d salt=%d poll=%v timeout=%v)",
 				o.addr, len(coord.Ring().Nodes()), coord.Ring().Nodes(), o.instances, o.k, o.salt, o.clusterPoll, o.clusterTimeout)
 		} else {
-			logger.Printf("listening on %s (instances=%d k=%d shards=%d salt=%d snapshot-max-stale=%v data-dir=%q fsync=%v)",
-				o.addr, o.instances, o.k, o.shards, o.salt, o.maxStale, o.dataDir, fsyncPolicy)
+			logger.Printf("listening on %s (instances=%d k=%d shards=%d salt=%d data-dir=%q fsync=%v)",
+				o.addr, o.instances, o.k, o.shards, o.salt, o.dataDir, fsyncPolicy)
 		}
 		errc <- srv.ListenAndServe()
 	}()

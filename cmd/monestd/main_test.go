@@ -35,7 +35,6 @@ func baseOpts(addr string) options {
 		shards:     4,
 		salt:       1,
 		defaultEst: "lstar",
-		maxStale:   50 * time.Millisecond,
 		fsync:      "interval",
 	}
 }
@@ -206,7 +205,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 	mod := func(f func(*options)) options {
 		o := baseOpts("127.0.0.1:0")
-		o.maxStale = 0
 		f(&o)
 		return o
 	}
@@ -220,7 +218,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"unknown allowlist entry", mod(func(o *options) { o.allow = "lstar,bogus" })},
 		{"default estimator outside allowlist", mod(func(o *options) { o.defaultEst = "ustar"; o.allow = "lstar,ht" })},
 		{"blank-but-set allowlist", mod(func(o *options) { o.allow = " , " })},
-		{"negative snapshot-max-stale", mod(func(o *options) { o.maxStale = -time.Second })},
 		{"negative checkpoint interval", mod(func(o *options) { o.checkpointIv = -time.Second })},
 		{"negative subscribe-debounce", mod(func(o *options) { o.subDebounce = -time.Second })},
 		{"negative cluster-timeout", mod(func(o *options) { o.clusterTimeout = -time.Second })},
@@ -249,7 +246,6 @@ func TestRunRejectsBusyAddress(t *testing.T) {
 	}
 	defer l.Close()
 	o := baseOpts(l.Addr().String())
-	o.maxStale = 0
 	if err := run(o); err == nil {
 		t.Error("busy address should fail")
 	}

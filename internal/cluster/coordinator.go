@@ -62,12 +62,10 @@ type Coordinator struct {
 
 	stats coordStats
 
-	// stopCtx cancels in-flight node traffic on Close (the poll loop's
-	// sync runs under it); stopped parks the poll loop itself.
-	stopCtx  context.Context
-	stop     context.CancelFunc
-	stopOnce sync.Once
-	stopped  chan struct{}
+	// stopCtx is done once Close is called: it stops the poll loop and
+	// cancels in-flight node traffic (the poll loop's sync runs under it).
+	stopCtx context.Context
+	stop    context.CancelFunc
 }
 
 // Config configures a Coordinator.
@@ -182,7 +180,6 @@ func New(cfg Config) (*Coordinator, error) {
 		idemBase: idempotencyBase(),
 		stopCtx:  stopCtx,
 		stop:     stop,
-		stopped:  make(chan struct{}),
 	}
 	// Backoff jitter is seeded from the engine hash so a chaos run's
 	// retry schedule replays from the cluster's own configuration.
@@ -261,12 +258,7 @@ func idempotencyBase() string {
 
 // Close stops the background poll loop and cancels its in-flight node
 // traffic. Idempotent.
-func (c *Coordinator) Close() {
-	c.stopOnce.Do(func() {
-		close(c.stopped)
-		c.stop()
-	})
-}
+func (c *Coordinator) Close() { c.stop() }
 
 func (c *Coordinator) pollLoop() {
 	t := time.NewTicker(c.cfg.Poll)
@@ -277,7 +269,7 @@ func (c *Coordinator) pollLoop() {
 			// A poll failure is not actionable here: reads surface it as
 			// 503 and the next tick retries.
 			_ = c.Sync(c.stopCtx)
-		case <-c.stopped:
+		case <-c.stopCtx.Done():
 			return
 		}
 	}

@@ -353,6 +353,71 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// TestCoordinatorReadinessFollowsReadPolicy serves a coordinator as
+// monestd does, with one of three nodes behind a fault proxy: while that
+// node is blackholed, /readyz is 503 under strict and 200 under quorum=2,
+// whose floor the two live nodes meet; restored, it is 200 under both.
+func TestCoordinatorReadinessFollowsReadPolicy(t *testing.T) {
+	for _, tc := range []struct {
+		policy   cluster.ReadPolicy
+		downCode int
+	}{
+		{cluster.ReadPolicy{Mode: cluster.ReadStrict}, http.StatusServiceUnavailable},
+		{cluster.ReadPolicy{Mode: cluster.ReadQuorum, Quorum: 2}, http.StatusOK},
+	} {
+		t.Run(tc.policy.String(), func(t *testing.T) {
+			cfg := engine.Config{Instances: 2, K: 16, Shards: 4, Hash: sampling.NewSeedHash(17)}
+			fc := newFaultCluster(t, 3, cfg)
+			proxy, err := fault.NewProxy(fc.srvs[2].Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer proxy.Close()
+			coord, err := cluster.New(cluster.Config{
+				Nodes:           []string{fc.urls[0], fc.urls[1], proxy.URL()},
+				Engine:          cfg,
+				Timeout:         200 * time.Millisecond,
+				BreakerCooldown: 50 * time.Millisecond,
+				ReadPolicy:      tc.policy,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			ts := httptest.NewServer(server.NewWith(coord.Engine(), server.Config{Snapshots: coord, Ingest: coord, Cluster: coord}))
+			defer ts.Close()
+			readyz := func() int {
+				resp, err := http.Get(ts.URL + "/readyz")
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				return resp.StatusCode
+			}
+
+			if code := readyz(); code != http.StatusOK {
+				t.Fatalf("readyz with every node up = %d, want 200", code)
+			}
+			proxy.Blackhole(true)
+			// The first probes pay the timeout until the breaker opens;
+			// the later ones short-circuit. Every one answers the same.
+			for i := 0; i < 4; i++ {
+				if code := readyz(); code != tc.downCode {
+					t.Fatalf("readyz %d with a node blackholed = %d, want %d", i, code, tc.downCode)
+				}
+			}
+			proxy.Blackhole(false)
+			deadline := time.Now().Add(10 * time.Second)
+			for readyz() != http.StatusOK {
+				if time.Now().After(deadline) {
+					t.Fatal("readyz never returned to 200 after the node was restored")
+				}
+				time.Sleep(25 * time.Millisecond)
+			}
+		})
+	}
+}
+
 // TestRoutedRetryAppliesOnce is the regression test for the routed-write
 // retry ambiguity: the node applies a forwarded /v1/stream batch but the
 // coordinator loses the response, retries under the same

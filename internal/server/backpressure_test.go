@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -280,7 +281,10 @@ func TestStreamIdempotentReplay(t *testing.T) {
 
 func TestReadyz(t *testing.T) {
 	t.Run("plain node is ready once serving", func(t *testing.T) {
-		_, ts, _ := subTestServer(t, Config{})
+		_, ts, eng := subTestServer(t, Config{})
+		if err := eng.Ingest(0, 1, 2.5); err != nil {
+			t.Fatal(err)
+		}
 		resp, err := http.Get(ts.URL + "/readyz")
 		if err != nil {
 			t.Fatal(err)
@@ -289,16 +293,14 @@ func TestReadyz(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("readyz = %d, want 200", resp.StatusCode)
 		}
+		// A node's probe never cuts its engine.
+		if n := eng.Stats().Snapshot.Rebuilds; n != 0 {
+			t.Fatalf("readyz rebuilt the snapshot %d times, want 0", n)
+		}
 	})
 	t.Run("failing readiness check answers 503", func(t *testing.T) {
-		ready := errors.New("read-policy floor unmet: 1/3 nodes reachable")
-		var on bool
-		_, ts, _ := subTestServer(t, Config{Ready: func(context.Context) error {
-			if on {
-				return nil
-			}
-			return ready
-		}})
+		src := new(toggleSource)
+		_, ts, _ := subTestServer(t, Config{Snapshots: src})
 		resp, err := http.Get(ts.URL + "/readyz")
 		if err != nil {
 			t.Fatal(err)
@@ -320,7 +322,7 @@ func TestReadyz(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("healthz = %d while unready, want 200", resp.StatusCode)
 		}
-		on = true
+		src.ready.Store(true)
 		resp, err = http.Get(ts.URL + "/readyz")
 		if err != nil {
 			t.Fatal(err)
@@ -342,6 +344,17 @@ func TestReadyz(t *testing.T) {
 			t.Fatalf("readyz while draining = %d, want 503", resp.StatusCode)
 		}
 	})
+}
+
+// toggleSource is a SnapshotSource that fails, as a coordinator below its
+// read-policy floor does, until ready is set.
+type toggleSource struct{ ready atomic.Bool }
+
+func (t *toggleSource) AcquireSnapshot(context.Context) (engine.SnapshotView, *cluster.Degraded, error) {
+	if !t.ready.Load() {
+		return engine.SnapshotView{}, nil, errors.New("read-policy floor unmet: 1/3 nodes reachable")
+	}
+	return engine.SnapshotView{}, nil, nil
 }
 
 // degradedSource is a SnapshotSource that serves a plain engine view

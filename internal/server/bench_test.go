@@ -101,10 +101,9 @@ func BenchmarkQueryCached(b *testing.B) {
 
 // BenchmarkQueryInvalidated measures the write-invalidated read path:
 // every iteration lands one real ingest, so each query pays a rebuild
-// and estimate — the regime the -snapshot-max-stale bound is for. The
-// rebuild cuts and reduces every shard's retained entries (not the key
-// registry) and the estimate walks only the sampled outcomes, so this
-// costs what the sketches hold, not the cold reduction.
+// and estimate. The rebuild cuts and reduces every shard's retained
+// entries (not the key registry) and the estimate walks only the sampled
+// outcomes, so this costs what the sketches hold, not the cold reduction.
 func BenchmarkQueryInvalidated(b *testing.B) {
 	s := newBenchServer(b, 1<<14)
 	query := benchQuery(b, lstarRG1)

@@ -2,12 +2,10 @@ package server
 
 import (
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -87,47 +85,6 @@ func TestCachedServingStaysExact(t *testing.T) {
 	}
 	if got := lstarSum(t, ts.URL); got != want2 {
 		t.Fatalf("post-ingest estimate %v, want %v (cache not invalidated?)", got, want2)
-	}
-}
-
-// TestSnapshotMaxStaleServesBoundedStale: with SnapshotMaxStale set, a
-// read after an ingest may serve the previous cut (within the bound) —
-// and an identically-fed exact server proves the data really changed.
-func TestSnapshotMaxStaleServesBoundedStale(t *testing.T) {
-	hash := sampling.NewSeedHash(7)
-	newSrv := func(maxStale time.Duration) *httptest.Server {
-		eng, err := engine.New(engine.Config{Instances: 2, K: 8, Shards: 4, Hash: hash})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(NewWith(eng, Config{SnapshotMaxStale: maxStale}))
-		t.Cleanup(ts.Close)
-		return ts
-	}
-	stale, exact := newSrv(time.Hour), newSrv(0)
-	d := ladderDataset(t, 24)
-	d2 := scaleDataset(t, d, 3)
-
-	query := func(ts *httptest.Server) float64 { return lstarSum(t, ts.URL) }
-
-	for _, ts := range []*httptest.Server{stale, exact} {
-		ingestDataset(t, ts.URL, d)
-	}
-	first := query(stale)
-	if got := query(exact); got != first {
-		t.Fatalf("servers disagree before mutation: %v != %v", got, first)
-	}
-	for _, ts := range []*httptest.Server{stale, exact} {
-		ingestDataset(t, ts.URL, d2)
-	}
-	// The exact server reflects the write immediately; the bounded-
-	// staleness server keeps serving the cut from moments ago.
-	exactAfter := query(exact)
-	if exactAfter == first {
-		t.Fatal("test is vacuous: mutation did not change the estimate")
-	}
-	if got := query(stale); got != first {
-		t.Fatalf("bounded-staleness read %v, want stale %v", got, first)
 	}
 }
 

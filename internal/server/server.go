@@ -25,8 +25,8 @@
 //	GET  /metrics             Prometheus text exposition
 //	GET  /healthz             liveness probe (process up; always 200)
 //	GET  /readyz              readiness probe: 503 while draining or
-//	                          while Config.Ready reports the serving
-//	                          floor unmet (cluster read policy)
+//	                          while Config.Snapshots cannot serve a
+//	                          snapshot (cluster read-policy floor unmet)
 //
 // Item functions: rg (param p), rgplus (p), max, or, and, lincomb (comma
 // list c plus p). Estimators resolve through the estreg registry
@@ -52,9 +52,7 @@
 // Every read endpoint answers from ONE SnapshotSource — by default the
 // engine's versioned snapshot cache — and a per-version result memo
 // (snapshot.go): while no ingest intervenes, repeat queries take no shard
-// locks, re-reduce nothing, and re-run no estimators. The Config's
-// SnapshotMaxStale bounds how stale a served snapshot may be under
-// sustained write load (0 = always exact).
+// locks, re-reduce nothing, and re-run no estimators.
 //
 // When the snapshot source serves partial cluster views (non-strict read
 // policies), every snapshot-backed response and SSE push carries an
@@ -75,7 +73,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -116,16 +113,16 @@ type Server struct {
 	incarnation string
 	// wire counts streaming-ingest and subscription traffic (stream.go);
 	// broadcast owns the /v1/subscribe registry and push loop
-	// (subscribe.go); drainCh gates both on shutdown (Server.Drain), and
-	// drainCtx is its context form — the broadcaster's snapshot
+	// (subscribe.go); drainCtx is done once Server.Drain is called — its
+	// Done channel gates both on shutdown, and the broadcaster's snapshot
 	// acquisitions run under it so a draining server cancels in-flight
 	// cluster scatter-gathers that no request context covers.
-	wire           wireStats
-	broadcast      *broadcaster
-	drainCh        chan struct{}
-	drainCtx       context.Context
-	drainCancel    context.CancelFunc
-	drainOnce      sync.Once
+	wire        wireStats
+	broadcast   *broadcaster
+	drainCtx    context.Context
+	drainCancel context.CancelFunc
+	// heartbeat and maxSubscribers start at subscribeHeartbeat and
+	// maxSubscribers; tests shorten them before serving.
 	heartbeat      time.Duration
 	maxSubscribers int
 	// gate applies ingest backpressure (nil = unlimited); idem recognizes
@@ -133,9 +130,8 @@ type Server struct {
 	// never double-counts.
 	gate *ingestGate
 	idem *idemStore
-	// ready backs /readyz (nil = ready whenever serving); clusterRep,
-	// when set, feeds the "cluster" sections of /v1/stats and /metrics.
-	ready      func(context.Context) error
+	// clusterRep, when set, feeds the "cluster" sections of /v1/stats
+	// and /metrics.
 	clusterRep ClusterReporter
 }
 
@@ -153,14 +149,12 @@ type Config struct {
 	// DefaultEstimator is used when a request names none. Default "lstar".
 	DefaultEstimator string
 	// Snapshots overrides the snapshot source feeding every read
-	// endpoint; nil means the engine's versioned snapshot cache bounded
-	// by SnapshotMaxStale.
+	// endpoint; nil means the engine's versioned snapshot cache. A set
+	// source also backs GET /readyz: the server is ready while it can
+	// acquire a snapshot (a cluster coordinator meeting its read-policy
+	// floor). The engine's own cache is never cut by a probe — a node
+	// recovers before its listener opens, so answering at all is ready.
 	Snapshots SnapshotSource
-	// SnapshotMaxStale bounds how old a cached snapshot may be served
-	// while writes are arriving (see engine.CachedView); 0 means
-	// every read reflects all completed ingests. Ignored when Snapshots
-	// is set.
-	SnapshotMaxStale time.Duration
 	// Ingest overrides where /v1/ingest and /v1/stream updates land; nil
 	// means the engine itself. A cluster coordinator supplies its routed
 	// scatter here so write traffic forwards to the owning nodes.
@@ -174,11 +168,6 @@ type Config struct {
 	// before re-evaluating subscriptions (default 100ms); 0 pushes per
 	// mutation wakeup.
 	SubscribeDebounce time.Duration
-	// SubscribeHeartbeat is the SSE keepalive comment period (default 15s).
-	SubscribeHeartbeat time.Duration
-	// MaxSubscribers caps concurrent /v1/subscribe connections (default
-	// 4096); beyond it new subscriptions answer 503.
-	MaxSubscribers int
 	// IngestRate caps each client's ingest throughput (updates/sec,
 	// token bucket keyed by client IP; 0 = unlimited) with IngestBurst
 	// capacity (0 = max(IngestRate, 1)). Refused work answers 429 +
@@ -188,11 +177,6 @@ type Config struct {
 	// IngestInflight bounds concurrently-served ingest requests plus
 	// open streams (0 = unlimited); beyond it new work answers 429.
 	IngestInflight int
-	// Ready, when set, backs GET /readyz: a non-nil error answers 503.
-	// The cluster coordinator supplies its read-policy satisfiability
-	// check here; a plain node is ready once it serves (recovery
-	// completes before the listener opens).
-	Ready func(context.Context) error
 	// Cluster, when set, adds coordinator scatter-gather, breaker and
 	// degraded-read state to /v1/stats and /metrics.
 	Cluster ClusterReporter
@@ -332,16 +316,10 @@ func NewWith(eng *engine.Engine, cfg Config) *Server {
 		cfg.DefaultEstimator = "lstar"
 	}
 	if cfg.Snapshots == nil {
-		cfg.Snapshots = cachedSource{eng: eng, maxStale: cfg.SnapshotMaxStale}
+		cfg.Snapshots = cachedSource{eng}
 	}
 	if cfg.SubscribeDebounce == 0 {
 		cfg.SubscribeDebounce = 100 * time.Millisecond
-	}
-	if cfg.SubscribeHeartbeat == 0 {
-		cfg.SubscribeHeartbeat = 15 * time.Second
-	}
-	if cfg.MaxSubscribers == 0 {
-		cfg.MaxSubscribers = 4096
 	}
 	if cfg.Ingest == nil {
 		cfg.Ingest = engineIngestor{eng}
@@ -358,14 +336,12 @@ func NewWith(eng *engine.Engine, cfg Config) *Server {
 		ingest:         cfg.Ingest,
 		persist:        cfg.Persist,
 		incarnation:    newIncarnation(),
-		drainCh:        make(chan struct{}),
 		drainCtx:       drainCtx,
 		drainCancel:    drainCancel,
-		heartbeat:      cfg.SubscribeHeartbeat,
-		maxSubscribers: cfg.MaxSubscribers,
+		heartbeat:      subscribeHeartbeat,
+		maxSubscribers: maxSubscribers,
 		gate:           newIngestGate(cfg.IngestRate, cfg.IngestBurst, cfg.IngestInflight),
 		idem:           newIdemStore(),
-		ready:          cfg.Ready,
 		clusterRep:     cfg.Cluster,
 	}
 	s.broadcast = newBroadcaster(s, cfg.SubscribeDebounce)
@@ -673,15 +649,15 @@ func (s *Server) handleHealthz(*http.Request) (int, any, error) {
 	return http.StatusOK, map[string]string{"status": "ok"}, nil
 }
 
-// handleReadyz is the readiness probe: 503 while draining or while the
-// configured readiness check fails (a cluster coordinator that cannot
-// meet its read-policy floor). Like /healthz it skips checkParams.
+// handleReadyz is the readiness probe: 503 while draining or while a
+// configured snapshot source cannot serve (a cluster coordinator that
+// cannot meet its read-policy floor). Like /healthz it skips checkParams.
 func (s *Server) handleReadyz(r *http.Request) (int, any, error) {
 	if s.draining() {
 		return http.StatusServiceUnavailable, nil, errDraining
 	}
-	if s.ready != nil {
-		if err := s.ready(r.Context()); err != nil {
+	if _, local := s.snaps.(cachedSource); !local {
+		if _, _, err := s.snaps.AcquireSnapshot(r.Context()); err != nil {
 			return http.StatusServiceUnavailable, nil, fmt.Errorf("not ready: %w", err)
 		}
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"sync"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
@@ -36,15 +35,11 @@ type SnapshotSource interface {
 }
 
 // cachedSource is the default source: the engine's lock-free versioned
-// snapshot cache, optionally serving a bounded-staleness snapshot under
-// sustained write load (the monestd -snapshot-max-stale flag).
-type cachedSource struct {
-	eng      *engine.Engine
-	maxStale time.Duration
-}
+// snapshot cache, always exact.
+type cachedSource struct{ eng *engine.Engine }
 
 func (c cachedSource) AcquireSnapshot(context.Context) (engine.SnapshotView, *cluster.Degraded, error) {
-	return c.eng.CachedView(c.maxStale), nil, nil
+	return c.eng.CachedView(0), nil, nil
 }
 
 // maxMemoEntries caps one version's memo so an adversarial query stream
@@ -88,9 +83,9 @@ func (mm *resultMemo) call(key string) *memoCall {
 }
 
 // memoFor returns the memo for the given snapshot version, rotating the
-// server's current one when the version moved. Under bounded-staleness
-// serving, two versions can briefly alternate; the memo then degrades to
-// misses rather than ever serving a result across versions.
+// server's current one when the version moved. Concurrent requests that
+// acquired different versions can briefly alternate; the memo then
+// degrades to misses rather than ever serving a result across versions.
 func (s *Server) memoFor(version uint64) *resultMemo {
 	for {
 		m := s.memo.Load()

@@ -145,23 +145,14 @@ func (s *Server) handleStream(r *http.Request) (int, any, error) {
 // http.Server.Shutdown so long-lived connections do not hold shutdown
 // open until the timeout kills them.
 func (s *Server) Drain() {
-	s.drainOnce.Do(func() {
-		close(s.drainCh)
-		// Cancel the broadcaster's drain context too, so a push round's
-		// in-flight cluster scatter-gather aborts instead of riding out
-		// its full per-node timeout and retry budget.
-		s.drainCancel()
-	})
+	// Cancelling the drain context closes the Done channel that streams,
+	// subscriptions and the push loop watch, and aborts a push round's
+	// in-flight cluster scatter-gather instead of letting it ride out its
+	// full per-node timeout and retry budget.
+	s.drainCancel()
 }
 
 // draining reports whether Drain was called.
-func (s *Server) draining() bool {
-	select {
-	case <-s.drainCh:
-		return true
-	default:
-		return false
-	}
-}
+func (s *Server) draining() bool { return s.drainCtx.Err() != nil }
 
 var errDraining = errors.New("server is draining (shutting down)")

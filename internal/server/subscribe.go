@@ -54,6 +54,13 @@ const subscriberBuffer = 8
 // maxSubscribeQueries caps the queries one subscription registers.
 const maxSubscribeQueries = maxBatchQueries
 
+// maxSubscribers caps concurrent /v1/subscribe connections; beyond it new
+// subscriptions answer 503.
+const maxSubscribers = 4096
+
+// subscribeHeartbeat is the period of the ": ping" keepalive comment.
+const subscribeHeartbeat = 15 * time.Second
+
 // pushEvent is one encoded estimate push.
 type pushEvent struct {
 	version uint64
@@ -187,7 +194,7 @@ func (b *broadcaster) loop() {
 		select {
 		case <-sig:
 		case <-b.kick:
-		case <-b.s.drainCh:
+		case <-b.s.drainCtx.Done():
 			b.park()
 			return
 		}
@@ -228,7 +235,7 @@ func (b *broadcaster) debounceWait(sig <-chan struct{}) bool {
 			b.s.wire.coalesced.Add(1)
 		case <-timer.C:
 			return true
-		case <-b.s.drainCh:
+		case <-b.s.drainCtx.Done():
 			return false
 		}
 	}
@@ -439,7 +446,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) (int, e
 			s.wire.heartbeats.Add(1)
 		case <-ctx.Done():
 			return http.StatusOK, nil
-		case <-s.drainCh:
+		case <-s.drainCtx.Done():
 			_, _ = io.WriteString(w, "event: drain\ndata: {}\n\n")
 			flusher.Flush()
 			return http.StatusOK, nil

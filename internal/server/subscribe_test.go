@@ -18,7 +18,9 @@ import (
 	"repro/internal/sampling"
 )
 
-func subTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *engine.Engine) {
+// subTestServer serves a fresh engine; each tune runs on the server
+// before its listener starts, for the limits only tests shorten.
+func subTestServer(t *testing.T, cfg Config, tune ...func(*Server)) (*Server, *httptest.Server, *engine.Engine) {
 	t.Helper()
 	eng, err := engine.New(engine.Config{Instances: 2, K: 16, Shards: 4, Hash: sampling.NewSeedHash(1)})
 	if err != nil {
@@ -28,6 +30,9 @@ func subTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *engine
 		cfg.SubscribeDebounce = 5 * time.Millisecond
 	}
 	s := NewWith(eng, cfg)
+	for _, f := range tune {
+		f(s)
+	}
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts, eng
@@ -270,7 +275,7 @@ func TestSubscribeDrainSendsFinalEventAndRefusesNew(t *testing.T) {
 }
 
 func TestSubscribeLimitAndBadRequests(t *testing.T) {
-	_, ts, _ := subTestServer(t, Config{MaxSubscribers: 1})
+	_, ts, _ := subTestServer(t, Config{}, func(s *Server) { s.maxSubscribers = 1 })
 	c := subscribeSSE(t, context.Background(), ts.URL, "")
 	_ = c.nextPush(t)
 
@@ -346,7 +351,7 @@ func TestSubscribeMultiQueryMatchesBatchedQuery(t *testing.T) {
 }
 
 func TestSubscribeHeartbeat(t *testing.T) {
-	_, ts, _ := subTestServer(t, Config{SubscribeHeartbeat: 20 * time.Millisecond})
+	_, ts, _ := subTestServer(t, Config{}, func(s *Server) { s.heartbeat = 20 * time.Millisecond })
 	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/subscribe", nil)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/sampling"
@@ -69,9 +68,7 @@ func BenchmarkIngestWAL(b *testing.B) {
 	}
 	b.Run("off", func(b *testing.B) { run(b, false, Options{}) })
 	b.Run("fsync=never", func(b *testing.B) { run(b, true, Options{Fsync: FsyncNever}) })
-	b.Run("fsync=interval", func(b *testing.B) {
-		run(b, true, Options{Fsync: FsyncInterval, SyncInterval: 100 * time.Millisecond})
-	})
+	b.Run("fsync=interval", func(b *testing.B) { run(b, true, Options{Fsync: FsyncInterval}) })
 	b.Run("fsync=always", func(b *testing.B) { run(b, true, Options{Fsync: FsyncAlways}) })
 }
 

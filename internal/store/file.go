@@ -27,6 +27,9 @@ import (
 type fileStore struct {
 	dir string
 	opt Options
+	// syncInterval is the FsyncInterval flush period, the package
+	// constant; tests shorten it before Recover starts the flusher.
+	syncInterval time.Duration
 
 	// mu guards the append path: the current segment file, its sequence
 	// number, the encode scratch, and the per-segment record count.
@@ -58,7 +61,7 @@ func Open(dir string, opt Options) (Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &fileStore{dir: dir, opt: opt.withDefaults(), records: map[uint64]int{}}, nil
+	return &fileStore{dir: dir, opt: opt, syncInterval: syncInterval, records: map[uint64]int{}}, nil
 }
 
 func (f *fileStore) segPath(seq uint64) string {
@@ -298,7 +301,7 @@ func (f *fileStore) syncLocked() error {
 
 func (f *fileStore) syncLoop() {
 	defer close(f.syncDone)
-	t := time.NewTicker(f.opt.SyncInterval)
+	t := time.NewTicker(f.syncInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -392,11 +395,11 @@ func (f *fileStore) rotateLocked() error {
 	return f.openSegment(f.segSeq + 1)
 }
 
-// pruneLocked retains the newest KeepCheckpoints checkpoints and deletes
+// pruneLocked retains the newest keepCheckpoints checkpoints and deletes
 // WAL segments no retained checkpoint needs, reporting how many WAL
 // records were dropped.
 func (f *fileStore) pruneLocked() (int, error) {
-	for len(f.ckpts) > f.opt.KeepCheckpoints {
+	for len(f.ckpts) > keepCheckpoints {
 		seq := f.ckpts[0]
 		if err := os.Remove(f.ckptPath(seq)); err != nil && !os.IsNotExist(err) {
 			return 0, fmt.Errorf("store: %w", err)

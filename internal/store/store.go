@@ -34,7 +34,7 @@ const (
 	// FsyncAlways fsyncs after every append: no accepted update is ever
 	// lost, at the cost of a disk flush per batch.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval fsyncs on a background timer (Options.SyncInterval):
+	// FsyncInterval fsyncs on a background timer (every 100ms):
 	// a crash loses at most one interval of updates.
 	FsyncInterval
 	// FsyncNever leaves flushing to the OS: fastest, loses whatever the
@@ -72,23 +72,14 @@ func (p FsyncPolicy) String() string {
 type Options struct {
 	// Fsync is the WAL flush policy. Default FsyncAlways.
 	Fsync FsyncPolicy
-	// SyncInterval is the background flush period under FsyncInterval.
-	// Default 100ms.
-	SyncInterval time.Duration
-	// KeepCheckpoints is how many most-recent checkpoints to retain (the
-	// older ones are the corruption fallbacks). Default 2, minimum 1.
-	KeepCheckpoints int
 }
 
-func (o Options) withDefaults() Options {
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 100 * time.Millisecond
-	}
-	if o.KeepCheckpoints < 1 {
-		o.KeepCheckpoints = 2
-	}
-	return o
-}
+// syncInterval is the background flush period under FsyncInterval.
+const syncInterval = 100 * time.Millisecond
+
+// keepCheckpoints is how many most-recent checkpoints a store retains;
+// the older one is the fallback when the newest fails validation.
+const keepCheckpoints = 2
 
 // RecoveryHandler receives a store's recovered contents in order: Restore
 // at most once (absent when no valid checkpoint exists), then Replay per

@@ -624,7 +624,15 @@ func TestFsyncPolicies(t *testing.T) {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			e := newEngine(t)
-			p, _ := attach(t, e, dir, Options{Fsync: pol, SyncInterval: 5 * time.Millisecond})
+			st, err := Open(dir, Options{Fsync: pol})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.(*fileStore).syncInterval = 5 * time.Millisecond
+			p, _, err := Attach(e, st)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := 0; i < 50; i++ {
 				if err := e.Ingest(i%3, uint64(i), 1); err != nil {
 					t.Fatal(err)
@@ -661,7 +669,7 @@ func TestFsyncPolicies(t *testing.T) {
 func TestCheckpointPrunesWAL(t *testing.T) {
 	dir := t.TempDir()
 	e := newEngine(t)
-	p, _ := attach(t, e, dir, Options{Fsync: FsyncNever, KeepCheckpoints: 2})
+	p, _ := attach(t, e, dir, Options{Fsync: FsyncNever})
 	rng := rand.New(rand.NewSource(9))
 	var dropped int
 	for i := 0; i < 4; i++ {

@@ -189,7 +189,7 @@ type (
 	// Store persists engine updates (WAL) and state checkpoints; open one
 	// with OpenStore and wire it to an engine with AttachStore.
 	Store = store.Store
-	// StoreOptions selects the WAL fsync policy and checkpoint retention.
+	// StoreOptions selects the WAL fsync policy.
 	StoreOptions = store.Options
 	// StorePersistence couples a recovered engine with its store:
 	// journaled ingest plus Checkpoint/Sync/Close lifecycle.
