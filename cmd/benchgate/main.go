@@ -61,13 +61,14 @@ const (
 // BenchmarkSnapshotIncremental's keys=65536 case for the engine rebuild
 // alone (the anchored ^…$ leaves out its -merged and -newkey variants),
 // BenchmarkIngestWAL's fsync=never case for the journaled write path
-// without the disk flush, and BenchmarkRecoverCheckpointTail for the boot
+// without the disk flush, BenchmarkRecoverCheckpointTail for the boot
 // a durable node pays before it serves: checkpoint restore plus the
-// shard-parallel replay of a WAL tail.
+// shard-parallel replay of a WAL tail, and BenchmarkSubscribePushLag for
+// the ingest→push lag an SSE subscriber sees after a 4-frame stream.
 var suites = []struct{ pkg, bench string }{
 	{"internal/engine", "^(BenchmarkIngestBatch|BenchmarkIngestZipf)$"},
 	{"internal/engine", "^BenchmarkSnapshotIncremental$/^keys=65536$"},
-	{"internal/server", "^BenchmarkStreamIngest256$"},
+	{"internal/server", "^(BenchmarkStreamIngest256|BenchmarkSubscribePushLag)$"},
 	{"internal/server", "^BenchmarkChurnServe$/^U=65536$"},
 	{"internal/store", "^BenchmarkIngestWAL$/^fsync=never$"},
 	{"internal/store", "^BenchmarkRecoverCheckpointTail$"},

@@ -57,13 +57,13 @@ func TestMedianOfPairedRatios(t *testing.T) {
 	}
 }
 
-// aa returns five rounds of the twelve gated names with head/base ratios
+// aa returns five rounds of the thirteen gated names with head/base ratios
 // spread like an A/A run on a shared host.
 func aa() []round {
 	names := []string{
 		"BenchmarkIngestBatch", "BenchmarkIngestZipf", "BenchmarkSnapshotIncremental/keys=65536",
 		"BenchmarkIngestWAL/fsync=never", "BenchmarkRecoverCheckpointTail",
-		"BenchmarkStreamIngest256", "BenchmarkChurnServe/U=65536", "BenchmarkClusterQuery",
+		"BenchmarkStreamIngest256", "BenchmarkSubscribePushLag", "BenchmarkChurnServe/U=65536", "BenchmarkClusterQuery",
 		"BenchmarkScatterGather/cluster-64k-3nodes", "BenchmarkScatterGather/single-16k",
 		"BenchmarkSyncDeadNode", "BenchmarkRoutedStream",
 	}

@@ -23,8 +23,10 @@
 // Streaming wire: POST /v1/stream accepts binary update frames (the
 // bytes the WAL journals, behind an 8-byte magic) over one chunked
 // connection, and GET /v1/subscribe pushes re-estimates as Server-Sent
-// Events whenever the sketch state changes. -subscribe-debounce is the
-// window that coalesces write bursts into one push. On graceful shutdown
+// Events whenever the sketch state changes. A write burst is one push,
+// sent once the last open write request ends; -subscribe-debounce is the
+// longest a push waits behind a write still open and the shortest
+// spacing between pushes. On graceful shutdown
 // subscribers receive a final "drain" event before the listener closes.
 //
 // Durability: -data-dir points at a state directory; on boot the daemon
@@ -149,7 +151,7 @@ func main() {
 	flag.Uint64Var(&o.salt, "salt", 1, "seed-hash salt (writers sharing it stay coordinated)")
 	flag.StringVar(&o.defaultEst, "default-estimator", "lstar", "registry estimator used when a request names none")
 	flag.StringVar(&o.allow, "estimators", "", "comma-separated allowlist of estimator base names (empty = all registered)")
-	flag.DurationVar(&o.subDebounce, "subscribe-debounce", 100*time.Millisecond, "window coalescing write bursts into one /v1/subscribe push")
+	flag.DurationVar(&o.subDebounce, "subscribe-debounce", 100*time.Millisecond, "longest a /v1/subscribe push waits behind an open write, and shortest spacing between pushes")
 	flag.StringVar(&o.dataDir, "data-dir", "", "state directory (empty = in-memory only)")
 	flag.StringVar(&o.fsync, "fsync", "interval", "WAL flush policy: always, interval, never")
 	flag.DurationVar(&o.checkpointIv, "checkpoint-interval", time.Minute, "periodic checkpoint period (0 = only on demand and shutdown)")

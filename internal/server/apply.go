@@ -67,18 +67,31 @@ type pendingBatch struct {
 	skip   bool // an idempotent replay: never handed to the Ingestor
 }
 
-// beginApply claims the request's in-flight slot; the caller must
-// s.gate.release() it when the request ends.
+// beginApply opens the request's write session and checks it against
+// the in-flight budget; the caller must s.endApply() once the request
+// ends. A refused session is closed before beginApply returns.
 func (s *Server) beginApply(r *http.Request, framed bool) (*applier, error) {
-	a := &applier{s: s, ctx: r.Context(), client: clientKey(r), framed: framed}
-	if !s.gate.acquire() {
+	if !s.gate.admitSession(s.writes.Add(1)) {
+		s.endApply()
 		return nil, &rateLimitError{retryAfter: time.Second,
 			error: fmt.Errorf("ingest in-flight budget (%d) exhausted", s.gate.maxInflight)}
 	}
+	a := &applier{s: s, ctx: r.Context(), client: clientKey(r), framed: framed}
 	if key := r.Header.Get("Idempotency-Key"); key != "" {
 		a.rec = s.idem.get(key)
 	}
 	return a, nil
+}
+
+// endApply closes a write session. The one that leaves none open tells
+// the push loop, without blocking, that the burst it waits on is over.
+func (s *Server) endApply() {
+	if s.writes.Add(-1) == 0 {
+		select {
+		case s.writesEnded <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // run is the request's write session. read returns the request's next

@@ -5,15 +5,20 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
+	"repro/internal/store"
 )
 
 // fullDisk is an engine.Journal that accepts `room` appends and then
@@ -169,4 +174,108 @@ func TestWriteTablesStayBounded(t *testing.T) {
 			t.Fatal("most-recently-used key was evicted before older ones")
 		}
 	})
+}
+
+// Every way a write session ends closes it: refused at the door, cut
+// short by its own input, failed by the engine or the journal, stopped
+// by a drain. The open-session count is back to 0 after each, and the
+// next one-shot stream still closes the push loop's debounce window at
+// its end rather than on the timer (a drained server pushes no more).
+func TestWriteSessionClosesOnEveryExit(t *testing.T) {
+	const debounce = time.Second
+	frame := func(key uint64, n int) []engine.Update {
+		batch := make([]engine.Update, n)
+		for i := range batch {
+			batch[i] = engine.Update{Instance: i % 2, Key: key + uint64(i), Weight: 1}
+		}
+		return batch
+	}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		status int
+		exit   func(t *testing.T, s *Server, ts *httptest.Server) int
+	}{
+		{"in-flight 429", Config{IngestInflight: 1}, http.StatusTooManyRequests,
+			func(t *testing.T, s *Server, ts *httptest.Server) int {
+				holder, done := openStream(t, ts)
+				if _, err := holder.Write(store.AppendStreamHeader(nil)); err != nil {
+					t.Fatal(err)
+				}
+				for deadline := time.Now().Add(5 * time.Second); s.writes.Load() == 0; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("the held stream never opened its session")
+					}
+				}
+				resp, _ := postStream(t, ts, streamBody(frame(1, 1)))
+				holder.Close()
+				<-done
+				return resp.StatusCode
+			}},
+		{"token-bucket 429", Config{IngestRate: 10, IngestBurst: 10}, http.StatusTooManyRequests,
+			func(t *testing.T, _ *Server, ts *httptest.Server) int {
+				resp, _ := postStream(t, ts, streamBody(frame(1, 10), frame(50, 10)))
+				return resp.StatusCode
+			}},
+		{"torn frame 400", Config{}, http.StatusBadRequest,
+			func(t *testing.T, _ *Server, ts *httptest.Server) int {
+				resp, _ := postStream(t, ts, append(streamBody(frame(1, 1)), 0xde, 0xad, 0xbe))
+				return resp.StatusCode
+			}},
+		{"rejected update 400", Config{}, http.StatusBadRequest,
+			func(t *testing.T, _ *Server, ts *httptest.Server) int {
+				resp, _ := postStream(t, ts, streamBody(frame(1, 1), []engine.Update{{Instance: 9, Key: 1, Weight: 1}}))
+				return resp.StatusCode
+			}},
+		{"oversized body 413", Config{}, http.StatusRequestEntityTooLarge,
+			func(t *testing.T, s *Server, _ *httptest.Server) int {
+				body := io.MultiReader(strings.NewReader(`{"updates":[`), io.LimitReader(spaces{}, maxIngestBody+1))
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", body))
+				return rec.Code
+			}},
+		{"journal 500", Config{}, http.StatusInternalServerError,
+			func(t *testing.T, s *Server, ts *httptest.Server) int {
+				journal := &fullDisk{}
+				journal.room.Store(1)
+				s.eng.SetJournal(journal)
+				resp, _ := postStream(t, ts, streamBody(frame(1, 1), frame(2, 1)))
+				journal.room.Store(1 << 30) // room again for the stream that follows
+				return resp.StatusCode
+			}},
+		{"drain", Config{}, http.StatusOK,
+			func(t *testing.T, s *Server, ts *httptest.Server) int {
+				s.Drain()
+				resp, _ := postStream(t, ts, streamBody(frame(1, 1)))
+				return resp.StatusCode
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			tc.cfg.SubscribeDebounce = debounce
+			s, ts, eng := subTestServer(t, tc.cfg)
+			pushes := subscribeSSE(t, context.Background(), ts.URL, "").pushes()
+			awaitPush(t, pushes, 0, 2*time.Second)
+			if got := tc.exit(t, s, ts); got != tc.status {
+				t.Fatalf("status %d, want %d", got, tc.status)
+			}
+			if n := s.writes.Load(); n != 0 {
+				t.Fatalf("%d write sessions still open after the request ended", n)
+			}
+			if s.draining() {
+				return
+			}
+			// Let the round the request's applied prefix started age one
+			// debounce: only a session left open can then hold the next
+			// push back to the timer.
+			time.Sleep(debounce)
+			start := time.Now()
+			if resp, out := postStream(t, ts, streamBody(frame(100, 1))); resp.StatusCode != http.StatusOK {
+				t.Fatalf("following stream status %d: %s", resp.StatusCode, out)
+			}
+			if d := awaitPush(t, pushes, eng.Version(), 2*time.Second).Sub(start); d >= debounce/2 {
+				t.Fatalf("following stream pushed after %v: the window closed on its %v timer", d, debounce)
+			}
+		})
+	}
 }

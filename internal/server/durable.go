@@ -276,7 +276,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) (int, err
 
 	if s.gate != nil {
 		gauge("monest_ingest_rate_limit", "Per-client ingest rate limit (updates/sec; 0 = unlimited).", s.gate.rate)
-		gauge("monest_ingest_inflight_active", "Ingest requests and streams currently holding an in-flight slot.", float64(s.gate.inflight.Load()))
+		gauge("monest_ingest_inflight_active", "Open ingest requests and streams (write sessions).", float64(s.writes.Load()))
 		counter("monest_ingest_rate_limited_total", "Ingest charges refused by a client's token bucket.", float64(s.gate.rateLimited.Load()))
 		counter("monest_ingest_inflight_rejected_total", "Ingest requests refused by the in-flight budget.", float64(s.gate.inflightRejected.Load()))
 	}

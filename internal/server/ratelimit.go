@@ -15,8 +15,8 @@ import (
 //
 //   - per-client token buckets (Config.IngestRate updates/sec with
 //     Config.IngestBurst capacity), keyed by client IP;
-//   - a global in-flight budget (Config.IngestInflight) counting ingest
-//     requests and open streams.
+//   - a global in-flight budget (Config.IngestInflight) on the server's
+//     count of open write sessions: ingest requests and open streams.
 //
 // Exceeding either answers a structured 429 with a Retry-After header
 // and a retry_after_seconds field in the error envelope; a mid-stream
@@ -49,9 +49,8 @@ type ingestGate struct {
 	burst       float64
 	maxInflight int64 // 0 = unlimited
 
-	inflight atomic.Int64
-	mu       sync.Mutex
-	buckets  *lruTable[*bucket]
+	mu      sync.Mutex
+	buckets *lruTable[*bucket]
 
 	rateLimited      atomic.Uint64
 	inflightRejected atomic.Uint64
@@ -72,23 +71,14 @@ func newIngestGate(rate, burst float64, inflight int) *ingestGate {
 	}
 }
 
-// acquire claims an in-flight slot; the caller must release() when done.
-func (g *ingestGate) acquire() bool {
-	if g == nil || g.maxInflight <= 0 {
+// admitSession reports whether open write sessions, the one asking
+// included, fit the in-flight budget; a refusal is counted.
+func (g *ingestGate) admitSession(open int64) bool {
+	if g == nil || g.maxInflight <= 0 || open <= g.maxInflight {
 		return true
 	}
-	if g.inflight.Add(1) > g.maxInflight {
-		g.inflight.Add(-1)
-		g.inflightRejected.Add(1)
-		return false
-	}
-	return true
-}
-
-func (g *ingestGate) release() {
-	if g != nil && g.maxInflight > 0 {
-		g.inflight.Add(-1)
-	}
+	g.inflightRejected.Add(1)
+	return false
 }
 
 // admit charges n updates against client's bucket. A batch larger than

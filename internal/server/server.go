@@ -130,6 +130,13 @@ type Server struct {
 	// never double-counts.
 	gate *ingestGate
 	idem *idemStore
+	// writes counts open write sessions: /v1/ingest and /v1/stream
+	// requests from beginApply to endApply (apply.go). The in-flight
+	// budget reads it, and the end that drops it to 0 pokes writesEnded
+	// (cap 1, never blocking) so the push loop can close its debounce
+	// window as soon as the burst is over (subscribe.go).
+	writes      atomic.Int64
+	writesEnded chan struct{}
 	// clusterRep, when set, feeds the "cluster" sections of /v1/stats
 	// and /metrics.
 	clusterRep ClusterReporter
@@ -164,9 +171,11 @@ type Config struct {
 	// after merging. Nil leaves the engine in-memory only; /v1/checkpoint
 	// then answers 503.
 	Persist *store.Persistence
-	// SubscribeDebounce is how long the push loop absorbs a write burst
-	// before re-evaluating subscriptions (default 100ms); 0 pushes per
-	// mutation wakeup.
+	// SubscribeDebounce bounds how the push loop coalesces a write burst
+	// (default 100ms): a round starts once the last open write session
+	// ends, at most one debounce after the wakeup while one stays open,
+	// and never within one debounce of the previous round. A negative
+	// value pushes per mutation wakeup.
 	SubscribeDebounce time.Duration
 	// IngestRate caps each client's ingest throughput (updates/sec,
 	// token bucket keyed by client IP; 0 = unlimited) with IngestBurst
@@ -342,6 +351,7 @@ func NewWith(eng *engine.Engine, cfg Config) *Server {
 		maxSubscribers: maxSubscribers,
 		gate:           newIngestGate(cfg.IngestRate, cfg.IngestBurst, cfg.IngestInflight),
 		idem:           newIdemStore(),
+		writesEnded:    make(chan struct{}, 1),
 		clusterRep:     cfg.Cluster,
 	}
 	s.broadcast = newBroadcaster(s, cfg.SubscribeDebounce)
@@ -510,7 +520,7 @@ func (s *Server) handleIngest(r *http.Request) (int, any, error) {
 	if err != nil {
 		return http.StatusTooManyRequests, nil, err
 	}
-	defer s.gate.release()
+	defer s.endApply()
 	var req ingestRequest
 	if err := decodeStrict(r, maxIngestBody, &req); err != nil {
 		return http.StatusBadRequest, nil, err
@@ -625,7 +635,7 @@ func (s *Server) handleStats(r *http.Request) (int, any, error) {
 			"rate":                    s.gate.rate,
 			"burst":                   s.gate.burst,
 			"inflight_max":            s.gate.maxInflight,
-			"inflight_active":         s.gate.inflight.Load(),
+			"inflight_active":         s.writes.Load(),
 			"rate_limited_total":      s.gate.rateLimited.Load(),
 			"inflight_rejected_total": s.gate.inflightRejected.Load(),
 		}

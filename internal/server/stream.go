@@ -110,7 +110,7 @@ func (s *Server) handleStream(r *http.Request) (int, any, error) {
 	if err != nil {
 		return http.StatusTooManyRequests, nil, err
 	}
-	defer s.gate.release()
+	defer s.endApply()
 
 	s.wire.streamsActive.Add(1)
 	defer s.wire.streamsActive.Add(-1)

@@ -23,7 +23,7 @@ func streamBody(batches ...[]engine.Update) []byte {
 	return b
 }
 
-func postStream(t *testing.T, ts *httptest.Server, body []byte) (*http.Response, []byte) {
+func postStream(t testing.TB, ts *httptest.Server, body []byte) (*http.Response, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/stream", bytes.NewReader(body))
 	if err != nil {
@@ -37,6 +37,28 @@ func postStream(t *testing.T, ts *httptest.Server, body []byte) (*http.Response,
 	defer resp.Body.Close()
 	out, _ := io.ReadAll(resp.Body)
 	return resp, out
+}
+
+// openStream starts a /v1/stream request whose body the test writes
+// through the returned pipe; done closes once the response is read.
+func openStream(t *testing.T, ts *httptest.Server) (body *io.PipeWriter, done <-chan struct{}) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/stream", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", store.StreamContentType)
+	ch := make(chan struct{})
+	go func() {
+		defer close(ch)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	t.Cleanup(func() { pw.Close(); <-ch })
+	return pw, ch
 }
 
 func TestStreamAppliesFramesAndCounts(t *testing.T) {

@@ -25,7 +25,11 @@ import (
 // query set from the shared snapshot view (the single-flight per-version
 // result memo and the sparse sums make each round proportional to the
 // distinct queries times the sampled items, not the subscriber count
-// times the key count).
+// times the key count). The debounce is a bound, not a fixed wait: a
+// round starts as soon as the last open write session (a /v1/ingest or
+// /v1/stream request) has ended, and at most one debounce after the
+// first wakeup while a write is still in progress. Either way rounds
+// start at least one debounce apart.
 //
 // Queries come from the URL: either one query spelled as parameters
 // (statistic, func, p, c, estimator, plus comma-lists keys and ids), or
@@ -122,12 +126,14 @@ func (sub *subscriber) deliver(ev pushEvent, w *wireStats) {
 
 // broadcaster owns the subscriber registry and the push loop. The loop
 // runs only while subscribers exist: it wakes on the engine's coalesced
-// mutation signal, absorbs the burst for one debounce window, evaluates
-// each distinct query set once against one shared snapshot view, and
-// delivers to every subscriber the round reaches.
+// mutation signal, absorbs the burst until it is over (debounceWait),
+// evaluates each distinct query set once against one shared snapshot
+// view, and delivers to every subscriber the round reaches.
 type broadcaster struct {
 	s        *Server
 	debounce time.Duration
+	// lastRound is when the last round began; only the loop touches it.
+	lastRound time.Time
 
 	mu      sync.Mutex
 	subs    map[*subscriber]struct{}
@@ -209,6 +215,20 @@ func (b *broadcaster) loop() {
 			b.park()
 			return
 		}
+		// The round's snapshot covers every write signalled or ended
+		// before it begins: a wakeup still pending is absorbed into it
+		// rather than starting a round of its own, and only a session
+		// that ends later may close the next window early.
+		b.lastRound = time.Now()
+		select {
+		case <-sig:
+			b.s.wire.coalesced.Add(1)
+		default:
+		}
+		select {
+		case <-b.s.writesEnded:
+		default:
+		}
 		b.round()
 	}
 }
@@ -220,23 +240,44 @@ func (b *broadcaster) park() {
 	b.mu.Unlock()
 }
 
-// debounceWait absorbs mutation signals for one debounce window so a
-// write burst becomes one push round; it returns false when the server
-// started draining mid-window.
+// debounceWait absorbs mutation signals until the write burst is over,
+// so the burst becomes one push round. The window closes early once a
+// write session has ended since the last round began, none is open now
+// and one debounce has passed since that round began; otherwise it
+// closes one debounce after the wakeup, the longest a push waits behind
+// a write still in progress, and the close of every burst no session's
+// end accompanies (a direct Engine.IngestBatch, a coordinator's Sync).
+// It returns false when the server started draining mid-window.
 func (b *broadcaster) debounceWait(sig <-chan struct{}) bool {
 	if b.debounce <= 0 {
 		return true
 	}
 	timer := time.NewTimer(b.debounce)
 	defer timer.Stop()
+	// spacing fires once the last round is one debounce old; nil when it
+	// already is.
+	var spacing <-chan time.Time
+	if wait := b.debounce - time.Since(b.lastRound); wait > 0 {
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		spacing = t.C
+	}
+	ended := false
 	for {
 		select {
 		case <-sig:
 			b.s.wire.coalesced.Add(1)
+		case <-b.s.writesEnded:
+			ended = true
+		case <-spacing:
+			spacing = nil
 		case <-timer.C:
 			return true
 		case <-b.s.drainCtx.Done():
 			return false
+		}
+		if ended && spacing == nil && b.s.writes.Load() == 0 {
+			return true
 		}
 	}
 }

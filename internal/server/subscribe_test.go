@@ -47,7 +47,7 @@ type sseConn struct {
 	lastID string
 }
 
-func subscribeSSE(t *testing.T, ctx context.Context, url, rawQuery string) *sseConn {
+func subscribeSSE(t testing.TB, ctx context.Context, url, rawQuery string) *sseConn {
 	t.Helper()
 	full := url + "/v1/subscribe"
 	if rawQuery != "" {
@@ -74,13 +74,22 @@ func subscribeSSE(t *testing.T, ctx context.Context, url, rawQuery string) *sseC
 // next returns the next event's (type, data), skipping heartbeats.
 func (c *sseConn) next(t *testing.T) (string, []byte) {
 	t.Helper()
+	typ, data, err := c.readEvent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return typ, data
+}
+
+// readEvent is next for callers off the test goroutine.
+func (c *sseConn) readEvent() (string, []byte, error) {
 	typ, data := "", []byte(nil)
 	for c.sc.Scan() {
 		line := c.sc.Bytes()
 		switch {
 		case len(line) == 0:
 			if typ != "" {
-				return typ, data
+				return typ, data, nil
 			}
 		case line[0] == ':':
 		case bytes.HasPrefix(line, []byte("event: ")):
@@ -91,8 +100,50 @@ func (c *sseConn) next(t *testing.T) (string, []byte) {
 			data = append(data, line[len("data: "):]...)
 		}
 	}
-	t.Fatalf("SSE stream ended: %v", c.sc.Err())
-	return "", nil
+	return "", nil, fmt.Errorf("SSE stream ended: %v", c.sc.Err())
+}
+
+// pushes reads the connection's estimate events on a goroutine, so a
+// test can wait for one with a deadline; the channel closes when the
+// connection ends.
+func (c *sseConn) pushes() <-chan pushPayload {
+	// Room for every push a test leaves unread, so the reader never
+	// blocks past the connection's close.
+	ch := make(chan pushPayload, 64)
+	go func() {
+		defer close(ch)
+		for {
+			typ, data, err := c.readEvent()
+			if err != nil {
+				return
+			}
+			var p pushPayload
+			if typ == "estimate" && json.Unmarshal(data, &p) == nil {
+				ch <- p
+			}
+		}
+	}()
+	return ch
+}
+
+// awaitPush returns when the first push at or past version want arrived;
+// it fails the test when none arrives within the deadline.
+func awaitPush(t testing.TB, pushes <-chan pushPayload, want uint64, within time.Duration) time.Time {
+	t.Helper()
+	deadline := time.After(within)
+	for {
+		select {
+		case p, ok := <-pushes:
+			if !ok {
+				t.Fatalf("SSE stream ended before a push at version %d", want)
+			}
+			if p.Version >= want {
+				return time.Now()
+			}
+		case <-deadline:
+			t.Fatalf("no push at version %d within %v", want, within)
+		}
+	}
 }
 
 type pushPayload struct {
@@ -176,6 +227,95 @@ func TestSubscribeCoalescesWriteBursts(t *testing.T) {
 	}
 	if pushed := s.wire.pushed.Load(); pushed > 4 {
 		t.Fatalf("%d events pushed for one burst; want coalescing to a handful", pushed)
+	}
+}
+
+// pushBurst is a 4-frame write burst of two updates a frame, heavier
+// than everything before it so every frame moves the version.
+func pushBurst(round int) [][]engine.Update {
+	frames := make([][]engine.Update, 4)
+	for f := range frames {
+		w := float64(round*len(frames) + f + 1)
+		frames[f] = []engine.Update{{Instance: 0, Key: uint64(f), Weight: w}, {Instance: 1, Key: uint64(f), Weight: w}}
+	}
+	return frames
+}
+
+// The debounce window closes when the last write session ends. With a
+// debounce far past the deadline, a finished /v1/stream burst and a
+// finished /v1/ingest batch are each pushed at once; a session still
+// open, or a writer that opens none, waits the window out.
+func TestSubscribePushFollowsWriteSession(t *testing.T) {
+	const dash = "func=rg&p=1&estimator=lstar"
+	subscribed := func(t *testing.T, debounce time.Duration) (*httptest.Server, *engine.Engine, <-chan pushPayload) {
+		_, ts, eng := subTestServer(t, Config{SubscribeDebounce: debounce})
+		pushes := subscribeSSE(t, context.Background(), ts.URL, dash).pushes()
+		awaitPush(t, pushes, 0, 2*time.Second) // the initial push
+		return ts, eng, pushes
+	}
+	t.Run("stream ended", func(t *testing.T) {
+		ts, eng, pushes := subscribed(t, 10*time.Second)
+		if resp, out := postStream(t, ts, streamBody(pushBurst(0)...)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("stream status %d: %s", resp.StatusCode, out)
+		}
+		awaitPush(t, pushes, eng.Version(), 2*time.Second)
+	})
+	t.Run("ingest ended", func(t *testing.T) {
+		ts, eng, pushes := subscribed(t, 10*time.Second)
+		ingestJSON(t, ts.URL, `{"instance":0,"key":"a","weight":1},{"instance":1,"key":"a","weight":2}`)
+		awaitPush(t, pushes, eng.Version(), 2*time.Second)
+	})
+	const debounce = 300 * time.Millisecond
+	const early = 250 * time.Millisecond
+	t.Run("stream open", func(t *testing.T) {
+		ts, eng, pushes := subscribed(t, debounce)
+		body, _ := openStream(t, ts)
+		start := time.Now()
+		if _, err := body.Write(streamBody(pushBurst(0)[0])); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(2 * time.Second); eng.Version() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the held stream's frame was never applied")
+			}
+		}
+		// Another session ending does not close the window while the
+		// held one is still open.
+		ingestJSON(t, ts.URL, `{"instance":0,"key":"other","weight":1}`)
+		if d := awaitPush(t, pushes, 1, 2*time.Second).Sub(start); d < early {
+			t.Fatalf("pushed %v after a frame of a stream still open; want the %v window", d, debounce)
+		}
+	})
+	t.Run("engine writer", func(t *testing.T) {
+		_, eng, pushes := subscribed(t, debounce)
+		start := time.Now()
+		for _, f := range pushBurst(0) {
+			if err := eng.IngestBatch(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if d := awaitPush(t, pushes, eng.Version(), 2*time.Second).Sub(start); d < early {
+			t.Fatalf("pushed %v after a burst with no write session; want the %v window", d, debounce)
+		}
+	})
+}
+
+// Closing the window early never spaces rounds closer than one debounce:
+// back-to-back write sessions for 500ms at a 50ms debounce push at most
+// 500/50 + 2 rounds.
+func TestSubscribeEarlyCloseKeepsDebounceSpacing(t *testing.T) {
+	const debounce, span = 50 * time.Millisecond, 500 * time.Millisecond
+	s, ts, eng := subTestServer(t, Config{SubscribeDebounce: debounce})
+	pushes := subscribeSSE(t, context.Background(), ts.URL, "").pushes()
+	awaitPush(t, pushes, 0, 2*time.Second)
+	initial := s.wire.pushed.Load()
+	writes := 0
+	for end := time.Now().Add(span); time.Now().Before(end); writes++ {
+		ingestJSON(t, ts.URL, fmt.Sprintf(`{"instance":0,"key":"k%d","weight":1}`, writes))
+	}
+	awaitPush(t, pushes, eng.Version(), 2*time.Second)
+	if rounds := s.wire.pushed.Load() - initial; rounds > uint64(span/debounce)+2 {
+		t.Fatalf("%d rounds pushed for %d sessions over %v; want at most %d", rounds, writes, span, span/debounce+2)
 	}
 }
 

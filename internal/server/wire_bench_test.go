@@ -1,12 +1,15 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/store"
@@ -160,4 +163,42 @@ func BenchmarkSubscribeFanout(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSubscribePushLag measures ingest→push lag over loopback with
+// a 10ms debounce and one subscriber on the dash's first query. One op is
+// a 4-frame POST /v1/stream, then the wait until the subscriber holds a
+// push at or past the version the acknowledged stream left. Ops start one
+// debounce apart (untimed), as write bursts do, so the lag shows whether
+// a round starts when the stream ends or waits out the window.
+func BenchmarkSubscribePushLag(b *testing.B) {
+	const debounce = 10 * time.Millisecond
+	s := NewWith(newBenchServer(b, 1<<10).eng, Config{SubscribeDebounce: debounce})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pushes := subscribeSSE(b, ctx, ts.URL, "func=rg&p=1&estimator=lstar").pushes()
+	awaitPush(b, pushes, s.eng.Version(), 5*time.Second)
+	// The loaded engine's pending wakeup starts one round that finds the
+	// subscriber current; let it pass so the first op starts spaced too.
+	time.Sleep(2 * debounce)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		time.Sleep(debounce)
+		body := streamBody(pushBurst(i)...)
+		b.StartTimer()
+		resp, err := http.Post(ts.URL+"/v1/stream", store.StreamContentType, bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("stream status %d", resp.StatusCode)
+		}
+		awaitPush(b, pushes, s.eng.Version(), 5*time.Second)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
 }
