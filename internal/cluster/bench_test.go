@@ -127,13 +127,13 @@ func BenchmarkScatterGather(b *testing.B) {
 // the version-vector cache at work.
 func BenchmarkClusterQuery(b *testing.B) {
 	c := newBenchCluster(b, 3, 64<<10)
-	if _, _, err := c.coord.AcquireSnapshot(context.Background()); err != nil {
+	if _, _, err := syncRead(context.Background(), c.coord); err != nil {
 		b.Fatal(err)
 	}
 	before := c.coord.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.coord.AcquireSnapshot(context.Background()); err != nil {
+		if _, _, err := syncRead(context.Background(), c.coord); err != nil {
 			b.Fatal(err)
 		}
 	}

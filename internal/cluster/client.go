@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/server"
 	"repro/internal/store"
 )
 
@@ -102,8 +103,8 @@ func (n *nodeClient) commit(etag string, version, ingests uint64) {
 // missingEntry labels this node for a degraded block: the failure that
 // excluded it this round, and how stale its surviving (already-merged)
 // contribution to the view is.
-func (n *nodeClient) missingEntry(err error, now time.Time) MissingNode {
-	m := MissingNode{Node: n.addr, Error: err.Error(), StaleSeconds: -1}
+func (n *nodeClient) missingEntry(err error, now time.Time) server.MissingNode {
+	m := server.MissingNode{Node: n.addr, Error: err.Error(), StaleSeconds: -1}
 	if at := n.lastMergeAt.Load(); at > 0 && n.have.Load() {
 		m.LastMergedVersion = n.version.Load()
 		m.StaleSeconds = now.Sub(time.Unix(0, at)).Seconds()

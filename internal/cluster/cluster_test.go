@@ -116,6 +116,16 @@ func sumEstimators(t *testing.T, instances int, names ...string) map[string]estr
 	return ests
 }
 
+// syncRead is one coordinator read as internal/server performs it: sync
+// the nodes into the merge engine, serve its cached view, then read the
+// degraded label of the round that produced it.
+func syncRead(ctx context.Context, coord *cluster.Coordinator) (engine.SnapshotView, *server.Degraded, error) {
+	if err := coord.Sync(ctx); err != nil {
+		return engine.SnapshotView{}, nil, err
+	}
+	return coord.Engine().CachedView(0), coord.Degraded(), nil
+}
+
 // requireSameSnapshot asserts the two views describe byte-for-byte the
 // same sample: same keys, same per-item outcomes (seed, knowledge,
 // values, thresholds), same storage accounting, and — the acceptance
@@ -229,7 +239,7 @@ func TestClusterMatchesUnionEngine(t *testing.T) {
 	}
 	check := func(label string) {
 		t.Helper()
-		view, _, err := coord.AcquireSnapshot(context.Background())
+		view, _, err := syncRead(context.Background(), coord)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -256,12 +266,12 @@ func TestClusterMatchesUnionEngine(t *testing.T) {
 
 	// Version-vector caching: re-querying with no node writes re-fetches
 	// NOTHING — no 200s, no state bytes, only 304s.
-	if _, _, err := coord.AcquireSnapshot(context.Background()); err != nil {
+	if err := coord.Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	before := coord.Stats()
 	for i := 0; i < 2; i++ {
-		if _, _, err := coord.AcquireSnapshot(context.Background()); err != nil {
+		if err := coord.Sync(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,7 +295,7 @@ func TestClusterMatchesUnionEngine(t *testing.T) {
 	// routing and the merged snapshot is again bit-identical.
 	for i := range nodes {
 		nodes[i].stop()
-		if _, _, err := coord.AcquireSnapshot(context.Background()); err == nil {
+		if err := coord.Sync(context.Background()); err == nil {
 			t.Fatalf("query succeeded with node %d down", i)
 		} else {
 			var ne *cluster.NodeError
@@ -300,7 +310,7 @@ func TestClusterMatchesUnionEngine(t *testing.T) {
 
 	// Final full-trio sweep: the same bit-identity, now including
 	// ustar's quadrature path, over the post-restart state.
-	view, _, err := coord.AcquireSnapshot(context.Background())
+	view, _, err := syncRead(context.Background(), coord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +400,7 @@ func TestSyncPartialFailureKeepsSuccessfulFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	if _, _, err := coord.AcquireSnapshot(context.Background()); err != nil {
+	if err := coord.Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -405,11 +415,11 @@ func TestSyncPartialFailureKeepsSuccessfulFetch(t *testing.T) {
 		}
 		// Strict reads: the degraded sync fails — but the live node's
 		// fetched state must either merge now or stay fetchable later.
-		if _, _, err := coord.AcquireSnapshot(context.Background()); err == nil {
+		if err := coord.Sync(context.Background()); err == nil {
 			t.Fatalf("sync succeeded with node %d down", i)
 		}
 		nodes[i] = nodes[i].restart()
-		view, _, err := coord.AcquireSnapshot(context.Background())
+		view, _, err := syncRead(context.Background(), coord)
 		if err != nil {
 			t.Fatalf("sync after restart of node %d: %v", i, err)
 		}
@@ -447,7 +457,7 @@ func TestClusterSeedMismatch(t *testing.T) {
 	}
 	defer coord.Close()
 
-	_, _, err = coord.AcquireSnapshot(context.Background())
+	err = coord.Sync(context.Background())
 	if err == nil {
 		t.Fatal("seed-mismatched node merged cleanly")
 	}

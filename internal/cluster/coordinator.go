@@ -12,32 +12,35 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/server"
 )
 
 // Coordinator fronts a cluster of monestd nodes with the full single-node
-// serving surface. It satisfies internal/server's SnapshotSource (reads:
-// scatter-gather the nodes' reduced sketch states, fold them into a local
-// merge engine, serve its snapshot) and Ingestor (writes: route each
-// request's frames by ring owner over one binary stream per owner node,
-// answering once every owner has answered — route.go). Correctness rests
-// on lossless coordinated-sketch merging: the merge engine's snapshot is
-// bit-identical to a single engine fed the union stream, so every
-// estimator, cache and push layer above works unchanged. Each node ships
-// only its global bottom-(k+1) per instance (plus its key registry when
-// that changed): under coordinated ranks the union's bottom-(k+1) lies
-// inside the union of the nodes' own.
+// serving surface. It satisfies internal/server's SnapshotSource (Sync:
+// scatter-gather the nodes' reduced sketch states and fold them into the
+// local merge engine the server is built over, which then serves its own
+// cached view), Ingestor (writes: route each request's frames by ring
+// owner over one binary stream per owner node, answering once every
+// owner has answered — route.go) and ClusterReporter (the degraded label
+// and counters). Correctness rests on lossless coordinated-sketch
+// merging: the merge engine's snapshot is bit-identical to a single
+// engine fed the union stream, so every estimator, cache and push layer
+// above works unchanged. Each node ships only its global bottom-(k+1)
+// per instance (plus its key registry when that changed): under
+// coordinated ranks the union's bottom-(k+1) lies inside the union of
+// the nodes' own.
 //
 // Consistency model: governed by Config.ReadPolicy. Strict (default):
-// a query triggers one version-vector sync — each node answers a
+// a read runs one version-vector sync — each node answers a
 // /v1/export?since=<cursor> fetch, transferring ≤ r·(k+1) entries only
 // when its version advanced (steady state: N tiny 304s, zero state bytes,
 // no merge) — and any unreachable node fails the read with a
 // degraded-mode error (HTTP 503 through internal/server) rather than
 // silently serving estimates missing a key range. Partial/quorum
 // policies instead serve the merged view from the reachable subset when
-// the policy floor is met, attaching an explicit Degraded block (never a
-// silent partial answer); only Unavailable-class failures are maskable —
-// a seed mismatch or merge failure always fails the round.
+// the policy floor is met, labeled by Degraded (never a silent partial
+// answer); only Unavailable-class failures are maskable — a seed
+// mismatch or merge failure always fails the round.
 type Coordinator struct {
 	ring  *Ring
 	merge *engine.Engine
@@ -50,7 +53,7 @@ type Coordinator struct {
 
 	// degraded labels the last completed round: nil when every node was
 	// reached, else the missing-node block responses must carry.
-	degraded atomic.Pointer[Degraded]
+	degraded atomic.Pointer[server.Degraded]
 
 	// idemBase + idemSeq mint the Idempotency-Key of each routed
 	// upstream, one per (request, node). The base is random per
@@ -107,47 +110,10 @@ type coordStats struct {
 	degraded    atomic.Uint64
 }
 
-// Stats is a snapshot of the coordinator's scatter-gather counters.
-type Stats struct {
-	// Syncs counts completed scatter-gather rounds (degraded ones
-	// included; DegradedSyncs counts just those).
-	Syncs         uint64 `json:"syncs"`
-	DegradedSyncs uint64 `json:"degraded_syncs"`
-	// Fetches counts 200 sketch responses (node state actually
-	// transferred and merged); NotModified counts 304s (version vector
-	// hit — nothing re-fetched).
-	Fetches     uint64 `json:"fetches"`
-	NotModified uint64 `json:"not_modified"`
-	// StateBytes totals artifact bytes fetched from nodes.
-	StateBytes uint64 `json:"state_bytes"`
-	// RoutedUpdates counts updates forwarded to owner nodes: every
-	// update an owner acknowledged, including a failed write's shares
-	// that landed on live owners.
-	RoutedUpdates uint64 `json:"routed_updates"`
-	// Policy is the configured read policy; Nodes is per-node breaker
-	// and version-vector state.
-	Policy string      `json:"policy"`
-	Nodes  []NodeStats `json:"nodes"`
-}
-
-// NodeStats is one node's availability state as the coordinator sees it.
-type NodeStats struct {
-	Node    string `json:"node"`
-	Breaker string `json:"breaker"` // closed | open | half-open
-	// BreakerOpens counts closed/half-open → open transitions;
-	// ShortCircuits counts requests skipped without touching the wire.
-	BreakerOpens  uint64 `json:"breaker_opens"`
-	ShortCircuits uint64 `json:"short_circuits"`
-	// LastMergedVersion/StaleSeconds mirror the degraded-block labels
-	// (StaleSeconds -1 = never merged).
-	LastMergedVersion uint64  `json:"last_merged_version"`
-	StaleSeconds      float64 `json:"stale_seconds"`
-}
-
 // New builds a coordinator and its empty merge engine. It performs no
 // I/O; the first read or poll tick populates the merge engine.
 func New(cfg Config) (*Coordinator, error) {
-	ring, err := NewRing(cfg.Engine.Hash, cfg.Nodes, DefaultVirtualNodes)
+	ring, err := NewRing(cfg.Engine.Hash, cfg.Nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -213,8 +179,8 @@ func (c *Coordinator) Ring() *Ring { return c.ring }
 
 // Stats returns the scatter-gather counters and per-node availability
 // state.
-func (c *Coordinator) Stats() Stats {
-	s := Stats{
+func (c *Coordinator) Stats() server.Stats {
+	s := server.Stats{
 		Syncs:         c.stats.syncs.Load(),
 		DegradedSyncs: c.stats.degraded.Load(),
 		Fetches:       c.stats.fetches.Load(),
@@ -225,7 +191,7 @@ func (c *Coordinator) Stats() Stats {
 	}
 	now := time.Now()
 	for _, n := range c.nodes {
-		ns := NodeStats{Node: n.addr, Breaker: breakerClosed.String(), StaleSeconds: -1}
+		ns := server.NodeStats{Node: n.addr, Breaker: breakerClosed.String(), StaleSeconds: -1}
 		if n.br != nil {
 			ns.Breaker = n.br.current().String()
 			ns.BreakerOpens = n.br.opens.Load()
@@ -241,10 +207,10 @@ func (c *Coordinator) Stats() Stats {
 }
 
 // Degraded returns the degraded block of the last completed round (nil
-// = the last round reached every node). The label pairs with the merge
-// engine's current view: a concurrent round can only make the view
-// fresher than the label claims, never staler.
-func (c *Coordinator) Degraded() *Degraded { return c.degraded.Load() }
+// = the last round reached every node). Read after Sync and the merge
+// engine's view, the label pairs with that view: a concurrent round can
+// only make the view fresher than the label claims, never staler.
+func (c *Coordinator) Degraded() *server.Degraded { return c.degraded.Load() }
 
 // idempotencyBase mints the per-instance key prefix.
 func idempotencyBase() string {
@@ -320,7 +286,7 @@ func (c *Coordinator) Sync(ctx context.Context) error {
 	wg.Wait()
 	var firstErr, firstUnavail error
 	reached := 0
-	var missing []MissingNode
+	var missing []server.MissingNode
 	now := time.Now()
 	for i, res := range results {
 		switch {
@@ -364,7 +330,7 @@ func (c *Coordinator) Sync(ctx context.Context) error {
 	}
 	if len(missing) > 0 {
 		c.stats.degraded.Add(1)
-		c.degraded.Store(&Degraded{
+		c.degraded.Store(&server.Degraded{
 			Policy:    c.cfg.ReadPolicy.String(),
 			Reachable: reached,
 			Total:     len(c.nodes),
@@ -375,20 +341,4 @@ func (c *Coordinator) Sync(ctx context.Context) error {
 	}
 	c.stats.syncs.Add(1)
 	return nil
-}
-
-// AcquireSnapshot implements internal/server's SnapshotSource: sync the
-// version vector, then cut the merge engine, labeling the view with the
-// degraded block of the round that produced it (nil = exact full union).
-// The returned view's version is the merge engine's mutation version — it
-// advances exactly when some node's folded-in state changed the merged
-// contents, so the server's per-version memo and the SSE id lines work
-// across the cluster unchanged. ctx (the serving request's context)
-// cancels in-flight node fetches, so a disconnected client or a draining
-// server does not hold the sync for timeout×(1+retries) per node.
-func (c *Coordinator) AcquireSnapshot(ctx context.Context) (engine.SnapshotView, *Degraded, error) {
-	if err := c.Sync(ctx); err != nil {
-		return engine.SnapshotView{}, nil, err
-	}
-	return c.merge.FreshView(), c.degraded.Load(), nil
 }

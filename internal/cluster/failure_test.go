@@ -142,7 +142,7 @@ func TestClusterDegradedReads(t *testing.T) {
 	for _, n := range nodes {
 		feed(n, 200)
 	}
-	view, deg, err := coord.AcquireSnapshot(ctx)
+	view, deg, err := syncRead(ctx, coord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestClusterDegradedReads(t *testing.T) {
 	nodes[2].stop()
 	feed(nodes[0], 150)
 	feed(nodes[1], 150)
-	view, deg, err = coord.AcquireSnapshot(ctx)
+	view, deg, err = syncRead(ctx, coord)
 	if err != nil {
 		t.Fatalf("quorum=2 read with 2/3 nodes up failed: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestClusterDegradedReads(t *testing.T) {
 	// Second node down: 1 < quorum floor 2 — the read must fail, with an
 	// Unavailable-class NodeError, not serve a silent partial.
 	nodes[1].stop()
-	if _, _, err := coord.AcquireSnapshot(ctx); err == nil {
+	if err := coord.Sync(ctx); err == nil {
 		t.Fatal("read served below the quorum floor")
 	} else {
 		var ne *cluster.NodeError
@@ -203,7 +203,7 @@ func TestClusterDegradedReads(t *testing.T) {
 	nodes[1] = nodes[1].restart()
 	nodes[2] = nodes[2].restart()
 	feed(nodes[2], 100)
-	view, deg, err = coord.AcquireSnapshot(ctx)
+	view, deg, err = syncRead(ctx, coord)
 	if err != nil {
 		t.Fatalf("read after heal: %v", err)
 	}
@@ -243,7 +243,7 @@ func newFaultCluster(tb testing.TB, nodeCount int, cfg engine.Config) *faultClus
 	return c
 }
 
-func nodeStatsFor(tb testing.TB, coord *cluster.Coordinator, url string) cluster.NodeStats {
+func nodeStatsFor(tb testing.TB, coord *cluster.Coordinator, url string) server.NodeStats {
 	tb.Helper()
 	for _, ns := range coord.Stats().Nodes {
 		if ns.Node == url {
@@ -251,7 +251,7 @@ func nodeStatsFor(tb testing.TB, coord *cluster.Coordinator, url string) cluster
 		}
 	}
 	tb.Fatalf("no node stats for %s", url)
-	return cluster.NodeStats{}
+	return server.NodeStats{}
 }
 
 // TestBreakerLifecycle drives the per-node circuit breaker through its

@@ -67,30 +67,3 @@ func (p ReadPolicy) floor(total int) int {
 		return total
 	}
 }
-
-// Degraded labels a partial read: which policy allowed it, how many
-// nodes answered, and — per missing node — how stale its last-merged
-// contribution (still present in the served view; folds are monotone)
-// is. A response carrying this block is an explicit lower bound on the
-// full-union estimate, per the monotone-estimation license: estimates
-// from a subset of the coordinated samples stay well-defined, they just
-// cover less. Absent block = exact full union.
-type Degraded struct {
-	Policy    string        `json:"policy"`
-	Reachable int           `json:"reachable"`
-	Total     int           `json:"total"`
-	Missing   []MissingNode `json:"missing"`
-}
-
-// MissingNode names one node a degraded round could not reach.
-type MissingNode struct {
-	Node  string `json:"node"`
-	Error string `json:"error"`
-	// LastMergedVersion is the node's engine version at its last merged
-	// fetch — the staleness of its surviving contribution to the view.
-	LastMergedVersion uint64 `json:"last_merged_version"`
-	// StaleSeconds is how long ago that merge happened (-1: this node's
-	// state has never been merged, so the view holds nothing from it).
-	StaleSeconds float64 `json:"stale_seconds"`
-	NeverMerged  bool    `json:"never_merged,omitempty"`
-}

@@ -20,15 +20,15 @@ import (
 	"repro/internal/sampling"
 )
 
-// DefaultVirtualNodes is the per-node vnode count every coordinator
-// uses: enough points that key ownership splits within a few percent of
-// evenly for small clusters, cheap enough to rebuild instantly.
-const DefaultVirtualNodes = 64
+// virtualNodes is the per-node vnode count every ring uses: enough
+// points that key ownership splits within a few percent of evenly for
+// small clusters, cheap enough to rebuild instantly.
+const virtualNodes = 64
 
 // Ring is a consistent-hash ring over node addresses. Placement is
 // deterministic from the engine's seed hash alone: every router built
-// with the same salt, node list and vnode count maps every key to the
-// same owner, with no coordination protocol. Keys map to the unit
+// with the same salt and node list maps every key to the same owner,
+// with no coordination protocol. Keys map to the unit
 // interval through the SAME hash.U the sketches use for seeds, and each
 // node claims the arc below each of its virtual points — so adding a
 // node moves only the keys landing on its new arcs (the consistent-
@@ -42,13 +42,10 @@ type Ring struct {
 
 // NewRing builds the ring. Nodes must be non-empty and distinct (the
 // address IS the ring identity; a duplicate would silently double a
-// node's share). vnodes <= 0 means DefaultVirtualNodes.
-func NewRing(hash sampling.SeedHash, nodes []string, vnodes int) (*Ring, error) {
+// node's share).
+func NewRing(hash sampling.SeedHash, nodes []string) (*Ring, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one node")
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
 	}
 	seen := make(map[string]bool, len(nodes))
 	for _, n := range nodes {
@@ -63,16 +60,16 @@ func NewRing(hash sampling.SeedHash, nodes []string, vnodes int) (*Ring, error) 
 	r := &Ring{
 		hash:  hash,
 		nodes: append([]string(nil), nodes...),
-		pos:   make([]float64, 0, len(nodes)*vnodes),
-		owner: make([]int32, 0, len(nodes)*vnodes),
+		pos:   make([]float64, 0, len(nodes)*virtualNodes),
+		owner: make([]int32, 0, len(nodes)*virtualNodes),
 	}
 	type point struct {
 		pos  float64
 		node int32
 	}
-	pts := make([]point, 0, len(nodes)*vnodes)
+	pts := make([]point, 0, len(nodes)*virtualNodes)
 	for i, n := range nodes {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			// The vnode key is a string so two nodes' points can never
 			// collide by construction ("a#12" != "b#12"); hash.U then
 			// places it exactly as it would seed an item key.

@@ -11,11 +11,11 @@ import (
 // same owner — coordinators need no coordination protocol to agree.
 func TestRingDeterministic(t *testing.T) {
 	nodes := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r1, err := NewRing(sampling.NewSeedHash(11), nodes, 0)
+	r1, err := NewRing(sampling.NewSeedHash(11), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewRing(sampling.NewSeedHash(11), nodes, 0)
+	r2, err := NewRing(sampling.NewSeedHash(11), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +31,11 @@ func TestRingDeterministic(t *testing.T) {
 // from the engine's seed hash" claim is vacuous).
 func TestRingSaltChangesPlacement(t *testing.T) {
 	nodes := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r1, err := NewRing(sampling.NewSeedHash(1), nodes, 0)
+	r1, err := NewRing(sampling.NewSeedHash(1), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewRing(sampling.NewSeedHash(2), nodes, 0)
+	r2, err := NewRing(sampling.NewSeedHash(2), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +50,13 @@ func TestRingSaltChangesPlacement(t *testing.T) {
 	}
 }
 
-// TestRingBalance checks that DefaultVirtualNodes spreads ownership
+// TestRingBalance checks that the ring's vnode count spreads ownership
 // usefully: with 3 nodes every node owns a non-trivial share. The bound
 // is deliberately loose (vnode placement is hash-random); the point is
 // to catch a ring that starves a member, not to pin the distribution.
 func TestRingBalance(t *testing.T) {
 	nodes := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r, err := NewRing(sampling.NewSeedHash(7), nodes, 0)
+	r, err := NewRing(sampling.NewSeedHash(7), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func TestRingConsistentGrowth(t *testing.T) {
 	hash := sampling.NewSeedHash(5)
 	old3 := []string{"http://a:1", "http://b:1", "http://c:1"}
 	new4 := append(append([]string(nil), old3...), "http://d:1")
-	r3, err := NewRing(hash, old3, 0)
+	r3, err := NewRing(hash, old3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := NewRing(hash, new4, 0)
+	r4, err := NewRing(hash, new4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,16 +110,16 @@ func TestRingConsistentGrowth(t *testing.T) {
 // TestRingValidation covers the constructor's rejection paths.
 func TestRingValidation(t *testing.T) {
 	hash := sampling.NewSeedHash(1)
-	if _, err := NewRing(hash, nil, 0); err == nil {
+	if _, err := NewRing(hash, nil); err == nil {
 		t.Error("empty node list accepted")
 	}
-	if _, err := NewRing(hash, []string{"http://a:1", "http://a:1"}, 0); err == nil {
+	if _, err := NewRing(hash, []string{"http://a:1", "http://a:1"}); err == nil {
 		t.Error("duplicate node address accepted")
 	}
-	if _, err := NewRing(hash, []string{"http://a:1", ""}, 0); err == nil {
+	if _, err := NewRing(hash, []string{"http://a:1", ""}); err == nil {
 		t.Error("blank node address accepted")
 	}
-	r, err := NewRing(hash, []string{"solo"}, 3)
+	r, err := NewRing(hash, []string{"solo"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -224,7 +224,7 @@ func TestRoutedStreamTornShareResumes(t *testing.T) {
 	if err != nil || sum.Frames != len(frames)-want {
 		t.Fatalf("resumed stream: %+v, %v", sum, err)
 	}
-	view, _, err := c.coord.AcquireSnapshot(context.Background())
+	view, _, err := syncRead(context.Background(), c.coord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestRoutedJSONBatchLargerThanOneFrame(t *testing.T) {
 	if err := union.IngestBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	view, _, err := c.coord.AcquireSnapshot(context.Background())
+	view, _, err := syncRead(context.Background(), c.coord)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func TestSketchSyncMatchesFullExports(t *testing.T) {
 	}
 	check := func(label string) {
 		t.Helper()
-		view, _, err := coord.AcquireSnapshot(ctx)
+		view, _, err := syncRead(ctx, coord)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

@@ -4,7 +4,7 @@ package server
 // (token buckets + in-flight budget, the structured 429 contract),
 // stream idempotency replay, the /readyz readiness probe, and the
 // degraded block every snapshot-backed response must carry when the
-// snapshot source serves a partial cluster view.
+// cluster reporter labels the view partial.
 
 import (
 	"bytes"
@@ -20,7 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/sampling"
 	"repro/internal/store"
@@ -346,32 +345,28 @@ func TestReadyz(t *testing.T) {
 	})
 }
 
-// toggleSource is a SnapshotSource that fails, as a coordinator below its
-// read-policy floor does, until ready is set.
+// toggleSource is a SnapshotSource whose Sync fails, as a coordinator
+// below its read-policy floor does, until ready is set.
 type toggleSource struct{ ready atomic.Bool }
 
-func (t *toggleSource) AcquireSnapshot(context.Context) (engine.SnapshotView, *cluster.Degraded, error) {
+func (t *toggleSource) Sync(context.Context) error {
 	if !t.ready.Load() {
-		return engine.SnapshotView{}, nil, errors.New("read-policy floor unmet: 1/3 nodes reachable")
+		return errors.New("read-policy floor unmet: 1/3 nodes reachable")
 	}
-	return engine.SnapshotView{}, nil, nil
+	return nil
 }
 
-// degradedSource is a SnapshotSource that serves a plain engine view
-// labeled with a fixed degraded block — the server-side seam the cluster
-// coordinator plugs into.
-type degradedSource struct {
-	eng *engine.Engine
-	deg *cluster.Degraded
-}
+// degradedReporter is a ClusterReporter whose last round missed a node —
+// the one place a server takes the degraded label from.
+type degradedReporter struct{ deg *Degraded }
 
-func (d degradedSource) AcquireSnapshot(ctx context.Context) (engine.SnapshotView, *cluster.Degraded, error) {
-	return d.eng.FreshView(), d.deg, nil
-}
+func (d degradedReporter) Stats() Stats        { return Stats{Policy: d.deg.Policy} }
+func (d degradedReporter) Degraded() *Degraded { return d.deg }
 
-// TestDegradedBlockOnResponses verifies every snapshot-backed response
-// shape names the missing node when the source serves a partial view:
-// the query endpoint and the SSE push.
+// TestDegradedBlockOnResponses verifies every response shape names the
+// missing node when the cluster reporter labels the view partial: the
+// query endpoint, the SSE push, /v1/stats' cluster section and the
+// /metrics gauge.
 func TestDegradedBlockOnResponses(t *testing.T) {
 	eng, err := engine.New(engine.Config{Instances: 2, K: 16, Shards: 4, Hash: sampling.NewSeedHash(1)})
 	if err != nil {
@@ -380,17 +375,17 @@ func TestDegradedBlockOnResponses(t *testing.T) {
 	if err := eng.Ingest(0, 1, 2.5); err != nil {
 		t.Fatal(err)
 	}
-	deg := &cluster.Degraded{
+	deg := &Degraded{
 		Policy:    "quorum=2",
 		Reachable: 2,
 		Total:     3,
-		Missing: []cluster.MissingNode{{
+		Missing: []MissingNode{{
 			Node:  "http://node2:8080",
 			Error: "connection refused",
 		}},
 	}
 	s := NewWith(eng, Config{
-		Snapshots:         degradedSource{eng: eng, deg: deg},
+		Cluster:           degradedReporter{deg},
 		SubscribeDebounce: 5 * time.Millisecond,
 	})
 	ts := httptest.NewServer(s)
@@ -398,18 +393,21 @@ func TestDegradedBlockOnResponses(t *testing.T) {
 	// registered later) must run before the server shuts down.
 	t.Cleanup(ts.Close)
 
+	assertBlock := func(label string, got *Degraded) {
+		t.Helper()
+		if got == nil || len(got.Missing) != 1 || got.Missing[0].Node != "http://node2:8080" {
+			t.Fatalf("%s: degraded block = %+v, want missing http://node2:8080", label, got)
+		}
+	}
 	assertDegraded := func(label string, raw []byte) {
 		t.Helper()
 		var body struct {
-			Degraded *cluster.Degraded `json:"degraded"`
+			Degraded *Degraded `json:"degraded"`
 		}
 		if err := json.Unmarshal(raw, &body); err != nil {
 			t.Fatalf("%s: %v in %s", label, err, raw)
 		}
-		if body.Degraded == nil || len(body.Degraded.Missing) != 1 ||
-			body.Degraded.Missing[0].Node != "http://node2:8080" {
-			t.Fatalf("%s: degraded block = %+v, want missing http://node2:8080", label, body.Degraded)
-		}
+		assertBlock(label, body.Degraded)
 	}
 
 	resp, out := postRawJSON(t, ts.URL+"/v1/query", map[string]any{
@@ -428,6 +426,32 @@ func TestDegradedBlockOnResponses(t *testing.T) {
 		}
 		assertDegraded("subscribe push", data)
 		break
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Cluster struct {
+			Degraded *Degraded `json:"degraded"`
+		} `json:"cluster"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBlock("stats cluster", stats.Cluster.Degraded)
+
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !bytes.Contains(metrics, []byte("\nmonest_cluster_degraded 1\n")) {
+		t.Fatalf("metrics lack monest_cluster_degraded 1:\n%s", metrics)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/estreg"
 	"repro/internal/funcs"
@@ -84,7 +83,7 @@ type queryResponse struct {
 	// Degraded is present when the snapshot was assembled without every
 	// cluster node (partial/quorum read policy): the results are
 	// well-defined lower-bound estimates over the reachable subset.
-	Degraded *cluster.Degraded `json:"degraded,omitempty"`
+	Degraded *Degraded `json:"degraded,omitempty"`
 }
 
 // snapshotInfo summarizes the shared snapshot a batch was answered from.
@@ -329,7 +328,7 @@ func (s *Server) handleQuery(r *http.Request) (int, any, error) {
 	// cache, so a batch against an unchanged engine takes no shard locks
 	// and does no reduction work; repeated queries additionally resolve
 	// from the per-version result memo without re-running estimators.
-	view, degraded, err := s.snaps.AcquireSnapshot(r.Context())
+	view, degraded, err := s.acquire(r.Context())
 	if err != nil {
 		return acquireStatus(err), nil, err
 	}

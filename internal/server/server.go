@@ -25,8 +25,8 @@
 //	GET  /metrics             Prometheus text exposition
 //	GET  /healthz             liveness probe (process up; always 200)
 //	GET  /readyz              readiness probe: 503 while draining or
-//	                          while Config.Snapshots cannot serve a
-//	                          snapshot (cluster read-policy floor unmet)
+//	                          while Config.Snapshots cannot sync
+//	                          (cluster read-policy floor unmet)
 //
 // Item functions: rg (param p), rgplus (p), max, or, and, lincomb (comma
 // list c plus p). Estimators resolve through the estreg registry
@@ -49,12 +49,12 @@
 // engine contents; the version is also the key of the server's result
 // memo.
 //
-// Every read endpoint answers from ONE SnapshotSource — by default the
-// engine's versioned snapshot cache — and a per-version result memo
-// (snapshot.go): while no ingest intervenes, repeat queries take no shard
-// locks, re-reduce nothing, and re-run no estimators.
+// Every read endpoint answers from the engine's versioned snapshot cache,
+// after syncing Config.Snapshots when one is set, and a per-version
+// result memo (snapshot.go): while no ingest intervenes, repeat queries
+// take no shard locks, re-reduce nothing, and re-run no estimators.
 //
-// When the snapshot source serves partial cluster views (non-strict read
+// When Config.Cluster reports a partial cluster view (non-strict read
 // policies), every snapshot-backed response and SSE push carries an
 // explicit "degraded" block naming the missing nodes — a partial answer
 // is never presented as exact. The write path can apply backpressure
@@ -76,7 +76,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/estreg"
 	"repro/internal/funcs"
@@ -97,8 +96,8 @@ type Server struct {
 	mux        *http.ServeMux
 	started    time.Time
 	metrics    map[string]*endpointMetrics
-	// snaps is the one snapshot source every read endpoint answers from;
-	// memo caches evaluated results per snapshot version (snapshot.go).
+	// snaps, when set, is synced before every read of eng; memo caches
+	// evaluated results per snapshot version (snapshot.go).
 	snaps SnapshotSource
 	memo  atomic.Pointer[resultMemo]
 	// ingest is where /v1/ingest and /v1/stream updates land — the local
@@ -137,16 +136,55 @@ type Server struct {
 	// window as soon as the burst is over (subscribe.go).
 	writes      atomic.Int64
 	writesEnded chan struct{}
-	// clusterRep, when set, feeds the "cluster" sections of /v1/stats
-	// and /metrics.
+	// clusterRep, when set, labels reads with its degraded block and
+	// feeds the "cluster" sections of /v1/stats and /metrics.
 	clusterRep ClusterReporter
 }
 
-// ClusterReporter exposes coordinator state to /v1/stats and /metrics —
-// satisfied by *cluster.Coordinator.
+// ClusterReporter exposes coordinator state to responses, /v1/stats and
+// /metrics — satisfied by *cluster.Coordinator. Degraded labels the last
+// completed sync (nil = every node reached).
 type ClusterReporter interface {
-	Stats() cluster.Stats
-	Degraded() *cluster.Degraded
+	Stats() Stats
+	Degraded() *Degraded
+}
+
+// Stats is a snapshot of a cluster coordinator's scatter-gather counters:
+// the "cluster" section of /v1/stats.
+type Stats struct {
+	// Syncs counts completed scatter-gather rounds (degraded ones
+	// included; DegradedSyncs counts just those).
+	Syncs         uint64 `json:"syncs"`
+	DegradedSyncs uint64 `json:"degraded_syncs"`
+	// Fetches counts 200 sketch responses (node state actually
+	// transferred and merged); NotModified counts 304s (version vector
+	// hit — nothing re-fetched).
+	Fetches     uint64 `json:"fetches"`
+	NotModified uint64 `json:"not_modified"`
+	// StateBytes totals artifact bytes fetched from nodes.
+	StateBytes uint64 `json:"state_bytes"`
+	// RoutedUpdates counts updates forwarded to owner nodes: every
+	// update an owner acknowledged, including a failed write's shares
+	// that landed on live owners.
+	RoutedUpdates uint64 `json:"routed_updates"`
+	// Policy is the configured read policy; Nodes is per-node breaker
+	// and version-vector state.
+	Policy string      `json:"policy"`
+	Nodes  []NodeStats `json:"nodes"`
+}
+
+// NodeStats is one node's availability state as the coordinator sees it.
+type NodeStats struct {
+	Node    string `json:"node"`
+	Breaker string `json:"breaker"` // closed | open | half-open
+	// BreakerOpens counts closed/half-open → open transitions;
+	// ShortCircuits counts requests skipped without touching the wire.
+	BreakerOpens  uint64 `json:"breaker_opens"`
+	ShortCircuits uint64 `json:"short_circuits"`
+	// LastMergedVersion/StaleSeconds mirror the degraded-block labels
+	// (StaleSeconds -1 = never merged).
+	LastMergedVersion uint64  `json:"last_merged_version"`
+	StaleSeconds      float64 `json:"stale_seconds"`
 }
 
 // Config customizes a server beyond its engine.
@@ -155,12 +193,12 @@ type Config struct {
 	Registry *estreg.Registry
 	// DefaultEstimator is used when a request names none. Default "lstar".
 	DefaultEstimator string
-	// Snapshots overrides the snapshot source feeding every read
-	// endpoint; nil means the engine's versioned snapshot cache. A set
-	// source also backs GET /readyz: the server is ready while it can
-	// acquire a snapshot (a cluster coordinator meeting its read-policy
-	// floor). The engine's own cache is never cut by a probe — a node
-	// recovers before its listener opens, so answering at all is ready.
+	// Snapshots, when set, is synced before every read of the engine (a
+	// cluster coordinator over its own merge engine). It also backs GET
+	// /readyz: the server is ready while a sync succeeds (a coordinator
+	// meeting its read-policy floor). Nil serves the engine as it is — a
+	// node recovers before its listener opens, so answering at all is
+	// ready, and a probe never cuts its engine.
 	Snapshots SnapshotSource
 	// Ingest overrides where /v1/ingest and /v1/stream updates land; nil
 	// means the engine itself. A cluster coordinator supplies its routed
@@ -174,8 +212,7 @@ type Config struct {
 	// SubscribeDebounce bounds how the push loop coalesces a write burst
 	// (default 100ms): a round starts once the last open write session
 	// ends, at most one debounce after the wakeup while one stays open,
-	// and never within one debounce of the previous round. A negative
-	// value pushes per mutation wakeup.
+	// and never within one debounce of the previous round.
 	SubscribeDebounce time.Duration
 	// IngestRate caps each client's ingest throughput (updates/sec,
 	// token bucket keyed by client IP; 0 = unlimited) with IngestBurst
@@ -186,8 +223,9 @@ type Config struct {
 	// IngestInflight bounds concurrently-served ingest requests plus
 	// open streams (0 = unlimited); beyond it new work answers 429.
 	IngestInflight int
-	// Cluster, when set, adds coordinator scatter-gather, breaker and
-	// degraded-read state to /v1/stats and /metrics.
+	// Cluster, when set, labels every snapshot-backed response and push
+	// with its degraded block and adds coordinator scatter-gather,
+	// breaker and degraded-read state to /v1/stats and /metrics.
 	Cluster ClusterReporter
 }
 
@@ -324,10 +362,7 @@ func NewWith(eng *engine.Engine, cfg Config) *Server {
 	if cfg.DefaultEstimator == "" {
 		cfg.DefaultEstimator = "lstar"
 	}
-	if cfg.Snapshots == nil {
-		cfg.Snapshots = cachedSource{eng}
-	}
-	if cfg.SubscribeDebounce == 0 {
+	if cfg.SubscribeDebounce <= 0 {
 		cfg.SubscribeDebounce = 100 * time.Millisecond
 	}
 	if cfg.Ingest == nil {
@@ -660,14 +695,14 @@ func (s *Server) handleHealthz(*http.Request) (int, any, error) {
 }
 
 // handleReadyz is the readiness probe: 503 while draining or while a
-// configured snapshot source cannot serve (a cluster coordinator that
+// configured snapshot source cannot sync (a cluster coordinator that
 // cannot meet its read-policy floor). Like /healthz it skips checkParams.
 func (s *Server) handleReadyz(r *http.Request) (int, any, error) {
 	if s.draining() {
 		return http.StatusServiceUnavailable, nil, errDraining
 	}
-	if _, local := s.snaps.(cachedSource); !local {
-		if _, _, err := s.snaps.AcquireSnapshot(r.Context()); err != nil {
+	if s.snaps != nil {
+		if err := s.snaps.Sync(r.Context()); err != nil {
 			return http.StatusServiceUnavailable, nil, fmt.Errorf("not ready: %w", err)
 		}
 	}

@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -837,5 +842,30 @@ func TestServerAllowlistAndDefault(t *testing.T) {
 	names := body["estimators"].([]any)
 	if len(names) != 2 || names[0] != "ht" || names[1] != "ustar" {
 		t.Errorf("stats estimators = %v, want [ht ustar]", names)
+	}
+}
+
+// TestServerDoesNotImportCluster pins the dependency direction: the
+// cluster coordinator is one more SnapshotSource, Ingestor and
+// ClusterReporter built on this package, so nothing here may import it.
+func TestServerDoesNotImportCluster(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); path == "repro/internal/cluster" {
+				t.Errorf("%s imports %s", fset.Position(imp.Pos()), path)
+			}
+		}
 	}
 }

@@ -4,42 +4,72 @@ import (
 	"context"
 	"sync"
 
-	"repro/internal/cluster"
 	"repro/internal/engine"
 )
 
 // This file is the serving side of the engine's versioned snapshot cache:
-// one SnapshotSource feeds every endpoint, and a single-flight per-version
-// result memo turns repeat queries against an unchanged engine into pure
-// lookups — the steady-state read path takes no shard locks, does no
-// snapshot reduction and runs no estimator.
+// every endpoint reads the server's own engine, and a single-flight
+// per-version result memo turns repeat queries against an unchanged
+// engine into pure lookups — the steady-state read path takes no shard
+// locks, does no snapshot reduction and runs no estimator.
 
-// SnapshotSource yields the snapshot view a request is answered from. All
-// endpoints of a Server share one source; the view's Version keys the
-// server's per-version result memo, so a source must return versions that
-// change whenever the returned view's contents do. A source backed by
-// remote state (a cluster coordinator scatter-gathering node sketches)
-// may fail; an error implementing `Unavailable() bool` reporting true
-// maps to 503, anything else to 500 (see acquireStatus). ctx is the
-// serving request's context (or the server's drain context for the push
-// loop): remote-backed sources must honor it so an aborted request or a
-// shutdown cancels in-flight node traffic; local sources ignore it.
-//
-// The degraded block is nil for a complete view; a coordinator serving
-// under a partial/quorum read policy returns the block naming the node
-// contributions the view is missing. Snapshot-backed responses attach it
-// verbatim, so a consumer can always tell a complete answer from a
-// lower-bound one.
+// SnapshotSource brings the server's engine up to date before a read. A
+// cluster coordinator is one: its merge engine is the engine the server
+// is built over, and Sync folds the nodes' changed sketches into it.
+// Every read (/v1/query, each push round, the initial SSE push, /readyz)
+// runs Sync when a source is set, then serves the engine's cached view —
+// the view's Version keys the per-version result memo and the SSE ids.
+// A failed Sync fails the read: an error implementing `Unavailable()
+// bool` reporting true maps to 503, anything else to 500 (see
+// acquireStatus). ctx is the serving request's context (or the server's
+// drain context for the push loop), so an aborted request or a shutdown
+// cancels in-flight node traffic.
 type SnapshotSource interface {
-	AcquireSnapshot(ctx context.Context) (engine.SnapshotView, *cluster.Degraded, error)
+	Sync(ctx context.Context) error
 }
 
-// cachedSource is the default source: the engine's lock-free versioned
-// snapshot cache, always exact.
-type cachedSource struct{ eng *engine.Engine }
+// acquire syncs the source, when one is set, and returns the engine's
+// current view with the degraded label read after it: a concurrent sync
+// can then only make the view fresher than its label claims, never
+// staler.
+func (s *Server) acquire(ctx context.Context) (engine.SnapshotView, *Degraded, error) {
+	if s.snaps != nil {
+		if err := s.snaps.Sync(ctx); err != nil {
+			return engine.SnapshotView{}, nil, err
+		}
+	}
+	view := s.eng.CachedView(0)
+	if s.clusterRep == nil {
+		return view, nil, nil
+	}
+	return view, s.clusterRep.Degraded(), nil
+}
 
-func (c cachedSource) AcquireSnapshot(context.Context) (engine.SnapshotView, *cluster.Degraded, error) {
-	return c.eng.CachedView(0), nil, nil
+// Degraded labels a partial cluster read: which policy allowed it, how
+// many nodes answered, and — per missing node — how stale its last-merged
+// contribution (still present in the served view; folds are monotone)
+// is. A response carrying this block is an explicit lower bound on the
+// full-union estimate, per the monotone-estimation license: estimates
+// from a subset of the coordinated samples stay well-defined, they just
+// cover less. Absent block = exact full union.
+type Degraded struct {
+	Policy    string        `json:"policy"`
+	Reachable int           `json:"reachable"`
+	Total     int           `json:"total"`
+	Missing   []MissingNode `json:"missing"`
+}
+
+// MissingNode names one node a degraded round could not reach.
+type MissingNode struct {
+	Node  string `json:"node"`
+	Error string `json:"error"`
+	// LastMergedVersion is the node's engine version at its last merged
+	// fetch — the staleness of its surviving contribution to the view.
+	LastMergedVersion uint64 `json:"last_merged_version"`
+	// StaleSeconds is how long ago that merge happened (-1: this node's
+	// state has never been merged, so the view holds nothing from it).
+	StaleSeconds float64 `json:"stale_seconds"`
+	NeverMerged  bool    `json:"never_merged,omitempty"`
 }
 
 // maxMemoEntries caps one version's memo so an adversarial query stream

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/engine"
 )
 
@@ -249,9 +248,6 @@ func (b *broadcaster) park() {
 // end accompanies (a direct Engine.IngestBatch, a coordinator's Sync).
 // It returns false when the server started draining mid-window.
 func (b *broadcaster) debounceWait(sig <-chan struct{}) bool {
-	if b.debounce <= 0 {
-		return true
-	}
 	timer := time.NewTimer(b.debounce)
 	defer timer.Stop()
 	// spacing fires once the last round is one debounce old; nil when it
@@ -284,14 +280,15 @@ func (b *broadcaster) debounceWait(sig <-chan struct{}) bool {
 
 // round evaluates one push round: one shared snapshot view, one
 // evaluation and one encoded payload per distinct query set, one deliver
-// per subscriber not already at the round's version. A source failure
-// (cluster degraded) skips the round — the next mutation signal retries,
+// per subscriber not already at the round's version. A failed sync (a
+// cluster below its read-policy floor) skips the round — the next
+// mutation signal retries,
 // and subscribers keep their connections rather than seeing a push gap
 // dressed up as data.
 func (b *broadcaster) round() {
 	// No request context covers the push loop; the drain context cancels
 	// a round's in-flight cluster scatter-gather on shutdown.
-	view, degraded, err := b.s.snaps.AcquireSnapshot(b.s.drainCtx)
+	view, degraded, err := b.s.acquire(b.s.drainCtx)
 	if err != nil {
 		return
 	}
@@ -316,15 +313,15 @@ func (b *broadcaster) round() {
 // data payload — the exact result objects POST /v1/query returns for the
 // same specs at the same version, including the degraded block when the
 // view was assembled without every cluster node.
-func (s *Server) encodePush(queries []*plannedQuery, view engine.SnapshotView, memo *resultMemo, degraded *cluster.Degraded) []byte {
+func (s *Server) encodePush(queries []*plannedQuery, view engine.SnapshotView, memo *resultMemo, degraded *Degraded) []byte {
 	results := make([]queryResult, len(queries))
 	for i, q := range queries {
 		results[i] = s.evalMemoized(q, view, memo)
 	}
 	data, err := json.Marshal(struct {
-		Version  uint64            `json:"version"`
-		Results  []queryResult     `json:"results"`
-		Degraded *cluster.Degraded `json:"degraded,omitempty"`
+		Version  uint64        `json:"version"`
+		Results  []queryResult `json:"results"`
+		Degraded *Degraded     `json:"degraded,omitempty"`
 	}{view.Version, results, degraded})
 	if err != nil {
 		// queryResult always marshals; a failure here is a programming
@@ -453,7 +450,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) (int, e
 	// Registration precedes the initial push, so a mutation landing in
 	// between reaches this subscriber through the broadcaster; advance()
 	// keeps the two paths from reordering versions on the wire.
-	view, degraded, err := s.snaps.AcquireSnapshot(r.Context())
+	view, degraded, err := s.acquire(r.Context())
 	if err != nil {
 		return acquireStatus(err), err // deferred unregister cleans up
 	}

@@ -319,6 +319,20 @@ func TestSubscribeEarlyCloseKeepsDebounceSpacing(t *testing.T) {
 	}
 }
 
+// A debounce that is not positive — unset or negative — is the 100ms
+// default: every push round waits behind open writes and spaces itself.
+func TestSubscribeDebounceDefault(t *testing.T) {
+	eng, err := engine.New(engine.Config{Instances: 1, K: 4, Shards: 1, Hash: sampling.NewSeedHash(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []time.Duration{0, -time.Second} {
+		if got := NewWith(eng, Config{SubscribeDebounce: d}).broadcast.debounce; got != 100*time.Millisecond {
+			t.Errorf("SubscribeDebounce %v: debounce = %v, want 100ms", d, got)
+		}
+	}
+}
+
 // A subscriber that never reads must not block ingest or the broadcaster;
 // its oldest events are dropped and the last delivered event is the
 // newest state.
