@@ -63,10 +63,9 @@ type nodeClient struct {
 	addr    string // base URL, e.g. "http://127.0.0.1:9001"
 	hc      *http.Client
 	timeout time.Duration
-	// br short-circuits requests while the node looks dead (nil =
-	// breaker disabled); jitter feeds the full-jitter retry pauses.
-	// Fetches and routed streams share both — availability is a property
-	// of the node, not of the verb.
+	// br short-circuits requests while the node looks dead; jitter feeds
+	// the full-jitter retry pauses. Fetches and routed streams share both
+	// — availability is a property of the node, not of the verb.
 	br     *breaker
 	jitter *jitterSource
 	// lastMergeAt is when commit last ran (unix nanos; 0 = never) — the
@@ -74,20 +73,18 @@ type nodeClient struct {
 	lastMergeAt atomic.Int64
 	// etag is the /v1/export ETag of the last fetch whose state was
 	// MERGED — the coordinator's cursor for this node, sent as ?since= —
-	// and version its middle field, the node's engine version at that cut;
-	// have flags that they hold a real merge. ingests is the node's
-	// cumulative Ingests at that cut, so each fetch folds in only the
-	// increase. Only Coordinator.Sync writes these, via commit, and only
+	// and version its middle field, the node's engine version at that cut.
+	// ingests is the node's cumulative Ingests at that cut, so each fetch
+	// folds in only the increase. Only Coordinator.Sync writes these, via commit, and only
 	// after MergeState succeeded: a fetch whose state never reached the
 	// merge engine must not advance the cursor, or the node's next fetch
 	// answers 304 (or leaves out a registry the merge engine never saw)
 	// and the unmerged updates silently vanish from the merged view. etag
-	// and ingests are guarded by Coordinator.syncMu; version and have are
-	// atomics because Stats reads them outside a round.
+	// and ingests are guarded by Coordinator.syncMu; version is atomic
+	// because Stats reads it outside a round.
 	etag    string
 	ingests uint64
 	version atomic.Uint64
-	have    atomic.Bool
 }
 
 // commit records that the node's state at the cut labeled etag (engine
@@ -96,21 +93,30 @@ type nodeClient struct {
 func (n *nodeClient) commit(etag string, version, ingests uint64) {
 	n.etag, n.ingests = etag, ingests
 	n.version.Store(version)
-	n.have.Store(true)
 	n.lastMergeAt.Store(time.Now().UnixNano())
+}
+
+// lastMerged reports the engine version of the node's last merged state
+// and its age at now in seconds (-1 and ok = false before the first
+// merge): the staleness both Stats' nodes and degraded blocks' missing
+// entries carry. commit stores version before lastMergeAt, so a
+// non-zero lastMergeAt pairs with that commit's version or a later one.
+func (n *nodeClient) lastMerged(now time.Time) (version uint64, staleSeconds float64, ok bool) {
+	at := n.lastMergeAt.Load()
+	if at == 0 {
+		return 0, -1, false
+	}
+	return n.version.Load(), now.Sub(time.Unix(0, at)).Seconds(), true
 }
 
 // missingEntry labels this node for a degraded block: the failure that
 // excluded it this round, and how stale its surviving (already-merged)
 // contribution to the view is.
 func (n *nodeClient) missingEntry(err error, now time.Time) server.MissingNode {
-	m := server.MissingNode{Node: n.addr, Error: err.Error(), StaleSeconds: -1}
-	if at := n.lastMergeAt.Load(); at > 0 && n.have.Load() {
-		m.LastMergedVersion = n.version.Load()
-		m.StaleSeconds = now.Sub(time.Unix(0, at)).Seconds()
-	} else {
-		m.NeverMerged = true
-	}
+	m := server.MissingNode{Node: n.addr, Error: err.Error()}
+	var merged bool
+	m.LastMergedVersion, m.StaleSeconds, merged = n.lastMerged(now)
+	m.NeverMerged = !merged
 	return m
 }
 
@@ -128,18 +134,13 @@ func (n *nodeClient) missingEntry(err error, now time.Time) server.MissingNode {
 func (n *nodeClient) retrying(ctx context.Context, op func(ctx context.Context, probe bool) error) error {
 	var err error
 	for attempt := 0; ; attempt++ {
-		probe := false
-		if n.br != nil {
-			var ok bool
-			if ok, probe = n.br.allow(time.Now()); !ok {
-				return &NodeError{Addr: n.addr, Err: ErrBreakerOpen}
-			}
+		ok, probe := n.br.allow(time.Now())
+		if !ok {
+			return &NodeError{Addr: n.addr, Err: ErrBreakerOpen}
 		}
 		err = op(ctx, probe)
 		if err == nil {
-			if n.br != nil {
-				n.br.success()
-			}
+			n.br.success()
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -153,12 +154,10 @@ func (n *nodeClient) retrying(ctx context.Context, op func(ctx context.Context, 
 		}
 		ne, ok := err.(*NodeError)
 		unavailable := ok && ne.Unavailable()
-		if n.br != nil {
-			if unavailable {
-				n.br.failure(time.Now())
-			} else {
-				n.br.success()
-			}
+		if unavailable {
+			n.br.failure(time.Now())
+		} else {
+			n.br.success()
 		}
 		if !unavailable || attempt >= nodeRetries {
 			return err

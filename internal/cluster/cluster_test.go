@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -467,5 +468,21 @@ func TestClusterSeedMismatch(t *testing.T) {
 	}
 	if ne.Unavailable() {
 		t.Fatalf("seed mismatch reported as unavailable: %v", err)
+	}
+}
+
+// TestConfigHoldsDeploymentSettingsOnly pins cluster.Config to the
+// values a deployment sets. Breaker tuning and the node transport are
+// package constants that tests override through export_test.go; a
+// setting only tests need must not come back as a Config field.
+func TestConfigHoldsDeploymentSettingsOnly(t *testing.T) {
+	want := []string{"Nodes", "Engine", "Timeout", "ReadPolicy", "Poll"}
+	typ := reflect.TypeOf(cluster.Config{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		got = append(got, typ.Field(i).Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("cluster.Config fields = %v, want %v", got, want)
 	}
 }

@@ -86,19 +86,19 @@ type Config struct {
 	// ReadPolicy selects strict, partial or quorum reads (zero value =
 	// strict). Quorum must not exceed len(Nodes).
 	ReadPolicy ReadPolicy
-	// BreakerThreshold consecutive Unavailable-class failures open a
-	// node's circuit breaker (default 3; negative disables breakers).
-	// BreakerCooldown is how long an open breaker short-circuits before
-	// letting one half-open probe through (default 250ms).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Poll, when positive, runs a background sync loop so /v1/subscribe
 	// pushes fire on node-side mutations even with no query traffic.
 	Poll time.Duration
-	// Client is the HTTP client for node traffic (nil = a dedicated
-	// client with keep-alives, suitable for the 304-heavy steady state).
-	Client *http.Client
 }
+
+// Every node gets a circuit breaker: breakerThreshold consecutive
+// Unavailable-class failures open it, and an open breaker
+// short-circuits for breakerCooldown before letting one half-open
+// probe through.
+const (
+	breakerThreshold = 3
+	breakerCooldown  = 250 * time.Millisecond
+)
 
 // coordStats counts scatter-gather traffic (atomics; read via Stats).
 type coordStats struct {
@@ -128,16 +128,9 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("cluster: read quorum %d exceeds %d nodes",
 			cfg.ReadPolicy.Quorum, len(cfg.Nodes))
 	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 250 * time.Millisecond
-	}
-	hc := cfg.Client
-	if hc == nil {
-		hc = &http.Client{}
-	}
+	// One dedicated client with keep-alives, suited to the 304-heavy
+	// steady state.
+	hc := &http.Client{}
 	stopCtx, stop := context.WithCancel(context.Background())
 	c := &Coordinator{
 		ring:     ring,
@@ -155,12 +148,10 @@ func New(cfg Config) (*Coordinator, error) {
 			addr:    addr,
 			hc:      hc,
 			timeout: cfg.Timeout,
+			br:      newBreaker(breakerThreshold, breakerCooldown),
 			jitter:  &jitterSource{},
 		}
 		n.jitter.state.Store(jitterSeed + uint64(i)*0x9e3779b97f4a7c15)
-		if cfg.BreakerThreshold > 0 {
-			n.br = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-		}
 		c.nodes = append(c.nodes, n)
 	}
 	if cfg.Poll > 0 {
@@ -191,16 +182,13 @@ func (c *Coordinator) Stats() server.Stats {
 	}
 	now := time.Now()
 	for _, n := range c.nodes {
-		ns := server.NodeStats{Node: n.addr, Breaker: breakerClosed.String(), StaleSeconds: -1}
-		if n.br != nil {
-			ns.Breaker = n.br.current().String()
-			ns.BreakerOpens = n.br.opens.Load()
-			ns.ShortCircuits = n.br.shortCircuits.Load()
+		ns := server.NodeStats{
+			Node:          n.addr,
+			Breaker:       n.br.current().String(),
+			BreakerOpens:  n.br.opens.Load(),
+			ShortCircuits: n.br.shortCircuits.Load(),
 		}
-		if at := n.lastMergeAt.Load(); at > 0 && n.have.Load() {
-			ns.LastMergedVersion = n.version.Load()
-			ns.StaleSeconds = now.Sub(time.Unix(0, at)).Seconds()
-		}
+		ns.LastMergedVersion, ns.StaleSeconds, _ = n.lastMerged(now)
 		s.Nodes = append(s.Nodes, ns)
 	}
 	return s

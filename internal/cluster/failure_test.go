@@ -99,17 +99,18 @@ func TestClusterDegradedReads(t *testing.T) {
 	}()
 
 	coord, err := cluster.New(cluster.Config{
-		Nodes:  urls,
-		Engine: engine.Config{Instances: 2, K: 16, Shards: 4, Hash: hash},
-		// No breakers — the breaker lifecycle has its own test below.
-		Timeout:          2 * time.Second,
-		BreakerThreshold: -1,
-		ReadPolicy:       cluster.ReadPolicy{Mode: cluster.ReadQuorum, Quorum: 2},
+		Nodes:      urls,
+		Engine:     engine.Config{Instances: 2, K: 16, Shards: 4, Hash: hash},
+		Timeout:    2 * time.Second,
+		ReadPolicy: cluster.ReadPolicy{Mode: cluster.ReadQuorum, Quorum: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
+	// Breakers that never trip — the breaker lifecycle has its own test
+	// below.
+	cluster.SetBreakers(coord, cluster.NeverTrip, 0)
 
 	// The union oracle sees every update any node ever accepted. A
 	// different shard count pins layout independence, same as the main
@@ -273,17 +274,16 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	const timeout = 500 * time.Millisecond
 	coord, err := cluster.New(cluster.Config{
-		Nodes:            []string{fc.urls[0], proxied},
-		Engine:           cfg,
-		Timeout:          timeout,
-		BreakerThreshold: 3,
-		BreakerCooldown:  100 * time.Millisecond,
-		ReadPolicy:       cluster.ReadPolicy{Mode: cluster.ReadPartial},
+		Nodes:      []string{fc.urls[0], proxied},
+		Engine:     cfg,
+		Timeout:    timeout,
+		ReadPolicy: cluster.ReadPolicy{Mode: cluster.ReadPartial},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
+	cluster.SetBreakers(coord, 3, 100*time.Millisecond)
 	ctx := context.Background()
 
 	if err := fc.engs[0].Ingest(0, 1, 2.5); err != nil {
@@ -374,16 +374,16 @@ func TestCoordinatorReadinessFollowsReadPolicy(t *testing.T) {
 			}
 			defer proxy.Close()
 			coord, err := cluster.New(cluster.Config{
-				Nodes:           []string{fc.urls[0], fc.urls[1], proxy.URL()},
-				Engine:          cfg,
-				Timeout:         200 * time.Millisecond,
-				BreakerCooldown: 50 * time.Millisecond,
-				ReadPolicy:      tc.policy,
+				Nodes:      []string{fc.urls[0], fc.urls[1], proxy.URL()},
+				Engine:     cfg,
+				Timeout:    200 * time.Millisecond,
+				ReadPolicy: tc.policy,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer coord.Close()
+			cluster.SetBreakers(coord, cluster.BreakerThreshold, 50*time.Millisecond)
 			ts := httptest.NewServer(server.NewWith(coord.Engine(), server.Config{Snapshots: coord, Ingest: coord, Cluster: coord}))
 			defer ts.Close()
 			readyz := func() int {
@@ -432,12 +432,12 @@ func TestRoutedRetryAppliesOnce(t *testing.T) {
 		Nodes:   fc.urls,
 		Engine:  cfg,
 		Timeout: 5 * time.Second,
-		Client:  &http.Client{Transport: ft},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
+	cluster.SetNodeTransport(coord, ft)
 
 	batch := make([]engine.Update, 10)
 	oracle, err := engine.New(cfg)
@@ -517,11 +517,12 @@ func TestRoutedJournalFailureIsRetriedThenUnavailable(t *testing.T) {
 	}))
 	defer nodeSrv.Close()
 
-	coord, err := cluster.New(cluster.Config{Nodes: []string{nodeSrv.URL}, Engine: cfg, BreakerThreshold: -1})
+	coord, err := cluster.New(cluster.Config{Nodes: []string{nodeSrv.URL}, Engine: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
+	cluster.SetBreakers(coord, cluster.NeverTrip, 0)
 	front := httptest.NewServer(server.NewWith(coord.Engine(),
 		server.Config{Snapshots: coord, Ingest: coord, Cluster: coord}))
 	defer front.Close()
@@ -591,17 +592,16 @@ func deadNodeCluster(tb testing.TB, timeout time.Duration) (*cluster.Coordinator
 	tb.Cleanup(func() { proxy.Close() })
 
 	coord, err := cluster.New(cluster.Config{
-		Nodes:            []string{fc.urls[0], fc.urls[1], proxy.URL()},
-		Engine:           cfg,
-		Timeout:          timeout,
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Hour,
-		ReadPolicy:       cluster.ReadPolicy{Mode: cluster.ReadQuorum, Quorum: 2},
+		Nodes:      []string{fc.urls[0], fc.urls[1], proxy.URL()},
+		Engine:     cfg,
+		Timeout:    timeout,
+		ReadPolicy: cluster.ReadPolicy{Mode: cluster.ReadQuorum, Quorum: 2},
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(coord.Close)
+	cluster.SetBreakers(coord, 3, time.Hour)
 
 	for key := 0; key < 1024; key++ {
 		u := engine.Update{Instance: key % 2, Key: uint64(key), Weight: 1 + float64(key%97)}

@@ -81,11 +81,12 @@ func newRoutedCluster(tb testing.TB, n int, timeout time.Duration, nodeURL func(
 		}
 		nodes = append(nodes, url)
 	}
-	coord, err := cluster.New(cluster.Config{Nodes: nodes, Engine: routedConfig, Timeout: timeout, BreakerThreshold: -1})
+	coord, err := cluster.New(cluster.Config{Nodes: nodes, Engine: routedConfig, Timeout: timeout})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(coord.Close)
+	cluster.SetBreakers(coord, cluster.NeverTrip, 0)
 	c.coord = coord
 	c.front = httptest.NewServer(server.NewWith(coord.Engine(),
 		server.Config{Snapshots: coord, Ingest: coord, Cluster: coord}))
@@ -521,12 +522,12 @@ func TestRoutedProbeSettlesWhileClientIdles(t *testing.T) {
 	})
 	// A timeout past eventually's wait: an idle close cannot settle the
 	// probe in its place.
-	coord, err := cluster.New(cluster.Config{Nodes: nodes, Engine: routedConfig, Timeout: 10 * time.Second,
-		BreakerThreshold: 1, BreakerCooldown: 50 * time.Millisecond})
+	coord, err := cluster.New(cluster.Config{Nodes: nodes, Engine: routedConfig, Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
+	cluster.SetBreakers(coord, 1, 50*time.Millisecond)
 	front := httptest.NewServer(server.NewWith(coord.Engine(),
 		server.Config{Snapshots: coord, Ingest: coord, Cluster: coord}))
 	defer front.Close()

@@ -83,12 +83,12 @@ func TestSketchSyncMatchesFullExports(t *testing.T) {
 		Nodes:   urls,
 		Engine:  cfg,
 		Timeout: 5 * time.Second,
-		Client:  &http.Client{Transport: ft},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
+	cluster.SetNodeTransport(coord, ft)
 	ref, err := engine.New(engine.Config{Instances: 2, K: 16, Shards: 8, Hash: hash})
 	if err != nil {
 		t.Fatal(err)

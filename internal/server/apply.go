@@ -208,9 +208,8 @@ func (e *progressError) Unwrap() error { return e.err }
 // ingest whose owner node is down) is 503, a failed write-ahead journal
 // 500, anything else the request's fault — 400.
 func ingestStatus(err error) int {
-	var u interface{ Unavailable() bool }
 	switch {
-	case errors.As(err, &u) && u.Unavailable():
+	case unavailable(err):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, engine.ErrJournal):
 		return http.StatusInternalServerError

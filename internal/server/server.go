@@ -341,11 +341,17 @@ func (e engineIngestor) Ingest(_ context.Context, next func() ([]engine.Update, 
 // so clients and orchestrators can tell "backend gone" from "bad query";
 // everything else is a 500.
 func acquireStatus(err error) int {
-	var u interface{ Unavailable() bool }
-	if errors.As(err, &u) && u.Unavailable() {
+	if unavailable(err) {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError
+}
+
+// unavailable reports whether err advertises Unavailable(): the backend
+// (a cluster node, a routed owner) is gone rather than the request bad.
+func unavailable(err error) bool {
+	var u interface{ Unavailable() bool }
+	return errors.As(err, &u) && u.Unavailable()
 }
 
 // New returns a server wired to the engine with the default registry.
@@ -458,26 +464,20 @@ func (p *errorProbe) Write(b []byte) (int, error) {
 // route registers an instrumented handler. Handlers return a status code
 // and either a JSON-marshalable body or an error.
 func (s *Server) route(pattern string, h func(*http.Request) (int, any, error)) {
-	m := &endpointMetrics{}
-	s.metrics[pattern] = m
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
+	s.routeRaw(pattern, func(w http.ResponseWriter, r *http.Request) (int, error) {
 		code, body, err := h(r)
-		m.requests.Add(1)
-		m.latencyNS.Add(uint64(time.Since(start).Nanoseconds()))
-		if err != nil {
-			m.errors.Add(1)
-			writeError(w, code, err)
-			return
+		if err == nil {
+			writeJSON(w, code, body)
 		}
-		writeJSON(w, code, body)
+		return code, err
 	})
 }
 
 // routeRaw registers an instrumented handler that writes its own success
 // response (non-JSON endpoints: /v1/export, /metrics). On error the
 // handler must NOT have written headers yet; the structured JSON error
-// body is emitted here, as in route.
+// body is emitted here. route builds on it, so every endpoint shares
+// one metrics bookkeeping.
 func (s *Server) routeRaw(pattern string, h func(http.ResponseWriter, *http.Request) (int, error)) {
 	m := &endpointMetrics{}
 	s.metrics[pattern] = m

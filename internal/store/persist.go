@@ -70,8 +70,8 @@ func (p *Persistence) Checkpoint() (CheckpointStats, error) {
 	return p.st.Checkpoint(p.eng.DumpState)
 }
 
-// Sync forces journaled updates to stable storage (exposed for tests and
-// operators; the fsync policy drives it in normal operation).
+// Sync forces journaled updates to stable storage (the fsync policy
+// drives it in normal operation; the bench's store.fsync layer times it).
 func (p *Persistence) Sync() error { return p.st.Sync() }
 
 // Close writes a final checkpoint and closes the store. The caller must
