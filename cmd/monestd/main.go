@@ -70,7 +70,9 @@
 //
 // GET /healthz is liveness (process up — always 200); GET /readyz is
 // readiness (coordinator: the read policy is currently satisfiable;
-// node: store attached and recovery complete before the listener opens).
+// node: store attached and recovery complete before the listener opens;
+// a node that replayed a WAL tail checkpoints it after the listener
+// opens, beside serving).
 //
 // -pprof mounts net/http/pprof under /debug/pprof/ on the same listener.
 //
@@ -271,9 +273,11 @@ func run(o options) error {
 	logger := log.New(os.Stderr, "monestd: ", log.LstdFlags)
 
 	// Durability: recover before the listener exists (the engine must not
-	// see traffic until the journal is attached), then checkpoint on a
-	// timer and finally on shutdown.
+	// see traffic until the journal is attached), then compact a replayed
+	// tail and checkpoint on a timer beside serving, and finally on
+	// shutdown.
 	var persist *store.Persistence
+	replayed := 0 // WAL records the recovery replayed
 	if o.dataDir != "" {
 		st, err := store.Open(o.dataDir, store.Options{Fsync: fsyncPolicy})
 		if err != nil {
@@ -295,17 +299,7 @@ func run(o options) error {
 			msg += fmt.Sprintf(", %d corrupt checkpoint(s) skipped", rec.CheckpointsSkipped)
 		}
 		logger.Print(msg)
-		// Compact a non-trivial replay right away: the boot we just paid
-		// for becomes a checkpoint instead of being paid again next time.
-		if rec.Records > 0 {
-			began := time.Now()
-			if cs, err := p.Checkpoint(); err != nil {
-				logger.Printf("post-recovery checkpoint failed: %v", err)
-			} else {
-				logger.Printf("post-recovery checkpoint seq=%d in %v (%d keys, %d bytes)",
-					cs.Seq, time.Since(began).Round(time.Microsecond), cs.Keys, cs.Bytes)
-			}
-		}
+		replayed = rec.Records
 	}
 
 	srvCfg := server.Config{
@@ -345,6 +339,24 @@ func run(o options) error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
+	if replayed > 0 {
+		// Compact the replayed tail beside serving, so the next boot does
+		// not replay it again. Until the checkpoint lands the tail stays in
+		// the WAL, and replaying it twice is idempotent. One that loses the
+		// race to shutdown loses nothing: Close writes the final checkpoint.
+		go func() {
+			began := time.Now()
+			cs, err := persist.Checkpoint()
+			switch {
+			case errors.Is(err, store.ErrClosed):
+			case err != nil:
+				logger.Printf("post-recovery checkpoint failed: %v", err)
+			default:
+				logger.Printf("post-recovery checkpoint seq=%d in %v (%d keys, %d bytes)",
+					cs.Seq, time.Since(began).Round(time.Microsecond), cs.Keys, cs.Bytes)
+			}
+		}()
+	}
 	if persist != nil && o.checkpointIv > 0 {
 		go func() {
 			t := time.NewTicker(o.checkpointIv)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -13,6 +14,10 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
+	"repro/internal/sampling"
+	"repro/internal/store"
 )
 
 // freeAddr reserves a loopback port for the daemon under test.
@@ -170,6 +175,80 @@ func TestKillAndRestartRecoversState(t *testing.T) {
 		t.Fatalf("checkpoint status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestReplayedTailCheckpointsAfterReady: a node that boots on a crashed
+// data dir (a WAL tail, no checkpoint) is ready once the tail is
+// replayed, and compacts that tail into a checkpoint beside serving, also
+// with periodic checkpoints off. A restart then serves the same bytes.
+func TestReplayedTailCheckpointsAfterReady(t *testing.T) {
+	dir := t.TempDir()
+	o := baseOpts(freeAddr(t))
+	o.dataDir = dir
+	eng, err := engine.New(engine.Config{Instances: o.instances, K: o.k, Shards: o.shards, Hash: sampling.NewSeedHash(o.salt)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := store.Attach(eng, st); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	batch := make([]engine.Update, 500)
+	for i := range batch {
+		batch[i] = engine.Update{Instance: rng.Intn(o.instances), Key: uint64(rng.Intn(200)), Weight: rng.Float64() * 10}
+	}
+	if err := eng.IngestBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	// Store.Close flushes the WAL and, unlike Persistence.Close, writes no
+	// checkpoint: the directory is what a crash leaves.
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := store.EncodeState(eng.DumpState())
+	ckpts := func() []string {
+		names, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	if n := len(ckpts()); n != 0 {
+		t.Fatalf("crash-style dir holds %d checkpoints, want 0", n)
+	}
+
+	o.checkpointIv = 0
+	url, stop := startDaemon(t, o)
+	resp, err := http.Get(url + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/readyz %d after recovery, want 200", resp.StatusCode)
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(ckpts()) == 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			stop()
+			t.Fatal("no checkpoint of the replayed tail within 5s")
+		}
+	}
+	if got := export(t, url); !bytes.Equal(got, want) {
+		t.Fatalf("recovered export differs: %d bytes vs %d written", len(got), len(want))
+	}
+	stop()
+
+	o2 := baseOpts(freeAddr(t))
+	o2.dataDir = dir
+	url2, stop2 := startDaemon(t, o2)
+	defer stop2()
+	if got := export(t, url2); !bytes.Equal(got, want) {
+		t.Fatalf("export after restart differs: %d bytes vs %d written", len(got), len(want))
+	}
 }
 
 func TestPprofFlagMountsProfiles(t *testing.T) {

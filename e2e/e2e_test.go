@@ -10,18 +10,24 @@
 package e2e
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/streamclient"
 )
 
@@ -51,8 +57,39 @@ func freeAddr(t *testing.T) string {
 	return l.Addr().String()
 }
 
+// daemonLog collects a daemon's output, echoed to the test's stderr, so
+// a test can read what the daemon logged.
+type daemonLog struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *daemonLog) Write(p []byte) (int, error) {
+	os.Stderr.Write(p)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+// waitFor returns the submatches of re's first match in the log, waiting
+// up to timeout for one to appear.
+func (l *daemonLog) waitFor(t *testing.T, re *regexp.Regexp, timeout time.Duration) []string {
+	t.Helper()
+	for deadline := time.Now().Add(timeout); ; time.Sleep(10 * time.Millisecond) {
+		l.mu.Lock()
+		m := re.FindStringSubmatch(l.buf.String())
+		l.mu.Unlock()
+		if m != nil {
+			return m
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon logged no line matching %q within %v", re, timeout)
+		}
+	}
+}
+
 // startDaemon boots monestd and waits until /v1/stats answers.
-func startDaemon(t *testing.T, bin, addr, dataDir string) *exec.Cmd {
+func startDaemon(t *testing.T, bin, addr, dataDir string) (*exec.Cmd, *daemonLog) {
 	t.Helper()
 	cmd := exec.Command(bin,
 		"-addr", addr,
@@ -61,8 +98,9 @@ func startDaemon(t *testing.T, bin, addr, dataDir string) *exec.Cmd {
 		"-subscribe-debounce", "20ms",
 		"-checkpoint-interval", "0",
 	)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
+	log := &daemonLog{}
+	cmd.Stdout = log
+	cmd.Stderr = log
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +117,7 @@ func startDaemon(t *testing.T, bin, addr, dataDir string) *exec.Cmd {
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
-				return cmd
+				return cmd, log
 			}
 		}
 		if time.Now().After(deadline) {
@@ -92,7 +130,7 @@ func startDaemon(t *testing.T, bin, addr, dataDir string) *exec.Cmd {
 func TestFullWire(t *testing.T) {
 	monestd, loadgen := buildBinaries(t)
 	addr := freeAddr(t)
-	daemon := startDaemon(t, monestd, addr, t.TempDir())
+	daemon, _ := startDaemon(t, monestd, addr, t.TempDir())
 	base := "http://" + addr
 
 	// loadgen is the end-to-end assertion: binary streaming ingest over
@@ -155,5 +193,72 @@ func TestFullWire(t *testing.T) {
 	}
 	if err := daemon.Wait(); err != nil {
 		t.Fatalf("daemon exit: %v", err)
+	}
+}
+
+// TestDurableCrashRestart SIGKILLs a durable daemon after a streamed tail
+// and restarts it on the same data dir: the restart replays the tail,
+// serves, and checkpoints it in the background (-checkpoint-interval 0:
+// no timer), so once that checkpoint is logged a second SIGKILL and
+// restart replays nothing. Every boot serves the acknowledged bytes.
+func TestDurableCrashRestart(t *testing.T) {
+	monestd, _ := buildBinaries(t)
+	dir := t.TempDir()
+	addr := freeAddr(t)
+	daemon, _ := startDaemon(t, monestd, addr, dir)
+	base := "http://" + addr
+
+	const frames = 8
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	s, err := streamclient.OpenStream(ctx, nil, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for f := 0; f < frames; f++ {
+		batch := make([]engine.Update, 256)
+		for i := range batch {
+			batch[i] = engine.Update{Instance: rng.Intn(2), Key: uint64(rng.Intn(5000)), Weight: rng.Float64() * 10}
+		}
+		if err := s.Send(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sum, err := s.Close(); err != nil || sum.Frames != frames {
+		t.Fatalf("tail stream: %+v, %v", sum, err)
+	}
+	want := getBody(t, base+"/v1/export")
+
+	kill := func(cmd *exec.Cmd) {
+		t.Helper()
+		if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
+			t.Fatal(err)
+		}
+		cmd.Wait() // the exit status of a killed daemon is not news
+	}
+	replayed := regexp.MustCompile(`recovered .* replayed (\d+) records`)
+
+	kill(daemon)
+	addr = freeAddr(t)
+	base = "http://" + addr
+	daemon, log := startDaemon(t, monestd, addr, dir)
+	if m := log.waitFor(t, replayed, 5*time.Second); m[1] != fmt.Sprint(frames) {
+		t.Fatalf("first restart replayed %s records, want the %d-frame tail", m[1], frames)
+	}
+	if got := getBody(t, base+"/v1/export"); !bytes.Equal(got, want) {
+		t.Fatalf("export after SIGKILL differs: %d bytes vs %d acknowledged", len(got), len(want))
+	}
+	log.waitFor(t, regexp.MustCompile(`post-recovery checkpoint seq=\d+`), 10*time.Second)
+
+	kill(daemon)
+	addr = freeAddr(t)
+	base = "http://" + addr
+	_, log = startDaemon(t, monestd, addr, dir)
+	if m := log.waitFor(t, replayed, 5*time.Second); m[1] != "0" {
+		t.Fatalf("restart after the background checkpoint replayed %s records, want 0", m[1])
+	}
+	if got := getBody(t, base+"/v1/export"); !bytes.Equal(got, want) {
+		t.Fatalf("export after the second SIGKILL differs: %d bytes vs %d acknowledged", len(got), len(want))
 	}
 }

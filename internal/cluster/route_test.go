@@ -579,9 +579,12 @@ func TestRoutedIdleClientFreesNodeSlots(t *testing.T) {
 		if err := s.Send(ownedFrame(c.coord.Ring(), []int{0, 1, 2}, 30, &next, rng)); err != nil {
 			t.Fatal(err)
 		}
+		// Each node must first have opened this frame's upstream: before
+		// that, "no upstream active" also holds and the next frame would
+		// share this frame's stream.
 		eventually(t, "every idle upstream closed under an open client stream", func() bool {
-			for _, url := range c.urls {
-				if wire(t, url).ActiveStreams != 0 {
+			for i, url := range c.urls {
+				if c.streams[i].Load() < int64(f+1) || wire(t, url).ActiveStreams != 0 {
 					return false
 				}
 			}

@@ -506,6 +506,18 @@ func (sh *shard) slot(e *Engine, key uint64) uint32 {
 	return slot
 }
 
+// presize reserves room for n keys in an empty registry, so a bulk load
+// (applyState) grows no map or slice while it registers them. The caller
+// holds sh.mu.
+func (sh *shard) presize(e *Engine, n int) {
+	sh.index = make(map[uint64]uint32, n)
+	sh.keys = make([]uint64, 0, n)
+	sh.masks = make([]uint64, 0, n*e.maskWords)
+	for i := range sh.heaps {
+		sh.heaps[i].pos = make([]int32, 0, n)
+	}
+}
+
 // activate ORs set into word w of slot's mask and returns how many of its
 // bits were newly set. The caller holds sh.mu.
 func (sh *shard) activate(e *Engine, slot uint32, w int, set uint64) int {

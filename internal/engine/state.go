@@ -361,44 +361,79 @@ func (e *Engine) MergeState(st *State) error {
 	return nil
 }
 
-// applyState is the shared restore/merge walk. With countMuts, every
-// snapshot-visible change bumps the owning shard's mutation counter under
-// its lock (merge); without, counters are left for the caller (restore).
-// An entry registers its own key: it ORs its instance bit into the key's
-// registry mask, registering the key if needed, so a State whose entries name keys
-// absent from Keys (a compact SketchState, or a crafted artifact) still
-// leaves every retained entry's key in the registry — never an outcome
-// served at another key's position.
+// applyState is the shared restore/merge walk. It buckets st.Keys and
+// each instance's st.Entries by shard, stably, and takes each shard's
+// lock once: an empty registry is presized for the shard's keys, the keys
+// register and OR in their masks, then the entries fold instance by
+// instance. Each shard thus sees the sequence a walk of the whole state
+// in order would give it, so slot order, heaps and mutation counts are
+// that walk's. With countMuts, a shard's snapshot-visible changes bump its
+// mutation counter under its lock (merge); without, counters are left for
+// the caller (restore). An entry registers its own key: it ORs its
+// instance bit into the key's registry mask, registering the key if
+// needed, so a State whose entries name keys absent from Keys (a compact
+// SketchState, or a crafted artifact) still leaves every retained entry's
+// key in the registry — never an outcome served at another key's
+// position.
 func (e *Engine) applyState(st *State, countMuts bool) {
 	mw := maskWordsFor(st.Instances)
-	for j, key := range st.Keys {
-		sh := e.shards[e.shardOf(key)]
+	keyOrder, keyBounds := e.byShard(len(st.Keys), func(j int) uint64 { return st.Keys[j] })
+	entOrder, entBounds := make([][]uint32, len(st.Entries)), make([][]int, len(st.Entries))
+	for i, ents := range st.Entries {
+		entOrder[i], entBounds[i] = e.byShard(len(ents), func(j int) uint64 { return ents[j].Key })
+	}
+	for s, sh := range e.shards {
+		keys := keyOrder[keyBounds[s]:keyBounds[s+1]]
 		sh.mu.Lock()
-		slot := sh.slot(e, key)
+		if len(sh.keys) == 0 && len(keys) > 0 {
+			sh.presize(e, len(keys))
+		}
 		muts := uint64(0)
-		for w := 0; w < mw; w++ {
-			muts += uint64(sh.activate(e, slot, w, st.Masks[j*mw+w]))
+		for _, j := range keys {
+			slot := sh.slot(e, st.Keys[j])
+			for w := 0; w < mw; w++ {
+				muts += uint64(sh.activate(e, slot, w, st.Masks[int(j)*mw+w]))
+			}
+		}
+		for i, ents := range st.Entries {
+			word, bit := i/64, uint64(1)<<(i%64)
+			for _, j := range entOrder[i][entBounds[i][s]:entBounds[i][s+1]] {
+				en := ents[j]
+				slot := sh.slot(e, en.Key)
+				muts += uint64(sh.activate(e, slot, word, bit))
+				rank := sampling.Rank(sampling.RankPriority, e.cfg.Hash.U(en.Key), en.Weight)
+				if sh.heaps[i].update(slot, en.Key, en.Weight, rank) {
+					muts++
+				}
+			}
 		}
 		if countMuts {
 			sh.muts.Add(muts)
 		}
 		sh.mu.Unlock()
 	}
-	for i, ents := range st.Entries {
-		word, bit := i/64, uint64(1)<<(i%64)
-		for _, en := range ents {
-			sh := e.shards[e.shardOf(en.Key)]
-			sh.mu.Lock()
-			slot := sh.slot(e, en.Key)
-			muts := uint64(sh.activate(e, slot, word, bit))
-			rank := sampling.Rank(sampling.RankPriority, e.cfg.Hash.U(en.Key), en.Weight)
-			if sh.heaps[i].update(slot, en.Key, en.Weight, rank) {
-				muts++
-			}
-			if countMuts {
-				sh.muts.Add(muts)
-			}
-			sh.mu.Unlock()
-		}
+}
+
+// byShard groups the n items whose keys key(j) gives by shard, stably:
+// order lists item indices shard by shard, ascending within a shard, and
+// shard s's run is order[bounds[s]:bounds[s+1]]. Each key is mixed once;
+// shard ids fit a uint16 (New caps the count at 65536).
+func (e *Engine) byShard(n int, key func(j int) uint64) (order []uint32, bounds []int) {
+	sid := make([]uint16, n)
+	bounds = make([]int, len(e.shards)+1)
+	for j := range sid {
+		s := e.shardOf(key(j))
+		sid[j] = uint16(s)
+		bounds[s+1]++
 	}
+	for s := range e.shards {
+		bounds[s+1] += bounds[s]
+	}
+	next := slices.Clone(bounds)
+	order = make([]uint32, n)
+	for j, s := range sid {
+		order[next[s]] = uint32(j)
+		next[s]++
+	}
+	return order, bounds
 }

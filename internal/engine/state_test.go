@@ -505,3 +505,131 @@ func TestDumpStateMasksFollowKeys(t *testing.T) {
 		}
 	}
 }
+
+// applyStateReference is applyState as a per-key / per-entry walk: every
+// key, then every entry of instance 0, 1, …, each under its own shard
+// lock acquisition and mutation-counter bump. applyState buckets the same
+// walk by shard; TestApplyStateMatchesPerItemWalk holds the two equal.
+func applyStateReference(e *Engine, st *State, countMuts bool) {
+	mw := maskWordsFor(st.Instances)
+	for j, key := range st.Keys {
+		sh := e.shards[e.shardOf(key)]
+		sh.mu.Lock()
+		slot := sh.slot(e, key)
+		muts := uint64(0)
+		for w := 0; w < mw; w++ {
+			muts += uint64(sh.activate(e, slot, w, st.Masks[j*mw+w]))
+		}
+		if countMuts {
+			sh.muts.Add(muts)
+		}
+		sh.mu.Unlock()
+	}
+	for i, ents := range st.Entries {
+		word, bit := i/64, uint64(1)<<(i%64)
+		for _, en := range ents {
+			sh := e.shards[e.shardOf(en.Key)]
+			sh.mu.Lock()
+			slot := sh.slot(e, en.Key)
+			muts := uint64(sh.activate(e, slot, word, bit))
+			rank := sampling.Rank(sampling.RankPriority, e.cfg.Hash.U(en.Key), en.Weight)
+			if sh.heaps[i].update(slot, en.Key, en.Weight, rank) {
+				muts++
+			}
+			if countMuts {
+				sh.muts.Add(muts)
+			}
+			sh.mu.Unlock()
+		}
+	}
+}
+
+// TestApplyStateMatchesPerItemWalk: RestoreState and MergeState leave the
+// engine exactly as the per-item walk does — the same cut, the same
+// per-shard mutation counters and key counts, and inside every shard the
+// same registry slot order, masks and heap layout.
+func TestApplyStateMatchesPerItemWalk(t *testing.T) {
+	filled := func(cfg Config, seed int64, n, keyspace int) *Engine {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		if err := e.IngestBatch(randomUpdates(rng, n, cfg.Instances, keyspace)); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	wide := Config{Instances: 70, K: 6, Shards: 5, Hash: sampling.NewSeedHash(7)}
+	// crafted holds every retained entry of each instance, not only the
+	// bottom-(k+1), plus duplicates and keys absent from its registry: the
+	// per-shard heaps evict, update in place and register entry keys.
+	crafted := func() *State {
+		src := filled(testConfig(4), 5, 3000, 500)
+		st := src.DumpState()
+		st.Keys, st.Masks = st.Keys[:len(st.Keys)/3], st.Masks[:len(st.Keys)/3*maskWordsFor(st.Instances)]
+		rng := rand.New(rand.NewSource(6))
+		for i := range st.Entries {
+			st.Entries[i] = st.Entries[i][:0]
+			for n := 0; n < 400; n++ {
+				st.Entries[i] = append(st.Entries[i], StateEntry{Key: uint64(rng.Intn(700)), Weight: 0.01 + rng.Float64()*10})
+			}
+		}
+		return st
+	}
+	cases := []struct {
+		name   string
+		target func() *Engine // the engine the state lands in (twice)
+		st     func() *State
+		merge  bool
+	}{
+		{"restore", func() *Engine { e, _ := New(testConfig(7)); return e },
+			func() *State { return filled(testConfig(4), 1, 4000, 900).DumpState() }, false},
+		{"merge into non-empty", func() *Engine { return filled(testConfig(7), 2, 2500, 900) },
+			func() *State { return filled(testConfig(3), 3, 4000, 900).DumpState() }, true},
+		{"entries outside Keys", func() *Engine { return filled(testConfig(7), 4, 800, 900) }, crafted, true},
+		{"restore r=70", func() *Engine { e, _ := New(wide); return e },
+			func() *State { return filled(wide, 8, 6000, 400).DumpState() }, false},
+		{"merge r=70", func() *Engine { return filled(wide, 9, 3000, 400) },
+			func() *State { return filled(wide, 10, 6000, 400).DumpState() }, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := tc.st()
+			got, want := tc.target(), tc.target()
+			if tc.merge {
+				if err := got.MergeState(st); err != nil {
+					t.Fatal(err)
+				}
+				applyStateReference(want, st, true)
+				want.ingests.Add(st.Ingests)
+			} else {
+				if err := got.RestoreState(st); err != nil {
+					t.Fatal(err)
+				}
+				applyStateReference(want, st, false)
+				want.ingests.Store(st.Ingests)
+				want.shards[0].muts.Store(st.Version)
+			}
+			if !reflect.DeepEqual(got.DumpState(), want.DumpState()) {
+				t.Fatal("DumpState differs from the per-item walk's")
+			}
+			if g, w := got.Stats().PerShard, want.Stats().PerShard; !reflect.DeepEqual(g, w) {
+				t.Fatalf("PerShard %+v, per-item walk %+v", g, w)
+			}
+			for s := range got.shards {
+				g, w := got.shards[s], want.shards[s]
+				if !slices.Equal(g.keys, w.keys) || !slices.Equal(g.masks, w.masks) ||
+					g.activeEntries != w.activeEntries || !reflect.DeepEqual(g.index, w.index) {
+					t.Fatalf("shard %d registry differs from the per-item walk's", s)
+				}
+				for i := range g.heaps {
+					gh, wh := &g.heaps[i], &w.heaps[i]
+					if !slices.Equal(gh.es, wh.es) || !slices.Equal(gh.slots, wh.slots) || !slices.Equal(gh.pos, wh.pos) {
+						t.Fatalf("shard %d instance %d heap differs from the per-item walk's", s, i)
+					}
+				}
+			}
+		})
+	}
+}

@@ -64,6 +64,10 @@ func Open(dir string, opt Options) (Store, error) {
 	return &fileStore{dir: dir, opt: opt, syncInterval: syncInterval, records: map[uint64]int{}}, nil
 }
 
+// ckptTempPattern names a checkpoint while it is written, before the
+// rename that publishes it (os.CreateTemp and filepath.Match syntax).
+const ckptTempPattern = "checkpoint-*.tmp"
+
 func (f *fileStore) segPath(seq uint64) string {
 	return filepath.Join(f.dir, fmt.Sprintf("wal-%08d.log", seq))
 }
@@ -91,6 +95,25 @@ func (f *fileStore) scan(prefix, suffix string) ([]uint64, error) {
 	return seqs, nil
 }
 
+// removeTemps deletes checkpoint temp files (ckptTempPattern) that a
+// crash between their creation and their rename or removal left behind.
+// None of them was ever a checkpoint, and scan skips their names, so
+// nothing else would remove them.
+func (f *fileStore) removeTemps() error {
+	des, err := os.ReadDir(f.dir)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	for _, de := range des {
+		if ok, _ := filepath.Match(ckptTempPattern, de.Name()); ok {
+			if err := os.Remove(filepath.Join(f.dir, de.Name())); err != nil && !os.IsNotExist(err) {
+				return fmt.Errorf("store: %w", err)
+			}
+		}
+	}
+	return nil
+}
+
 // Recover loads the newest valid checkpoint, replays the WAL tail through
 // the handler, truncates at the first torn or corrupt record, and opens a
 // fresh segment for subsequent appends. It must be called exactly once.
@@ -102,6 +125,9 @@ func (f *fileStore) Recover(h RecoveryHandler) (RecoveryStats, error) {
 		return stats, errors.New("store: Recover called twice")
 	}
 
+	if err := f.removeTemps(); err != nil {
+		return stats, err
+	}
 	ckpts, err := f.scan("checkpoint-", ".ckpt")
 	if err != nil {
 		return stats, err
@@ -351,7 +377,7 @@ func (f *fileStore) Checkpoint(cut func() *engine.State) (CheckpointStats, error
 	stats.Bytes = len(data)
 
 	path := f.ckptPath(first)
-	tmp, err := os.CreateTemp(f.dir, "checkpoint-*.tmp")
+	tmp, err := os.CreateTemp(f.dir, ckptTempPattern)
 	if err != nil {
 		return stats, fmt.Errorf("store: %w", err)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -19,6 +20,10 @@ type Persistence struct {
 	mu     sync.Mutex
 	closed bool
 }
+
+// ErrClosed is Checkpoint's answer once Close has begun: Close writes the
+// final checkpoint itself, so a checkpoint refused this way loses nothing.
+var ErrClosed = errors.New("store: persistence closed")
 
 // recoveryTarget replays a store's contents into a bare engine: the
 // checkpoint through RestoreState, the WAL tail through the engine's
@@ -65,7 +70,7 @@ func (p *Persistence) Checkpoint() (CheckpointStats, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return CheckpointStats{}, fmt.Errorf("store: persistence closed")
+		return CheckpointStats{}, ErrClosed
 	}
 	return p.st.Checkpoint(p.eng.DumpState)
 }

@@ -235,6 +235,55 @@ func TestRecoverCheckpointPlusTail(t *testing.T) {
 	}
 }
 
+// TestRecoverRemovesCheckpointTemps: a crash while a checkpoint is being
+// written leaves its temp file behind. Recovery deletes it and restores
+// exactly what a recovery without it does.
+func TestRecoverRemovesCheckpointTemps(t *testing.T) {
+	dir := t.TempDir()
+	e := newEngine(t)
+	p, _ := attach(t, e, dir, Options{Fsync: FsyncNever})
+	rng := rand.New(rand.NewSource(13))
+	if err := e.IngestBatch(randomUpdates(rng, 700)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.IngestBatch(randomUpdates(rng, 300)); err != nil {
+		t.Fatal(err)
+	}
+	crash(p)
+	// A recovery that writes no checkpoint leaves the directory's
+	// contents as they were; its state is the reference.
+	ref := newEngine(t)
+	pr, _ := attach(t, ref, dir, Options{})
+	want := EncodeState(ref.DumpState())
+	crash(pr)
+	// A torn write of the next checkpoint, under a name os.CreateTemp
+	// could have picked.
+	ckpts := listFiles(t, dir, "checkpoint-*.ckpt")
+	data, err := os.ReadFile(ckpts[len(ckpts)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint-2718281828.tmp"), data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r := newEngine(t)
+	p2, _ := attach(t, r, dir, Options{})
+	defer p2.Close()
+	if left := listFiles(t, dir, "checkpoint-*.tmp"); len(left) != 0 {
+		t.Fatalf("recovery left checkpoint temp files %v", left)
+	}
+	if !bytes.Equal(EncodeState(r.DumpState()), want) {
+		t.Fatal("recovered state differs from the reference recovery's")
+	}
+	if !reflect.DeepEqual(r.Snapshot(), e.Snapshot()) {
+		t.Fatal("recovered snapshot differs from the pre-crash one")
+	}
+}
+
 func TestCleanShutdownRoundTripsExportBytes(t *testing.T) {
 	dir := t.TempDir()
 	e := newEngine(t)
