@@ -63,8 +63,11 @@ const (
 // BenchmarkIngestWAL's fsync=never case for the journaled write path
 // without the disk flush, BenchmarkRecoverCheckpointTail for the boot
 // a durable node pays before it serves: checkpoint restore plus the
-// shard-parallel replay of a WAL tail, and BenchmarkSubscribePushLag for
-// the ingest→push lag an SSE subscriber sees after a 4-frame stream.
+// shard-parallel replay of a WAL tail, BenchmarkSubscribePushLag for
+// the ingest→push lag an SSE subscriber sees after a 4-frame stream, and
+// BenchmarkUStarUnequalTau for one served U* estimate: bottom-k
+// thresholds are per instance, so the backward solver runs, and its cost
+// is the DataLB kernel's and the family built once per solver point.
 var suites = []struct{ pkg, bench string }{
 	{"internal/engine", "^(BenchmarkIngestBatch|BenchmarkIngestZipf)$"},
 	{"internal/engine", "^BenchmarkSnapshotIncremental$/^keys=65536$"},
@@ -74,6 +77,7 @@ var suites = []struct{ pkg, bench string }{
 	{"internal/store", "^BenchmarkRecoverCheckpointTail$"},
 	{"internal/cluster", "^(BenchmarkClusterQuery|BenchmarkScatterGather|BenchmarkSyncDeadNode)$"},
 	{"internal/cluster", "^BenchmarkRoutedStream$"},
+	{"internal/funcs", "^BenchmarkUStarUnequalTau$"},
 }
 
 func main() {

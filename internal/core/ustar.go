@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
-	"repro/internal/hull"
 	"repro/internal/numeric"
 )
 
@@ -29,39 +27,13 @@ import (
 // per-unknown-entry parameter grid suffices.
 type ConsistentFamily func(rho float64) []LowerBoundFunc
 
-// UStarCurve solves the U* integral equation by backward integration from
-// u = 1 on the grid, returning the estimator as a SeedFunc. Nonnegativity
-// is enforced (the analytic solution is nonnegative whenever the family
-// contains the f-minimal vector; clamping removes discretization noise).
-func UStarCurve(fam ConsistentFamily, g Grid) SeedFunc {
-	us := g.Points()
-	ys := solveUStar(fam, us)
-	pl, err := hull.FromBreakpoints(us, ys)
-	if err != nil {
-		panic(fmt.Sprintf("core: internal grid error: %v", err))
-	}
-	eps := us[0]
-	firstY := ys[0]
-	return func(u float64) float64 {
-		switch {
-		case u <= 0 || u > 1:
-			return 0
-		case u < eps:
-			// U* is bounded under the paper's conditions; hold the last value.
-			return firstY
-		default:
-			return math.Max(0, pl.Eval(u))
-		}
-	}
-}
-
 // UStarAt solves the U* equation over [rho, 1] only and returns the
 // estimate at rho — the per-outcome evaluation path, where the mass M(ρ)
 // accumulates over the chain of less-informative outcomes of the same
 // sample.
 func UStarAt(fam ConsistentFamily, rho float64, g Grid) float64 {
 	if rho >= 1 {
-		return uStarPoint(fam, 1, 0)
+		return uStarPoint(fam(1), 1, 0)
 	}
 	pts := g.Points()
 	us := make([]float64, 0, len(pts)+1)
@@ -86,33 +58,33 @@ func UStarAt(fam ConsistentFamily, rho float64, g Grid) float64 {
 // funcs.RGPlus.UStarClosed). While the cap binds, the effective estimate is
 // the boundary slope rather than the equation's value.
 func solveUStar(fam ConsistentFamily, us []float64) []float64 {
-	lbAt := func(u float64) float64 {
-		best := math.Inf(1)
-		for _, lbz := range fam(u) {
-			if v := lbz(u); v < best {
-				best = v
+	// point builds the family at u once and returns the equation's value
+	// there with the mass clamped to the outcome lower bound, and that
+	// bound, which the caller's constraint-(7) clamp reuses. While the
+	// mass rides the bound (M(x) = lb(x), which the analytic solution does
+	// on whole stretches, and which overdrawing instances are forced
+	// onto), the sup-inf with the clamped mass automatically returns the
+	// boundary derivative — λ(ρ, z, lb(ρ)) is the tangent slope of z's
+	// lower bound at ρ.
+	point := func(u, m float64) (y, limit float64) {
+		lbs := fam(u)
+		limit = math.Inf(1)
+		for _, lbz := range lbs {
+			if v := lbz(u); v < limit {
+				limit = v
 			}
 		}
-		return best
-	}
-	// point evaluates the equation with the mass clamped to the outcome
-	// lower bound. While the mass rides the bound (M(x) = lb(x), which the
-	// analytic solution does on whole stretches, and which overdrawing
-	// instances are forced onto), the sup-inf with the clamped mass
-	// automatically returns the boundary derivative — λ(ρ, z, lb(ρ)) is
-	// the tangent slope of z's lower bound at ρ.
-	point := func(u, m float64) float64 {
-		if limit := lbAt(u); m > limit {
+		if m > limit {
 			m = limit
 		}
-		return uStarPoint(fam, u, m)
+		return uStarPoint(lbs, u, m), limit
 	}
 	n := len(us)
 	ys := make([]float64, n)
 	m := 0.0 // M(u) accumulated from 1 downward
 	for i := n - 1; i >= 0; i-- {
 		u := us[i]
-		ys[i] = point(u, m)
+		ys[i], _ = point(u, m)
 		if i > 0 {
 			// Accumulate the mass over [us[i-1], us[i]] in trapezoid
 			// sub-steps: the estimator feeds back into its own defining
@@ -124,13 +96,13 @@ func solveUStar(fam ConsistentFamily, us []float64) []float64 {
 			prev := ys[i]
 			for k := 1; k <= sub; k++ {
 				x := u - float64(k)*h
-				next := point(x, m)
+				next, limit := point(x, m)
 				m += 0.5 * (prev + next) * h
 				// Constraint (7): clamp to the outcome lower bound; the
 				// analytic solution satisfies this, so the clamp only
 				// removes integration drift or the equation's overdraw
 				// above the sampling threshold.
-				if limit := lbAt(x); m > limit {
+				if m > limit {
 					m = limit
 				}
 				prev = next
@@ -140,11 +112,11 @@ func solveUStar(fam ConsistentFamily, us []float64) []float64 {
 	return ys
 }
 
-// uStarPoint computes sup_z inf_η (f^(z)(η) − M)/(ρ−η) over the family,
-// clamped to 0.
-func uStarPoint(fam ConsistentFamily, rho, m float64) float64 {
+// uStarPoint computes sup_z inf_η (f^(z)(η) − M)/(ρ−η) over the family
+// members lbs at rho, clamped to 0.
+func uStarPoint(lbs []LowerBoundFunc, rho, m float64) float64 {
 	best := 0.0
-	for _, lbz := range fam(rho) {
+	for _, lbz := range lbs {
 		if lam := lambdaOf(lbz, rho, m); lam > best {
 			best = lam
 		}
@@ -193,62 +165,4 @@ func lambdaOf(lbz LowerBoundFunc, rho, m float64) float64 {
 		}
 	}
 	return best
-}
-
-// LambdaL returns the lower end of the optimal range at an outcome with
-// seed rho, given the mass M committed on less-informative outcomes
-// (equation (19)): λL = (f^(v)(ρ) − M)/ρ.
-func LambdaL(lb LowerBoundFunc, rho, m float64) float64 {
-	return (lb(rho) - m) / rho
-}
-
-// LambdaU returns the upper end of the optimal range at an outcome with
-// seed rho (equation (18)): sup over consistent vectors of their optimal
-// estimates given M.
-func LambdaU(fam ConsistentFamily, rho, m float64) float64 {
-	best := math.Inf(-1)
-	for _, lbz := range fam(rho) {
-		if lam := lambdaOf(lbz, rho, m); lam > best {
-			best = lam
-		}
-	}
-	return best
-}
-
-// InRangeReport holds the worst violations found by CheckInRange.
-type InRangeReport struct {
-	// MaxBelow is the largest amount by which the estimate fell below λL.
-	MaxBelow float64
-	// MaxAbove is the largest amount by which the estimate exceeded λU.
-	MaxAbove float64
-}
-
-// OK reports whether the estimator stayed within the optimal range up to
-// tolerance tol.
-func (r InRangeReport) OK(tol float64) bool {
-	return r.MaxBelow <= tol && r.MaxAbove <= tol
-}
-
-// CheckInRange samples seeds and verifies the in-range condition (20):
-// λL(S) ≤ f̂(S) ≤ λU(S), which Section 3 proves necessary for admissibility
-// and sufficient for unbiasedness+nonnegativity. M(ρ) is computed from the
-// estimator itself by quadrature.
-func CheckInRange(est SeedFunc, lb LowerBoundFunc, fam ConsistentFamily, seeds []float64) InRangeReport {
-	var rep InRangeReport
-	for _, rho := range seeds {
-		if rho <= 0 || rho > 1 {
-			continue
-		}
-		m := numeric.Integrate(numeric.Func1(est), rho, 1)
-		lo := LambdaL(lb, rho, m)
-		hi := LambdaU(fam, rho, m)
-		e := est(rho)
-		if d := lo - e; d > rep.MaxBelow {
-			rep.MaxBelow = d
-		}
-		if d := e - hi; d > rep.MaxAbove {
-			rep.MaxAbove = d
-		}
-	}
-	return rep
 }

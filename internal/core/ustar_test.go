@@ -1,11 +1,99 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/hull"
 	"repro/internal/numeric"
 )
+
+// uStarCurve solves the U* integral equation by backward integration from
+// u = 1 on the grid, returning the estimator as a SeedFunc. Nonnegativity
+// is enforced (the analytic solution is nonnegative whenever the family
+// contains the f-minimal vector; clamping removes discretization noise).
+// The curve tests read the whole solution; serving evaluates one seed
+// through UStarAt.
+func uStarCurve(fam ConsistentFamily, g Grid) SeedFunc {
+	us := g.Points()
+	ys := solveUStar(fam, us)
+	pl, err := hull.FromBreakpoints(us, ys)
+	if err != nil {
+		panic(fmt.Sprintf("core: internal grid error: %v", err))
+	}
+	eps := us[0]
+	firstY := ys[0]
+	return func(u float64) float64 {
+		switch {
+		case u <= 0 || u > 1:
+			return 0
+		case u < eps:
+			// U* is bounded under the paper's conditions; hold the last value.
+			return firstY
+		default:
+			return math.Max(0, pl.Eval(u))
+		}
+	}
+}
+
+// lambdaL returns the lower end of the optimal range at an outcome with
+// seed rho, given the mass M committed on less-informative outcomes
+// (equation (19)): λL = (f^(v)(ρ) − M)/ρ.
+func lambdaL(lb LowerBoundFunc, rho, m float64) float64 {
+	return (lb(rho) - m) / rho
+}
+
+// lambdaU returns the upper end of the optimal range at an outcome with
+// seed rho (equation (18)): sup over consistent vectors of their optimal
+// estimates given M.
+func lambdaU(fam ConsistentFamily, rho, m float64) float64 {
+	best := math.Inf(-1)
+	for _, lbz := range fam(rho) {
+		if lam := lambdaOf(lbz, rho, m); lam > best {
+			best = lam
+		}
+	}
+	return best
+}
+
+// inRangeReport holds the worst violations found by checkInRange.
+type inRangeReport struct {
+	// MaxBelow is the largest amount by which the estimate fell below λL.
+	MaxBelow float64
+	// MaxAbove is the largest amount by which the estimate exceeded λU.
+	MaxAbove float64
+}
+
+// OK reports whether the estimator stayed within the optimal range up to
+// tolerance tol.
+func (r inRangeReport) OK(tol float64) bool {
+	return r.MaxBelow <= tol && r.MaxAbove <= tol
+}
+
+// checkInRange samples seeds and verifies the in-range condition (20):
+// λL(S) ≤ f̂(S) ≤ λU(S), which Section 3 proves necessary for admissibility
+// and sufficient for unbiasedness+nonnegativity. M(ρ) is computed from the
+// estimator itself by quadrature.
+func checkInRange(est SeedFunc, lb LowerBoundFunc, fam ConsistentFamily, seeds []float64) inRangeReport {
+	var rep inRangeReport
+	for _, rho := range seeds {
+		if rho <= 0 || rho > 1 {
+			continue
+		}
+		m := numeric.Integrate(numeric.Func1(est), rho, 1)
+		lo := lambdaL(lb, rho, m)
+		hi := lambdaU(fam, rho, m)
+		e := est(rho)
+		if d := lo - e; d > rep.MaxBelow {
+			rep.MaxBelow = d
+		}
+		if d := e - hi; d > rep.MaxAbove {
+			rep.MaxAbove = d
+		}
+	}
+	return rep
+}
 
 // rg1pFamily hand-rolls the ConsistentFamily for RG1+ under coordinated PPS
 // with τ*=1 and data vector (v1, v2), v1 ≥ v2. Consistent vectors at seed ρ:
@@ -53,7 +141,7 @@ func TestUStarMatchesClosedFormRG1Plus(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			fam := rg1pFamily(tt.v1, tt.v2)
-			ustar := UStarCurve(fam, Grid{N: 800, Breaks: []float64{tt.v2, tt.v1}})
+			ustar := uStarCurve(fam, Grid{N: 800, Breaks: []float64{tt.v2, tt.v1}})
 			for _, u := range []float64{0.65, 0.8, 1} {
 				if got := ustar(u); math.Abs(got) > 2e-2 {
 					t.Errorf("U*(%g) = %g, want 0", u, got)
@@ -83,7 +171,7 @@ func TestUStarUnbiasedRG1Plus(t *testing.T) {
 	}
 	for _, tt := range tests {
 		fam := rg1pFamily(tt.v1, tt.v2)
-		ustar := UStarCurve(fam, Grid{N: 1200, Breaks: []float64{tt.v2, tt.v1}})
+		ustar := uStarCurve(fam, Grid{N: 1200, Breaks: []float64{tt.v2, tt.v1}})
 		got := numeric.Integrate(numeric.Func1(ustar), 1e-7, 1)
 		want := tt.v1 - tt.v2
 		if math.Abs(got-want) > 2e-2 {
@@ -97,7 +185,7 @@ func TestUStarIsVOptimalOnZeroSecondEntry(t *testing.T) {
 	// v-optimal estimator for (v1, 0) is constant 1 on (0, v1].
 	v1 := 0.6
 	fam := rg1pFamily(v1, 0)
-	ustar := UStarCurve(fam, Grid{N: 800, Breaks: []float64{v1}})
+	ustar := uStarCurve(fam, Grid{N: 800, Breaks: []float64{v1}})
 	vopt, optSq, err := VOptimal(rg1pLB(v1, 0), v1, Grid{Breaks: []float64{v1}})
 	if err != nil {
 		t.Fatal(err)
@@ -118,8 +206,8 @@ func TestLambdaLAndRangeOrdering(t *testing.T) {
 	fam := rg1pFamily(0.6, 0.2)
 	for _, rho := range []float64{0.05, 0.15, 0.3, 0.5, 0.7} {
 		m := LStarCumulative(lb, rho)
-		lo := LambdaL(lb, rho, m)
-		hi := LambdaU(fam, rho, m)
+		lo := lambdaL(lb, rho, m)
+		hi := lambdaU(fam, rho, m)
 		if lo > hi+1e-6 {
 			t.Errorf("rho=%g: λL=%g > λU=%g", rho, lo, hi)
 		}
@@ -132,7 +220,7 @@ func TestLStarIsInRange(t *testing.T) {
 	lb := rg1pLB(0.6, 0.2)
 	fam := rg1pFamily(0.6, 0.2)
 	est := LStarSeed(lb)
-	rep := CheckInRange(est, lb, fam, []float64{0.05, 0.15, 0.3, 0.45, 0.55, 0.7, 0.9})
+	rep := checkInRange(est, lb, fam, []float64{0.05, 0.15, 0.3, 0.45, 0.55, 0.7, 0.9})
 	if !rep.OK(1e-4) {
 		t.Errorf("L* out of optimal range: %+v", rep)
 	}
@@ -143,8 +231,8 @@ func TestUStarIsInRange(t *testing.T) {
 	// error by 1/ρ, so tiny seeds test the discretization, not the math.
 	fam := rg1pFamily(0.6, 0.2)
 	lb := rg1pLB(0.6, 0.2)
-	ustar := UStarCurve(fam, Grid{N: 1200, Breaks: []float64{0.2, 0.6}})
-	rep := CheckInRange(ustar, lb, fam, []float64{0.25, 0.3, 0.45, 0.55, 0.7})
+	ustar := uStarCurve(fam, Grid{N: 1200, Breaks: []float64{0.2, 0.6}})
+	rep := checkInRange(ustar, lb, fam, []float64{0.25, 0.3, 0.45, 0.55, 0.7})
 	if !rep.OK(5e-2) {
 		t.Errorf("U* out of optimal range: %+v", rep)
 	}

@@ -3,6 +3,7 @@ package funcs
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/sampling"
@@ -66,19 +67,40 @@ func OutcomeLB(f F, o sampling.TupleOutcome) core.LowerBoundFunc {
 	}
 }
 
+// seedLower is implemented by the served range functions. lowerAtSeed
+// returns f.Lower(s.Sample(v, u)) for s = {Tau: tau} and u in (0, 1], bit
+// for bit, without building the outcome: the U* solver evaluates every
+// family member's DataLB tens of thousands of times per estimate.
+type seedLower interface {
+	lowerAtSeed(tau, v []float64, u float64) float64
+}
+
 // DataLB returns the full lower-bound function of data vector v under
 // scheme s — the evaluation-side view used to study estimator distributions
-// (variance, competitiveness) rather than to estimate.
+// (variance, competitiveness) rather than to estimate, and the lower-bound
+// function of each consistent vector the U* solver sweeps. Functions
+// without a seedLower kernel coarsen through SampleInto into one scratch
+// pair owned by the returned function, so an evaluation allocates nothing
+// either way, but such a function is not safe for concurrent use.
 func DataLB(f F, s sampling.TupleScheme, v []float64) core.LowerBoundFunc {
 	checkArity(f, len(v))
+	if len(v) != s.R() {
+		panic(fmt.Sprintf("funcs: tuple arity %d != scheme arity %d", len(v), s.R()))
+	}
+	if k, ok := f.(seedLower); ok {
+		return func(u float64) float64 {
+			if u <= 0 {
+				return f.Value(v)
+			}
+			return k.lowerAtSeed(s.Tau, v, min(u, 1))
+		}
+	}
+	known, vals := make([]bool, len(v)), make([]float64, len(v))
 	return func(u float64) float64 {
 		if u <= 0 {
 			return f.Value(v)
 		}
-		if u > 1 {
-			u = 1
-		}
-		return f.Lower(s.Sample(v, u))
+		return f.Lower(s.SampleInto(v, min(u, 1), known, vals))
 	}
 }
 
@@ -107,22 +129,36 @@ func Revealed(f F, o sampling.TupleOutcome) bool {
 	return hi-lo <= 1e-12*(1+math.Abs(hi))
 }
 
+// revealScratch lends RevealSeed the Known/Vals backing of its coarsened
+// outcomes. They reach f.Lower and f.Upper through the interface, so a
+// pair declared on the stack would move to the heap on every call;
+// pooled, the per-item HT path allocates nothing.
+var revealScratch = sync.Pool{New: func() any { return new(sampling.TupleOutcome) }}
+
 // RevealSeed returns the supremum seed at which the outcome (or a coarser
 // version of it) still reveals f — the Horvitz–Thompson inclusion
 // probability. It returns 0 when the outcome does not reveal f at all.
 // Revelation is monotone (coarser outcomes reveal no more), so bisection
-// applies; the result is honest because only o.At(u) is consulted.
+// applies; the result is honest because only o.At(u) is consulted. Every
+// step coarsens into the same scratch pair.
 func RevealSeed(f F, o sampling.TupleOutcome) float64 {
 	if !Revealed(f, o) {
 		return 0
 	}
-	if Revealed(f, o.At(1)) {
+	sc := revealScratch.Get().(*sampling.TupleOutcome)
+	defer revealScratch.Put(sc)
+	n := len(o.Known)
+	if cap(sc.Known) < n {
+		sc.Known, sc.Vals = make([]bool, n), make([]float64, n)
+	}
+	known, vals := sc.Known[:n], sc.Vals[:n]
+	if Revealed(f, o.AtInto(1, known, vals)) {
 		return 1
 	}
 	lo, hi := o.Rho, 1.0 // revealed at lo, not at hi
 	for i := 0; i < 60; i++ {
 		mid := 0.5 * (lo + hi)
-		if Revealed(f, o.At(mid)) {
+		if Revealed(f, o.AtInto(mid, known, vals)) {
 			lo = mid
 		} else {
 			hi = mid

@@ -2,6 +2,8 @@ package funcs
 
 import (
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/sampling"
@@ -10,13 +12,17 @@ import (
 // TestOutcomeLBAllocationFree: functions without a closed-form L* (RG over
 // more than two instances, LinComb) integrate OutcomeLB hundreds of times
 // per estimate; each evaluation must reuse the closure's scratch outcome
-// and return exactly what coarsening through a fresh o.At(u) returns.
+// and return exactly what coarsening through a fresh o.At(u) returns. The
+// U* solver evaluates each family member's DataLB tens of thousands of
+// times, through the kernel or a scratch pair, and it too must not
+// allocate.
 func TestOutcomeLBAllocationFree(t *testing.T) {
 	s, err := sampling.NewTupleScheme([]float64{1, 0.5, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := s.Sample([]float64{0.95, 0.15, 0.6}, 0.1)
+	v := []float64{0.95, 0.15, 0.6}
+	o := s.Sample(v, 0.1)
 	lin, err := NewLinComb([]float64{1, -2, 1}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -33,6 +39,173 @@ func TestOutcomeLBAllocationFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { sink += lb(0.3) + lb(0.7) }); allocs != 0 {
 			t.Errorf("%s: OutcomeLB evaluation allocates %v times", f.Name(), allocs)
 		}
+		dlb := DataLB(f, s, v)
+		if allocs := testing.AllocsPerRun(100, func() { sink += dlb(0.3) + dlb(0.7) }); allocs != 0 {
+			t.Errorf("%s: DataLB evaluation allocates %v times", f.Name(), allocs)
+		}
 		_ = sink
 	}
+}
+
+// kernelCase draws one DataLB kernel input: thresholds τ, a data vector v
+// and a seed u. The shape bits plant the edges the kernel's known test
+// must get right: an entry exactly at its threshold u·τ_i, a zero entry,
+// and a seed above 1, which DataLB clamps.
+func kernelCase(rng *rand.Rand, r int, shape uint8) (tau, v []float64, u float64) {
+	tau, v = make([]float64, r), make([]float64, r)
+	u = 0.001 + 0.999*rng.Float64()
+	if shape&4 != 0 {
+		u = 1 + rng.Float64()
+	}
+	for i := range tau {
+		tau[i] = 0.25 * math.Pow(16, rng.Float64())
+		v[i] = tau[i] * 1.5 * rng.Float64()
+	}
+	at := math.Min(u, 1)
+	if shape&1 != 0 {
+		v[int(shape>>4)%r] = at * tau[int(shape>>4)%r]
+	}
+	if shape&2 != 0 {
+		v[int(shape>>6)%r] = 0
+	}
+	return tau, v, u
+}
+
+// checkKernel fails unless DataLB(f, τ, v)(u) equals f.Lower(s.Sample(v,
+// min(u, 1))) bit for bit.
+func checkKernel(t testing.TB, f F, tau, v []float64, u float64) {
+	t.Helper()
+	s, err := sampling.NewTupleScheme(tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := DataLB(f, s, v)(u)
+	want := f.Lower(s.Sample(v, math.Min(u, 1)))
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s τ=%v v=%v u=%v: kernel %.17g, Lower(Sample) %.17g", f.Name(), tau, v, u, got, want)
+	}
+}
+
+// TestDataLBKernelMatchesSample: the served range functions evaluate
+// DataLB without building an outcome; every value must be the one the
+// outcome path gives, since U* estimates are pinned bit for bit.
+func TestDataLBKernelMatchesSample(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, c := range []struct {
+		f F
+		r int
+	}{{RG{P: 1}, 2}, {RG{P: 2}, 2}, {RG{P: 1}, 3}, {RG{P: 2.5}, 3}, {RGPlus{P: 1}, 2}, {RGPlus{P: 2}, 2}, {RGPlus{P: 0.5}, 2}} {
+		if _, ok := c.f.(seedLower); !ok {
+			t.Fatalf("%s has no DataLB kernel", c.f.Name())
+		}
+		for d := 0; d < 4000; d++ {
+			tau, v, u := kernelCase(rng, c.r, uint8(rng.Intn(256)))
+			checkKernel(t, c.f, tau, v, u)
+		}
+	}
+}
+
+// FuzzDataLBKernel drives the DataLB kernels against Lower of the sampled
+// outcome from arbitrary seeds of kernelCase.
+func FuzzDataLBKernel(f *testing.F) {
+	f.Add(int64(1), uint8(0))
+	f.Add(int64(2), uint8(1))  // entry 0 at its threshold
+	f.Add(int64(3), uint8(19)) // entry 1 at its threshold, a zero entry
+	f.Add(int64(4), uint8(4))  // seed above 1
+	fns := []F{RG{P: 1}, RG{P: 2}, RGPlus{P: 1}, RGPlus{P: 2}}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		fn := fns[uint64(seed)%uint64(len(fns))]
+		r := 2
+		if _, ok := fn.(RG); ok && shape&8 != 0 {
+			r = 3
+		}
+		tau, v, u := kernelCase(rng, r, shape)
+		checkKernel(t, fn, tau, v, u)
+	})
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestHTAllocationFree: the served ht path — Revealed, Lower and the
+// RevealSeed bisection — allocates nothing per item, and its bisection
+// over one scratch pair returns what bisecting over fresh o.At outcomes
+// returns, bit for bit.
+func TestHTAllocationFree(t *testing.T) {
+	s, err := sampling.NewTupleScheme([]float64{0.8, 1.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reference := func(f F, o sampling.TupleOutcome) float64 {
+		if Revealed(f, o.At(1)) {
+			return 1
+		}
+		lo, hi := o.Rho, 1.0
+		for i := 0; i < 60; i++ {
+			if mid := 0.5 * (lo + hi); Revealed(f, o.At(mid)) {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
+	o := s.Sample([]float64{0.6, 0.2}, 0.05)
+	for _, f := range []F{RG{P: 1}, RG{P: 2}, RGPlus{P: 1}} {
+		if !Revealed(f, o) {
+			t.Fatalf("%s: both entries sampled, f should be revealed", f.Name())
+		}
+		got, want := RevealSeed(f, o), reference(f, o)
+		if math.Float64bits(got) != math.Float64bits(want) || got <= o.Rho || got >= 1 {
+			t.Errorf("%s: RevealSeed = %.17g, reference bisection %.17g", f.Name(), got, want)
+		}
+		if raceEnabled {
+			continue
+		}
+		var sink float64
+		if allocs := testing.AllocsPerRun(100, func() { sink += EstimateHT(f, o) }); allocs != 0 {
+			t.Errorf("%s: EstimateHT allocates %v times", f.Name(), allocs)
+		}
+		_ = sink
+	}
+}
+
+// TestRevealSeedConcurrent: RevealSeed's scratch pairs come from a shared
+// pool, and the server evaluates ht on many requests at once; each call
+// must still see only its own pair (run under -race).
+func TestRevealSeedConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var outs []sampling.TupleOutcome
+	for len(outs) < 64 {
+		r := 2 + len(outs)%2
+		tau, v, _ := kernelCase(rng, r, 0)
+		s, err := sampling.NewTupleScheme(tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o := s.Sample(v, 0.05+0.5*rng.Float64()); Revealed(RG{P: 1}, o) {
+			outs = append(outs, o)
+		}
+	}
+	want := make([]float64, len(outs))
+	for i, o := range outs {
+		want[i] = RevealSeed(RG{P: 1}, o)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				for i, o := range outs {
+					if got := RevealSeed(RG{P: 1}, o); got != want[i] {
+						t.Errorf("outcome %d: concurrent RevealSeed %v, sequential %v", i, got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -60,10 +60,34 @@ func (f RG) Lower(o sampling.TupleOutcome) float64 {
 			minBound = math.Min(minBound, o.Bound(i))
 		}
 	}
+	return f.lowerOf(mn, mx, minBound)
+}
+
+// lowerAtSeed implements seedLower: Lower's walk over the entries, with
+// an entry known iff it clears its threshold u·τ_i (SampleInto's test) and
+// bounded by that threshold otherwise.
+func (f RG) lowerAtSeed(tau, v []float64, u float64) float64 {
+	mn, mx := math.Inf(1), math.Inf(-1)
+	minBound := math.Inf(1)
+	for i, w := range v {
+		if t := u * tau[i]; w >= t && w > 0 {
+			mn, mx = min(mn, w), max(mx, w)
+		} else {
+			minBound = min(minBound, t)
+		}
+	}
+	return f.lowerOf(mn, mx, minBound)
+}
+
+// lowerOf is Lower from the known entries' extremes (mx = −Inf when none
+// is known) and the smallest bound of the unknown ones. The builtin min
+// and max select exactly as math.Min and math.Max do (NaN, ±0 and ±Inf
+// included) but compile inline, which the kernel's call rate needs.
+func (f RG) lowerOf(mn, mx, minBound float64) float64 {
 	if math.IsInf(mx, -1) {
 		return 0
 	}
-	return math.Pow(math.Max(0, mx-math.Min(mn, minBound)), f.P)
+	return math.Pow(max(0, mx-min(mn, minBound)), f.P)
 }
 
 // Upper implements F. Each unknown entry is pushed to 0 ("low") or to its
@@ -71,38 +95,34 @@ func (f RG) Lower(o sampling.TupleOutcome) float64 {
 // and everything else low can realize the supremum.
 func (f RG) Upper(o sampling.TupleOutcome) float64 {
 	mn, mx := math.Inf(1), math.Inf(-1)
-	var unknown []int
+	unknowns := 0
 	for i, known := range o.Known {
 		if known {
 			mn = math.Min(mn, o.Vals[i])
 			mx = math.Max(mx, o.Vals[i])
 		} else {
-			unknown = append(unknown, i)
+			unknowns++
 		}
 	}
 	best := 0.0
 	if !math.IsInf(mx, -1) {
 		best = mx - mn // all unknowns inside [mn, mx] is never the sup, but covers |U|=0
-		if len(unknown) > 0 {
+		if unknowns > 0 {
 			best = math.Max(best, mx-0) // any unknown low
 		}
 	}
-	for _, j := range unknown {
+	for j, known := range o.Known {
+		if known {
+			continue
+		}
 		bj := o.Bound(j)
 		hiMax := bj
 		if !math.IsInf(mx, -1) {
 			hiMax = math.Max(mx, bj)
 		}
-		lo := math.Inf(1)
-		if !math.IsInf(mn, 1) {
-			lo = mn
-		}
-		lo = math.Min(lo, bj) // the high entry's own value bounds the min
-		for _, k := range unknown {
-			if k != j {
-				lo = 0 // another unknown goes low
-				break
-			}
+		lo := math.Min(mn, bj) // the high entry's own value bounds the min
+		if unknowns > 1 {
+			lo = 0 // another unknown goes low
 		}
 		if lo == math.Inf(1) {
 			continue // single unknown entry alone: range 0
@@ -218,4 +238,5 @@ var (
 	_ F               = RG{}
 	_ LStarClosedForm = RG{}
 	_ UStarClosedForm = RG{}
+	_ seedLower       = RG{}
 )

@@ -48,6 +48,20 @@ func (f RGPlus) Lower(o sampling.TupleOutcome) float64 {
 	return math.Pow(math.Max(0, minuend-subtrahend), f.P)
 }
 
+// lowerAtSeed implements seedLower: Lower with an entry known iff it
+// clears its threshold u·τ_i (SampleInto's test).
+func (f RGPlus) lowerAtSeed(tau, v []float64, u float64) float64 {
+	minuend := 0.0
+	if v[0] >= u*tau[0] && v[0] > 0 {
+		minuend = v[0]
+	}
+	subtrahend := u * tau[1]
+	if v[1] >= subtrahend && v[1] > 0 {
+		subtrahend = v[1]
+	}
+	return math.Pow(max(0, minuend-subtrahend), f.P)
+}
+
 // Upper implements F: the maximizing vector pushes an unknown first entry
 // to its bound and an unknown second entry to 0. The supremum is approached
 // (bounds are exclusive) but not attained.
@@ -268,4 +282,5 @@ var (
 	_ F               = RGPlus{}
 	_ LStarClosedForm = RGPlus{}
 	_ UStarClosedForm = RGPlus{}
+	_ seedLower       = RGPlus{}
 )
