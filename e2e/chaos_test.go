@@ -130,6 +130,15 @@ func TestChaos(t *testing.T) {
 	if deg != nil {
 		t.Fatalf("healthy cluster answered degraded: %s", deg)
 	}
+	// How many replayed frames each daemon's Idempotency-Key record
+	// skipped (DESIGN §8.4). Faults sit only between loadgen and the
+	// coordinator, so a node skips a frame only if the coordinator's own
+	// routed stream retried it.
+	for _, base := range append([]string{coordBase}, nodeURLs...) {
+		_, st := getStats(t, base)
+		wire, _ := st["wire"].(map[string]any)
+		t.Logf("%s: wire.stream_frames=%v stream_frames_deduped=%v", base, wire["stream_frames"], wire["stream_frames_deduped"])
+	}
 
 	// Phase 2 — partition the proxied node. The quorum=2 coordinator must
 	// keep answering 200 with an explicit degraded block naming it.

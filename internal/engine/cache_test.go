@@ -123,7 +123,7 @@ func TestCachedSnapshotReuseAndInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestDataset(t, e, d, nil, false)
+	ingestMatrix(t, e, d.W)
 
 	c1, v1 := cachedSnapshot(e, 0)
 	c2, v2 := cachedSnapshot(e, 0)
@@ -152,7 +152,7 @@ func TestCachedSnapshotReuseAndInvalidation(t *testing.T) {
 	// A real mutation invalidates: new version, new reduction, and the
 	// new cut is again bit-identical to batch on the mutated data.
 	d2 := dataset.Flows(dataset.FlowsConfig{N: 300, Seed: 12})
-	ingestDataset(t, e, d2, nil, false)
+	ingestMatrix(t, e, d2.W)
 	c4, v4 := cachedSnapshot(e, 0)
 	if v4 <= v1 {
 		t.Fatalf("version did not advance: %d <= %d", v4, v1)

@@ -7,48 +7,19 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/funcs"
 	"repro/internal/sampling"
 )
 
-// ingestDataset feeds every positive entry of d into the engine in the
-// order produced by perm (nil = natural order), optionally preceded by a
-// dominated duplicate (half weight) to exercise max-weight semantics.
-func ingestDataset(t *testing.T, e *Engine, d dataset.Dataset, perm []int, dominated bool) {
+// ingestMatrix feeds every positive entry of the dense weight matrix w
+// (keys are column indices) into the engine, one Ingest each.
+func ingestMatrix(t *testing.T, e *Engine, w [][]float64) {
 	t.Helper()
-	type upd struct {
-		i, k int
-	}
-	var all []upd
-	for i := 0; i < d.R(); i++ {
-		for k := 0; k < d.N(); k++ {
-			if d.W[i][k] > 0 {
-				all = append(all, upd{i, k})
-			}
-		}
-	}
-	order := perm
-	if order == nil {
-		order = make([]int, len(all))
-		for j := range order {
-			order[j] = j
-		}
-	}
-	for _, j := range order {
-		u := all[j]
-		w := d.W[u.i][u.k]
-		if dominated {
-			if err := e.Ingest(u.i, uint64(u.k), w/2); err != nil {
-				t.Fatalf("Ingest(dominated): %v", err)
-			}
-		}
-		if err := e.Ingest(u.i, uint64(u.k), w); err != nil {
-			t.Fatalf("Ingest: %v", err)
-		}
-		if dominated {
-			// A late dominated update must also be a no-op.
-			if err := e.Ingest(u.i, uint64(u.k), w*0.9); err != nil {
-				t.Fatalf("Ingest(late dominated): %v", err)
+	for i := range w {
+		for j, x := range w[i] {
+			if x > 0 {
+				if err := e.Ingest(i, uint64(j), x); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
@@ -80,118 +51,6 @@ func requireEqualSamples(t *testing.T, snap Snapshot, batch dataset.CoordinatedS
 	}
 	if snap.Sample.TotalEntries != batch.TotalEntries {
 		t.Errorf("TotalEntries = %d, batch %d", snap.Sample.TotalEntries, batch.TotalEntries)
-	}
-}
-
-// requireEqualEstimates asserts bit-identical L*/U*/HT sums and Jaccard.
-func requireEqualEstimates(t *testing.T, snap Snapshot, batch dataset.CoordinatedSample) {
-	t.Helper()
-	f, err := funcs.NewRG(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []dataset.EstimatorKind{dataset.KindLStar, dataset.KindUStar, dataset.KindHT} {
-		got, err := snap.Sample.EstimateSum(f, kind, nil)
-		if err != nil {
-			t.Fatalf("snapshot EstimateSum(%v): %v", kind, err)
-		}
-		want, err := batch.EstimateSum(f, kind, nil)
-		if err != nil {
-			t.Fatalf("batch EstimateSum(%v): %v", kind, err)
-		}
-		if got != want {
-			t.Errorf("%v sum: snapshot %v != batch %v", kind, got, want)
-		}
-	}
-	if got, want := funcs.JaccardEstimate(snap.Sample.Outcomes), funcs.JaccardEstimate(batch.Outcomes); got != want {
-		t.Errorf("Jaccard: snapshot %v != batch %v", got, want)
-	}
-}
-
-func testDatasets(t *testing.T) map[string]dataset.Dataset {
-	t.Helper()
-	return map[string]dataset.Dataset{
-		"example1": dataset.Example1(),
-		"stable":   dataset.Stable(dataset.StableConfig{N: 200, Churn: 0.1, Seed: 7}),
-		"flows":    dataset.Flows(dataset.FlowsConfig{N: 300, Seed: 11}),
-	}
-}
-
-func TestSnapshotMatchesBatchBottomK(t *testing.T) {
-	for _, d := range testDatasets(t) {
-		for _, k := range []int{1, 2, 5, 64, 1000} {
-			for _, shards := range []int{1, 3, 16} {
-				hash := sampling.NewSeedHash(uint64(42 + k))
-				e, err := New(Config{Instances: d.R(), K: k, Shards: shards, Hash: hash})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ingestDataset(t, e, d, nil, false)
-				batch, err := dataset.SampleBottomK(d, k, hash)
-				if err != nil {
-					t.Fatal(err)
-				}
-				snap := e.Snapshot()
-				requireEqualSamples(t, snap, batch)
-				// The U* solver dominates runtime; check estimate-level
-				// equality on one configuration per dataset.
-				if k == 5 && shards == 16 {
-					requireEqualEstimates(t, snap, batch)
-				}
-			}
-		}
-	}
-}
-
-func TestSnapshotOrderAndDuplicateInvariance(t *testing.T) {
-	d := dataset.Flows(dataset.FlowsConfig{N: 250, Seed: 3})
-	hash := sampling.NewSeedHash(99)
-	batch, err := dataset.SampleBottomK(d, 8, hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := 0
-	for i := 0; i < d.R(); i++ {
-		for k := 0; k < d.N(); k++ {
-			if d.W[i][k] > 0 {
-				entries++
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 3; trial++ {
-		e, err := New(Config{Instances: d.R(), K: 8, Shards: 4, Hash: hash})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ingestDataset(t, e, d, rng.Perm(entries), true)
-		requireEqualSamples(t, e.Snapshot(), batch)
-	}
-}
-
-func TestIngestBatchMatchesSingle(t *testing.T) {
-	d := dataset.Stable(dataset.StableConfig{N: 150, Churn: 0.2, Seed: 13})
-	hash := sampling.NewSeedHash(7)
-	var updates []Update
-	for i := 0; i < d.R(); i++ {
-		for k := 0; k < d.N(); k++ {
-			updates = append(updates, Update{Instance: i, Key: uint64(k), Weight: d.W[i][k]})
-		}
-	}
-	e, err := New(Config{Instances: d.R(), K: 12, Shards: 8, Hash: hash})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.IngestBatch(updates); err != nil {
-		t.Fatal(err)
-	}
-	batch, err := dataset.SampleBottomK(d, 12, hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualSamples(t, e.Snapshot(), batch)
-	if got := e.Stats().Ingests; got == 0 {
-		t.Error("Stats().Ingests = 0 after batch ingest")
 	}
 }
 
@@ -293,7 +152,7 @@ func TestStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestDataset(t, e, d, nil, false)
+	ingestMatrix(t, e, d.W)
 	st := e.Stats()
 	if st.Keys != d.N() {
 		t.Errorf("Stats().Keys = %d, want %d", st.Keys, d.N())

@@ -24,15 +24,7 @@ func rebuildEngine(t *testing.T, w [][]float64, k, shards int, hash sampling.See
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range w {
-		for j, x := range w[i] {
-			if x > 0 {
-				if err := e.Ingest(i, uint64(j), x); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
+	ingestMatrix(t, e, w)
 	return e
 }
 
@@ -263,76 +255,6 @@ func TestSortByKeyMatchesSort(t *testing.T) {
 	}
 }
 
-// TestIncrementalSingleKeyMutations drives the rebuild path through
-// randomized single-key mutations, asserting after every round that
-// Snapshot() stays bit-identical to a from-scratch dataset.SampleBottomK
-// over the same aggregated matrix. Occasional brand-new keys force key
-// merges alongside the weight-only rebuilds that reuse the key slice.
-func TestIncrementalSingleKeyMutations(t *testing.T) {
-	const (
-		n0     = 400
-		k      = 16
-		shards = 8
-		rounds = 60
-	)
-	hash := sampling.NewSeedHash(31)
-	rng := rand.New(rand.NewSource(77))
-	w := make([][]float64, 2)
-	for i := range w {
-		w[i] = make([]float64, n0)
-		for j := range w[i] {
-			w[i][j] = 0.1 + 10*rng.Float64()
-		}
-	}
-	e := rebuildEngine(t, w, k, shards, hash)
-	requireMatchesMatrix(t, e, w, k, hash)
-
-	for round := 0; round < rounds; round++ {
-		if round%10 == 4 {
-			// Registry-only mutation: a fresh key with a weight so small its
-			// rank cannot enter any bottom-(k+1) heap. The mask bit still
-			// flips (snapshot-visible), but no retained rank moves, so the
-			// global thresholds must not move.
-			for i := range w {
-				w[i] = append(w[i], 0)
-			}
-			j := len(w[0]) - 1
-			w[0][j] = 1e-9
-			if err := e.Ingest(0, uint64(j), w[0][j]); err != nil {
-				t.Fatal(err)
-			}
-		} else if round%10 == 9 {
-			// Grow the key space: a fresh column makes exactly one shard's
-			// key set change, so the merge plan must be rebuilt.
-			for i := range w {
-				w[i] = append(w[i], 0.1+10*rng.Float64())
-			}
-			j := len(w[0]) - 1
-			for i := range w {
-				if err := e.Ingest(i, uint64(j), w[i][j]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		} else {
-			// Weight-only mutation of a single existing key: strictly above
-			// the folded maximum so the ingest is snapshot-visible.
-			i, j := rng.Intn(len(w)), rng.Intn(len(w[0]))
-			w[i][j] = w[i][j]*1.25 + 0.01
-			if err := e.Ingest(i, uint64(j), w[i][j]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		requireMatchesMatrix(t, e, w, k, hash)
-	}
-	st := e.Stats()
-	if st.Snapshot.Rebuilds == 0 {
-		t.Errorf("rebuild path unused: %+v", st.Snapshot)
-	}
-	if st.Snapshot.PlanRebuilds < 2 {
-		t.Errorf("PlanRebuilds = %d, want ≥ 2 (new keys appeared)", st.Snapshot.PlanRebuilds)
-	}
-}
-
 // TestRebuildCarriesOnlyKeys pins the one piece of state a rebuild hands
 // the next, the merged key slice: a weight-only write keeps it (same
 // backing array); a new key is merged into a fresh slice while the
@@ -467,7 +389,7 @@ func TestSnapshotViewExceptional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestDataset(t, e, d, nil, false)
+	ingestMatrix(t, e, d.W)
 	view := e.FreshView()
 	if err := checkExceptional(view); err != nil {
 		t.Fatal(err)
@@ -486,72 +408,6 @@ func TestSnapshotViewExceptional(t *testing.T) {
 	}
 }
 
-// TestRestoreStateResetsPartitions guards the restore/rebuild interplay:
-// RestoreState parks the dumped version on shard 0, bypassing per-shard
-// mutation accounting, so snapshot state cut BEFORE the restore (when the
-// engine was empty) must not leak into the next view.
-func TestRestoreStateResetsPartitions(t *testing.T) {
-	d := dataset.Flows(dataset.FlowsConfig{N: 200, Seed: 23})
-	hash := sampling.NewSeedHash(8)
-	src, err := New(Config{Instances: d.R(), K: 10, Shards: 8, Hash: hash})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestDataset(t, src, d, nil, false)
-	want := src.Snapshot()
-
-	dst, err := New(Config{Instances: d.R(), K: 10, Shards: 8, Hash: hash})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seed a stale empty view before the restore.
-	if got := dst.Snapshot(); len(got.Keys) != 0 {
-		t.Fatalf("empty engine snapshot has %d keys", len(got.Keys))
-	}
-	if err := dst.RestoreState(src.DumpState()); err != nil {
-		t.Fatal(err)
-	}
-	if got := dst.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatal("post-restore snapshot differs from source (stale view reused?)")
-	}
-}
-
-// TestMergeStateRebuildsDirtyPartitions: merging advances per-shard
-// mutation counters, so a snapshot taken before the merge must be
-// invalidated and the result must equal the batch reduction of the union.
-func TestMergeStateRebuildsDirtyPartitions(t *testing.T) {
-	hash := sampling.NewSeedHash(44)
-	rng := rand.New(rand.NewSource(12))
-	const n = 120
-	whole := [][]float64{make([]float64, n), make([]float64, n)}
-	for i := range whole {
-		for j := range whole[i] {
-			whole[i][j] = 0.5 + rng.Float64()
-		}
-	}
-	// Keys n/2..n-1 are unknown to the engine pre-merge, so the pre-merge
-	// comparison matrix is the truncated prefix, not a zero-padded one
-	// (the batch sampler emits outcomes even for all-zero columns).
-	half := [][]float64{whole[0][:n/2], whole[1][:n/2]}
-	other, err := New(Config{Instances: 2, K: 12, Shards: 4, Hash: hash})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range whole {
-		for j := n / 2; j < n; j++ {
-			if err := other.Ingest(i, uint64(j), whole[i][j]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	e := rebuildEngine(t, half, 12, 4, hash)
-	requireMatchesMatrix(t, e, half, 12, hash) // publish a view pre-merge
-	if err := e.MergeState(other.DumpState()); err != nil {
-		t.Fatal(err)
-	}
-	requireMatchesMatrix(t, e, whole, 12, hash)
-}
-
 // TestConcurrentReadsDuringPartitionRebuilds races cached readers (exact
 // and bounded-stale) against a single-key mutator, under -race: readers
 // must always observe internally consistent views (version-monotone per
@@ -564,7 +420,7 @@ func TestConcurrentReadsDuringPartitionRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestDataset(t, e, d, nil, false)
+	ingestMatrix(t, e, d.W)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup

@@ -26,114 +26,11 @@ func randomUpdates(rng *rand.Rand, n, instances, keyspace int) []Update {
 	return ups
 }
 
-func fillRandom(t *testing.T, e *Engine, seed int64, n int) []Update {
+func fillRandom(t *testing.T, e *Engine, seed int64, n int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	ups := randomUpdates(rng, n, e.Config().Instances, 200)
-	if err := e.IngestBatch(ups); err != nil {
+	if err := e.IngestBatch(randomUpdates(rng, n, e.Config().Instances, 200)); err != nil {
 		t.Fatal(err)
-	}
-	return ups
-}
-
-func TestDumpRestoreRoundTrip(t *testing.T) {
-	src, err := New(testConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillRandom(t, src, 1, 5000)
-	st := src.DumpState()
-
-	dst, err := New(testConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dst.Snapshot(), src.Snapshot()) {
-		t.Fatal("restored snapshot differs from source")
-	}
-	// A re-dump must be byte-equal in every field: same sorted keys and
-	// masks, same retained entries, preserved counters — the property the
-	// /v1/export comparison across a clean restart rests on.
-	if !reflect.DeepEqual(dst.DumpState(), st) {
-		t.Fatal("re-dumped state differs from the original dump")
-	}
-	ss, ds := src.Stats(), dst.Stats()
-	if ds.Ingests != ss.Ingests || ds.Version != ss.Version {
-		t.Fatalf("counters not preserved: src ingests=%d version=%d, dst ingests=%d version=%d",
-			ss.Ingests, ss.Version, ds.Ingests, ds.Version)
-	}
-	// The restored heaps hold exactly the dumped global bottom-(k+1).
-	dumped := 0
-	for _, ents := range st.Entries {
-		dumped += len(ents)
-	}
-	if ds.Keys != ss.Keys || ds.ActiveEntries != ss.ActiveEntries || ds.RetainedEntries != dumped {
-		t.Fatalf("contents not preserved: src %+v dst %+v, want %d retained", ss, ds, dumped)
-	}
-
-	// Continue both engines with one stream that raises the weights of
-	// entries the source's shard heaps hold outside the dumped bottom-(k+1)
-	// — the entries the restore dropped — mixed with fresh random traffic.
-	rng := rand.New(rand.NewSource(2))
-	var ups []Update
-	for i := range st.Entries {
-		inDump := map[uint64]bool{}
-		for _, en := range st.Entries[i] {
-			inDump[en.Key] = true
-		}
-		for _, sh := range src.shards {
-			for _, en := range sh.heaps[i].es {
-				if !inDump[en.key] {
-					ups = append(ups, Update{Instance: i, Key: en.key, Weight: en.weight * (1 + rng.Float64())})
-				}
-			}
-		}
-	}
-	if len(ups) == 0 {
-		t.Fatal("the source retains nothing outside its bottom-(k+1); the continuation tests nothing")
-	}
-	ups = append(ups, randomUpdates(rng, 500, 3, 260)...)
-	rng.Shuffle(len(ups), func(a, b int) { ups[a], ups[b] = ups[b], ups[a] })
-	for _, e := range []*Engine{src, dst} {
-		if err := e.IngestBatch(ups); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(dst.Snapshot(), src.Snapshot()) {
-		t.Fatal("after continuing, the restored engine's snapshot differs from the source's")
-	}
-	sd, dd := src.DumpState(), dst.DumpState()
-	sd.Version, dd.Version = 0, 0
-	if !reflect.DeepEqual(dd, sd) {
-		t.Fatal("after continuing, the restored engine's dump differs from the source's")
-	}
-	if dst.Version() < st.Version {
-		t.Fatalf("restored version %d fell below the dumped %d", dst.Version(), st.Version)
-	}
-}
-
-func TestRestoreAcrossShardCounts(t *testing.T) {
-	src, err := New(testConfig(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillRandom(t, src, 2, 5000)
-	st := src.DumpState()
-
-	dst, err := New(testConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	// Snapshot semantics survive re-sharding: the global bottom-(k+1) per
-	// instance is retained in every layout.
-	if !reflect.DeepEqual(dst.Snapshot(), src.Snapshot()) {
-		t.Fatal("snapshot differs after restore into a different shard count")
 	}
 }
 
@@ -162,33 +59,6 @@ func TestRestoreRequiresEmptyAndCompatible(t *testing.T) {
 	}
 }
 
-func TestMergeStateMatchesUnionStream(t *testing.T) {
-	a, _ := New(testConfig(4))
-	b, _ := New(testConfig(8))
-	upsA := fillRandom(t, a, 5, 3000)
-	upsB := fillRandom(t, b, 6, 3000)
-
-	union, _ := New(testConfig(4))
-	if err := union.IngestBatch(upsA); err != nil {
-		t.Fatal(err)
-	}
-	if err := union.IngestBatch(upsB); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := a.MergeState(b.DumpState()); err != nil {
-		t.Fatal(err)
-	}
-	// Lossless mergeability: merging b's sketch into a is bit-identical
-	// to one engine having ingested both streams.
-	if !reflect.DeepEqual(a.Snapshot(), union.Snapshot()) {
-		t.Fatal("merged snapshot differs from the union-stream snapshot")
-	}
-	if got, want := a.Stats().Ingests, union.Stats().Ingests; got != want {
-		t.Fatalf("merged ingest counter %d, union stream %d", got, want)
-	}
-}
-
 func TestMergeStateBumpsVersion(t *testing.T) {
 	a, _ := New(testConfig(2))
 	b, _ := New(testConfig(2))
@@ -212,88 +82,6 @@ func TestMergeStateBumpsVersion(t *testing.T) {
 	}
 	if !reflect.DeepEqual(snap, snap2) {
 		t.Fatal("idempotent re-merge changed the snapshot")
-	}
-}
-
-// TestSketchStateMergesLikeUnionEngine: round after round, a merge engine
-// fed each source's SketchState since its last cursor serves the same
-// snapshot, and cuts the same entries, as a union engine fed every
-// source's updates — with keys shared between sources, sources of
-// different shard counts, registry growth in some rounds and weight-only
-// churn in others. The compact cut carries per instance exactly the
-// global bottom-(k+1), and the registry only when its size moved.
-func TestSketchStateMergesLikeUnionEngine(t *testing.T) {
-	srcs := []*Engine{}
-	for _, shards := range []int{4, 16, 1} {
-		e, err := New(testConfig(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		srcs = append(srcs, e)
-	}
-	compact, _ := New(testConfig(4))
-	union, _ := New(testConfig(8))
-	known := make([]uint64, len(srcs))
-	// held[i][inst] is the set of keys source i has seen positive in inst.
-	held := make([][3]map[uint64]bool, len(srcs))
-	for i := range held {
-		for inst := range held[i] {
-			held[i][inst] = map[uint64]bool{}
-		}
-	}
-	rng := rand.New(rand.NewSource(11))
-	for round := 0; round < 12; round++ {
-		for i, src := range srcs {
-			// Even rounds may add keys; odd rounds only raise weights of
-			// keys the source already holds in that instance.
-			var ups []Update
-			if round%2 == 0 {
-				ups = randomUpdates(rng, 150, 3, 120+40*round)
-			} else {
-				st := src.DumpState()
-				for j := 0; j < 40; j++ {
-					inst := rng.Intn(3)
-					if ents := st.Entries[inst]; len(ents) > 0 {
-						en := ents[rng.Intn(len(ents))]
-						ups = append(ups, Update{Instance: inst, Key: en.Key, Weight: en.Weight * (1 + rng.Float64())})
-					}
-				}
-			}
-			for _, e := range []*Engine{src, union} {
-				if err := e.IngestBatch(ups); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, u := range ups {
-				if u.Weight > 0 {
-					held[i][u.Instance][u.Key] = true
-				}
-			}
-			st, reg := src.SketchState(known[i])
-			stats := src.Stats()
-			if want := uint64(stats.Keys + stats.ActiveEntries); reg != want {
-				t.Fatalf("round %d source %d: reg %d, want keys+active %d", round, i, reg, want)
-			}
-			if shipped := len(st.Keys) > 0; shipped != (reg != known[i]) {
-				t.Fatalf("round %d source %d: registry shipped=%v with reg %d, known %d", round, i, shipped, reg, known[i])
-			}
-			for inst, ents := range st.Entries {
-				if want := min(src.Config().K+1, len(held[i][inst])); len(ents) != want {
-					t.Fatalf("round %d source %d instance %d: %d entries, want %d", round, i, inst, len(ents), want)
-				}
-			}
-			if err := compact.MergeState(st); err != nil {
-				t.Fatal(err)
-			}
-			known[i] = reg
-		}
-		if !reflect.DeepEqual(compact.Snapshot(), union.Snapshot()) {
-			t.Fatalf("round %d: snapshot fed compact cuts differs from the union engine's", round)
-		}
-		got, want := compact.DumpState(), union.DumpState()
-		if !reflect.DeepEqual(got.Entries, want.Entries) || !reflect.DeepEqual(got.Keys, want.Keys) || !reflect.DeepEqual(got.Masks, want.Masks) {
-			t.Fatalf("round %d: merge engine cuts other entries or registry than the union engine", round)
-		}
 	}
 }
 

@@ -33,14 +33,10 @@ func EstimateUStar(f F, o sampling.TupleOutcome, g core.Grid) float64 {
 // f(v)/p when the outcome reveals f(v) (p being the revelation
 // probability, recovered from the outcome by bisection), 0 otherwise.
 func EstimateHT(f F, o sampling.TupleOutcome) float64 {
-	if !Revealed(f, o) {
-		return 0
+	if value := f.Lower(o); value != 0 && revealed(value, f.Upper(o)) {
+		return value / revealSeed(f, o)
 	}
-	value := f.Lower(o)
-	if value == 0 {
-		return 0
-	}
-	return value / RevealSeed(f, o)
+	return 0
 }
 
 // EstimateVOptimal returns the v-optimal oracle estimate for the true data

@@ -124,10 +124,10 @@ func OutcomeFamily(f F, o sampling.TupleOutcome) core.ConsistentFamily {
 }
 
 // Revealed reports whether the outcome determines f exactly.
-func Revealed(f F, o sampling.TupleOutcome) bool {
-	lo, hi := f.Lower(o), f.Upper(o)
-	return hi-lo <= 1e-12*(1+math.Abs(hi))
-}
+func Revealed(f F, o sampling.TupleOutcome) bool { return revealed(f.Lower(o), f.Upper(o)) }
+
+// revealed is Revealed's test on bounds already evaluated.
+func revealed(lo, hi float64) bool { return hi-lo <= 1e-12*(1+math.Abs(hi)) }
 
 // revealScratch lends RevealSeed the Known/Vals backing of its coarsened
 // outcomes. They reach f.Lower and f.Upper through the interface, so a
@@ -145,6 +145,11 @@ func RevealSeed(f F, o sampling.TupleOutcome) float64 {
 	if !Revealed(f, o) {
 		return 0
 	}
+	return revealSeed(f, o)
+}
+
+// revealSeed is RevealSeed's bisection on an outcome that reveals f.
+func revealSeed(f F, o sampling.TupleOutcome) float64 {
 	sc := revealScratch.Get().(*sampling.TupleOutcome)
 	defer revealScratch.Put(sc)
 	n := len(o.Known)
@@ -157,8 +162,7 @@ func RevealSeed(f F, o sampling.TupleOutcome) float64 {
 	}
 	lo, hi := o.Rho, 1.0 // revealed at lo, not at hi
 	for i := 0; i < 60; i++ {
-		mid := 0.5 * (lo + hi)
-		if Revealed(f, o.AtInto(mid, known, vals)) {
+		if mid := 0.5 * (lo + hi); Revealed(f, o.AtInto(mid, known, vals)) {
 			lo = mid
 		} else {
 			hi = mid

@@ -171,6 +171,47 @@ func TestHTAllocationFree(t *testing.T) {
 	}
 }
 
+// TestHTGoldenBits pins EstimateHT for rg p=1, rg p=2 and rgplus p=1 on
+// 13 outcomes: 5 of served shape (thresholds of a k=256 bottom-k sample of
+// 65,536 Zipf-weighted keys), zero entries, revealed items with f = 0,
+// unrevealed items, and one revealed at seed 1. The bits were recorded
+// while EstimateHT still tested revelation twice per item; evaluating
+// Lower and Upper once must keep them.
+func TestHTGoldenBits(t *testing.T) {
+	served, served2 := []float64{1483.8967201847843, 1333.6612288718286}, []float64{1483.8967201847843, 1331.7230921617436}
+	cases := []struct {
+		tau, v []float64
+		rho    float64
+		bits   [3]uint64
+	}{
+		{served, []float64{4.580849946453173, 0}, 0.001355924080271964, [3]uint64{0, 0, 0}},
+		{served2, []float64{1.646939273474853, 1.6491547463458638}, 0.001058360501372202, [3]uint64{0x3ffff037dc38eaa1, 0x3f721d3b87e5695f, 0}},
+		{served2, []float64{0.39954429864534907, 0.39014374067431323}, 0.00011870168558036909, [3]uint64{0x404174eae23c2f90, 0x3fd501521b0773c6, 0x404174eae23c2f90}},
+		{served2, []float64{1817.5405750604464, 1478.1746194997572}, 0.18415249664941435, [3]uint64{0x407535daf437cf30, 0x40fc1e140758bf1b, 0x407535daf437cf30}},
+		{served2, []float64{4344.406259188686, 3046.338579295434}, 0.0664281999552242, [3]uint64{0x409448454de0c074, 0x4139b5f3b39af914, 0x409448454de0c074}},
+		{[]float64{0.4745123773403104, 0.3273484644240401}, []float64{0.5699754360741991, 0.26156777174916424}, 0.6632535073668406, [3]uint64{0x3fd8b3b2e53de11f, 0x3fbe791bd514ae67, 0x3fd8b3b2e53de11f}},
+		{[]float64{3.2498958489926126, 0.3641829487104346}, []float64{4.627620340529393, 0.44596458164743646}, 0.15094785020490126, [3]uint64{0x4010ba03f79e1cbe, 0x40317c7a8b7a516c, 0x4010ba03f79e1cbe}},
+		{[]float64{0.8, 1.7}, []float64{0.6, 0.2}, 0.05, [3]uint64{0x400b333333333332, 0x3ff5c28f5c28f5c1, 0x400b333333333332}},
+		{[]float64{0.8, 1.7}, []float64{0.6, 0.6}, 0.05, [3]uint64{0, 0, 0}}, // revealed, f = 0
+		{[]float64{0.8, 1.7}, []float64{0, 0.6}, 0.05, [3]uint64{0, 0, 0}},   // rgplus revealed, f = 0
+		{[]float64{0.8, 1.7}, []float64{0.6, 0.2}, 0.9, [3]uint64{0, 0, 0}},  // nothing known
+		{[]float64{0.3, 0.2}, []float64{0.5, 0.4}, 0.5, [3]uint64{0x3fb9999999999998, 0x3f847ae147ae1478, 0x3fb9999999999998}},
+		{[]float64{0.5, 1.2, 2}, []float64{0.3, 0.9, 0}, 0.1, [3]uint64{0, 0, 0}},
+	}
+	for i, c := range cases {
+		s, err := sampling.NewTupleScheme(c.tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := s.Sample(c.v, c.rho)
+		for j, f := range []F{RG{P: 1}, RG{P: 2}, RGPlus{P: 1}} {
+			if got := EstimateHT(f, o); math.Float64bits(got) != c.bits[j] {
+				t.Errorf("case %d %s: HT = %.17g (%#x), want %.17g (%#x)", i, f.Name(), got, math.Float64bits(got), math.Float64frombits(c.bits[j]), c.bits[j])
+			}
+		}
+	}
+}
+
 // TestRevealSeedConcurrent: RevealSeed's scratch pairs come from a shared
 // pool, and the server evaluates ht on many requests at once; each call
 // must still see only its own pair (run under -race).
