@@ -17,14 +17,15 @@ race:
 
 # Every Fuzz* target of the two packages that decode bytes from outside
 # the process (frames, state artifacts, JSON requests) — "every decoder
-# fails closed" exercised on every push, not only locally — of
-# internal/funcs, whose closed-form L* is held to quadrature of formula
-# (31) and whose DataLB kernels to Lower of the sampled outcome
-# (FuzzDataLBKernel), and of internal/engine, whose snapshot rebuild is
-# held to the batch reduction and whose op streams (ingest, replay,
-# merge, re-sync, restore) to the model harness (FuzzEngineMatchesModel);
-# 5s each. go test -fuzz takes one target and one package per run, hence
-# the loop.
+# fails closed" exercised on every push, not only locally — plus the
+# store's crash, damage and restart streams held to its model harness
+# (FuzzStoreMatchesModel); of internal/funcs, whose closed-form L* is
+# held to quadrature of formula (31) and whose DataLB kernels to Lower of
+# the sampled outcome (FuzzDataLBKernel); and of internal/engine, whose
+# snapshot rebuild is held to the batch reduction and whose op streams
+# (ingest, replay, merge, re-sync, restore) to the model harness
+# (FuzzEngineMatchesModel); 5s each. go test -fuzz takes one target and
+# one package per run, hence the loop.
 fuzz:
 	@for pkg in ./internal/store/ ./internal/server/ ./internal/funcs/ ./internal/engine/; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \

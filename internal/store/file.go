@@ -47,6 +47,9 @@ type fileStore struct {
 
 	// ckpts tracks retained checkpoint sequence numbers, ascending.
 	ckpts []uint64
+	// failed lists the checkpoints that failed validation at recovery;
+	// the next prune deletes them, once a newer checkpoint is retained.
+	failed []uint64
 
 	// syncStop ends the FsyncInterval flusher.
 	syncStop chan struct{}
@@ -106,8 +109,8 @@ func (f *fileStore) removeTemps() error {
 	}
 	for _, de := range des {
 		if ok, _ := filepath.Match(ckptTempPattern, de.Name()); ok {
-			if err := os.Remove(filepath.Join(f.dir, de.Name())); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("store: %w", err)
+			if err := removeFile(filepath.Join(f.dir, de.Name())); err != nil {
+				return err
 			}
 		}
 	}
@@ -146,6 +149,7 @@ func (f *fileStore) Recover(h RecoveryHandler) (RecoveryStats, error) {
 		seq := ckpts[i]
 		st, first, cerr := readCheckpoint(f.ckptPath(seq))
 		if cerr != nil {
+			f.failed = append(f.failed, seq)
 			if stats.CheckpointSeq == 0 {
 				stats.CheckpointsSkipped++
 			}
@@ -176,8 +180,8 @@ func (f *fileStore) Recover(h RecoveryHandler) (RecoveryStats, error) {
 	}
 	for i, seq := range segs {
 		if seq < oldestNeeded {
-			if err := os.Remove(f.segPath(seq)); err != nil {
-				return stats, fmt.Errorf("store: %w", err)
+			if err := removeFile(f.segPath(seq)); err != nil {
+				return stats, err
 			}
 			continue
 		}
@@ -195,8 +199,8 @@ func (f *fileStore) Recover(h RecoveryHandler) (RecoveryStats, error) {
 		if !complete {
 			stats.Truncated = true
 			for _, later := range segs[i+1:] {
-				if err := os.Remove(f.segPath(later)); err != nil {
-					return stats, fmt.Errorf("store: %w", err)
+				if err := removeFile(f.segPath(later)); err != nil {
+					return stats, err
 				}
 			}
 			break
@@ -224,8 +228,11 @@ func (f *fileStore) Recover(h RecoveryHandler) (RecoveryStats, error) {
 
 // replaySegment feeds every valid record to the handler and reports
 // whether the segment was cleanly terminated; a torn or corrupt tail is
-// truncated in place at the scanner's last good boundary (offset 0 for a
-// header-less segment, so the file is never misread later).
+// truncated in place at the scanner's last good boundary. A segment left
+// without a valid magic is deleted instead, so no later boot judges it
+// torn again and drops the segments written after it. One shorter than
+// the magic is a crash between openSegment's create and its magic write:
+// it never held a record, so it is deleted and reported complete.
 func (f *fileStore) replaySegment(seq uint64, h RecoveryHandler) (records, updates int, complete bool, err error) {
 	path := f.segPath(seq)
 	file, err := os.OpenFile(path, os.O_RDWR, 0)
@@ -233,6 +240,13 @@ func (f *fileStore) replaySegment(seq uint64, h RecoveryHandler) (records, updat
 		return 0, 0, false, fmt.Errorf("store: %w", err)
 	}
 	defer file.Close()
+	fi, err := file.Stat()
+	if err != nil {
+		return 0, 0, false, fmt.Errorf("store: %w", err)
+	}
+	if fi.Size() < int64(len(walMagic)) {
+		return 0, 0, true, removeFile(path)
+	}
 
 	sc := newFrameScanner(file, walMagic, maxRecordBytes)
 	defer sc.Release()
@@ -242,7 +256,9 @@ func (f *fileStore) replaySegment(seq uint64, h RecoveryHandler) (records, updat
 			return records, updates, true, nil
 		}
 		if serr != nil {
-			if terr := file.Truncate(sc.Offset()); terr != nil {
+			if sc.Offset() == 0 {
+				err = removeFile(path)
+			} else if terr := file.Truncate(sc.Offset()); terr != nil {
 				err = fmt.Errorf("store: truncating %s: %w", path, terr)
 			}
 			return records, updates, false, err
@@ -427,11 +443,17 @@ func (f *fileStore) rotateLocked() error {
 func (f *fileStore) pruneLocked() (int, error) {
 	for len(f.ckpts) > keepCheckpoints {
 		seq := f.ckpts[0]
-		if err := os.Remove(f.ckptPath(seq)); err != nil && !os.IsNotExist(err) {
-			return 0, fmt.Errorf("store: %w", err)
+		if err := removeFile(f.ckptPath(seq)); err != nil {
+			return 0, err
 		}
 		f.ckpts = f.ckpts[1:]
 	}
+	for _, seq := range f.failed {
+		if err := removeFile(f.ckptPath(seq)); err != nil {
+			return 0, err
+		}
+	}
+	f.failed = nil
 	if len(f.ckpts) == 0 {
 		return 0, nil
 	}
@@ -441,8 +463,8 @@ func (f *fileStore) pruneLocked() (int, error) {
 		if seq >= oldestNeeded || seq == f.segSeq {
 			continue
 		}
-		if err := os.Remove(f.segPath(seq)); err != nil && !os.IsNotExist(err) {
-			return dropped, fmt.Errorf("store: %w", err)
+		if err := removeFile(f.segPath(seq)); err != nil {
+			return dropped, err
 		}
 		dropped += n
 		delete(f.records, seq)
@@ -494,6 +516,14 @@ func readCheckpoint(path string) (*engine.State, uint64, error) {
 		return nil, 0, fmt.Errorf("store: %s: %w", path, err)
 	}
 	return st, first, nil
+}
+
+// removeFile deletes path; a file already gone is not an error.
+func removeFile(path string) error {
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file's entry is durable.
