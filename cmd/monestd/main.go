@@ -34,9 +34,13 @@
 // ingest is then journaled ahead of being applied (a failed append
 // answers a retryable 500, not a 400). -fsync picks the WAL flush
 // policy (always = durable per batch; interval = background flush;
-// never = leave it to the OS). -checkpoint-interval writes periodic
-// compact checkpoints (0 disables; /v1/checkpoint triggers one on
-// demand); a final checkpoint is always written on graceful shutdown.
+// never = leave it to the OS). The daemon checkpoints whenever the WAL
+// journaled since the last checkpoint passes the store's budget, so a
+// crash replays about one budget; such a checkpoint leaves out the key
+// registry while it has not grown. -checkpoint-interval adds full
+// checkpoints on a timer (0 disables the timer only; /v1/checkpoint
+// writes one on demand); a final checkpoint is always written on
+// graceful shutdown.
 // Without -data-dir the daemon is in-memory only, as before.
 //
 // Cluster mode: -cluster=url1,url2,... turns the process into a
@@ -156,7 +160,7 @@ func main() {
 	flag.DurationVar(&o.subDebounce, "subscribe-debounce", 100*time.Millisecond, "longest a /v1/subscribe push waits behind an open write, and shortest spacing between pushes")
 	flag.StringVar(&o.dataDir, "data-dir", "", "state directory (empty = in-memory only)")
 	flag.StringVar(&o.fsync, "fsync", "interval", "WAL flush policy: always, interval, never")
-	flag.DurationVar(&o.checkpointIv, "checkpoint-interval", time.Minute, "periodic checkpoint period (0 = only on demand and shutdown)")
+	flag.DurationVar(&o.checkpointIv, "checkpoint-interval", time.Minute, "period of full checkpoints (0 = none on a timer; WAL volume, /v1/checkpoint and shutdown still checkpoint)")
 	flag.BoolVar(&o.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")
 	flag.StringVar(&o.cluster, "cluster", "", "comma-separated node base URLs; when set, serve as cluster coordinator")
 	flag.DurationVar(&o.clusterTimeout, "cluster-timeout", 2*time.Second, "per-node request timeout in cluster mode")
@@ -274,8 +278,8 @@ func run(o options) error {
 
 	// Durability: recover before the listener exists (the engine must not
 	// see traffic until the journal is attached), then compact a replayed
-	// tail and checkpoint on a timer beside serving, and finally on
-	// shutdown.
+	// tail and checkpoint on WAL volume and a timer beside serving, and
+	// finally on shutdown.
 	var persist *store.Persistence
 	replayed := 0 // WAL records the recovery replayed
 	if o.dataDir != "" {
@@ -294,6 +298,9 @@ func run(o options) error {
 			o.dataDir, time.Since(began).Round(time.Microsecond), rec.CheckpointSeq, rec.CheckpointVersion, rec.Records, rec.Updates)
 		if rec.Truncated {
 			msg += ", WAL truncated at first corrupt record"
+		}
+		if rec.CheckpointBase != 0 {
+			msg += fmt.Sprintf(", sketch-only on base %d", rec.CheckpointBase)
 		}
 		if rec.CheckpointsSkipped > 0 {
 			msg += fmt.Sprintf(", %d corrupt checkpoint(s) skipped", rec.CheckpointsSkipped)
@@ -339,36 +346,45 @@ func run(o options) error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	if replayed > 0 {
-		// Compact the replayed tail beside serving, so the next boot does
-		// not replay it again. Until the checkpoint lands the tail stays in
-		// the WAL, and replaying it twice is idempotent. One that loses the
-		// race to shutdown loses nothing: Close writes the final checkpoint.
+	if persist != nil {
+		// One goroutine takes every checkpoint the daemon starts itself:
+		// first a replayed tail's, so the next boot does not replay it
+		// again, then the timer's (full) and the WAL budget's (sketch-only
+		// while the registry has not grown), all beside serving. Until one
+		// lands its tail stays in the WAL, and replaying it twice is
+		// idempotent. One that loses the race to shutdown loses nothing:
+		// Close writes the final checkpoint.
 		go func() {
-			began := time.Now()
-			cs, err := persist.Checkpoint()
-			switch {
-			case errors.Is(err, store.ErrClosed):
-			case err != nil:
-				logger.Printf("post-recovery checkpoint failed: %v", err)
-			default:
-				logger.Printf("post-recovery checkpoint seq=%d in %v (%d keys, %d bytes)",
-					cs.Seq, time.Since(began).Round(time.Microsecond), cs.Keys, cs.Bytes)
+			var tick <-chan time.Time
+			if o.checkpointIv > 0 {
+				t := time.NewTicker(o.checkpointIv)
+				defer t.Stop()
+				tick = t.C
 			}
-		}()
-	}
-	if persist != nil && o.checkpointIv > 0 {
-		go func() {
-			t := time.NewTicker(o.checkpointIv)
-			defer t.Stop()
+			if replayed > 0 {
+				began := time.Now()
+				cs, err := persist.SketchCheckpoint()
+				switch {
+				case errors.Is(err, store.ErrClosed):
+				case err != nil:
+					logger.Printf("post-recovery checkpoint failed: %v", err)
+				default:
+					logger.Printf("post-recovery checkpoint seq=%d base=%d in %v (%d keys, %d bytes)",
+						cs.Seq, cs.Base, time.Since(began).Round(time.Microsecond), cs.Keys, cs.Bytes)
+				}
+			}
 			for {
 				select {
-				case <-t.C:
+				case <-tick:
 					if cs, err := persist.Checkpoint(); err != nil {
 						logger.Printf("periodic checkpoint failed: %v", err)
 					} else if cs.WALRecordsDropped > 0 || cs.Keys > 0 {
 						logger.Printf("checkpoint seq=%d version=%d keys=%d bytes=%d wal-records-dropped=%d",
 							cs.Seq, cs.Version, cs.Keys, cs.Bytes, cs.WALRecordsDropped)
+					}
+				case <-persist.Due():
+					if _, err := persist.SketchCheckpoint(); err != nil && !errors.Is(err, store.ErrClosed) {
+						logger.Printf("WAL budget checkpoint failed: %v", err)
 					}
 				case <-ctx.Done():
 					return

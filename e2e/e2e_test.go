@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/store"
 	"repro/internal/streamclient"
 )
 
@@ -260,5 +261,73 @@ func TestDurableCrashRestart(t *testing.T) {
 	}
 	if got := getBody(t, base+"/v1/export"); !bytes.Equal(got, want) {
 		t.Fatalf("export after the second SIGKILL differs: %d bytes vs %d acknowledged", len(got), len(want))
+	}
+}
+
+// TestDurableReplayBounded streams more than three WAL budgets into a
+// durable daemon without a checkpoint timer (-checkpoint-interval 0) and
+// SIGKILLs it: the checkpoints the WAL budget triggers must leave the
+// restart at most two budgets to replay, and the restart must serve the
+// acknowledged state. The state here stays far below a megabyte, so the
+// budget is the store's 4 MiB floor. The traffic counters are copied
+// before the byte comparison, as bench/oracle.go does: a restore holds
+// only the bottom-(k+1), so Version runs ahead while replay refills the
+// heaps, and a replayed record the checkpoint's cut already held counts
+// in Ingests twice.
+func TestDurableReplayBounded(t *testing.T) {
+	const budget = 4 << 20 // the store's walBudgetFloor
+	monestd, _ := buildBinaries(t)
+	dir := t.TempDir()
+	addr := freeAddr(t)
+	daemon, _ := startDaemon(t, monestd, addr, dir)
+	base := "http://" + addr
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	s, err := streamclient.OpenStream(ctx, nil, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	batch := make([]engine.Update, 4096)
+	recordBytes := len(store.AppendFrame(nil, batch))
+	frames := 3*budget/recordBytes + 8
+	for f := 0; f < frames; f++ {
+		for i := range batch {
+			batch[i] = engine.Update{Instance: rng.Intn(2), Key: uint64(rng.Intn(5000)), Weight: 1 + rng.Float64()*10}
+		}
+		if err := s.Send(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sum, err := s.Close(); err != nil || sum.Frames != frames {
+		t.Fatalf("stream: %+v, %v", sum, err)
+	}
+	want, err := store.DecodeState(getBody(t, base+"/v1/export"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := daemon.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	daemon.Wait() // the exit status of a killed daemon is not news
+	addr = freeAddr(t)
+	base = "http://" + addr
+	_, log := startDaemon(t, monestd, addr, dir)
+	m := log.waitFor(t, regexp.MustCompile(`recovered .* replayed (\d+) records`), 5*time.Second)
+	var replayed int
+	fmt.Sscan(m[1], &replayed)
+	if replayed*recordBytes > 2*budget {
+		t.Fatalf("restart replayed %d records (%d bytes) of the %d streamed, over two %d-byte budgets",
+			replayed, replayed*recordBytes, frames, budget)
+	}
+	got, err := store.DecodeState(getBody(t, base+"/v1/export"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Version, got.Ingests = want.Version, want.Ingests
+	if !bytes.Equal(store.EncodeState(got), store.EncodeState(want)) {
+		t.Fatal("state after SIGKILL differs from the acknowledged one")
 	}
 }

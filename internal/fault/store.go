@@ -95,13 +95,15 @@ func (s *Store) Sync() error {
 	return s.inner.Sync()
 }
 
-func (s *Store) Checkpoint(cut func() *engine.State) (store.CheckpointStats, error) {
+func (s *Store) Checkpoint(cut store.Cut, full bool) (store.CheckpointStats, error) {
 	if s.f.CheckpointFailRate > 0 && s.rng.Float64() < s.f.CheckpointFailRate {
 		s.checkpointFails.Add(1)
 		return store.CheckpointStats{}, fmt.Errorf("fault: checkpoint: %w", ErrInjected)
 	}
-	return s.inner.Checkpoint(cut)
+	return s.inner.Checkpoint(cut, full)
 }
+
+func (s *Store) Due() <-chan struct{} { return s.inner.Due() }
 
 func (s *Store) Recover(h store.RecoveryHandler) (store.RecoveryStats, error) {
 	return s.inner.Recover(h)

@@ -184,30 +184,55 @@ func benchRecover(b *testing.B, dir string, tail int) {
 	b.ReportMetric(float64(tail)*float64(b.N)/b.Elapsed().Seconds(), "updates/s")
 }
 
-// BenchmarkCheckpoint measures cutting and persisting a 64k-key state.
+// BenchmarkCheckpoint measures cutting and persisting a 64k-key state:
+// full (Persistence.Checkpoint, the registry rewritten every time) and
+// sketch-only (SketchCheckpoint on an unchanged registry, the WAL
+// budget's checkpoint). Besides B/op and allocs/op it reports the bytes
+// each checkpoint file holds.
 func BenchmarkCheckpoint(b *testing.B) {
-	e := benchEngine(b)
-	st, err := Open(b.TempDir(), Options{Fsync: FsyncNever})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, _, err := Attach(e, st)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-	ups := benchUpdates(1<<18, 1<<16)
-	for lo := 0; lo < len(ups); lo += 256 {
-		if err := e.IngestBatch(ups[lo : lo+256]); err != nil {
-			b.Fatal(err)
+	for _, full := range []bool{true, false} {
+		name := "full"
+		if !full {
+			name = "sketch-only"
 		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Checkpoint(); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(name, func(b *testing.B) {
+			e := benchEngine(b)
+			st, err := Open(b.TempDir(), Options{Fsync: FsyncNever})
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, _, err := Attach(e, st)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer p.Close()
+			ups := benchUpdates(1<<18, 1<<16)
+			for lo := 0; lo < len(ups); lo += 256 {
+				if err := e.IngestBatch(ups[lo : lo+256]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			take := p.Checkpoint
+			if !full {
+				if _, err := p.Checkpoint(); err != nil { // the base
+					b.Fatal(err)
+				}
+				take = p.SketchCheckpoint
+			}
+			var cs CheckpointStats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if cs, err = take(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if (cs.Base == 0) != full {
+				b.Fatalf("checkpoint %+v: want full=%v", cs, full)
+			}
+			b.ReportMetric(float64(cs.Bytes), "file-bytes/op")
+		})
 	}
 }
 

@@ -29,12 +29,19 @@ import (
 //	       [8] key count, then keys, then masks (keys × maskWords words)
 //	       per instance: [8] entry count, then { [8] key, [8] weight bits }
 //
-// Checkpoint file: [8] magic "MONESTK1", [8] first WAL segment to replay,
-// then a full state artifact.
+// Checkpoint file: a header of [8] magic "MONESTK2", [8] first WAL
+// segment to replay, [8] base and [4] CRC32 of the 24 bytes before it,
+// then a state artifact. Base 0 marks a full checkpoint; otherwise the
+// artifact holds no keys or masks and base numbers the full checkpoint
+// whose registry it shares. A "MONESTK1" file is [8] magic, [8] first
+// WAL segment, then a full state artifact, with no header checksum.
 const (
-	walMagic   = "MONESTW1"
-	stateMagic = "MONESTS1"
-	ckptMagic  = "MONESTK1"
+	walMagic    = "MONESTW1"
+	stateMagic  = "MONESTS1"
+	ckptMagic   = "MONESTK2"
+	ckptMagicV1 = "MONESTK1"
+
+	ckptHeaderBytes = 8 + 8 + 8 + 4
 
 	stateFormat = 1
 
@@ -94,6 +101,16 @@ func appendState(dst []byte, st *engine.State) []byte {
 	binary.LittleEndian.PutUint32(dst[at+8:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[at+12:], crc32.ChecksumIEEE(payload))
 	return dst
+}
+
+// appendCheckpointHeader appends a checkpoint header naming replay
+// horizon first and base (0 for a full checkpoint) to dst.
+func appendCheckpointHeader(dst []byte, first, base uint64) []byte {
+	at := len(dst)
+	dst = append(dst, ckptMagic...)
+	dst = binary.LittleEndian.AppendUint64(dst, first)
+	dst = binary.LittleEndian.AppendUint64(dst, base)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[at:]))
 }
 
 // stateReader walks an encoded payload with bounds checking.

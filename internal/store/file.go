@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -17,22 +19,28 @@ import (
 // fileStore is the Store over a local directory. Layout:
 //
 //	wal-00000001.log         WAL segments, appended in sequence order
-//	checkpoint-00000002.ckpt numbered checkpoints (newest wins)
+//	checkpoint-00000002.ckpt numbered checkpoints (newest valid wins)
 //
 // A checkpoint numbered n covers every update in segments < n and
 // possibly a prefix of segment n (the cut is taken after rotating to
 // segment n, so appends racing the cut land in n and are replayed — an
 // idempotent no-op for the ones the cut already saw). Recovery therefore
-// replays segments ≥ n on top of checkpoint n.
+// replays segments ≥ n on top of checkpoint n. A sketch-only checkpoint
+// names a full one, its base, whose key registry it shares: while the
+// engine lives its registry only grows, so an unchanged registry size
+// means an identical registry.
 type fileStore struct {
 	dir string
 	opt Options
 	// syncInterval is the FsyncInterval flush period, the package
 	// constant; tests shorten it before Recover starts the flusher.
 	syncInterval time.Duration
+	// budgetFloor is walBudgetFloor; tests shrink it before Recover.
+	budgetFloor int64
 
 	// mu guards the append path: the current segment file, its sequence
-	// number, the encode scratch, and the per-segment record count.
+	// number, the encode scratch, the per-segment record count and the
+	// WAL volume since the last rotation.
 	mu        sync.Mutex
 	seg       *os.File
 	segSeq    uint64
@@ -41,20 +49,34 @@ type fileStore struct {
 	recovered bool
 	closed    bool
 
+	// walBytes counts the bytes appended since the last rotation; past
+	// budget every append offers a signal on due (capacity 1).
+	walBytes int64
+	budget   int64
+	due      chan struct{}
+
 	// records[seq] counts live records per retained segment, so pruning
 	// can report how many WAL records a checkpoint made obsolete.
 	records map[uint64]int
 
-	// ckpts tracks retained checkpoint sequence numbers, ascending.
-	ckpts []uint64
+	// ckpts tracks the retained checkpoints, ascending.
+	ckpts []ckptRef
 	// failed lists the checkpoints that failed validation at recovery;
 	// the next prune deletes them, once a newer checkpoint is retained.
 	failed []uint64
+	// base is the newest full checkpoint whose registry the engine holds
+	// (zero for none yet), and baseReg that registry's size: the
+	// checkpoint a sketch-only one names, and the size it must match.
+	base, baseReg uint64
 
 	// syncStop ends the FsyncInterval flusher.
 	syncStop chan struct{}
 	syncDone chan struct{}
 }
+
+// ckptRef is one retained checkpoint: its sequence number and its base
+// (zero for a full checkpoint).
+type ckptRef struct{ seq, base uint64 }
 
 // Open returns the store rooted at directory dir, creating it if needed.
 func Open(dir string, opt Options) (Store, error) {
@@ -64,7 +86,8 @@ func Open(dir string, opt Options) (Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &fileStore{dir: dir, opt: opt, syncInterval: syncInterval, records: map[uint64]int{}}, nil
+	return &fileStore{dir: dir, opt: opt, syncInterval: syncInterval, budgetFloor: walBudgetFloor,
+		due: make(chan struct{}, 1), records: map[uint64]int{}}, nil
 }
 
 // ckptTempPattern names a checkpoint while it is written, before the
@@ -140,32 +163,10 @@ func (f *fileStore) Recover(h RecoveryHandler) (RecoveryStats, error) {
 		return stats, err
 	}
 
-	// Newest checkpoint that decodes cleanly wins; corrupt or partial ones
-	// (a crash mid-rename cannot produce these, but bit rot or manual
-	// damage can) fall back to the one before.
-	replayFrom := uint64(0)
-	var valid []uint64
-	for i := len(ckpts) - 1; i >= 0; i-- {
-		seq := ckpts[i]
-		st, first, cerr := readCheckpoint(f.ckptPath(seq))
-		if cerr != nil {
-			f.failed = append(f.failed, seq)
-			if stats.CheckpointSeq == 0 {
-				stats.CheckpointsSkipped++
-			}
-			continue
-		}
-		valid = append([]uint64{seq}, valid...)
-		if stats.CheckpointSeq == 0 {
-			if err := h.Restore(st); err != nil {
-				return stats, fmt.Errorf("store: restoring checkpoint %d: %w", seq, err)
-			}
-			stats.CheckpointSeq = seq
-			stats.CheckpointVersion = st.Version
-			replayFrom = first
-		}
+	replayFrom, err := f.restoreNewest(ckpts, h, &stats)
+	if err != nil {
+		return stats, err
 	}
-	f.ckpts = valid
 
 	// Replay segments ≥ replayFrom in order. The first invalid record ends
 	// the log: the segment is truncated there and any later segments are
@@ -175,8 +176,8 @@ func (f *fileStore) Recover(h RecoveryHandler) (RecoveryStats, error) {
 	// segments inside a fallback checkpoint's window are kept (unreplayed,
 	// zero live-record count) in case the next recovery needs them.
 	oldestNeeded := replayFrom
-	if len(valid) > 0 {
-		oldestNeeded = valid[0]
+	if len(f.ckpts) > 0 {
+		oldestNeeded = f.ckpts[0].seq
 	}
 	for i, seq := range segs {
 		if seq < oldestNeeded {
@@ -224,6 +225,61 @@ func (f *fileStore) Recover(h RecoveryHandler) (RecoveryStats, error) {
 		go f.syncLoop()
 	}
 	return stats, nil
+}
+
+// restoreNewest restores the newest checkpoint of ckpts that validates
+// through h and returns its replay horizon; it records the valid ones in
+// f.ckpts, the failed ones in f.failed, and the restored one's base and
+// budget. Corrupt or partial checkpoints (a crash mid-rename cannot
+// produce these, but bit rot or manual damage can) fall back to the one
+// before, and so does a sketch-only one whose base is not a valid full
+// checkpoint. Each file is decoded once, a base with the first checkpoint
+// that names it, and every decoded state is garbage once this returns,
+// before the WAL replay.
+func (f *fileStore) restoreNewest(ckpts []uint64, h RecoveryHandler, stats *RecoveryStats) (replayFrom uint64, err error) {
+	files := make(map[uint64]*ckptFile, len(ckpts))
+	read := func(seq uint64) *ckptFile {
+		c, ok := files[seq]
+		if !ok {
+			c = readCheckpoint(f.ckptPath(seq))
+			files[seq] = c
+		}
+		return c
+	}
+	f.budget = f.walBudget(0)
+	for i := len(ckpts) - 1; i >= 0; i-- {
+		seq := ckpts[i]
+		c := read(seq)
+		var base *ckptFile
+		if c.err == nil && c.base != 0 {
+			if base = read(c.base); base.err != nil || base.base != 0 {
+				c.err = fmt.Errorf("store: checkpoint %d: base %d is not a valid full checkpoint", seq, c.base)
+			}
+		}
+		if c.err != nil {
+			f.failed = append(f.failed, seq)
+			if stats.CheckpointSeq == 0 {
+				stats.CheckpointsSkipped++
+			}
+			continue
+		}
+		f.ckpts = append([]ckptRef{{seq, c.base}}, f.ckpts...)
+		if stats.CheckpointSeq != 0 {
+			continue
+		}
+		st, full, baseSeq := c.st, c, seq
+		if base != nil {
+			st.Keys, st.Masks, full, baseSeq = base.st.Keys, base.st.Masks, base, c.base
+		}
+		reg, err := h.Restore(st)
+		if err != nil {
+			return 0, fmt.Errorf("store: restoring checkpoint %d: %w", seq, err)
+		}
+		stats.CheckpointSeq, stats.CheckpointBase, stats.CheckpointVersion = seq, c.base, st.Version
+		replayFrom = c.first
+		f.base, f.baseReg, f.budget = baseSeq, reg, f.walBudget(full.bytes)
+	}
+	return replayFrom, nil
 }
 
 // replaySegment feeds every valid record to the handler and reports
@@ -282,10 +338,21 @@ func (f *fileStore) openSegment(seq uint64) error {
 		file.Close()
 		return fmt.Errorf("store: %w", err)
 	}
-	f.seg, f.segSeq = file, seq
+	f.seg, f.segSeq, f.walBytes = file, seq, 0
 	f.records[seq] = 0
 	return nil
 }
+
+// walBudget is the WAL volume past which the store raises Due, given the
+// newest full checkpoint's size in bytes.
+func (f *fileStore) walBudget(fullBytes int) int64 {
+	return max(f.budgetFloor, walBudgetPerFull*int64(fullBytes))
+}
+
+// Due is signalled once the WAL appended since the last checkpoint's
+// rotation exceeds the budget, and again by every later append until a
+// checkpoint rotates.
+func (f *fileStore) Due() <-chan struct{} { return f.due }
 
 // Append writes one batch as a single framed record, flushing per the
 // fsync policy. It is the engine's write-ahead Journal: the engine calls
@@ -304,6 +371,12 @@ func (f *fileStore) Append(batch []engine.Update) error {
 	}
 	f.records[f.segSeq]++
 	f.segDirty = true
+	if f.walBytes += int64(len(buf)); f.walBytes > f.budget {
+		select {
+		case f.due <- struct{}{}:
+		default:
+		}
+	}
 	if f.opt.Fsync == FsyncAlways {
 		return f.syncLocked()
 	}
@@ -364,31 +437,46 @@ func (f *fileStore) syncLoop() {
 // applied when the cut reads the engine — the closed tail can be pruned
 // with nothing lost. Appends racing the cut land in the new segment; the
 // cut may already include some of them, and replaying those on recovery
-// is an idempotent no-op under max semantics.
-func (f *fileStore) Checkpoint(cut func() *engine.State) (CheckpointStats, error) {
+// is an idempotent no-op under max semantics. Unless full, the cut is
+// asked to leave out a registry of the base's size, and a cut that does
+// is written sketch-only, naming the base.
+func (f *fileStore) Checkpoint(cut Cut, full bool) (CheckpointStats, error) {
 	f.mu.Lock()
 	if err := f.appendable(); err != nil {
 		f.mu.Unlock()
 		return CheckpointStats{}, err
 	}
-	if err := f.rotateLocked(); err != nil {
+	closed, dirty := f.seg, f.segDirty
+	if err := f.openSegment(f.segSeq + 1); err != nil {
 		f.mu.Unlock()
 		return CheckpointStats{}, err
 	}
-	first := f.segSeq
+	f.segDirty = false
+	first, base, known := f.segSeq, f.base, uint64(0)
+	if !full && base != 0 {
+		known = f.baseReg
+	}
 	f.mu.Unlock()
-	// The cut happens outside the append lock: it waits on the engine's
-	// cut barrier, whose read side in-flight appenders hold while waiting
-	// for the append lock — cutting under f.mu would deadlock.
-	st := cut()
+	// The closed segment is flushed outside the append lock, so no
+	// appender waits on its fsync; it is durable before the checkpoint
+	// that claims it is renamed into place.
+	if err := closeSegment(closed, dirty); err != nil {
+		return CheckpointStats{}, err
+	}
+	// The cut happens outside the append lock too: it waits on the
+	// engine's cut barrier, whose read side in-flight appenders hold while
+	// waiting for the append lock — cutting under f.mu would deadlock.
+	st, reg := cut(known)
+	if known == 0 || reg != known {
+		base = 0
+	}
 
-	stats := CheckpointStats{Seq: first, Version: st.Version, Keys: len(st.Keys)}
+	stats := CheckpointStats{Seq: first, Version: st.Version, Base: base, Keys: len(st.Keys)}
 	for _, ents := range st.Entries {
 		stats.RetainedEntries += len(ents)
 	}
-	data := make([]byte, 0, 16+stateSize(st))
-	data = append(data, ckptMagic...)
-	data = binary.LittleEndian.AppendUint64(data, first)
+	data := make([]byte, 0, ckptHeaderBytes+stateSize(st))
+	data = appendCheckpointHeader(data, first, base)
 	data = appendState(data, st)
 	stats.Bytes = len(data)
 
@@ -418,36 +506,51 @@ func (f *fileStore) Checkpoint(cut func() *engine.State) (CheckpointStats, error
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.ckpts = append(f.ckpts, first)
+	f.ckpts = append(f.ckpts, ckptRef{first, base})
+	if base == 0 {
+		f.base, f.baseReg, f.budget = first, reg, f.walBudget(len(data))
+	}
 	dropped, err := f.pruneLocked()
 	stats.WALRecordsDropped = dropped
 	return stats, err
 }
 
-// rotateLocked finishes the current segment (flushing it durable — the
-// checkpoint that follows claims everything before it is covered) and
-// opens the next one.
-func (f *fileStore) rotateLocked() error {
-	if err := f.syncLocked(); err != nil {
-		return err
+// closeSegment finishes a segment a rotation closed, flushing it durable
+// first when it was written since its last fsync: the checkpoint that
+// follows claims everything in it is covered.
+func closeSegment(seg *os.File, dirty bool) error {
+	if dirty {
+		if err := seg.Sync(); err != nil {
+			seg.Close()
+			return fmt.Errorf("store: wal fsync: %w", err)
+		}
 	}
-	if err := f.seg.Close(); err != nil {
+	if err := seg.Close(); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	return f.openSegment(f.segSeq + 1)
+	return nil
 }
 
-// pruneLocked retains the newest keepCheckpoints checkpoints and deletes
-// WAL segments no retained checkpoint needs, reporting how many WAL
-// records were dropped.
+// pruneLocked retains the newest keepCheckpoints full checkpoints and the
+// sketch-only ones newer than the newest full one (all of which name it),
+// deletes every other checkpoint and the WAL segments no retained
+// checkpoint needs, and reports how many WAL records were dropped.
 func (f *fileStore) pruneLocked() (int, error) {
-	for len(f.ckpts) > keepCheckpoints {
-		seq := f.ckpts[0]
-		if err := removeFile(f.ckptPath(seq)); err != nil {
+	var keep []ckptRef
+	fulls := 0
+	for i := len(f.ckpts) - 1; i >= 0; i-- {
+		c := f.ckpts[i]
+		if c.base == 0 {
+			fulls++
+		}
+		if fulls == 0 || c.base == 0 && fulls <= keepCheckpoints {
+			keep = append(keep, c)
+		} else if err := removeFile(f.ckptPath(c.seq)); err != nil {
 			return 0, err
 		}
-		f.ckpts = f.ckpts[1:]
 	}
+	slices.Reverse(keep)
+	f.ckpts = keep
 	for _, seq := range f.failed {
 		if err := removeFile(f.ckptPath(seq)); err != nil {
 			return 0, err
@@ -457,7 +560,7 @@ func (f *fileStore) pruneLocked() (int, error) {
 	if len(f.ckpts) == 0 {
 		return 0, nil
 	}
-	oldestNeeded := f.ckpts[0]
+	oldestNeeded := f.ckpts[0].seq
 	dropped := 0
 	for seq, n := range f.records {
 		if seq >= oldestNeeded || seq == f.segSeq {
@@ -500,22 +603,49 @@ func (f *fileStore) Close() error {
 	return err
 }
 
-// readCheckpoint loads and validates one checkpoint file, returning the
-// state and the first WAL segment recovery must replay.
-func readCheckpoint(path string) (*engine.State, uint64, error) {
+// ckptFile is one decoded checkpoint file: the first WAL segment
+// recovery replays after it, its base (zero for a full checkpoint), its
+// state (without a registry when sketch-only), its size, and why it
+// failed validation, if it did.
+type ckptFile struct {
+	first, base uint64
+	st          *engine.State
+	bytes       int
+	err         error
+}
+
+// readCheckpoint loads and validates one checkpoint file. A MONESTK1
+// file, written before checkpoints carried a base and a header checksum,
+// reads as a full checkpoint whose horizon nothing checks.
+func readCheckpoint(path string) *ckptFile {
+	c := &ckptFile{}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, err
+		c.err = err
+		return c
 	}
-	if len(data) < 16 || string(data[:8]) != ckptMagic {
-		return nil, 0, fmt.Errorf("store: %s: bad checkpoint magic", path)
+	c.bytes = len(data)
+	var body []byte
+	switch {
+	case len(data) >= ckptHeaderBytes && string(data[:8]) == ckptMagic:
+		if crc32.ChecksumIEEE(data[:ckptHeaderBytes-4]) != binary.LittleEndian.Uint32(data[ckptHeaderBytes-4:]) {
+			c.err = fmt.Errorf("store: %s: checkpoint header checksum mismatch", path)
+			return c
+		}
+		c.first = binary.LittleEndian.Uint64(data[8:])
+		c.base = binary.LittleEndian.Uint64(data[16:])
+		body = data[ckptHeaderBytes:]
+	case len(data) >= 16 && string(data[:8]) == ckptMagicV1:
+		c.first = binary.LittleEndian.Uint64(data[8:])
+		body = data[16:]
+	default:
+		c.err = fmt.Errorf("store: %s: bad checkpoint magic", path)
+		return c
 	}
-	first := binary.LittleEndian.Uint64(data[8:16])
-	st, err := DecodeState(data[16:])
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: %s: %w", path, err)
+	if c.st, err = DecodeState(body); err != nil {
+		c.err = fmt.Errorf("store: %s: %w", path, err)
 	}
-	return st, first, nil
+	return c
 }
 
 // removeFile deletes path; a file already gone is not an error.

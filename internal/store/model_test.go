@@ -26,18 +26,23 @@ import (
 // dataset.SampleBottomK of the max-weight table of the writes that
 // survived. The harness runs an engine and its store beside a model of
 // the directory — every WAL segment's records with their byte spans and
-// every checkpoint's table — through a seeded op stream. At every restart
-// it predicts the RecoveryStats and the files recovery leaves, and holds
-// the recovered engine to the surviving table and to a serial IngestBatch
-// recovery of the same files. It is external because internal/fault,
-// which injects the failing appends and checkpoints, imports the store.
+// every checkpoint's table, kind and base — through a seeded op stream.
+// After every write it predicts whether the WAL budget raised Due, and
+// takes the checkpoint monestd would; at every checkpoint it predicts
+// whether the cut is sketch-only; at every restart it predicts the
+// RecoveryStats and the files recovery leaves, and holds the recovered
+// engine to the surviving table and to a serial IngestBatch recovery of
+// the same files. It is external because internal/fault, which injects
+// the failing appends and checkpoints, imports the store.
 
 // The ops a stream byte selects (b % numOps); a crash takes the damage
 // (b / numOps) % numDamages.
 const (
 	opBatch      = iota // IngestBatch, with dominated duplicates and zeros
 	opIngest            // single Ingest calls
+	opReweigh           // IngestBatch of registered pairs: the registry stays
 	opCheckpoint        // Persistence.Checkpoint
+	opSketch            // Persistence.SketchCheckpoint
 	opCrash             // Store.Close with no checkpoint, damage, restart
 	opClose             // Persistence.Close, restart
 	numOps
@@ -45,14 +50,15 @@ const (
 
 // The damage a crash leaves for the restart to find.
 const (
-	dmgNone      = iota
-	dmgCutMagic  // the newest segment cut inside its 8-byte magic
-	dmgCut       // the newest segment cut at a byte past its magic
-	dmgFlip      // one byte of a segment that holds records flipped
-	dmgTemp      // a checkpoint temp file left behind
-	dmgCorrupt   // a byte of the newest or the older checkpoint's state flipped
-	dmgDelete    // the newest checkpoint deleted
-	dmgDeleteAll // every checkpoint deleted
+	dmgNone       = iota
+	dmgCutMagic   // the newest segment cut inside its 8-byte magic
+	dmgCut        // the newest segment cut at a byte past its magic
+	dmgFlip       // one byte of a segment that holds records flipped
+	dmgTemp       // a checkpoint temp file left behind
+	dmgCorrupt    // a byte of a checkpoint flipped, header bytes half the time
+	dmgDelete     // the newest checkpoint deleted
+	dmgDeleteBase // the newest full checkpoint deleted
+	dmgDeleteAll  // every checkpoint deleted
 	numDamages
 )
 
@@ -67,7 +73,10 @@ const (
 	endShort           // before its magic is whole
 )
 
-const magicBytes = 8
+const (
+	magicBytes      = 8
+	ckptHeaderBytes = 28 // magic, horizon, base, header CRC
+)
 
 // record is one journaled ingest call: its non-zero updates and the
 // bytes of its frame. A torn one landed in the WAL but its append
@@ -120,12 +129,13 @@ func (s *segment) size() int64 {
 	return n
 }
 
-// checkpoint is one checkpoint file: the table and version it cut, and
-// whether damage made it fail validation.
+// checkpoint is one checkpoint file: the table and version it cut, its
+// base (zero for a full one), and whether it fails validation (damage,
+// or a base that does).
 type checkpoint struct {
-	seq, version uint64
-	w            [][]float64
-	bad          bool
+	seq, version, base uint64
+	w                  [][]float64
+	bad                bool
 }
 
 // model is the harness state: the running boot and the modeled files.
@@ -147,9 +157,18 @@ type model struct {
 	segs  []*segment    // ascending; the last is the one appended to
 	ckpts []*checkpoint // ascending
 
+	// The running store's base checkpoint (zero for none) and registry
+	// size at it, and its WAL budget from a floor drawn per boot.
+	base, baseReg uint64
+	floor, budget int64
+
 	ran         [numOps]int
 	damaged     [numDamages]int
 	resurrected int // torn appends a recovery replayed
+	volume      int // checkpoints Due started
+	sketches    int // sketch-only checkpoints written
+	spliced     int // recoveries that restored a sketch-only checkpoint
+	orphaned    int // sketch-only checkpoints judged bad for their base
 }
 
 // runModel draws the configuration, every key and weight and every fault
@@ -205,6 +224,25 @@ func fold(w [][]float64, ups []engine.Update) {
 	}
 }
 
+// reg is the registry size of table w: keys with a positive weight plus
+// positive (instance, key) entries, engine.SketchState's reg.
+func (m *model) reg(w [][]float64) uint64 {
+	n := 0
+	for key := range m.keys {
+		seen := false
+		for i := range w {
+			if w[i][key] > 0 {
+				n++
+				seen = true
+			}
+		}
+		if seen {
+			n++
+		}
+	}
+	return uint64(n)
+}
+
 // updates draws n updates: one in eight is a zero weight, an accepted
 // no-op, and about a quarter are dominated, by the table or by the
 // update just before them.
@@ -223,6 +261,26 @@ func (m *model) updates(n int) []engine.Update {
 			ups = append(ups, u)
 			u.Weight *= m.rng.Float64()
 		}
+		ups = append(ups, u)
+	}
+	return ups
+}
+
+// reweigh draws n updates of (instance, key) pairs the table already
+// holds, raising or lowering the weight: none grows the registry.
+func (m *model) reweigh(n int) []engine.Update {
+	var held []engine.Update
+	for i := range m.w {
+		for key, w := range m.w[i] {
+			if w > 0 {
+				held = append(held, engine.Update{Instance: i, Key: uint64(key), Weight: w})
+			}
+		}
+	}
+	ups := make([]engine.Update, 0, n)
+	for len(held) > 0 && len(ups) < n {
+		u := held[m.rng.Intn(len(held))]
+		u.Weight *= 0.5 + m.rng.Float64()
 		ups = append(ups, u)
 	}
 	return ups
@@ -248,13 +306,13 @@ func (m *model) step(j int, b byte) {
 		for _, u := range m.updates(1 + m.rng.Intn(8)) {
 			m.write(j, []engine.Update{u}, m.e.Ingest(u.Instance, u.Key, u.Weight))
 		}
+	case opReweigh:
+		ups := m.reweigh(1 + m.rng.Intn(64))
+		m.write(j, ups, m.e.IngestBatch(ups))
 	case opCheckpoint:
-		got, err := m.p.Checkpoint()
-		if want, ok := m.checkpoint(j, err); ok &&
-			(got.Seq != want.Seq || got.Version != want.Version || got.WALRecordsDropped != want.WALRecordsDropped) {
-			m.fail(j, "checkpoint stats %+v, model %+v", got, want)
-		}
-		m.checkFiles(j)
+		m.takeCheckpoint(j, true)
+	case opSketch:
+		m.takeCheckpoint(j, false)
 	case opCrash:
 		if err := m.st.Close(); err != nil {
 			m.fail(j, "Store.Close: %v", err)
@@ -265,7 +323,7 @@ func (m *model) step(j int, b byte) {
 		m.boot(j, nil)
 	case opClose:
 		st := m.e.DumpState()
-		if _, ok := m.checkpoint(j, m.p.Close()); !ok {
+		if _, ok := m.checkpoint(j, m.p.Close(), true); !ok {
 			st = nil
 		}
 		m.boot(j, st)
@@ -276,35 +334,72 @@ func (m *model) step(j int, b byte) {
 // write mirrors one ingest call given its error: the call's non-zero
 // updates are one record in the open segment unless the append was
 // injected to fail, and the engine applied them only without an error.
+// An append that leaves the open segment past the WAL budget raises Due,
+// and nothing else does; a raised Due is taken at once with the
+// checkpoint monestd takes, SketchCheckpoint.
 func (m *model) write(j int, ups []engine.Update, err error) {
+	m.t.Helper()
+	var rec record
 	switch {
 	case err == nil:
 		fold(m.w, ups)
 	case errors.Is(err, fault.ErrInjected):
-		return
 	case !errors.Is(err, fault.ErrTorn):
 		m.fail(j, "ingest: %v", err)
 	}
-	var rec record
-	for _, u := range ups {
-		if u.Weight > 0 {
-			rec.ups = append(rec.ups, u)
+	if !errors.Is(err, fault.ErrInjected) {
+		for _, u := range ups {
+			if u.Weight > 0 {
+				rec.ups = append(rec.ups, u)
+			}
 		}
 	}
+	s := m.segs[len(m.segs)-1]
 	if len(rec.ups) > 0 {
 		rec.size, rec.torn = len(store.AppendFrame(nil, rec.ups)), err != nil
-		s := m.segs[len(m.segs)-1]
 		s.recs = append(s.recs, rec)
 		s.live++
 	}
+	due := false
+	select {
+	case <-m.p.Due():
+		due = true
+	default:
+	}
+	if want := len(rec.ups) > 0 && s.size()-magicBytes > m.budget; due != want {
+		m.fail(j, "Due raised %v, model %v (%d WAL bytes, budget %d)", due, want, s.size()-magicBytes, m.budget)
+	}
+	if due {
+		m.volume++
+		m.takeCheckpoint(j, false)
+	}
+}
+
+// takeCheckpoint runs Checkpoint (full) or SketchCheckpoint and holds it
+// to the model: its stats and the files it leaves.
+func (m *model) takeCheckpoint(j int, full bool) {
+	m.t.Helper()
+	take := m.p.SketchCheckpoint
+	if full {
+		take = m.p.Checkpoint
+	}
+	got, err := take()
+	if want, ok := m.checkpoint(j, err, full); ok &&
+		(got.Seq != want.Seq || got.Version != want.Version || got.Base != want.Base || got.WALRecordsDropped != want.WALRecordsDropped) {
+		m.fail(j, "checkpoint stats %+v, model %+v", got, want)
+	}
+	m.checkFiles(j)
 }
 
 // checkpoint mirrors a checkpoint that ended with err, returning the
 // stats the store must report and whether one was written (an injected
 // failure writes none). A checkpoint rotates to a fresh segment and is
-// named for it; the prune keeps the newest two valid checkpoints, deletes
-// every other one, and deletes the segments below the older one's seq.
-func (m *model) checkpoint(j int, err error) (store.CheckpointStats, bool) {
+// named for it. Unless full, one whose registry size equals the base's
+// is sketch-only and names the base; a full one becomes the base, and its
+// size sets the budget. The prune keeps the newest two valid full
+// checkpoints and the sketch-only ones newer than the newest, deletes
+// every other one, and deletes the segments below the oldest kept.
+func (m *model) checkpoint(j int, err error, full bool) (store.CheckpointStats, bool) {
 	var cs store.CheckpointStats
 	if errors.Is(err, fault.ErrInjected) {
 		return cs, false
@@ -313,10 +408,30 @@ func (m *model) checkpoint(j int, err error) (store.CheckpointStats, bool) {
 		m.fail(j, "checkpoint: %v", err)
 	}
 	cs.Seq, cs.Version = m.segs[len(m.segs)-1].seq+1, m.e.Version()
+	if reg := m.reg(m.w); !full && m.baseReg != 0 && reg == m.baseReg {
+		cs.Base = m.base
+		m.sketches++
+	} else {
+		m.base, m.baseReg = cs.Seq, reg
+		defer m.setBudget(j)
+	}
 	m.segs = append(m.segs, &segment{seq: cs.Seq})
-	m.ckpts = append(m.ckpts, &checkpoint{seq: cs.Seq, version: cs.Version, w: m.table(m.w)})
-	m.ckpts = slices.DeleteFunc(m.ckpts, func(c *checkpoint) bool { return c.bad })
-	m.ckpts = m.ckpts[max(0, len(m.ckpts)-2):]
+	m.ckpts = append(m.ckpts, &checkpoint{seq: cs.Seq, version: cs.Version, base: cs.Base, w: m.table(m.w)})
+	var keep []*checkpoint
+	fulls := 0
+	for _, c := range slices.Backward(m.ckpts) {
+		if c.bad {
+			continue
+		}
+		if c.base == 0 {
+			fulls++
+		}
+		if fulls == 0 || c.base == 0 && fulls <= 2 {
+			keep = append(keep, c)
+		}
+	}
+	slices.Reverse(keep)
+	m.ckpts = keep
 	m.segs = slices.DeleteFunc(m.segs, func(s *segment) bool {
 		if s.seq >= m.ckpts[0].seq {
 			return false
@@ -325,6 +440,19 @@ func (m *model) checkpoint(j int, err error) (store.CheckpointStats, bool) {
 		return true
 	})
 	return cs, true
+}
+
+// setBudget sets the WAL budget from the base's file size: four times
+// it, and at least the floor.
+func (m *model) setBudget(j int) {
+	m.budget = m.floor
+	if m.base != 0 {
+		fi, err := os.Stat(m.ckptPath(m.base))
+		if err != nil {
+			m.fail(j, "base: %v", err)
+		}
+		m.budget = max(m.floor, 4*fi.Size())
+	}
 }
 
 func (m *model) segPath(seq uint64) string {
@@ -376,14 +504,31 @@ func (m *model) damage(j int, d int) {
 	case dmgTemp:
 		must(os.WriteFile(filepath.Join(m.dir, fmt.Sprintf("checkpoint-%d.tmp", m.rng.Int63())), []byte("MONESTK1"), 0o644))
 	case dmgCorrupt:
-		// Past the checkpoint header, inside the CRC-guarded artifact.
+		// The newest checkpoint or any one; any byte, a header byte half
+		// the time (the horizon and the base included).
 		if n := len(m.ckpts); n > 0 {
-			if c := m.ckpts[max(0, n-1-m.rng.Intn(2))]; !c.bad {
+			c := m.ckpts[n-1]
+			if m.rng.Intn(2) == 0 {
+				c = m.ckpts[m.rng.Intn(n)]
+			}
+			if !c.bad {
 				path := m.ckptPath(c.seq)
 				fi, err := os.Stat(path)
 				must(err)
-				flip(path, 16+m.rng.Int63n(fi.Size()-16))
+				at := m.rng.Int63n(fi.Size())
+				if m.rng.Intn(2) == 0 {
+					at = m.rng.Int63n(ckptHeaderBytes)
+				}
+				flip(path, at)
 				c.bad = true
+			}
+		}
+	case dmgDeleteBase:
+		for i, c := range slices.Backward(m.ckpts) {
+			if c.base == 0 {
+				must(os.Remove(m.ckptPath(c.seq)))
+				m.ckpts = slices.Delete(m.ckpts, i, i+1)
+				break
 			}
 		}
 	case dmgDelete, dmgDeleteAll:
@@ -398,31 +543,46 @@ func (m *model) damage(j int, d int) {
 }
 
 // recovery predicts what Recover reports and the table it restores, and
-// leaves the model's files as recovery leaves the directory. The newest
-// valid checkpoint is restored; segments below the oldest valid one are
+// leaves the model's files as recovery leaves the directory. A
+// sketch-only checkpoint whose base is gone or bad is bad itself. The
+// newest valid checkpoint is restored, its base (itself when full)
+// becomes the store's base; segments below the oldest valid one are
 // deleted, and those below the restored one kept unreplayed (so a later
 // fallback replays the torn appends between the two again). The rest
 // replay in order up to the first damaged one: a segment shorter than the
 // magic is deleted and lost nothing; a torn one is truncated after its
 // last good record, a headless one deleted, and either ends the log.
 // Appends go to a fresh segment past every one seen.
-func (m *model) recovery() (store.RecoveryStats, [][]float64) {
+func (m *model) recovery(j int) (store.RecoveryStats, [][]float64) {
 	var rs store.RecoveryStats
 	w := m.table(nil)
 	var from, oldest uint64
-	for i := len(m.ckpts) - 1; i >= 0; i-- {
-		switch c := m.ckpts[i]; {
+	m.base, m.baseReg = 0, 0
+	for _, c := range slices.Backward(m.ckpts) {
+		if !c.bad && c.base != 0 {
+			if i := slices.IndexFunc(m.ckpts, func(b *checkpoint) bool { return b.seq == c.base }); i < 0 || m.ckpts[i].bad {
+				c.bad = true
+				m.orphaned++
+			}
+		}
+		switch {
 		case c.bad:
 			if rs.CheckpointSeq == 0 {
 				rs.CheckpointsSkipped++
 			}
 		case rs.CheckpointSeq == 0:
-			rs.CheckpointSeq, rs.CheckpointVersion = c.seq, c.version
+			rs.CheckpointSeq, rs.CheckpointBase, rs.CheckpointVersion = c.seq, c.base, c.version
 			w, from, oldest = m.table(c.w), c.seq, c.seq
+			m.base, m.baseReg = c.seq, m.reg(c.w)
+			if c.base != 0 {
+				m.base = c.base
+				m.spliced++
+			}
 		default:
 			oldest = c.seq
 		}
 	}
+	m.setBudget(j)
 	next := from + 1
 	if n := len(m.segs); n > 0 {
 		next = max(next, m.segs[n-1].seq+1)
@@ -462,7 +622,13 @@ func (m *model) recovery() (store.RecoveryStats, [][]float64) {
 // and every record through one IngestBatch call.
 type serial struct{ e *engine.Engine }
 
-func (s serial) Restore(st *engine.State) error     { return s.e.RestoreState(st) }
+func (s serial) Restore(st *engine.State) (uint64, error) {
+	if err := s.e.RestoreState(st); err != nil {
+		return 0, err
+	}
+	es := s.e.Stats()
+	return uint64(es.Keys + es.ActiveEntries), nil
+}
 func (s serial) Replay(batch []engine.Update) error { return s.e.IngestBatch(batch) }
 
 // boot recovers the directory into an engine of a random shard count
@@ -475,7 +641,8 @@ func (s serial) Replay(batch []engine.Update) error { return s.e.IngestBatch(bat
 // checkpoint: the boot must restore its bytes exactly, counters included.
 func (m *model) boot(j int, clean *engine.State) {
 	m.t.Helper()
-	want, w := m.recovery()
+	m.floor = 1 << (9 + m.rng.Intn(8))
+	want, w := m.recovery(j)
 	ref := ""
 	if want.Records > 0 {
 		ref = m.t.TempDir()
@@ -490,6 +657,7 @@ func (m *model) boot(j int, clean *engine.State) {
 	if err != nil {
 		m.t.Fatal(err)
 	}
+	store.SetWALBudgetFloor(inner, m.floor)
 	m.st = inner
 	if m.rng.Intn(3) == 0 {
 		m.st = fault.WrapStore(inner, m.rng.Uint64(), fault.StoreFaults{AppendFailRate: 0.1, AppendTornRate: 0.1, CheckpointFailRate: 0.3})
@@ -611,8 +779,12 @@ func (m *model) check(j int, e *engine.Engine, w [][]float64) {
 }
 
 // scripts are op streams that pin recovery rules: an empty newest segment
-// (a crash inside openSegment) loses nothing written after the next boot,
-// and a checkpoint that failed validation goes with the next prune.
+// (a crash inside openSegment) loses nothing written after the next boot;
+// a checkpoint that failed validation goes with the next prune; a
+// sketch-only checkpoint restores with its base's registry, and the one
+// after that restore names the same base; and a deleted base sends
+// recovery to the older full checkpoint, taking its sketch-only ones out;
+// a flipped horizon byte fails the checkpoint, not the recovery.
 var scripts = []struct {
 	name string
 	seed int64
@@ -620,18 +792,22 @@ var scripts = []struct {
 }{
 	{"segment shorter than its magic", 3, []byte{opBatch, opCheckpoint, opBatch, crash(dmgCutMagic), opBatch, opBatch, crash(dmgNone)}},
 	{"corrupt checkpoint pruned", 4, []byte{opBatch, opCheckpoint, opBatch, opCheckpoint, opBatch, crash(dmgCorrupt), opBatch, opCheckpoint, crash(dmgNone)}},
+	{"sketch-only restored and renamed base", 1, []byte{opBatch, opCheckpoint, opReweigh, opSketch, opReweigh, crash(dmgNone), opSketch, opReweigh, crash(dmgNone)}},
+	{"deleted base falls back", 4, []byte{opBatch, opCheckpoint, opBatch, opCheckpoint, opReweigh, opSketch, opReweigh, opSketch, crash(dmgDeleteBase), opReweigh, opSketch, crash(dmgNone)}},
+	{"corrupt checkpoint header", 7, []byte{opBatch, opCheckpoint, opBatch, opCheckpoint, opBatch, crash(dmgCorrupt), opBatch, opCheckpoint, opBatch, crash(dmgCorrupt), opBatch, crash(dmgNone)}},
 }
 
 // TestStoreMatchesModel runs the scripts and fixed seeds, and requires the
-// seeds to have run every op and every damage and to have resurrected a
-// torn append.
+// seeds to have run every op and every damage, to have resurrected a torn
+// append, and to have taken a checkpoint on Due, written a sketch-only
+// checkpoint, restored one, and judged one bad for its base.
 func TestStoreMatchesModel(t *testing.T) {
 	for _, s := range scripts {
 		t.Run(s.name, func(t *testing.T) { runModel(t, s.seed, s.ops) })
 	}
 	var ran [numOps]int
 	var damaged [numDamages]int
-	resurrected := 0
+	var resurrected, volume, sketches, spliced, orphaned int
 	for seed := int64(1); seed <= 12; seed++ {
 		ops := make([]byte, 32)
 		rand.New(rand.NewSource(-seed)).Read(ops)
@@ -643,6 +819,17 @@ func TestStoreMatchesModel(t *testing.T) {
 			damaged[d] += n
 		}
 		resurrected += m.resurrected
+		volume += m.volume
+		sketches += m.sketches
+		spliced += m.spliced
+		orphaned += m.orphaned
+	}
+	t.Logf("due %d, sketch-only %d, spliced %d, orphaned %d, resurrected %d", volume, sketches, spliced, orphaned, resurrected)
+	for name, n := range map[string]int{"took a checkpoint on Due": volume, "wrote a sketch-only checkpoint": sketches,
+		"restored a sketch-only checkpoint": spliced, "judged a sketch-only checkpoint bad for its base": orphaned} {
+		if n == 0 {
+			t.Errorf("no run %s", name)
+		}
 	}
 	for op, n := range ran {
 		if n == 0 {

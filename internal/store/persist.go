@@ -10,8 +10,11 @@ import (
 
 // Persistence ties one engine to one Store: Attach recovers the engine
 // from the store and wires the store in as the engine's write-ahead
-// journal; Checkpoint cuts and persists the live state; Close writes a
-// final checkpoint and releases the store (the graceful-shutdown path).
+// journal; Checkpoint cuts and persists the live state, and
+// SketchCheckpoint does so leaving out a registry that has not grown;
+// Close writes a final checkpoint and releases the store (the
+// graceful-shutdown path). It never checkpoints on its own: its owner
+// decides when, Due telling it the WAL has grown.
 type Persistence struct {
 	eng *engine.Engine
 	st  Store
@@ -33,7 +36,16 @@ type recoveryTarget struct {
 	rep *engine.Replay
 }
 
-func (t recoveryTarget) Restore(st *engine.State) error { return t.eng.RestoreState(st) }
+// Restore restores st and returns the registry size the engine then
+// holds, as engine.SketchState counts it.
+func (t recoveryTarget) Restore(st *engine.State) (uint64, error) {
+	if err := t.eng.RestoreState(st); err != nil {
+		return 0, err
+	}
+	s := t.eng.Stats()
+	return uint64(s.Keys + s.ActiveEntries), nil
+}
+
 func (t recoveryTarget) Replay(batch []engine.Update) error {
 	if err := t.rep.Add(batch); err != nil {
 		return fmt.Errorf("replaying %d updates: %w", len(batch), err)
@@ -64,16 +76,29 @@ func Attach(eng *engine.Engine, st Store) (*Persistence, RecoveryStats, error) {
 	return &Persistence{eng: eng, st: st}, stats, nil
 }
 
-// Checkpoint persists a consistent cut of the engine and truncates the
-// WAL it covers. Safe to call concurrently with ingests and with itself.
-func (p *Persistence) Checkpoint() (CheckpointStats, error) {
+// Checkpoint persists a full consistent cut of the engine, key registry
+// included, and truncates the WAL it covers. Safe to call concurrently
+// with ingests and with itself.
+func (p *Persistence) Checkpoint() (CheckpointStats, error) { return p.checkpoint(true) }
+
+// SketchCheckpoint is Checkpoint, except that a cut whose key registry
+// has not grown since the newest full checkpoint is written sketch-only:
+// the retained entries and counters, naming that full checkpoint for the
+// registry. It is the cheap way to bound the next recovery's replay.
+func (p *Persistence) SketchCheckpoint() (CheckpointStats, error) { return p.checkpoint(false) }
+
+func (p *Persistence) checkpoint(full bool) (CheckpointStats, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return CheckpointStats{}, ErrClosed
 	}
-	return p.st.Checkpoint(p.eng.DumpState)
+	return p.st.Checkpoint(p.eng.SketchState, full)
 }
+
+// Due is signalled once the WAL journaled since the last checkpoint
+// exceeds the store's budget (see Store).
+func (p *Persistence) Due() <-chan struct{} { return p.st.Due() }
 
 // Sync forces journaled updates to stable storage (the fsync policy
 // drives it in normal operation; the bench's store.fsync layer times it).
@@ -90,7 +115,7 @@ func (p *Persistence) Close() error {
 		return nil
 	}
 	p.closed = true
-	_, cerr := p.st.Checkpoint(p.eng.DumpState)
+	_, cerr := p.st.Checkpoint(p.eng.SketchState, true)
 	if err := p.st.Close(); err != nil {
 		if cerr != nil {
 			return fmt.Errorf("%w (and close: %v)", cerr, err)
