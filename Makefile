@@ -17,8 +17,9 @@ race:
 
 # Every Fuzz* target of the two packages that decode bytes from outside
 # the process (frames, state artifacts, JSON requests) — "every decoder
-# fails closed" exercised on every push, not only locally — plus the
-# store's crash, damage and restart streams held to its model harness
+# fails closed" exercised on every push, not only locally — plus every
+# checkpoint file recovery reads (FuzzReadCheckpoint) and the store's
+# crash, damage and restart streams held to its model harness
 # (FuzzStoreMatchesModel); of internal/funcs, whose closed-form L* is
 # held to quadrature of formula (31) and whose DataLB kernels to Lower of
 # the sampled outcome (FuzzDataLBKernel); and of internal/engine, whose

@@ -63,7 +63,9 @@ const (
 // BenchmarkIngestWAL's fsync=never case for the journaled write path
 // without the disk flush, BenchmarkRecoverCheckpointTail for the boot
 // a durable node pays before it serves: checkpoint restore plus the
-// shard-parallel replay of a WAL tail, BenchmarkSubscribePushLag for
+// shard-parallel replay of a WAL tail, BenchmarkCheckpoint's two
+// sub-benchmarks for a checkpoint that rewrites the registry and one that
+// leaves it out, BenchmarkSubscribePushLag for
 // the ingest→push lag an SSE subscriber sees after a 4-frame stream, and
 // BenchmarkUStarUnequalTau for one served U* estimate: bottom-k
 // thresholds are per instance, so the backward solver runs, and its cost
@@ -74,7 +76,7 @@ var suites = []struct{ pkg, bench string }{
 	{"internal/server", "^(BenchmarkStreamIngest256|BenchmarkSubscribePushLag)$"},
 	{"internal/server", "^BenchmarkChurnServe$/^U=65536$"},
 	{"internal/store", "^BenchmarkIngestWAL$/^fsync=never$"},
-	{"internal/store", "^BenchmarkRecoverCheckpointTail$"},
+	{"internal/store", "^(BenchmarkRecoverCheckpointTail|BenchmarkCheckpoint)$"},
 	{"internal/cluster", "^(BenchmarkClusterQuery|BenchmarkScatterGather|BenchmarkSyncDeadNode)$"},
 	{"internal/cluster", "^BenchmarkRoutedStream$"},
 	{"internal/funcs", "^BenchmarkUStarUnequalTau$"},

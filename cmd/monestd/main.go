@@ -36,11 +36,11 @@
 // policy (always = durable per batch; interval = background flush;
 // never = leave it to the OS). The daemon checkpoints whenever the WAL
 // journaled since the last checkpoint passes the store's budget, so a
-// crash replays about one budget; such a checkpoint leaves out the key
-// registry while it has not grown. -checkpoint-interval adds full
-// checkpoints on a timer (0 disables the timer only; /v1/checkpoint
-// writes one on demand); a final checkpoint is always written on
-// graceful shutdown.
+// crash replays about one budget; the store leaves the key registry out
+// of four in five checkpoints while it has not grown, which bounds the
+// data directory. -checkpoint-interval adds checkpoints on a timer (0
+// disables the timer only; /v1/checkpoint writes one on demand); a final
+// checkpoint is always written on graceful shutdown.
 // Without -data-dir the daemon is in-memory only, as before.
 //
 // Cluster mode: -cluster=url1,url2,... turns the process into a
@@ -160,7 +160,7 @@ func main() {
 	flag.DurationVar(&o.subDebounce, "subscribe-debounce", 100*time.Millisecond, "longest a /v1/subscribe push waits behind an open write, and shortest spacing between pushes")
 	flag.StringVar(&o.dataDir, "data-dir", "", "state directory (empty = in-memory only)")
 	flag.StringVar(&o.fsync, "fsync", "interval", "WAL flush policy: always, interval, never")
-	flag.DurationVar(&o.checkpointIv, "checkpoint-interval", time.Minute, "period of full checkpoints (0 = none on a timer; WAL volume, /v1/checkpoint and shutdown still checkpoint)")
+	flag.DurationVar(&o.checkpointIv, "checkpoint-interval", time.Minute, "period of checkpoints (0 = none on a timer; WAL volume, /v1/checkpoint and shutdown still checkpoint)")
 	flag.BoolVar(&o.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")
 	flag.StringVar(&o.cluster, "cluster", "", "comma-separated node base URLs; when set, serve as cluster coordinator")
 	flag.DurationVar(&o.clusterTimeout, "cluster-timeout", 2*time.Second, "per-node request timeout in cluster mode")
@@ -349,11 +349,23 @@ func run(o options) error {
 	if persist != nil {
 		// One goroutine takes every checkpoint the daemon starts itself:
 		// first a replayed tail's, so the next boot does not replay it
-		// again, then the timer's (full) and the WAL budget's (sketch-only
-		// while the registry has not grown), all beside serving. Until one
-		// lands its tail stays in the WAL, and replaying it twice is
-		// idempotent. One that loses the race to shutdown loses nothing:
-		// Close writes the final checkpoint.
+		// again, then the timer's and the WAL budget's, all beside
+		// serving; the store picks each one's kind. Until one lands its
+		// tail stays in the WAL, and replaying it twice is idempotent. One
+		// that loses the race to shutdown loses nothing: Close writes the
+		// final checkpoint.
+		checkpoint := func(why string) {
+			began := time.Now()
+			cs, err := persist.Checkpoint()
+			switch {
+			case errors.Is(err, store.ErrClosed):
+			case err != nil:
+				logger.Printf("%s checkpoint failed: %v", why, err)
+			default:
+				logger.Printf("%s checkpoint seq=%d base=%d in %v (%d keys, %d bytes, %d WAL records dropped)",
+					why, cs.Seq, cs.Base, time.Since(began).Round(time.Microsecond), cs.Keys, cs.Bytes, cs.WALRecordsDropped)
+			}
+		}
 		go func() {
 			var tick <-chan time.Time
 			if o.checkpointIv > 0 {
@@ -362,30 +374,14 @@ func run(o options) error {
 				tick = t.C
 			}
 			if replayed > 0 {
-				began := time.Now()
-				cs, err := persist.SketchCheckpoint()
-				switch {
-				case errors.Is(err, store.ErrClosed):
-				case err != nil:
-					logger.Printf("post-recovery checkpoint failed: %v", err)
-				default:
-					logger.Printf("post-recovery checkpoint seq=%d base=%d in %v (%d keys, %d bytes)",
-						cs.Seq, cs.Base, time.Since(began).Round(time.Microsecond), cs.Keys, cs.Bytes)
-				}
+				checkpoint("post-recovery")
 			}
 			for {
 				select {
 				case <-tick:
-					if cs, err := persist.Checkpoint(); err != nil {
-						logger.Printf("periodic checkpoint failed: %v", err)
-					} else if cs.WALRecordsDropped > 0 || cs.Keys > 0 {
-						logger.Printf("checkpoint seq=%d version=%d keys=%d bytes=%d wal-records-dropped=%d",
-							cs.Seq, cs.Version, cs.Keys, cs.Bytes, cs.WALRecordsDropped)
-					}
+					checkpoint("periodic")
 				case <-persist.Due():
-					if _, err := persist.SketchCheckpoint(); err != nil && !errors.Is(err, store.ErrClosed) {
-						logger.Printf("WAL budget checkpoint failed: %v", err)
-					}
+					checkpoint("WAL budget")
 				case <-ctx.Done():
 					return
 				}

@@ -264,10 +264,12 @@ func TestDurableCrashRestart(t *testing.T) {
 	}
 }
 
-// TestDurableReplayBounded streams more than three WAL budgets into a
+// TestDurableReplayBounded streams twelve WAL budgets over a fixed set of
+// 5,000 keys, so the registry stops growing after the first, into a
 // durable daemon without a checkpoint timer (-checkpoint-interval 0) and
-// SIGKILLs it: the checkpoints the WAL budget triggers must leave the
-// restart at most two budgets to replay, and the restart must serve the
+// SIGKILLs it. The checkpoints the WAL budget triggers must keep the data
+// directory within DESIGN §6.6's file bound throughout, leave the restart
+// at most two budgets to replay, and the restart must serve the
 // acknowledged state. The state here stays far below a megabyte, so the
 // budget is the store's 4 MiB floor. The traffic counters are copied
 // before the byte comparison, as bench/oracle.go does: a restore holds
@@ -275,7 +277,14 @@ func TestDurableCrashRestart(t *testing.T) {
 // heaps, and a replayed record the checkpoint's cut already held counts
 // in Ingests twice.
 func TestDurableReplayBounded(t *testing.T) {
-	const budget = 4 << 20 // the store's walBudgetFloor
+	const (
+		budget  = 4 << 20 // the store's walBudgetFloor
+		budgets = 12
+		// Two full and walBudgetPerFull = 4 sketch-only checkpoints, the
+		// 2·4+2 segments from the older full one's on, and the segment and
+		// file of a checkpoint in flight.
+		maxFiles = 2 + 4 + 2*4 + 2 + 2
+	)
 	monestd, _ := buildBinaries(t)
 	dir := t.TempDir()
 	addr := freeAddr(t)
@@ -291,8 +300,13 @@ func TestDurableReplayBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	batch := make([]engine.Update, 4096)
 	recordBytes := len(store.AppendFrame(nil, batch))
-	frames := 3*budget/recordBytes + 8
+	frames, most := budgets*budget/recordBytes+8, 0
 	for f := 0; f < frames; f++ {
+		des, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		most = max(most, len(des))
 		for i := range batch {
 			batch[i] = engine.Update{Instance: rng.Intn(2), Key: uint64(rng.Intn(5000)), Weight: 1 + rng.Float64()*10}
 		}
@@ -302,6 +316,9 @@ func TestDurableReplayBounded(t *testing.T) {
 	}
 	if sum, err := s.Close(); err != nil || sum.Frames != frames {
 		t.Fatalf("stream: %+v, %v", sum, err)
+	}
+	if most > maxFiles {
+		t.Fatalf("data dir held %d files while streaming %d budgets, bound %d", most, budgets, maxFiles)
 	}
 	want, err := store.DecodeState(getBody(t, base+"/v1/export"))
 	if err != nil {

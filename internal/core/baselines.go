@@ -44,37 +44,3 @@ func HTSquare(value, reveal float64) float64 {
 	}
 	return value * value / reveal
 }
-
-// Dyadic returns the dyadic-delay baseline estimator: the cumulative
-// estimate at seed ρ equals lb(2ρ) − lb(1), i.e. the estimator "pays out"
-// the lower bound learned one octave ago, plus the constant lb(1) which is
-// known with certainty (footnote 3 of the paper). Differentiating,
-//
-//	fˆ(ρ) = −2·lb'(2ρ) + lb(1)   (lb extended by lb(1) above u = 1).
-//
-// It is unbiased and nonnegative for any lower-bound function, bounded
-// whenever lb has bounded one-sided derivatives, and O(1)-competitive on
-// convex lower bounds. It stands in for the J estimator of [15]; see
-// DESIGN.md §4.2. The derivative is taken numerically, so lb should be
-// continuous (use the estimator only on continuous-domain problems).
-func Dyadic(lb LowerBoundFunc) SeedFunc {
-	base := lb(1)
-	ext := func(x float64) float64 {
-		if x >= 1 {
-			return base
-		}
-		return lb(x)
-	}
-	return func(u float64) float64 {
-		if u <= 0 || u > 1 {
-			return 0
-		}
-		x := 2 * u
-		h := math.Min(math.Max(1e-9, x*1e-7), x/2)
-		// One-sided difference from the left keeps lb evaluations at
-		// arguments ≥ x − h ≥ u for small h, preserving honesty up to the
-		// numeric step; capping h at x/2 keeps arguments positive.
-		d := (ext(x-h) - ext(x)) / h
-		return math.Max(0, 2*d+base)
-	}
-}

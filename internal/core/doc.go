@@ -29,8 +29,6 @@
 //     minorant of f^(v); gives the per-data variance optimum that defines
 //     competitiveness.
 //   - Horvitz–Thompson: inverse-probability on revealing outcomes.
-//   - Dyadic: a J-style O(1)-competitive bounded baseline (see DESIGN.md
-//     §4.2 for the substitution note).
 //
 // The optimal range [λL, λU] of Section 3 is exposed for admissibility
 // checks, and evaluation helpers compute expectations, variances and

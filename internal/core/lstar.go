@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/hull"
 	"repro/internal/numeric"
 )
 
@@ -48,48 +47,9 @@ func LStarStep(base float64, steps []Step, rho float64) float64 {
 	return est
 }
 
-// LStarCurve tabulates the L* estimator on the grid and returns it as a
-// piecewise-linear SeedFunc for cheap repeated evaluation (variance and
-// ratio integrals). The cumulative integral ∫_u^1 lb(x)/x² dx is accumulated
-// segment-by-segment to avoid re-integration per point.
-func LStarCurve(lb LowerBoundFunc, g Grid) SeedFunc {
-	us := g.Points()
-	n := len(us)
-	ys := make([]float64, n)
-	// tail[i] = ∫_{us[i]}^1 lb/x²; accumulate from the right.
-	tail := 0.0
-	for i := n - 1; i >= 0; i-- {
-		if i < n-1 {
-			seg, _ := numeric.IntegrateOpt(func(x float64) float64 { return lb(x) / (x * x) },
-				us[i], us[i+1], numeric.QuadOptions{AbsTol: 1e-12, RelTol: 1e-10, MaxDepth: 24})
-			tail += seg
-		}
-		ys[i] = math.Max(0, lb(us[i])/us[i]-tail)
-	}
-	pl, err := hull.FromBreakpoints(us, ys)
-	if err != nil {
-		// Grid points are strictly increasing by construction.
-		panic(fmt.Sprintf("core: internal grid error: %v", err))
-	}
-	eps := us[0]
-	return func(u float64) float64 {
-		switch {
-		case u <= 0 || u > 1:
-			return 0
-		case u < eps:
-			// Extrapolate with the exact formula below the grid: rare path.
-			return LStarAt(lb, u)
-		default:
-			return math.Max(0, pl.Eval(u))
-		}
-	}
-}
-
 // LStarSeed returns the L* estimator as an exact SeedFunc: each evaluation
-// performs one adaptive quadrature. Prefer LStarCurve when the estimator is
-// evaluated many times and interpolation accuracy suffices; prefer LStarSeed
-// inside variance/ratio integrals that probe u → 0 where tabulation cannot
-// reach.
+// performs one adaptive quadrature, so it stays exact inside variance and
+// ratio integrals that probe u → 0.
 func LStarSeed(lb LowerBoundFunc) SeedFunc {
 	return func(u float64) float64 {
 		if u <= 0 || u > 1 {
@@ -97,11 +57,4 @@ func LStarSeed(lb LowerBoundFunc) SeedFunc {
 		}
 		return LStarAt(lb, u)
 	}
-}
-
-// LStarCumulative returns M(ρ) = ∫_ρ^1 fˆ(L)(x) dx in closed form. By the
-// defining equation (30), ρ·fˆ(L)(ρ) + M(ρ) = f^(v)(ρ), so
-// M(ρ) = f^(v)(ρ) − ρ·fˆ(L)(ρ). Useful for in-range checks.
-func LStarCumulative(lb LowerBoundFunc, rho float64) float64 {
-	return lb(rho) - rho*LStarAt(lb, rho)
 }

@@ -95,12 +95,12 @@ func (s *Store) Sync() error {
 	return s.inner.Sync()
 }
 
-func (s *Store) Checkpoint(cut store.Cut, full bool) (store.CheckpointStats, error) {
+func (s *Store) Checkpoint(cut store.Cut) (store.CheckpointStats, error) {
 	if s.f.CheckpointFailRate > 0 && s.rng.Float64() < s.f.CheckpointFailRate {
 		s.checkpointFails.Add(1)
 		return store.CheckpointStats{}, fmt.Errorf("fault: checkpoint: %w", ErrInjected)
 	}
-	return s.inner.Checkpoint(cut, full)
+	return s.inner.Checkpoint(cut)
 }
 
 func (s *Store) Due() <-chan struct{} { return s.inner.Due() }

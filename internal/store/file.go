@@ -437,10 +437,10 @@ func (f *fileStore) syncLoop() {
 // applied when the cut reads the engine — the closed tail can be pruned
 // with nothing lost. Appends racing the cut land in the new segment; the
 // cut may already include some of them, and replaying those on recovery
-// is an idempotent no-op under max semantics. Unless full, the cut is
-// asked to leave out a registry of the base's size, and a cut that does
-// is written sketch-only, naming the base.
-func (f *fileStore) Checkpoint(cut Cut, full bool) (CheckpointStats, error) {
+// is an idempotent no-op under max semantics. Unless walBudgetPerFull
+// retained checkpoints name the base already, the cut is asked to leave
+// out a registry of the base's size, and one that does is sketch-only.
+func (f *fileStore) Checkpoint(cut Cut) (CheckpointStats, error) {
 	f.mu.Lock()
 	if err := f.appendable(); err != nil {
 		f.mu.Unlock()
@@ -452,8 +452,13 @@ func (f *fileStore) Checkpoint(cut Cut, full bool) (CheckpointStats, error) {
 		return CheckpointStats{}, err
 	}
 	f.segDirty = false
-	first, base, known := f.segSeq, f.base, uint64(0)
-	if !full && base != 0 {
+	first, base, known, chain := f.segSeq, f.base, uint64(0), 0
+	for _, c := range f.ckpts {
+		if c.base == base {
+			chain++
+		}
+	}
+	if base != 0 && chain < walBudgetPerFull {
 		known = f.baseReg
 	}
 	f.mu.Unlock()

@@ -3,7 +3,10 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/engine"
@@ -17,15 +20,7 @@ import (
 // accepted artifact must survive its own re-encode (the decoder may not
 // hand the engine a state the encoder cannot represent).
 func FuzzDecodeState(f *testing.F) {
-	eng, err := engine.New(engine.Config{Instances: 2, K: 4, Shards: 2, Hash: sampling.NewSeedHash(5)})
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		if err := eng.Ingest(i%2, uint64(i%16), 1+float64(i)); err != nil {
-			f.Fatal(err)
-		}
-	}
+	eng := fuzzEngine(f)
 	valid := EncodeState(eng.DumpState())
 	// The compact cut a coordinator fetches, with and without registry.
 	sketch, reg := eng.SketchState(0)
@@ -53,6 +48,76 @@ func FuzzDecodeState(f *testing.F) {
 		re := EncodeState(st)
 		if _, err := DecodeState(re); err != nil {
 			t.Fatalf("re-encode of accepted artifact rejected: %v", err)
+		}
+	})
+}
+
+// fuzzEngine is a small engine whose states seed the state fuzzers.
+func fuzzEngine(f *testing.F) *engine.Engine {
+	eng, err := engine.New(engine.Config{Instances: 2, K: 4, Shards: 2, Hash: sampling.NewSeedHash(5)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if err := eng.Ingest(i%2, uint64(i%16), 1+float64(i)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	return eng
+}
+
+// FuzzReadCheckpoint hammers readCheckpoint, which every recovery runs
+// on every checkpoint file, over whole files: a full and a sketch-only
+// MONESTK2 file, a MONESTK1 file, and each cut short, with a body or a
+// horizon byte flipped. The contract under arbitrary bytes: never panic,
+// and a file it accepts has a header CRC that matches (a MONESTK1 file
+// has none), the horizon and base its header holds, and a body that
+// DecodeState accepts.
+func FuzzReadCheckpoint(f *testing.F) {
+	eng := fuzzEngine(f)
+	st, reg := eng.SketchState(0)
+	sketch, _ := eng.SketchState(reg)
+	full := appendState(appendCheckpointHeader(nil, 3, 0), st)
+	sketchOnly := appendState(appendCheckpointHeader(nil, 4, 3), sketch)
+	v1 := append(binary.LittleEndian.AppendUint64([]byte(ckptMagicV1), 2), EncodeState(st)...)
+	for _, file := range [][]byte{full, sketchOnly, v1} {
+		f.Add(file)
+		f.Add(file[:len(file)/2]) // truncated body
+		f.Add(file[:12])          // truncated header
+		for _, at := range []int{len(file) - 1, 9} {
+			flip := bytes.Clone(file)
+			flip[at] ^= 0x01
+			f.Add(flip)
+		}
+	}
+	f.Add([]byte{})
+	f.Add([]byte(ckptMagic))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "checkpoint-00000001.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := readCheckpoint(path)
+		if c.err != nil {
+			return // rejection is the expected outcome for junk
+		}
+		body, base := data[16:], uint64(0)
+		switch string(data[:8]) {
+		case ckptMagic:
+			if crc32.ChecksumIEEE(data[:ckptHeaderBytes-4]) != binary.LittleEndian.Uint32(data[ckptHeaderBytes-4:]) {
+				t.Fatal("accepted a checkpoint whose header CRC does not match")
+			}
+			body, base = data[ckptHeaderBytes:], binary.LittleEndian.Uint64(data[16:])
+		case ckptMagicV1:
+		default:
+			t.Fatalf("accepted a checkpoint with magic %q", data[:8])
+		}
+		if first := binary.LittleEndian.Uint64(data[8:]); c.first != first || c.base != base || c.bytes != len(data) {
+			t.Fatalf("read horizon %d, base %d, %d bytes; the file holds %d, %d, %d", c.first, c.base, c.bytes, first, base, len(data))
+		}
+		if _, err := DecodeState(body); err != nil {
+			t.Fatalf("accepted a checkpoint whose body DecodeState rejects: %v", err)
 		}
 	})
 }

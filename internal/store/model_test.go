@@ -29,10 +29,11 @@ import (
 // every checkpoint's table, kind and base — through a seeded op stream.
 // After every write it predicts whether the WAL budget raised Due, and
 // takes the checkpoint monestd would; at every checkpoint it predicts
-// whether the cut is sketch-only; at every restart it predicts the
-// RecoveryStats and the files recovery leaves, and holds the recovered
-// engine to the surviving table and to a serial IngestBatch recovery of
-// the same files. It is external because internal/fault, which injects
+// whether the store writes it sketch-only and the files its prune leaves,
+// within the bound on retained checkpoints; at every restart it predicts
+// the RecoveryStats and the files recovery leaves, and holds the
+// recovered engine to the surviving table and to a serial IngestBatch
+// recovery of the same files. It is external because internal/fault, which injects
 // the failing appends and checkpoints, imports the store.
 
 // The ops a stream byte selects (b % numOps); a crash takes the damage
@@ -42,7 +43,6 @@ const (
 	opIngest            // single Ingest calls
 	opReweigh           // IngestBatch of registered pairs: the registry stays
 	opCheckpoint        // Persistence.Checkpoint
-	opSketch            // Persistence.SketchCheckpoint
 	opCrash             // Store.Close with no checkpoint, damage, restart
 	opClose             // Persistence.Close, restart
 	numOps
@@ -167,6 +167,7 @@ type model struct {
 	resurrected int // torn appends a recovery replayed
 	volume      int // checkpoints Due started
 	sketches    int // sketch-only checkpoints written
+	chained     int // full checkpoints the chain bound forced
 	spliced     int // recoveries that restored a sketch-only checkpoint
 	orphaned    int // sketch-only checkpoints judged bad for their base
 }
@@ -310,9 +311,7 @@ func (m *model) step(j int, b byte) {
 		ups := m.reweigh(1 + m.rng.Intn(64))
 		m.write(j, ups, m.e.IngestBatch(ups))
 	case opCheckpoint:
-		m.takeCheckpoint(j, true)
-	case opSketch:
-		m.takeCheckpoint(j, false)
+		m.takeCheckpoint(j)
 	case opCrash:
 		if err := m.st.Close(); err != nil {
 			m.fail(j, "Store.Close: %v", err)
@@ -323,7 +322,7 @@ func (m *model) step(j int, b byte) {
 		m.boot(j, nil)
 	case opClose:
 		st := m.e.DumpState()
-		if _, ok := m.checkpoint(j, m.p.Close(), true); !ok {
+		if _, ok := m.checkpoint(j, m.p.Close()); !ok {
 			st = nil
 		}
 		m.boot(j, st)
@@ -335,8 +334,8 @@ func (m *model) step(j int, b byte) {
 // updates are one record in the open segment unless the append was
 // injected to fail, and the engine applied them only without an error.
 // An append that leaves the open segment past the WAL budget raises Due,
-// and nothing else does; a raised Due is taken at once with the
-// checkpoint monestd takes, SketchCheckpoint.
+// and nothing else does; a raised Due is taken at once with a
+// checkpoint, as monestd takes it.
 func (m *model) write(j int, ups []engine.Update, err error) {
 	m.t.Helper()
 	var rec record
@@ -371,35 +370,36 @@ func (m *model) write(j int, ups []engine.Update, err error) {
 	}
 	if due {
 		m.volume++
-		m.takeCheckpoint(j, false)
+		m.takeCheckpoint(j)
 	}
 }
 
-// takeCheckpoint runs Checkpoint (full) or SketchCheckpoint and holds it
-// to the model: its stats and the files it leaves.
-func (m *model) takeCheckpoint(j int, full bool) {
+// takeCheckpoint runs Checkpoint and holds it to the model: its stats
+// and the files it leaves, of which a written one's prune leaves at most
+// two full and WALBudgetPerFull sketch-only checkpoints.
+func (m *model) takeCheckpoint(j int) {
 	m.t.Helper()
-	take := m.p.SketchCheckpoint
-	if full {
-		take = m.p.Checkpoint
-	}
-	got, err := take()
-	if want, ok := m.checkpoint(j, err, full); ok &&
-		(got.Seq != want.Seq || got.Version != want.Version || got.Base != want.Base || got.WALRecordsDropped != want.WALRecordsDropped) {
+	got, err := m.p.Checkpoint()
+	want, ok := m.checkpoint(j, err)
+	if ok && (got.Seq != want.Seq || got.Version != want.Version || got.Base != want.Base || got.WALRecordsDropped != want.WALRecordsDropped) {
 		m.fail(j, "checkpoint stats %+v, model %+v", got, want)
 	}
 	m.checkFiles(j)
+	if names, _ := filepath.Glob(filepath.Join(m.dir, "checkpoint-*.ckpt")); ok && len(names) > 2+store.WALBudgetPerFull {
+		m.fail(j, "%d checkpoints retained, bound %d", len(names), 2+store.WALBudgetPerFull)
+	}
 }
 
 // checkpoint mirrors a checkpoint that ended with err, returning the
 // stats the store must report and whether one was written (an injected
 // failure writes none). A checkpoint rotates to a fresh segment and is
-// named for it. Unless full, one whose registry size equals the base's
-// is sketch-only and names the base; a full one becomes the base, and its
-// size sets the budget. The prune keeps the newest two valid full
-// checkpoints and the sketch-only ones newer than the newest, deletes
-// every other one, and deletes the segments below the oldest kept.
-func (m *model) checkpoint(j int, err error, full bool) (store.CheckpointStats, bool) {
+// named for it. One whose registry size equals the base's is sketch-only
+// and names the base, unless WALBudgetPerFull valid ones name it already;
+// a full one becomes the base, and its size sets the budget. The prune
+// keeps the newest two valid full checkpoints and the sketch-only ones
+// newer than the newest, deletes every other one, and deletes the
+// segments below the oldest kept.
+func (m *model) checkpoint(j int, err error) (store.CheckpointStats, bool) {
 	var cs store.CheckpointStats
 	if errors.Is(err, fault.ErrInjected) {
 		return cs, false
@@ -408,10 +408,20 @@ func (m *model) checkpoint(j int, err error, full bool) (store.CheckpointStats, 
 		m.fail(j, "checkpoint: %v", err)
 	}
 	cs.Seq, cs.Version = m.segs[len(m.segs)-1].seq+1, m.e.Version()
-	if reg := m.reg(m.w); !full && m.baseReg != 0 && reg == m.baseReg {
+	chain := 0
+	for _, c := range m.ckpts {
+		if !c.bad && c.base != 0 && c.base == m.base {
+			chain++
+		}
+	}
+	reg := m.reg(m.w)
+	if same := m.baseReg != 0 && reg == m.baseReg; same && chain < store.WALBudgetPerFull {
 		cs.Base = m.base
 		m.sketches++
 	} else {
+		if same {
+			m.chained++
+		}
 		m.base, m.baseReg = cs.Seq, reg
 		defer m.setBudget(j)
 	}
@@ -442,8 +452,8 @@ func (m *model) checkpoint(j int, err error, full bool) (store.CheckpointStats, 
 	return cs, true
 }
 
-// setBudget sets the WAL budget from the base's file size: four times
-// it, and at least the floor.
+// setBudget sets the WAL budget from the base's file size:
+// WALBudgetPerFull times it, and at least the floor.
 func (m *model) setBudget(j int) {
 	m.budget = m.floor
 	if m.base != 0 {
@@ -451,7 +461,7 @@ func (m *model) setBudget(j int) {
 		if err != nil {
 			m.fail(j, "base: %v", err)
 		}
-		m.budget = max(m.floor, 4*fi.Size())
+		m.budget = max(m.floor, store.WALBudgetPerFull*fi.Size())
 	}
 }
 
@@ -784,7 +794,9 @@ func (m *model) check(j int, e *engine.Engine, w [][]float64) {
 // sketch-only checkpoint restores with its base's registry, and the one
 // after that restore names the same base; and a deleted base sends
 // recovery to the older full checkpoint, taking its sketch-only ones out;
-// a flipped horizon byte fails the checkpoint, not the recovery.
+// a flipped horizon byte fails the checkpoint, not the recovery; and on a
+// registry that stopped growing, every WALBudgetPerFull+1-th checkpoint
+// is full, across a restart too, so the retained files stay bounded.
 var scripts = []struct {
 	name string
 	seed int64
@@ -792,26 +804,23 @@ var scripts = []struct {
 }{
 	{"segment shorter than its magic", 3, []byte{opBatch, opCheckpoint, opBatch, crash(dmgCutMagic), opBatch, opBatch, crash(dmgNone)}},
 	{"corrupt checkpoint pruned", 4, []byte{opBatch, opCheckpoint, opBatch, opCheckpoint, opBatch, crash(dmgCorrupt), opBatch, opCheckpoint, crash(dmgNone)}},
-	{"sketch-only restored and renamed base", 1, []byte{opBatch, opCheckpoint, opReweigh, opSketch, opReweigh, crash(dmgNone), opSketch, opReweigh, crash(dmgNone)}},
-	{"deleted base falls back", 4, []byte{opBatch, opCheckpoint, opBatch, opCheckpoint, opReweigh, opSketch, opReweigh, opSketch, crash(dmgDeleteBase), opReweigh, opSketch, crash(dmgNone)}},
+	{"sketch-only restored and renamed base", 1, []byte{opBatch, opCheckpoint, opReweigh, opCheckpoint, opReweigh, crash(dmgNone), opCheckpoint, opReweigh, crash(dmgNone)}},
+	{"deleted base falls back", 4, []byte{opBatch, opCheckpoint, opBatch, opCheckpoint, opReweigh, opCheckpoint, opReweigh, opCheckpoint, crash(dmgDeleteBase), opReweigh, opCheckpoint, crash(dmgNone)}},
 	{"corrupt checkpoint header", 7, []byte{opBatch, opCheckpoint, opBatch, opCheckpoint, opBatch, crash(dmgCorrupt), opBatch, opCheckpoint, opBatch, crash(dmgCorrupt), opBatch, crash(dmgNone)}},
+	{"sketch-only chain bounded", 1, []byte{opBatch, opCheckpoint, opReweigh, opCheckpoint, opReweigh, opCheckpoint, opReweigh, opCheckpoint,
+		opReweigh, crash(dmgNone), opCheckpoint, opReweigh, opCheckpoint, opReweigh, opCheckpoint, opReweigh, opCheckpoint, crash(dmgNone)}},
 }
 
-// TestStoreMatchesModel runs the scripts and fixed seeds, and requires the
-// seeds to have run every op and every damage, to have resurrected a torn
+// TestStoreMatchesModel runs the scripts and fixed seeds, and requires
+// them to have run every op and every damage, to have resurrected a torn
 // append, and to have taken a checkpoint on Due, written a sketch-only
-// checkpoint, restored one, and judged one bad for its base.
+// checkpoint, made one full at the chain bound, restored a sketch-only
+// one, and judged one bad for its base.
 func TestStoreMatchesModel(t *testing.T) {
-	for _, s := range scripts {
-		t.Run(s.name, func(t *testing.T) { runModel(t, s.seed, s.ops) })
-	}
 	var ran [numOps]int
 	var damaged [numDamages]int
-	var resurrected, volume, sketches, spliced, orphaned int
-	for seed := int64(1); seed <= 12; seed++ {
-		ops := make([]byte, 32)
-		rand.New(rand.NewSource(-seed)).Read(ops)
-		m := runModel(t, seed, ops)
+	var resurrected, volume, sketches, chained, spliced, orphaned int
+	tally := func(m *model) {
 		for op, n := range m.ran {
 			ran[op] += n
 		}
@@ -821,12 +830,23 @@ func TestStoreMatchesModel(t *testing.T) {
 		resurrected += m.resurrected
 		volume += m.volume
 		sketches += m.sketches
+		chained += m.chained
 		spliced += m.spliced
 		orphaned += m.orphaned
 	}
-	t.Logf("due %d, sketch-only %d, spliced %d, orphaned %d, resurrected %d", volume, sketches, spliced, orphaned, resurrected)
+	for _, s := range scripts {
+		t.Run(s.name, func(t *testing.T) { tally(runModel(t, s.seed, s.ops)) })
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		ops := make([]byte, 32)
+		rand.New(rand.NewSource(-seed)).Read(ops)
+		tally(runModel(t, seed, ops))
+	}
+	t.Logf("due %d, sketch-only %d, chain-bound full %d, spliced %d, orphaned %d, resurrected %d",
+		volume, sketches, chained, spliced, orphaned, resurrected)
 	for name, n := range map[string]int{"took a checkpoint on Due": volume, "wrote a sketch-only checkpoint": sketches,
-		"restored a sketch-only checkpoint": spliced, "judged a sketch-only checkpoint bad for its base": orphaned} {
+		"made a checkpoint full at the chain bound": chained, "restored a sketch-only checkpoint": spliced,
+		"judged a sketch-only checkpoint bad for its base": orphaned} {
 		if n == 0 {
 			t.Errorf("no run %s", name)
 		}

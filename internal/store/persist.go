@@ -10,9 +10,9 @@ import (
 
 // Persistence ties one engine to one Store: Attach recovers the engine
 // from the store and wires the store in as the engine's write-ahead
-// journal; Checkpoint cuts and persists the live state, and
-// SketchCheckpoint does so leaving out a registry that has not grown;
-// Close writes a final checkpoint and releases the store (the
+// journal; Checkpoint cuts and persists the live state, the store
+// choosing full or sketch-only; Close writes a final checkpoint and
+// releases the store (the
 // graceful-shutdown path). It never checkpoints on its own: its owner
 // decides when, Due telling it the WAL has grown.
 type Persistence struct {
@@ -76,24 +76,17 @@ func Attach(eng *engine.Engine, st Store) (*Persistence, RecoveryStats, error) {
 	return &Persistence{eng: eng, st: st}, stats, nil
 }
 
-// Checkpoint persists a full consistent cut of the engine, key registry
-// included, and truncates the WAL it covers. Safe to call concurrently
-// with ingests and with itself.
-func (p *Persistence) Checkpoint() (CheckpointStats, error) { return p.checkpoint(true) }
-
-// SketchCheckpoint is Checkpoint, except that a cut whose key registry
-// has not grown since the newest full checkpoint is written sketch-only:
-// the retained entries and counters, naming that full checkpoint for the
-// registry. It is the cheap way to bound the next recovery's replay.
-func (p *Persistence) SketchCheckpoint() (CheckpointStats, error) { return p.checkpoint(false) }
-
-func (p *Persistence) checkpoint(full bool) (CheckpointStats, error) {
+// Checkpoint persists a consistent cut of the engine and truncates the
+// WAL it covers; the store decides whether the cut carries the key
+// registry (see Store). Safe to call concurrently with ingests and with
+// itself.
+func (p *Persistence) Checkpoint() (CheckpointStats, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return CheckpointStats{}, ErrClosed
 	}
-	return p.st.Checkpoint(p.eng.SketchState, full)
+	return p.st.Checkpoint(p.eng.SketchState)
 }
 
 // Due is signalled once the WAL journaled since the last checkpoint
@@ -115,7 +108,7 @@ func (p *Persistence) Close() error {
 		return nil
 	}
 	p.closed = true
-	_, cerr := p.st.Checkpoint(p.eng.SketchState, true)
+	_, cerr := p.st.Checkpoint(p.eng.SketchState)
 	if err := p.st.Close(); err != nil {
 		if cerr != nil {
 			return fmt.Errorf("%w (and close: %v)", cerr, err)

@@ -8,10 +8,12 @@
 // checkpoint that leaves out an unchanged key registry costs a few
 // kilobytes, and the store asks for one whenever the WAL written since
 // the last grows past a budget: recovery replays about one budget, not
-// one checkpoint interval. Second, the sketch fold is commutative and
-// idempotent under max semantics, so recovery can replay
-// a WAL tail that overlaps the checkpoint cut — re-applying an already
-// checkpointed update is a dominated-duplicate no-op. The file store
+// one checkpoint interval; at most walBudgetPerFull of those name one
+// full checkpoint, which bounds the files the store keeps. Second, the
+// sketch fold is commutative and idempotent under max semantics, so
+// recovery can replay a WAL tail that overlaps the checkpoint cut —
+// re-applying an already checkpointed update is a dominated-duplicate
+// no-op. The file store
 // exploits this by rotating to a fresh WAL segment before cutting the
 // checkpoint: no coordination between appenders and the checkpointer is
 // needed beyond the rotation itself.
@@ -90,7 +92,8 @@ const keepCheckpoints = 2
 // checkpoint's bytes), the store raises Due. The floor keeps checkpoints
 // of small states from coming every few appends; the multiple bounds what
 // a checkpoint costs to what it saves replaying, even if the registry
-// grew and it must be full.
+// grew and it must be full. walBudgetPerFull is also how many sketch-only
+// checkpoints may name one base before the next must be full.
 const (
 	walBudgetFloor   = 4 << 20
 	walBudgetPerFull = 4
@@ -160,9 +163,9 @@ type CheckpointStats struct {
 // store invokes only AFTER it has sealed the WAL position the checkpoint
 // claims to cover (the file store rotates to a fresh segment first) —
 // callers must not cut early, or updates journaled between the cut and
-// the seal are pruned unreplayed. With full false the checkpoint leaves
-// out the key registry when it has not grown since the newest full
-// checkpoint (sketch-only); with full true it always carries it. Due
+// the seal are pruned unreplayed. The store picks the kind: sketch-only
+// (no key registry) while its base's registry has not grown and fewer
+// than walBudgetPerFull sketch-only checkpoints name that base. Due
 // delivers a signal (buffered, never blocking the appender) once the WAL
 // appended since the last checkpoint passes the store's budget; the store
 // never checkpoints on its own. Recover must be called exactly once,
@@ -171,7 +174,7 @@ type CheckpointStats struct {
 type Store interface {
 	engine.Journal
 	Sync() error
-	Checkpoint(cut Cut, full bool) (CheckpointStats, error)
+	Checkpoint(cut Cut) (CheckpointStats, error)
 	Due() <-chan struct{}
 	Recover(h RecoveryHandler) (RecoveryStats, error)
 	Close() error

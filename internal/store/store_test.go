@@ -314,7 +314,7 @@ func TestStoreUsageErrors(t *testing.T) {
 	if err := st.Append(nil); err == nil {
 		t.Error("append before Recover must fail")
 	}
-	if _, err := st.Checkpoint(func(uint64) (*engine.State, uint64) { return nil, 0 }, true); err == nil {
+	if _, err := st.Checkpoint(func(uint64) (*engine.State, uint64) { return nil, 0 }); err == nil {
 		t.Error("checkpoint before Recover must fail")
 	}
 	if _, err := recoverEngine(st, newEngineQuiet()); err != nil {
