@@ -66,14 +66,16 @@ const (
 // shard-parallel replay of a WAL tail, BenchmarkCheckpoint's two
 // sub-benchmarks for a checkpoint that rewrites the registry and one that
 // leaves it out, BenchmarkSubscribePushLag for
-// the ingest→push lag an SSE subscriber sees after a 4-frame stream, and
+// the ingest→push lag an SSE subscriber sees after a 4-frame stream,
+// BenchmarkQueryCached's two sub-benchmarks (estimate_sum, batched4) for
+// a /v1/query answered from the per-version memo's stored bytes, and
 // BenchmarkUStarUnequalTau for one served U* estimate: bottom-k
 // thresholds are per instance, so the backward solver runs, and its cost
 // is the DataLB kernel's and the family built once per solver point.
 var suites = []struct{ pkg, bench string }{
 	{"internal/engine", "^(BenchmarkIngestBatch|BenchmarkIngestZipf)$"},
 	{"internal/engine", "^BenchmarkSnapshotIncremental$/^keys=65536$"},
-	{"internal/server", "^(BenchmarkStreamIngest256|BenchmarkSubscribePushLag)$"},
+	{"internal/server", "^(BenchmarkStreamIngest256|BenchmarkSubscribePushLag|BenchmarkQueryCached)$"},
 	{"internal/server", "^BenchmarkChurnServe$/^U=65536$"},
 	{"internal/store", "^BenchmarkIngestWAL$/^fsync=never$"},
 	{"internal/store", "^(BenchmarkRecoverCheckpointTail|BenchmarkCheckpoint)$"},

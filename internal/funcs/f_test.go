@@ -250,3 +250,85 @@ func TestRevealSeedConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestLStarGoldenBits pins RG's closed-form L* and U* for p=1 and p=2 on
+// 18 two-entry outcomes: both entries known with the larger one first
+// (used as it is) and second (swapped before RGPlus's closed form runs),
+// one entry known on either side, none known, equal values, scaled
+// values above the threshold, and served-shape thresholds, each under
+// equal and unequal τ. U* has a closed form only under a common τ and
+// must decline the others.
+func TestLStarGoldenBits(t *testing.T) {
+	eq, served2, uneq := []float64{2, 2}, []float64{1483.8967201847843, 1331.7230921617436}, []float64{0.8, 1.7}
+	cases := []struct {
+		tau, v []float64
+		rho    float64
+		bits   [4]uint64 // L* p=1, L* p=2, U* p=1, U* p=2
+	}{
+		{eq, []float64{1.5, 0.5}, 0.1, [4]uint64{0x400193ea7aad030a, 0x4004bbbf7007091c, 0x0, 0x0}},
+		{eq, []float64{0.5, 1.5}, 0.1, [4]uint64{0x400193ea7aad030a, 0x4004bbbf7007091c, 0x0, 0x0}},
+		{eq, []float64{1.5, 0.1}, 0.3, [4]uint64{0x3ffd5240f0e0e078, 0x3ffe5d29390907cf, 0x4000000000000000, 0x400ccccccccccccd}},
+		{eq, []float64{0.1, 1.5}, 0.3, [4]uint64{0x3ffd5240f0e0e078, 0x3ffe5d29390907cf, 0x4000000000000000, 0x400ccccccccccccd}},
+		{eq, []float64{0.1, 0.2}, 0.5, [4]uint64{0x0, 0x0, 0x0, 0x0}},
+		{eq, []float64{3, 0.4}, 0.1, [4]uint64{0x4010e020fbf6c69a, 0x402bd39627178702, 0x3ff0000000000000, 0x0}},
+		{eq, []float64{0.4, 3}, 0.1, [4]uint64{0x4010e020fbf6c69a, 0x402bd39627178702, 0x3ff0000000000000, 0x0}},
+		{eq, []float64{0.4, 3}, 0.5, [4]uint64{0x400317217f7d1cf8, 0x401545647e7756e6, 0x4008000000000000, 0x4020000000000000}},
+		{eq, []float64{1, 1}, 0.2, [4]uint64{0x0, 0x0, 0x0, 0x0}},
+		{served2, []float64{1817.5405750604464, 1478.1746194997572}, 0.18415249664941435, [4]uint64{0x407535daf437cf31, 0x40fc1e140758bf1f, 0x0, 0x0}},
+		{served2, []float64{1478.1746194997572, 1817.5405750604464}, 0.18415249664941435, [4]uint64{0x40753608428c8639, 0x40fc1e8b793e0155, 0x0, 0x0}},
+		{served2, []float64{4344.406259188686, 0}, 0.0664281999552242, [4]uint64{0x40b9dfd4096fbad0, 0x4181b5dee6e4cd3f, 0x0, 0x0}},
+		{served2, []float64{0, 4344.406259188686}, 0.0664281999552242, [4]uint64{0x40bae44b343ef2ff, 0x41829cc74db43397, 0x0, 0x0}},
+		{uneq, []float64{0.6, 0.2}, 0.05, [4]uint64{0x3ffde1db6a261ebf, 0x3fec328979a32b19, 0x0, 0x0}},
+		{uneq, []float64{0.2, 0.6}, 0.05, [4]uint64{0x3ff2d05f90f2af30, 0x3fdf0cef76180742, 0x0, 0x0}},
+		{uneq, []float64{0.02, 0.6}, 0.05, [4]uint64{0x4003b516f871f677, 0x3ffc6339a8b7e168, 0x0, 0x0}},
+		{uneq, []float64{0.6, 0.05}, 0.05, [4]uint64{0x400a940403255ef5, 0x4001e2c553a5ad59, 0x0, 0x0}},
+		{[]float64{3.2498958489926126, 0.3641829487104346}, []float64{0.44596458164743646, 4.627620340529393}, 0.15094785020490126, [4]uint64{0x401e173d748f6476, 0x40446b09a7a6a4b9, 0x0, 0x0}},
+	}
+	for i, c := range cases {
+		s, err := sampling.NewTupleScheme(c.tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := s.Sample(c.v, c.rho)
+		var got [4]uint64
+		for j, f := range []RG{{P: 1}, {P: 2}} {
+			l, ok := f.LStarClosed(o)
+			if !ok {
+				t.Errorf("case %d %s: L* closed form declined a two-entry outcome", i, f.Name())
+			}
+			got[j] = math.Float64bits(l)
+			u, ok := f.UStarClosed(o)
+			if common := c.tau[0] == c.tau[1]; ok != common {
+				t.Errorf("case %d %s: U* closed form ok = %v under common τ %v", i, f.Name(), ok, common)
+			}
+			got[2+j] = math.Float64bits(u)
+		}
+		if got != c.bits {
+			t.Errorf("case %d: bits %#x, want %#x", i, got, c.bits)
+		}
+	}
+}
+
+// TestRGClosedFormsAllocationFree: the served L* sum runs RG's closed form
+// on every exceptional two-entry outcome, and about half of them need the
+// larger entry swapped first; neither closed form may allocate for it.
+func TestRGClosedFormsAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s, err := sampling.NewTupleScheme([]float64{2, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []sampling.TupleOutcome{s.Sample([]float64{0.5, 1.5}, 0.1), s.Sample([]float64{0.1, 1.5}, 0.3)} {
+		var sink float64
+		if allocs := testing.AllocsPerRun(100, func() {
+			l, _ := RG{P: 1}.LStarClosed(o)
+			u, _ := RG{P: 2}.UStarClosed(o)
+			sink += l + u
+		}); allocs != 0 {
+			t.Errorf("known %v: swapped closed forms allocate %v times", o.Known, allocs)
+		}
+		_ = sink
+	}
+}

@@ -88,8 +88,9 @@ func TestLStarClosedPerInstanceTauProperty(t *testing.T) {
 				worst = math.Max(worst, diff/(1+math.Abs(generic)))
 				if tau1 == tau2 {
 					ref := o
+					var pair sortedPair
 					if _, isRG := f.(RG); isRG {
-						ref, _ = sortedPairOutcome(o)
+						ref, _ = pair.of(o)
 					}
 					if want := exampleFourLStar(RGPlus{P: p}, ref); closed != want {
 						t.Fatalf("%s common τ=%g v=(%g,%g) ρ=%g: closed %.17g != Example 4 %.17g",

@@ -190,29 +190,38 @@ func pow(base, exp int) int {
 // may in fact be the smaller, and RGPlus then returns 0 because its value
 // does not clear the other entry's bound.
 func (f RG) LStarClosed(o sampling.TupleOutcome) (float64, bool) {
-	swapped, ok := sortedPairOutcome(o)
+	var pair sortedPair
+	sorted, ok := pair.of(o)
 	if !ok {
 		return 0, false
 	}
-	return RGPlus{P: f.P}.LStarClosed(swapped)
+	return RGPlus{P: f.P}.LStarClosed(sorted)
 }
 
 // UStarClosed implements UStarClosedForm for two instances under a common
 // threshold (see LStarClosed for the reduction; RGPlus.UStarClosed
 // declines other schemes).
 func (f RG) UStarClosed(o sampling.TupleOutcome) (float64, bool) {
-	swapped, ok := sortedPairOutcome(o)
+	var pair sortedPair
+	sorted, ok := pair.of(o)
 	if !ok {
 		return 0, false
 	}
-	return RGPlus{P: f.P}.UStarClosed(swapped)
+	return RGPlus{P: f.P}.UStarClosed(sorted)
 }
 
-// sortedPairOutcome rewrites a two-entry outcome so that the known/larger
+// sortedPair backs a two-entry outcome rewritten so that the known/larger
 // entry comes first, values and thresholds together, making RGPlus's
-// closed forms applicable to the symmetric range. It reports false for
-// other arities.
-func sortedPairOutcome(o sampling.TupleOutcome) (sampling.TupleOutcome, bool) {
+// closed forms applicable to the symmetric range. It lives in the
+// caller's frame, so a swap allocates nothing.
+type sortedPair struct {
+	tau, vals [2]float64
+	known     [2]bool
+}
+
+// of returns o with its entries in that order — o itself when they already
+// are, else an outcome backed by p. It reports false for other arities.
+func (p *sortedPair) of(o sampling.TupleOutcome) (sampling.TupleOutcome, bool) {
 	if len(o.Known) != 2 {
 		return o, false
 	}
@@ -226,11 +235,14 @@ func sortedPairOutcome(o sampling.TupleOutcome) (sampling.TupleOutcome, bool) {
 	if !swap {
 		return o, true
 	}
+	p.tau = [2]float64{o.Scheme.Tau[1], o.Scheme.Tau[0]}
+	p.known = [2]bool{o.Known[1], o.Known[0]}
+	p.vals = [2]float64{o.Vals[1], o.Vals[0]}
 	return sampling.TupleOutcome{
-		Scheme: sampling.TupleScheme{Tau: []float64{o.Scheme.Tau[1], o.Scheme.Tau[0]}},
+		Scheme: sampling.TupleScheme{Tau: p.tau[:]},
 		Rho:    o.Rho,
-		Known:  []bool{o.Known[1], o.Known[0]},
-		Vals:   []float64{o.Vals[1], o.Vals[0]},
+		Known:  p.known[:],
+		Vals:   p.vals[:],
 	}, true
 }
 

@@ -72,8 +72,10 @@ var lstarRG1 = map[string]any{"func": "rg", "p": 1, "estimator": "lstar"}
 // BenchmarkQueryCached is the acceptance benchmark for the versioned
 // snapshot cache: the steady-state cached read path (no intervening
 // ingest) takes no shard locks, re-reduces nothing and re-runs no
-// estimators — compare against the engine-level BenchmarkQuerySum, which
-// pays a fresh reduction plus a full L* sum per query.
+// estimators, and a repeated body is answered with the memo's stored
+// bytes, neither decoded, planned nor encoded — compare against the
+// engine-level BenchmarkQuerySum, which pays a fresh reduction plus a
+// full L* sum per query.
 func BenchmarkQueryCached(b *testing.B) {
 	s := newBenchServer(b, 1<<14)
 	body := benchBatch(b)

@@ -62,6 +62,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -398,7 +399,7 @@ func NewWith(eng *engine.Engine, cfg Config) *Server {
 	s.broadcast = newBroadcaster(s, cfg.SubscribeDebounce)
 	s.route("POST /v1/ingest", s.handleIngest)
 	s.route("POST /v1/stream", s.handleStream)
-	s.route("POST /v1/query", s.handleQuery)
+	s.routeRaw("POST /v1/query", s.handleQuery)
 	s.routeRaw("GET /v1/subscribe", s.handleSubscribe)
 	s.route("GET /v1/stats", s.handleStats)
 	s.route("POST /v1/checkpoint", s.handleCheckpoint)
@@ -494,11 +495,25 @@ func (s *Server) routeRaw(pattern string, h func(http.ResponseWriter, *http.Requ
 }
 
 func writeJSON(w http.ResponseWriter, code int, body any) {
+	b, _ := encodeJSON(body) // every body handed here encodes; one that did not would go out empty
+	writeJSONBytes(w, code, b)
+}
+
+// encodeJSON is every response's JSON encoding: HTML characters left as
+// they are, one value per line. /v1/query keeps the bytes it writes.
+func encodeJSON(body any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	err := enc.Encode(body)
+	return buf.Bytes(), err
+}
+
+// writeJSONBytes writes an encoded JSON response.
+func writeJSONBytes(w http.ResponseWriter, code int, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(body) // headers are out; nothing useful to do on error
+	_, _ = w.Write(b) // headers are out; nothing useful to do on error
 }
 
 // checkParams rejects query parameters outside the endpoint's contract, so
@@ -522,8 +537,8 @@ func checkParams(q url.Values, allowed ...string) error {
 
 // decodeStrict decodes a JSON body rejecting unknown fields and trailing
 // garbage.
-func decodeStrict(r *http.Request, maxBytes int64, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBytes))
+func decodeStrict(body io.Reader, dst any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("decoding body: %w", err)
@@ -557,7 +572,7 @@ func (s *Server) handleIngest(r *http.Request) (int, any, error) {
 	}
 	defer s.endApply()
 	var req ingestRequest
-	if err := decodeStrict(r, maxIngestBody, &req); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(nil, r.Body, maxIngestBody), &req); err != nil {
 		return http.StatusBadRequest, nil, err
 	}
 	if len(req.Updates) == 0 {

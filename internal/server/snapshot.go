@@ -11,7 +11,9 @@ import (
 // every endpoint reads the server's own engine, and a single-flight
 // per-version result memo turns repeat queries against an unchanged
 // engine into pure lookups — the steady-state read path takes no shard
-// locks, does no snapshot reduction and runs no estimator.
+// locks, does no snapshot reduction and runs no estimator, and a repeated
+// /v1/query body is answered with its stored bytes, neither decoded,
+// planned nor encoded again.
 
 // SnapshotSource brings the server's engine up to date before a read. A
 // cluster coordinator is one: its merge engine is the engine the server
@@ -75,16 +77,27 @@ type MissingNode struct {
 // maxMemoEntries caps one version's memo so an adversarial query stream
 // (unbounded distinct selections) cannot grow memory without bound;
 // beyond the cap, queries still evaluate — they just stop being recorded.
+// It caps the per-query results and the stored responses each.
 const maxMemoEntries = 4096
+
+// maxMemoResponseBytes caps the bytes one version's stored responses hold,
+// request bodies and response bytes together (8 MiB: a body may be up to
+// maxQueryBody). Beyond it, responses are served and not stored.
+const maxMemoResponseBytes = 8 << 20
 
 // resultMemo caches evaluated query results for ONE snapshot version.
 // Estimators are deterministic functions of the snapshot, so a (version,
-// query) pair fully determines the result; the memo is dropped wholesale
-// the first time a request is served from a newer version.
+// query) pair fully determines the result, and a (version, request body)
+// pair the whole /v1/query response: responses maps each body answered
+// with a non-degraded 200 to the bytes written for it. The memo is
+// dropped wholesale the first time a request is served from a newer
+// version.
 type resultMemo struct {
-	version uint64
-	mu      sync.RWMutex
-	m       map[string]*memoCall
+	version       uint64
+	mu            sync.RWMutex
+	m             map[string]*memoCall
+	responses     map[string][]byte
+	responseBytes int
 }
 
 // memoCall is one (version, query) evaluation, run at most once: the push
@@ -112,6 +125,25 @@ func (mm *resultMemo) call(key string) *memoCall {
 	return c
 }
 
+// response returns the stored response to body, or nil.
+func (mm *resultMemo) response(body []byte) []byte {
+	mm.mu.RLock()
+	defer mm.mu.RUnlock()
+	return mm.responses[string(body)]
+}
+
+// record stores resp as the answer to body unless a cap is reached.
+func (mm *resultMemo) record(body, resp []byte) {
+	size := len(body) + len(resp)
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	if _, ok := mm.responses[string(body)]; ok || len(mm.responses) >= maxMemoEntries || mm.responseBytes+size > maxMemoResponseBytes {
+		return
+	}
+	mm.responses[string(body)] = resp
+	mm.responseBytes += size
+}
+
 // memoFor returns the memo for the given snapshot version, rotating the
 // server's current one when the version moved. Concurrent requests that
 // acquired different versions can briefly alternate; the memo then
@@ -122,7 +154,7 @@ func (s *Server) memoFor(version uint64) *resultMemo {
 		if m != nil && m.version == version {
 			return m
 		}
-		fresh := &resultMemo{version: version, m: make(map[string]*memoCall)}
+		fresh := &resultMemo{version: version, m: make(map[string]*memoCall), responses: make(map[string][]byte)}
 		if s.memo.CompareAndSwap(m, fresh) {
 			return fresh
 		}

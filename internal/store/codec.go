@@ -144,11 +144,9 @@ func (r *stateReader) u64() uint64 {
 	return v
 }
 
-// DecodeState parses an EncodeState artifact, verifying magic, length and
-// checksum. Structural validity is checked here; semantic compatibility
-// (instances, k, seed fingerprint) is the engine's RestoreState/MergeState
-// contract.
-func DecodeState(data []byte) (*engine.State, error) {
+// statePayload checks a state artifact's bytes — magic, declared length
+// and payload CRC — and returns the payload DecodeState parses.
+func statePayload(data []byte) ([]byte, error) {
 	if len(data) < 16 || string(data[:8]) != stateMagic {
 		return nil, fmt.Errorf("store: not a state artifact (bad magic)")
 	}
@@ -159,6 +157,18 @@ func DecodeState(data []byte) (*engine.State, error) {
 	payload := data[16:]
 	if crc := crc32.ChecksumIEEE(payload); crc != binary.LittleEndian.Uint32(data[12:]) {
 		return nil, fmt.Errorf("store: state artifact checksum mismatch")
+	}
+	return payload, nil
+}
+
+// DecodeState parses an EncodeState artifact, verifying magic, length and
+// checksum. Structural validity is checked here; semantic compatibility
+// (instances, k, seed fingerprint) is the engine's RestoreState/MergeState
+// contract.
+func DecodeState(data []byte) (*engine.State, error) {
+	payload, err := statePayload(data)
+	if err != nil {
+		return nil, err
 	}
 	r := &stateReader{b: payload}
 	if err := r.need(2 + 3*4 + 2*8 + 2*8 + 8); err != nil {

@@ -233,15 +233,16 @@ func (f *fileStore) Recover(h RecoveryHandler) (RecoveryStats, error) {
 // budget. Corrupt or partial checkpoints (a crash mid-rename cannot
 // produce these, but bit rot or manual damage can) fall back to the one
 // before, and so does a sketch-only one whose base is not a valid full
-// checkpoint. Each file is decoded once, a base with the first checkpoint
-// that names it, and every decoded state is garbage once this returns,
-// before the WAL replay.
+// checkpoint. Each file is read once, a base with the first checkpoint
+// that names it; only files read until one is restored are decoded, the
+// older ones are checked by their bytes alone, and every decoded state is
+// garbage once this returns, before the WAL replay.
 func (f *fileStore) restoreNewest(ckpts []uint64, h RecoveryHandler, stats *RecoveryStats) (replayFrom uint64, err error) {
 	files := make(map[uint64]*ckptFile, len(ckpts))
 	read := func(seq uint64) *ckptFile {
 		c, ok := files[seq]
 		if !ok {
-			c = readCheckpoint(f.ckptPath(seq))
+			c = readCheckpoint(f.ckptPath(seq), stats.CheckpointSeq == 0)
 			files[seq] = c
 		}
 		return c
@@ -621,8 +622,11 @@ type ckptFile struct {
 
 // readCheckpoint loads and validates one checkpoint file. A MONESTK1
 // file, written before checkpoints carried a base and a header checksum,
-// reads as a full checkpoint whose horizon nothing checks.
-func readCheckpoint(path string) *ckptFile {
+// reads as a full checkpoint whose horizon nothing checks. Without decode
+// the state is checked only by the bytes DecodeState checks before it
+// parses (magic, length, CRC) and st stays nil: how recovery checks the
+// fallbacks older than the checkpoint it restored.
+func readCheckpoint(path string, decode bool) *ckptFile {
 	c := &ckptFile{}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -647,7 +651,12 @@ func readCheckpoint(path string) *ckptFile {
 		c.err = fmt.Errorf("store: %s: bad checkpoint magic", path)
 		return c
 	}
-	if c.st, err = DecodeState(body); err != nil {
+	if decode {
+		c.st, err = DecodeState(body)
+	} else {
+		_, err = statePayload(body)
+	}
+	if err != nil {
 		c.err = fmt.Errorf("store: %s: %w", path, err)
 	}
 	return c

@@ -69,10 +69,12 @@ func fuzzEngine(f *testing.F) *engine.Engine {
 // FuzzReadCheckpoint hammers readCheckpoint, which every recovery runs
 // on every checkpoint file, over whole files: a full and a sketch-only
 // MONESTK2 file, a MONESTK1 file, and each cut short, with a body or a
-// horizon byte flipped. The contract under arbitrary bytes: never panic,
-// and a file it accepts has a header CRC that matches (a MONESTK1 file
-// has none), the horizon and base its header holds, and a body that
-// DecodeState accepts.
+// horizon byte flipped. The contract under arbitrary bytes: never panic;
+// a file the check-only read (recovery's for fallbacks) accepts has a
+// header CRC that matches (a MONESTK1 file has none), the horizon and
+// base its header holds, and a state whose magic, length and CRC check;
+// a file the decoding read accepts passes the check-only read too, and
+// has a body that DecodeState accepts.
 func FuzzReadCheckpoint(f *testing.F) {
 	eng := fuzzEngine(f)
 	st, reg := eng.SketchState(0)
@@ -98,8 +100,11 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		c := readCheckpoint(path)
-		if c.err != nil {
+		c, checked := readCheckpoint(path, true), readCheckpoint(path, false)
+		if c.err == nil && checked.err != nil {
+			t.Fatalf("the check-only read rejects a checkpoint the decoding read accepts: %v", checked.err)
+		}
+		if checked.err != nil {
 			return // rejection is the expected outcome for junk
 		}
 		body, base := data[16:], uint64(0)
@@ -113,11 +118,21 @@ func FuzzReadCheckpoint(f *testing.F) {
 		default:
 			t.Fatalf("accepted a checkpoint with magic %q", data[:8])
 		}
-		if first := binary.LittleEndian.Uint64(data[8:]); c.first != first || c.base != base || c.bytes != len(data) {
-			t.Fatalf("read horizon %d, base %d, %d bytes; the file holds %d, %d, %d", c.first, c.base, c.bytes, first, base, len(data))
+		if len(body) < 16 || string(body[:8]) != stateMagic || uint64(len(body)) != 16+uint64(binary.LittleEndian.Uint32(body[8:])) ||
+			crc32.ChecksumIEEE(body[16:]) != binary.LittleEndian.Uint32(body[12:]) {
+			t.Fatal("accepted a checkpoint whose state magic, length or CRC does not check")
 		}
-		if _, err := DecodeState(body); err != nil {
-			t.Fatalf("accepted a checkpoint whose body DecodeState rejects: %v", err)
+		reads := []*ckptFile{checked}
+		if c.err == nil { // else a body past its CRC that does not parse: only decoding sees it
+			if _, err := DecodeState(body); err != nil {
+				t.Fatalf("accepted a checkpoint whose body DecodeState rejects: %v", err)
+			}
+			reads = append(reads, c)
+		}
+		for _, read := range reads {
+			if first := binary.LittleEndian.Uint64(data[8:]); read.first != first || read.base != base || read.bytes != len(data) {
+				t.Fatalf("read horizon %d, base %d, %d bytes; the file holds %d, %d, %d", read.first, read.base, read.bytes, first, base, len(data))
+			}
 		}
 	})
 }
