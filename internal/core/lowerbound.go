@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/hull"
 	"repro/internal/numeric"
@@ -115,6 +116,19 @@ func (g Grid) Points() []float64 {
 		}
 	}
 	return uniq
+}
+
+// defaultPoints is DefaultGrid's Points, computed once: the grid every
+// served U* estimate solves over.
+var defaultPoints = sync.OnceValue(DefaultGrid().Points)
+
+// sharedPoints is Points, shared across calls on DefaultGrid, so the
+// result must not be written.
+func (g Grid) sharedPoints() []float64 {
+	if d, gd := DefaultGrid().withDefaults(), g.withDefaults(); len(g.Breaks) == 0 && gd.Eps == d.Eps && gd.N == d.N {
+		return defaultPoints()
+	}
+	return g.Points()
 }
 
 // VOptimalHull returns the greatest convex minorant of the lower-bound

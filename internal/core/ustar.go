@@ -35,7 +35,7 @@ func UStarAt(fam ConsistentFamily, rho float64, g Grid) float64 {
 	if rho >= 1 {
 		return uStarPoint(fam(1), 1, 0)
 	}
-	pts := g.Points()
+	pts := g.sharedPoints()
 	us := make([]float64, 0, len(pts)+1)
 	us = append(us, rho)
 	for _, u := range pts {

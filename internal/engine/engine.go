@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -134,13 +133,13 @@ func New(cfg Config) (*Engine, error) {
 		notifyCh:  make(chan struct{}, 1),
 	}
 	for s := range e.shards {
-		heaps := make([]bkHeap, cfg.Instances)
-		for i := range heaps {
+		sh := &shard{registry: newRegistry(cfg.Instances), heaps: make([]bkHeap, cfg.Instances)}
+		for i := range sh.heaps {
 			// k+1 entries per instance: Snapshot needs the k+1 globally
 			// smallest ranks, and the union of shard heaps covers them.
-			heaps[i] = newBKHeap(cfg.K + 1)
+			sh.heaps[i] = bkHeap{cap: cfg.K + 1, inst: i, reg: &sh.registry}
 		}
-		e.shards[s] = &shard{index: make(map[uint64]uint32), heaps: heaps}
+		e.shards[s] = sh
 	}
 	return e, nil
 }
@@ -417,12 +416,13 @@ func (e *Engine) Stats() Stats {
 	for s, sh := range e.shards {
 		m := sh.muts.Load()
 		st.Version += m
-		st.Keys += len(sh.keys)
+		n := sh.len()
+		st.Keys += n
 		st.ActiveEntries += sh.activeEntries
 		for i := range sh.heaps {
 			st.RetainedEntries += len(sh.heaps[i].es)
 		}
-		st.PerShard[s] = ShardStats{Mutations: m, Keys: len(sh.keys)}
+		st.PerShard[s] = ShardStats{Mutations: m, Keys: n}
 	}
 	// Rebuild counters bump under rebuildMu, not shard locks; they are
 	// advisory observability, not part of the consistent cut.
@@ -438,26 +438,20 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// shard is one lock stripe: the items routed to it and its slice of every
-// instance's bottom-(k+1) heap. muts counts the shard's accepted non-zero
-// ingests; it bumps under mu so that consistent cuts read it exactly, and
-// is summed lock-free by Engine.Version.
-//
-// The key registry is flat and pointer-free: index maps a key to its
-// slot, keys[slot] is the key and masks[slot*maskWords:] the instances
-// that have seen it with a positive weight (for exact TotalEntries
-// bookkeeping). The registry lets Snapshot emit outcomes for unsketched
-// items too, matching the batch sampler's full outcome list. A key's seed
-// is not stored: hash.U(key) recomputes it for less than a map lookup
-// costs.
+// shard is one lock stripe: the items routed to it (its registry, see
+// registry.go) and its slice of every instance's bottom-(k+1) heap,
+// whose entries' positions live in the registry's records. muts counts
+// the shard's accepted non-zero ingests; it bumps under mu so that
+// consistent cuts read it exactly, and is summed lock-free by
+// Engine.Version. The registry lets Snapshot emit outcomes for
+// unsketched items too, matching the batch sampler's full outcome list.
+// A key's seed is not stored: hash.U(key) recomputes it for less than a
+// cache miss costs.
 type shard struct {
-	mu            sync.Mutex
-	muts          atomic.Uint64
-	index         map[uint64]uint32
-	keys          []uint64
-	masks         []uint64
-	heaps         []bkHeap
-	activeEntries int
+	mu   sync.Mutex
+	muts atomic.Uint64
+	registry
+	heaps []bkHeap
 }
 
 // fold applies updates (all routed to sh) under sh's lock and returns how
@@ -484,50 +478,8 @@ func (sh *shard) fold(e *Engine, updates []Update) (muts uint64) {
 // counter, so cached snapshots survive duplicate-heavy streams. The caller
 // holds sh.mu.
 func (sh *shard) ingest(e *Engine, instance int, key uint64, w float64) bool {
-	slot := sh.slot(e, key)
-	activated := sh.activate(e, slot, instance/64, uint64(1)<<(instance%64)) > 0
+	slot := sh.slot(key)
+	activated := sh.activate(slot, instance/64, uint64(1)<<(instance%64)) > 0
 	rank := sampling.Rank(sampling.RankPriority, e.cfg.Hash.U(key), w)
 	return sh.heaps[instance].update(slot, key, w, rank) || activated
-}
-
-// slot returns key's registry slot, registering the key with no instance
-// active yet if it is new. The caller holds sh.mu.
-func (sh *shard) slot(e *Engine, key uint64) uint32 {
-	if slot, ok := sh.index[key]; ok {
-		return slot
-	}
-	slot := uint32(len(sh.keys))
-	sh.index[key] = slot
-	sh.keys = append(sh.keys, key)
-	sh.masks = append(sh.masks, make([]uint64, e.maskWords)...)
-	for i := range sh.heaps {
-		sh.heaps[i].pos = append(sh.heaps[i].pos, -1)
-	}
-	return slot
-}
-
-// presize reserves room for n keys in an empty registry, so a bulk load
-// (applyState) grows no map or slice while it registers them. The caller
-// holds sh.mu.
-func (sh *shard) presize(e *Engine, n int) {
-	sh.index = make(map[uint64]uint32, n)
-	sh.keys = make([]uint64, 0, n)
-	sh.masks = make([]uint64, 0, n*e.maskWords)
-	for i := range sh.heaps {
-		sh.heaps[i].pos = make([]int32, 0, n)
-	}
-}
-
-// activate ORs set into word w of slot's mask and returns how many of its
-// bits were newly set. The caller holds sh.mu.
-func (sh *shard) activate(e *Engine, slot uint32, w int, set uint64) int {
-	m := &sh.masks[int(slot)*e.maskWords+w]
-	added := set &^ *m
-	if added == 0 {
-		return 0
-	}
-	*m |= added
-	n := bits.OnesCount64(added)
-	sh.activeEntries += n
-	return n
 }

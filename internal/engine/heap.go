@@ -1,17 +1,19 @@
 package engine
 
-// bkHeap keeps the cap smallest-rank entries seen so far: a max-heap on
-// rank (root = largest retained rank, the eviction candidate). Each entry's
-// registry slot rides in slots, parallel to es, and pos maps a slot back to
-// its heap index (−1: not retained), so a max-weight update finds and
-// decreases an entry's rank in place with array reads only. A hand-rolled
+// bkHeap keeps the cap smallest-rank entries of instance inst seen so
+// far: a max-heap on rank (root = largest retained rank, the eviction
+// candidate). Each entry's registry slot rides in slots, parallel to es,
+// and the slot's registry record holds its heap index (reg.pos, −1: not
+// retained), so a max-weight update finds and decreases an entry's rank
+// in place on the record line the fold already touched. A hand-rolled
 // heap avoids container/heap's interface allocations on the ingest hot
 // path.
 type bkHeap struct {
 	cap   int
+	inst  int
+	reg   *registry
 	es    []bkEntry
 	slots []uint32
-	pos   []int32
 }
 
 // bkEntry is one retained (key, weight, rank) triple.
@@ -19,10 +21,6 @@ type bkEntry struct {
 	key    uint64
 	weight float64
 	rank   float64
-}
-
-func newBKHeap(cap int) bkHeap {
-	return bkHeap{cap: cap}
 }
 
 // update folds an observation of the key registered at slot in under
@@ -33,7 +31,7 @@ func newBKHeap(cap int) bkHeap {
 // weight. It reports whether the heap changed — dominated duplicates and
 // non-admitted keys are no-ops that must not invalidate cached snapshots.
 func (h *bkHeap) update(slot uint32, key uint64, w, rank float64) bool {
-	if i := h.pos[slot]; i >= 0 {
+	if i := h.reg.pos(slot, h.inst); i >= 0 {
 		if w <= h.es[i].weight {
 			return false
 		}
@@ -45,17 +43,17 @@ func (h *bkHeap) update(slot uint32, key uint64, w, rank float64) bool {
 	if len(h.es) < h.cap {
 		h.es = append(h.es, bkEntry{key: key, weight: w, rank: rank})
 		h.slots = append(h.slots, slot)
-		h.pos[slot] = int32(len(h.es) - 1)
+		h.reg.setPos(slot, h.inst, int32(len(h.es)-1))
 		h.up(len(h.es) - 1)
 		return true
 	}
 	if rank >= h.es[0].rank {
 		return false
 	}
-	h.pos[h.slots[0]] = -1
+	h.reg.setPos(h.slots[0], h.inst, -1)
 	h.es[0] = bkEntry{key: key, weight: w, rank: rank}
 	h.slots[0] = slot
-	h.pos[slot] = 0
+	h.reg.setPos(slot, h.inst, 0)
 	h.down(0)
 	return true
 }
@@ -91,6 +89,6 @@ func (h *bkHeap) down(i int) {
 func (h *bkHeap) swap(i, j int) {
 	h.es[i], h.es[j] = h.es[j], h.es[i]
 	h.slots[i], h.slots[j] = h.slots[j], h.slots[i]
-	h.pos[h.slots[i]] = int32(i)
-	h.pos[h.slots[j]] = int32(j)
+	h.reg.setPos(h.slots[i], h.inst, int32(i))
+	h.reg.setPos(h.slots[j], h.inst, int32(j))
 }

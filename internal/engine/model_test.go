@@ -23,6 +23,14 @@ import (
 // against SampleBottomK, and the encoded DumpState against that of a
 // fresh engine fed the table once.
 //
+// Item ids are SampleBottomK's item indices. An even seed hands the
+// engines spread keys instead (id<<32: every key equal in its low 32
+// bits), which SampleBottomK cannot seed, so there the snapshot is held
+// to that of the fresh engine fed the table, itself held to SampleBottomK
+// on the odd seeds; every view also checks each shard's key index (see
+// Engine.CheckRegistries). Both key spaces grow every index from its
+// first cells.
+//
 // Weights are continuous draws, so exact rank ties and near-overflow
 // weights do not occur here: heap admission is lossy there, and
 // FuzzRebuildMatchesBatch skips those inputs (DESIGN §6.2).
@@ -44,18 +52,20 @@ const (
 // model is the harness state: the engines with their tables, and what
 // the stream has exercised so far.
 type model struct {
-	t     testing.TB
-	seed  int64
-	rng   *rand.Rand
-	cfg   engine.Config
-	keys  int // keys are 0..keys-1, SampleBottomK's item indices
-	nodes []*node
-	ran   [numOps]int
-	blind int // re-syncs that merged a cut without its registry
+	t    testing.TB
+	seed int64
+	rng  *rand.Rand
+	cfg  engine.Config
+	keys int // item ids are 0..keys-1
+	// spread maps id to the key id<<32 (see key).
+	spread bool
+	nodes  []*node
+	ran    [numOps]int
+	blind  int // re-syncs that merged a cut without its registry
 }
 
-// node is one engine under test. w[i][key] is the max weight it was given
-// per (instance, key); synced[j] is the registry size of the last cut of
+// node is one engine under test. w[i][id] is the max weight it was given
+// per (instance, item); synced[j] is the registry size of the last cut of
 // node j it merged by re-sync (SketchState's reg).
 type node struct {
 	e      *engine.Engine
@@ -68,7 +78,7 @@ type node struct {
 func runModel(t testing.TB, seed int64, ops []byte) *model {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	m := &model{t: t, seed: seed, rng: rng, keys: 8 + rng.Intn(250)}
+	m := &model{t: t, seed: seed, rng: rng, keys: 8 + rng.Intn(250), spread: seed%2 == 0}
 	m.cfg = engine.Config{Instances: 1 + rng.Intn(3), K: 1 + rng.Intn(12), Hash: sampling.NewSeedHash(uint64(seed))}
 	n := 1 + rng.Intn(3)
 	for range n {
@@ -93,6 +103,21 @@ func (m *model) fail(j int, format string, args ...any) {
 	m.t.Fatalf("seed %d, op %d: "+format, append([]any{m.seed, j}, args...)...)
 }
 
+// key is item id's engine key; id inverts it.
+func (m *model) key(id int) uint64 {
+	if m.spread {
+		return uint64(id) << 32
+	}
+	return uint64(id)
+}
+
+func (m *model) id(key uint64) int {
+	if m.spread {
+		return int(key >> 32)
+	}
+	return int(key)
+}
+
 func (m *model) engine(shards int) *engine.Engine {
 	cfg := m.cfg
 	cfg.Shards = shards
@@ -110,14 +135,15 @@ func (m *model) engine(shards int) *engine.Engine {
 func (m *model) updates(nd *node, n int) []engine.Update {
 	ups := make([]engine.Update, 0, n+n/4)
 	for len(ups) < n {
-		u := engine.Update{Instance: m.rng.Intn(m.cfg.Instances), Key: uint64(m.rng.Intn(m.keys)), Weight: 10 * m.rng.Float64()}
+		id := m.rng.Intn(m.keys)
+		u := engine.Update{Instance: m.rng.Intn(m.cfg.Instances), Key: m.key(id), Weight: 10 * m.rng.Float64()}
 		switch m.rng.Intn(12) {
 		case 0:
 			u.Weight *= 1e-9
 		case 1:
 			u.Weight = 0
 		case 2, 3:
-			if w := nd.w[u.Instance][u.Key]; w > 0 {
+			if w := nd.w[u.Instance][id]; w > 0 {
 				u.Weight = w * m.rng.Float64()
 			}
 		case 4:
@@ -130,19 +156,20 @@ func (m *model) updates(nd *node, n int) []engine.Update {
 }
 
 // fold takes ups into nd's table.
-func (nd *node) fold(ups []engine.Update) {
+func (m *model) fold(nd *node, ups []engine.Update) {
 	for _, u := range ups {
-		nd.w[u.Instance][u.Key] = max(nd.w[u.Instance][u.Key], u.Weight)
+		id := m.id(u.Key)
+		nd.w[u.Instance][id] = max(nd.w[u.Instance][id], u.Weight)
 	}
 }
 
-// table lists nd's table as one update per positive (instance, key).
-func (nd *node) table() []engine.Update {
+// table lists nd's table as one update per positive (instance, item).
+func (m *model) table(nd *node) []engine.Update {
 	var ups []engine.Update
 	for i, ws := range nd.w {
-		for key, w := range ws {
+		for id, w := range ws {
 			if w > 0 {
-				ups = append(ups, engine.Update{Instance: i, Key: uint64(key), Weight: w})
+				ups = append(ups, engine.Update{Instance: i, Key: m.key(id), Weight: w})
 			}
 		}
 	}
@@ -160,13 +187,13 @@ func (m *model) step(j int, b byte) {
 		if err := x.e.IngestBatch(ups); err != nil {
 			m.fail(j, "IngestBatch: %v", err)
 		}
-		x.fold(ups)
+		m.fold(x, ups)
 	case opIngest:
 		for _, u := range m.updates(x, 1+m.rng.Intn(8)) {
 			if err := x.e.Ingest(u.Instance, u.Key, u.Weight); err != nil {
 				m.fail(j, "Ingest: %v", err)
 			}
-			x.fold([]engine.Update{u})
+			m.fold(x, []engine.Update{u})
 		}
 	case opReplay:
 		rp := x.e.Replay()
@@ -176,7 +203,7 @@ func (m *model) step(j int, b byte) {
 				rp.Wait()
 				m.fail(j, "Replay.Add: %v", err)
 			}
-			x.fold(ups)
+			m.fold(x, ups)
 		}
 		rp.Wait()
 	case opMerge:
@@ -249,35 +276,55 @@ func (m *model) merge(j int, x, y *node, st *engine.State) {
 	if got := x.e.Stats().Ingests; got != before+st.Ingests {
 		m.fail(j, "merge moved Ingests %d → %d, want +%d", before, got, st.Ingests)
 	}
-	x.fold(y.table())
+	m.fold(x, m.table(y))
 }
 
-// check holds the view v of nd's engine to nd's table: its snapshot to
-// SampleBottomK (Same compares τ too), and the engine's encoded dump to a
-// fresh engine's fed the table once. The counters and the shard layout
-// record how the state was reached, not the state, so they are copied
-// over before the byte comparison.
+// check holds the view v of nd's engine to nd's table: its key index to
+// its invariants, its snapshot to SampleBottomK (Same compares τ too; on
+// spread keys, to the snapshot of a fresh engine fed the table once), and
+// the engine's encoded dump to that fresh engine's. The counters and the
+// shard layout record how the state was reached, not the state, so they
+// are copied over before the byte comparison.
 func (m *model) check(j int, nd *node, v engine.SnapshotView) {
 	t := m.t
 	t.Helper()
 	if v.Version != nd.e.Version() {
 		m.fail(j, "view at version %d, engine at %d", v.Version, nd.e.Version())
 	}
-	d, err := dataset.New(nil, nd.w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := dataset.SampleBottomK(d, m.cfg.K, m.cfg.Hash)
-	if err != nil {
-		t.Fatal(err)
+	if err := nd.e.CheckRegistries(); err != nil {
+		m.fail(j, "key index: %v", err)
 	}
 	var keys []uint64
-	for key := range m.keys {
+	for id := range m.keys {
 		for i := range nd.w {
-			if nd.w[i][key] > 0 {
-				keys = append(keys, uint64(key))
+			if nd.w[i][id] > 0 {
+				keys = append(keys, m.key(id))
 				break
 			}
+		}
+	}
+	fresh := m.engine(3)
+	if err := fresh.IngestBatch(m.table(nd)); err != nil {
+		t.Fatal(err)
+	}
+	// ref is the reference sample, its outcomes in snapshot key order.
+	var ref dataset.CoordinatedSample
+	if m.spread {
+		fs := fresh.FreshView().Snapshot()
+		if !slices.Equal(fs.Keys, keys) {
+			m.fail(j, "a fresh engine's snapshot holds %d keys, the table %d", len(fs.Keys), len(keys))
+		}
+		ref = fs.Sample
+	} else {
+		d, err := dataset.New(nil, nd.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref, err = dataset.SampleBottomK(d, m.cfg.K, m.cfg.Hash); err != nil {
+			t.Fatal(err)
+		}
+		for p, key := range keys {
+			ref.Outcomes[p] = ref.Outcomes[key] // key ≥ p: keys ascend from 0
 		}
 	}
 	snap := v.Snapshot()
@@ -285,16 +332,12 @@ func (m *model) check(j int, nd *node, v engine.SnapshotView) {
 		m.fail(j, "snapshot holds %d keys, the table %d", len(snap.Keys), len(keys))
 	}
 	for p, o := range snap.Sample.Outcomes {
-		if b := batch.Outcomes[snap.Keys[p]]; !o.Same(b) {
-			m.fail(j, "key %d: outcome %+v, SampleBottomK %+v", snap.Keys[p], o, b)
+		if b := ref.Outcomes[p]; !o.Same(b) {
+			m.fail(j, "key %#x: outcome %+v, reference %+v", snap.Keys[p], o, b)
 		}
 	}
-	if s := snap.Sample; s.SampledEntries != batch.SampledEntries || s.TotalEntries != batch.TotalEntries {
-		m.fail(j, "sampled/total %d/%d, SampleBottomK %d/%d", s.SampledEntries, s.TotalEntries, batch.SampledEntries, batch.TotalEntries)
-	}
-	fresh := m.engine(3)
-	if err := fresh.IngestBatch(nd.table()); err != nil {
-		t.Fatal(err)
+	if s := snap.Sample; s.SampledEntries != ref.SampledEntries || s.TotalEntries != ref.TotalEntries {
+		m.fail(j, "sampled/total %d/%d, reference %d/%d", s.SampledEntries, s.TotalEntries, ref.SampledEntries, ref.TotalEntries)
 	}
 	got, want := nd.e.DumpState(), fresh.DumpState()
 	got.Version, got.Ingests, got.Shards = want.Version, want.Ingests, want.Shards

@@ -20,9 +20,9 @@ import (
 // Invariants (all rebuild state is guarded by rebuildMu):
 //
 //  1. A shard's key registry is append-only, so the keys registered since
-//     the last cut are exactly sh.keys[seen[s]:]. The merged key slice is
-//     extended by merging those in, into a fresh slice: published views
-//     alias the old one, which is never rewritten.
+//     the last cut are exactly those in slots [seen[s], sh.len()). The
+//     merged key slice is extended by merging those in, into a fresh
+//     slice: published views alias the old one, which is never rewritten.
 //  2. Outcomes depend on an item's retained entries plus the GLOBAL
 //     per-instance thresholds, which a rebuild selects as the k-th and
 //     (k+1)-th smallest rank among every shard's retained entries.
@@ -60,7 +60,7 @@ func (e *Engine) rebuildLocked() SnapshotView {
 	fresh, total := 0, 0
 	for s, sh := range e.shards {
 		version += sh.muts.Load()
-		fresh += len(sh.keys) - e.seen[s]
+		fresh += sh.len() - e.seen[s]
 		total += sh.activeEntries
 	}
 	if c := e.cache.Load(); c != nil && c.version == version {
@@ -72,8 +72,11 @@ func (e *Engine) rebuildLocked() SnapshotView {
 	e.gatherLocked(e.retained)
 	added := make([]uint64, 0, fresh)
 	for s, sh := range e.shards {
-		added = append(added, sh.keys[e.seen[s]:]...) // invariant 1
-		e.seen[s] = len(sh.keys)
+		n := sh.len()
+		for slot := e.seen[s]; slot < n; slot++ {
+			added = append(added, sh.key(slot)) // invariant 1
+		}
+		e.seen[s] = n
 	}
 	for _, sh := range e.shards {
 		sh.mu.Unlock()

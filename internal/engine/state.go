@@ -121,16 +121,18 @@ func (e *Engine) SketchState(knownReg uint64) (st *State, reg uint64) {
 	keys := 0
 	for _, sh := range e.shards {
 		st.Version += sh.muts.Load()
-		keys += len(sh.keys)
-		reg += uint64(len(sh.keys) + sh.activeEntries)
+		keys += sh.len()
+		reg += uint64(sh.len() + sh.activeEntries)
 	}
 	var unsorted, unsortedMasks []uint64
 	if reg != knownReg {
 		unsorted = make([]uint64, 0, keys)
 		unsortedMasks = make([]uint64, 0, keys*mw)
 		for _, sh := range e.shards {
-			unsorted = append(unsorted, sh.keys...)
-			unsortedMasks = append(unsortedMasks, sh.masks...)
+			for slot := range sh.len() {
+				unsorted = append(unsorted, sh.key(slot))
+				unsortedMasks = append(unsortedMasks, sh.mask(slot)...)
+			}
 		}
 	}
 	e.gatherLocked(heaps)
@@ -385,22 +387,22 @@ func (e *Engine) applyState(st *State, countMuts bool) {
 	for s, sh := range e.shards {
 		keys := keyOrder[keyBounds[s]:keyBounds[s+1]]
 		sh.mu.Lock()
-		if len(sh.keys) == 0 && len(keys) > 0 {
-			sh.presize(e, len(keys))
+		if sh.len() == 0 && len(keys) > 0 {
+			sh.presize(len(keys))
 		}
 		muts := uint64(0)
 		for _, j := range keys {
-			slot := sh.slot(e, st.Keys[j])
+			slot := sh.slot(st.Keys[j])
 			for w := 0; w < mw; w++ {
-				muts += uint64(sh.activate(e, slot, w, st.Masks[int(j)*mw+w]))
+				muts += uint64(sh.activate(slot, w, st.Masks[int(j)*mw+w]))
 			}
 		}
 		for i, ents := range st.Entries {
 			word, bit := i/64, uint64(1)<<(i%64)
 			for _, j := range entOrder[i][entBounds[i][s]:entBounds[i][s+1]] {
 				en := ents[j]
-				slot := sh.slot(e, en.Key)
-				muts += uint64(sh.activate(e, slot, word, bit))
+				slot := sh.slot(en.Key)
+				muts += uint64(sh.activate(slot, word, bit))
 				rank := sampling.Rank(sampling.RankPriority, e.cfg.Hash.U(en.Key), en.Weight)
 				if sh.heaps[i].update(slot, en.Key, en.Weight, rank) {
 					muts++

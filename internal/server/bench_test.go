@@ -81,8 +81,10 @@ func BenchmarkQueryCached(b *testing.B) {
 	body := benchBatch(b)
 	b.Run("estimate_sum", func(b *testing.B) {
 		one := benchQuery(b, lstarRG1)
-		// Prime snapshot cache and memo: the measurement is the steady
-		// state, not the one-off reduction.
+		// Prime snapshot cache and memo (a body's second sight stores its
+		// response): the measurement is the steady state, not the one-off
+		// reduction.
+		do(b, s, http.MethodPost, "/v1/query", one)
 		do(b, s, http.MethodPost, "/v1/query", one)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -91,6 +93,7 @@ func BenchmarkQueryCached(b *testing.B) {
 		}
 	})
 	b.Run("batched4", func(b *testing.B) {
+		do(b, s, http.MethodPost, "/v1/query", body)
 		do(b, s, http.MethodPost, "/v1/query", body)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -22,7 +22,7 @@ import (
 var raceEnabled bool
 
 // These tests hold the per-version response table (snapshot.go): a
-// /v1/query body answered once at a version is answered again with the
+// /v1/query body answered twice at a version is answered again with the
 // stored bytes, and nothing else is.
 
 // memoEngine returns an engine holding ladderDataset(n), fed in process.
@@ -60,9 +60,10 @@ func stored(s *Server, body []byte) bool {
 
 // TestQueryResponseTableByteIdentity: over a seeded set of requests —
 // every registered estimator, several functions, selections, jaccard,
-// and per-query errors — the stored answer a hit writes is byte for byte
-// the miss's answer, which is byte for byte what a server with an empty
-// memo answers at that version.
+// and per-query errors — the first answer stores nothing, the second is
+// stored, and the stored answer a hit writes is byte for byte the misses'
+// answer, which is byte for byte what a server with an empty memo
+// answers at that version.
 func TestQueryResponseTableByteIdentity(t *testing.T) {
 	eng := memoEngine(t, 40)
 	s := New(eng)
@@ -102,12 +103,16 @@ func TestQueryResponseTableByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		miss := serveQuery(s, body)
-		if miss.Code != http.StatusOK || !stored(s, body) {
-			t.Fatalf("request %d: status %d, stored %v: %s", r, miss.Code, stored(s, body), miss.Body)
+		if miss.Code != http.StatusOK || stored(s, body) {
+			t.Fatalf("request %d: status %d, stored %v after one sight: %s", r, miss.Code, stored(s, body), miss.Body)
+		}
+		second := serveQuery(s, body)
+		if !stored(s, body) {
+			t.Fatalf("request %d: not stored after two sights", r)
 		}
 		hit := serveQuery(s, body)
 		fresh := serveQuery(New(eng), body)
-		for label, rec := range map[string]*httptest.ResponseRecorder{"hit": hit, "fresh": fresh} {
+		for label, rec := range map[string]*httptest.ResponseRecorder{"second": second, "hit": hit, "fresh": fresh} {
 			if rec.Code != miss.Code || !bytes.Equal(rec.Body.Bytes(), miss.Body.Bytes()) ||
 				rec.Header().Get("Content-Type") != miss.Header().Get("Content-Type") {
 				t.Fatalf("request %d: %s answered %d %q\n%s\nmiss answered %d %q\n%s", r, label,
@@ -138,8 +143,9 @@ func TestQueryResponseTableBypass(t *testing.T) {
 	s := NewWith(eng, Config{Cluster: rep})
 	body := []byte(`{"queries":[{"func":"rg","p":1},{"statistic":"jaccard"}]}`)
 	first := serveQuery(s, body)
+	serveQuery(s, body)
 	if !stored(s, body) {
-		t.Fatal("a clean 200 was not stored")
+		t.Fatal("a clean 200 was not stored on its second sight")
 	}
 
 	// A new version: the answer is the new version's.
@@ -165,6 +171,7 @@ func TestQueryResponseTableBypass(t *testing.T) {
 	// A stored answer is not served to a degraded round either.
 	rep.on.Store(false)
 	clean := serveQuery(s, body)
+	serveQuery(s, body)
 	rep.on.Store(true)
 	if rec := serveQuery(s, body); !stored(s, body) || !strings.Contains(rec.Body.String(), `"degraded":{`) ||
 		!bytes.Equal(rec.Body.Bytes()[:bytes.Index(rec.Body.Bytes(), []byte(`,"degraded":{`))], bytes.TrimSuffix(clean.Body.Bytes(), []byte("}\n"))) {
@@ -190,10 +197,11 @@ func (c *countingSource) Sync(context.Context) error {
 	return nil
 }
 
-// TestQueryHitAcquiresOnceAndBuildsNothing: a hit syncs the snapshot
-// source exactly once, so a coordinator still reads its own writes, and
-// builds no estimator; a stored body the engine has moved past is
-// answered afresh from that one sync; a malformed request syncs nothing.
+// TestQueryHitAcquiresOnceAndBuildsNothing: a hit (the third sight of a
+// body) syncs the snapshot source exactly once, so a coordinator still
+// reads its own writes, and builds no estimator; a stored body the engine
+// has moved past is answered afresh from that one sync; a malformed
+// request syncs nothing.
 func TestQueryHitAcquiresOnceAndBuildsNothing(t *testing.T) {
 	var builds atomic.Int64
 	reg := estreg.Default()
@@ -214,15 +222,15 @@ func TestQueryHitAcquiresOnceAndBuildsNothing(t *testing.T) {
 		if got := src.syncs.Load(); got != i {
 			t.Fatalf("after %d requests: %d syncs, want %d", i, got, i)
 		}
-		if got := builds.Load(); got != 1 {
-			t.Fatalf("after %d requests: %d estimator builds, want the miss's 1", i, got)
+		if got, want := builds.Load(), min(i, 2); got != want {
+			t.Fatalf("after %d requests: %d estimator builds, want the two misses' %d", i, got, want)
 		}
 	}
 	if err := eng.Ingest(0, 1, 1e6); err != nil {
 		t.Fatal(err)
 	}
-	if rec := serveQuery(s, body); rec.Code != http.StatusOK || src.syncs.Load() != 4 || builds.Load() != 2 {
-		t.Fatalf("after an ingest: status %d, %d syncs, %d builds, want 200, 4 and 2", rec.Code, src.syncs.Load(), builds.Load())
+	if rec := serveQuery(s, body); rec.Code != http.StatusOK || src.syncs.Load() != 4 || builds.Load() != 3 {
+		t.Fatalf("after an ingest: status %d, %d syncs, %d builds, want 200, 4 and 3", rec.Code, src.syncs.Load(), builds.Load())
 	}
 	if rec := serveQuery(s, []byte(`{"queries":[`)); rec.Code != http.StatusBadRequest || src.syncs.Load() != 4 {
 		t.Fatalf("malformed request: status %d, %d syncs, want 400 and still 4", rec.Code, src.syncs.Load())
@@ -240,9 +248,10 @@ func whitespaceVariant(body string, i int) []byte {
 	return []byte(body[:1] + string(ws) + body[1:])
 }
 
-// TestResponseTableStaysCapped: distinct bodies past maxMemoEntries, and
-// bodies past maxMemoResponseBytes, stop being stored, and every one of
-// them — stored or not — still answers the same bytes.
+// TestResponseTableStaysCapped: distinct bodies, each asked twice, past
+// maxMemoEntries (which also caps the sighted hashes), and bodies past
+// maxMemoResponseBytes, stop being stored, and every answer — stored or
+// not — is the same bytes.
 func TestResponseTableStaysCapped(t *testing.T) {
 	const query = `{"queries":[{"estimator":"lstar"}]}`
 	eng := memoEngine(t, 40)
@@ -251,15 +260,17 @@ func TestResponseTableStaysCapped(t *testing.T) {
 	s := New(eng)
 	for i := 0; i < maxMemoEntries+8; i++ {
 		body := whitespaceVariant(query, i)
-		if rec := serveQuery(s, body); !bytes.Equal(rec.Body.Bytes(), want) {
-			t.Fatalf("body %d answered %s, want %s", i, rec.Body, want)
+		for range 2 {
+			if rec := serveQuery(s, body); !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("body %d answered %s, want %s", i, rec.Body, want)
+			}
 		}
 		if got := stored(s, body); got != (i < maxMemoEntries) {
 			t.Fatalf("body %d: stored = %v at %d stored responses", i, got, len(s.memo.Load().responses))
 		}
 	}
-	if n := len(s.memo.Load().responses); n != maxMemoEntries {
-		t.Fatalf("%d stored responses, want the cap %d", n, maxMemoEntries)
+	if mm := s.memo.Load(); len(mm.responses) != maxMemoEntries || len(mm.sighted) != maxMemoEntries {
+		t.Fatalf("%d stored responses and %d sighted bodies, want the cap %d", len(mm.responses), len(mm.sighted), maxMemoEntries)
 	}
 
 	s = New(eng)
@@ -267,8 +278,10 @@ func TestResponseTableStaysCapped(t *testing.T) {
 	fit := maxMemoResponseBytes / (pad + len(query) + len(want))
 	for i := 0; i < fit+2; i++ {
 		body := []byte(query + strings.Repeat(" ", pad+i))
-		if rec := serveQuery(s, body); !bytes.Equal(rec.Body.Bytes(), want) {
-			t.Fatalf("padded body %d answered %s, want %s", i, rec.Body, want)
+		for range 2 {
+			if rec := serveQuery(s, body); !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("padded body %d answered %s, want %s", i, rec.Body, want)
+			}
 		}
 		if got := stored(s, body); got != (i < fit) {
 			t.Fatalf("padded body %d: stored = %v with %d response bytes held", i, got, s.memo.Load().responseBytes)
@@ -305,6 +318,7 @@ func TestQueryHitAllocs(t *testing.T) {
 	}
 	s := New(memoEngine(t, 40))
 	body := []byte(`{"queries":[{"func":"rg","p":1,"estimator":"lstar"},{"statistic":"jaccard"}]}`)
+	serveQuery(s, body)
 	serveQuery(s, body)
 	rd := bytes.NewReader(body)
 	req := httptest.NewRequest(http.MethodPost, "/v1/query", replayBody{rd})

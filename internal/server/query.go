@@ -294,11 +294,12 @@ func (q *plannedQuery) eval(view engine.SnapshotView) queryResult {
 }
 
 // handleQuery reads the body once. A body this version already answered
-// is answered with the stored bytes of that answer, after the one acquire
-// every read makes (a coordinator still syncs, so a client still reads
-// its writes); anything else is decoded, planned, acquired, evaluated
-// through the per-query memo and encoded once, and a clean 200 is stored
-// for the next asker (snapshot.go).
+// twice is answered with the stored bytes of that answer, after the one
+// acquire every read makes (a coordinator still syncs, so a client still
+// reads its writes); anything else is decoded, planned, acquired,
+// evaluated through the per-query memo and encoded once, and a clean 200
+// is recorded for the next asker (snapshot.go: the second sight stores
+// it).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (int, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxQueryBody))
 	if err != nil {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"hash/maphash"
 	"sync"
 
 	"repro/internal/engine"
@@ -77,7 +78,8 @@ type MissingNode struct {
 // maxMemoEntries caps one version's memo so an adversarial query stream
 // (unbounded distinct selections) cannot grow memory without bound;
 // beyond the cap, queries still evaluate — they just stop being recorded.
-// It caps the per-query results and the stored responses each.
+// It caps the per-query results, the stored responses and the sighted
+// body hashes each.
 const maxMemoEntries = 4096
 
 // maxMemoResponseBytes caps the bytes one version's stored responses hold,
@@ -89,7 +91,10 @@ const maxMemoResponseBytes = 8 << 20
 // Estimators are deterministic functions of the snapshot, so a (version,
 // query) pair fully determines the result, and a (version, request body)
 // pair the whole /v1/query response: responses maps each body answered
-// with a non-degraded 200 to the bytes written for it. The memo is
+// with a non-degraded 200 at least twice to the bytes written for it.
+// A body answered once leaves only its 64-bit hash in sighted, so the
+// many bodies asked once per version (a selection, a one-off U* query)
+// cost 8 bytes each instead of their body and answer. The memo is
 // dropped wholesale the first time a request is served from a newer
 // version.
 type resultMemo struct {
@@ -98,7 +103,12 @@ type resultMemo struct {
 	m             map[string]*memoCall
 	responses     map[string][]byte
 	responseBytes int
+	sighted       map[uint64]struct{}
 }
+
+// bodySeed keys the body hashes in resultMemo.sighted. A collision only
+// stores a response one sight early.
+var bodySeed = maphash.MakeSeed()
 
 // memoCall is one (version, query) evaluation, run at most once: the push
 // round and a concurrent dash asking the same thing share it, the second
@@ -132,11 +142,19 @@ func (mm *resultMemo) response(body []byte) []byte {
 	return mm.responses[string(body)]
 }
 
-// record stores resp as the answer to body unless a cap is reached.
+// record notes a sight of body answered with resp: the first sight keeps
+// the body's hash, the second stores resp, unless a cap is reached.
 func (mm *resultMemo) record(body, resp []byte) {
+	h := maphash.Bytes(bodySeed, body)
 	size := len(body) + len(resp)
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
+	if _, ok := mm.sighted[h]; !ok {
+		if len(mm.sighted) < maxMemoEntries {
+			mm.sighted[h] = struct{}{}
+		}
+		return
+	}
 	if _, ok := mm.responses[string(body)]; ok || len(mm.responses) >= maxMemoEntries || mm.responseBytes+size > maxMemoResponseBytes {
 		return
 	}
@@ -154,7 +172,7 @@ func (s *Server) memoFor(version uint64) *resultMemo {
 		if m != nil && m.version == version {
 			return m
 		}
-		fresh := &resultMemo{version: version, m: make(map[string]*memoCall), responses: make(map[string][]byte)}
+		fresh := &resultMemo{version: version, m: make(map[string]*memoCall), responses: make(map[string][]byte), sighted: make(map[uint64]struct{})}
 		if s.memo.CompareAndSwap(m, fresh) {
 			return fresh
 		}
