@@ -23,13 +23,13 @@ import (
 // against SampleBottomK, and the encoded DumpState against that of a
 // fresh engine fed the table once.
 //
-// Item ids are SampleBottomK's item indices. An even seed hands the
-// engines spread keys instead (id<<32: every key equal in its low 32
-// bits), which SampleBottomK cannot seed, so there the snapshot is held
-// to that of the fresh engine fed the table, itself held to SampleBottomK
-// on the odd seeds; every view also checks each shard's key index (see
-// Engine.CheckRegistries). Both key spaces grow every index from its
-// first cells.
+// Item ids are SampleBottomK's item indices. Every seed runs twice: on id
+// keys, held to SampleBottomK, and on spread keys (id<<32: every key equal
+// in its low 32 bits), which SampleBottomK cannot seed, so there the
+// snapshot is held to that of the fresh engine fed the table, itself held
+// to SampleBottomK in the id-key run. Every view also checks each shard's
+// key index (see Engine.CheckRegistries). Both key spaces grow every index
+// from its first cells.
 //
 // Weights are continuous draws, so exact rank ties and near-overflow
 // weights do not occur here: heap admission is lossy there, and
@@ -74,11 +74,12 @@ type node struct {
 }
 
 // runModel draws the configuration and every key and weight from seed and
-// applies ops, checking every view and, at the end, every engine.
-func runModel(t testing.TB, seed int64, ops []byte) *model {
+// applies ops, checking every view and, at the end, every engine. spread
+// picks the key space (see key).
+func runModel(t testing.TB, seed int64, spread bool, ops []byte) *model {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	m := &model{t: t, seed: seed, rng: rng, keys: 8 + rng.Intn(250), spread: seed%2 == 0}
+	m := &model{t: t, seed: seed, rng: rng, keys: 8 + rng.Intn(250), spread: spread}
 	m.cfg = engine.Config{Instances: 1 + rng.Intn(3), K: 1 + rng.Intn(12), Hash: sampling.NewSeedHash(uint64(seed))}
 	n := 1 + rng.Intn(3)
 	for range n {
@@ -97,10 +98,10 @@ func runModel(t testing.TB, seed int64, ops []byte) *model {
 	return m
 }
 
-// fail stops the run, naming the seed and the op index j.
+// fail stops the run, naming the seed, the key space and the op index j.
 func (m *model) fail(j int, format string, args ...any) {
 	m.t.Helper()
-	m.t.Fatalf("seed %d, op %d: "+format, append([]any{m.seed, j}, args...)...)
+	m.t.Fatalf("seed %d (spread %v), op %d: "+format, append([]any{m.seed, m.spread, j}, args...)...)
 }
 
 // key is item id's engine key; id inverts it.
@@ -346,19 +347,22 @@ func (m *model) check(j int, nd *node, v engine.SnapshotView) {
 	}
 }
 
-// TestEngineMatchesModel runs the harness on fixed seeds and requires the
-// streams to have exercised every op and a registry-less re-sync.
+// TestEngineMatchesModel runs the harness on fixed seeds, each on both
+// key spaces, and requires the streams to have exercised every op and a
+// registry-less re-sync.
 func TestEngineMatchesModel(t *testing.T) {
 	var ran [numOps]int
 	blind := 0
 	for seed := int64(1); seed <= 24; seed++ {
 		ops := make([]byte, 120)
 		rand.New(rand.NewSource(-seed)).Read(ops)
-		m := runModel(t, seed, ops)
-		for op, n := range m.ran {
-			ran[op] += n
+		for _, spread := range []bool{false, true} {
+			m := runModel(t, seed, spread, ops)
+			for op, n := range m.ran {
+				ran[op] += n
+			}
+			blind += m.blind
 		}
-		blind += m.blind
 	}
 	for op, n := range ran {
 		if n == 0 {
@@ -371,11 +375,14 @@ func TestEngineMatchesModel(t *testing.T) {
 }
 
 // FuzzEngineMatchesModel runs the harness over fuzzed op streams (at most
-// 256 ops); seed fixes the configuration, keys and weights.
+// 256 ops), on both key spaces; seed fixes the configuration, keys and
+// weights.
 func FuzzEngineMatchesModel(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(int64(2), []byte{0, 8, 16, 6, 35, 44, 12, 61, 14, 2, 71, 7, 100, 13, 4, 68, 6})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
-		runModel(t, seed, ops[:min(len(ops), 256)])
+		ops = ops[:min(len(ops), 256)]
+		runModel(t, seed, false, ops)
+		runModel(t, seed, true, ops)
 	})
 }
